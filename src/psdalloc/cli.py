@@ -6,11 +6,11 @@ import sys
 
 import numpy as np
 
-from .bench import (ExperimentConfig, emit_csv, emit_curve, emit_gs_curve,
-                    gen_adversarial, gen_random, run_experiment)
+from .bench import (ExperimentConfig, _unsmoothed_beta, emit_csv, emit_curve,
+                    emit_gs_curve, gen_adversarial, gen_random, run_experiment)
 from .budget import BudgetSmoother, b_prime
 from .designer import DesignSpec, cr_bound, design_hs, design_to_dict, design_from_dict
-from .lowner import SmoothedObjective, exact_measure
+from .lowner import SmoothedObjective, exact_measure, smoothed_from_dict
 from .objectives import make_objective, trace_lift
 from .online import run_stream
 from .oracle import audit_run, instance_from_dict, instance_to_dict, offline_continuous_opt
@@ -36,9 +36,11 @@ def cmd_design(args):
                       args.variant, args.rho2)
     result = design_hs(spec)
     _write_json(design_to_dict(result), args.out)
-    print("beta = %.9g  bound = %.9g  residual = %.3g  flagged = %s"
-          % (result.beta, cr_bound(args.gamma, result.beta),
-             result.residual, result.flagged), file=sys.stderr)
+    print("beta = %.9g  beta_lb = %.9g  gap = %.3g  bound = %.9g  residual = %.3g"
+          "  flagged = %s"
+          % (result.beta, result.beta_lb, result.beta - result.beta_lb,
+             cr_bound(args.gamma, result.beta), result.residual, result.flagged),
+          file=sys.stderr)
     return 0
 
 
@@ -54,21 +56,26 @@ def _load_instance(args):
 
 def cmd_run(args):
     inst = _load_instance(args)
+    dres = None
     if args.measure:
         with open(args.measure) as fh:
             dres = design_from_dict(json.load(fh))
-        obj = dres.spec.objective
-        surrogate = dres.smoothed()
-        beta = dres.beta
+    obj = dres.spec.objective if dres is not None else make_objective(args.objective, args.p)
+    smoother = BudgetSmoother(obj, args.gamma, inst.b, inst.theta, inst.Theta,
+                              inst.rho1, args.variant)
+    if dres is not None:
+        surrogate, beta = dres.smoothed(), dres.beta
     else:
-        obj = make_objective(args.objective, args.p)
         em = exact_measure(obj)
         if em is None:
             raise SystemExit("objective %s needs a designed measure (--measure)" % obj.label)
         surrogate = SmoothedObjective(em, obj)
-        beta = args.gamma if obj.kind == "linear" else args.gamma + 1.0
-    smoother = BudgetSmoother(obj, args.gamma, inst.b, inst.theta, inst.Theta,
-                              inst.rho1, args.variant)
+        # the beta bench certifies for the exact measure; under seq it pays
+        # the rho2 term on the grid up to b' max lambda/c
+        rho2 = inst.rho2 if args.variant == "seq" else 0.0
+        beta = _unsmoothed_beta(DesignSpec(
+            obj, args.gamma, b_prime(smoother) * inst.max_lam_over_c, 100, 200,
+            args.variant, rho2))
     trace = run_stream(surrogate, smoother, inst.arrivals, args.variant, inst.n)
     p_star = offline_continuous_opt(inst, obj).value
     report = audit_run(trace.decisions, inst, surrogate, smoother,
@@ -130,13 +137,9 @@ def cmd_bench(args):
 def cmd_audit(args):
     with open(args.trace) as fh:
         payload = json.load(fh)
-    obj = make_objective(payload["objective"]["kind"], payload["objective"].get("p", 1.0))
+    surrogate = smoothed_from_dict(dict(payload["measure"], objective=payload["objective"]))
     inst = instance_from_dict(payload["instance"])
-    from .lowner import AtomicMeasure
-    surrogate = SmoothedObjective(
-        AtomicMeasure(np.asarray(payload["measure"]["nodes"], dtype=float),
-                      np.asarray(payload["measure"]["weights"], dtype=float)), obj)
-    smoother = BudgetSmoother(obj, float(payload["gamma"]), inst.b, inst.theta,
+    smoother = BudgetSmoother(surrogate.base, float(payload["gamma"]), inst.b, inst.theta,
                               inst.Theta, inst.rho1, payload["variant"])
     report = audit_run(np.asarray(payload["decisions"], dtype=float), inst,
                        surrogate, smoother, payload["variant"])

@@ -10,23 +10,21 @@ on the grid u_i = h^{-1}(i h(u_max)/d), i = 1..d, with the slope normalization
 sum_j mu_j/(1 - lambda_j) = h'(0) and mu >= 0.  The certified competitive
 ratio is then 1/(gamma/(e-1) + beta).
 
-The max-of-ratios objective F(mu) = max_i r_i(mu) is convex in mu: on the
-reachable band 0 < y <= h'(0) the negated conjugate -h*(y) is convex and
-cone-representable, so the grid minimax is solved as a cone program (cvxpy /
-Clarabel) inside an exchange loop that appends any probe points (10x-denser
-grid, grid midpoints, geometric near-zero tail) found rising above the trained
-maximum.  A pure-numpy fallback (annealed log-sum-exp smoothing plus an
-exact-max Polyak polish over the weighted simplex) covers environments without
-cvxpy.  The returned beta is the trained maximum inflated one-sidedly by any
-excess still seen on the probe set.
+h_S and y are linear in mu, and -h*(y) = sup_{v>=0} h(v) - v y is a supremum
+of lines, so the grid minimax is a semi-infinite LP in (mu, beta).  Kelley's
+cutting-plane method solves it with HiGHS (scipy.optimize.linprog), adding
+the tangent cut v = u*(y_i) wherever a ratio still exceeds the LP value; that
+value is a lower bound on the grid optimum.  An exchange loop appends any
+probe points (10x-denser grid, grid midpoints, geometric near-zero tail) found
+rising above the trained maximum.  The returned beta is the trained maximum
+inflated one-sidedly by any excess still seen on the probe set.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lowner import AtomicMeasure, SmoothedObjective, exact_measure, hs_eval, y_eval, phi_primitive
+from .lowner import AtomicMeasure, SmoothedObjective, hs_eval, phi_primitive, y_eval
 from .objectives import TraceObjective, h_conj, h_conj_prime, h_eval, h_inverse
 
 E1 = np.e - 1.0
@@ -63,9 +61,9 @@ class DesignSpec:
 class DesignResult:
     measure: AtomicMeasure
     beta: float
+    beta_lb: float       # final LP value (from its duals): bounds the grid optimum below
     residual: float      # one-sided inflation applied after dense-grid verification
-    iterations: int
-    final_step: float
+    iterations: int      # LP solves
     converged: bool
     flagged: bool
     spec: DesignSpec
@@ -127,238 +125,108 @@ def cr_bound(gamma, beta):
 
 
 class _Tableau:
-    """Precomputed constraint arrays over (u-grid x node-grid)."""
+    """Constraint arrays over (u-grid x node-grid).
 
-    def __init__(self, spec, grid=None):
-        obj = spec.objective
+    ratio_i(mu) = lin_i . mu - h*(Psi_i . mu)/h_i, with the part linear in mu
+    lin_i = (gamma Phi_i [+ gamma rho2 (a - Psi_i)])/h_i.
+    """
+
+    def __init__(self, spec, grid):
         self.spec = spec
         self.nodes = np.arange(spec.q) / spec.q
-        self.u = design_grid(spec) if grid is None else grid
+        self.u = grid
         self.a = 1.0 / (1.0 - self.nodes)                      # y(0) coefficients
-        self.C = obj.h_prime0                                  # normalization level
-        self.Phi = phi_primitive(self.u[:, None], self.nodes[None, :])
-        self.Psi = 1.0 / (self.u[:, None] * self.nodes + (1.0 - self.nodes))
-        self.h = h_eval(obj, self.u)
-
-    def ratios(self, mu):
-        obj = self.spec.objective
-        y = self.Psi @ mu
-        vals = self.spec.gamma * (self.Phi @ mu) - h_conj(obj, y)
-        if self.spec.variant == "seq":
-            vals = vals + self.spec.gamma * self.spec.rho2 * (self.a @ mu - y)
-        return vals / self.h, y
-
-    def value_and_subgrad(self, mu):
-        r, y = self.ratios(mu)
-        i = int(np.argmax(r))
-        ustar = h_conj_prime(self.spec.objective, y[i])
-        g = self.spec.gamma * self.Phi[i] - ustar * self.Psi[i]
-        if self.spec.variant == "seq":
-            g = g + self.spec.gamma * self.spec.rho2 * (self.a - self.Psi[i])
-        return float(r[i]), g / self.h[i]
-
-    def softmax_value_and_grad(self, mu, tau):
-        """Entropically smoothed max: tau log sum exp(r/tau) and its gradient."""
-        spec = self.spec
-        r, y = self.ratios(mu)
-        rmax = float(np.max(r))
-        w = np.exp((r - rmax) / tau)
-        Z = float(np.sum(w))
-        s = w / Z                       # softmax weights over constraints
-        sh = s / self.h
-        ustar = h_conj_prime(spec.objective, y)
-        g = spec.gamma * (self.Phi.T @ sh) - self.Psi.T @ (sh * ustar)
+        self.h = h_eval(spec.objective, grid)
+        self.Psi = 1.0 / (grid[:, None] * self.nodes + (1.0 - self.nodes))
+        lin = spec.gamma * phi_primitive(grid[:, None], self.nodes[None, :])
         if spec.variant == "seq":
-            g = g + spec.gamma * spec.rho2 * (float(np.sum(sh)) * self.a
-                                              - self.Psi.T @ sh)
-        return rmax + tau * np.log(Z), g
+            lin = lin + spec.gamma * spec.rho2 * (self.a - self.Psi)
+        self.lin = lin / self.h[:, None]
 
 
-def _project_weighted_simplex(v, a, C):
-    """Euclidean projection onto {mu >= 0, a . mu = C} with a > 0, C > 0.
+def _lp_weights(tab, tol=1e-7, max_solves=200):
+    """Kelley's cutting-plane method for min_mu max_i ratio_i on the tableau grid.
 
-    Breakpoint scan on the multiplier tau (mu = max(0, v - tau a)); falls back
-    to bisection if roundoff breaks the scan.
+    -h*(y) = sup_{v>=0} h(v) - v y is a supremum of lines, so every cut v
+    turns constraint i into the row
+
+        (lin_i - v Psi_i/h_i) . mu - t <= -h(v)/h_i
+
+    of an LP in (mu, t) with a . mu = h'(0), mu >= 0 and t free.  After each
+    solve the tangent cut v = u*(y_i) is added at every row whose true ratio
+    is above t + tol (tol relative to t once t exceeds 1).  Returns the
+    weights of the best iterate, a lower bound on the grid minimax, the number
+    of LP solves, and whether the best iterate came within tol of the bound.
+    It also stops when no row is above t + tol, as the LP could not move.
     """
-    bp = v / a
-    order = np.argsort(bp)[::-1]
-    vs, az, bps = v[order], a[order], bp[order]
-    S1 = np.cumsum(az * vs)
-    S2 = np.cumsum(az * az)
-    cand = (S1 - C) / S2
-    nxt = np.append(bps[1:], -np.inf)
-    ok = (cand >= nxt - 1e-12) & (cand <= bps + 1e-12)
-    if np.any(ok):
-        tau = cand[int(np.argmax(ok))]
-        mu = np.maximum(v - tau * a, 0.0)
-        if abs(a @ mu - C) <= 1e-9 * max(C, 1.0):
-            return mu
-    # bisection fallback: a.mu(tau) is decreasing in tau
-    lo = (a @ v - C) / (a @ a) - 1.0
-    hi = float(np.max(bp))
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if a @ np.maximum(v - mid * a, 0.0) > C:
-            lo = mid
-        else:
-            hi = mid
-    return np.maximum(v - 0.5 * (lo + hi) * a, 0.0)
+    # imported here, not at module level: scipy.optimize roughly quadruples
+    # the import time of the package, and only designing needs it
+    from scipy.optimize import linprog
+
+    obj = tab.spec.objective
+    q = tab.nodes.size
+    rows, rhs = [], []
+
+    def add_cuts(i, v):
+        rows.append(np.column_stack([tab.lin[i] - (v / tab.h[i])[:, None] * tab.Psi[i],
+                                     -np.ones(i.size)]))
+        rhs.append(-h_eval(obj, v) / tab.h[i])
+
+    # seed: v = u_i, where the exact-h measure is tangent, and v = 0
+    every = np.arange(tab.u.size)
+    add_cuts(every, tab.u)
+    add_cuts(every, np.zeros(tab.u.size))
+    best_w, best_F, lb = None, np.inf, -np.inf
+    for solves in range(1, max_solves + 1):
+        A, b = np.vstack(rows), np.concatenate(rhs)
+        # HiGHS's default feasibility tolerance 1e-7 equals tol: at dopt gamma=4
+        # the loop then stalled, re-adding cuts the LP kept violating by 6e-8
+        res = linprog(np.append(np.zeros(q), 1.0), A_ub=A, b_ub=b,
+                      A_eq=np.append(tab.a, 0.0)[None, :], b_eq=[obj.h_prime0],
+                      bounds=[(0.0, None)] * q + [(None, None)], method="highs",
+                      options={"primal_feasibility_tolerance": 1e-8,
+                               "dual_feasibility_tolerance": 1e-8})
+        if res.status != 0:
+            raise RuntimeError("design LP failed: %s" % res.message)
+        # Weak duality, whatever the solver's tolerances: the duals lam >= 0
+        # of the cuts, scaled to sum 1, give max_i ratio_i(mu) >= lam.(A mu - b)
+        # >= h'(0) min_j (lam A)_j / a_j - lam.b for every feasible mu.
+        lam = np.maximum(-res.ineqlin.marginals, 0.0)
+        lam /= lam.sum()
+        lb = max(lb, obj.h_prime0 * float(np.min((lam @ A[:, :q]) / tab.a)) - float(lam @ b))
+        t = float(res.x[-1])
+        w = np.maximum(res.x[:q], 0.0)
+        w *= obj.h_prime0 / float(tab.a @ w)
+        measure = AtomicMeasure(tab.nodes, w)
+        r, y = constraint_values(tab.spec, measure, tab.u), y_eval(measure, tab.u)
+        if float(np.max(r)) < best_F:
+            best_w, best_F = w, float(np.max(r))
+        step = tol * max(1.0, abs(t))
+        hot = np.flatnonzero(r > t + step)
+        if best_F - lb <= step or hot.size == 0:   # certified, or nothing left to cut
+            return best_w, lb, solves, best_F - lb <= step
+        add_cuts(hot, h_conj_prime(obj, y[hot]))
+    return best_w, lb, solves, False
 
 
-def _smoothed_descent(tab, mu0, taus=(3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5),
-                      iters_per_tau=300):
-    """Annealed log-sum-exp minimization with monotone projected gradient steps.
-
-    The entropic surrogate spreads the gradient over all near-active
-    constraints, which drives the iterate toward the equalized minimax
-    solution (and hence toward ratio curves that stay flat between grid
-    points instead of bulging above the sampled maximum).
-    """
-    mu = mu0
-    total = 0
-    for tau in taus:
-        alpha = 1.0
-        F, g = tab.softmax_value_and_grad(mu, tau)
-        for _ in range(iters_per_tau):
-            total += 1
-            moved = False
-            for _ in range(40):
-                cand = _project_weighted_simplex(mu - alpha * g, tab.a, tab.C)
-                Fc, gc = tab.softmax_value_and_grad(cand, tau)
-                if Fc <= F - 1e-12:
-                    moved = True
-                    break
-                alpha *= 0.5
-            if not moved:
-                break
-            gain = F - Fc
-            mu, F, g = cand, Fc, gc
-            alpha = min(alpha * 1.5, 1e4)
-            if gain < tau * 1e-4:
-                break
-    return mu, total
-
-
-def _polyak_polish(tab, mu0, max_iters=2000, stall=150):
-    """Exact-max polish with dynamic Polyak targets (halving the gap estimate)."""
-    mu = mu0
-    F0, _ = tab.value_and_subgrad(mu0)
-    best_mu, best_F = mu0, F0
-    delta = max(1e-4, 1e-3 * abs(F0))
-    last_improve = 0
-    step = 0.0
-    it = 0
-    for it in range(1, max_iters + 1):
-        F, g = tab.value_and_subgrad(mu)
-        if F < best_F - 1e-13:
-            best_F, best_mu = F, mu
-            last_improve = it
-        if it - last_improve > stall:
-            delta *= 0.5
-            last_improve = it
-            mu = best_mu
-            if delta < 1e-9:
-                break
-            continue
-        step = (F - (best_F - delta)) / max(float(g @ g), 1e-300)
-        mu = _project_weighted_simplex(mu - step * g, tab.a, tab.C)
-    return best_mu, best_F, it, step
-
-
-def _seed_measures(spec, tab):
-    """Starting weights: an h'-matching atom (nearest node) and a uniform spread."""
-    obj = spec.objective
-    seeds = []
-    em = exact_measure(obj)
-    lam_star = float(em.nodes[0]) if em is not None else 0.5
-    idx = int(np.argmin(np.abs(tab.nodes - lam_star)))
-    atom = np.zeros(spec.q)
-    atom[idx] = tab.C * (1.0 - tab.nodes[idx])
-    seeds.append(atom)
-    seeds.append(np.full(spec.q, tab.C / np.sum(tab.a)))
-    return seeds
-
-
-def _cone_weights(tab, scaled):
-    """Solve the grid minimax design as a cone program (None on failure).
-
-    The negated conjugate is convex on the reachable band 0 < y <= h'(0), so
-    min_mu max_i ratio_i is a disciplined convex program; dopt needs
-    exponential cones, aopt second-order cones, pmean power cones.
-    """
-    try:
-        import cvxpy as cp
-    except ImportError:
-        return None
-    spec = tab.spec
-    obj = spec.objective
-    invh = (1.0 / tab.h) if scaled else np.ones_like(tab.h)
-    mu = cp.Variable(tab.nodes.size, nonneg=True)
-    t = cp.Variable()
-    y = tab.Psi @ mu
-    lhs = (spec.gamma * (invh[:, None] * tab.Phi)) @ mu
-    if spec.variant == "seq":
-        lhs = lhs + spec.gamma * spec.rho2 * cp.multiply(invh, tab.a @ mu - y)
-    if obj.kind == "dopt":
-        neg_conj = cp.multiply(invh, y - 1.0) - cp.multiply(invh, cp.log(y))
-    elif obj.kind == "aopt":
-        neg_conj = cp.multiply(invh, y + 1.0) - 2.0 * cp.multiply(invh, cp.sqrt(y))
-    elif obj.kind == "pmean":
-        p = obj.p
-        scale = p ** (1.0 / (p + 1.0)) + p ** (-p / (p + 1.0))
-        neg_conj = (cp.multiply(invh, y + 1.0)
-                    - scale * cp.multiply(invh, cp.power(y, p / (p + 1.0))))
-    else:
-        return None
-    rhs = t if scaled else t * tab.h
-    prob = cp.Problem(cp.Minimize(t), [lhs + neg_conj <= rhs, tab.a @ mu == tab.C])
-    try:
-        # inaccurate solutions are fine: they are polished and re-verified
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            prob.solve(solver=cp.CLARABEL)
-    except Exception:
-        return None
-    if prob.status not in ("optimal", "optimal_inaccurate") or mu.value is None:
-        return None
-    w = np.maximum(np.asarray(mu.value, dtype=float).ravel(), 0.0)
-    total = float(tab.a @ w)
-    if not np.isfinite(total) or total <= 0.0:
-        return None
-    return w * (tab.C / total)
-
-
-def _best_seeded_weights(spec, tab, max_iters):
-    """Pure-numpy fallback: annealed LSE descent + Polyak polish from seeds."""
-    best_mu, best_F, iters = None, np.inf, 0
-    for mu0 in _seed_measures(spec, tab):
-        mu, its_a = _smoothed_descent(tab, mu0)
-        mu, F, its_b, _ = _polyak_polish(tab, mu, max_iters)
-        iters += its_a + its_b
-        if F < best_F:
-            best_F, best_mu = F, mu
-    return best_mu, iters
-
-
-def design_hs(spec, beta_tol=1e-7, max_iters=5000, progress=None, method="auto"):
+def design_hs(spec):
     """Design the measure minimizing the certified beta for this spec.
 
-    Solves the grid minimax by a cone program (when cvxpy is available and
-    method is not "subgradient"), then runs an exchange loop: probe the ratio
-    on a 10x-denser grid, grid midpoints, and a geometric near-zero tail; any
-    probe points rising above the trained maximum are appended to the
-    constraint set and the design is re-solved.  The returned beta is the
-    trained maximum plus any residual excess still seen on the probe set
-    (an excess above 1e-6 flags the result).
+    Solves the grid minimax as a cutting-plane LP, then runs an exchange
+    loop: probe the ratio on a 10x-denser grid, grid midpoints, and a
+    geometric near-zero tail; any probe points rising above the trained
+    maximum are appended to the constraint set and the design is re-solved.
+    The returned beta is the trained maximum plus any residual excess still
+    seen on the probe set (an excess above 1e-6 flags the result); beta_lb is
+    the final LP's lower bound on the minimax over the training grid.
     """
     obj = spec.objective
     if obj.kind == "linear":
         # h* is -inf off y = 1, so the only admissible measure is the atom at 0
         # with weight 1; every ratio is then exactly gamma.
         measure = AtomicMeasure(np.array([0.0]), np.array([1.0]))
-        return DesignResult(measure, float(spec.gamma), 0.0, 0, 0.0, True, False, spec)
-    if method not in ("auto", "cone", "subgradient"):
-        raise ValueError("method must be auto, cone, or subgradient")
+        return DesignResult(measure, float(spec.gamma), float(spec.gamma), 0.0, 0,
+                            True, False, spec)
 
     base = design_grid(spec)
     train = np.concatenate([_tail_grid(base[0], floor=1e-5), base])
@@ -368,30 +236,15 @@ def design_hs(spec, beta_tol=1e-7, max_iters=5000, progress=None, method="auto")
         [_tail_grid(fine[0], ratio=2.0 ** -0.5), fine, mids]))
 
     measure, best_F, inflation = None, np.inf, np.inf
-    total_iters = 0
-    last_step = 0.0
+    total_solves = 0
     for round_no in range(4):
         tab = _Tableau(spec, grid=train)
-        w = None
-        if method in ("auto", "cone"):
-            for scaled in (False, True):
-                w = _cone_weights(tab, scaled)
-                if w is not None:
-                    break
-        if w is None:
-            if method == "cone":
-                raise RuntimeError("cone solver unavailable or failed")
-            w, its = _best_seeded_weights(spec, tab, max_iters)
-            total_iters += its
-        w, _, its, step = _polyak_polish(tab, w, max_iters=300, stall=60)
-        total_iters += its
-        last_step = step
+        w, beta_lb, solves, converged = _lp_weights(tab)
+        total_solves += solves
         measure = AtomicMeasure(tab.nodes, w)
         best_F = float(np.max(constraint_values(spec, measure, train)))
         pv = constraint_values(spec, measure, probe)
         inflation = max(0.0, float(np.max(pv)) - best_F)
-        if progress is not None:
-            progress(best_F + inflation)
         if inflation <= 2e-7:
             break
         mask = pv > best_F - 1e-8
@@ -400,8 +253,8 @@ def design_hs(spec, beta_tol=1e-7, max_iters=5000, progress=None, method="auto")
 
     beta = best_F + inflation
     flagged = inflation > 1e-6
-    return DesignResult(measure, float(beta), float(inflation), total_iters,
-                        float(last_step), not flagged, flagged, spec)
+    return DesignResult(measure, float(beta), float(beta_lb), float(inflation),
+                        total_solves, converged and not flagged, flagged, spec)
 
 
 def design_to_dict(result):
@@ -414,9 +267,9 @@ def design_to_dict(result):
         "variant": result.spec.variant,
         "rho2": result.spec.rho2,
         "beta": result.beta,
+        "beta_lb": result.beta_lb,
         "residual": result.residual,
         "iterations": result.iterations,
-        "final_step": result.final_step,
         "converged": result.converged,
         "flagged": result.flagged,
         "nodes": [float(x) for x in result.measure.nodes],
@@ -425,11 +278,14 @@ def design_to_dict(result):
 
 
 def design_from_dict(d):
+    """Inverse of design_to_dict; beta_lb is None for records written without it."""
     obj = TraceObjective(d["objective"]["kind"], float(d["objective"].get("p", 1.0)))
     spec = DesignSpec(obj, float(d["gamma"]), float(d["u_max"]), int(d["q"]),
                       int(d["d"]), d["variant"], float(d["rho2"]))
     measure = AtomicMeasure(np.asarray(d["nodes"], dtype=float),
                             np.asarray(d["weights"], dtype=float))
-    return DesignResult(measure, float(d["beta"]), float(d["residual"]),
-                        int(d["iterations"]), float(d["final_step"]),
+    beta_lb = d.get("beta_lb")
+    return DesignResult(measure, float(d["beta"]),
+                        None if beta_lb is None else float(beta_lb),
+                        float(d["residual"]), int(d["iterations"]),
                         bool(d["converged"]), bool(d["flagged"]), spec)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import TraceObjective, h_conj, psd_eigs
+from .objectives import TraceObjective, psd_eigs
 from .spectral import psd_order_gap, sym
 
 
@@ -103,11 +103,6 @@ def grad_hs(smoothed, M):
     """Gradient of H_S: the mixture y applied through the spectrum of M."""
     w, V = psd_eigs(M)
     return sym((V * y_eval(smoothed.measure, w)) @ V.T)
-
-
-def hs_conj_spectral(smoothed, Y_eigs):
-    """H*(Y) of the ORIGINAL objective at dual eigenvalues (audit helper)."""
-    return float(np.sum(h_conj(smoothed.base, np.asarray(Y_eigs, dtype=float))))
 
 
 def exact_measure(obj):

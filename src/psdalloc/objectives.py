@@ -51,11 +51,6 @@ class TraceObjective:
         return 1.0 if self.kind in ("aopt", "pmean") else np.inf
 
     @property
-    def raw_offset_per_dim(self):
-        """Per-eigenvalue shift versus the raw criterion; raw H = H + n * offset."""
-        return -1.0 if self.kind in ("aopt", "pmean") else 0.0
-
-    @property
     def label(self):
         if self.kind == "pmean":
             return "pmean%g" % self.p

@@ -231,7 +231,7 @@ class AuditReport:
             "decision_consistent", "worst_decision_residual", "max_z_step",
             "min_y_gap", "telescope_residual", "dual_gap_residual",
             "rho_bound_residual", "d_value", "p_star", "passed")}
-        out["checks"] = dict(self.checks)
+        out["checks"] = {k: bool(v) for k, v in self.checks.items()}  # numpy bools break json
         return out
 
 

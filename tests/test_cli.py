@@ -1,0 +1,59 @@
+import json
+import math
+
+import pytest
+
+from psdalloc.bench import _unsmoothed_beta, gen_adversarial
+from psdalloc.budget import BudgetSmoother, b_prime
+from psdalloc.cli import main
+from psdalloc.designer import DesignSpec, cr_bound
+from psdalloc.objectives import make_objective
+
+
+@pytest.mark.parametrize("gamma,beta", [(1.0, 50.9004752531962),
+                                        (2.0, 101.81500400009259)],
+                         ids=["gamma1", "gamma2"])
+def test_run_seq_reports_certified_bound(tmp_path, gamma, beta):
+    out = tmp_path / "run.json"
+    assert main(["run", "--variant", "seq", "--gamma", str(gamma), "--n", "5",
+                 "--m", "50", "--b", "10", "--seed", "0", "--out", str(out)]) == 0
+    bound = json.loads(out.read_text())["report"]["bound"]
+    # the bound bench certifies for the exact dopt measure under seq
+    obj = make_objective("dopt")
+    inst = gen_adversarial(5, 50, 0, 10.0)
+    smoother = BudgetSmoother(obj, gamma, inst.b, inst.theta, inst.Theta,
+                              inst.rho1, "seq")
+    spec = DesignSpec(obj, gamma, b_prime(smoother) * inst.max_lam_over_c,
+                      100, 200, "seq", inst.rho2)
+    assert bound == cr_bound(gamma, _unsmoothed_beta(spec))
+    # the rho2 term dominates: far below the sim bound for beta = gamma + 1
+    assert 1.0 / bound - gamma / (math.e - 1.0) == pytest.approx(beta, rel=1e-6)
+    assert bound < 0.1 * cr_bound(gamma, gamma + 1.0)
+
+
+def test_run_sim_reports_gamma_plus_one_bound(tmp_path):
+    out = tmp_path / "run.json"
+    assert main(["run", "--variant", "sim", "--gamma", "2", "--n", "5",
+                 "--m", "50", "--b", "10", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["report"]["bound"] == cr_bound(2.0, 3.0)
+
+
+def test_design_reports_lp_gap(tmp_path, capsys):
+    out = tmp_path / "design.json"
+    assert main(["design", "--objective", "aopt", "--gamma", "1.5", "--umax", "8",
+                 "--q", "40", "--d", "60", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["beta_lb"] <= record["beta"] <= record["beta_lb"] + 1e-6
+    line = capsys.readouterr().err
+    assert "beta_lb = %.9g" % record["beta_lb"] in line
+    assert "gap = %.3g" % (record["beta"] - record["beta_lb"]) in line
+
+
+def test_audit_replays_a_recorded_run(tmp_path, capsys):
+    trace = tmp_path / "run.json"
+    assert main(["run", "--objective", "dopt", "--variant", "sim", "--n", "4",
+                 "--m", "12", "--b", "3", "--out", str(trace)]) == 0
+    report = tmp_path / "audit.json"
+    assert main(["audit", "--trace", str(trace), "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["passed"] is True
+    assert "audit PASS" in capsys.readouterr().err

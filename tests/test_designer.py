@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+
+import psdalloc
 
 from psdalloc.designer import (
     DesignSpec,
-    _project_weighted_simplex,
     _tail_grid,
     beta_for_measure,
     constraint_values,
@@ -65,38 +69,6 @@ def test_tail_grid():
     assert t[-1] == pytest.approx(0.00625)
     assert t[0] > 1e-5
     assert _tail_grid(1e-6, floor=1e-5).size == 0
-
-
-@given(
-    v=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=12),
-    seed=st.integers(min_value=0, max_value=99),
-)
-def test_projection_feasible_and_idempotent(v, seed):
-    v = np.array(v)
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0.5, 3.0, size=v.size)
-    C = 2.0
-    mu = _project_weighted_simplex(v, a, C)
-    assert np.all(mu >= 0.0)
-    assert float(a @ mu) == pytest.approx(C, abs=1e-8)
-    again = _project_weighted_simplex(mu, a, C)
-    assert np.allclose(again, mu, atol=1e-8)
-
-
-@given(seed=st.integers(min_value=0, max_value=99))
-@settings(max_examples=25)
-def test_projection_is_nearest_point(seed):
-    rng = np.random.default_rng(seed)
-    n = 6
-    v = rng.normal(size=n)
-    a = rng.uniform(0.5, 2.0, size=n)
-    C = 1.5
-    mu = _project_weighted_simplex(v, a, C)
-    d0 = np.sum((mu - v) ** 2)
-    for _ in range(50):
-        w = rng.exponential(size=n)
-        cand = w * (C / (a @ w))
-        assert d0 <= np.sum((cand - v) ** 2) + 1e-9
 
 
 def test_linear_design_closed_form():
@@ -161,24 +133,28 @@ def test_aopt_and_pmean_designs():
         assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
 
 
-def test_subgradient_fallback_is_valid():
-    spec = spec_for(kind="dopt", gamma=1.5)
-    cone = design_hs(spec)
-    fb = design_hs(spec, method="subgradient")
-    assert beta_for_measure(spec, fb.measure, dense=10) <= fb.beta + 1e-9
-    # fallback may be looser but not wildly so, and never better than the cone path
-    assert cone.beta - 1e-7 <= fb.beta <= cone.beta + 0.1
+# certified beta of each spec with the numpy subgradient designer that the
+# cutting-plane LP replaced; the LP design may match or beat it, never exceed it
+FALLBACK_BETAS = [
+    (("dopt", 1.5, "sim", 0.0), 1.735760018),
+    (("aopt", 2.0, "seq", 1.0), 7.112640589),
+]
 
 
-def test_method_validation():
-    with pytest.raises(ValueError):
-        design_hs(spec_for(), method="annealing")
-
-
-def test_progress_callback():
-    seen = []
-    design_hs(spec_for(kind="aopt", gamma=1.0), progress=seen.append)
-    assert seen and all(np.isfinite(v) for v in seen)
+@pytest.mark.parametrize("args,fallback_beta", FALLBACK_BETAS,
+                         ids=["dopt-sim", "aopt-seq"])
+def test_lp_design_is_certified_and_tight(args, fallback_beta):
+    kind, gamma, variant, rho2 = args
+    spec = spec_for(kind=kind, gamma=gamma, variant=variant, rho2=rho2)
+    res = design_hs(spec)
+    # the final LP value bounds the training-grid optimum from below ...
+    assert res.beta_lb <= res.beta
+    # ... and the certified beta is within 1e-6 of it
+    assert res.beta - res.beta_lb <= 1e-6
+    assert res.residual <= 1e-6 and not res.flagged and res.converged
+    assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
+    assert res.beta <= fallback_beta
+    assert res.measure.y0 == pytest.approx(spec.objective.h_prime0, abs=1e-8)
 
 
 def test_cr_bound():
@@ -198,3 +174,39 @@ def test_design_serialization_round_trip():
     assert np.array_equal(back.measure.nodes, res.measure.nodes)
     assert np.array_equal(back.measure.weights, res.measure.weights)
     assert back.flagged == res.flagged
+    assert back.beta_lb == res.beta_lb
+
+
+def test_design_from_legacy_dict():
+    # records written before beta_lb existed carry final_step instead
+    legacy = {
+        "objective": {"kind": "aopt", "p": 1.0}, "gamma": 2.0, "u_max": 10.0,
+        "q": 4, "d": 8, "variant": "sim", "rho2": 0.0, "beta": 2.25,
+        "residual": 0.0, "iterations": 51170, "final_step": 2.2e-06,
+        "converged": True, "flagged": False,
+        "nodes": [0.0, 0.25, 0.5, 0.75], "weights": [0.5, 0.0, 0.25, 0.0],
+    }
+    res = design_from_dict(legacy)
+    assert res.beta == 2.25 and res.beta_lb is None
+    assert res.iterations == 51170 and res.converged and not res.flagged
+    assert res.spec == DesignSpec(make_objective("aopt"), 2.0, 10.0, 4, 8)
+    assert res.smoothed().measure.y0 == pytest.approx(1.0)
+    assert design_to_dict(res)["beta_lb"] is None
+    assert "final_step" not in design_to_dict(res)
+
+
+def test_import_does_not_load_scipy_optimize():
+    # design_hs imports linprog lazily: loading scipy.optimize with the
+    # package would multiply the import time of every psdalloc process
+    env = dict(os.environ)
+    pkg_root = str(Path(psdalloc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import sys, psdalloc; "
+             "print(psdalloc.__file__); print('scipy.optimize' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    where, loaded = proc.stdout.split()
+    assert Path(where).resolve() == Path(psdalloc.__file__).resolve()
+    assert loaded == "False"

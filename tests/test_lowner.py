@@ -10,7 +10,6 @@ from psdalloc.lowner import (
     certify_psd_dr,
     exact_measure,
     grad_hs,
-    hs_conj_spectral,
     hs_eval,
     hs_trace_lift,
     phi_primitive,
@@ -166,13 +165,6 @@ def test_grad_hs_finite_difference(rng):
 def test_grad_hs_at_zero():
     sm = SmoothedObjective(mixed_measure(), make_objective("dopt"))
     assert np.allclose(grad_hs(sm, np.zeros((3, 3))), np.eye(3), atol=1e-12)
-
-
-def test_hs_conj_spectral_uses_base_conjugate():
-    sm = SmoothedObjective(mixed_measure(), make_objective("dopt"))
-    eigs = np.array([1.0, 0.5])
-    expected = 0.0 + (1.0 - 0.5 + np.log(0.5))
-    assert hs_conj_spectral(sm, eigs) == pytest.approx(expected, abs=1e-12)
 
 
 def test_certify_psd_dr_passes_for_valid_measure():
