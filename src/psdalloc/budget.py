@@ -3,19 +3,31 @@
 For a budget b, competitiveness knob gamma >= 1, and instance density bounds
 theta <= tr(A_t)/c_t <= Theta, the smoothed penalty derivative is
 
-    gs'(u) = -(gamma theta / (B (e-1))) * int_0^u exp(r (u - v)) h'(theta v) dv
+    gs'(u) = -(gamma theta / (B (e-1))) * F(u),   F(u) = int_0^u exp(r (u - v)) h'(theta v) dv
 
 with rate r = gamma / B, where B = b for the simultaneous variant and
 B = b + rho1 gamma for the sequential one (rho1 = max cost).  gs'(u) = 0 for
-u <= 0, and gs' is nonpositive and nonincreasing.  The penalty value
-G_S(u) = int_0^u gs' is recovered by outer quadrature of gs'.
+u <= 0, and gs' is nonpositive and nonincreasing.
 
-The stopping budget b' is the smallest u with gs'(u) <= -h'(0) Theta, plus
-rho1 for the sequential variant.
+Evaluation.  Both factors of the integrand of F fall fastest at v = 0:
+exp(-r v) within 1/r, and h'(theta v) within 1/(k theta) where
+k = -h''(0)/h'(0) (0 linear, 1 dopt, 2 aopt, p+1 pmean).  The substitution
+v = expm1(s)/kappa with kappa = max(r, k theta) spreads both layers over a
+stretch of s of order one, so F is one fixed Gauss-Legendre rule in s on
+[0, log(1 + kappa u)] for every kind, linear included.  A coarser rule on
+the same interval checks it; a disagreement raises QuadratureError.
+
+F solves F' = r F + h'(theta u) with F(0) = 0, which gives in closed form
+
+    gs''(u)  = -(gamma theta / (B (e-1))) (r F(u) + h'(theta u))
+    G_S(u)   = int_0^u gs' = (B/gamma) gs'(u) + h(theta u)/(e-1)   (penalty identity)
+
+for both variants.  The stopping budget b' is the u with
+gs'(u) = -h'(0) Theta, plus rho1 for the sequential variant; it is found by
+Newton steps on F kept inside a bracket.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,14 +35,26 @@ from .objectives import h_eval, h_prime
 
 E1 = np.e - 1.0
 
-# exponent guard: beyond this the convolution underflows the float range
+# exponent guard: beyond this the convolution overflows the float range
 OVERFLOW_EXP = 700.0
 
-_GL16 = np.polynomial.legendre.leggauss(16)
+
+def _rules(n, m):
+    """Nodes of the n- and m-point Gauss-Legendre rules on [0, 1], with their weights as two columns."""
+    (xn, wn), (xm, wm) = np.polynomial.legendre.leggauss(n), np.polynomial.legendre.leggauss(m)
+    weights = np.zeros((n + m, 2))
+    weights[:n, 0] = 0.5 * wn
+    weights[n:, 1] = 0.5 * wm
+    return 0.5 * (np.concatenate([xn, xm]) + 1.0), weights
+
+
+# F is the 64-node rule; the 48-node rule on the same interval checks it
+NODES, WEIGHTS = _rules(64, 48)
+CHECK_REL_TOL = 1e-9
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive panel doubling failed to converge within the panel cap."""
+    """The check rule disagrees with the main rule on F."""
 
 
 @dataclass(frozen=True)
@@ -66,123 +90,90 @@ class BudgetSmoother:
         return self.gamma / self.B
 
 
-@lru_cache(maxsize=64)
-def _gl01(panels):
-    """Gauss-Legendre nodes/weights for [0, 1] split into equal panels."""
-    x, w = _GL16
-    half = 0.5 / panels
-    centers = (np.arange(panels) + 0.5) / panels
-    T = (centers[:, None] + half * x[None, :]).ravel()
-    W = np.tile(half * w, panels)
-    return T, W
+def _conv(s, x):
+    """F(x) for an array of 0 < x with rate * x <= OVERFLOW_EXP."""
+    obj, r = s.objective, s.rate
+    k = {"linear": 0.0, "dopt": 1.0, "aopt": 2.0}.get(obj.kind, obj.p + 1.0)
+    kappa = max(r, k * s.theta)
+    S = np.log1p(kappa * x)
+    sv = S[:, None] * NODES
+    v = np.expm1(sv) / kappa
+    # exp(r (x - v)) h'(theta v) dv/ds, with exp(r x) taken out
+    f = np.exp(sv - r * v) * h_prime(obj, s.theta * v)
+    val, check = ((f @ WEIGHTS) * S[:, None]).T
+    bad = np.abs(val - check) > CHECK_REL_TOL * val
+    if bad.any():
+        raise QuadratureError("gs_prime: the Gauss-Legendre rule and its check disagree "
+                              "on F(%g) by more than %g" % (x[bad][0], CHECK_REL_TOL))
+    return np.exp(r * x) * val / kappa
 
 
-def _adaptive01(f, x, rel_tol, max_panels, label):
-    """Evaluate x * int_0^1 f(x, t) dt elementwise over the vector x.
-
-    f(x, t) takes the (k,) points and (nt,) nodes and returns a (k, nt) array.
-    Panels double until successive estimates agree to rel_tol.
-    """
-    prev = None
-    panels = 1
-    while panels <= max_panels:
-        T, W = _gl01(panels)
-        cur = x * (f(x, T) @ W)
-        if prev is not None:
-            err = np.abs(cur - prev)
-            tol = rel_tol * np.maximum(np.abs(cur), 1e-12) + 1e-15
-            if np.all(err <= tol):
-                return cur
-        prev = cur
-        panels *= 2
-    raise QuadratureError("%s did not converge within %d panels" % (label, max_panels))
-
-
-def gs_prime(s, u, force_quadrature=False, rel_tol=1e-11, max_panels=2048):
-    """gs'(u) for scalar or array u.
-
-    The linear objective short-circuits to the closed form
-    -theta (exp(r u) - 1)/(e - 1); pass force_quadrature=True to exercise the
-    generic convolution quadrature on it instead.  Exponents past the overflow
-    guard return -inf.
-    """
+def _F(s, u):
+    """F(u) for scalar or array u: 0 on u <= 0, +inf past the overflow guard."""
     u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    out = np.zeros(u.shape)
-    pos = u > 0.0
-    if np.any(pos):
-        x = u[pos]
-        expo = s.rate * x
-        over = expo > OVERFLOW_EXP
-        vals = np.empty(x.shape)
-        vals[over] = -np.inf
-        ok = ~over
-        if np.any(ok):
-            xo = x[ok]
-            if s.objective.kind == "linear" and not force_quadrature:
-                vals[ok] = -s.theta * np.expm1(s.rate * xo) / E1
-            else:
-                def integrand(xx, T):
-                    E = np.exp(s.rate * xx[:, None] * (1.0 - T[None, :]))
-                    F = h_prime(s.objective, s.theta * xx[:, None] * T[None, :])
-                    return E * F
-
-                conv = _adaptive01(integrand, xo, rel_tol, max_panels, "gs_prime")
-                vals[ok] = -(s.gamma * s.theta / (s.B * E1)) * conv
-        out[pos] = vals
-    return float(out[0]) if scalar else out
+    over = s.rate * u > OVERFLOW_EXP
+    out = np.where(over, np.inf, 0.0)
+    ok = (u > 0.0) & ~over
+    if ok.any():
+        out[ok] = _conv(s, u[ok])
+    return float(out) if out.ndim == 0 else out
 
 
-def gs_value(s, u, rel_tol=1e-10, max_panels=1024):
-    """G_S(u) = int_0^u gs'(v) dv by adaptive quadrature of gs_prime; 0 on u <= 0."""
+def _scale(s):
+    """gs' = -_scale(s) * F."""
+    return s.gamma * s.theta / (s.B * E1)
+
+
+def gs_prime(s, u):
+    """gs'(u) for scalar or array u; exponents past the overflow guard give -inf."""
+    return 0.0 - _scale(s) * _F(s, u)    # 0.0 - 0.0 keeps u <= 0 at +0.0
+
+
+def gs_value(s, u):
+    """G_S(u) = int_0^u gs'(v) dv by the penalty identity; 0 on u <= 0."""
     u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    out = np.zeros(u.shape)
-    pos = u > 0.0
-    if np.any(pos):
-        x = u[pos]
-
-        def integrand(xx, T):
-            pts = (xx[:, None] * T[None, :]).ravel()
-            return gs_prime(s, pts).reshape(len(xx), len(T))
-
-        out[pos] = _adaptive01(integrand, x, rel_tol, max_panels, "gs_value")
-    return float(out[0]) if scalar else out
+    val = np.where(u > 0.0, (s.B / s.gamma) * gs_prime(s, u)
+                   + h_eval(s.objective, s.theta * u) / E1, 0.0)
+    return float(val) if u.ndim == 0 else val
 
 
-def gs_prime_inv(s, target, tol=1e-9):
-    """Smallest u >= 0 with gs'(u) <= target (target <= 0); +inf if unreachable."""
-    if target >= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if gs_prime(s, hi) <= target:
+def b_prime(s):
+    """Stopping budget: the crossing of gs' below -h'(0) Theta, plus rho1 if sequential.
+
+    gs'(u) <= -h'(0) Theta means F(u) >= target.  F' = r F + h'(theta u) > 0,
+    so the crossing is bracketed and refined by Newton steps, with bisection
+    when a step leaves the bracket.  The right end of the bracket is
+    returned, so gs'(b' - rho1) <= -h'(0) Theta holds.
+    """
+    obj, r = s.objective, s.rate
+    target = obj.h_prime0 * s.Theta / _scale(s)
+    # h' <= h'(0) gives F(u) <= h'(0) expm1(r u)/r, which stays below target up to lo
+    lo = x = float(np.log1p(r * target / obj.h_prime0) / r)
+    Fx = _F(s, x)
+    while Fx < target:          # F is +inf past the overflow guard
+        lo, x = x, 2.0 * x
+        Fx = _F(s, x)
+    hi = x
+    for _ in range(100):
+        if hi - lo <= 2e-12 * hi:
             break
-        lo = hi
-        hi *= 2.0
-    else:
-        return np.inf
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gs_prime(s, mid) <= target:
-            hi = mid
+        # Newton step on F - target; F' = r F + h'(theta x)
+        dx = (Fx - target) / (r * Fx + h_prime(obj, s.theta * x))
+        nxt = x - dx
+        if abs(dx) < 1e-12 * x:
+            # converged: step just across the crossing to close the bracket
+            nxt += 1e-12 * x if Fx < target else -1e-12 * x
+        x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        Fx = _F(s, x)
+        if Fx >= target:
+            hi = x
         else:
-            lo = mid
-    return hi
+            lo = x
+    return hi + s.rho1 if s.variant == "seq" else hi
 
 
-def b_prime(s, tol=1e-9):
-    """Stopping budget: crossing of gs' below -h'(0) Theta, plus rho1 if sequential."""
-    u = gs_prime_inv(s, -s.objective.h_prime0 * s.Theta, tol=tol)
-    if s.variant == "seq":
-        u += s.rho1
-    return u
-
-
-def gamma_for_budget(objective, b, theta, Theta, rho1=0.0, variant="sim", tol=1e-6):
-    """Smallest gamma >= 1 with b'(gamma) <= b, by bisection (b' is nonincreasing)."""
+def gamma_for_budget(objective, b, theta, Theta, rho1=0.0, variant="sim"):
+    """Smallest gamma >= 1 with b'(gamma) <= b, to 1e-6 by bisection (b' is nonincreasing)."""
 
     def bp(g):
         return b_prime(BudgetSmoother(objective, g, b, theta, Theta, rho1, variant))
@@ -197,28 +188,13 @@ def gamma_for_budget(objective, b, theta, Theta, rho1=0.0, variant="sim", tol=1e
         hi *= 2.0
     else:
         raise RuntimeError("no gamma found with b' <= b")
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         mid = 0.5 * (lo + hi)
         if bp(mid) <= b:
             hi = mid
         else:
             lo = mid
     return hi
-
-
-def gs_gamma_identity_check(s, grid):
-    """Max absolute residual of the penalty identity over the grid.
-
-    Simultaneous:  gamma G_S(u)                      = b gs'(u) + gamma/(e-1) h(theta u)
-    Sequential:    gamma (G_S(u) - rho1 gs'(u))      = b gs'(u) + gamma/(e-1) h(theta u)
-    """
-    g = np.atleast_1d(np.asarray(grid, dtype=float))
-    gp = gs_prime(s, g)
-    lhs = s.gamma * gs_value(s, g)
-    if s.variant == "seq":
-        lhs = lhs - s.gamma * s.rho1 * gp
-    rhs = s.b * gp + (s.gamma / E1) * h_eval(s.objective, s.theta * g)
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 def g_conj(z, b):

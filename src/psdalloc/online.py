@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import g_conj, gs_prime
+from .budget import gs_prime
 from .lowner import grad_hs, y_eval
-from .objectives import h_conj, psd_eigs, trace_lift
+from .objectives import psd_eigs
 from .spectral import sym
 
 VARIANTS = ("seq", "sim")
@@ -184,19 +184,3 @@ def run_stream(smoothed, budget, arrivals, variant, n=None):
             raise ConfigError("arrival dimension %d != %d" % (arr.n, n))
         step(arr)
     return state.finish(variant)
-
-
-def dual_value(trace):
-    """D = sum of positive price terms - H*(Y_m) - G*(z_m), with the original h."""
-    y_eigs = trace.y_eigs if trace.y_eigs is not None else \
-        np.full(trace.n, trace.smoothed.base.h_prime0)
-    pos = sum(r.pos_term for r in trace.records)
-    hstar = float(np.sum(h_conj(trace.smoothed.base, y_eigs)))
-    return float(pos - hstar - g_conj(trace.z, trace.budget.b))
-
-
-def primal_value(trace, objective=None):
-    """H(U_m) under the original (unsmoothed) objective."""
-    obj = objective if objective is not None else trace.smoothed.base
-    U = trace.U if trace.U is not None else np.zeros((trace.n, trace.n))
-    return trace_lift(obj, U)

@@ -1,4 +1,4 @@
-"""Dense symmetric-matrix kernel: eigendecomposition, spectral maps, PSD order."""
+"""Dense symmetric-matrix kernel: eigendecomposition and PSD order."""
 
 from typing import NamedTuple
 
@@ -14,10 +14,6 @@ class InvalidMatrix(ValueError):
 
 class ShapeError(ValueError):
     """Operands have incompatible dimensions."""
-
-
-class DomainError(ValueError):
-    """Scalar map undefined at an eigenvalue of the input."""
 
 
 class EigenPair(NamedTuple):
@@ -48,25 +44,6 @@ def eig_sym(M):
     A = sym(M)
     w, V = np.linalg.eigh(A)
     return EigenPair(w[::-1].copy(), V[:, ::-1].copy())
-
-
-def spectral_apply(M, f):
-    """Apply a scalar map through the spectrum: V diag(f(w)) V'.
-
-    f may be vectorized over arrays or scalar-only.  Non-finite values of f at
-    any eigenvalue raise DomainError.
-    """
-    w, V = eig_sym(M)
-    try:
-        with np.errstate(all="ignore"):
-            fw = np.asarray(f(w), dtype=float)
-        if fw.shape != w.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        fw = np.array([float(f(x)) for x in w])
-    if not np.isfinite(fw).all():
-        raise DomainError("scalar map undefined at eigenvalues %s" % (w,))
-    return sym((V * fw) @ V.T)
 
 
 def psd_order_gap(A, B):

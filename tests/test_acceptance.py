@@ -19,12 +19,12 @@ import pytest
 import psdalloc
 from psdalloc.bench import (ExperimentConfig, cached_design, curve_rows,
                             gen_adversarial, gen_random, run_experiment)
-from psdalloc.budget import (BudgetSmoother, b_prime, gamma_for_budget,
-                             gs_gamma_identity_check, gs_prime)
+from psdalloc.budget import (E1, BudgetSmoother, b_prime, gamma_for_budget, gs_prime,
+                             gs_value)
 from psdalloc.designer import DesignSpec, constraint_values, design_grid
 from psdalloc.lowner import SmoothedObjective, certify_psd_dr, exact_measure
 from psdalloc.lowner import grad_hs, hs_trace_lift
-from psdalloc.objectives import make_objective, trace_lift
+from psdalloc.objectives import h_eval, make_objective, trace_lift
 from psdalloc.online import run_stream
 from psdalloc.oracle import offline_continuous_opt, offline_integer_opt
 
@@ -43,7 +43,7 @@ def test_criterion_01_linear_closed_form():
     s = BudgetSmoother(obj, gamma=1.7, b=6.0, theta=0.8, Theta=2.0,
                        rho1=1.0, variant="sim")
     us = np.linspace(0.0, 3 * s.b, 200)
-    quad = gs_prime(s, us, force_quadrature=True)
+    quad = gs_prime(s, us)
     closed = s.theta * (1.0 - np.exp(s.gamma * us / s.b)) / (np.e - 1.0)
     assert float(np.max(np.abs(quad - closed))) <= 1e-8
     assert time.perf_counter() - start < 1.0
@@ -58,7 +58,9 @@ def test_criterion_02_budget_exactness():
     assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_03_penalty_identity():
+def test_criterion_03_penalty_identity(gs_value_reference):
+    # gamma G_S(u) = b gs'(u) + gamma/(e-1) h(theta u), with G_S = int_0^u gs'
+    # computed here by quadrature, independently of gs_value
     start = time.perf_counter()
     grid = np.linspace(0.0, 10.0, 21)
     for kind in ("linear", "dopt", "aopt"):
@@ -66,7 +68,10 @@ def test_criterion_03_penalty_identity():
         for gamma in (1.0, 2.0, 4.0):
             s = BudgetSmoother(obj, gamma, b=5.0, theta=0.7, Theta=3.0,
                                rho1=1.0, variant="sim")
-            assert gs_gamma_identity_check(s, grid) <= 1e-6, (kind, gamma)
+            G = np.array([gs_value_reference(s, u) for u in grid])
+            rhs = s.b * gs_prime(s, grid) + (gamma / E1) * h_eval(obj, s.theta * grid)
+            assert float(np.max(np.abs(gamma * G - rhs))) <= 1e-6, (kind, gamma)
+            assert float(np.max(np.abs(gamma * (gs_value(s, grid) - G)))) <= 1e-6, (kind, gamma)
     assert time.perf_counter() - start < 10.0
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
+from psdalloc import budget
+from psdalloc.bench import gen_random
 from psdalloc.budget import (
     E1,
     BudgetSmoother,
@@ -11,12 +13,10 @@ from psdalloc.budget import (
     b_prime,
     g_conj,
     gamma_for_budget,
-    gs_gamma_identity_check,
     gs_prime,
-    gs_prime_inv,
     gs_value,
 )
-from psdalloc.objectives import h_prime, make_objective
+from psdalloc.objectives import h_eval, h_prime, make_objective
 
 # frozen refinement oracles: scipy.integrate.quad at 1e-14 tolerances on the
 # defining convolution integral
@@ -65,9 +65,8 @@ def test_rate_and_effective_budget():
 def test_linear_closed_form_vs_quadrature():
     s = smoother(kind="linear", gamma=1.5, b=4.0, theta=0.8, Theta=1.0)
     u = np.linspace(0.0, 3.0 * s.b, 200)
-    closed = gs_prime(s, u)
-    assert np.allclose(closed, -s.theta * np.expm1(s.rate * u) / E1, atol=1e-14)
-    quad = gs_prime(s, u, force_quadrature=True)
+    closed = -s.theta * np.expm1(s.rate * u) / E1
+    quad = gs_prime(s, u)
     assert np.max(np.abs(quad - closed)) <= 1e-8
 
 
@@ -75,8 +74,8 @@ def test_linear_closed_form_seq_variant():
     s = smoother(kind="linear", gamma=2.0, b=6.0, theta=1.0, Theta=1.0,
                  rho1=0.7, variant="seq")
     u = np.linspace(0.0, 12.0, 50)
-    quad = gs_prime(s, u, force_quadrature=True)
-    assert np.max(np.abs(quad - gs_prime(s, u))) <= 1e-8
+    quad = gs_prime(s, u)
+    assert np.max(np.abs(quad + s.theta * np.expm1(s.rate * u) / E1)) <= 1e-8
 
 
 def test_gs_prime_frozen_refinement_oracles():
@@ -139,37 +138,72 @@ def test_gs_value_matches_outer_quad():
     assert gs_value(s, 3.0) == pytest.approx(val, abs=1e-9)
 
 
+def identity_residuals(s, grid, reference):
+    """Max residual of the penalty identity with G_S from the reference, and
+    gamma max |gs_value - G_S| on the same scale.
+
+    Simultaneous:  gamma G_S(u)                      = b gs'(u) + gamma/(e-1) h(theta u)
+    Sequential:    gamma (G_S(u) - rho1 gs'(u))      = b gs'(u) + gamma/(e-1) h(theta u)
+    """
+    G = np.array([reference(s, u) for u in grid])
+    gp = gs_prime(s, grid)
+    lhs = s.gamma * (G - s.rho1 * gp)
+    rhs = s.b * gp + (s.gamma / E1) * h_eval(s.objective, s.theta * grid)
+    return (float(np.max(np.abs(lhs - rhs))),
+            s.gamma * float(np.max(np.abs(gs_value(s, grid) - G))))
+
+
 @pytest.mark.parametrize("kind", ["linear", "dopt", "aopt", "pmean2.0"])
 @pytest.mark.parametrize("gamma", [1.0, 2.0, 4.0])
-def test_identity_residual(kind, gamma):
+def test_identity_residual(kind, gamma, gs_value_reference):
     s = smoother(kind=kind, gamma=gamma, b=5.0, theta=0.7, Theta=1.4)
     grid = np.linspace(0.25, 2.0 * s.b, 9)
-    assert gs_gamma_identity_check(s, grid) <= 1e-6
+    assert max(identity_residuals(s, grid, gs_value_reference)) <= 1e-6
 
 
-def test_identity_residual_seq():
+def test_identity_residual_seq(gs_value_reference):
     s = smoother(kind="dopt", gamma=2.0, b=5.0, theta=0.7, Theta=1.4,
                  rho1=0.6, variant="seq")
-    assert gs_gamma_identity_check(s, np.linspace(0.5, 8.0, 7)) <= 1e-6
+    grid = np.linspace(0.5, 8.0, 7)
+    assert max(identity_residuals(s, grid, gs_value_reference)) <= 1e-6
 
 
 def test_gs_prime_inv_properties():
-    s = smoother("dopt", 2.0, 5.0, 0.5, 1.0)
+    # b' inverts gs' at -h'(0) Theta
+    s = smoother("dopt", 2.0, 5.0, 0.5, 0.8)
     target = -0.8
-    u = gs_prime_inv(s, target, tol=1e-10)
+    u = b_prime(s)
     assert gs_prime(s, u) <= target
     assert gs_prime(s, u - 1e-6) > target
-    assert gs_prime_inv(s, 0.0) == 0.0
-    assert gs_prime_inv(s, 0.5) == 0.0
 
 
 def test_gs_prime_inv_extreme_target():
-    # gs' diverges to -inf (the exponential rate dominates), so even an
-    # infinite target resolves at the overflow boundary
-    s = smoother("linear", 1.0, 5.0, 1.0, 1.0)
+    # gs' diverges to -inf (the exponential rate dominates), so a crossing
+    # past the float range resolves at the overflow boundary
+    s = smoother("linear", 1.0, 5.0, 1.0, 1e306)
     assert gs_prime(s, 100.0) < -10.0
-    u = gs_prime_inv(s, -np.inf)
+    u = b_prime(s)
     assert np.isfinite(u) and gs_prime(s, u) == -np.inf
+
+
+def test_b_prime_boundary_layer_instance():
+    # theta = 16.56 gives h'(theta v) a boundary layer of width 1/theta at
+    # v = 0, and b' is near 380
+    inst = gen_random(50, 500, seed=0)
+    s = BudgetSmoother(make_objective("dopt"), 2.0, inst.b, inst.theta, inst.Theta,
+                       inst.rho1, "sim")
+    target = -s.Theta
+
+    def gs_prime_quad(u):
+        val, _ = integrate.quad(
+            lambda v: np.exp(s.rate * (u - v)) / (1.0 + s.theta * v), 0.0, u,
+            points=[1.0 / s.theta, 10.0 / s.theta], epsabs=0.0, epsrel=1e-13, limit=200)
+        return -(s.gamma * s.theta / (s.B * E1)) * val
+
+    ref = optimize.brentq(lambda u: gs_prime_quad(u) - target, 1.0, 1e4, xtol=1e-10)
+    bp = b_prime(s)
+    assert bp == pytest.approx(ref, rel=1e-9)
+    assert gs_prime(s, bp) <= target
 
 
 def test_b_prime_linear_exact():
@@ -210,7 +244,7 @@ def test_b_prime_nonincreasing_in_gamma(kind):
 
 def test_gamma_for_budget_minimality():
     obj = make_objective("dopt")
-    g = gamma_for_budget(obj, 2.0, 1.0, 1.0, tol=1e-6)
+    g = gamma_for_budget(obj, 2.0, 1.0, 1.0)
     assert b_prime(BudgetSmoother(obj, g, 2.0, 1.0, 1.0)) <= 2.0 + 1e-7
     assert b_prime(BudgetSmoother(obj, g - 1e-4, 2.0, 1.0, 1.0)) > 2.0
 
@@ -221,10 +255,13 @@ def test_gamma_for_budget_already_feasible():
     assert gamma_for_budget(obj, 50.0, 1.0, 1.0) == 1.0
 
 
-def test_quadrature_error_raised():
+def test_quadrature_error_raised(monkeypatch):
+    # a 4-node rule checked by a 3-node one cannot resolve F to 1e-9
+    monkeypatch.setattr(budget, "NODES", budget._rules(4, 3)[0])
+    monkeypatch.setattr(budget, "WEIGHTS", budget._rules(4, 3)[1])
     s = smoother("dopt", 2.0, 5.0, 0.5)
     with pytest.raises(QuadratureError):
-        gs_prime(s, 3.0, force_quadrature=True, max_panels=1)
+        gs_prime(s, 3.0)
 
 
 def test_g_conj():

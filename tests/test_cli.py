@@ -57,3 +57,13 @@ def test_audit_replays_a_recorded_run(tmp_path, capsys):
     assert main(["audit", "--trace", str(trace), "--out", str(report)]) == 0
     assert json.loads(report.read_text())["passed"] is True
     assert "audit PASS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_run_boundary_layer_instance(tmp_path, capsys, variant):
+    # theta = 16.56: the integrand of gs' has a boundary layer of width 1/theta
+    out = tmp_path / "run.json"
+    assert main(["run", "--generator", "random", "--n", "50", "--m", "500",
+                 "--gamma", "2", "--variant", variant, "--out", str(out)]) == 0
+    assert "audit = True" in capsys.readouterr().err
+    assert json.loads(out.read_text())["report"]["audit_pass"] is True

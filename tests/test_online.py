@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from psdalloc.bench import gen_adversarial, gen_random
-from psdalloc.budget import BudgetSmoother, b_prime, gs_prime, gs_value
+from psdalloc.budget import BudgetSmoother, b_prime, g_conj, gs_prime, gs_value
 from psdalloc.designer import DesignSpec, design_hs
 from psdalloc.lowner import (
     AtomicMeasure,
@@ -11,13 +11,11 @@ from psdalloc.lowner import (
     grad_hs,
     hs_trace_lift,
 )
-from psdalloc.objectives import make_objective
+from psdalloc.objectives import h_conj, make_objective, trace_lift
 from psdalloc.online import (
     Arrival,
     ConfigError,
     OnlineState,
-    dual_value,
-    primal_value,
     run_stream,
 )
 
@@ -171,35 +169,40 @@ def test_budget_never_exceeds_certificate(rng):
 
 
 def test_dual_value_weak_duality(rng):
-    from psdalloc.oracle import Instance, offline_continuous_opt
+    from psdalloc.oracle import Instance, audit_trace, offline_continuous_opt
 
     arrivals = small_stream(rng, n=4, m=15)
     inst = Instance(arrivals, b=4.0)
     sm, budget = dopt_setup(gamma=2.0, b=4.0, theta=inst.theta, Theta=inst.Theta)
     trace = run_stream(sm, budget, arrivals, "sim")
     p_star = offline_continuous_opt(inst, make_objective("dopt")).value
-    assert dual_value(trace) >= p_star - 1e-6
+    assert audit_trace(trace, inst).d_value >= p_star - 1e-6
 
 
 def test_primal_value_matches_trace_lift(rng):
     sm, budget = dopt_setup()
     trace = run_stream(sm, budget, small_stream(rng, m=6), "sim")
     w = np.linalg.eigvalsh(trace.U)
-    assert primal_value(trace) == pytest.approx(float(np.sum(np.log1p(np.maximum(w, 0.0)))), abs=1e-9)
+    assert trace_lift(sm.base, trace.U) == pytest.approx(float(np.sum(np.log1p(np.maximum(w, 0.0)))), abs=1e-9)
 
 
 def test_empty_stream_with_explicit_n():
     sm, budget = dopt_setup()
     trace = run_stream(sm, budget, [], "sim", n=3)
     assert trace.m == 0 and trace.u == 0.0
-    assert primal_value(trace) == 0.0
-    assert dual_value(trace) == pytest.approx(0.0, abs=1e-12)
+    assert trace_lift(sm.base, trace.U) == 0.0
+    # no price terms, so the dual value is -H*(Y_0) - G*(z_0) = 0
+    hstar = float(np.sum(h_conj(sm.base, trace.y_eigs)))
+    assert hstar + g_conj(trace.z, budget.b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_linear_objective_run_keeps_finite_duals(rng):
+    from psdalloc.oracle import Instance, audit_trace
+
     obj = make_objective("linear")
     sm = SmoothedObjective(exact_measure(obj), obj)
     budget = BudgetSmoother(obj, 1.0, 3.0, 0.5, 2.0)
-    trace = run_stream(sm, budget, small_stream(rng, m=10), "sim")
-    assert np.isfinite(dual_value(trace))
+    arrivals = small_stream(rng, m=10)
+    trace = run_stream(sm, budget, arrivals, "sim")
+    assert np.isfinite(audit_trace(trace, Instance(arrivals, b=3.0)).d_value)
     assert np.allclose(trace.y_eigs, 1.0, atol=1e-12)

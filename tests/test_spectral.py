@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from psdalloc.spectral import (
     TOL_EIG,
-    DomainError,
     InvalidMatrix,
     ShapeError,
     eig_sym,
     psd_order_gap,
-    spectral_apply,
     sym,
 )
 
@@ -20,11 +18,6 @@ finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 def random_sym(rng, n, scale=1.0):
     A = rng.standard_normal((n, n)) * scale
     return 0.5 * (A + A.T)
-
-
-def random_psd(rng, n, scale=1.0):
-    B = rng.standard_normal((n, n)) * scale
-    return B @ B.T
 
 
 def test_eig_identity():
@@ -81,55 +74,6 @@ def test_invalid_inputs():
         eig_sym(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(InvalidMatrix):
         eig_sym(np.ones((2, 3)))
-
-
-def test_spectral_apply_identity_scalar():
-    out = spectral_apply(np.eye(2), lambda u: np.log1p(u))
-    assert np.allclose(out, np.log(2.0) * np.eye(2), atol=1e-12)
-
-
-def test_spectral_apply_diagonal():
-    out = spectral_apply(np.diag([3.0, 1.0]), lambda u: np.log1p(u))
-    assert np.allclose(np.sort(np.diag(out)), [np.log(2.0), np.log(4.0)], atol=1e-12)
-    assert abs(out[0, 1]) <= 1e-12
-
-
-def test_spectral_apply_square_is_matrix_product(rng):
-    M = random_psd(rng, 3)
-    out = spectral_apply(M, lambda u: u * u)
-    assert np.linalg.norm(out - M @ M) <= 1e-9 * max(1.0, np.linalg.norm(M) ** 2)
-
-
-def test_spectral_apply_identity_map(rng):
-    M = random_sym(rng, 5)
-    out = spectral_apply(M, lambda u: u)
-    assert np.linalg.norm(out - M) <= TOL_EIG * max(1.0, np.linalg.norm(M))
-
-
-def test_spectral_apply_commutes(rng):
-    M = random_psd(rng, 4)
-    out = spectral_apply(M, np.sqrt)
-    assert np.linalg.norm(out @ M - M @ out) <= 1e-9 * max(1.0, np.linalg.norm(M) ** 1.5)
-
-
-def test_spectral_apply_trace_identity(rng):
-    M = random_psd(rng, 5)
-    out = spectral_apply(M, np.log1p)
-    w = eig_sym(M).values
-    assert abs(np.trace(out) - np.sum(np.log1p(w))) <= TOL_EIG * max(1.0, np.linalg.norm(M))
-
-
-def test_spectral_apply_scalar_only_callable(rng):
-    import math
-
-    M = random_psd(rng, 3)
-    out = spectral_apply(M, lambda u: math.exp(-u))
-    assert np.isfinite(out).all()
-
-
-def test_spectral_apply_domain_error():
-    with pytest.raises(DomainError):
-        spectral_apply(np.diag([1.0, -4.0]), np.sqrt)
 
 
 def test_psd_order_gap_basic():
