@@ -152,6 +152,31 @@ def _unsmoothed_beta(spec):
     return beta_for_measure(spec, exact_measure(spec.objective))
 
 
+def run_one(inst, surrogate, smoother, beta, u_max, arm, p_star=None, repeat=0,
+            dhash=""):
+    """Stream one surrogate over one instance, audit the run; (RunReport, trace).
+
+    The audit solves for P* when p_star is None.  A run breaches its design
+    when lambda_max(U) passes u_max, except on the unsmoothed sim arm, whose
+    gamma+1 / gamma certificate has no u_max gate.
+    """
+    variant, obj = smoother.variant, surrogate.base
+    trace = run_stream(surrogate, smoother, inst.arrivals, variant, inst.n)
+    primal = trace_lift(obj, trace.U)
+    lam_max = float(np.linalg.eigvalsh(trace.U)[-1])
+    audit = audit_trace(trace, inst, p_star=p_star)
+    gated = not (arm == "unsmoothed" and variant == "sim")
+    report = RunReport(
+        objective=obj.label, gamma=smoother.gamma, repeat=repeat,
+        budget_used=trace.u, b_prime=audit.b_prime, primal_H=primal,
+        p_star=audit.p_star, ratio=primal / audit.p_star if audit.p_star > 0 else np.nan,
+        bound=cr_bound(smoother.gamma, beta),
+        umax_breached=gated and bool(lam_max > u_max + 1e-12),
+        audit_pass=audit.passed, variant=variant, arm=arm, beta=beta,
+        u_max=u_max, lam_max_U=lam_max, design_hash=dhash, d_value=audit.d_value)
+    return report, trace
+
+
 def run_experiment(cfg):
     """Full pipeline: generate, smooth, design, run, audit, report.
 
@@ -167,41 +192,24 @@ def run_experiment(cfg):
         for variant in cfg.variants:
             smoothers = [BudgetSmoother(obj, gamma, inst.b, inst.theta, inst.Theta,
                                         inst.rho1, variant) for inst in instances]
-            bps = [b_prime(s) for s in smoothers]
             if cfg.umax_override is not None:
                 u_max = cfg.umax_override
             else:
-                u_max = max(bp * inst.max_lam_over_c
-                            for bp, inst in zip(bps, instances))
+                u_max = max(b_prime(s) * inst.max_lam_over_c
+                            for s, inst in zip(smoothers, instances))
             rho2 = max(inst.rho2 for inst in instances) if variant == "seq" else 0.0
             dspec = DesignSpec(obj, gamma, u_max, cfg.q, cfg.d, variant, rho2)
             dres = cached_design(dspec)
             dhash = design_hash(dres)
-            arms = [("smoothed", dres.smoothed(), dres.beta, dhash)]
+            arms = [("smoothed", dres.smoothed(), dres.beta)]
             em = exact_measure(obj)
             if em is not None and cfg.unsmoothed_arm:
                 arms.append(("unsmoothed", SmoothedObjective(em, obj),
-                             _unsmoothed_beta(dspec), dhash))
-            for r, (inst, smoother, bp) in enumerate(zip(instances, smoothers, bps)):
-                for arm_name, surrogate, beta_arm, dh in arms:
-                    trace = run_stream(surrogate, smoother, inst.arrivals,
-                                       variant, inst.n)
-                    primal = trace_lift(obj, trace.U)
-                    lam_max = float(np.linalg.eigvalsh(trace.U)[-1])
-                    report_audit = audit_trace(trace, inst, p_star=p_stars[r])
-                    bound = cr_bound(gamma, beta_arm)
-                    ratio = primal / p_stars[r] if p_stars[r] > 0 else np.nan
-                    breached = bool(lam_max > u_max + 1e-12)
-                    if arm_name == "unsmoothed" and variant == "sim":
-                        breached = False  # the gamma+1 / gamma certificate has no u_max gate
-                    reports.append(RunReport(
-                        objective=obj.label, gamma=gamma, repeat=r,
-                        budget_used=trace.u, b_prime=bp, primal_H=primal,
-                        p_star=p_stars[r], ratio=ratio, bound=bound,
-                        umax_breached=breached, audit_pass=report_audit.passed,
-                        variant=variant, arm=arm_name, beta=beta_arm,
-                        u_max=u_max, lam_max_U=lam_max, design_hash=dh,
-                        d_value=report_audit.d_value))
+                             _unsmoothed_beta(dspec)))
+            for r, (inst, smoother) in enumerate(zip(instances, smoothers)):
+                for arm_name, surrogate, beta_arm in arms:
+                    reports.append(run_one(inst, surrogate, smoother, beta_arm, u_max,
+                                           arm_name, p_stars[r], r, dhash)[0])
     if cfg.out:
         emit_csv(reports, cfg.out)
     return reports

@@ -6,14 +6,14 @@ import sys
 
 import numpy as np
 
-from .bench import (ExperimentConfig, _unsmoothed_beta, emit_csv, emit_curve,
-                    emit_gs_curve, gen_adversarial, gen_random, run_experiment)
+from .bench import (ExperimentConfig, _unsmoothed_beta, emit_curve, emit_gs_curve,
+                    gen_adversarial, gen_random, run_experiment, run_one)
 from .budget import BudgetSmoother, b_prime
 from .designer import DesignSpec, cr_bound, design_hs, design_to_dict, design_from_dict
 from .lowner import SmoothedObjective, exact_measure, smoothed_from_dict
-from .objectives import make_objective, trace_lift
-from .online import run_stream
-from .oracle import audit_run, instance_from_dict, instance_to_dict, offline_continuous_opt
+from .objectives import make_objective
+from .online import RunTrace
+from .oracle import audit_trace, instance_from_dict, instance_to_dict
 
 
 def _write_json(obj, path):
@@ -54,33 +54,42 @@ def _load_instance(args):
     return gen_random(args.n, args.m, args.density, args.seed, b)
 
 
+def _check_design(spec, args, inst):
+    """Refuse a --measure design certified for another run."""
+    if spec.gamma != args.gamma:
+        raise SystemExit("--measure: design gamma %g != --gamma %g" % (spec.gamma, args.gamma))
+    if spec.variant != args.variant:
+        raise SystemExit("--measure: design variant %s != --variant %s"
+                         % (spec.variant, args.variant))
+    if spec.variant == "seq" and spec.rho2 < inst.rho2:
+        raise SystemExit("--measure: design rho2 %g < the instance's rho2 %g"
+                         % (spec.rho2, inst.rho2))
+
+
 def cmd_run(args):
     inst = _load_instance(args)
     dres = None
     if args.measure:
         with open(args.measure) as fh:
             dres = design_from_dict(json.load(fh))
+        _check_design(dres.spec, args, inst)
     obj = dres.spec.objective if dres is not None else make_objective(args.objective, args.p)
     smoother = BudgetSmoother(obj, args.gamma, inst.b, inst.theta, inst.Theta,
                               inst.rho1, args.variant)
     if dres is not None:
-        surrogate, beta = dres.smoothed(), dres.beta
+        surrogate, beta, u_max, arm = dres.smoothed(), dres.beta, dres.spec.u_max, "smoothed"
     else:
         em = exact_measure(obj)
         if em is None:
             raise SystemExit("objective %s needs a designed measure (--measure)" % obj.label)
-        surrogate = SmoothedObjective(em, obj)
+        surrogate, arm = SmoothedObjective(em, obj), "unsmoothed"
         # the beta bench certifies for the exact measure; under seq it pays
         # the rho2 term on the grid up to b' max lambda/c
+        u_max = b_prime(smoother) * inst.max_lam_over_c
         rho2 = inst.rho2 if args.variant == "seq" else 0.0
-        beta = _unsmoothed_beta(DesignSpec(
-            obj, args.gamma, b_prime(smoother) * inst.max_lam_over_c, 100, 200,
-            args.variant, rho2))
-    trace = run_stream(surrogate, smoother, inst.arrivals, args.variant, inst.n)
-    p_star = offline_continuous_opt(inst, obj).value
-    report = audit_run(trace.decisions, inst, surrogate, smoother,
-                       args.variant, p_star=p_star)
-    primal = trace_lift(obj, trace.U)
+        beta = _unsmoothed_beta(DesignSpec(obj, args.gamma, u_max, 100, 200,
+                                           args.variant, rho2))
+    rep, trace = run_one(inst, surrogate, smoother, beta, u_max, arm)
     payload = {
         "objective": {"kind": obj.kind, "p": obj.p},
         "gamma": args.gamma,
@@ -90,24 +99,18 @@ def cmd_run(args):
                     "weights": [float(x) for x in surrogate.measure.weights]},
         "instance": instance_to_dict(inst),
         "decisions": [float(x) for x in trace.decisions],
-        "report": {
-            "budget_used": trace.u,
-            "b_prime": report.b_prime,
-            "primal_H": primal,
-            "p_star": p_star,
-            "ratio": primal / p_star if p_star > 0 else float("nan"),
-            "bound": cr_bound(args.gamma, beta),
-            "audit_pass": report.passed,
-        },
+        "report": {k: getattr(rep, k) for k in (
+            "budget_used", "b_prime", "primal_H", "p_star", "ratio", "bound",
+            "audit_pass", "umax_breached")},
     }
     _write_json(payload, args.out)
     if args.gs_out:
-        us = np.linspace(0.0, 1.2 * max(report.b_prime, inst.b), 400)
+        us = np.linspace(0.0, 1.2 * max(rep.b_prime, inst.b), 400)
         emit_gs_curve(smoother, us, args.gs_out)
     print("primal = %.6g  P* = %.6g  ratio = %.4g  budget = %.4g/%.4g  audit = %s"
-          % (primal, p_star, payload["report"]["ratio"], trace.u,
-             report.b_prime, report.passed), file=sys.stderr)
-    return 0 if report.passed else 1
+          % (rep.primal_H, rep.p_star, rep.ratio, rep.budget_used, rep.b_prime,
+             rep.audit_pass), file=sys.stderr)
+    return 0 if rep.audit_pass else 1
 
 
 def cmd_bench(args):
@@ -141,8 +144,9 @@ def cmd_audit(args):
     inst = instance_from_dict(payload["instance"])
     smoother = BudgetSmoother(surrogate.base, float(payload["gamma"]), inst.b, inst.theta,
                               inst.Theta, inst.rho1, payload["variant"])
-    report = audit_run(np.asarray(payload["decisions"], dtype=float), inst,
-                       surrogate, smoother, payload["variant"])
+    trace = RunTrace(surrogate, smoother, payload["variant"], inst.n,
+                     np.asarray(payload["decisions"], dtype=float))
+    report = audit_trace(trace, inst)
     _write_json(report.to_dict(), args.out)
     print("audit %s" % ("PASS" if report.passed else "FAIL"), file=sys.stderr)
     return 0 if report.passed else 1

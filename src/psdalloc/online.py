@@ -11,11 +11,11 @@ dual pair (Y, z) = (grad H_S(U), gs'(u)).  Two step rules:
                concave stationarity condition
                Phi'(x) = <A, grad H_S(U + x A)> + c gs'(u + x c).
 
-Both record per-step price terms and dual movements so the run can be audited
-and its dual value evaluated after the fact.
+The engines keep only their decisions; ``oracle.audit_run`` replays them to
+recompute every dual, price and correction term.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,37 +49,20 @@ class Arrival:
 
 
 @dataclass
-class StepRecord:
-    t: int
-    x: float
-    u: float              # spent budget after the step
-    z: float              # dual price after the step
-    lam_max_U: float
-    pos_term: float       # positive part of the priced inner product (dual value term)
-    corr: float           # x * (<A, Y_t - Y_{t-1}> + c (z_t - z_{t-1})), sequential only
-    y_gap: float          # lambda_min(Y_{t-1} - Y_t), >= 0 up to tolerance
-    z_step: float         # z_t - z_{t-1}, <= 0 up to tolerance
-
-
-@dataclass
 class RunTrace:
     smoothed: object
     budget: object
     variant: str
     n: int
-    records: list = field(default_factory=list)
+    decisions: np.ndarray
     U: np.ndarray = None
     u: float = 0.0
     z: float = 0.0
     y_eigs: np.ndarray = None   # eigenvalues of the final dual Y_m
 
     @property
-    def decisions(self):
-        return np.array([r.x for r in self.records])
-
-    @property
     def m(self):
-        return len(self.records)
+        return len(self.decisions)
 
 
 class OnlineState:
@@ -95,42 +78,25 @@ class OnlineState:
         self.u = 0.0
         self.Y = smoothed.base.h_prime0 * np.eye(n)
         self.z = 0.0
-        self.t = 0
-        self.records = []
+        self.decisions = []
 
-    def _refresh_duals(self):
-        self.Y = grad_hs(self.smoothed, self.U)
-        self.z = gs_prime(self.budget, self.u)
-
-    def _record(self, x, pos_term, corr, Y_prev, z_prev):
-        y_gap = float(np.linalg.eigvalsh(Y_prev - self.Y)[0])
-        lam_max = float(np.linalg.eigvalsh(self.U)[-1])
-        self.records.append(StepRecord(self.t, x, self.u, self.z, lam_max,
-                                       pos_term, corr, y_gap, self.z - z_prev))
+    def _take(self, x, arr):
+        """Commit the decision x; duals refresh only when something is bought."""
+        if x > 0.0:
+            self.U = self.U + x * arr.A
+            self.u += x * arr.c
+            self.Y = grad_hs(self.smoothed, self.U)
+            self.z = gs_prime(self.budget, self.u)
+        self.decisions.append(x)
+        return x
 
     def step_sequential(self, arr):
         """Threshold rule on the stale price; returns the decision x in {0, 1}."""
-        self.t += 1
-        A, c = arr.A, arr.c
-        price = float(np.vdot(A, self.Y)) + c * self.z
-        pos_term = max(price, 0.0)
-        Y_prev, z_prev = self.Y, self.z
-        if price > 0.0:
-            x = 1.0
-            self.U = self.U + A
-            self.u += c
-            self._refresh_duals()
-            corr = (float(np.vdot(A, self.Y)) - float(np.vdot(A, Y_prev))
-                    + c * (self.z - z_prev))
-        else:
-            x = 0.0
-            corr = 0.0
-        self._record(x, pos_term, corr, Y_prev, z_prev)
-        return x
+        price = float(np.vdot(arr.A, self.Y)) + arr.c * self.z
+        return self._take(1.0 if price > 0.0 else 0.0, arr)
 
-    def step_simultaneous(self, arr, x_tol=1e-10):
+    def step_simultaneous(self, arr):
         """Fractional step maximizing Phi; returns x in [0, 1]."""
-        self.t += 1
         A, c = arr.A, arr.c
 
         def dphi(x):
@@ -144,28 +110,20 @@ class OnlineState:
             x = 1.0
         else:
             lo, hi = 0.0, 1.0
-            while hi - lo > x_tol:
+            while hi - lo > 1e-10:
                 mid = 0.5 * (lo + hi)
                 if dphi(mid) > 0.0:
                     lo = mid
                 else:
                     hi = mid
             x = 0.5 * (lo + hi)
-        Y_prev, z_prev = self.Y, self.z
-        if x > 0.0:
-            self.U = self.U + x * A
-            self.u += x * c
-            self._refresh_duals()
-        pos_term = max(float(np.vdot(A, self.Y)) + c * self.z, 0.0)
-        self._record(x, pos_term, 0.0, Y_prev, z_prev)
-        return x
+        return self._take(x, arr)
 
     def finish(self, variant):
         w, _ = psd_eigs(self.U)
-        trace = RunTrace(self.smoothed, self.budget, variant, self.n,
-                         self.records, self.U, self.u, self.z,
-                         y_eval(self.smoothed.measure, w))
-        return trace
+        return RunTrace(self.smoothed, self.budget, variant, self.n,
+                        np.array(self.decisions), self.U, self.u, self.z,
+                        y_eval(self.smoothed.measure, w))
 
 
 def run_stream(smoothed, budget, arrivals, variant, n=None):

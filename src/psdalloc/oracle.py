@@ -1,4 +1,4 @@
-"""Offline optima, dual evaluation, and end-to-end audits of online runs.
+"""Offline optima and end-to-end audits of online runs.
 
 The continuous relaxation
 
@@ -29,6 +29,8 @@ DEFAULT_TOLS = {
     "d_vs_pstar": 1e-6,
     "decision": 1e-5,
 }
+OFFLINE_TOL = 1e-7          # stationarity: norm of the projected gradient step
+OFFLINE_MAX_ITERS = 5000
 
 
 class CapacityError(ValueError):
@@ -131,7 +133,7 @@ class OfflineResult:
     converged: bool
 
 
-def offline_continuous_opt(inst, obj, tol=1e-7, max_iters=5000):
+def offline_continuous_opt(inst, obj):
     """Projected gradient ascent with backtracking for the continuous relaxation."""
     As, c, m = inst.As, inst.costs, inst.m
 
@@ -151,11 +153,11 @@ def offline_continuous_opt(inst, obj, tol=1e-7, max_iters=5000):
     s = 1.0
     stat = np.inf
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, OFFLINE_MAX_ITERS + 1):
         g = grad(x)
         probe, _ = project_box_budget(x + g, c, inst.b)
         stat = float(np.linalg.norm(probe - x))
-        if stat <= tol:
+        if stat <= OFFLINE_TOL:
             break
         moved = False
         for _ in range(60):
@@ -171,7 +173,7 @@ def offline_continuous_opt(inst, obj, tol=1e-7, max_iters=5000):
         x, f = xt, ft
         s = min(s * 1.5, 1e8)
     _, tau = project_box_budget(x + grad(x), c, inst.b)
-    return OfflineResult(f, x, -tau, it, stat, stat <= tol)
+    return OfflineResult(f, x, -tau, it, stat, stat <= OFFLINE_TOL)
 
 
 def offline_integer_opt(inst, obj, max_m=22, batch=65536):
@@ -196,14 +198,6 @@ def offline_integer_opt(inst, obj, max_m=22, batch=65536):
         if vals[k] > best_val:
             best_val, best_bits = float(vals[k]), bits[k]
     return best_val, best_bits
-
-
-def dual_eval(inst, obj, Y, z):
-    """Dual objective sum_t (<A_t, Y> + c_t z)_+ - H*(Y) - G*(z)."""
-    terms = np.tensordot(inst.As, Y, axes=([1, 2], [0, 1])) + inst.costs * z
-    pos = float(np.sum(np.maximum(terms, 0.0)))
-    hstar = float(np.sum(h_conj(obj, np.linalg.eigvalsh(Y))))
-    return pos - hstar - g_conj(z, inst.b)
 
 
 @dataclass
@@ -235,16 +229,16 @@ class AuditReport:
         return out
 
 
-def audit_run(decisions, inst, smoothed, budget, variant, p_star=None, tols=None):
+def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     """Replay a decision sequence from scratch and verify every guarantee.
 
     Recomputes the aggregate, duals, price terms, and correction terms with no
     reference to the engine's stored state, then checks: per-step decision
     consistency with the step rule, the budget cap u_m <= b' + tol, monotone
     duals, nonnegativity of the smoothed telescoping sum, the dual-gap
-    inequality, the sequential correction bound, and D >= P* - tol.
+    inequality, the sequential correction bound, and D >= P* - tol, each at
+    its tolerance in DEFAULT_TOLS.
     """
-    tols = dict(DEFAULT_TOLS, **(tols or {}))
     decisions = np.asarray(decisions, dtype=float)
     if decisions.shape != (inst.m,):
         raise AuditError("decision sequence length %s != m = %d" % (decisions.shape, inst.m))
@@ -285,7 +279,7 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None, tols=None
                 resid = max(0.0, -d_at)
             else:
                 resid = abs(d_at)
-            if resid > tols["decision"] * scale:
+            if resid > DEFAULT_TOLS["decision"] * scale:
                 decision_ok = False
             worst_resid = max(worst_resid, resid / scale)
             if x > 0.0:
@@ -326,16 +320,16 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None, tols=None
         p_star = offline_continuous_opt(inst, obj).value
 
     checks = {
-        "budget": budget_residual <= tols["budget"],
+        "budget": budget_residual <= DEFAULT_TOLS["budget"],
         "decisions": decision_ok,
-        "z_monotone": max_z_step <= tols["z_monotone"],
-        "y_monotone": min_y_gap >= -tols["y_monotone"],
-        "telescope": telescope >= -tols["telescope"],
-        "dual_gap": dual_gap >= -tols["dual_gap"],
-        "d_vs_pstar": D >= p_star - tols["d_vs_pstar"],
+        "z_monotone": max_z_step <= DEFAULT_TOLS["z_monotone"],
+        "y_monotone": min_y_gap >= -DEFAULT_TOLS["y_monotone"],
+        "telescope": telescope >= -DEFAULT_TOLS["telescope"],
+        "dual_gap": dual_gap >= -DEFAULT_TOLS["dual_gap"],
+        "d_vs_pstar": D >= p_star - DEFAULT_TOLS["d_vs_pstar"],
     }
     if variant == "seq":
-        checks["rho_bound"] = rho_bound >= -tols["rho_bound"]
+        checks["rho_bound"] = rho_bound >= -DEFAULT_TOLS["rho_bound"]
     return AuditReport(
         variant=variant, m=inst.m, budget_used=u, b_prime=bprime,
         budget_residual=budget_residual, decision_consistent=decision_ok,
@@ -346,9 +340,9 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None, tols=None
     )
 
 
-def audit_trace(trace, inst, p_star=None, tols=None):
+def audit_trace(trace, inst, p_star=None):
     """Audit an engine trace against the instance it was produced from."""
     if trace.m != inst.m:
         raise AuditError("trace has %d steps, instance has %d" % (trace.m, inst.m))
     return audit_run(trace.decisions, inst, trace.smoothed, trace.budget,
-                     trace.variant, p_star=p_star, tols=tols)
+                     trace.variant, p_star=p_star)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from psdalloc.bench import _unsmoothed_beta, gen_adversarial
@@ -8,6 +9,7 @@ from psdalloc.budget import BudgetSmoother, b_prime
 from psdalloc.cli import main
 from psdalloc.designer import DesignSpec, cr_bound
 from psdalloc.objectives import make_objective
+from psdalloc.oracle import instance_from_dict
 
 
 @pytest.mark.parametrize("gamma,beta", [(1.0, 50.9004752531962),
@@ -35,7 +37,9 @@ def test_run_sim_reports_gamma_plus_one_bound(tmp_path):
     out = tmp_path / "run.json"
     assert main(["run", "--variant", "sim", "--gamma", "2", "--n", "5",
                  "--m", "50", "--b", "10", "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["report"]["bound"] == cr_bound(2.0, 3.0)
+    report = json.loads(out.read_text())["report"]
+    assert report["bound"] == cr_bound(2.0, 3.0)
+    assert report["umax_breached"] is False  # the gamma + 1 bound has no u_max gate
 
 
 def test_design_reports_lp_gap(tmp_path, capsys):
@@ -67,3 +71,47 @@ def test_run_boundary_layer_instance(tmp_path, capsys, variant):
                  "--gamma", "2", "--variant", variant, "--out", str(out)]) == 0
     assert "audit = True" in capsys.readouterr().err
     assert json.loads(out.read_text())["report"]["audit_pass"] is True
+
+
+# the instance has rho2 = 50: its first arrival has trace m = 50
+RUN_SEQ = ["run", "--variant", "seq", "--gamma", "1", "--n", "5", "--m", "50",
+           "--b", "10"]
+
+
+def _design(tmp_path, variant, gamma, rho2=0.0):
+    path = tmp_path / "design.json"
+    assert main(["design", "--variant", variant, "--gamma", str(gamma),
+                 "--rho2", str(rho2), "--umax", "10", "--q", "40", "--d", "60",
+                 "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("design,names", [
+    (("sim", 2.0), "--gamma"),
+    (("sim", 1.0), "--variant"),
+    (("seq", 1.0, 5.0), "rho2"),
+], ids=["gamma", "variant", "rho2"])
+def test_run_refuses_a_design_for_another_run(tmp_path, design, names):
+    # a sim gamma=2 design would label this seq gamma=1 run with bound 0.369;
+    # the bound certified for it is 0.0194
+    path = _design(tmp_path, *design)
+    with pytest.raises(SystemExit) as exc:
+        main(RUN_SEQ + ["--measure", str(path), "--out", str(tmp_path / "run.json")])
+    assert "--measure" in str(exc.value.code) and names in str(exc.value.code)
+    assert not (tmp_path / "run.json").exists()
+
+
+def test_run_with_a_matching_design_reports_its_u_max_breach(tmp_path):
+    path = _design(tmp_path, "seq", 1.0, 50.0)
+    out = tmp_path / "run.json"
+    assert main(RUN_SEQ + ["--measure", str(path), "--out", str(out)]) == 0
+    design, payload = json.loads(path.read_text()), json.loads(out.read_text())
+    report = payload["report"]
+    assert report["audit_pass"] is True
+    assert report["bound"] == cr_bound(1.0, design["beta"])
+    # the design certifies lambda_max(U) <= u_max = 10 only, and this run
+    # goes past it, as bench gates it
+    inst = instance_from_dict(payload["instance"])
+    U = np.tensordot(np.asarray(payload["decisions"]), inst.As, axes=1)
+    assert float(np.linalg.eigvalsh(U)[-1]) > design["u_max"] + 1e-12
+    assert report["umax_breached"] is True

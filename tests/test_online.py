@@ -18,6 +18,7 @@ from psdalloc.online import (
     OnlineState,
     run_stream,
 )
+from psdalloc.oracle import Instance, audit_trace
 
 
 def dopt_setup(gamma=2.0, b=4.0, theta=0.5, Theta=2.0, rho1=0.0, variant="sim",
@@ -150,11 +151,33 @@ def test_duals_monotone_along_run(rng):
         rho2 = 3.0 if variant == "seq" else 0.0
         sm, budget = dopt_setup(gamma=2.0, b=3.0, rho1=rho1, variant=variant,
                                 rho2=rho2)
-        trace = run_stream(sm, budget, small_stream(rng, m=12), variant)
-        zs = [r.z for r in trace.records]
-        assert all(b2 <= a + 1e-12 for a, b2 in zip(zs, zs[1:]))
-        assert all(r.z_step <= 1e-12 for r in trace.records)
-        assert all(r.y_gap >= -1e-8 for r in trace.records)
+        arrivals = small_stream(rng, m=12)
+        trace = run_stream(sm, budget, arrivals, variant)
+        # the audit's replay recomputes every dual step
+        audit = audit_trace(trace, Instance(arrivals, b=3.0))
+        assert audit.max_z_step <= 1e-12
+        assert audit.min_y_gap >= -1e-8
+
+
+def test_steps_decompose_only_to_buy(rng, monkeypatch):
+    # a rejection leaves the duals alone; an accepted sequential step
+    # refreshes them with one eigh and computes nothing else spectral
+    obj = make_objective("dopt")
+    sm = SmoothedObjective(exact_measure(obj), obj)
+    budget = BudgetSmoother(obj, 2.0, 4.0, 0.5, 2.0)
+    zero = Arrival(np.zeros((3, 3)), 1.0)
+    (arr,) = small_stream(rng, m=1)
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    for step in ("step_sequential", "step_simultaneous"):
+        assert getattr(OnlineState(sm, budget, 3), step)(zero) == 0.0
+        assert calls == {"eigh": 0, "eigvalsh": 0}
+    assert OnlineState(sm, budget, 3).step_sequential(arr) == 1.0
+    assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
 def test_budget_never_exceeds_certificate(rng):
@@ -169,7 +192,7 @@ def test_budget_never_exceeds_certificate(rng):
 
 
 def test_dual_value_weak_duality(rng):
-    from psdalloc.oracle import Instance, audit_trace, offline_continuous_opt
+    from psdalloc.oracle import offline_continuous_opt
 
     arrivals = small_stream(rng, n=4, m=15)
     inst = Instance(arrivals, b=4.0)
@@ -197,8 +220,6 @@ def test_empty_stream_with_explicit_n():
 
 
 def test_linear_objective_run_keeps_finite_duals(rng):
-    from psdalloc.oracle import Instance, audit_trace
-
     obj = make_objective("linear")
     sm = SmoothedObjective(exact_measure(obj), obj)
     budget = BudgetSmoother(obj, 1.0, 3.0, 0.5, 2.0)

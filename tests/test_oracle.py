@@ -15,7 +15,6 @@ from psdalloc.oracle import (
     Instance,
     audit_run,
     audit_trace,
-    dual_eval,
     instance_from_dict,
     instance_stats,
     instance_to_dict,
@@ -172,20 +171,6 @@ def test_integer_opt_capacity_error(rng):
     inst = random_instance(rng, n=2, m=8)
     with pytest.raises(CapacityError):
         offline_integer_opt(inst, make_objective("dopt"), max_m=6)
-
-
-def test_dual_eval_weak_duality_random_duals(rng):
-    # any dual pair with finite conjugates upper-bounds every feasible primal
-    obj = make_objective("dopt")
-    inst = random_instance(rng, n=3, m=7, b=2.0)
-    p_star = offline_continuous_opt(inst, obj).value
-    for _ in range(10):
-        B = rng.standard_normal((3, 3))
-        Y = B @ B.T / 3.0
-        Y = Y * (0.99 / max(1.0, float(np.linalg.eigvalsh(Y)[-1])))  # eigs in (0, 1)
-        Y = Y + 1e-3 * np.eye(3)
-        z = -float(rng.uniform(0.0, 2.0))
-        assert dual_eval(inst, obj, Y, z) >= p_star - 1e-6
 
 
 def engine_setup(inst, gamma, variant):
