@@ -22,9 +22,9 @@ F solves F' = r F + h'(theta u) with F(0) = 0, which gives in closed form
     gs''(u)  = -(gamma theta / (B (e-1))) (r F(u) + h'(theta u))
     G_S(u)   = int_0^u gs' = (B/gamma) gs'(u) + h(theta u)/(e-1)   (penalty identity)
 
-for both variants.  The stopping budget b' is the u with
-gs'(u) = -h'(0) Theta, plus rho1 for the sequential variant; it is found by
-Newton steps on F kept inside a bracket.
+for both variants, so gs'' costs no quadrature beyond gs'.  The stopping
+budget b' is the u with gs'(u) = -h'(0) Theta, plus rho1 for the sequential
+variant; it is found by Newton steps on F kept inside a bracket.
 """
 
 from dataclasses import dataclass
@@ -127,6 +127,17 @@ def _scale(s):
 def gs_prime(s, u):
     """gs'(u) for scalar or array u; exponents past the overflow guard give -inf."""
     return 0.0 - _scale(s) * _F(s, u)    # 0.0 - 0.0 keeps u <= 0 at +0.0
+
+
+def gs_second(s, u, gp):
+    """gs''(u) = r gs'(u) - _scale(s) h'(theta u), given gp = gs'(u) for scalar or array u.
+
+    From F' = r F + h'(theta u); gs' is an argument so that a caller holding
+    it pays no second quadrature.  0 on u < 0, the right derivative at u = 0.
+    """
+    u = np.asarray(u, dtype=float)
+    val = np.where(u >= 0.0, s.rate * gp - _scale(s) * h_prime(s.objective, s.theta * u), 0.0)
+    return float(val) if u.ndim == 0 else val
 
 
 def gs_value(s, u):

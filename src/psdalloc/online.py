@@ -11,20 +11,38 @@ dual pair (Y, z) = (grad H_S(U), gs'(u)).  Two step rules:
                concave stationarity condition
                Phi'(x) = <A, grad H_S(U + x A)> + c gs'(u + x c).
 
+The simultaneous root-find needs no matrix work per probe.  grad H_S is the
+resolvent sum sum_j mu_j (lambda_j M + (1 - lambda_j) I)^{-1}, and each
+arrival keeps a factor A = L L^T (n x k).  Woodbury turns the matrix term
+into a scalar rational function,
+
+    <A, grad H_S(U + x A)> = sum_j mu_j sum_i g_ji / (1 + x lambda_j g_ji),
+
+where g_j. are the eigenvalues of the k x k matrix
+G_j = L^T (lambda_j U + (1 - lambda_j) I)^{-1} L, formed once per step from
+the eigenpair of U cached at the last purchase.  Phi'' is closed form (the
+rational part by differentiation, gs'' by budget.gs_second), so the root is
+found by Newton steps kept inside the bracket [0, 1].  A purchase refreshes
+the duals and the cached eigenpair with one eigendecomposition of U.
+
 The engines keep only their decisions; ``oracle.audit_run`` replays them to
 recompute every dual, price and correction term.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import gs_prime
-from .lowner import grad_hs, y_eval
+from .budget import gs_prime, gs_second
+# grad_hs is unused here; it stays bound because the perfbench tracer rebinds it
+from .lowner import grad_hs, y_eval  # noqa: F401
 from .objectives import psd_eigs
-from .spectral import sym
+from .spectral import TOL_EIG, sym
 
 VARIANTS = ("seq", "sim")
+
+# the simultaneous root-find stops when a Newton step or the bracket is this short
+X_TOL = 1e-12
 
 
 class ConfigError(ValueError):
@@ -35,11 +53,14 @@ class ConfigError(ValueError):
 class Arrival:
     A: np.ndarray
     c: float
+    L: np.ndarray = field(init=False, repr=False, compare=False)  # A = L L^T, n x rank
 
     def __post_init__(self):
         A = sym(self.A)
-        psd_eigs(A)  # raises NotPSD on a bad matrix
+        w, V = psd_eigs(A)  # raises NotPSD on a bad matrix
+        keep = w > TOL_EIG * max(w[0], 0.0)
         object.__setattr__(self, "A", A)
+        object.__setattr__(self, "L", V[:, keep] * np.sqrt(w[keep]))
         if not self.c > 0.0:
             raise ValueError("cost must be positive, got %r" % (self.c,))
 
@@ -58,7 +79,6 @@ class RunTrace:
     U: np.ndarray = None
     u: float = 0.0
     z: float = 0.0
-    y_eigs: np.ndarray = None   # eigenvalues of the final dual Y_m
 
     @property
     def m(self):
@@ -76,6 +96,7 @@ class OnlineState:
         self.n = n
         self.U = np.zeros((n, n))
         self.u = 0.0
+        self.w, self.V = np.zeros(n), np.eye(n)   # eigenpair of U
         self.Y = smoothed.base.h_prime0 * np.eye(n)
         self.z = 0.0
         self.decisions = []
@@ -85,7 +106,8 @@ class OnlineState:
         if x > 0.0:
             self.U = self.U + x * arr.A
             self.u += x * arr.c
-            self.Y = grad_hs(self.smoothed, self.U)
+            self.w, self.V = psd_eigs(self.U)
+            self.Y = sym((self.V * y_eval(self.smoothed.measure, self.w)) @ self.V.T)
             self.z = gs_prime(self.budget, self.u)
         self.decisions.append(x)
         return x
@@ -97,33 +119,51 @@ class OnlineState:
 
     def step_simultaneous(self, arr):
         """Fractional step maximizing Phi; returns x in [0, 1]."""
-        A, c = arr.A, arr.c
-
-        def dphi(x):
-            return (float(np.vdot(A, grad_hs(self.smoothed, self.U + x * A)))
-                    + c * gs_prime(self.budget, self.u + x * c))
-
-        d0 = float(np.vdot(A, self.Y)) + c * self.z  # dphi(0) via cached duals
+        c, u, s = arr.c, self.u, self.budget
+        d0 = float(np.vdot(arr.A, self.Y)) + c * self.z  # Phi'(0) via cached duals
         if d0 <= 0.0:
-            x = 0.0
-        elif dphi(1.0) >= 0.0:
-            x = 1.0
+            return self._take(0.0, arr)
+        lam, mu = self.smoothed.measure.nodes, self.smoothed.measure.weights
+        # (lambda_j U + (1 - lambda_j) I)^{-1} in U's eigenbasis, one row per atom
+        D = 1.0 / (lam[:, None] * np.maximum(self.w, 0.0) + (1.0 - lam)[:, None])
+        B = self.V.T @ arr.L
+        if B.shape[1] == 1:
+            g = D @ np.square(B)
         else:
-            lo, hi = 0.0, 1.0
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                if dphi(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            x = 0.5 * (lo + hi)
+            g = np.linalg.eigvalsh(np.einsum("ik,ji,il->jkl", B, D, B))
+        lg = lam[:, None] * g
+
+        def dphi(x, gp):
+            """Phi'(x) and Phi''(x), given gp = gs'(u + x c)."""
+            den = 1.0 + x * lg
+            return (mu @ np.sum(g / den, axis=1) + c * gp,
+                    -(mu @ np.sum(lg * g / den ** 2, axis=1))
+                    + c * c * gs_second(s, u + x * c, gp))
+
+        f1, fp1 = dphi(1.0, gs_prime(s, u + c))
+        if f1 >= 0.0:
+            return self._take(1.0, arr)
+        # Newton from the end with the smaller residual, kept inside (lo, hi)
+        lo, hi = 0.0, 1.0
+        x, f, fp = (0.0, d0, dphi(0.0, self.z)[1]) if d0 < -f1 else (1.0, f1, fp1)
+        for _ in range(100):
+            dx = f / fp
+            if abs(dx) <= X_TOL:
+                x = min(max(x - dx, lo), hi)
+                break
+            x = x - dx if lo < x - dx < hi else 0.5 * (lo + hi)
+            f, fp = dphi(x, gs_prime(s, u + x * c))
+            if f > 0.0:
+                lo = x
+            elif f < 0.0:
+                hi = x
+            if hi - lo <= X_TOL:
+                break
         return self._take(x, arr)
 
     def finish(self, variant):
-        w, _ = psd_eigs(self.U)
         return RunTrace(self.smoothed, self.budget, variant, self.n,
-                        np.array(self.decisions), self.U, self.u, self.z,
-                        y_eval(self.smoothed.measure, w))
+                        np.array(self.decisions), self.U, self.u, self.z)
 
 
 def run_stream(smoothed, budget, arrivals, variant, n=None):

@@ -14,6 +14,7 @@ from psdalloc.budget import (
     g_conj,
     gamma_for_budget,
     gs_prime,
+    gs_second,
     gs_value,
 )
 from psdalloc.objectives import h_eval, h_prime, make_objective
@@ -120,6 +121,21 @@ def test_gs_prime_dominated_by_linear_rate(s, u):
 def test_gs_prime_overflow_guard():
     s = smoother(kind="linear", gamma=4.0, b=1.0)
     assert gs_prime(s, 1000.0) == -np.inf
+
+
+@pytest.mark.parametrize("kind", ["linear", "dopt", "aopt", "pmean2.0"])
+@pytest.mark.parametrize("variant", ["sim", "seq"])
+def test_gs_second_matches_central_difference(kind, variant):
+    s = smoother(kind=kind, variant=variant, rho1=1.5 if variant == "seq" else 0.0)
+    u = np.array([0.05, 0.7, 3.0, 9.0])
+    h = 1e-5 * u
+    fd = (gs_prime(s, u + h) - gs_prime(s, u - h)) / (2.0 * h)
+    exact = gs_second(s, u, gs_prime(s, u))
+    assert np.all(exact < 0.0)
+    assert np.allclose(exact, fd, rtol=1e-6, atol=0.0)
+    scalar = [gs_second(s, float(v), gs_prime(s, float(v))) for v in u]
+    assert np.allclose(scalar, exact, rtol=1e-14, atol=0.0)
+    assert gs_second(s, -1.0, gs_prime(s, -1.0)) == 0.0
 
 
 def test_gs_value_zero_and_negative():

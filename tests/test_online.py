@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psdalloc import online
 from psdalloc.bench import gen_adversarial, gen_random
 from psdalloc.budget import BudgetSmoother, b_prime, g_conj, gs_prime, gs_value
 from psdalloc.designer import DesignSpec, design_hs
@@ -10,6 +11,7 @@ from psdalloc.lowner import (
     exact_measure,
     grad_hs,
     hs_trace_lift,
+    y_eval,
 )
 from psdalloc.objectives import h_conj, make_objective, trace_lift
 from psdalloc.online import (
@@ -160,24 +162,90 @@ def test_duals_monotone_along_run(rng):
 
 
 def test_steps_decompose_only_to_buy(rng, monkeypatch):
-    # a rejection leaves the duals alone; an accepted sequential step
-    # refreshes them with one eigh and computes nothing else spectral
+    # a rejection leaves the duals alone; an accepted step refreshes them with
+    # one eigh, and the simultaneous root-find itself decomposes nothing
     obj = make_objective("dopt")
     sm = SmoothedObjective(exact_measure(obj), obj)
     budget = BudgetSmoother(obj, 2.0, 4.0, 0.5, 2.0)
+    tight = BudgetSmoother(obj, 2.0, 0.5, 0.5, 2.0)
     zero = Arrival(np.zeros((3, 3)), 1.0)
+    ones = Arrival(np.ones((3, 3)), 1.0)   # rank one
     (arr,) = small_stream(rng, m=1)
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
+    calls = {"eigh": 0, "eigvalsh": 0, "gs_prime": 0}
+    for name in ("eigh", "eigvalsh"):
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+
+    def counted_gs(*args, _fn=online.gs_prime, **kwargs):
+        calls["gs_prime"] += 1
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(online, "gs_prime", counted_gs)
+
     for step in ("step_sequential", "step_simultaneous"):
         assert getattr(OnlineState(sm, budget, 3), step)(zero) == 0.0
-        assert calls == {"eigh": 0, "eigvalsh": 0}
+        assert calls == {"eigh": 0, "eigvalsh": 0, "gs_prime": 0}
     assert OnlineState(sm, budget, 3).step_sequential(arr) == 1.0
-    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert calls == {"eigh": 1, "eigvalsh": 0, "gs_prime": 1}
+    calls.update(eigh=0, gs_prime=0)
+    assert 0.0 < OnlineState(sm, tight, 3).step_simultaneous(ones) < 1.0
+    assert calls["eigh"] == 1 and calls["eigvalsh"] == 0
+    assert 1 <= calls["gs_prime"] <= 20
+
+
+def _dense_sim_reference(sm, budget, U, u, arr):
+    """The simultaneous decision by bisection on the dense Phi' to 1e-12."""
+    A, c = arr.A, arr.c
+
+    def dphi(x):
+        return float(np.vdot(A, grad_hs(sm, U + x * A))) + c * gs_prime(budget, u + x * c)
+
+    if dphi(0.0) <= 0.0:
+        return 0.0
+    if dphi(1.0) >= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if dphi(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind", ["dopt", "aopt"])
+def test_simultaneous_rank_k_matches_dense_reference(kind):
+    # zero, rank-one, rank-two and full-rank arrivals through the Woodbury
+    # path, against the dense root-find, for a one-atom and a designed measure
+    obj = make_objective(kind)
+    if kind == "dopt":
+        sm = SmoothedObjective(exact_measure(obj), obj)
+    else:
+        sm = design_hs(DesignSpec(obj, 2.0, 12.0, 40, 60, "sim")).smoothed()
+        assert np.count_nonzero(sm.measure.weights) > 1
+    rng = np.random.default_rng(0)
+    n = 4
+    arrivals = []
+    for _ in range(4):
+        W = rng.standard_normal((n, 2))
+        v = rng.standard_normal(n)
+        arrivals += [Arrival(np.zeros((n, n)), 1.0), Arrival(W @ W.T / 2.0, 1.0),
+                     Arrival(np.eye(n), 3.0), Arrival(np.outer(v, v), 0.5)]
+    assert [np.linalg.matrix_rank(a.A) for a in arrivals[:4]] == [0, 2, n, 1]
+    budget = BudgetSmoother(obj, 2.0, 4.0, 0.2, 8.0)
+    st = OnlineState(sm, budget, n)
+    interior_ranks = set()
+    for arr in arrivals:
+        U, u = st.U, st.u
+        x = st.step_simultaneous(arr)
+        assert abs(x - _dense_sim_reference(sm, budget, U, u, arr)) <= 1e-8
+        if 0.0 < x < 1.0:
+            interior_ranks.add(int(np.linalg.matrix_rank(arr.A)))
+    assert {1, 2, n} <= interior_ranks
+    trace = st.finish("sim")
+    assert audit_trace(trace, Instance(arrivals, b=4.0)).passed
 
 
 def test_budget_never_exceeds_certificate(rng):
@@ -215,7 +283,8 @@ def test_empty_stream_with_explicit_n():
     assert trace.m == 0 and trace.u == 0.0
     assert trace_lift(sm.base, trace.U) == 0.0
     # no price terms, so the dual value is -H*(Y_0) - G*(z_0) = 0
-    hstar = float(np.sum(h_conj(sm.base, trace.y_eigs)))
+    y_eigs = y_eval(sm.measure, np.linalg.eigvalsh(trace.U))
+    hstar = float(np.sum(h_conj(sm.base, y_eigs)))
     assert hstar + g_conj(trace.z, budget.b) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -226,4 +295,4 @@ def test_linear_objective_run_keeps_finite_duals(rng):
     arrivals = small_stream(rng, m=10)
     trace = run_stream(sm, budget, arrivals, "sim")
     assert np.isfinite(audit_trace(trace, Instance(arrivals, b=3.0)).d_value)
-    assert np.allclose(trace.y_eigs, 1.0, atol=1e-12)
+    assert np.allclose(y_eval(sm.measure, np.linalg.eigvalsh(trace.U)), 1.0, atol=1e-12)
