@@ -4,11 +4,19 @@ The continuous relaxation
 
     maximize H(sum_t A_t x_t)  s.t.  c . x <= b,  0 <= x <= 1
 
-is solved by projected gradient ascent with Armijo backtracking; the
-projection onto the box-and-budget polytope is Euclidean, computed by
-bisection on the budget multiplier.  The exhaustive integer optimum is
-available for small m.  Audits replay a recorded decision sequence from
-scratch and check every inequality the guarantees rest on.
+is solved by projected gradient ascent with Armijo backtracking.  The
+Euclidean projection onto the box-and-budget polytope is a continuous
+quadratic knapsack: its budget multiplier is found exactly by sorting the
+breakpoints of the piecewise-linear spend (Kiwiel 2008).  The ascent stops on
+the Frank-Wolfe duality gap (Jaggi 2013): H is concave, so for every x
+
+    P* <= f(x) + max_{s in polytope} grad f(x) . (s - x),
+
+and that maximum is a fractional knapsack solved by sorting grad f / c
+(Dantzig 1957).  The result carries the value f(x) <= P* and this certified
+upper bound.  The exhaustive integer optimum is available for small m.  Audits
+replay a recorded decision sequence from scratch and check every inequality
+the guarantees rest on.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +37,7 @@ DEFAULT_TOLS = {
     "d_vs_pstar": 1e-6,
     "decision": 1e-5,
 }
-OFFLINE_TOL = 1e-7          # stationarity: norm of the projected gradient step
+OFFLINE_TOL = 1e-7          # stop when the Frank-Wolfe gap is at most this times max(1, f)
 OFFLINE_MAX_ITERS = 5000
 
 
@@ -75,13 +83,19 @@ class Instance:
 
 
 def instance_stats(arrivals):
-    """Density bounds and caps recomputed from scratch: theta, Theta, rho1, rho2."""
+    """Density bounds and caps recomputed from scratch: theta, Theta, rho1, rho2.
+
+    theta ranges over the arrivals with a positive trace: both engines reject
+    a zero arrival and it adds nothing to P*, so it cannot set the density.
+    """
     traces = np.array([np.trace(a.A) for a in arrivals])
+    if not np.any(traces > 0.0):
+        raise ValueError("instance needs an arrival with a positive trace")
     costs = np.array([a.c for a in arrivals])
     lam_max = np.array([float(np.linalg.eigvalsh(a.A)[-1]) for a in arrivals])
     density = traces / costs
     return {
-        "theta": float(density.min()),
+        "theta": float(density[traces > 0.0].min()),
         "Theta": float(density.max()),
         "rho1": float(costs.max()),
         "rho2": float(lam_max.max()),
@@ -108,33 +122,64 @@ def instance_from_dict(d):
 def project_box_budget(v, c, b):
     """Euclidean projection onto {0 <= x <= 1, c . x <= b}; returns (x, tau).
 
-    tau is the budget multiplier (0 when the budget constraint is slack).
+    tau is the budget multiplier (0 when the budget constraint is slack).  The
+    spend phi(tau) = c . clip(v - tau c, 0, 1) is piecewise linear and
+    nonincreasing: item i adds slope -c_i^2 at (v_i - 1)/c_i and removes it at
+    v_i/c_i.  Sorting the breakpoints past 0 and summing the slopes gives phi
+    at each one, which locates the segment where phi first reaches b.  tau is
+    then solved from that segment's own items, so it does not inherit the
+    rounding of the running sums.
     """
     x = np.clip(v, 0.0, 1.0)
     if c @ x <= b + 1e-12:
         return x, 0.0
-    lo, hi = 0.0, float(np.max(v / c))
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if c @ np.clip(v - mid * c, 0.0, 1.0) > b:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - hi * c, 0.0, 1.0), hi
+    t = np.concatenate(((v - 1.0) / c, v / c))
+    dslope = np.concatenate((-c * c, c * c))
+    past0 = t > 0.0
+    order = np.argsort(t[past0])
+    t, dslope = t[past0][order], dslope[past0][order]
+    knots = np.concatenate(([0.0], t))
+    # slope on (knots[k], knots[k+1]); it returns to 0 past the last breakpoint
+    slopes = np.cumsum(dslope) - dslope.sum() - dslope
+    phi = c @ x + np.concatenate(([0.0], np.cumsum(slopes * np.diff(knots))))
+    k = int(np.argmax(phi <= b))
+    y = v - 0.5 * (knots[k - 1] + knots[k]) * c
+    mid = (y > 0.0) & (y < 1.0)
+    den = c[mid] @ c[mid]
+    # rounding in the running sums can step past the start of a flat piece
+    # of phi at level b; its left end is then the root
+    tau = knots[k - 1] if den == 0.0 else (c[y >= 1.0].sum() + c[mid] @ v[mid] - b) / den
+    return np.clip(v - tau * c, 0.0, 1.0), float(tau)
+
+
+def _knapsack_max(g, c, b):
+    """max g . s over {0 <= s <= 1, c . s <= b} for g >= 0: fill by decreasing g/c.
+
+    The gradient of H is nonnegative on PSD arrivals, since h' > 0.
+    """
+    order = np.argsort(-g / c)
+    g, c = g[order], c[order]
+    room = b - np.cumsum(c) + c          # budget left when item i comes up
+    return float(g @ np.clip(room / c, 0.0, 1.0))
 
 
 @dataclass
 class OfflineResult:
-    value: float
+    value: float                # f(x) <= P*
+    upper: float                # value + Frank-Wolfe gap >= P*
     x: np.ndarray
     multiplier: float
     iterations: int
-    stationarity: float
-    converged: bool
+    stationarity: float         # norm of the projected-gradient step at x
 
 
 def offline_continuous_opt(inst, obj):
-    """Projected gradient ascent with backtracking for the continuous relaxation."""
+    """Projected gradient ascent with backtracking for the continuous relaxation.
+
+    Stops once the Frank-Wolfe gap certifies f(x) within
+    OFFLINE_TOL * max(1, f) of P*, when backtracking cannot move, or after
+    OFFLINE_MAX_ITERS gradients.
+    """
     As, c, m = inst.As, inst.costs, inst.m
 
     def value(x):
@@ -151,13 +196,11 @@ def offline_continuous_opt(inst, obj):
                               c, inst.b)
     f = value(x)
     s = 1.0
-    stat = np.inf
-    it = 0
     for it in range(1, OFFLINE_MAX_ITERS + 1):
         g = grad(x)
-        probe, _ = project_box_budget(x + g, c, inst.b)
-        stat = float(np.linalg.norm(probe - x))
-        if stat <= OFFLINE_TOL:
+        probe, tau = project_box_budget(x + g, c, inst.b)
+        gap = max(0.0, _knapsack_max(g, c, inst.b) - float(g @ x))
+        if gap <= OFFLINE_TOL * max(1.0, f) or it == OFFLINE_MAX_ITERS:
             break
         moved = False
         for _ in range(60):
@@ -172,8 +215,7 @@ def offline_continuous_opt(inst, obj):
             break
         x, f = xt, ft
         s = min(s * 1.5, 1e8)
-    _, tau = project_box_budget(x + grad(x), c, inst.b)
-    return OfflineResult(f, x, -tau, it, stat, stat <= OFFLINE_TOL)
+    return OfflineResult(f, f + gap, x, -tau, it, float(np.linalg.norm(probe - x)))
 
 
 def offline_integer_opt(inst, obj, max_m=22, batch=65536):

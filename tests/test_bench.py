@@ -12,7 +12,10 @@ from psdalloc.bench import (CSV_COLUMNS, CURVE_COLUMNS, ExperimentConfig,
                             gen_random, run_experiment)
 from psdalloc.budget import BudgetSmoother, gs_prime
 from psdalloc.designer import DesignSpec, cr_bound
+from psdalloc.lowner import SmoothedObjective, exact_measure
 from psdalloc.objectives import make_objective
+from psdalloc.online import Arrival
+from psdalloc.oracle import Instance
 
 Q, D = 40, 60  # small design grids keep the pipeline tests fast
 
@@ -82,6 +85,19 @@ def test_config_rejects_unknown_keys():
 
 
 # ----------------------------------------------------------------- pipeline
+
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_run_one_zero_trace_arrival(variant):
+    # the zero arrival is rejected and sets no density: theta comes from eye(2)
+    inst = Instance([Arrival(np.zeros((2, 2)), 1.0), Arrival(np.eye(2), 1.0)], 1.0)
+    assert inst.theta == inst.Theta == 2.0
+    obj = make_objective("dopt")
+    smoother = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
+    surrogate = SmoothedObjective(exact_measure(obj), obj)
+    rep, trace = bench.run_one(inst, surrogate, smoother, 1.0, 10.0, "unsmoothed")
+    assert trace.decisions[0] == 0.0 and trace.decisions[1] > 0.0
+    assert rep.audit_pass
+
 
 @pytest.fixture(scope="module")
 def small_reports():

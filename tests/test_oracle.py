@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -10,6 +10,7 @@ from psdalloc.designer import DesignSpec, design_hs
 from psdalloc.objectives import h_eval, make_objective
 from psdalloc.online import Arrival, run_stream
 from psdalloc.oracle import (
+    OFFLINE_TOL,
     AuditError,
     CapacityError,
     Instance,
@@ -42,6 +43,8 @@ def test_instance_validation():
         Instance([], 1.0)
     with pytest.raises(ValueError):
         Instance([Arrival(np.eye(2), 1.0)], 0.0)
+    with pytest.raises(ValueError, match="positive trace"):
+        Instance([Arrival(np.zeros((2, 2)), 1.0)], 1.0)
 
 
 def test_instance_stats_recompute(rng):
@@ -98,6 +101,55 @@ def test_projection_is_euclidean_nearest(seed):
             assert d0 <= np.sum((y - v) ** 2) + 1e-7
 
 
+def bisect_projection(v, c, b):
+    """Reference: the budget multiplier by 100 bisection steps on [0, max v/c]."""
+    x = np.clip(v, 0.0, 1.0)
+    if c @ x <= b + 1e-12:
+        return x, 0.0
+    lo, hi = 0.0, float(np.max(v / c))
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if c @ np.clip(v - mid * c, 0.0, 1.0) > b:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - hi * c, 0.0, 1.0), hi
+
+
+@given(m=st.sampled_from([1, 2, 50, 500]), seed=st.integers(0, 2**32 - 1),
+       ties=st.booleans(), scale=st.sampled_from([2.0, 1e3]), edges=st.booleans(),
+       budget=st.sampled_from(["binding", "level", "tight", "slack"]))
+# rounding in the running spend lands these two on a flat piece of phi
+@example(m=2, seed=444, ties=False, scale=2.0, edges=True, budget="level")
+@example(m=50, seed=8, ties=False, scale=1e3, edges=True, budget="level")
+@settings(deadline=None)
+def test_projection_matches_bisection(m, seed, ties, scale, edges, budget):
+    rng = np.random.default_rng(seed)
+    if ties:   # few distinct costs and ratios: repeated v/c and (v-1)/c
+        c = rng.choice([0.5, 1.0, 2.0], size=m)
+        v = c * rng.choice([-0.5, 0.25, 0.5, 1.0, 1.5], size=m)
+    else:
+        c = rng.uniform(0.3, 2.0, size=m)
+        v = rng.normal(size=m) * scale
+    if edges:
+        v[rng.random(m) < 0.3] = 0.0
+        v[rng.random(m) < 0.3] = 1.0
+    spend = float(c @ np.clip(v, 0.0, 1.0))
+    # "level": the spend of the items at 1 once the others reach 0, the level
+    # of a flat piece of the spend curve
+    b = {"binding": rng.uniform(0.05, 0.95) * spend, "level": float(c[v >= 1.5].sum()),
+         "tight": spend, "slack": spend + 1.0}[budget]
+    assume(b > 0.0)
+    x, tau = project_box_budget(v, c, b)
+    x_ref, tau_ref = bisect_projection(v, c, b)
+    assert np.max(np.abs(x - x_ref)) <= 1e-12
+    # tau is unique unless x lies on a flat piece of the spend (every entry at
+    # 0 or 1, up to the bisection's rounding); then every tau along it is a
+    # multiplier
+    if tau_ref == 0.0 or np.any((x_ref > 1e-12) & (x_ref < 1.0 - 1e-12)):
+        assert abs(tau - tau_ref) <= 1e-12 * max(1.0, tau_ref)
+
+
 def test_projection_idempotent(rng):
     c = np.array([1.0, 1.0, 1.0])
     x, _ = project_box_budget(np.array([2.0, 0.4, -1.0]), c, 1.0)
@@ -110,7 +162,7 @@ def test_continuous_opt_vs_slsqp_and_random_search(kind, rng):
     obj = make_objective(kind)
     inst = random_instance(rng, n=3, m=8, b=3.0)
     res = offline_continuous_opt(inst, obj)
-    assert res.converged
+    assert res.value <= res.upper <= res.value + OFFLINE_TOL * max(1.0, res.value)
 
     # oracle 1: scipy SLSQP from several starts
     best_sci = -np.inf
@@ -135,6 +187,23 @@ def test_continuous_opt_vs_slsqp_and_random_search(kind, rng):
     target = max(best_sci, best_rand)
     assert res.value >= target - 1e-4 * max(1.0, abs(target))
     assert res.value <= target + 1e-4 * max(1.0, abs(target)) + 1e-6
+
+
+@pytest.mark.parametrize("kind, reference", [("dopt", 135.661784704),
+                                             ("aopt", 46.193867749)])
+def test_continuous_opt_gap_certificate(kind, reference):
+    # n=50, m=500: a stop on the projected-gradient step norm stalls on both
+    # before it certifies, at these values
+    obj = make_objective(kind)
+    inst = gen_random(50, 500, 1.0, 1, 10.0)
+    res = offline_continuous_opt(inst, obj)
+    assert res.value <= res.upper <= res.value + OFFLINE_TOL * max(1.0, res.value)
+    assert res.value == pytest.approx(reference, rel=1e-7)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        x = rng.uniform(0.0, 1.0, inst.m)
+        x *= min(1.0, inst.b / float(inst.costs @ x))
+        assert objective_value(obj, inst, x) <= res.upper
 
 
 def test_continuous_opt_kkt_multiplier(rng):
