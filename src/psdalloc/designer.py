@@ -12,12 +12,16 @@ ratio is then 1/(gamma/(e-1) + beta).
 
 h_S and y are linear in mu, and -h*(y) = sup_{v>=0} h(v) - v y is a supremum
 of lines, so the grid minimax is a semi-infinite LP in (mu, beta).  Kelley's
-cutting-plane method solves it with HiGHS (scipy.optimize.linprog), adding
-the tangent cut v = u*(y_i) wherever a ratio still exceeds the LP value; that
-value is a lower bound on the grid optimum.  An exchange loop appends any
-probe points (10x-denser grid, grid midpoints, geometric near-zero tail) found
-rising above the trained maximum.  The returned beta is the trained maximum
-inflated one-sidedly by any excess still seen on the probe set.
+cutting-plane method solves it, adding the tangent cut v = u*(y_i) wherever a
+ratio still exceeds the LP value; the row duals bound the grid optimum below.
+One HiGHS model holds the LP for a whole design: cuts are only ever added, so
+each re-solve is a dual simplex warm-started from the previous basis.  An
+exchange loop appends any probe points (10x-denser grid, grid midpoints,
+geometric near-zero tail) found rising above the trained maximum.  A cut's
+row depends only on its abscissa, so every cut stays valid as the training
+grid grows and is kept; only the new points get seed cuts.  The returned beta
+is the trained maximum inflated one-sidedly by any excess still seen on the
+probe set.
 """
 
 from dataclasses import dataclass
@@ -28,6 +32,8 @@ from .lowner import AtomicMeasure, SmoothedObjective, hs_eval, phi_primitive, y_
 from .objectives import TraceObjective, h_conj, h_conj_prime, h_eval, h_inverse
 
 E1 = np.e - 1.0
+DESIGN_TOL = 1e-7          # stop once the best iterate is within this times max(1, t) of the bound
+DESIGN_MAX_SOLVES = 200    # LP solves per exchange round
 
 
 @dataclass(frozen=True)
@@ -63,10 +69,12 @@ class DesignResult:
     beta: float
     beta_lb: float       # final LP value (from its duals): bounds the grid optimum below
     residual: float      # one-sided inflation applied after dense-grid verification
-    iterations: int      # LP solves
+    iterations: int      # LP solves, the first cold and every later one warm
     converged: bool
     flagged: bool
     spec: DesignSpec
+    cuts: int = None     # cut rows of the final LP (None in records written without it)
+    atoms: int = None    # nonzero weights of the measure (likewise)
 
     def smoothed(self):
         return SmoothedObjective(self.measure, self.spec.objective)
@@ -143,8 +151,79 @@ class _Tableau:
             lin = lin + spec.gamma * spec.rho2 * (self.a - self.Psi)
         self.lin = lin / self.h[:, None]
 
+    def cuts(self, i, v):
+        """LP rows (lin_i - v Psi_i/h_i, -1) and right sides -h(v)/h_i of the cuts v at rows i."""
+        rows = np.column_stack([self.lin[i] - (v / self.h[i])[:, None] * self.Psi[i],
+                                -np.ones(i.size)])
+        return rows, -h_eval(self.spec.objective, v) / self.h[i]
 
-def _lp_weights(tab, tol=1e-7, max_solves=200):
+
+class _CutLP:
+    """The design LP in (mu, t), kept in one HiGHS model across all its solves.
+
+        min t  s.t.  a . mu = h'(0),  mu >= 0,  t free,  cuts . (mu, t) <= rhs
+
+    Cuts are only ever added (addRows), so HiGHS keeps its optimal basis with
+    the new rows basic and re-solves by dual simplex from there; only the
+    first solve is cold.  The rows are also kept here for the dual bound.
+    """
+
+    def __init__(self, a, h_prime0):
+        # imported here, not at module level: scipy.optimize roughly quadruples
+        # the import time of the package, and only designing needs it.  The
+        # incremental interface is private to scipy; tests/test_designer.py pins it.
+        try:
+            from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
+        except ImportError as exc:
+            import scipy
+            raise ImportError("the designer needs scipy.optimize._highspy._core._Highs, "
+                              "which scipy %s does not provide" % scipy.__version__) from exc
+        self.optimal, self.inf = HighsModelStatus.kOptimal, kHighsInf
+        self.highs = hs = _Highs()
+        hs.setOptionValue("output_flag", False)
+        # HiGHS's default feasibility tolerance 1e-7 equals DESIGN_TOL: at dopt
+        # gamma=4 the loop then stalled, re-adding cuts the LP kept violating by 6e-8
+        hs.setOptionValue("primal_feasibility_tolerance", 1e-8)
+        hs.setOptionValue("dual_feasibility_tolerance", 1e-8)
+        q = a.size
+        hs.addVars(q + 1, np.append(np.zeros(q), -kHighsInf), np.full(q + 1, kHighsInf))
+        hs.changeColsCost(1, np.array([q], dtype=np.int32), np.array([1.0]))
+        hs.addRows(1, np.array([h_prime0]), np.array([h_prime0]), q,
+                   np.array([0], dtype=np.int32), np.arange(q, dtype=np.int32), a)
+        self.a, self.h_prime0 = a, h_prime0
+        self.rows, self.rhs = np.empty((0, q + 1)), np.empty(0)
+        self.seeded = np.empty(0)    # abscissae whose seed cuts are in
+
+    def add(self, rows, rhs):
+        k, width = rows.shape
+        self.highs.addRows(k, np.full(k, -self.inf), rhs, rows.size,
+                           np.arange(0, rows.size, width, dtype=np.int32),
+                           np.tile(np.arange(width, dtype=np.int32), k), rows.ravel())
+        self.rows = np.vstack([self.rows, rows])
+        self.rhs = np.concatenate([self.rhs, rhs])
+
+    def solve(self):
+        """Optimal (mu, t) and a lower bound on the LP value from the row duals.
+
+        Weak duality, whatever the solver's tolerances: the duals lam >= 0 of
+        the cuts, scaled to sum 1, give max_i ratio_i(mu) >= lam.(A mu - b)
+        >= h'(0) min_j (lam A)_j / a_j - lam.b for every feasible mu.
+        """
+        hs = self.highs
+        hs.run()
+        status = hs.getModelStatus()
+        if status != self.optimal:
+            raise RuntimeError("design LP failed: %s" % hs.modelStatusToString(status))
+        sol = hs.getSolution()
+        lam = np.maximum(-np.array(sol.row_dual)[1:], 0.0)
+        lam /= lam.sum()
+        q = self.a.size
+        lb = (self.h_prime0 * float(np.min((lam @ self.rows[:, :q]) / self.a))
+              - float(lam @ self.rhs))
+        return np.array(sol.col_value), lb
+
+
+def _lp_weights(tab, lp):
     """Kelley's cutting-plane method for min_mu max_i ratio_i on the tableau grid.
 
     -h*(y) = sup_{v>=0} h(v) - v y is a supremum of lines, so every cut v
@@ -152,60 +231,37 @@ def _lp_weights(tab, tol=1e-7, max_solves=200):
 
         (lin_i - v Psi_i/h_i) . mu - t <= -h(v)/h_i
 
-    of an LP in (mu, t) with a . mu = h'(0), mu >= 0 and t free.  After each
-    solve the tangent cut v = u*(y_i) is added at every row whose true ratio
-    is above t + tol (tol relative to t once t exceeds 1).  Returns the
-    weights of the best iterate, a lower bound on the grid minimax, the number
-    of LP solves, and whether the best iterate came within tol of the bound.
-    It also stops when no row is above t + tol, as the LP could not move.
+    of the LP in (mu, t).  The row depends on u_i alone, so the cuts already
+    in lp stay valid; abscissae new to lp get the seed cuts v = u_i, where the
+    exact-h measure is tangent, and v = 0.  After each solve the tangent cut
+    v = u*(y_i) is added at every row whose true ratio is above t + DESIGN_TOL
+    (relative to t once t exceeds 1).  Returns the weights of the best
+    iterate, a lower bound on the grid minimax, the number of LP solves, and
+    whether the best iterate came within DESIGN_TOL of the bound.  It also
+    stops when no row is above t + DESIGN_TOL, as the LP could not move.
     """
-    # imported here, not at module level: scipy.optimize roughly quadruples
-    # the import time of the package, and only designing needs it
-    from scipy.optimize import linprog
-
     obj = tab.spec.objective
     q = tab.nodes.size
-    rows, rhs = [], []
-
-    def add_cuts(i, v):
-        rows.append(np.column_stack([tab.lin[i] - (v / tab.h[i])[:, None] * tab.Psi[i],
-                                     -np.ones(i.size)]))
-        rhs.append(-h_eval(obj, v) / tab.h[i])
-
-    # seed: v = u_i, where the exact-h measure is tangent, and v = 0
-    every = np.arange(tab.u.size)
-    add_cuts(every, tab.u)
-    add_cuts(every, np.zeros(tab.u.size))
+    new = np.flatnonzero(~np.isin(tab.u, lp.seeded))
+    lp.add(*tab.cuts(new, tab.u[new]))
+    lp.add(*tab.cuts(new, np.zeros(new.size)))
+    lp.seeded = tab.u
     best_w, best_F, lb = None, np.inf, -np.inf
-    for solves in range(1, max_solves + 1):
-        A, b = np.vstack(rows), np.concatenate(rhs)
-        # HiGHS's default feasibility tolerance 1e-7 equals tol: at dopt gamma=4
-        # the loop then stalled, re-adding cuts the LP kept violating by 6e-8
-        res = linprog(np.append(np.zeros(q), 1.0), A_ub=A, b_ub=b,
-                      A_eq=np.append(tab.a, 0.0)[None, :], b_eq=[obj.h_prime0],
-                      bounds=[(0.0, None)] * q + [(None, None)], method="highs",
-                      options={"primal_feasibility_tolerance": 1e-8,
-                               "dual_feasibility_tolerance": 1e-8})
-        if res.status != 0:
-            raise RuntimeError("design LP failed: %s" % res.message)
-        # Weak duality, whatever the solver's tolerances: the duals lam >= 0
-        # of the cuts, scaled to sum 1, give max_i ratio_i(mu) >= lam.(A mu - b)
-        # >= h'(0) min_j (lam A)_j / a_j - lam.b for every feasible mu.
-        lam = np.maximum(-res.ineqlin.marginals, 0.0)
-        lam /= lam.sum()
-        lb = max(lb, obj.h_prime0 * float(np.min((lam @ A[:, :q]) / tab.a)) - float(lam @ b))
-        t = float(res.x[-1])
-        w = np.maximum(res.x[:q], 0.0)
+    for solves in range(1, DESIGN_MAX_SOLVES + 1):
+        x, lp_lb = lp.solve()
+        lb = max(lb, lp_lb)
+        t = float(x[-1])
+        w = np.maximum(x[:q], 0.0)
         w *= obj.h_prime0 / float(tab.a @ w)
         measure = AtomicMeasure(tab.nodes, w)
         r, y = constraint_values(tab.spec, measure, tab.u), y_eval(measure, tab.u)
         if float(np.max(r)) < best_F:
             best_w, best_F = w, float(np.max(r))
-        step = tol * max(1.0, abs(t))
+        step = DESIGN_TOL * max(1.0, abs(t))
         hot = np.flatnonzero(r > t + step)
         if best_F - lb <= step or hot.size == 0:   # certified, or nothing left to cut
             return best_w, lb, solves, best_F - lb <= step
-        add_cuts(hot, h_conj_prime(obj, y[hot]))
+        lp.add(*tab.cuts(hot, h_conj_prime(obj, y[hot])))
     return best_w, lb, solves, False
 
 
@@ -215,10 +271,11 @@ def design_hs(spec):
     Solves the grid minimax as a cutting-plane LP, then runs an exchange
     loop: probe the ratio on a 10x-denser grid, grid midpoints, and a
     geometric near-zero tail; any probe points rising above the trained
-    maximum are appended to the constraint set and the design is re-solved.
-    The returned beta is the trained maximum plus any residual excess still
-    seen on the probe set (an excess above 1e-6 flags the result); beta_lb is
-    the final LP's lower bound on the minimax over the training grid.
+    maximum are appended to the constraint set and the design is re-solved
+    in the same LP, which keeps every cut.  The returned beta is the trained
+    maximum plus any residual excess still seen on the probe set (an excess
+    above 1e-6 flags the result); beta_lb is the final LP's lower bound on
+    the minimax over the training grid.
     """
     obj = spec.objective
     if obj.kind == "linear":
@@ -226,7 +283,7 @@ def design_hs(spec):
         # with weight 1; every ratio is then exactly gamma.
         measure = AtomicMeasure(np.array([0.0]), np.array([1.0]))
         return DesignResult(measure, float(spec.gamma), float(spec.gamma), 0.0, 0,
-                            True, False, spec)
+                            True, False, spec, cuts=0, atoms=1)
 
     base = design_grid(spec)
     train = np.concatenate([_tail_grid(base[0], floor=1e-5), base])
@@ -237,9 +294,12 @@ def design_hs(spec):
 
     measure, best_F, inflation = None, np.inf, np.inf
     total_solves = 0
+    lp = None
     for round_no in range(4):
         tab = _Tableau(spec, grid=train)
-        w, beta_lb, solves, converged = _lp_weights(tab)
+        if lp is None:
+            lp = _CutLP(tab.a, obj.h_prime0)
+        w, beta_lb, solves, converged = _lp_weights(tab, lp)
         total_solves += solves
         measure = AtomicMeasure(tab.nodes, w)
         best_F = float(np.max(constraint_values(spec, measure, train)))
@@ -254,7 +314,8 @@ def design_hs(spec):
     beta = best_F + inflation
     flagged = inflation > 1e-6
     return DesignResult(measure, float(beta), float(beta_lb), float(inflation),
-                        total_solves, converged and not flagged, flagged, spec)
+                        total_solves, converged and not flagged, flagged, spec,
+                        cuts=int(lp.rhs.size), atoms=int(np.count_nonzero(measure.weights)))
 
 
 def design_to_dict(result):
@@ -272,20 +333,24 @@ def design_to_dict(result):
         "iterations": result.iterations,
         "converged": result.converged,
         "flagged": result.flagged,
+        "cuts": result.cuts,
+        "atoms": result.atoms,
         "nodes": [float(x) for x in result.measure.nodes],
         "weights": [float(x) for x in result.measure.weights],
     }
 
 
 def design_from_dict(d):
-    """Inverse of design_to_dict; beta_lb is None for records written without it."""
+    """Inverse of design_to_dict; beta_lb, cuts and atoms are None for records written without them."""
     obj = TraceObjective(d["objective"]["kind"], float(d["objective"].get("p", 1.0)))
     spec = DesignSpec(obj, float(d["gamma"]), float(d["u_max"]), int(d["q"]),
                       int(d["d"]), d["variant"], float(d["rho2"]))
     measure = AtomicMeasure(np.asarray(d["nodes"], dtype=float),
                             np.asarray(d["weights"], dtype=float))
-    beta_lb = d.get("beta_lb")
+    beta_lb, cuts, atoms = d.get("beta_lb"), d.get("cuts"), d.get("atoms")
     return DesignResult(measure, float(d["beta"]),
                         None if beta_lb is None else float(beta_lb),
                         float(d["residual"]), int(d["iterations"]),
-                        bool(d["converged"]), bool(d["flagged"]), spec)
+                        bool(d["converged"]), bool(d["flagged"]), spec,
+                        None if cuts is None else int(cuts),
+                        None if atoms is None else int(atoms))

@@ -85,8 +85,9 @@ class Instance:
 def instance_stats(arrivals):
     """Density bounds and caps recomputed from scratch: theta, Theta, rho1, rho2.
 
-    theta ranges over the arrivals with a positive trace: both engines reject
-    a zero arrival and it adds nothing to P*, so it cannot set the density.
+    theta and rho1 range over the arrivals with a positive trace: both
+    engines reject a zero arrival and it adds nothing to P*, so it can set
+    neither the density nor the largest cost that can be spent.
     """
     traces = np.array([np.trace(a.A) for a in arrivals])
     if not np.any(traces > 0.0):
@@ -94,10 +95,11 @@ def instance_stats(arrivals):
     costs = np.array([a.c for a in arrivals])
     lam_max = np.array([float(np.linalg.eigvalsh(a.A)[-1]) for a in arrivals])
     density = traces / costs
+    live = traces > 0.0
     return {
-        "theta": float(density[traces > 0.0].min()),
+        "theta": float(density[live].min()),
         "Theta": float(density.max()),
-        "rho1": float(costs.max()),
+        "rho1": float(costs[live].max()),
         "rho2": float(lam_max.max()),
         "max_lam_over_c": float((lam_max / costs).max()),
         "n": arrivals[0].n,
@@ -286,6 +288,8 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         raise AuditError("decision sequence length %s != m = %d" % (decisions.shape, inst.m))
     if variant not in ("seq", "sim"):
         raise AuditError("unknown variant %r" % (variant,))
+    if not np.all((decisions >= 0.0) & (decisions <= 1.0)):
+        raise AuditError("decisions must lie in [0, 1]")
     obj = smoothed.base
     n = inst.n
     U = np.zeros((n, n))
@@ -298,9 +302,11 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     max_z_step = -np.inf
     decision_ok = True
     worst_resid = 0.0
+    G = None      # grad_hs(smoothed, U), once per U; Y starts at h'(0) I instead
 
     for arr, x in zip(inst.arrivals, decisions):
         A, c = arr.A, arr.c
+        Y_new, z_new = Y, z
         if variant == "seq":
             price = float(np.vdot(A, Y)) + c * z
             pos_sum += max(price, 0.0)
@@ -308,12 +314,15 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
             if x != expect:
                 decision_ok = False
                 worst_resid = max(worst_resid, abs(price))
-            if x > 0.0:
-                U = U + x * A
-                u += x * c
-        else:
-            d_at = (float(np.vdot(A, grad_hs(smoothed, U + x * A)))
-                    + c * gs_prime(budget, u + x * c))
+        if x > 0.0:
+            U = U + x * A
+            u += x * c
+            G = Y_new = grad_hs(smoothed, U)
+            z_new = gs_prime(budget, u)
+        if variant == "sim":
+            if G is None:
+                G = grad_hs(smoothed, U)    # U = 0: no purchase yet
+            d_at = float(np.vdot(A, G)) + c * gs_prime(budget, u)
             scale = max(1.0, abs(float(np.vdot(A, Y))) + c * abs(z))
             if x <= 0.0:
                 resid = max(0.0, d_at)
@@ -324,20 +333,12 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
             if resid > DEFAULT_TOLS["decision"] * scale:
                 decision_ok = False
             worst_resid = max(worst_resid, resid / scale)
-            if x > 0.0:
-                U = U + x * A
-                u += x * c
-        if x > 0.0:
-            Y_new = grad_hs(smoothed, U)
-            z_new = gs_prime(budget, u)
-        else:
-            Y_new, z_new = Y, z
-        if variant == "seq":
-            if x > 0.0:
-                corr_sum += x * (float(np.vdot(A, Y_new - Y)) + c * (z_new - z))
-        else:
             pos_sum += max(float(np.vdot(A, Y_new)) + c * z_new, 0.0)
-        min_y_gap = min(min_y_gap, float(np.linalg.eigvalsh(Y - Y_new)[0]))
+        elif x > 0.0:
+            corr_sum += x * (float(np.vdot(A, Y_new - Y)) + c * (z_new - z))
+        # a rejected step leaves Y as it is: Y - Y_new is exactly 0
+        y_gap = float(np.linalg.eigvalsh(Y - Y_new)[0]) if x > 0.0 else 0.0
+        min_y_gap = min(min_y_gap, y_gap)
         max_z_step = max(max_z_step, z_new - z)
         Y, z = Y_new, z_new
 

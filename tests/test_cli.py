@@ -51,6 +51,9 @@ def test_design_reports_lp_gap(tmp_path, capsys):
     line = capsys.readouterr().err
     assert "beta_lb = %.9g" % record["beta_lb"] in line
     assert "gap = %.3g" % (record["beta"] - record["beta_lb"]) in line
+    assert record["cuts"] > 0 and record["atoms"] > 0
+    assert ("lp_solves = %d  cuts = %d  atoms = %d"
+            % (record["iterations"], record["cuts"], record["atoms"])) in line
 
 
 def test_audit_replays_a_recorded_run(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import psdalloc
 
 from psdalloc.designer import (
     DesignSpec,
+    _CutLP,
+    _Tableau,
     _tail_grid,
     beta_for_measure,
     constraint_values,
@@ -74,6 +77,7 @@ def test_tail_grid():
 def test_linear_design_closed_form():
     res = design_hs(spec_for(kind="linear", gamma=3.0))
     assert res.beta == 3.0
+    assert res.iterations == 0 and res.cuts == 0 and res.atoms == 1
     assert res.residual == 0.0 and not res.flagged
     assert np.array_equal(res.measure.nodes, [0.0])
     assert np.array_equal(res.measure.weights, [1.0])
@@ -155,6 +159,9 @@ def test_lp_design_is_certified_and_tight(args, fallback_beta):
     assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
     assert res.beta <= fallback_beta
     assert res.measure.y0 == pytest.approx(spec.objective.h_prime0, abs=1e-8)
+    # every training abscissa keeps its two seed cuts; the measure has a few atoms
+    assert res.cuts >= 2 * (D + _tail_grid(design_grid(spec)[0], floor=1e-5).size)
+    assert res.atoms == np.count_nonzero(res.measure.weights) >= 1
 
 
 def test_cr_bound():
@@ -175,6 +182,7 @@ def test_design_serialization_round_trip():
     assert np.array_equal(back.measure.weights, res.measure.weights)
     assert back.flagged == res.flagged
     assert back.beta_lb == res.beta_lb
+    assert (back.iterations, back.cuts, back.atoms) == (res.iterations, res.cuts, res.atoms)
 
 
 def test_design_from_legacy_dict():
@@ -193,10 +201,61 @@ def test_design_from_legacy_dict():
     assert res.smoothed().measure.y0 == pytest.approx(1.0)
     assert design_to_dict(res)["beta_lb"] is None
     assert "final_step" not in design_to_dict(res)
+    assert res.cuts is None and res.atoms is None
+    assert design_to_dict(res)["cuts"] is None and design_to_dict(res)["atoms"] is None
+
+
+TOLS = {"primal_feasibility_tolerance": 1e-8, "dual_feasibility_tolerance": 1e-8}
+
+
+def test_cut_lp_warm_resolves_match_cold_linprog():
+    # pins scipy's private incremental HiGHS interface: one model, rows added
+    # between solves; linprog (cold, on the same rows) is only the reference
+    from scipy.optimize import linprog
+
+    spec = spec_for(kind="dopt", gamma=2.0)
+    h0 = spec.objective.h_prime0
+    tab = _Tableau(spec, design_grid(spec))
+    q = tab.a.size
+    every = np.arange(tab.u.size)
+    rng = np.random.default_rng(3)
+    batches = [tab.cuts(every, tab.u), tab.cuts(every, np.zeros(every.size))]
+    for _ in range(5):
+        i = np.sort(rng.choice(every, 12, replace=False))
+        batches.append(tab.cuts(i, tab.u[i] * rng.uniform(0.2, 5.0, i.size)))
+    lp = _CutLP(tab.a, h0)
+    values, bounds = [], []
+    for rows, rhs in batches:
+        lp.add(rows, rhs)
+        x, lb = lp.solve()
+        cold = linprog(np.append(np.zeros(q), 1.0), A_ub=lp.rows, b_ub=lp.rhs,
+                       A_eq=np.append(tab.a, 0.0)[None, :], b_eq=[h0],
+                       bounds=[(0.0, None)] * q + [(None, None)], method="highs",
+                       options=TOLS)
+        assert cold.status == 0
+        assert x[-1] == pytest.approx(cold.fun, abs=1e-9)
+        assert tab.a @ x[:q] == pytest.approx(h0, abs=1e-8)
+        assert np.all(lp.rows @ x <= lp.rhs + 1e-8)
+        values.append(float(x[-1]))
+        bounds.append(lb)
+    assert lp.rows.shape == (2 * tab.u.size + 5 * 12, q + 1)
+    assert np.all(np.diff(values) >= -1e-9)     # rows only tighten the LP
+    # weak duality: each solve's bound is at most its LP value and every later one
+    for k, lb in enumerate(bounds):
+        assert lb <= min(values[k:]) + 1e-10
+        assert lb >= values[k] - 1e-7
+
+
+def test_cut_lp_names_scipy_version_without_highs(monkeypatch):
+    import scipy
+
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    with pytest.raises(ImportError, match=re.escape("scipy %s" % scipy.__version__)):
+        _CutLP(np.ones(3), 1.0)
 
 
 def test_import_does_not_load_scipy_optimize():
-    # design_hs imports linprog lazily: loading scipy.optimize with the
+    # design_hs imports HiGHS lazily: loading scipy.optimize with the
     # package would multiply the import time of every psdalloc process
     env = dict(os.environ)
     pkg_root = str(Path(psdalloc.__file__).resolve().parent.parent)

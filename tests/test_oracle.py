@@ -4,8 +4,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from psdalloc import oracle
 from psdalloc.bench import gen_adversarial, gen_random
-from psdalloc.budget import BudgetSmoother
+from psdalloc.budget import BudgetSmoother, b_prime, gs_prime
 from psdalloc.designer import DesignSpec, design_hs
 from psdalloc.objectives import h_eval, make_objective
 from psdalloc.online import Arrival, run_stream
@@ -45,6 +46,20 @@ def test_instance_validation():
         Instance([Arrival(np.eye(2), 1.0)], 0.0)
     with pytest.raises(ValueError, match="positive trace"):
         Instance([Arrival(np.zeros((2, 2)), 1.0)], 1.0)
+
+
+def test_zero_trace_arrival_sets_no_rho1():
+    # a zero arrival is never bought, so its cost cannot raise the seq cap b'
+    dopt = make_objective("dopt")
+    with_zero = Instance([Arrival(np.zeros((2, 2)), 5.0), Arrival(np.eye(2), 1.0)], 1.0)
+    alone = Instance([Arrival(np.eye(2), 1.0)], 1.0)
+
+    def seq_cap(inst):
+        return b_prime(BudgetSmoother(dopt, 2.0, inst.b, inst.theta, inst.Theta,
+                                      inst.rho1, "seq"))
+
+    assert with_zero.rho1 == alone.rho1 == 1.0
+    assert seq_cap(with_zero) == seq_cap(alone) == pytest.approx(3.35, abs=5e-3)
 
 
 def test_instance_stats_recompute(rng):
@@ -291,6 +306,83 @@ def test_audit_length_mismatch(rng):
         audit_run(np.zeros(4), inst, sm, budget, "sim")
     with pytest.raises(AuditError):
         audit_run(np.zeros(5), inst, sm, budget, "diagonal")
+
+
+def test_audit_rejects_decisions_outside_unit_interval(rng):
+    inst = random_instance(rng, n=3, m=5)
+    sm, budget = engine_setup(inst, 2.0, "sim")
+    for bad in (-0.5, 1.5, np.nan):
+        x = np.zeros(5)
+        x[2] = bad
+        with pytest.raises(AuditError, match=r"\[0, 1\]"):
+            audit_run(x, inst, sm, budget, "sim")
+
+
+def _spy(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records the arguments of each call."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _dense_decision_residuals(decisions, inst, sm, budget):
+    """The sim decision check with grad_hs evaluated afresh at U + x A on every step."""
+    n = inst.n
+    U, u = np.zeros((n, n)), 0.0
+    Y, z = sm.base.h_prime0 * np.eye(n), 0.0
+    out = []
+    for arr, x in zip(inst.arrivals, decisions):
+        A, c = arr.A, arr.c
+        d_at = (float(np.vdot(A, oracle.grad_hs(sm, U + x * A)))
+                + c * gs_prime(budget, u + x * c))
+        resid = max(0.0, d_at) if x <= 0.0 else max(0.0, -d_at) if x >= 1.0 else abs(d_at)
+        out.append(resid / max(1.0, abs(float(np.vdot(A, Y))) + c * abs(z)))
+        if x > 0.0:
+            U, u = U + x * A, u + x * c
+            Y, z = oracle.grad_hs(sm, U), gs_prime(budget, u)
+    return np.array(out)
+
+
+def _opens_with_a_rejection():
+    """A random stream led by a zero arrival, which both engines reject."""
+    arrivals = random_instance(np.random.default_rng(5), n=3, m=16, b=2.0).arrivals
+    return Instance([Arrival(np.zeros((3, 3)), 1.0)] + arrivals, 2.0)
+
+
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_audit_decomposes_only_after_purchases(variant, monkeypatch):
+    inst = _opens_with_a_rejection()
+    sm, budget = engine_setup(inst, 2.0, variant)
+    x = run_stream(sm, budget, inst.arrivals, variant).decisions
+    bought = int(np.count_nonzero(x))
+    assert 0 < bought < inst.m and x[0] == 0.0
+    p_star = offline_continuous_opt(inst, make_objective("dopt")).value
+    expect = audit_run(x, inst, sm, budget, variant, p_star=p_star).to_dict()
+    grads = _spy(monkeypatch, oracle, "grad_hs")
+    eigs = _spy(monkeypatch, np.linalg, "eigvalsh")
+    rep = audit_run(x, inst, sm, budget, variant, p_star=p_star)
+    assert rep.passed and rep.to_dict() == expect
+    # one gradient per purchase, plus the sim check's gradient at U = 0
+    assert len(grads) == bought + (variant == "sim")
+    # a rejected step leaves Y as it is: no eigvalsh of the zero matrix Y - Y
+    assert not any(np.all(args[0] == 0.0) for args in eigs)
+
+
+def test_audit_decision_check_uses_the_gradient_after_each_purchase():
+    # a gradient of U left over from before a purchase is larger in the Loewner
+    # order, so rejected steps after it would show a positive derivative
+    inst = _opens_with_a_rejection()
+    sm, budget = engine_setup(inst, 2.0, "sim")
+    x = run_stream(sm, budget, inst.arrivals, "sim").decisions
+    dense = _dense_decision_residuals(x, inst, sm, budget)
+    rep = audit_run(x, inst, sm, budget, "sim", p_star=0.0)
+    assert rep.decision_consistent
+    assert rep.worst_decision_residual == pytest.approx(dense.max(), rel=1e-9, abs=1e-15)
 
 
 def test_audit_accepts_precomputed_pstar(rng):
