@@ -27,6 +27,8 @@ def gen_adversarial(n, m, seed, b=None):
     Density bounds come out pinned at theta = 1, Theta = m, which is the
     worst-case spread the stopping budget is calibrated against.
     """
+    if not n >= 1:
+        raise ValueError("n must be >= 1, got %r" % (n,))
     rng = np.random.default_rng(seed)
     arrivals = []
     for t in range(1, m + 1):
@@ -42,6 +44,8 @@ def gen_random(n, m, density=1.0, seed=0, b=None):
     density in (0, 1] sparsifies the directions entrywise (resampled if a
     direction comes out all-zero).
     """
+    if not n >= 1:
+        raise ValueError("n must be >= 1, got %r" % (n,))
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
     rng = np.random.default_rng(seed)
@@ -77,6 +81,10 @@ class ExperimentConfig:
     unsmoothed_arm: bool = True
     out: str = None            # CSV path; no file written when None
     instances: list = None     # explicit instances override the generator
+
+    def __post_init__(self):
+        if not self.repeats >= 1:
+            raise ValueError("repeats must be >= 1, got %r" % (self.repeats,))
 
     @classmethod
     def from_dict(cls, d):

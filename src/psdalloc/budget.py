@@ -70,8 +70,8 @@ class BudgetSmoother:
     def __post_init__(self):
         if self.variant not in ("sim", "seq"):
             raise ValueError("variant must be 'sim' or 'seq', got %r" % (self.variant,))
-        if not self.gamma >= 1.0:
-            raise ValueError("gamma must be >= 1, got %r" % (self.gamma,))
+        if not 1.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and >= 1, got %r" % (self.gamma,))
         if not self.b > 0.0:
             raise ValueError("budget b must be positive")
         if not (0.0 < self.theta <= self.Theta):

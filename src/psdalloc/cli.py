@@ -36,11 +36,10 @@ def cmd_design(args):
                       args.variant, args.rho2)
     result = design_hs(spec)
     _write_json(design_to_dict(result), args.out)
-    print("beta = %.9g  beta_lb = %.9g  gap = %.3g  bound = %.9g  residual = %.3g"
-          "  flagged = %s  lp_solves = %d  cuts = %d  atoms = %d"
+    print("beta = %.9g  beta_lb = %.9g  gap = %.3g  bound = %.9g"
+          "  lp_solves = %d  cuts = %d  atoms = %d"
           % (result.beta, result.beta_lb, result.beta - result.beta_lb,
-             cr_bound(args.gamma, result.beta), result.residual, result.flagged,
-             result.iterations, result.cuts, result.atoms),
+             cr_bound(args.gamma, result.beta), result.iterations, result.cuts, result.atoms),
           file=sys.stderr)
     return 0
 

@@ -11,17 +11,15 @@ sum_j mu_j/(1 - lambda_j) = h'(0) and mu >= 0.  The certified competitive
 ratio is then 1/(gamma/(e-1) + beta).
 
 h_S and y are linear in mu, and -h*(y) = sup_{v>=0} h(v) - v y is a supremum
-of lines, so the grid minimax is a semi-infinite LP in (mu, beta).  Kelley's
-cutting-plane method solves it, adding the tangent cut v = u*(y_i) wherever a
-ratio still exceeds the LP value; the row duals bound the grid optimum below.
-One HiGHS model holds the LP for a whole design: cuts are only ever added, so
-each re-solve is a dual simplex warm-started from the previous basis.  An
-exchange loop appends any probe points (10x-denser grid, grid midpoints,
-geometric near-zero tail) found rising above the trained maximum.  A cut's
-row depends only on its abscissa, so every cut stays valid as the training
-grid grows and is kept; only the new points get seed cuts.  The returned beta
-is the trained maximum inflated one-sidedly by any excess still seen on the
-probe set.
+of lines, so the minimax is a semi-infinite LP in (mu, beta).  Kelley's
+cutting-plane method solves it on the certification grid: the base grid, a
+10x-denser grid, its midpoints and a geometric near-zero tail.  Only the base
+abscissae are seeded; after each solve the tangent cut v = u*(y_i) is added at
+every local maximum of the ratio still above the LP value.  One HiGHS model
+holds the LP for a whole design: cuts are only ever added, so each re-solve
+is a dual simplex warm-started from the previous basis.  The returned beta is
+the largest ratio of the best iterate on the whole certification grid; the
+row duals bound the grid optimum below.
 """
 
 from dataclasses import dataclass
@@ -33,7 +31,7 @@ from .objectives import TraceObjective, h_conj, h_conj_prime, h_eval, h_inverse
 
 E1 = np.e - 1.0
 DESIGN_TOL = 1e-7          # stop once the best iterate is within this times max(1, t) of the bound
-DESIGN_MAX_SOLVES = 200    # LP solves per exchange round
+DESIGN_MAX_SOLVES = 200    # LP solves per design
 
 
 @dataclass(frozen=True)
@@ -47,10 +45,10 @@ class DesignSpec:
     rho2: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma >= 1.0:
-            raise ValueError("gamma must be >= 1")
-        if not self.u_max > 0.0:
-            raise ValueError("u_max must be positive")
+        if not 1.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and >= 1, got %r" % (self.gamma,))
+        if not 0.0 < self.u_max < np.inf:
+            raise ValueError("u_max must be finite and positive, got %r" % (self.u_max,))
         if self.q < 2 or self.d < 2:
             raise ValueError("need q >= 2 and d >= 2")
         if self.variant not in ("sim", "seq"):
@@ -68,13 +66,13 @@ class DesignResult:
     measure: AtomicMeasure
     beta: float
     beta_lb: float       # final LP value (from its duals): bounds the grid optimum below
-    residual: float      # one-sided inflation applied after dense-grid verification
     iterations: int      # LP solves, the first cold and every later one warm
-    converged: bool
-    flagged: bool
+    converged: bool      # beta is within DESIGN_TOL of beta_lb
     spec: DesignSpec
     cuts: int = None     # cut rows of the final LP (None in records written without it)
     atoms: int = None    # nonzero weights of the measure (likewise)
+    residual: float = 0.0    # read from older records, which inflated beta by it
+    flagged: bool = False    # likewise: set when that inflation exceeded 1e-6
 
     def smoothed(self):
         return SmoothedObjective(self.measure, self.spec.objective)
@@ -89,19 +87,18 @@ def design_grid(spec, dense=1):
     return h_inverse(spec.objective, levels)
 
 
-def _tail_grid(u1, ratio=0.5, floor=1e-8):
-    """Geometric safeguard points below the first grid abscissa.
+def _tail_grid(u1):
+    """Geometric points u1 2^(-k/2) in (1e-8, u1), below the first grid abscissa.
 
     For larger gamma the binding region of the ratio constraint hugs u -> 0+
     where the h-spaced grid has no samples; these points keep the design
-    honest there (extra constraints only tighten the feasible set).  The floor
-    stays above the scale where cancellation in h* makes the ratio noisy.
+    honest there.
     """
     pts = []
-    u = u1 * ratio
-    while u > floor:
+    u = u1 * 2.0 ** -0.5
+    while u > 1e-8:
         pts.append(u)
-        u *= ratio
+        u *= 2.0 ** -0.5
     return np.array(pts[::-1])
 
 
@@ -114,7 +111,10 @@ def constraint_values(spec, measure, grid=None):
     ys = y_eval(measure, u)
     lhs = spec.gamma * hs_eval(measure, u) - h_conj(spec.objective, ys)
     if spec.variant == "seq":
-        lhs = lhs + spec.gamma * spec.rho2 * (measure.y0 - ys)
+        # y(0) - y(u) = u sum_j mu_j lambda_j a_j/(u lambda_j + 1 - lambda_j), which does
+        # not cancel at small u (a_j = 1/(1 - lambda_j))
+        drop = AtomicMeasure(measure.nodes, measure.weights * measure.nodes / (1.0 - measure.nodes))
+        lhs = lhs + spec.gamma * spec.rho2 * u * y_eval(drop, u)
     return lhs / h_eval(spec.objective, u)
 
 
@@ -148,8 +148,14 @@ class _Tableau:
         self.Psi = 1.0 / (grid[:, None] * self.nodes + (1.0 - self.nodes))
         lin = spec.gamma * phi_primitive(grid[:, None], self.nodes[None, :])
         if spec.variant == "seq":
-            lin = lin + spec.gamma * spec.rho2 * (self.a - self.Psi)
+            # a - Psi = u lambda a Psi exactly; the difference cancels at small u
+            lin = lin + spec.gamma * spec.rho2 * grid[:, None] * self.nodes * self.a * self.Psi
         self.lin = lin / self.h[:, None]
+
+    def ratio(self, w):
+        """Every row's ratio for the weights w, and y = Psi w."""
+        y = self.Psi @ w
+        return self.lin @ w - h_conj(self.spec.objective, y) / self.h, y
 
     def cuts(self, i, v):
         """LP rows (lin_i - v Psi_i/h_i, -1) and right sides -h(v)/h_i of the cuts v at rows i."""
@@ -192,7 +198,6 @@ class _CutLP:
                    np.array([0], dtype=np.int32), np.arange(q, dtype=np.int32), a)
         self.a, self.h_prime0 = a, h_prime0
         self.rows, self.rhs = np.empty((0, q + 1)), np.empty(0)
-        self.seeded = np.empty(0)    # abscissae whose seed cuts are in
 
     def add(self, rows, rhs):
         k, width = rows.shape
@@ -223,99 +228,58 @@ class _CutLP:
         return np.array(sol.col_value), lb
 
 
-def _lp_weights(tab, lp):
-    """Kelley's cutting-plane method for min_mu max_i ratio_i on the tableau grid.
+def design_hs(spec):
+    """Design the measure minimizing the certified beta for this spec.
 
-    -h*(y) = sup_{v>=0} h(v) - v y is a supremum of lines, so every cut v
+    Kelley's cutting-plane method on the certification grid (the base grid,
+    the 10x-denser grid, its midpoints and the near-zero tail).  Every cut v
     turns constraint i into the row
 
         (lin_i - v Psi_i/h_i) . mu - t <= -h(v)/h_i
 
-    of the LP in (mu, t).  The row depends on u_i alone, so the cuts already
-    in lp stay valid; abscissae new to lp get the seed cuts v = u_i, where the
-    exact-h measure is tangent, and v = 0.  After each solve the tangent cut
-    v = u*(y_i) is added at every row whose true ratio is above t + DESIGN_TOL
-    (relative to t once t exceeds 1).  Returns the weights of the best
-    iterate, a lower bound on the grid minimax, the number of LP solves, and
-    whether the best iterate came within DESIGN_TOL of the bound.  It also
-    stops when no row is above t + DESIGN_TOL, as the LP could not move.
-    """
-    obj = tab.spec.objective
-    q = tab.nodes.size
-    new = np.flatnonzero(~np.isin(tab.u, lp.seeded))
-    lp.add(*tab.cuts(new, tab.u[new]))
-    lp.add(*tab.cuts(new, np.zeros(new.size)))
-    lp.seeded = tab.u
-    best_w, best_F, lb = None, np.inf, -np.inf
-    for solves in range(1, DESIGN_MAX_SOLVES + 1):
-        x, lp_lb = lp.solve()
-        lb = max(lb, lp_lb)
-        t = float(x[-1])
-        w = np.maximum(x[:q], 0.0)
-        w *= obj.h_prime0 / float(tab.a @ w)
-        measure = AtomicMeasure(tab.nodes, w)
-        r, y = constraint_values(tab.spec, measure, tab.u), y_eval(measure, tab.u)
-        if float(np.max(r)) < best_F:
-            best_w, best_F = w, float(np.max(r))
-        step = DESIGN_TOL * max(1.0, abs(t))
-        hot = np.flatnonzero(r > t + step)
-        if best_F - lb <= step or hot.size == 0:   # certified, or nothing left to cut
-            return best_w, lb, solves, best_F - lb <= step
-        lp.add(*tab.cuts(hot, h_conj_prime(obj, y[hot])))
-    return best_w, lb, solves, False
-
-
-def design_hs(spec):
-    """Design the measure minimizing the certified beta for this spec.
-
-    Solves the grid minimax as a cutting-plane LP, then runs an exchange
-    loop: probe the ratio on a 10x-denser grid, grid midpoints, and a
-    geometric near-zero tail; any probe points rising above the trained
-    maximum are appended to the constraint set and the design is re-solved
-    in the same LP, which keeps every cut.  The returned beta is the trained
-    maximum plus any residual excess still seen on the probe set (an excess
-    above 1e-6 flags the result); beta_lb is the final LP's lower bound on
-    the minimax over the training grid.
+    of the LP in (mu, t).  The base abscissae are seeded with the cuts
+    v = u_i, where the exact-h measure is tangent, and v = 0.  After each
+    solve the tangent cut v = u*(y_i) is added at every local maximum of the
+    ratio above t + DESIGN_TOL (relative to t once t exceeds 1).  The loop
+    stops once the best iterate is within that of the dual bound beta_lb, or
+    when no ratio is above it, as the LP could not move.  beta is the largest
+    ratio of the best iterate on the grid.
     """
     obj = spec.objective
     if obj.kind == "linear":
         # h* is -inf off y = 1, so the only admissible measure is the atom at 0
         # with weight 1; every ratio is then exactly gamma.
         measure = AtomicMeasure(np.array([0.0]), np.array([1.0]))
-        return DesignResult(measure, float(spec.gamma), float(spec.gamma), 0.0, 0,
-                            True, False, spec, cuts=0, atoms=1)
+        return DesignResult(measure, float(spec.gamma), float(spec.gamma), 0, True, spec,
+                            cuts=0, atoms=1)
 
-    base = design_grid(spec)
-    train = np.concatenate([_tail_grid(base[0], floor=1e-5), base])
-    fine = design_grid(spec, 10)
-    mids = 0.5 * (fine[:-1] + fine[1:])
-    probe = np.unique(np.concatenate(
-        [_tail_grid(fine[0], ratio=2.0 ** -0.5), fine, mids]))
-
-    measure, best_F, inflation = None, np.inf, np.inf
-    total_solves = 0
-    lp = None
-    for round_no in range(4):
-        tab = _Tableau(spec, grid=train)
-        if lp is None:
-            lp = _CutLP(tab.a, obj.h_prime0)
-        w, beta_lb, solves, converged = _lp_weights(tab, lp)
-        total_solves += solves
-        measure = AtomicMeasure(tab.nodes, w)
-        best_F = float(np.max(constraint_values(spec, measure, train)))
-        pv = constraint_values(spec, measure, probe)
-        inflation = max(0.0, float(np.max(pv)) - best_F)
-        if inflation <= 2e-7:
+    base, fine = design_grid(spec), design_grid(spec, 10)
+    grid = np.unique(np.concatenate(
+        [_tail_grid(fine[0]), fine, 0.5 * (fine[:-1] + fine[1:]), base]))
+    tab = _Tableau(spec, grid)
+    lp = _CutLP(tab.a, obj.h_prime0)
+    seeds = np.searchsorted(grid, base)
+    lp.add(*tab.cuts(seeds, base))
+    lp.add(*tab.cuts(seeds, np.zeros(seeds.size)))
+    best_w, best_F, lb = None, np.inf, -np.inf
+    for solves in range(1, DESIGN_MAX_SOLVES + 1):
+        x, lp_lb = lp.solve()
+        lb = max(lb, lp_lb)
+        t = float(x[-1])
+        w = np.maximum(x[:-1], 0.0)
+        w *= obj.h_prime0 / float(tab.a @ w)
+        r, y = tab.ratio(w)
+        if float(np.max(r)) < best_F:
+            best_w, best_F = w, float(np.max(r))
+        step = DESIGN_TOL * max(1.0, abs(t))
+        peak = np.r_[r[:-1] >= r[1:], True] & np.r_[True, r[1:] >= r[:-1]]
+        hot = np.flatnonzero(peak & (r > t + step))
+        if best_F - lb <= step or hot.size == 0:   # certified, or nothing left to cut
             break
-        mask = pv > best_F - 1e-8
-        offenders = probe[mask][np.argsort(-pv[mask])][:40]
-        train = np.unique(np.concatenate([train, offenders]))
-
-    beta = best_F + inflation
-    flagged = inflation > 1e-6
-    return DesignResult(measure, float(beta), float(beta_lb), float(inflation),
-                        total_solves, converged and not flagged, flagged, spec,
-                        cuts=int(lp.rhs.size), atoms=int(np.count_nonzero(measure.weights)))
+        lp.add(*tab.cuts(hot, h_conj_prime(obj, y[hot])))
+    return DesignResult(AtomicMeasure(tab.nodes, best_w), best_F, lb, solves,
+                        best_F - lb <= step, spec, cuts=int(lp.rhs.size),
+                        atoms=int(np.count_nonzero(best_w)))
 
 
 def design_to_dict(result):
@@ -350,7 +314,7 @@ def design_from_dict(d):
     beta_lb, cuts, atoms = d.get("beta_lb"), d.get("cuts"), d.get("atoms")
     return DesignResult(measure, float(d["beta"]),
                         None if beta_lb is None else float(beta_lb),
-                        float(d["residual"]), int(d["iterations"]),
-                        bool(d["converged"]), bool(d["flagged"]), spec,
+                        int(d["iterations"]), bool(d["converged"]), spec,
                         None if cuts is None else int(cuts),
-                        None if atoms is None else int(atoms))
+                        None if atoms is None else int(atoms),
+                        float(d["residual"]), bool(d["flagged"]))

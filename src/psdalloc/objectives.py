@@ -121,7 +121,8 @@ def h_conj(obj, y):
     """Concave conjugate h*(y) = inf_{u>=0} { y u - h(u) } (inf over R for linear).
 
     Piecewise: -inf below the domain, a closed form on (0, h'(0)] (reaching -1
-    at y = 0 for aopt/pmean), and 0 for y > h'(0).
+    at y = 0 for aopt/pmean), and 0 for y > h'(0).  The closed forms vanish to
+    second order at y = h'(0) and are written so they do not cancel there.
     """
     y, scalar = _shaped(y)
     if obj.kind == "linear":
@@ -136,14 +137,16 @@ def h_conj(obj, y):
     elif obj.kind == "aopt":
         mid = (y >= 0.0) & (y <= 1.0)
         ys = np.where(mid, y, 1.0)
-        out = np.where(mid, 2.0 * np.sqrt(ys) - ys - 1.0, out)
+        out = np.where(mid, -(1.0 - np.sqrt(ys)) ** 2, out)
         out = np.where(y > 1.0, 0.0, out)
     else:
         p = obj.p
         mid = (y >= 0.0) & (y <= p)
         ys = np.where(mid, y, p)
-        coef = p ** (1.0 / (p + 1.0)) + p ** (-p / (p + 1.0))
-        out = np.where(mid, ys ** (p / (p + 1.0)) * coef - ys - 1.0, out)
+        # (p+1) t^p - p t^(p+1) - 1 with t = (y/p)^(1/(p+1)) = exp(L)
+        with np.errstate(divide="ignore"):
+            L = np.log(ys / p) / (p + 1.0)
+        out = np.where(mid, (p + 1.0) * np.expm1(p * L) - p * np.expm1((p + 1.0) * L), out)
         out = np.where(y > p, 0.0, out)
     return float(out) if scalar else out
 

@@ -67,6 +67,16 @@ def test_random_generator_rejects_bad_density():
         gen_random(3, 5, density=1.5)
 
 
+@pytest.mark.parametrize("gen", [lambda n: gen_adversarial(n, 5, 0),
+                                 lambda n: gen_random(n, 5)],
+                         ids=["adversarial", "random"])
+def test_generators_reject_empty_dimension(gen):
+    # with n = 0 every direction is all-zero, so gen_random would resample forever
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be"):
+            gen(n)
+
+
 # ------------------------------------------------------------------- config
 
 def test_config_from_dict_roundtrip():
@@ -77,6 +87,12 @@ def test_config_from_dict_roundtrip():
     assert cfg.m == 12
     assert cfg.gammas == (1.0, 2.0)
     assert cfg.b is None and cfg.out is None
+
+
+def test_config_rejects_no_repeats():
+    for repeats in (0, -2):
+        with pytest.raises(ValueError, match="repeats"):
+            ExperimentConfig(repeats=repeats)
 
 
 def test_config_rejects_unknown_keys():

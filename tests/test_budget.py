@@ -54,6 +54,9 @@ def test_validation():
         smoother(variant="seq", rho1=0.0)
     with pytest.raises(ValueError):
         smoother(variant="both")
+    for gamma in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            smoother(gamma=gamma)
 
 
 def test_rate_and_effective_budget():

@@ -22,7 +22,7 @@ from psdalloc.designer import (
     design_hs,
     design_to_dict,
 )
-from psdalloc.lowner import AtomicMeasure, exact_measure
+from psdalloc.lowner import AtomicMeasure, exact_measure, y_eval
 from psdalloc.objectives import h_eval, make_objective
 
 # small but representative problem size so each design solves in < 1 s
@@ -46,6 +46,11 @@ def test_spec_validation():
         spec_for(variant="seq", rho2=0.0)
     with pytest.raises(ValueError):
         spec_for(variant="parallel")
+    # an infinite u_max gives an infinite grid, whose near-zero tail never ends
+    for field in ("u_max", "gamma"):
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match=field):
+                spec_for(**{field: value})
 
 
 def test_design_grid_shape_and_spacing():
@@ -67,11 +72,11 @@ def test_design_grid_nested():
 
 
 def test_tail_grid():
-    t = _tail_grid(0.0125, ratio=0.5, floor=1e-5)
-    assert np.all(np.diff(t) > 0)
-    assert t[-1] == pytest.approx(0.00625)
-    assert t[0] > 1e-5
-    assert _tail_grid(1e-6, floor=1e-5).size == 0
+    t = _tail_grid(0.0125)
+    assert np.allclose(t[1:] / t[:-1], 2.0 ** 0.5, rtol=1e-12)
+    assert t[-1] == pytest.approx(0.0125 * 2.0 ** -0.5)
+    assert 1e-8 < t[0] <= 2.0 ** 0.5 * 1e-8
+    assert _tail_grid(1.2e-8).size == 0
 
 
 def test_linear_design_closed_form():
@@ -159,9 +164,35 @@ def test_lp_design_is_certified_and_tight(args, fallback_beta):
     assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
     assert res.beta <= fallback_beta
     assert res.measure.y0 == pytest.approx(spec.objective.h_prime0, abs=1e-8)
-    # every training abscissa keeps its two seed cuts; the measure has a few atoms
-    assert res.cuts >= 2 * (D + _tail_grid(design_grid(spec)[0], floor=1e-5).size)
+    # every base abscissa keeps its two seed cuts; the measure has a few atoms
+    assert res.cuts >= 2 * D
     assert res.atoms == np.count_nonzero(res.measure.weights) >= 1
+
+
+@pytest.mark.parametrize("kind", ["dopt", "aopt", "pmean2.0", "pmean0.5"])
+@pytest.mark.parametrize("variant,rho2", [("sim", 0.0), ("seq", 5.0)])
+def test_tableau_ratio_matches_constraint_values(kind, variant, rho2):
+    spec = spec_for(kind=kind, gamma=3.0, variant=variant, rho2=rho2)
+    grid = np.concatenate([np.geomspace(1e-8, 1e-2, 25), design_grid(spec)])
+    tab = _Tableau(spec, grid)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        w = rng.random(Q) * (rng.random(Q) < 0.3)
+        w *= spec.objective.h_prime0 / (tab.a @ w)
+        r, y = tab.ratio(w)
+        measure = AtomicMeasure(tab.nodes, w)
+        assert np.allclose(y, y_eval(measure, grid), rtol=1e-14, atol=0.0)
+        assert np.allclose(r, constraint_values(spec, measure, grid), rtol=1e-12, atol=0.0)
+
+
+def test_seq_design_with_steep_tail_is_certified():
+    # the seq term a - Psi cancels at the tail's u ~ 1e-8; computed as the
+    # difference, its noise kept HiGHS from an optimal status on this spec
+    spec = DesignSpec(make_objective("dopt"), 8.0, 50.0, 100, 200, "seq", 5.0)
+    res = design_hs(spec)
+    assert res.converged
+    assert res.beta - res.beta_lb <= 1e-6 * max(1.0, res.beta)
+    assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
 
 
 def test_cr_bound():
