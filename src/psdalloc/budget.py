@@ -11,7 +11,7 @@ u <= 0, and gs' is nonpositive and nonincreasing.
 
 Evaluation.  Both factors of the integrand of F fall fastest at v = 0:
 exp(-r v) within 1/r, and h'(theta v) within 1/(k theta) where
-k = -h''(0)/h'(0) (0 linear, 1 dopt, 2 aopt, p+1 pmean).  The substitution
+k = -h''(0)/h'(0) (0 linear, 1 dopt, p+1 pmean and aopt).  The substitution
 v = expm1(s)/kappa with kappa = max(r, k theta) spreads both layers over a
 stretch of s of order one, so F is one fixed Gauss-Legendre rule in s on
 [0, log(1 + kappa u)] for every kind, linear included.  A coarser rule on
@@ -93,7 +93,7 @@ class BudgetSmoother:
 def _conv(s, x):
     """F(x) for an array of 0 < x with rate * x <= OVERFLOW_EXP."""
     obj, r = s.objective, s.rate
-    k = {"linear": 0.0, "dopt": 1.0, "aopt": 2.0}.get(obj.kind, obj.p + 1.0)
+    k = {"linear": 0.0, "dopt": 1.0}.get(obj.kind, obj.p + 1.0)
     kappa = max(r, k * s.theta)
     S = np.log1p(kappa * x)
     sv = S[:, None] * NODES

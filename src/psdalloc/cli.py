@@ -234,8 +234,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; a bad input exits 2 with a one-line error, as argparse does."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:   # every validation error, and json.JSONDecodeError
+        print("psdalloc: error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

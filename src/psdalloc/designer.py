@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lowner import AtomicMeasure, SmoothedObjective, hs_eval, phi_primitive, y_eval
+from .lowner import (AtomicMeasure, SmoothedObjective, exact_measure, hs_eval,
+                     phi_primitive, y_eval)
 from .objectives import TraceObjective, h_conj, h_conj_prime, h_eval, h_inverse
 
 E1 = np.e - 1.0
@@ -249,9 +250,8 @@ def design_hs(spec):
     if obj.kind == "linear":
         # h* is -inf off y = 1, so the only admissible measure is the atom at 0
         # with weight 1; every ratio is then exactly gamma.
-        measure = AtomicMeasure(np.array([0.0]), np.array([1.0]))
-        return DesignResult(measure, float(spec.gamma), float(spec.gamma), 0, True, spec,
-                            cuts=0, atoms=1)
+        return DesignResult(exact_measure(obj), float(spec.gamma), float(spec.gamma), 0, True,
+                            spec, cuts=0, atoms=1)
 
     base, fine = design_grid(spec), design_grid(spec, 10)
     grid = np.unique(np.concatenate(

@@ -1,25 +1,33 @@
-"""Scalar gain functions and their trace lifts.
+"""Scalar gain functions, their trace lifts, and the PSD eigendecomposition.
 
 Catalog of concave increasing h with h(0) = 0, used eigenvalue-wise as
 H(X) = sum_i h(lambda_i(X)):
 
     linear  h(u) = u
     dopt    h(u) = log(1 + u)
-    aopt    h(u) = 1 - 1/(1+u)          (inverse-trace criterion, shifted)
-    pmean   h(u) = 1 - (1+u)^(-p)       (p > 0; p = 1 recovers aopt)
+    pmean   h(u) = 1 - (1+u)^(-p)       (p > 0)
+    aopt    pmean at p = 1: 1 - 1/(1+u), the shifted inverse-trace criterion
 
 Each h is extended linearly to u < 0 with slope h'(0).  The concave conjugate
 h*(y) = inf_u { y u - h(u) } is over u >= 0 (over all u for linear), so
 h*(y) = 0 for y > h'(0) and -inf for y < 0.
+
+psd_eigs is the package's one dense eigendecomposition of a PSD matrix, in
+numpy's ascending order; every lift applies a scalar function to its spectrum.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import TOL_EIG, eig_sym, sym
-
 KINDS = ("linear", "dopt", "aopt", "pmean")
+
+# relative tolerance for eigendecomposition-based identities and PSD checks
+TOL_EIG = 1e-10
+
+
+class InvalidMatrix(ValueError):
+    """Input is not a usable symmetric matrix (non-square or non-finite)."""
 
 
 class NotPSD(ValueError):
@@ -40,11 +48,13 @@ class TraceObjective:
             raise ValueError("unknown objective kind %r (one of %s)" % (self.kind, list(KINDS)))
         if self.kind == "pmean" and not self.p > 0:
             raise ValueError("pmean requires p > 0, got %r" % (self.p,))
+        if self.kind == "aopt" and self.p != 1.0:
+            raise ValueError("aopt is pmean at p = 1, got p = %r" % (self.p,))
 
     @property
     def h_prime0(self):
-        """Slope at zero: 1 for linear/dopt/aopt, p for pmean."""
-        return float(self.p) if self.kind == "pmean" else 1.0
+        """Slope at zero: 1 for linear/dopt, p for pmean and aopt."""
+        return 1.0 if self.kind in ("linear", "dopt") else float(self.p)
 
     @property
     def sup_h(self):
@@ -78,8 +88,6 @@ def h_eval(obj, u):
         pos = up
     elif obj.kind == "dopt":
         pos = np.log1p(up)
-    elif obj.kind == "aopt":
-        pos = up / (1.0 + up)
     else:
         pos = -np.expm1(-obj.p * np.log1p(up))
     out = np.where(u < 0.0, obj.h_prime0 * u, pos)
@@ -94,8 +102,6 @@ def h_prime(obj, u):
         out = np.ones_like(up)
     elif obj.kind == "dopt":
         out = 1.0 / (1.0 + up)
-    elif obj.kind == "aopt":
-        out = (1.0 + up) ** -2.0
     else:
         out = obj.p * (1.0 + up) ** (-obj.p - 1.0)
     return float(out) if scalar else out
@@ -110,8 +116,6 @@ def h_inverse(obj, v):
         out = v.copy()
     elif obj.kind == "dopt":
         out = np.expm1(v)
-    elif obj.kind == "aopt":
-        out = v / (1.0 - v)
     else:
         out = np.expm1(-np.log1p(-v) / obj.p)
     return float(out) if scalar else out
@@ -133,11 +137,6 @@ def h_conj(obj, y):
         mid = (y > 0.0) & (y <= 1.0)
         ys = np.where(mid, y, 1.0)
         out = np.where(mid, 1.0 - ys + np.log(ys), out)
-        out = np.where(y > 1.0, 0.0, out)
-    elif obj.kind == "aopt":
-        mid = (y >= 0.0) & (y <= 1.0)
-        ys = np.where(mid, y, 1.0)
-        out = np.where(mid, -(1.0 - np.sqrt(ys)) ** 2, out)
         out = np.where(y > 1.0, 0.0, out)
     else:
         p = obj.p
@@ -163,20 +162,35 @@ def h_conj_prime(obj, y):
         raise RangeError("h_conj_prime needs y > 0")
     if obj.kind == "dopt":
         out = 1.0 / y - 1.0
-    elif obj.kind == "aopt":
-        out = y ** -0.5 - 1.0
     else:
         out = (obj.p / y) ** (1.0 / (obj.p + 1.0)) - 1.0
     out = np.maximum(out, 0.0)
     return float(out) if scalar else out
 
 
+def sym(M):
+    """Symmetric part (M + M.T)/2 as a float array.
+
+    The result is exactly symmetric entrywise, which downstream code relies on.
+    """
+    A = np.asarray(M, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+        raise InvalidMatrix("expected a square matrix, got shape %r" % (A.shape,))
+    if not np.isfinite(A).all():
+        raise InvalidMatrix("matrix has non-finite entries")
+    return 0.5 * (A + A.T)
+
+
 def psd_eigs(M):
-    """Eigendecomposition with a PSD check at TOL_EIG * ||M||_F."""
-    w, V = eig_sym(M)
+    """Eigenpairs (w, V) of sym(M), w ascending, with a PSD check at TOL_EIG * ||M||_F.
+
+    V has orthonormal columns, V[:, i] pairing with w[i], so
+    sym(M) == V @ diag(w) @ V.T up to TOL_EIG * ||M||_F.
+    """
+    w, V = np.linalg.eigh(sym(M))
     fro = float(np.sqrt(np.sum(w * w)))
-    if fro > 0.0 and w[-1] < -TOL_EIG * fro:
-        raise NotPSD("smallest eigenvalue %g below -%g * ||M||" % (w[-1], TOL_EIG))
+    if fro > 0.0 and w[0] < -TOL_EIG * fro:
+        raise NotPSD("smallest eigenvalue %g below -%g * ||M||" % (w[0], TOL_EIG))
     return w, V
 
 

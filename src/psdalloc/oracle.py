@@ -25,7 +25,7 @@ import numpy as np
 
 from .budget import b_prime, g_conj, gs_prime, gs_value
 from .lowner import grad_hs, hs_trace_lift, y_eval
-from .objectives import h_conj, h_eval, h_prime
+from .objectives import grad_trace_lift, h_conj, h_eval
 
 DEFAULT_TOLS = {
     "budget": 1e-9,
@@ -189,9 +189,7 @@ def offline_continuous_opt(inst, obj):
         return float(np.sum(h_eval(obj, np.linalg.eigvalsh(X))))
 
     def grad(x):
-        X = np.tensordot(x, As, axes=(0, 0))
-        w, V = np.linalg.eigh(X)
-        G = (V * h_prime(obj, w)) @ V.T
+        G = grad_trace_lift(obj, np.tensordot(x, As, axes=(0, 0)))
         return np.tensordot(As, G, axes=([1, 2], [0, 1]))
 
     x, _ = project_box_budget(np.full(m, min(1.0, inst.b / max(float(c.sum()), 1e-300))),
@@ -220,9 +218,9 @@ def offline_continuous_opt(inst, obj):
     return OfflineResult(f, f + gap, x, -tau, it, float(np.linalg.norm(probe - x)))
 
 
-def offline_integer_opt(inst, obj, max_m=22, batch=65536):
+def offline_integer_opt(inst, obj, max_m=22):
     """Exhaustive 0/1 optimum; CapacityError beyond max_m arrivals."""
-    m = inst.m
+    m, batch = inst.m, 65536     # subsets per batched eigvalsh
     if m > max_m:
         raise CapacityError("m = %d exceeds the enumeration cap %d" % (m, max_m))
     As, c = inst.As, inst.costs

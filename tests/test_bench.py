@@ -1,6 +1,9 @@
 """Generators, the experiment pipeline, curve emission, and CSV determinism."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,3 +265,20 @@ def test_cached_design_returns_same_object():
     a = cached_design(DesignSpec(obj, 1.0, 8.0, Q, D, "sim", 0.0))
     b = cached_design(DesignSpec(obj, 1.0, 8.0, Q, D, "sim", 0.0))
     assert a is b
+
+
+# ---------------------------------------------------------------- benchmark harness
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.skipif(not (ROOT / "perfbench" / "run.py").exists(),
+                    reason="no perfbench/ in this checkout")
+def test_perfbench_tracer_finds_every_bind_point():
+    # perfbench --trace 1 rebinds package names by getattr; a name that src/
+    # no longer binds (such as online.grad_hs) would break it only there
+    probe = ("import sys; sys.path.insert(0, 'perfbench'); import run; "
+             "t = run.Tracer(); run.install(t); t.restore()")
+    proc = subprocess.run([sys.executable, "-B", "-c", probe], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -118,3 +118,35 @@ def test_run_with_a_matching_design_reports_its_u_max_breach(tmp_path):
     U = np.tensordot(np.asarray(payload["decisions"]), inst.As, axes=1)
     assert float(np.linalg.eigvalsh(U)[-1]) > design["u_max"] + 1e-12
     assert report["umax_breached"] is True
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["design", "--objective", "dopt", "--gamma", "2", "--umax", "inf"], "u_max"),
+    (["run", "--n", "0"], "n"),
+    (["design", "--objective", "aopt", "--p", "3", "--gamma", "2", "--umax", "5"], "p"),
+], ids=["umax-inf", "n-zero", "aopt-p"])
+def test_bad_input_exits_2_with_one_line(capsys, argv, name):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: ") and err.count("\n") == 1
+    assert " %s " % name in err
+    assert "Traceback" not in err
+
+
+def test_audit_of_a_bad_trace_file_exits_2(tmp_path, capsys):
+    trace = tmp_path / "run.json"
+    trace.write_text("{not json")
+    assert main(["audit", "--trace", str(trace)]) == 2
+    assert capsys.readouterr().err.startswith("psdalloc: error: ")
+
+
+def test_failed_audit_still_exits_1(tmp_path, capsys):
+    trace = tmp_path / "run.json"
+    assert main(["run", "--objective", "dopt", "--variant", "sim", "--n", "4",
+                 "--m", "12", "--b", "3", "--out", str(trace)]) == 0
+    payload = json.loads(trace.read_text())
+    # buying everything spends past the budget, so the replay fails its checks
+    payload["decisions"] = [1.0] * len(payload["decisions"])
+    trace.write_text(json.dumps(payload))
+    assert main(["audit", "--trace", str(trace), "--out", str(tmp_path / "a.json")]) == 1
+    assert "audit FAIL" in capsys.readouterr().err

@@ -67,6 +67,24 @@ def test_h_prime0_values():
     assert [o.h_prime0 for o in ALL] == [1.0, 1.0, 1.0, 0.5, 2.0]
 
 
+def test_aopt_is_pmean_at_p_one():
+    aopt, pm1 = make_objective("aopt"), make_objective("pmean", 1.0)
+    u = np.array([0.0, 1e-8, 0.3, 1.0, 7.0, 1e4])
+    v = np.array([0.0, 1e-9, 0.25, 0.5, 0.9, 0.999])
+    y = np.array([1e-12, 0.01, 0.25, 0.5, 0.999999, 1.0])
+    # the closed forms of the shifted inverse-trace criterion 1 - 1/(1+u)
+    closed = [(h_eval, u, u / (1.0 + u)), (h_prime, u, (1.0 + u) ** -2.0),
+              (h_inverse, v, v / (1.0 - v)), (h_conj, y, -(1.0 - np.sqrt(y)) ** 2),
+              (h_conj_prime, y, y ** -0.5 - 1.0)]
+    for fn, x, expected in closed:
+        np.testing.assert_allclose(fn(aopt, x), fn(pm1, x), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(fn(aopt, x), expected, rtol=1e-14, atol=1e-14)
+    assert h_conj(aopt, 0.0) == h_conj(pm1, 0.0) == -1.0
+    assert aopt.label == "aopt" and aopt.sup_h == 1.0
+    with pytest.raises(ValueError, match="p = 3"):
+        make_objective("aopt", 3.0)
+
+
 @given(obj=objs, u=us)
 def test_h_nonnegative_and_monotone(obj, u):
     assert h_eval(obj, u) >= 0.0
