@@ -34,7 +34,7 @@ def gen_adversarial(n, m, seed, b=None):
     for t in range(1, m + 1):
         eta = rng.integers(0, 2, size=n) * 2.0 - 1.0
         a = np.sqrt((m - t + 1) / n) * eta
-        arrivals.append(Arrival(np.outer(a, a), 1.0))
+        arrivals.append(Arrival(np.outer(a, a), 1.0, a[:, None]))
     return Instance(arrivals, float(b) if b is not None else m / 5)
 
 
@@ -58,7 +58,7 @@ def gen_random(n, m, density=1.0, seed=0, b=None):
             if np.any(a != 0.0):
                 break
         c = float(rng.uniform(0.5, 1.5))
-        arrivals.append(Arrival(np.outer(a, a), c))
+        arrivals.append(Arrival(np.outer(a, a), c, a[:, None]))
     return Instance(arrivals, float(b) if b is not None else m / 5)
 
 

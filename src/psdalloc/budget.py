@@ -28,6 +28,7 @@ variant; it is found by Newton steps on F kept inside a bracket.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,59 +86,71 @@ class BudgetSmoother:
     def B(self):
         return self.b + self.rho1 * self.gamma if self.variant == "seq" else self.b
 
-    @property
+    # the constants of gs' are computed once per smoother, not once per call
+    @cached_property
     def rate(self):
         return self.gamma / self.B
 
+    @cached_property
+    def kappa(self):
+        """The substitution's kappa = max(r, k theta)."""
+        obj = self.objective
+        k = {"linear": 0.0, "dopt": 1.0}.get(obj.kind, obj.p + 1.0)
+        return max(self.rate, k * self.theta)
+
+    @cached_property
+    def scale(self):
+        """gs' = -scale * F."""
+        return self.gamma * self.theta / (self.B * E1)
+
 
 def _conv(s, x):
-    """F(x) for an array of 0 < x with rate * x <= OVERFLOW_EXP."""
-    obj, r = s.objective, s.rate
-    k = {"linear": 0.0, "dopt": 1.0}.get(obj.kind, obj.p + 1.0)
-    kappa = max(r, k * s.theta)
+    """F(x) for a float or an array of 0 < x with rate * x <= OVERFLOW_EXP."""
+    r, kappa = s.rate, s.kappa
     S = np.log1p(kappa * x)
-    sv = S[:, None] * NODES
+    sv = S[..., None] * NODES
     v = np.expm1(sv) / kappa
     # exp(r (x - v)) h'(theta v) dv/ds, with exp(r x) taken out
-    f = np.exp(sv - r * v) * h_prime(obj, s.theta * v)
-    val, check = ((f @ WEIGHTS) * S[:, None]).T
+    f = np.exp(sv - r * v) * h_prime(s.objective, s.theta * v)
+    val, check = (f @ WEIGHTS).T * S
     bad = np.abs(val - check) > CHECK_REL_TOL * val
     if bad.any():
         raise QuadratureError("gs_prime: the Gauss-Legendre rule and its check disagree "
-                              "on F(%g) by more than %g" % (x[bad][0], CHECK_REL_TOL))
+                              "on F(%g) by more than %g" % (np.extract(bad, x)[0], CHECK_REL_TOL))
     return np.exp(r * x) * val / kappa
 
 
 def _F(s, u):
     """F(u) for scalar or array u: 0 on u <= 0, +inf past the overflow guard."""
+    if np.ndim(u) == 0:
+        u = float(u)
+        if s.rate * u > OVERFLOW_EXP:
+            return np.inf
+        return float(_conv(s, u)) if u > 0.0 else 0.0
     u = np.asarray(u, dtype=float)
     over = s.rate * u > OVERFLOW_EXP
     out = np.where(over, np.inf, 0.0)
     ok = (u > 0.0) & ~over
     if ok.any():
         out[ok] = _conv(s, u[ok])
-    return float(out) if out.ndim == 0 else out
-
-
-def _scale(s):
-    """gs' = -_scale(s) * F."""
-    return s.gamma * s.theta / (s.B * E1)
+    return out
 
 
 def gs_prime(s, u):
     """gs'(u) for scalar or array u; exponents past the overflow guard give -inf."""
-    return 0.0 - _scale(s) * _F(s, u)    # 0.0 - 0.0 keeps u <= 0 at +0.0
+    return 0.0 - s.scale * _F(s, u)    # 0.0 - 0.0 keeps u <= 0 at +0.0
 
 
 def gs_second(s, u, gp):
-    """gs''(u) = r gs'(u) - _scale(s) h'(theta u), given gp = gs'(u) for scalar or array u.
+    """gs''(u) = r gs'(u) - scale h'(theta u), given gp = gs'(u) for scalar or array u.
 
     From F' = r F + h'(theta u); gs' is an argument so that a caller holding
     it pays no second quadrature.  0 on u < 0, the right derivative at u = 0.
     """
+    if np.ndim(u) == 0:
+        return s.rate * gp - s.scale * h_prime(s.objective, s.theta * u) if u >= 0.0 else 0.0
     u = np.asarray(u, dtype=float)
-    val = np.where(u >= 0.0, s.rate * gp - _scale(s) * h_prime(s.objective, s.theta * u), 0.0)
-    return float(val) if u.ndim == 0 else val
+    return np.where(u >= 0.0, s.rate * gp - s.scale * h_prime(s.objective, s.theta * u), 0.0)
 
 
 def gs_value(s, u):
@@ -157,7 +170,7 @@ def b_prime(s):
     returned, so gs'(b' - rho1) <= -h'(0) Theta holds.
     """
     obj, r = s.objective, s.rate
-    target = obj.h_prime0 * s.Theta / _scale(s)
+    target = obj.h_prime0 * s.Theta / s.scale
     # h' <= h'(0) gives F(u) <= h'(0) expm1(r u)/r, which stays below target up to lo
     lo = x = float(np.log1p(r * target / obj.h_prime0) / r)
     Fx = _F(s, x)
@@ -185,6 +198,9 @@ def b_prime(s):
 
 def gamma_for_budget(objective, b, theta, Theta, rho1=0.0, variant="sim"):
     """Smallest gamma >= 1 with b'(gamma) <= b, to 1e-6 by bisection (b' is nonincreasing)."""
+    if variant == "seq" and not b > rho1:
+        raise ValueError("the sequential b' exceeds rho1 for every gamma, so budget b = %g "
+                         "must exceed rho1 = %g" % (b, rho1))
 
     def bp(g):
         return b_prime(BudgetSmoother(objective, g, b, theta, Theta, rho1, variant))

@@ -238,7 +238,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:   # every validation error, and json.JSONDecodeError
+    except (ValueError, OSError) as exc:   # every validation error, bad JSON, a missing file
         print("psdalloc: error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -274,6 +274,30 @@ def test_gamma_for_budget_already_feasible():
     assert gamma_for_budget(obj, 50.0, 1.0, 1.0) == 1.0
 
 
+def test_gamma_for_budget_seq_needs_b_above_rho1():
+    # the sequential b' is at least rho1, so no gamma reaches b <= rho1
+    obj = make_objective("dopt")
+    for b in (1.0, 0.5):
+        with pytest.raises(ValueError, match=r"b = %g .*rho1 = 1\b" % b):
+            gamma_for_budget(obj, b, 0.5, 2.0, rho1=1.0, variant="seq")
+    assert gamma_for_budget(obj, 50.0, 0.5, 2.0, rho1=1.0, variant="seq") >= 1.0
+
+
+@pytest.mark.parametrize("kind", ["linear", "dopt", "aopt", "pmean2.0"])
+def test_gs_prime_scalar_and_array_calls_agree(kind):
+    # one evaluation rule: a float and an array of the same points give gs'
+    # to rounding, across u <= 0, the quadrature range and the overflow guard
+    s = smoother(kind, 2.0, 5.0, 0.5)
+    u = np.array([-1.0, 0.0, 1e-9, 1e-3, 0.4, 3.0, 25.0, 1e3, 1e4])
+    arr = gs_prime(s, u)
+    for ui, ai in zip(u, arr):
+        one = gs_prime(s, float(ui))
+        assert isinstance(one, float)
+        assert one == ai or abs(one - ai) <= 1e-15 * abs(ai)
+        assert gs_second(s, float(ui), one) == pytest.approx(
+            float(gs_second(s, np.array([ui]), np.array([one]))[0]), rel=1e-15, abs=0.0)
+
+
 def test_quadrature_error_raised(monkeypatch):
     # a 4-node rule checked by a 3-node one cannot resolve F to 1e-9
     monkeypatch.setattr(budget, "NODES", budget._rules(4, 3)[0])

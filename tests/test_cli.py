@@ -133,6 +133,17 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["bench", "--config", "missing.json"],
+                                  ["run", "--instance", "missing.json"]],
+                         ids=["bench-config", "run-instance"])
+def test_missing_input_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: ") and err.count("\n") == 1
+    assert "missing.json" in err and "Traceback" not in err
+
+
 def test_audit_of_a_bad_trace_file_exits_2(tmp_path, capsys):
     trace = tmp_path / "run.json"
     trace.write_text("{not json")

@@ -162,8 +162,8 @@ def test_duals_monotone_along_run(rng):
 
 
 def test_steps_decompose_only_to_buy(rng, monkeypatch):
-    # a rejection leaves the duals alone; an accepted step refreshes them with
-    # one eigh, and the simultaneous root-find itself decomposes nothing
+    # a rejection leaves the duals alone; a rank-one purchase refreshes them by
+    # a Woodbury update, so neither engine decomposes a matrix
     obj = make_objective("dopt")
     sm = SmoothedObjective(exact_measure(obj), obj)
     budget = BudgetSmoother(obj, 2.0, 4.0, 0.5, 2.0)
@@ -187,10 +187,10 @@ def test_steps_decompose_only_to_buy(rng, monkeypatch):
         assert getattr(OnlineState(sm, budget, 3), step)(zero) == 0.0
         assert calls == {"eigh": 0, "eigvalsh": 0, "gs_prime": 0}
     assert OnlineState(sm, budget, 3).step_sequential(arr) == 1.0
-    assert calls == {"eigh": 1, "eigvalsh": 0, "gs_prime": 1}
-    calls.update(eigh=0, gs_prime=0)
+    assert calls == {"eigh": 0, "eigvalsh": 0, "gs_prime": 1}
+    calls.update(gs_prime=0)
     assert 0.0 < OnlineState(sm, tight, 3).step_simultaneous(ones) < 1.0
-    assert calls["eigh"] == 1 and calls["eigvalsh"] == 0
+    assert calls["eigh"] == 0 and calls["eigvalsh"] == 0
     assert 1 <= calls["gs_prime"] <= 20
 
 
@@ -296,3 +296,103 @@ def test_linear_objective_run_keeps_finite_duals(rng):
     trace = run_stream(sm, budget, arrivals, "sim")
     assert np.isfinite(audit_trace(trace, Instance(arrivals, b=3.0)).d_value)
     assert np.allclose(y_eval(sm.measure, np.linalg.eigvalsh(trace.U)), 1.0, atol=1e-12)
+
+
+def _many_atoms(obj, atoms=24):
+    """A measure with `atoms` nodes spread over [0, 0.96] and slope y(0) = h'(0)."""
+    nodes = np.linspace(0.0, 0.96, atoms)
+    weights = obj.h_prime0 * (1.0 - nodes) / atoms
+    return SmoothedObjective(AtomicMeasure(nodes, weights), obj)
+
+
+def _assert_resolvents_match(st, sm, tol=1e-12):
+    """Y and every R_j of the state against their dense definitions at st.U."""
+    Y = grad_hs(sm, st.U)
+    assert np.linalg.norm(st.Y - Y) <= tol * np.linalg.norm(Y)
+    for lam, R in zip(st.lam, st.R):
+        dense = np.linalg.inv(lam * st.U + (1.0 - lam) * np.eye(st.n))
+        assert np.linalg.norm(R - dense) <= tol * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("measure", ["dopt-exact", "24-atoms"])
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_resolvents_track_grad_hs_over_the_longest_stream(measure, variant):
+    # the Woodbury-updated resolvents stay on the dense gradient through every
+    # purchase of a 500-arrival stream at n = 50
+    obj = make_objective("dopt")
+    sm = (SmoothedObjective(exact_measure(obj), obj) if measure == "dopt-exact"
+          else _many_atoms(obj))
+    inst = gen_random(50, 500)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
+    st = OnlineState(sm, budget, 50)
+    assert len(st.R) == np.count_nonzero(sm.measure.weights)
+    for arr in inst.arrivals:
+        (st.step_sequential if variant == "seq" else st.step_simultaneous)(arr)
+    assert np.count_nonzero(st.decisions) >= 100
+    _assert_resolvents_match(st, sm)
+
+
+@pytest.mark.parametrize("measure", ["linear-exact", "zero-node-mix", "24-atoms"])
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_rank_k_purchases_and_zero_node_atoms(measure, variant):
+    # dense rank-2 and rank-3 arrivals take the k > 1 Woodbury path; an atom
+    # at lambda = 0 is a constant resolvent that no purchase touches
+    if measure == "linear-exact":
+        obj = make_objective("linear")
+        sm = SmoothedObjective(exact_measure(obj), obj)
+    elif measure == "zero-node-mix":
+        obj = make_objective("dopt")
+        sm = SmoothedObjective(AtomicMeasure([0.0, 0.5], [0.5, 0.25]), obj)
+    else:
+        obj = make_objective("aopt")
+        sm = _many_atoms(obj)
+    rng = np.random.default_rng(7)
+    n = 6
+    arrivals = []
+    for t in range(40):
+        W = rng.standard_normal((n, 2 + t % 2))
+        arrivals.append(Arrival(W @ W.T, float(rng.uniform(0.5, 1.5))))
+    assert {a.L.shape[1] for a in arrivals} == {2, 3}
+    inst = Instance(arrivals, b=8.0)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
+    st = OnlineState(sm, budget, n)
+    for arr in arrivals:
+        (st.step_sequential if variant == "seq" else st.step_simultaneous)(arr)
+    assert np.count_nonzero(st.decisions) >= 5
+    _assert_resolvents_match(st, sm)
+    if 0.0 in st.lam:
+        assert np.array_equal(st.R[list(st.lam).index(0.0)], np.eye(n))
+    assert audit_trace(st.finish(variant), inst).passed
+
+
+def test_arrival_from_factor(rng):
+    a = rng.standard_normal(5)
+    dense, factored = Arrival(np.outer(a, a), 0.7), Arrival(np.outer(a, a), 0.7, a[:, None])
+    assert np.array_equal(factored.A, dense.A)
+    assert np.array_equal(factored.L, a[:, None])
+    W = rng.standard_normal((5, 2))
+    assert np.array_equal(Arrival(W @ W.T, 1.0, W).A, Arrival(W @ W.T, 1.0).A)
+    for bad in (a, a[None, :], a[:4, None], np.where(np.arange(5) == 2, np.nan, a)[:, None]):
+        with pytest.raises(ValueError, match="factor"):
+            Arrival(np.outer(a, a), 1.0, bad)
+    with pytest.raises(ValueError, match="factor"):
+        Arrival(np.outer(a, a), 1.0, 2.0 * a[:, None])   # L L^T != A
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="cost"):
+            Arrival(np.outer(a, a), c, a[:, None])
+
+
+def test_generated_arrivals_decompose_nothing(monkeypatch):
+    # the generators hand Arrival the factor they hold; Instance is swapped
+    # for the bare list, since its statistics are not Arrival's work
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposition called")
+
+    monkeypatch.setattr("psdalloc.bench.Instance", lambda arrivals, b: arrivals)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for arrivals in (gen_random(6, 10, seed=3), gen_adversarial(6, 10, 3)):
+        assert len(arrivals) == 10
+        for arr in arrivals:
+            a = arr.L[:, 0]
+            assert arr.L.shape == (6, 1) and np.array_equal(np.outer(a, a), arr.A)
