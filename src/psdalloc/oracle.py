@@ -14,9 +14,12 @@ the Frank-Wolfe duality gap (Jaggi 2013): H is concave, so for every x
 
 and that maximum is a fractional knapsack solved by sorting grad f / c
 (Dantzig 1957).  The result carries the value f(x) <= P* and this certified
-upper bound.  The exhaustive integer optimum is available for small m.  Audits
-replay a recorded decision sequence from scratch and check every inequality
-the guarantees rest on.
+upper bound.  The aggregate X = sum_t x_t A_t and the gradient are products
+with the stacked factors of the arrivals (A_t = L_t L_t^T): O(n^2 sum(k))
+work from n x sum(k) data, where products with the dense m x n x n stack move
+m n^2 floats.  The exhaustive integer optimum is available for small m.
+Audits replay a recorded decision sequence from scratch and check every
+inequality the guarantees rest on.
 """
 
 from dataclasses import dataclass, field
@@ -170,7 +173,6 @@ class OfflineResult:
     value: float                # f(x) <= P*
     upper: float                # value + Frank-Wolfe gap >= P*
     x: np.ndarray
-    multiplier: float
     iterations: int
     stationarity: float         # norm of the projected-gradient step at x
 
@@ -178,34 +180,42 @@ class OfflineResult:
 def offline_continuous_opt(inst, obj):
     """Projected gradient ascent with backtracking for the continuous relaxation.
 
+    Works on the arrivals' factors A_t = L_t L_t^T, stacked once as the
+    n x sum(k) matrix Lc with arrival index idx: X = (Lc * x[idx]) Lc^T and
+    grad_t = sum over the columns l of L_t of l^T G l, G = grad H(X).  Each
+    is O(n^2 sum(k)) from n x sum(k) data, where products with the dense
+    stack of the A_t move m n^2 floats.
+
     Stops once the Frank-Wolfe gap certifies f(x) within
     OFFLINE_TOL * max(1, f) of P*, when backtracking cannot move, or after
     OFFLINE_MAX_ITERS gradients.
     """
-    As, c, m = inst.As, inst.costs, inst.m
+    c, m = inst.costs, inst.m
+    Ls = [a.L for a in inst.arrivals]
+    Lc = np.concatenate(Ls, axis=1)
+    idx = np.repeat(np.arange(m), [L.shape[1] for L in Ls])
 
     def value(x):
-        X = np.tensordot(x, As, axes=(0, 0))
-        return float(np.sum(h_eval(obj, np.linalg.eigvalsh(X))))
+        X = (Lc * x[idx]) @ Lc.T
+        return float(np.sum(h_eval(obj, np.linalg.eigvalsh(X)))), X
 
-    def grad(x):
-        G = grad_trace_lift(obj, np.tensordot(x, As, axes=(0, 0)))
-        return np.tensordot(As, G, axes=([1, 2], [0, 1]))
+    def grad(X):
+        G = grad_trace_lift(obj, X)
+        return np.bincount(idx, np.einsum("ik,ik->k", Lc, G @ Lc), minlength=m)
 
     x, _ = project_box_budget(np.full(m, min(1.0, inst.b / max(float(c.sum()), 1e-300))),
                               c, inst.b)
-    f = value(x)
+    f, X = value(x)
     s = 1.0
     for it in range(1, OFFLINE_MAX_ITERS + 1):
-        g = grad(x)
-        probe, tau = project_box_budget(x + g, c, inst.b)
+        g = grad(X)
         gap = max(0.0, _knapsack_max(g, c, inst.b) - float(g @ x))
         if gap <= OFFLINE_TOL * max(1.0, f) or it == OFFLINE_MAX_ITERS:
             break
         moved = False
         for _ in range(60):
             xt, _ = project_box_budget(x + s * g, c, inst.b)
-            ft = value(xt)
+            ft, Xt = value(xt)
             gain = float(g @ (xt - x))
             if ft >= f + 1e-4 * gain - 1e-15 and gain > 0.0:
                 moved = True
@@ -213,9 +223,10 @@ def offline_continuous_opt(inst, obj):
             s *= 0.5
         if not moved:
             break
-        x, f = xt, ft
+        x, f, X = xt, ft, Xt
         s = min(s * 1.5, 1e8)
-    return OfflineResult(f, f + gap, x, -tau, it, float(np.linalg.norm(probe - x)))
+    probe, _ = project_box_budget(x + g, c, inst.b)     # g is the gradient at x
+    return OfflineResult(f, f + gap, x, it, float(np.linalg.norm(probe - x)))
 
 
 def offline_integer_opt(inst, obj, max_m=22):
@@ -279,7 +290,9 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     consistency with the step rule, the budget cap u_m <= b' + tol, monotone
     duals, nonnegativity of the smoothed telescoping sum, the dual-gap
     inequality, the sequential correction bound, and D >= P* - tol, each at
-    its tolerance in DEFAULT_TOLS.
+    its tolerance in DEFAULT_TOLS.  The sim decision check prices the budget
+    at the replayed z = gs'(u): u changes only on a purchase, which recomputes
+    z, and gs'(0) = 0 is the initial z.
     """
     decisions = np.asarray(decisions, dtype=float)
     if decisions.shape != (inst.m,):
@@ -320,7 +333,7 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         if variant == "sim":
             if G is None:
                 G = grad_hs(smoothed, U)    # U = 0: no purchase yet
-            d_at = float(np.vdot(A, G)) + c * gs_prime(budget, u)
+            d_at = float(np.vdot(A, G)) + c * z_new     # z_new = gs'(u) at this u
             scale = max(1.0, abs(float(np.vdot(A, Y))) + c * abs(z))
             if x <= 0.0:
                 resid = max(0.0, d_at)

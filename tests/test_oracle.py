@@ -8,7 +8,7 @@ from psdalloc import oracle
 from psdalloc.bench import gen_adversarial, gen_random
 from psdalloc.budget import BudgetSmoother, b_prime, gs_prime
 from psdalloc.designer import DesignSpec, design_hs
-from psdalloc.objectives import h_eval, make_objective
+from psdalloc.objectives import grad_trace_lift, h_eval, make_objective
 from psdalloc.online import Arrival, run_stream
 from psdalloc.oracle import (
     OFFLINE_TOL,
@@ -225,8 +225,46 @@ def test_continuous_opt_kkt_multiplier(rng):
     obj = make_objective("dopt")
     inst = random_instance(rng, n=3, m=10, b=2.0)
     res = offline_continuous_opt(inst, obj)
-    assert res.multiplier <= 1e-12  # price of budget is nonpositive in this sign convention
     assert float(inst.costs @ res.x) <= inst.b + 1e-8
+
+
+def _mixed_rank_instance():
+    """Generated rank-one arrivals, a dense rank-3 arrival and a zero arrival."""
+    rng = np.random.default_rng(11)
+    B = rng.standard_normal((6, 3))
+    arrivals = (gen_random(6, 30, 1.0, 4).arrivals
+                + [Arrival(B @ B.T, 1.2), Arrival(np.zeros((6, 6)), 0.7)])
+    return Instance(arrivals, 4.0)
+
+
+@pytest.mark.parametrize("kind", ["dopt", "aopt"])
+def test_continuous_opt_factored_matches_dense(kind):
+    obj = make_objective(kind)
+    inst = _mixed_rank_instance()
+    assert sorted({a.L.shape[1] for a in inst.arrivals}) == [0, 1, 3]
+    res = offline_continuous_opt(inst, obj)
+    assert res.value == pytest.approx(objective_value(obj, inst, res.x), rel=1e-12)
+    # the Frank-Wolfe gap from the dense gradient, with the knapsack filled greedily
+    X = np.tensordot(res.x, inst.As, axes=(0, 0))
+    g = np.tensordot(inst.As, grad_trace_lift(obj, X), axes=([1, 2], [0, 1]))
+    room, best = inst.b, 0.0
+    for i in np.argsort(-g / inst.costs):
+        take = min(1.0, max(0.0, room / inst.costs[i]))
+        best += take * g[i]
+        room -= take * inst.costs[i]
+    upper = res.value + max(0.0, best - float(g @ res.x))
+    assert res.upper == pytest.approx(upper, rel=1e-10)
+
+
+def test_continuous_opt_never_builds_the_dense_stack(monkeypatch):
+    inst = _mixed_rank_instance()
+
+    def refuse(self):
+        raise AssertionError("offline_continuous_opt read Instance.As")
+
+    monkeypatch.setattr(Instance, "As", property(refuse))
+    res = offline_continuous_opt(inst, make_objective("dopt"))
+    assert res.value <= res.upper
 
 
 def test_continuous_upper_bounds_integer(rng):
@@ -371,6 +409,18 @@ def test_audit_decomposes_only_after_purchases(variant, monkeypatch):
     assert len(grads) == bought + (variant == "sim")
     # a rejected step leaves Y as it is: no eigvalsh of the zero matrix Y - Y
     assert not any(np.all(args[0] == 0.0) for args in eigs)
+
+
+def test_audit_sim_evaluates_gs_prime_once_per_purchase(monkeypatch):
+    # a rejected step leaves u as it is, so its check reuses the replayed z
+    inst = _opens_with_a_rejection()
+    sm, budget = engine_setup(inst, 2.0, "sim")
+    x = run_stream(sm, budget, inst.arrivals, "sim").decisions
+    bought = int(np.count_nonzero(x))
+    assert 0 < bought < inst.m
+    calls = _spy(monkeypatch, oracle, "gs_prime")
+    assert audit_run(x, inst, sm, budget, "sim", p_star=0.0).decision_consistent
+    assert len(calls) == bought
 
 
 def test_audit_decision_check_uses_the_gradient_after_each_purchase():
