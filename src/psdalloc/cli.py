@@ -10,8 +10,8 @@ from .bench import (ExperimentConfig, _unsmoothed_beta, emit_curve, emit_gs_curv
                     gen_adversarial, gen_random, run_experiment, run_one)
 from .budget import BudgetSmoother, b_prime
 from .designer import DesignSpec, cr_bound, design_hs, design_to_dict, design_from_dict
-from .lowner import SmoothedObjective, exact_measure, smoothed_from_dict
-from .objectives import make_objective
+from .lowner import SmoothedObjective, exact_measure, smoothed_from_dict, smoothed_to_dict
+from .objectives import TOL_EIG, make_objective
 from .online import RunTrace
 from .oracle import audit_trace, instance_from_dict, instance_to_dict
 
@@ -61,8 +61,10 @@ def _check_design(spec, args, inst):
     if spec.variant != args.variant:
         raise SystemExit("--measure: design variant %s != --variant %s"
                          % (spec.variant, args.variant))
-    if spec.variant == "seq" and spec.rho2 < inst.rho2:
-        raise SystemExit("--measure: design rho2 %g < the instance's rho2 %g"
+    # rho2 is defined only to the TOL_EIG to which Arrival checks L L^T = A;
+    # the seq audit's rho_bound check still judges the run with inst.rho2
+    if spec.variant == "seq" and spec.rho2 < inst.rho2 * (1.0 - TOL_EIG):
+        raise SystemExit("--measure: design rho2 %.17g < the instance's rho2 %.17g"
                          % (spec.rho2, inst.rho2))
 
 
@@ -95,8 +97,7 @@ def cmd_run(args):
         "gamma": args.gamma,
         "variant": args.variant,
         "b": inst.b,
-        "measure": {"nodes": [float(x) for x in surrogate.measure.nodes],
-                    "weights": [float(x) for x in surrogate.measure.weights]},
+        "measure": smoothed_to_dict(surrogate),
         "instance": instance_to_dict(inst),
         "decisions": [float(x) for x in trace.decisions],
         "report": {k: getattr(rep, k) for k in (

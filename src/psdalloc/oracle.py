@@ -90,13 +90,21 @@ def instance_stats(arrivals):
 
     theta and rho1 range over the arrivals with a positive trace: both
     engines reject a zero arrival and it adds nothing to P*, so it can set
-    neither the density nor the largest cost that can be spent.
+    neither the density nor the largest cost that can be spent.  lambda_max
+    of A = L L^T is that of the k x k Gram matrix L^T L (0 at rank 0), one
+    batched eigvalsh per rank, so no n x n matrix is decomposed; it is exact
+    to the TOL_EIG * max|A| to which Arrival checks L against A.
     """
     traces = np.array([np.trace(a.A) for a in arrivals])
     if not np.any(traces > 0.0):
         raise ValueError("instance needs an arrival with a positive trace")
     costs = np.array([a.c for a in arrivals])
-    lam_max = np.array([float(np.linalg.eigvalsh(a.A)[-1]) for a in arrivals])
+    ranks = np.array([a.L.shape[1] for a in arrivals])
+    lam_max = np.zeros(len(arrivals))
+    for k in np.unique(ranks[ranks > 0]):
+        idx = np.flatnonzero(ranks == k)
+        Ls = np.stack([arrivals[i].L for i in idx])
+        lam_max[idx] = np.linalg.eigvalsh(np.swapaxes(Ls, 1, 2) @ Ls)[:, -1]
     density = traces / costs
     live = traces > 0.0
     return {

@@ -1,12 +1,13 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from psdalloc.bench import _unsmoothed_beta, gen_adversarial
 from psdalloc.budget import BudgetSmoother, b_prime
-from psdalloc.cli import main
+from psdalloc.cli import _check_design, main
 from psdalloc.designer import DesignSpec, cr_bound
 from psdalloc.objectives import make_objective
 from psdalloc.oracle import instance_from_dict
@@ -66,6 +67,20 @@ def test_audit_replays_a_recorded_run(tmp_path, capsys):
     assert "audit PASS" in capsys.readouterr().err
 
 
+def test_audit_reads_a_run_file_in_the_old_measure_layout(tmp_path, capsys):
+    trace = tmp_path / "run.json"
+    assert main(["run", "--objective", "dopt", "--variant", "seq", "--n", "4",
+                 "--m", "12", "--b", "3", "--out", str(trace)]) == 0
+    payload = json.loads(trace.read_text())
+    assert payload["measure"]["objective"] == payload["objective"]
+    # older run files wrote the measure as nodes and weights only
+    payload["measure"] = {k: payload["measure"][k] for k in ("nodes", "weights")}
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload))
+    assert main(["audit", "--trace", str(old), "--out", str(tmp_path / "audit.json")]) == 0
+    assert "audit PASS" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("variant", ["seq", "sim"])
 def test_run_boundary_layer_instance(tmp_path, capsys, variant):
     # theta = 16.56: the integrand of gs' has a boundary layer of width 1/theta
@@ -102,6 +117,22 @@ def test_run_refuses_a_design_for_another_run(tmp_path, design, names):
         main(RUN_SEQ + ["--measure", str(path), "--out", str(tmp_path / "run.json")])
     assert "--measure" in str(exc.value.code) and names in str(exc.value.code)
     assert not (tmp_path / "run.json").exists()
+
+
+# the instance's rho2 is defined only to TOL_EIG = 1e-10 relative
+@pytest.mark.parametrize("rel,refused", [(1e-9, True), (1e-11, False)])
+def test_check_design_compares_rho2_at_tol_eig(rel, refused):
+    inst = gen_adversarial(5, 50, 0, 10.0)
+    spec = SimpleNamespace(gamma=1.0, variant="seq", rho2=inst.rho2 * (1.0 - rel))
+    args = SimpleNamespace(gamma=1.0, variant="seq")
+    if not refused:
+        assert _check_design(spec, args, inst) is None
+        return
+    with pytest.raises(SystemExit) as exc:
+        _check_design(spec, args, inst)
+    # both values with every digit the comparison reads
+    assert exc.value.code == ("--measure: design rho2 %.17g < the instance's rho2 %.17g"
+                              % (spec.rho2, inst.rho2))
 
 
 def test_run_with_a_matching_design_reports_its_u_max_breach(tmp_path):

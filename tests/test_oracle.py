@@ -8,7 +8,7 @@ from psdalloc import oracle
 from psdalloc.bench import gen_adversarial, gen_random
 from psdalloc.budget import BudgetSmoother, b_prime, gs_prime
 from psdalloc.designer import DesignSpec, design_hs
-from psdalloc.objectives import grad_trace_lift, h_eval, make_objective
+from psdalloc.objectives import TOL_EIG, grad_trace_lift, h_eval, make_objective
 from psdalloc.online import Arrival, run_stream
 from psdalloc.oracle import (
     OFFLINE_TOL,
@@ -74,6 +74,53 @@ def test_instance_stats_recompute(rng):
     assert inst.rho2 == pytest.approx(max(lam))
     assert inst.max_lam_over_c == pytest.approx(max(l / c for l, c in zip(lam, costs)))
     assert inst.n == 4 and inst.m == 6
+
+
+def _dense_rank3():
+    W = np.random.default_rng(3).standard_normal((6, 3))
+    a = Arrival(W @ W.T, 2.0)   # factored by psd_eigs, not given an L
+    assert a.L.shape == (6, 3)
+    return [a]
+
+
+@pytest.mark.parametrize("arrivals", [
+    lambda: gen_random(20, 200).arrivals,
+    lambda: gen_adversarial(5, 50, 0).arrivals,
+    _dense_rank3,
+    lambda: [Arrival(np.zeros((3, 3)), 1e-12), Arrival(np.diag([1.0, 2.0, 0.0]), 1.0)],
+], ids=["random", "adversarial", "dense-rank3", "zero-and-positive"])
+def test_instance_stats_lam_max_from_the_factor_matches_dense(arrivals):
+    arrivals = arrivals()
+    lam = np.array([float(np.linalg.eigvalsh(a.A)[-1]) for a in arrivals])
+    costs = np.array([a.c for a in arrivals])
+    stats = instance_stats(arrivals)
+    assert stats["rho2"] == pytest.approx(lam.max(), rel=TOL_EIG)
+    assert stats["max_lam_over_c"] == pytest.approx((lam / costs).max(), rel=TOL_EIG)
+    for a, want in zip(arrivals, lam):
+        if a.L.shape[1] == 0:    # a zero arrival: rank-0 factor, lambda_max 0
+            e0 = np.eye(a.n)[:, :1]
+            ref = Arrival(e0 @ e0.T, 1e9, e0)   # lambda_max / c = 1e-9 exactly
+            assert instance_stats([a, ref])["max_lam_over_c"] == 1e-9
+        else:
+            assert instance_stats([a])["rho2"] == pytest.approx(want, rel=TOL_EIG)
+
+
+@pytest.mark.parametrize("gen", [lambda: gen_random(20, 200),
+                                 lambda: gen_adversarial(5, 50, 0)],
+                         ids=["random", "adversarial"])
+def test_building_a_generated_instance_decomposes_no_n_by_n_matrix(gen, monkeypatch):
+    # generated arrivals carry rank-one factors: only 1 x 1 Gram matrices
+    def refuse_above_rank(fn):
+        def guarded(M, *args, **kwargs):
+            if np.shape(M)[-2] > 1:
+                raise AssertionError("decomposed a %d x %d matrix" % np.shape(M)[-2:])
+            return fn(M, *args, **kwargs)
+        return guarded
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse_above_rank(getattr(np.linalg, name)))
+    inst = gen()
+    assert inst.rho2 > 0.0 and all(a.L.shape[1] == 1 for a in inst.arrivals)
 
 
 def test_instance_serialization_round_trip(rng):
