@@ -1,14 +1,18 @@
-"""Instance generators, the experiment pipeline, and deterministic CSV emission."""
+"""Instance generators and the one experiment path of `psdalloc run`, `bench` and `curve`.
 
-import hashlib
-import json
+make_instance builds an instance from generator flags.  group_spec gives an
+(objective, gamma, variant) group of instances its budget smoothers and the
+one DesignSpec that serves them all.  run_one streams and audits one run, and
+write_csv writes every CSV the package emits, with 12 significant digits.
+"""
+
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .budget import BudgetSmoother, b_prime
-from .designer import DesignSpec, beta_for_measure, cr_bound, design_hs, design_to_dict
+from .designer import DesignSpec, beta_for_measure, cr_bound, design_hs
 from .lowner import SmoothedObjective, exact_measure
 from .objectives import make_objective, trace_lift
 from .online import Arrival, run_stream
@@ -92,8 +96,7 @@ class ExperimentConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError("unknown config keys: %s" % sorted(unknown))
-        cfg = cls(**d)
-        return cfg
+        return cls(**d)
 
 
 @dataclass
@@ -112,9 +115,6 @@ class RunReport:
     variant: str
     arm: str
     beta: float
-    u_max: float
-    lam_max_U: float
-    design_hash: str
     d_value: float
 
 
@@ -122,32 +122,33 @@ _design_cache = {}
 
 
 def cached_design(spec):
-    key = (spec.objective.kind, spec.objective.p, spec.gamma, spec.u_max,
-           spec.q, spec.d, spec.variant, spec.rho2)
-    if key not in _design_cache:
-        _design_cache[key] = design_hs(spec)
-    return _design_cache[key]
+    if spec not in _design_cache:
+        _design_cache[spec] = design_hs(spec)
+    return _design_cache[spec]
 
 
-def design_hash(result):
-    blob = json.dumps(design_to_dict(result), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+def make_instance(generator, n, m, seed, b=None, density=1.0):
+    """One instance from the named generator; both default b to m/5."""
+    if generator == "adversarial":
+        return gen_adversarial(n, m, seed, b)
+    if generator == "random":
+        return gen_random(n, m, density, seed, b)
+    raise ValueError("unknown generator %r" % (generator,))
 
 
-def _make_instances(cfg):
-    if cfg.instances is not None:
-        return list(cfg.instances)
-    b = cfg.b if cfg.b is not None else cfg.m / 5
-    out = []
-    for r in range(cfg.repeats):
-        seed = cfg.seed + r
-        if cfg.generator == "adversarial":
-            out.append(gen_adversarial(cfg.n, cfg.m, seed, b))
-        elif cfg.generator == "random":
-            out.append(gen_random(cfg.n, cfg.m, cfg.density, seed, b))
-        else:
-            raise ValueError("unknown generator %r" % (cfg.generator,))
-    return out
+def group_spec(obj, gamma, variant, instances, q=100, d=200, u_max=None):
+    """(smoothers, DesignSpec): one budget smoother per instance, one design for all.
+
+    The design covers the largest u_max the instances induce,
+    b' * max_t lambda_max(A_t)/c_t, unless u_max is given, and under seq it
+    pays the largest rho2.
+    """
+    smoothers = [BudgetSmoother(obj, gamma, inst.b, inst.theta, inst.Theta, inst.rho1,
+                                variant) for inst in instances]
+    if u_max is None:
+        u_max = max(b_prime(s) * inst.max_lam_over_c for s, inst in zip(smoothers, instances))
+    rho2 = max(inst.rho2 for inst in instances) if variant == "seq" else 0.0
+    return smoothers, DesignSpec(obj, gamma, u_max, q, d, variant, rho2)
 
 
 def _unsmoothed_beta(spec):
@@ -160,8 +161,7 @@ def _unsmoothed_beta(spec):
     return beta_for_measure(spec, exact_measure(spec.objective))
 
 
-def run_one(inst, surrogate, smoother, beta, u_max, arm, p_star=None, repeat=0,
-            dhash=""):
+def run_one(inst, surrogate, smoother, beta, u_max, arm, p_star=None, repeat=0):
     """Stream one surrogate over one instance, audit the run; (RunReport, trace).
 
     The audit solves for P* when p_star is None.  A run breaches its design
@@ -181,45 +181,41 @@ def run_one(inst, surrogate, smoother, beta, u_max, arm, p_star=None, repeat=0,
         bound=cr_bound(smoother.gamma, beta),
         umax_breached=gated and bool(lam_max > u_max + 1e-12),
         audit_pass=audit.passed, variant=variant, arm=arm, beta=beta,
-        u_max=u_max, lam_max_U=lam_max, design_hash=dhash, d_value=audit.d_value)
+        d_value=audit.d_value)
     return report, trace
 
 
 def run_experiment(cfg):
     """Full pipeline: generate, smooth, design, run, audit, report.
 
-    Per (gamma, variant) a single design is produced at the largest u_max the
-    instances induce (b' * max_t lambda_max(A_t)/c_t); each instance keeps its
-    own budget smoother.  PSD-DR objectives also get an unsmoothed arm.
+    Each (gamma, variant) group gets one design from group_spec; each
+    instance keeps its own budget smoother.  PSD-DR objectives also get an
+    unsmoothed arm.
     """
     obj = make_objective(cfg.objective, cfg.p)
-    instances = _make_instances(cfg)
+    if cfg.instances is not None:
+        instances = list(cfg.instances)
+    else:
+        instances = [make_instance(cfg.generator, cfg.n, cfg.m, cfg.seed + r, cfg.b,
+                                   cfg.density) for r in range(cfg.repeats)]
     p_stars = [offline_continuous_opt(inst, obj).value for inst in instances]
+    em = exact_measure(obj)
     reports = []
     for gamma in cfg.gammas:
         for variant in cfg.variants:
-            smoothers = [BudgetSmoother(obj, gamma, inst.b, inst.theta, inst.Theta,
-                                        inst.rho1, variant) for inst in instances]
-            if cfg.umax_override is not None:
-                u_max = cfg.umax_override
-            else:
-                u_max = max(b_prime(s) * inst.max_lam_over_c
-                            for s, inst in zip(smoothers, instances))
-            rho2 = max(inst.rho2 for inst in instances) if variant == "seq" else 0.0
-            dspec = DesignSpec(obj, gamma, u_max, cfg.q, cfg.d, variant, rho2)
-            dres = cached_design(dspec)
-            dhash = design_hash(dres)
+            smoothers, spec = group_spec(obj, gamma, variant, instances, cfg.q, cfg.d,
+                                         cfg.umax_override)
+            dres = cached_design(spec)
             arms = [("smoothed", dres.smoothed(), dres.beta)]
-            em = exact_measure(obj)
             if em is not None and cfg.unsmoothed_arm:
-                arms.append(("unsmoothed", SmoothedObjective(em, obj),
-                             _unsmoothed_beta(dspec)))
+                arms.append(("unsmoothed", SmoothedObjective(em, obj), _unsmoothed_beta(spec)))
             for r, (inst, smoother) in enumerate(zip(instances, smoothers)):
-                for arm_name, surrogate, beta_arm in arms:
-                    reports.append(run_one(inst, surrogate, smoother, beta_arm, u_max,
-                                           arm_name, p_stars[r], r, dhash)[0])
+                for arm, surrogate, beta in arms:
+                    reports.append(run_one(inst, surrogate, smoother, beta, spec.u_max,
+                                           arm, p_stars[r], r)[0])
     if cfg.out:
-        emit_csv(reports, cfg.out)
+        write_csv(cfg.out, CSV_COLUMNS,
+                  ([getattr(rep, col) for col in CSV_COLUMNS] for rep in reports))
     return reports
 
 
@@ -233,14 +229,13 @@ def _fmt(v):
     return str(v)
 
 
-def emit_csv(reports, path):
-    """Write reports with the fixed column set; 12 significant digits."""
-    _ensure_dir(path)
+def write_csv(path, columns, rows):
+    """Write the header, then one line per row of values; 12 significant digits."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rep in reports:
-            fh.write(",".join(_fmt(getattr(rep, col)) for col in CSV_COLUMNS) + "\n")
-    return path
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def curve_rows(objective, gammas, u_max, q=100, d=200, variant="sim", rho2=0.0, p=1.0):
@@ -258,32 +253,3 @@ def curve_rows(objective, gammas, u_max, q=100, d=200, variant="sim", rho2=0.0, 
         rows.append({"gamma": float(gamma), "beta": dres.beta,
                      "bound_smoothed": bound_s, "bound_unsmoothed": bound_u})
     return rows
-
-
-def emit_curve(objective, gammas, u_max, path, q=100, d=200, variant="sim",
-               rho2=0.0, p=1.0):
-    rows = curve_rows(objective, gammas, u_max, q, d, variant, rho2, p)
-    _ensure_dir(path)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(CURVE_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in CURVE_COLUMNS) + "\n")
-    return rows
-
-
-def emit_gs_curve(smoother, us, path):
-    """Trace the penalty derivative: CSV with columns u, gs_prime."""
-    from .budget import gs_prime
-    _ensure_dir(path)
-    us = np.asarray(us, dtype=float)
-    vals = gs_prime(smoother, us)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("u,gs_prime\n")
-        for u, v in zip(us, vals):
-            fh.write("%s,%s\n" % (_fmt(float(u)), _fmt(float(v))))
-    return path
-
-
-def _ensure_dir(path):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)

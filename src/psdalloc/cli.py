@@ -3,17 +3,17 @@
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .bench import (ExperimentConfig, _unsmoothed_beta, emit_curve, emit_gs_curve,
-                    gen_adversarial, gen_random, run_experiment, run_one)
-from .budget import BudgetSmoother, b_prime
+from .bench import (CURVE_COLUMNS, ExperimentConfig, _unsmoothed_beta, curve_rows,
+                    group_spec, make_instance, run_experiment, run_one, write_csv)
+from .budget import BudgetSmoother, gs_prime
 from .designer import DesignSpec, cr_bound, design_hs, design_to_dict, design_from_dict
 from .lowner import SmoothedObjective, exact_measure, smoothed_from_dict, smoothed_to_dict
 from .objectives import TOL_EIG, make_objective
-from .online import RunTrace
-from .oracle import audit_trace, instance_from_dict, instance_to_dict
+from .oracle import audit_run, instance_from_dict, instance_to_dict
 
 
 def _write_json(obj, path):
@@ -48,49 +48,42 @@ def _load_instance(args):
     if args.instance:
         with open(args.instance) as fh:
             return instance_from_dict(json.load(fh))
-    b = args.b if args.b is not None else args.m / 5
-    if args.generator == "adversarial":
-        return gen_adversarial(args.n, args.m, args.seed, b)
-    return gen_random(args.n, args.m, args.density, args.seed, b)
+    return make_instance(args.generator, args.n, args.m, args.seed, args.b, args.density)
 
 
 def _check_design(spec, args, inst):
     """Refuse a --measure design certified for another run."""
     if spec.gamma != args.gamma:
-        raise SystemExit("--measure: design gamma %g != --gamma %g" % (spec.gamma, args.gamma))
+        raise ValueError("--measure: design gamma %g != --gamma %g" % (spec.gamma, args.gamma))
     if spec.variant != args.variant:
-        raise SystemExit("--measure: design variant %s != --variant %s"
+        raise ValueError("--measure: design variant %s != --variant %s"
                          % (spec.variant, args.variant))
     # rho2 is defined only to the TOL_EIG to which Arrival checks L L^T = A;
     # the seq audit's rho_bound check still judges the run with inst.rho2
     if spec.variant == "seq" and spec.rho2 < inst.rho2 * (1.0 - TOL_EIG):
-        raise SystemExit("--measure: design rho2 %.17g < the instance's rho2 %.17g"
+        raise ValueError("--measure: design rho2 %.17g < the instance's rho2 %.17g"
                          % (spec.rho2, inst.rho2))
 
 
 def cmd_run(args):
     inst = _load_instance(args)
-    dres = None
     if args.measure:
         with open(args.measure) as fh:
             dres = design_from_dict(json.load(fh))
         _check_design(dres.spec, args, inst)
-    obj = dres.spec.objective if dres is not None else make_objective(args.objective, args.p)
-    smoother = BudgetSmoother(obj, args.gamma, inst.b, inst.theta, inst.Theta,
-                              inst.rho1, args.variant)
-    if dres is not None:
+        obj = dres.spec.objective
+        smoother = BudgetSmoother(obj, args.gamma, inst.b, inst.theta, inst.Theta,
+                                  inst.rho1, args.variant)
         surrogate, beta, u_max, arm = dres.smoothed(), dres.beta, dres.spec.u_max, "smoothed"
     else:
+        obj = make_objective(args.objective, args.p)
         em = exact_measure(obj)
         if em is None:
-            raise SystemExit("objective %s needs a designed measure (--measure)" % obj.label)
-        surrogate, arm = SmoothedObjective(em, obj), "unsmoothed"
-        # the beta bench certifies for the exact measure; under seq it pays
-        # the rho2 term on the grid up to b' max lambda/c
-        u_max = b_prime(smoother) * inst.max_lam_over_c
-        rho2 = inst.rho2 if args.variant == "seq" else 0.0
-        beta = _unsmoothed_beta(DesignSpec(obj, args.gamma, u_max, 100, 200,
-                                           args.variant, rho2))
+            raise ValueError("objective %s needs a designed measure (--measure)" % obj.label)
+        # the beta bench certifies for the exact measure on a one-instance group
+        (smoother,), spec = group_spec(obj, args.gamma, args.variant, [inst])
+        surrogate, beta, u_max, arm = (SmoothedObjective(em, obj), _unsmoothed_beta(spec),
+                                       spec.u_max, "unsmoothed")
     rep, trace = run_one(inst, surrogate, smoother, beta, u_max, arm)
     payload = {
         "objective": {"kind": obj.kind, "p": obj.p},
@@ -107,7 +100,7 @@ def cmd_run(args):
     _write_json(payload, args.out)
     if args.gs_out:
         us = np.linspace(0.0, 1.2 * max(rep.b_prime, inst.b), 400)
-        emit_gs_curve(smoother, us, args.gs_out)
+        write_csv(args.gs_out, ["u", "gs_prime"], zip(us, gs_prime(smoother, us)))
     print("primal = %.6g  P* = %.6g  ratio = %.4g  budget = %.4g/%.4g  audit = %s"
           % (rep.primal_H, rep.p_star, rep.ratio, rep.budget_used, rep.b_prime,
              rep.audit_pass), file=sys.stderr)
@@ -119,17 +112,9 @@ def cmd_bench(args):
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
-    overrides = {
-        "objective": args.objective, "n": args.n, "m": args.m, "b": args.b,
-        "gammas": _gammas(args.gamma) if args.gamma else None,
-        "repeats": args.repeats, "seed": args.seed,
-        "variants": tuple(args.variant.split(",")) if args.variant else None,
-        "generator": args.generator, "density": args.density,
-        "q": args.q, "d": args.d, "umax_override": args.umax, "out": args.out,
-    }
-    for k, v in overrides.items():
-        if v is not None:
-            base[k] = v
+    # every flag's dest is a config field, so a given flag overrides its key
+    base.update({f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                 if getattr(args, f.name, None) is not None})
     cfg = ExperimentConfig.from_dict(base)
     reports = run_experiment(cfg)
     npass = sum(1 for r in reports if r.audit_pass)
@@ -145,17 +130,16 @@ def cmd_audit(args):
     inst = instance_from_dict(payload["instance"])
     smoother = BudgetSmoother(surrogate.base, float(payload["gamma"]), inst.b, inst.theta,
                               inst.Theta, inst.rho1, payload["variant"])
-    trace = RunTrace(surrogate, smoother, payload["variant"], inst.n,
-                     np.asarray(payload["decisions"], dtype=float))
-    report = audit_trace(trace, inst)
+    report = audit_run(payload["decisions"], inst, surrogate, smoother, payload["variant"])
     _write_json(report.to_dict(), args.out)
     print("audit %s" % ("PASS" if report.passed else "FAIL"), file=sys.stderr)
     return 0 if report.passed else 1
 
 
 def cmd_curve(args):
-    rows = emit_curve(args.objective, _gammas(args.gamma), args.umax, args.out,
-                      args.q, args.d, args.variant, args.rho2, args.p)
+    rows = curve_rows(args.objective, args.gamma, args.umax, args.q, args.d,
+                      args.variant, args.rho2, args.p)
+    write_csv(args.out, CURVE_COLUMNS, ([row[c] for c in CURVE_COLUMNS] for row in rows))
     for row in rows:
         print("gamma=%g beta=%.6g bound=%.6g" %
               (row["gamma"], row["beta"], row["bound_smoothed"]), file=sys.stderr)
@@ -208,15 +192,16 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--b", type=float)
-    p.add_argument("--gamma", help="comma-separated gamma grid")
+    p.add_argument("--gamma", dest="gammas", type=_gammas, help="comma-separated gamma grid")
     p.add_argument("--repeats", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--variant", help="comma-separated: sim,seq")
+    p.add_argument("--variant", dest="variants", type=lambda text: tuple(text.split(",")),
+                   help="comma-separated: sim,seq")
     p.add_argument("--generator")
     p.add_argument("--density", type=float)
     p.add_argument("--q", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--umax", type=float)
+    p.add_argument("--umax", dest="umax_override", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
@@ -227,7 +212,7 @@ def build_parser():
 
     p = sub.add_parser("curve", help="bound-vs-gamma curve CSV")
     _add_design_flags(p)
-    p.add_argument("--gamma", required=True, help="comma-separated gamma grid")
+    p.add_argument("--gamma", type=_gammas, required=True, help="comma-separated gamma grid")
     p.add_argument("--umax", type=float, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curve)

@@ -68,7 +68,6 @@ class DesignResult:
     beta: float
     beta_lb: float       # final LP value (from its duals): bounds the grid optimum below
     iterations: int      # LP solves, the first cold and every later one warm
-    converged: bool      # beta is within DESIGN_TOL of beta_lb
     spec: DesignSpec
     cuts: int = None     # cut rows of the final LP (None in records written without it)
     atoms: int = None    # nonzero weights of the measure (likewise)
@@ -250,8 +249,8 @@ def design_hs(spec):
     if obj.kind == "linear":
         # h* is -inf off y = 1, so the only admissible measure is the atom at 0
         # with weight 1; every ratio is then exactly gamma.
-        return DesignResult(exact_measure(obj), float(spec.gamma), float(spec.gamma), 0, True,
-                            spec, cuts=0, atoms=1)
+        return DesignResult(exact_measure(obj), float(spec.gamma), float(spec.gamma), 0, spec,
+                            cuts=0, atoms=1)
 
     base, fine = design_grid(spec), design_grid(spec, 10)
     grid = np.unique(np.concatenate(
@@ -277,9 +276,8 @@ def design_hs(spec):
         if best_F - lb <= step or hot.size == 0:   # certified, or nothing left to cut
             break
         lp.add(*tab.cuts(hot, h_conj_prime(obj, y[hot])))
-    return DesignResult(AtomicMeasure(tab.nodes, best_w), best_F, lb, solves,
-                        best_F - lb <= step, spec, cuts=int(lp.rhs.size),
-                        atoms=int(np.count_nonzero(best_w)))
+    return DesignResult(AtomicMeasure(tab.nodes, best_w), best_F, lb, solves, spec,
+                        cuts=int(lp.rhs.size), atoms=int(np.count_nonzero(best_w)))
 
 
 def design_to_dict(result):
@@ -295,7 +293,6 @@ def design_to_dict(result):
         "beta_lb": result.beta_lb,
         "residual": result.residual,
         "iterations": result.iterations,
-        "converged": result.converged,
         "flagged": result.flagged,
         "cuts": result.cuts,
         "atoms": result.atoms,
@@ -305,7 +302,8 @@ def design_to_dict(result):
 
 
 def design_from_dict(d):
-    """Inverse of design_to_dict; beta_lb, cuts and atoms are None for records written without them."""
+    """Inverse of design_to_dict; beta_lb, cuts and atoms are None for records written without them.
+    An older record's converged is ignored: beta - beta_lb says whether the loop closed its gap."""
     obj = TraceObjective(d["objective"]["kind"], float(d["objective"].get("p", 1.0)))
     spec = DesignSpec(obj, float(d["gamma"]), float(d["u_max"]), int(d["q"]),
                       int(d["d"]), d["variant"], float(d["rho2"]))
@@ -314,7 +312,7 @@ def design_from_dict(d):
     beta_lb, cuts, atoms = d.get("beta_lb"), d.get("cuts"), d.get("atoms")
     return DesignResult(measure, float(d["beta"]),
                         None if beta_lb is None else float(beta_lb),
-                        int(d["iterations"]), bool(d["converged"]), spec,
+                        int(d["iterations"]), spec,
                         None if cuts is None else int(cuts),
                         None if atoms is None else int(atoms),
                         float(d["residual"]), bool(d["flagged"]))

@@ -1,5 +1,6 @@
 """Generators, the experiment pipeline, curve emission, and CSV determinism."""
 
+import json
 import math
 import subprocess
 import sys
@@ -10,15 +11,15 @@ import pytest
 
 from psdalloc import bench
 from psdalloc.bench import (CSV_COLUMNS, CURVE_COLUMNS, ExperimentConfig,
-                            cached_design, curve_rows, design_hash, emit_csv,
-                            emit_curve, emit_gs_curve, gen_adversarial,
-                            gen_random, run_experiment)
+                            cached_design, curve_rows, gen_adversarial, gen_random,
+                            make_instance, run_experiment)
 from psdalloc.budget import BudgetSmoother, gs_prime
+from psdalloc.cli import main
 from psdalloc.designer import DesignSpec, cr_bound
 from psdalloc.lowner import SmoothedObjective, exact_measure
 from psdalloc.objectives import make_objective
 from psdalloc.online import Arrival
-from psdalloc.oracle import Instance
+from psdalloc.oracle import Instance, instance_from_dict
 
 Q, D = 40, 60  # small design grids keep the pipeline tests fast
 
@@ -68,6 +69,20 @@ def test_random_generator_rejects_bad_density():
         gen_random(3, 5, density=0.0)
     with pytest.raises(ValueError):
         gen_random(3, 5, density=1.5)
+
+
+@pytest.mark.parametrize("generator", ["adversarial", "random"])
+def test_make_instance_defaults_b_to_m_over_5(generator):
+    inst = make_instance(generator, 3, 10, seed=2)
+    assert inst.b == 2.0
+    assert make_instance(generator, 3, 10, 2, b=4).b == 4.0
+
+
+def test_make_instance_passes_density_and_seed_to_the_generator():
+    inst = make_instance("random", 3, 10, 4, density=0.5)
+    for x, y in zip(inst.arrivals, gen_random(3, 10, 0.5, 4).arrivals):
+        np.testing.assert_array_equal(x.A, y.A)
+        assert x.c == y.c
 
 
 @pytest.mark.parametrize("gen", [lambda n: gen_adversarial(n, 5, 0),
@@ -158,14 +173,6 @@ def test_run_experiment_consistent_p_star(small_reports):
         assert len(vals) == 1
 
 
-def test_run_experiment_hash_and_umax_fields(small_reports):
-    for rep in small_reports:
-        assert len(rep.design_hash) == 16
-        assert set(rep.design_hash) <= set("0123456789abcdef")
-        assert rep.lam_max_U >= -1e-12
-        assert rep.u_max > 0
-
-
 # ------------------------------------------------------------ csv emission
 
 def _run_to_csv(path):
@@ -227,38 +234,31 @@ def test_curve_rows_aopt_has_no_unsmoothed_bound():
 
 def test_emit_curve_file(tmp_path):
     path = tmp_path / "curve.csv"
-    rows = emit_curve("linear", (1.0, 2.0), 8.0, str(path), q=Q, d=D)
+    gammas = (1.0, 2.0)
+    assert main(["curve", "--objective", "linear", "--gamma", "1,2", "--umax", "8",
+                 "--q", str(Q), "--d", str(D), "--out", str(path)]) == 0
     lines = path.read_text().strip().split("\n")
     assert lines[0] == ",".join(CURVE_COLUMNS)
-    assert len(lines) == 1 + len(rows)
+    assert len(lines) == 1 + len(gammas)
     got = [float(x) for x in lines[1].split(",")]
     assert got[0] == 1.0 and got[1] == 1.0
 
 
 def test_emit_gs_curve_file(tmp_path):
-    obj = make_objective("linear")
-    s = BudgetSmoother(obj, 1.0, 5.0, 1.0, 1.0, 1.0, "sim")
-    us = np.linspace(0.0, 10.0, 21)
-    path = tmp_path / "gs.csv"
-    emit_gs_curve(s, us, str(path))
+    path, out = tmp_path / "gs.csv", tmp_path / "run.json"
+    assert main(["run", "--objective", "linear", "--n", "4", "--m", "12", "--b", "3",
+                 "--gs-out", str(path), "--out", str(out)]) == 0
+    inst = instance_from_dict(json.loads(out.read_text())["instance"])
+    s = BudgetSmoother(make_objective("linear"), 1.0, inst.b, inst.theta, inst.Theta,
+                       inst.rho1, "sim")
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "u,gs_prime"
-    assert len(lines) == 1 + len(us)
+    assert len(lines) == 1 + 400  # run traces gs' at 400 points
     u5, v5 = (float(x) for x in lines[5].split(","))
     assert v5 == pytest.approx(float(gs_prime(s, u5)), abs=1e-12)
 
 
-# ------------------------------------------------------- design cache / hash
-
-def test_design_hash_stable_and_distinct():
-    obj = make_objective("dopt")
-    spec = DesignSpec(obj, 1.0, 8.0, Q, D, "sim", 0.0)
-    h1 = design_hash(cached_design(spec))
-    h2 = design_hash(cached_design(DesignSpec(obj, 1.0, 8.0, Q, D, "sim", 0.0)))
-    h3 = design_hash(cached_design(DesignSpec(obj, 2.0, 8.0, Q, D, "sim", 0.0)))
-    assert h1 == h2
-    assert h1 != h3
-
+# ------------------------------------------------------------- design cache
 
 def test_cached_design_returns_same_object():
     obj = make_objective("aopt")

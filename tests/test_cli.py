@@ -1,13 +1,14 @@
 import json
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from psdalloc.bench import _unsmoothed_beta, gen_adversarial
+from psdalloc.bench import ExperimentConfig, _unsmoothed_beta, gen_adversarial
 from psdalloc.budget import BudgetSmoother, b_prime
-from psdalloc.cli import _check_design, main
+from psdalloc.cli import _check_design, build_parser, main
 from psdalloc.designer import DesignSpec, cr_bound
 from psdalloc.objectives import make_objective
 from psdalloc.oracle import instance_from_dict
@@ -109,13 +110,16 @@ def _design(tmp_path, variant, gamma, rho2=0.0):
     (("sim", 1.0), "--variant"),
     (("seq", 1.0, 5.0), "rho2"),
 ], ids=["gamma", "variant", "rho2"])
-def test_run_refuses_a_design_for_another_run(tmp_path, design, names):
+def test_run_refuses_a_design_for_another_run(tmp_path, capsys, design, names):
     # a sim gamma=2 design would label this seq gamma=1 run with bound 0.369;
     # the bound certified for it is 0.0194
     path = _design(tmp_path, *design)
-    with pytest.raises(SystemExit) as exc:
-        main(RUN_SEQ + ["--measure", str(path), "--out", str(tmp_path / "run.json")])
-    assert "--measure" in str(exc.value.code) and names in str(exc.value.code)
+    capsys.readouterr()
+    # a bad input, so exit 2: exit 1 is a failed audit
+    assert main(RUN_SEQ + ["--measure", str(path), "--out", str(tmp_path / "run.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: --measure: ") and err.count("\n") == 1
+    assert names in err
     assert not (tmp_path / "run.json").exists()
 
 
@@ -128,10 +132,10 @@ def test_check_design_compares_rho2_at_tol_eig(rel, refused):
     if not refused:
         assert _check_design(spec, args, inst) is None
         return
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(ValueError) as exc:
         _check_design(spec, args, inst)
     # both values with every digit the comparison reads
-    assert exc.value.code == ("--measure: design rho2 %.17g < the instance's rho2 %.17g"
+    assert str(exc.value) == ("--measure: design rho2 %.17g < the instance's rho2 %.17g"
                               % (spec.rho2, inst.rho2))
 
 
@@ -162,6 +166,37 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, name):
     assert err.startswith("psdalloc: error: ") and err.count("\n") == 1
     assert " %s " % name in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,word", [
+    (["bench", "--generator", "foo"], "'foo'"),
+    (["run", "--objective", "aopt", "--n", "3", "--m", "5"], "(--measure)"),
+], ids=["unknown-generator", "aopt-without-measure"])
+def test_refused_input_exits_2_with_one_line(capsys, argv, word):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: ") and err.count("\n") == 1
+    assert word in err and "Traceback" not in err
+
+
+def test_bench_flag_dests_are_config_fields():
+    # cmd_bench copies each given flag onto the config key of the same name
+    dests = set(vars(build_parser().parse_args(["bench"])))
+    assert dests - {f.name for f in fields(ExperimentConfig)} <= {"command", "func", "config"}
+
+
+def test_bench_flag_overrides_its_config_key(tmp_path, capsys):
+    config, out = tmp_path / "config.json", tmp_path / "bench.csv"
+    config.write_text(json.dumps({"objective": "dopt", "n": 3, "m": 8, "b": 2.0,
+                                  "gammas": [1.0], "variants": ["sim"], "q": 40, "d": 60,
+                                  "out": str(tmp_path / "unused.csv")}))
+    assert main(["bench", "--config", str(config), "--gamma", "2", "--variant", "seq",
+                 "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().strip().split("\n")]
+    assert len(rows) == 2  # one instance, smoothed and unsmoothed arms
+    assert {row[header.index("gamma")] for row in rows} == {"2"}
+    assert {row[header.index("variant")] for row in rows} == {"seq"}
+    assert not (tmp_path / "unused.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [["bench", "--config", "missing.json"],

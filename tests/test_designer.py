@@ -10,6 +10,7 @@ import pytest
 import psdalloc
 
 from psdalloc.designer import (
+    DESIGN_TOL,
     DesignSpec,
     _CutLP,
     _Tableau,
@@ -158,9 +159,9 @@ def test_lp_design_is_certified_and_tight(args, fallback_beta):
     res = design_hs(spec)
     # the final LP value bounds the training-grid optimum from below ...
     assert res.beta_lb <= res.beta
-    # ... and the certified beta is within 1e-6 of it
-    assert res.beta - res.beta_lb <= 1e-6
-    assert res.residual <= 1e-6 and not res.flagged and res.converged
+    # ... and the certified beta is within the loop's stopping gap of it
+    assert res.beta - res.beta_lb <= DESIGN_TOL * max(1.0, res.beta)
+    assert res.residual <= 1e-6 and not res.flagged
     assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
     assert res.beta <= fallback_beta
     assert res.measure.y0 == pytest.approx(spec.objective.h_prime0, abs=1e-8)
@@ -190,8 +191,7 @@ def test_seq_design_with_steep_tail_is_certified():
     # difference, its noise kept HiGHS from an optimal status on this spec
     spec = DesignSpec(make_objective("dopt"), 8.0, 50.0, 100, 200, "seq", 5.0)
     res = design_hs(spec)
-    assert res.converged
-    assert res.beta - res.beta_lb <= 1e-6 * max(1.0, res.beta)
+    assert res.beta - res.beta_lb <= DESIGN_TOL * max(1.0, res.beta)
     assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
 
 
@@ -227,11 +227,11 @@ def test_design_from_legacy_dict():
     }
     res = design_from_dict(legacy)
     assert res.beta == 2.25 and res.beta_lb is None
-    assert res.iterations == 51170 and res.converged and not res.flagged
+    assert res.iterations == 51170 and not res.flagged
     assert res.spec == DesignSpec(make_objective("aopt"), 2.0, 10.0, 4, 8)
     assert res.smoothed().measure.y0 == pytest.approx(1.0)
     assert design_to_dict(res)["beta_lb"] is None
-    assert "final_step" not in design_to_dict(res)
+    assert "final_step" not in design_to_dict(res) and "converged" not in design_to_dict(res)
     assert res.cuts is None and res.atoms is None
     assert design_to_dict(res)["cuts"] is None and design_to_dict(res)["atoms"] is None
 
