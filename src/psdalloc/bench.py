@@ -14,7 +14,7 @@ import numpy as np
 from .budget import BudgetSmoother, b_prime
 from .designer import DesignSpec, beta_for_measure, cr_bound, design_hs
 from .lowner import SmoothedObjective, exact_measure
-from .objectives import make_objective, trace_lift
+from .objectives import h_eval, make_objective, psd_eigs
 from .online import Arrival, run_stream
 from .oracle import Instance, audit_trace, offline_continuous_opt
 
@@ -170,8 +170,8 @@ def run_one(inst, surrogate, smoother, beta, u_max, arm, p_star=None, repeat=0):
     """
     variant, obj = smoother.variant, surrogate.base
     trace = run_stream(surrogate, smoother, inst.arrivals, variant, inst.n)
-    primal = trace_lift(obj, trace.U)
-    lam_max = float(np.linalg.eigvalsh(trace.U)[-1])
+    w, _ = psd_eigs(trace.U)
+    primal = float(np.sum(h_eval(obj, w)))
     audit = audit_trace(trace, inst, p_star=p_star)
     gated = not (arm == "unsmoothed" and variant == "sim")
     report = RunReport(
@@ -179,7 +179,7 @@ def run_one(inst, surrogate, smoother, beta, u_max, arm, p_star=None, repeat=0):
         budget_used=trace.u, b_prime=audit.b_prime, primal_H=primal,
         p_star=audit.p_star, ratio=primal / audit.p_star if audit.p_star > 0 else np.nan,
         bound=cr_bound(smoother.gamma, beta),
-        umax_breached=gated and bool(lam_max > u_max + 1e-12),
+        umax_breached=gated and bool(w[-1] > u_max + 1e-12),
         audit_pass=audit.passed, variant=variant, arm=arm, beta=beta,
         d_value=audit.d_value)
     return report, trace

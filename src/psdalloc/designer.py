@@ -191,6 +191,9 @@ class _CutLP:
         # gamma=4 the loop then stalled, re-adding cuts the LP kept violating by 6e-8
         hs.setOptionValue("primal_feasibility_tolerance", 1e-8)
         hs.setOptionValue("dual_feasibility_tolerance", 1e-8)
+        # presolve was most of each cold first solve on these small dense LPs;
+        # the designs come out bit-identical without it
+        hs.setOptionValue("presolve", "off")
         q = a.size
         hs.addVars(q + 1, np.append(np.zeros(q), -kHighsInf), np.full(q + 1, kHighsInf))
         hs.changeColsCost(1, np.array([q], dtype=np.int32), np.array([1.0]))

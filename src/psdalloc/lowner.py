@@ -102,9 +102,9 @@ def hs_trace_lift(smoothed, M):
 
 
 def grad_hs(smoothed, M):
-    """Gradient of H_S: the mixture y applied through the spectrum of M."""
+    """Gradient of H_S: the mixture y applied through the spectrum of M, or of each in a stack."""
     w, V = psd_eigs(M)
-    return sym((V * y_eval(smoothed.measure, w)) @ V.T)
+    return sym((V * y_eval(smoothed.measure, w)[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
 def exact_measure(obj):

@@ -169,28 +169,31 @@ def h_conj_prime(obj, y):
 
 
 def sym(M):
-    """Symmetric part (M + M.T)/2 as a float array.
+    """Symmetric part (M + M.T)/2 as a float array, of one matrix or of each in a stack.
 
     The result is exactly symmetric entrywise, which downstream code relies on.
     """
     A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2] or A.shape[-1] < 1:
         raise InvalidMatrix("expected a square matrix, got shape %r" % (A.shape,))
     if not np.isfinite(A).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    return 0.5 * (A + A.T)
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 def psd_eigs(M):
     """Eigenpairs (w, V) of sym(M), w ascending, with a PSD check at TOL_EIG * ||M||_F.
 
     V has orthonormal columns, V[:, i] pairing with w[i], so
-    sym(M) == V @ diag(w) @ V.T up to TOL_EIG * ||M||_F.
+    sym(M) == V @ diag(w) @ V.T up to TOL_EIG * ||M||_F.  A (..., n, n) stack
+    gives (..., n) and (..., n, n), and each matrix is checked on its own.
     """
     w, V = np.linalg.eigh(sym(M))
-    fro = float(np.sqrt(np.sum(w * w)))
-    if fro > 0.0 and w[0] < -TOL_EIG * fro:
-        raise NotPSD("smallest eigenvalue %g below -%g * ||M||" % (w[0], TOL_EIG))
+    fro = np.sqrt(np.sum(w * w, axis=-1))
+    bad = (fro > 0.0) & (w[..., 0] < -TOL_EIG * fro)
+    if bad.any():
+        raise NotPSD("smallest eigenvalue %g below -%g * ||M||"
+                     % (w[..., 0][bad].flat[0], TOL_EIG))
     return w, V
 
 

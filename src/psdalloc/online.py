@@ -68,6 +68,8 @@ class Arrival:
 
     def __post_init__(self):
         A = sym(self.A)
+        if A.ndim != 2:
+            raise InvalidMatrix("expected a square matrix, got shape %r" % (A.shape,))
         if self.L is None:
             w, V = psd_eigs(A)  # raises NotPSD on a bad matrix
             keep = w > TOL_EIG * max(w[-1], 0.0)

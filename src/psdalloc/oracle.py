@@ -18,8 +18,12 @@ upper bound.  The aggregate X = sum_t x_t A_t and the gradient are products
 with the stacked factors of the arrivals (A_t = L_t L_t^T): O(n^2 sum(k))
 work from n x sum(k) data, where products with the dense m x n x n stack move
 m n^2 floats.  The exhaustive integer optimum is available for small m.
+
 Audits replay a recorded decision sequence from scratch and check every
-inequality the guarantees rest on.
+inequality the guarantees rest on.  The replay is dense, on the A_t
+themselves, and batched over blocks of steps whose stacked A_t hold about
+AUDIT_BLOCK_FLOATS floats (see audit_run), so the m x n x n stack of the
+whole run is never built.
 """
 
 from dataclasses import dataclass, field
@@ -42,6 +46,8 @@ DEFAULT_TOLS = {
 }
 OFFLINE_TOL = 1e-7          # stop when the Frank-Wolfe gap is at most this times max(1, f)
 OFFLINE_MAX_ITERS = 5000
+# the audit replays a run in blocks of steps whose stacked A_t hold about this many floats
+AUDIT_BLOCK_FLOATS = 2 ** 22
 
 
 class CapacityError(ValueError):
@@ -301,6 +307,18 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     its tolerance in DEFAULT_TOLS.  The sim decision check prices the budget
     at the replayed z = gs'(u): u changes only on a purchase, which recomputes
     z, and gs'(0) = 0 is the initial z.
+
+    The replay runs over blocks of consecutive steps whose stacked dense A_t
+    hold about AUDIT_BLOCK_FLOATS floats.  In each block the aggregates U_k
+    and spends u_k after its purchases are running sums (np.cumsum, in stream
+    order, from the totals carried in), and the duals Y_k = grad H_S(U_k) and
+    z_k = gs'(u_k) come from one stacked grad_hs call and one array gs_prime
+    call.  Every price and decision residual is then an einsum of the block's
+    A_t against the duals in force at that step, and the monotonicity of Y is
+    one batched eigvalsh of the differences Y_{k-1} - Y_k.  Y starts at
+    h'(0) I; the sim check prices with grad_hs(0) until the first purchase.
+    A rejected step leaves both duals as they are and adds exactly 0 to the
+    Y gap and the z step.
     """
     decisions = np.asarray(decisions, dtype=float)
     if decisions.shape != (inst.m,):
@@ -311,55 +329,71 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         raise AuditError("decisions must lie in [0, 1]")
     obj = smoothed.base
     n = inst.n
+    block = max(1, AUDIT_BLOCK_FLOATS // (n * n))
+    costs = inst.costs
     U = np.zeros((n, n))
     u = 0.0
     Y = obj.h_prime0 * np.eye(n)
     z = 0.0
+    G0 = None     # the sim check's grad_hs(0), in force until the first purchase
     pos_sum = 0.0
     corr_sum = 0.0
     min_y_gap = np.inf
     max_z_step = -np.inf
     decision_ok = True
     worst_resid = 0.0
-    G = None      # grad_hs(smoothed, U), once per U; Y starts at h'(0) I instead
 
-    for arr, x in zip(inst.arrivals, decisions):
-        A, c = arr.A, arr.c
-        Y_new, z_new = Y, z
+    for s in range(0, inst.m, block):
+        x, c = decisions[s:s + block], costs[s:s + block]
+        As = np.stack([a.A for a in inst.arrivals[s:s + block]])
+        buys = x > 0.0
+        buy = np.flatnonzero(buys)
+        after = np.cumsum(buys)         # each step's duals after it, as rows of Ys
+        before = after - buys
+        Us = np.cumsum(np.concatenate([U[None], x[buy][:, None, None] * As[buy]]), axis=0)[1:]
+        us = np.cumsum(np.concatenate([[u], x[buy] * c[buy]]))[1:]
+        if variant == "sim" and s == 0 and x[0] <= 0.0:     # the run opens at U = 0
+            G0 = grad_hs(smoothed, np.zeros((n, n)))
+        grads = grad_hs(smoothed, Us) if buy.size else Us
+        zs = gs_prime(budget, us) if buy.size else us
+        Ys = np.concatenate([Y[None], grads])
+        zb = np.concatenate([[z], zs])
+        dY = Ys[:-1] - Ys[1:]                   # Y_{k-1} - Y_k at each purchase
+        dz = zb[1:] - zb[:-1]
+        P_before = np.einsum("tij,tij->t", As, Ys[before])
+        price_before = P_before + c * zb[before]
         if variant == "seq":
-            price = float(np.vdot(A, Y)) + c * z
-            pos_sum += max(price, 0.0)
-            expect = 1.0 if price > 0.0 else 0.0
-            if x != expect:
+            pos_sum += float(np.sum(np.maximum(price_before, 0.0)))
+            wrong = x != (price_before > 0.0)
+            if wrong.any():
                 decision_ok = False
-                worst_resid = max(worst_resid, abs(price))
-        if x > 0.0:
-            U = U + x * A
-            u += x * c
-            G = Y_new = grad_hs(smoothed, U)
-            z_new = gs_prime(budget, u)
-        if variant == "sim":
-            if G is None:
-                G = grad_hs(smoothed, U)    # U = 0: no purchase yet
-            d_at = float(np.vdot(A, G)) + c * z_new     # z_new = gs'(u) at this u
-            scale = max(1.0, abs(float(np.vdot(A, Y))) + c * abs(z))
-            if x <= 0.0:
-                resid = max(0.0, d_at)
-            elif x >= 1.0:
-                resid = max(0.0, -d_at)
-            else:
-                resid = abs(d_at)
-            if resid > DEFAULT_TOLS["decision"] * scale:
+                worst_resid = max(worst_resid, float(np.max(np.abs(price_before[wrong]))))
+            # <A, Y_new - Y> = -<A, Y - Y_new>, exactly
+            corr_sum += float(np.sum(x[buy] * (-np.einsum("tij,tij->t", As[buy], dY)
+                                               + c[buy] * dz)))
+        else:
+            P_after = P_before.copy()
+            P_after[buy] = np.einsum("tij,tij->t", As[buy], grads)
+            P_grad = P_after.copy()
+            if G0 is not None:
+                pre = after == 0
+                P_grad[pre] = np.einsum("tij,ij->t", As[pre], G0)
+            z_after = zb[after]
+            d_at = P_grad + c * z_after
+            scale = np.maximum(1.0, np.abs(P_before) + c * np.abs(zb[before]))
+            resid = np.where(x <= 0.0, np.maximum(0.0, d_at),
+                             np.where(x >= 1.0, np.maximum(0.0, -d_at), np.abs(d_at)))
+            if np.any(resid > DEFAULT_TOLS["decision"] * scale):
                 decision_ok = False
-            worst_resid = max(worst_resid, resid / scale)
-            pos_sum += max(float(np.vdot(A, Y_new)) + c * z_new, 0.0)
-        elif x > 0.0:
-            corr_sum += x * (float(np.vdot(A, Y_new - Y)) + c * (z_new - z))
-        # a rejected step leaves Y as it is: Y - Y_new is exactly 0
-        y_gap = float(np.linalg.eigvalsh(Y - Y_new)[0]) if x > 0.0 else 0.0
-        min_y_gap = min(min_y_gap, y_gap)
-        max_z_step = max(max_z_step, z_new - z)
-        Y, z = Y_new, z_new
+            worst_resid = max(worst_resid, float(np.max(resid / scale)))
+            pos_sum += float(np.sum(np.maximum(P_after + c * z_after, 0.0)))
+        if buy.size:
+            min_y_gap = min(min_y_gap, float(np.min(np.linalg.eigvalsh(dY)[:, 0])))
+            max_z_step = max(max_z_step, float(np.max(dz)))
+            U, u, Y, z, G0 = Us[-1], float(us[-1]), Ys[-1], float(zs[-1]), None
+        if buy.size < x.size:
+            min_y_gap = min(min_y_gap, 0.0)
+            max_z_step = max(max_z_step, 0.0)
 
     bprime = b_prime(budget)
     budget_residual = u - bprime

@@ -13,7 +13,7 @@ from psdalloc.lowner import (
     hs_trace_lift,
     y_eval,
 )
-from psdalloc.objectives import h_conj, make_objective, trace_lift
+from psdalloc.objectives import InvalidMatrix, h_conj, make_objective, trace_lift
 from psdalloc.online import (
     Arrival,
     ConfigError,
@@ -47,6 +47,9 @@ def test_arrival_validation():
     a = Arrival(np.array([[1.0, 0.3], [0.3001, 1.0]]), 1.0)
     assert np.array_equal(a.A, a.A.T)
     assert a.n == 2
+    # sym and psd_eigs take stacks; an arrival is one matrix
+    with pytest.raises(InvalidMatrix, match="square matrix"):
+        Arrival(np.stack([np.eye(2), np.eye(2)]), 1.0)
 
 
 def test_state_config_mismatch():

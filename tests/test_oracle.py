@@ -4,15 +4,18 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from psdalloc import oracle
+from psdalloc import lowner, oracle
 from psdalloc.bench import gen_adversarial, gen_random
-from psdalloc.budget import BudgetSmoother, b_prime, gs_prime
+from psdalloc.budget import BudgetSmoother, b_prime, g_conj, gs_prime, gs_value
 from psdalloc.designer import DesignSpec, design_hs
-from psdalloc.objectives import TOL_EIG, grad_trace_lift, h_eval, make_objective
+from psdalloc.lowner import AtomicMeasure, SmoothedObjective
+from psdalloc.objectives import TOL_EIG, grad_trace_lift, h_conj, h_eval, make_objective
 from psdalloc.online import Arrival, run_stream
 from psdalloc.oracle import (
+    DEFAULT_TOLS,
     OFFLINE_TOL,
     AuditError,
+    AuditReport,
     CapacityError,
     Instance,
     audit_run,
@@ -403,6 +406,104 @@ def test_audit_rejects_decisions_outside_unit_interval(rng):
             audit_run(x, inst, sm, budget, "sim")
 
 
+def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
+    """The audit as a step-by-step loop: the reference for oracle.audit_run's block replay.
+
+    Each step takes its inner products with np.vdot, each purchase one
+    grad_hs and one scalar gs_prime, and each Y gap one eigvalsh.
+    """
+    decisions = np.asarray(decisions, dtype=float)
+    obj = smoothed.base
+    n = inst.n
+    U = np.zeros((n, n))
+    u = 0.0
+    Y = obj.h_prime0 * np.eye(n)
+    z = 0.0
+    pos_sum = 0.0
+    corr_sum = 0.0
+    min_y_gap = np.inf
+    max_z_step = -np.inf
+    decision_ok = True
+    worst_resid = 0.0
+    G = None      # grad_hs(smoothed, U), once per U; Y starts at h'(0) I instead
+
+    for arr, x in zip(inst.arrivals, decisions):
+        A, c = arr.A, arr.c
+        Y_new, z_new = Y, z
+        if variant == "seq":
+            price = float(np.vdot(A, Y)) + c * z
+            pos_sum += max(price, 0.0)
+            expect = 1.0 if price > 0.0 else 0.0
+            if x != expect:
+                decision_ok = False
+                worst_resid = max(worst_resid, abs(price))
+        if x > 0.0:
+            U = U + x * A
+            u += x * c
+            G = Y_new = lowner.grad_hs(smoothed, U)
+            z_new = gs_prime(budget, u)
+        if variant == "sim":
+            if G is None:
+                G = lowner.grad_hs(smoothed, U)    # U = 0: no purchase yet
+            d_at = float(np.vdot(A, G)) + c * z_new     # z_new = gs'(u) at this u
+            scale = max(1.0, abs(float(np.vdot(A, Y))) + c * abs(z))
+            if x <= 0.0:
+                resid = max(0.0, d_at)
+            elif x >= 1.0:
+                resid = max(0.0, -d_at)
+            else:
+                resid = abs(d_at)
+            if resid > DEFAULT_TOLS["decision"] * scale:
+                decision_ok = False
+            worst_resid = max(worst_resid, resid / scale)
+            pos_sum += max(float(np.vdot(A, Y_new)) + c * z_new, 0.0)
+        elif x > 0.0:
+            corr_sum += x * (float(np.vdot(A, Y_new - Y)) + c * (z_new - z))
+        # a rejected step leaves Y as it is: Y - Y_new is exactly 0
+        y_gap = float(np.linalg.eigvalsh(Y - Y_new)[0]) if x > 0.0 else 0.0
+        min_y_gap = min(min_y_gap, y_gap)
+        max_z_step = max(max_z_step, z_new - z)
+        Y, z = Y_new, z_new
+
+    bprime = b_prime(budget)
+    budget_residual = u - bprime
+    HS = lowner.hs_trace_lift(smoothed, U)
+    GS = gs_value(budget, u)
+    y_eigs = lowner.y_eval(smoothed.measure, np.linalg.eigvalsh(U))
+    hstar = float(np.sum(h_conj(obj, y_eigs)))
+    gstar = g_conj(z, budget.b)
+    D = pos_sum - hstar - gstar
+    if variant == "seq":
+        telescope = HS + GS - corr_sum
+        dual_gap = HS + GS - D - hstar - gstar - corr_sum
+        rho_bound = (inst.rho2 * float(np.trace(obj.h_prime0 * np.eye(n) - Y))
+                     - inst.rho1 * z) - (-corr_sum)
+    else:
+        telescope = HS + GS
+        dual_gap = HS + GS - D - hstar - gstar
+        rho_bound = np.nan
+
+    checks = {
+        "budget": budget_residual <= DEFAULT_TOLS["budget"],
+        "decisions": decision_ok,
+        "z_monotone": max_z_step <= DEFAULT_TOLS["z_monotone"],
+        "y_monotone": min_y_gap >= -DEFAULT_TOLS["y_monotone"],
+        "telescope": telescope >= -DEFAULT_TOLS["telescope"],
+        "dual_gap": dual_gap >= -DEFAULT_TOLS["dual_gap"],
+        "d_vs_pstar": D >= p_star - DEFAULT_TOLS["d_vs_pstar"],
+    }
+    if variant == "seq":
+        checks["rho_bound"] = rho_bound >= -DEFAULT_TOLS["rho_bound"]
+    return AuditReport(
+        variant=variant, m=inst.m, budget_used=u, b_prime=bprime,
+        budget_residual=budget_residual, decision_consistent=decision_ok,
+        worst_decision_residual=worst_resid, max_z_step=max_z_step,
+        min_y_gap=min_y_gap, telescope_residual=telescope,
+        dual_gap_residual=dual_gap, rho_bound_residual=float(rho_bound),
+        d_value=D, p_star=p_star, passed=all(checks.values()), checks=checks,
+    )
+
+
 def _spy(monkeypatch, module, name):
     """Replace module.name by a wrapper that records the arguments of each call."""
     calls, real = [], getattr(module, name)
@@ -439,35 +540,176 @@ def _opens_with_a_rejection():
     return Instance([Arrival(np.zeros((3, 3)), 1.0)] + arrivals, 2.0)
 
 
+def _small_blocks(monkeypatch, inst, steps):
+    """Make the audit replay inst in blocks of `steps` steps; returns that block length."""
+    if steps is not None:
+        monkeypatch.setattr(oracle, "AUDIT_BLOCK_FLOATS", steps * inst.n ** 2)
+    return oracle.AUDIT_BLOCK_FLOATS // inst.n ** 2
+
+
+def _stacks(calls, i, n):
+    """Argument i of each recorded call as a stack of n x n matrices."""
+    return [np.reshape(args[i], (-1, n, n)) for args in calls]
+
+
+def assert_reports_match(rep, ref):
+    """Every to_dict() field within 1e-12 relative, and the same checks.
+
+    A residual at rounding level sits near 0 (|Phi'| at a fractional
+    decision, a tight rho bound), so it is held to 1e-12 absolute instead.
+    """
+    got, want = rep.to_dict(), ref.to_dict()
+    assert got.keys() == want.keys() and got["checks"] == want["checks"]
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12, nan_ok=True), key
+        else:
+            assert got[key] == value, key
+
+
+def _decisions(kind, engine, m):
+    return {"engine": engine, "none": np.zeros(m), "every": np.ones(m),
+            "halves": np.where(np.arange(m) % 3 == 1, 0.0, 0.5)}[kind]
+
+
+@pytest.mark.parametrize("steps", [None, 3], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize("kind", ["engine", "none", "every", "halves"])
 @pytest.mark.parametrize("variant", ["seq", "sim"])
-def test_audit_decomposes_only_after_purchases(variant, monkeypatch):
+def test_audit_matches_the_step_by_step_reference(variant, kind, steps, monkeypatch):
+    inst = _opens_with_a_rejection()
+    sm, budget = engine_setup(inst, 2.0, variant)
+    x = _decisions(kind, run_stream(sm, budget, inst.arrivals, variant).decisions, inst.m)
+    if kind == "engine" and variant == "sim":
+        assert np.any((x > 0.0) & (x < 1.0))    # fractional decisions
+    block = _small_blocks(monkeypatch, inst, steps)
+    assert (inst.m > block) == (steps is not None)
+    ref = reference_audit_run(x, inst, sm, budget, variant, 1.0)
+    assert_reports_match(audit_run(x, inst, sm, budget, variant, p_star=1.0), ref)
+
+
+def test_audit_matches_the_reference_across_blocks_at_n_20():
+    inst = gen_random(20, 120, 1.0, 3)
+    for variant in ("seq", "sim"):
+        sm, budget = engine_setup(inst, 2.0, variant)
+        x = run_stream(sm, budget, inst.arrivals, variant).decisions
+        ref = reference_audit_run(x, inst, sm, budget, variant, 1.0)
+        for steps in (None, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                _small_blocks(mp, inst, steps)
+                assert_reports_match(audit_run(x, inst, sm, budget, variant, p_star=1.0), ref)
+
+
+@pytest.mark.parametrize("kind", ["engine", "every"])
+def test_audit_matches_the_reference_on_full_rank_arrivals(kind):
+    # a full-rank purchase moves Y in every direction, so each Y gap
+    # lambda_min(Y_{k-1} - Y_k) is positive and not rounding noise at 0
+    rng = np.random.default_rng(2)
+    arrivals = []
+    for _ in range(10):
+        W = rng.standard_normal((3, 3))
+        arrivals.append(Arrival(W @ W.T / 3.0 + 0.1 * np.eye(3), float(rng.uniform(0.5, 1.5))))
+    inst = Instance(arrivals, 2.0)
+    for variant in ("seq", "sim"):
+        sm, budget = engine_setup(inst, 2.0, variant)
+        x = _decisions(kind, run_stream(sm, budget, inst.arrivals, variant).decisions, inst.m)
+        ref = reference_audit_run(x, inst, sm, budget, variant, 1.0)
+        if kind == "every":
+            assert ref.min_y_gap > 1e-4
+        for steps in (None, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                _small_blocks(mp, inst, steps)
+                assert_reports_match(audit_run(x, inst, sm, budget, variant, p_star=1.0), ref)
+
+
+def test_audit_sim_prices_with_grad_hs_at_zero_until_the_first_purchase():
+    # y(0) may differ from h'(0) by up to 1e-8, so grad_hs(0) = y(0) I is not
+    # Y's starting value h'(0) I; the sim check uses the former
+    inst = _opens_with_a_rejection()
+    _, budget = engine_setup(inst, 2.0, "sim")
+    y0 = 1.0 + 5e-9
+    sm = SmoothedObjective(AtomicMeasure(np.array([0.5]), np.array([0.5 * y0])),
+                           make_objective("dopt"))
+    x = np.zeros(inst.m)
+    x[5] = 1.0
+    ref = reference_audit_run(x, inst, sm, budget, "sim", 1.0)
+    rep = audit_run(x, inst, sm, budget, "sim", p_star=1.0)
+    assert_reports_match(rep, ref)
+    # the worst residual is a rejection before the purchase, priced at y(0) I
+    before = [y0 * np.trace(a.A) / max(1.0, np.trace(a.A)) for a in inst.arrivals[:5]]
+    assert rep.worst_decision_residual == pytest.approx(max(before), rel=1e-12)
+
+
+@pytest.mark.parametrize("steps", [None, 3], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_audit_fails_a_changed_decision_with_the_reference_residual(variant, steps,
+                                                                    monkeypatch):
+    inst = _opens_with_a_rejection()
+    sm, budget = engine_setup(inst, 2.0, variant)
+    x = run_stream(sm, budget, inst.arrivals, variant).decisions.copy()
+    if variant == "seq":
+        k = 9 if x[9] == 0.0 else 8
+        x[k] = 1.0 - x[k]                      # flip a rejection after a purchase
+    else:
+        k = int(np.flatnonzero((x > 0.0) & (x < 1.0))[-1])
+        x[k] = min(1.0, x[k] + 0.1)           # a fractional decision off its root
+    _small_blocks(monkeypatch, inst, steps)
+    ref = reference_audit_run(x, inst, sm, budget, variant, 1.0)
+    rep = audit_run(x, inst, sm, budget, variant, p_star=1.0)
+    assert not rep.decision_consistent and not rep.checks["decisions"] and not rep.passed
+    assert rep.worst_decision_residual > DEFAULT_TOLS["decision"]
+    assert rep.worst_decision_residual == pytest.approx(ref.worst_decision_residual, rel=1e-12)
+    assert_reports_match(rep, ref)
+
+
+def test_audit_never_builds_the_dense_stack_of_the_run(monkeypatch):
+    inst = _opens_with_a_rejection()
+    sm, budget = engine_setup(inst, 2.0, "sim")
+    x = run_stream(sm, budget, inst.arrivals, "sim").decisions
+
+    def refuse(self):
+        raise AssertionError("audit_run read Instance.As")
+
+    monkeypatch.setattr(Instance, "As", property(refuse))
+    assert audit_run(x, inst, sm, budget, "sim", p_star=0.0).passed
+
+
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_audit_decomposes_only_after_purchases(variant):
     inst = _opens_with_a_rejection()
     sm, budget = engine_setup(inst, 2.0, variant)
     x = run_stream(sm, budget, inst.arrivals, variant).decisions
     bought = int(np.count_nonzero(x))
     assert 0 < bought < inst.m and x[0] == 0.0
     p_star = offline_continuous_opt(inst, make_objective("dopt")).value
-    expect = audit_run(x, inst, sm, budget, variant, p_star=p_star).to_dict()
-    grads = _spy(monkeypatch, oracle, "grad_hs")
-    eigs = _spy(monkeypatch, np.linalg, "eigvalsh")
-    rep = audit_run(x, inst, sm, budget, variant, p_star=p_star)
-    assert rep.passed and rep.to_dict() == expect
-    # one gradient per purchase, plus the sim check's gradient at U = 0
-    assert len(grads) == bought + (variant == "sim")
-    # a rejected step leaves Y as it is: no eigvalsh of the zero matrix Y - Y
-    assert not any(np.all(args[0] == 0.0) for args in eigs)
+    for steps in (None, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            block = _small_blocks(mp, inst, steps)
+            expect = audit_run(x, inst, sm, budget, variant, p_star=p_star).to_dict()
+            grads = _spy(mp, oracle, "grad_hs")
+            eigs = _spy(mp, np.linalg, "eigvalsh")
+            rep = audit_run(x, inst, sm, budget, variant, p_star=p_star)
+        assert rep.passed and rep.to_dict() == expect
+        stacks = _stacks(grads, 1, inst.n)
+        # one gradient per purchase, plus the sim check's gradient at U = 0
+        assert sum(len(S) for S in stacks) == bought + (variant == "sim")
+        assert max(len(S) for S in stacks) <= block
+        # a rejected step leaves Y as it is: no eigvalsh of the zero matrix Y - Y
+        assert not any(np.all(M == 0.0) for S in _stacks(eigs, 0, inst.n) for M in S)
 
 
-def test_audit_sim_evaluates_gs_prime_once_per_purchase(monkeypatch):
+def test_audit_sim_evaluates_gs_prime_once_per_purchase():
     # a rejected step leaves u as it is, so its check reuses the replayed z
     inst = _opens_with_a_rejection()
     sm, budget = engine_setup(inst, 2.0, "sim")
     x = run_stream(sm, budget, inst.arrivals, "sim").decisions
     bought = int(np.count_nonzero(x))
     assert 0 < bought < inst.m
-    calls = _spy(monkeypatch, oracle, "gs_prime")
-    assert audit_run(x, inst, sm, budget, "sim", p_star=0.0).decision_consistent
-    assert len(calls) == bought
+    for steps in (None, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            _small_blocks(mp, inst, steps)
+            calls = _spy(mp, oracle, "gs_prime")
+            assert audit_run(x, inst, sm, budget, "sim", p_star=0.0).decision_consistent
+        assert sum(np.size(args[1]) for args in calls) == bought
 
 
 def test_audit_decision_check_uses_the_gradient_after_each_purchase():

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from psdalloc.lowner import AtomicMeasure, SmoothedObjective, grad_hs
 from psdalloc.objectives import (
     TOL_EIG,
     InvalidMatrix,
     NotPSD,
+    make_objective,
     psd_eigs,
     sym,
 )
@@ -86,3 +88,30 @@ def test_not_psd_is_rejected(rng):
     F = rng.standard_normal((6, 2))
     w, _ = psd_eigs(F @ F.T)
     assert w[0] >= -TOL_EIG * np.linalg.norm(F @ F.T)
+
+
+def test_stacks_give_the_per_matrix_results(rng):
+    # the audit decomposes every U_k of a block in one call
+    stack = np.stack([random_psd(rng, 4, scale=s) for s in (0.5, 1.0, 3.0)]
+                     + [np.zeros((4, 4))]).reshape(2, 2, 4, 4)
+    K = rng.standard_normal((4, 4))
+    stack[0, 1] += K - K.T      # not symmetric; sym drops the skew part
+    sm = SmoothedObjective(AtomicMeasure(np.array([0.0, 0.5]), np.array([0.5, 0.25])),
+                           make_objective("dopt"))
+    S, (w, V), G = sym(stack), psd_eigs(stack), grad_hs(sm, stack)
+    assert S.shape == V.shape == G.shape == stack.shape and w.shape == (2, 2, 4)
+    for i in np.ndindex(2, 2):
+        assert np.array_equal(S[i], sym(stack[i]))
+        wi, Vi = psd_eigs(stack[i])
+        assert np.allclose(w[i], wi, rtol=0.0, atol=TOL_EIG * max(1.0, np.abs(wi).max()))
+        assert np.allclose((V[i] * w[i]) @ V[i].T, S[i], rtol=0.0, atol=TOL_EIG * 10.0)
+        assert np.allclose(G[i], grad_hs(sm, stack[i]), rtol=1e-12, atol=1e-14)
+
+
+def test_one_non_psd_matrix_in_a_stack_raises(rng):
+    stack = np.stack([random_psd(rng, 3), np.diag([1.0, -1e-3, 2.0]), np.zeros((3, 3))])
+    with pytest.raises(NotPSD, match="-0.001 below"):
+        psd_eigs(stack)
+    psd_eigs(stack[[0, 2]])     # each of the others passes on its own
+    with pytest.raises(InvalidMatrix):
+        sym(np.ones((2, 3, 4)))
