@@ -51,7 +51,7 @@ def gen_random(n, m, density=1.0, seed=0, b=None):
     if not n >= 1:
         raise ValueError("n must be >= 1, got %r" % (n,))
     if not 0.0 < density <= 1.0:
-        raise ValueError("density must be in (0, 1]")
+        raise ValueError("--density must be in (0, 1], got %r" % (density,))
     rng = np.random.default_rng(seed)
     arrivals = []
     for _ in range(m):
@@ -130,6 +130,8 @@ def cached_design(spec):
 def make_instance(generator, n, m, seed, b=None, density=1.0):
     """One instance from the named generator; both default b to m/5."""
     if generator == "adversarial":
+        if density != 1.0:
+            raise ValueError("--density %r: the adversarial generator takes no density" % (density,))
         return gen_adversarial(n, m, seed, b)
     if generator == "random":
         return gen_random(n, m, density, seed, b)

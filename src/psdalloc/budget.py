@@ -105,16 +105,20 @@ class BudgetSmoother:
 
 
 def _conv(s, x):
-    """F(x) for a float or an array of 0 < x with rate * x <= OVERFLOW_EXP."""
-    r, kappa = s.rate, s.kappa
+    """F(x) for a float or an array of 0 < x with rate * x <= OVERFLOW_EXP.
+
+    A float takes the steps of a one-element array, in fewer numpy calls, and
+    gives the same bits.
+    """
+    r, kappa, one = s.rate, s.kappa, isinstance(x, float)
     S = np.log1p(kappa * x)
-    sv = S[..., None] * NODES
+    sv = (S if one else S[:, None]) * NODES
     v = np.expm1(sv) / kappa
     # exp(r (x - v)) h'(theta v) dv/ds, with exp(r x) taken out
     f = np.exp(sv - r * v) * h_prime(s.objective, s.theta * v)
-    val, check = (f @ WEIGHTS).T * S
-    bad = np.abs(val - check) > CHECK_REL_TOL * val
-    if bad.any():
+    val, check = ((f @ WEIGHTS) * S).tolist() if one else (f @ WEIGHTS).T * S
+    bad = abs(val - check) > CHECK_REL_TOL * val
+    if bad if one else bad.any():
         raise QuadratureError("gs_prime: the Gauss-Legendre rule and its check disagree "
                               "on F(%g) by more than %g" % (np.extract(bad, x)[0], CHECK_REL_TOL))
     return np.exp(r * x) * val / kappa
@@ -122,7 +126,7 @@ def _conv(s, x):
 
 def _F(s, u):
     """F(u) for scalar or array u: 0 on u <= 0, +inf past the overflow guard."""
-    if np.ndim(u) == 0:
+    if isinstance(u, float) or np.ndim(u) == 0:
         u = float(u)
         if s.rate * u > OVERFLOW_EXP:
             return np.inf

@@ -47,9 +47,9 @@ class TraceObjective:
         if self.kind not in KINDS:
             raise ValueError("unknown objective kind %r (one of %s)" % (self.kind, list(KINDS)))
         if self.kind == "pmean" and not self.p > 0:
-            raise ValueError("pmean requires p > 0, got %r" % (self.p,))
+            raise ValueError("pmean requires p > 0 (--p), got %r" % (self.p,))
         if self.kind == "aopt" and self.p != 1.0:
-            raise ValueError("aopt is pmean at p = 1, got p = %r" % (self.p,))
+            raise ValueError("aopt is pmean at p = 1 (--p), got p = %r" % (self.p,))
 
     @property
     def h_prime0(self):

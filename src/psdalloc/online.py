@@ -21,13 +21,15 @@ much as the eigh of U it replaces; the measures in use have at most 24.
 
 The same factor makes the simultaneous root-find scalar:
 
-    <A, grad H_S(U + x A)> = sum_j mu_j sum_i g_ji / (1 + x lambda_j g_ji),
+    <A, grad H_S(U + x A)> = R(x) = sum_j mu_j sum_i g_ji / (1 + x lambda_j g_ji),
 
 where g_j. are the eigenvalues of the k x k matrix G_j = L^T R_j L (for
-k = 1, G_j is the scalar g_j itself).  Phi'' is closed form (the rational
-part by differentiation, gs'' by budget.gs_second), so the root is found by
-Newton steps kept inside the bracket [0, 1] with no matrix work per probe,
-and the purchase reuses R_j L and G_j's eigenvectors.
+k = 1, G_j is the scalar g_j itself).  A probe of Phi' and the closed-form
+Phi'' (gs'' by budget.gs_second) costs one gs' quadrature and no matrix work.
+After the probe at x = 1, gs' and gs'' are known at both ends, so the model
+R(x) + c H(x), H the cubic Hermite interpolant of gs'(u + x c), is solved at
+no quadrature, and exact Newton steps polish its root; both bisect on a step
+that leaves the bracket or fails to halve, and stop at X_TOL relative to x.
 
 The engines keep only their decisions; ``oracle.audit_run`` replays them to
 recompute every dual, price and correction term.
@@ -46,8 +48,30 @@ from .objectives import TOL_EIG, InvalidMatrix, psd_eigs, sym
 
 VARIANTS = ("seq", "sim")
 
-# the simultaneous root-find stops when a Newton step or the bracket is this short
+# the simultaneous root-find stops when a step or the bracket is this short, relative to x
 X_TOL = 1e-12
+
+
+def _newton(dphi, x, f, fp):
+    """Root in [0, 1] of a decreasing dphi, from x with (f, fp) = dphi(x).
+
+    rtsafe's safeguard (Numerical Recipes 9.4): a Newton step that leaves the
+    bracket, or is over half the step before last, becomes a bisection;
+    f = -inf (gs' past the overflow guard) only lowers hi.
+    """
+    lo, hi, last, last2 = 0.0, 1.0, 1.0, 1.0
+    for _ in range(200):
+        lo, hi = (x, hi) if f > 0.0 else (lo, x)
+        if hi - lo <= X_TOL * hi:
+            return x
+        step = f / fp if fp < 0.0 and f > -np.inf else np.inf
+        if abs(step) <= X_TOL * x:
+            return min(max(x - step, lo), hi)
+        halves = lo < x - step < hi and abs(step) <= 0.5 * abs(last2)
+        nxt = x - step if halves else 0.5 * (lo + hi)
+        last2, last, x = last, x - nxt, nxt
+        f, fp = dphi(x)
+    return x
 
 
 class ConfigError(ValueError):
@@ -140,12 +164,13 @@ class OnlineState:
         g, Q = np.linalg.eigh(G)
         return P @ Q, g
 
-    def _take(self, x, arr, split=None):
+    def _take(self, x, arr, split=None, z=None):
         """Commit the decision x; duals refresh only when something is bought.
 
         By Woodbury, buying x L L^T subtracts P_j diag(c_j) P_j^T from R_j,
         c_ji = x lambda_j / (1 + x lambda_j g_ji), and the mu-weighted sum of
         those terms from Y.  c_j vanishes with lambda_j, so no atom divides by it.
+        A caller holding gs' at the new spend passes it as z.
         """
         if x > 0.0:
             P, g = split if split is not None else self._split(arr.L)
@@ -162,7 +187,7 @@ class OnlineState:
             self.Y -= (Z * (self.mu[:, None] * c).ravel()) @ Z.T
             self.U = self.U + x * arr.A
             self.u += x * arr.c
-            self.z = gs_prime(self.budget, self.u)
+            self.z = gs_prime(self.budget, self.u) if z is None else z
         self.decisions.append(x)
         return x
 
@@ -172,43 +197,52 @@ class OnlineState:
         return self._take(1.0 if price > 0.0 else 0.0, arr)
 
     def step_simultaneous(self, arr):
-        """Fractional step maximizing Phi; returns x in [0, 1]."""
-        c, u, s = arr.c, self.u, self.budget
-        d0 = float(np.vdot(arr.A, self.Y)) + c * self.z  # Phi'(0) via cached duals
+        """Fractional step maximizing Phi; returns x in [0, 1], rejecting at no quadrature."""
+        d0 = float(np.vdot(arr.A, self.Y)) + arr.c * self.z  # Phi'(0) via cached duals
         if d0 <= 0.0:
             return self._take(0.0, arr)
-        lam, mu = self.lam, self.mu
+        return self._buy(arr, d0)
+
+    def _buy(self, arr, d0):
+        """Buy at the root of Phi' on [0, 1], given Phi'(0) = d0 > 0.
+
+        Phi'(1) >= 0 buys all, and the x = 1 probe's gs' is the new z; else the
+        model R + c H is solved, then exact Newton from its root polishes it.
+        """
+        c, u, s, z = arr.c, self.u, self.budget, self.z
         split = self._split(arr.L)
-        g = split[1]
-        lg = lam[:, None] * g
+        g, (lam, mu) = split[1].ravel(), np.repeat([self.lam, self.mu], split[1].shape[1], axis=1)
+        lg, ml = lam * g, mu * lam
 
-        def dphi(x, gp):
-            """Phi'(x) and Phi''(x), given gp = gs'(u + x c)."""
-            den = 1.0 + x * lg
-            return (mu @ np.sum(g / den, axis=1) + c * gp,
-                    -(mu @ np.sum(lg * g / den ** 2, axis=1))
-                    + c * c * gs_second(s, u + x * c, gp))
+        def rational(x):
+            """R(x) and R'(x), over the atoms' g_ji."""
+            q = g / (1.0 + x * lg)
+            return float(mu @ q), -float(ml @ (q * q))
 
-        f1, fp1 = dphi(1.0, gs_prime(s, u + c))
+        def exact(x):
+            """Phi'(x) and Phi''(x), at one gs' quadrature."""
+            gp = gs_prime(s, u + x * c)
+            r, dr = rational(x)
+            return r + c * gp, dr + c * c * gs_second(s, u + x * c, gp)
+
+        gp1, (r1, dr1) = gs_prime(s, u + c), rational(1.0)
+        f1 = r1 + c * gp1
         if f1 >= 0.0:
-            return self._take(1.0, arr, split)
-        # Newton from the end with the smaller residual, kept inside (lo, hi)
-        lo, hi = 0.0, 1.0
-        x, f, fp = (0.0, d0, dphi(0.0, self.z)[1]) if d0 < -f1 else (1.0, f1, fp1)
-        for _ in range(100):
-            dx = f / fp
-            if abs(dx) <= X_TOL:
-                x = min(max(x - dx, lo), hi)
-                break
-            x = x - dx if lo < x - dx < hi else 0.5 * (lo + hi)
-            f, fp = dphi(x, gs_prime(s, u + x * c))
-            if f > 0.0:
-                lo = x
-            elif f < 0.0:
-                hi = x
-            if hi - lo <= X_TOL:
-                break
-        return self._take(x, arr, split)
+            return self._take(1.0, arr, split, gp1)
+        m0, m1 = c * c * gs_second(s, u, z), c * c * gs_second(s, u + c, gp1)
+        x, f, fp = (0.0, d0, rational(0.0)[1] + m0) if d0 < -f1 else (1.0, f1, dr1 + m1)
+        if gp1 > -np.inf:
+            # c H from c gs' and its slopes c^2 gs'' at both ends
+            p0, dp = c * z, c * (gp1 - z)
+            a, b = 3.0 * dp - 2.0 * m0 - m1, m0 + m1 - 2.0 * dp
+
+            def model(x):
+                r, dr = rational(x)
+                return r + p0 + x * (m0 + x * (a + x * b)), dr + m0 + x * (2.0 * a + 3.0 * b * x)
+
+            x = _newton(model, x, f, fp)
+            f, fp = exact(x)
+        return self._take(_newton(exact, x, f, fp), arr, split)
 
     def finish(self, variant):
         return RunTrace(self.smoothed, self.budget, variant, self.n,

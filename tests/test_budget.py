@@ -298,13 +298,24 @@ def test_gs_prime_scalar_and_array_calls_agree(kind):
             float(gs_second(s, np.array([ui]), np.array([one]))[0]), rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("kind", ["linear", "dopt", "aopt", "pmean2.0"])
+@pytest.mark.parametrize("variant", ["sim", "seq"])
+def test_gs_prime_float_is_the_one_element_array_to_the_bit(kind, variant):
+    # the engines' scalar calls and the audit's array calls run one rule
+    s = smoother(kind, 2.0, 5.0, 0.5, rho1=1.5 if variant == "seq" else 0.0, variant=variant)
+    for u in np.geomspace(1e-12, 1e3, 400):
+        assert gs_prime(s, float(u)) == gs_prime(s, np.array([u]))[0]
+
+
 def test_quadrature_error_raised(monkeypatch):
-    # a 4-node rule checked by a 3-node one cannot resolve F to 1e-9
+    # a 4-node rule checked by a 3-node one cannot resolve F to 1e-9, at a
+    # float as in the engines and at an array as in the audit
     monkeypatch.setattr(budget, "NODES", budget._rules(4, 3)[0])
     monkeypatch.setattr(budget, "WEIGHTS", budget._rules(4, 3)[1])
     s = smoother("dopt", 2.0, 5.0, 0.5)
-    with pytest.raises(QuadratureError):
-        gs_prime(s, 3.0)
+    for u in (3.0, np.array([0.5, 3.0])):
+        with pytest.raises(QuadratureError):
+            gs_prime(s, u)
 
 
 def test_g_conj():

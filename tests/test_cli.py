@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
+import re
 from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdalloc.bench import ExperimentConfig, _unsmoothed_beta, gen_adversarial
 from psdalloc.budget import BudgetSmoother, b_prime
@@ -159,7 +165,11 @@ def test_run_with_a_matching_design_reports_its_u_max_breach(tmp_path):
     (["design", "--objective", "dopt", "--gamma", "2", "--umax", "inf"], "u_max"),
     (["run", "--n", "0"], "n"),
     (["design", "--objective", "aopt", "--p", "3", "--gamma", "2", "--umax", "5"], "p"),
-], ids=["umax-inf", "n-zero", "aopt-p"])
+    (["run", "--density", "7"], "--density"),
+    (["bench", "--density", "0.5", "--n", "3", "--m", "5"], "--density"),
+    (["run", "--generator", "random", "--density", "7"], "--density"),
+], ids=["umax-inf", "n-zero", "aopt-p", "adversarial-density", "bench-adversarial-density",
+        "random-density"])
 def test_bad_input_exits_2_with_one_line(capsys, argv, name):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -227,3 +237,50 @@ def test_failed_audit_still_exits_1(tmp_path, capsys):
     trace.write_text(json.dumps(payload))
     assert main(["audit", "--trace", str(trace), "--out", str(tmp_path / "a.json")]) == 1
     assert "audit FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "3", "--m", "20", "--gamma", "1e13"],
+    ["--objective", "linear", "--n", "2", "--m", "15", "--generator", "random",
+     "--gamma", "7.81377e7", "--seed", "5", "--b", "0.0463074"],
+    ["--objective", "linear", "--n", "1", "--m", "8", "--generator", "random",
+     "--gamma", "13.3403", "--seed", "96", "--b", "1.05845e-06"],
+], ids=["gamma-1e13", "linear-gamma-7.8e7", "linear-b-1e-6"])
+def test_run_with_a_tiny_root_passes_its_audit(capsys, argv):
+    # tiny sim roots (b' from 1.4e-12 to 6.6e-7): the spend stays within b'
+    # only if the root-find stops relative to x and bisects when Newton stalls
+    assert main(["run"] + argv + ["--out", os.devnull]) == 0
+    assert "audit = True" in capsys.readouterr().err
+
+
+@st.composite
+def run_argvs(draw):
+    """A `run` invocation at small sizes, over the whole accepted range of b and gamma.
+
+    Repeated entries weight the draws toward inputs that run: the exact
+    measures of linear and dopt, and the default density.
+    """
+    return ["run", "--objective", draw(st.sampled_from(["dopt", "linear"] * 3 + ["aopt", "pmean"])),
+            "--p", repr(draw(st.sampled_from([1.0, 0.5, 2.0]))),
+            "--variant", draw(st.sampled_from(["sim", "seq"])),
+            "--generator", draw(st.sampled_from(["adversarial", "random"])),
+            "--density", repr(draw(st.sampled_from([1.0] * 12 + [0.3, 0.0, 7.0, math.nan]))),
+            "--n", str(draw(st.integers(1, 4))), "--m", str(draw(st.integers(1, 20))),
+            "--b", repr(10.0 ** draw(st.floats(-9.0, 9.0))),
+            "--gamma", repr(10.0 ** draw(st.floats(0.0, 15.0))),
+            "--seed", str(draw(st.integers(0, 99))), "--out", os.devnull]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argv=run_argvs())
+def test_every_accepted_run_passes_its_audit_or_names_a_flag(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert "audit = True" in err
+    else:
+        assert code == 2 and err.startswith("psdalloc: error: ") and err.count("\n") == 1
+        assert re.search(r"--[a-z]", err), err

@@ -198,7 +198,7 @@ def test_steps_decompose_only_to_buy(rng, monkeypatch):
 
 
 def _dense_sim_reference(sm, budget, U, u, arr):
-    """The simultaneous decision by bisection on the dense Phi' to 1e-12."""
+    """The simultaneous decision by bisection on the dense Phi' to 1e-12 relative."""
     A, c = arr.A, arr.c
 
     def dphi(x):
@@ -209,7 +209,7 @@ def _dense_sim_reference(sm, budget, U, u, arr):
     if dphi(1.0) >= 0.0:
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if dphi(mid) > 0.0:
             lo = mid
@@ -220,8 +220,9 @@ def _dense_sim_reference(sm, budget, U, u, arr):
 
 @pytest.mark.parametrize("kind", ["dopt", "aopt"])
 def test_simultaneous_rank_k_matches_dense_reference(kind):
-    # zero, rank-one, rank-two and full-rank arrivals through the Woodbury
-    # path, against the dense root-find, for a one-atom and a designed measure
+    # zero, rank-one, -two, -three and full-rank arrivals through the
+    # Woodbury path, against the dense root-find, for a one-atom and a
+    # designed measure
     obj = make_objective(kind)
     if kind == "dopt":
         sm = SmoothedObjective(exact_measure(obj), obj)
@@ -232,23 +233,53 @@ def test_simultaneous_rank_k_matches_dense_reference(kind):
     n = 4
     arrivals = []
     for _ in range(4):
-        W = rng.standard_normal((n, 2))
+        W = rng.standard_normal((n, 3))
         v = rng.standard_normal(n)
-        arrivals += [Arrival(np.zeros((n, n)), 1.0), Arrival(W @ W.T / 2.0, 1.0),
-                     Arrival(np.eye(n), 3.0), Arrival(np.outer(v, v), 0.5)]
-    assert [np.linalg.matrix_rank(a.A) for a in arrivals[:4]] == [0, 2, n, 1]
+        arrivals += [Arrival(np.zeros((n, n)), 1.0), Arrival(W[:, :2] @ W[:, :2].T / 2.0, 1.0),
+                     Arrival(np.eye(n), 3.0), Arrival(np.outer(v, v), 0.5),
+                     Arrival(W @ W.T / 3.0, 0.5)]
+    assert [np.linalg.matrix_rank(a.A) for a in arrivals[:5]] == [0, 2, n, 1, 3]
     budget = BudgetSmoother(obj, 2.0, 4.0, 0.2, 8.0)
     st = OnlineState(sm, budget, n)
     interior_ranks = set()
     for arr in arrivals:
         U, u = st.U, st.u
         x = st.step_simultaneous(arr)
-        assert abs(x - _dense_sim_reference(sm, budget, U, u, arr)) <= 1e-8
+        ref = _dense_sim_reference(sm, budget, U, u, arr)
         if 0.0 < x < 1.0:
+            assert abs(x - ref) <= 1e-10 * ref
             interior_ranks.add(int(np.linalg.matrix_rank(arr.A)))
-    assert {1, 2, n} <= interior_ranks
+        else:
+            assert x == ref
+    assert {1, 2, 3, n} <= interior_ranks
     trace = st.finish("sim")
     assert audit_trace(trace, Instance(arrivals, b=4.0)).passed
+
+
+def test_simultaneous_step_counts_its_quadratures(monkeypatch):
+    # a rejection reads the cached duals; a whole purchase reuses its x = 1
+    # probe as the new z; a fractional purchase solves a model of Phi' first
+    obj = make_objective("dopt")
+    sm = SmoothedObjective(exact_measure(obj), obj)
+    inst = gen_random(20, 200, seed=1)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta)
+    calls = [0]
+
+    def counted_gs(*args, _fn=online.gs_prime):
+        calls[0] += 1
+        return _fn(*args)
+    monkeypatch.setattr(online, "gs_prime", counted_gs)
+    st = OnlineState(sm, budget, inst.n)
+    per_x = {"reject": [], "whole": [], "fractional": []}
+    for arr in inst.arrivals:
+        calls[0] = 0
+        x = st.step_simultaneous(arr)
+        per_x["reject" if x == 0.0 else "whole" if x == 1.0 else "fractional"].append(calls[0])
+        if x == 1.0:
+            assert st.z == gs_prime(budget, st.u)
+    assert min(len(v) for v in per_x.values()) >= 10
+    assert set(per_x["reject"]) == {0} and set(per_x["whole"]) == {1}
+    assert np.mean(per_x["fractional"]) <= 5.0
 
 
 def test_budget_never_exceeds_certificate(rng):
