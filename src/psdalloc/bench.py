@@ -38,7 +38,7 @@ def gen_adversarial(n, m, seed, b=None):
     for t in range(1, m + 1):
         eta = rng.integers(0, 2, size=n) * 2.0 - 1.0
         a = np.sqrt((m - t + 1) / n) * eta
-        arrivals.append(Arrival(np.outer(a, a), 1.0, a[:, None]))
+        arrivals.append(Arrival(a[:, None], 1.0))
     return Instance(arrivals, float(b) if b is not None else m / 5)
 
 
@@ -62,7 +62,7 @@ def gen_random(n, m, density=1.0, seed=0, b=None):
             if np.any(a != 0.0):
                 break
         c = float(rng.uniform(0.5, 1.5))
-        arrivals.append(Arrival(np.outer(a, a), c, a[:, None]))
+        arrivals.append(Arrival(a[:, None], c))
     return Instance(arrivals, float(b) if b is not None else m / 5)
 
 
@@ -127,7 +127,7 @@ def cached_design(spec):
     return _design_cache[spec]
 
 
-def make_instance(generator, n, m, seed, b=None, density=1.0):
+def make_instance(generator="adversarial", n=5, m=50, seed=0, b=None, density=1.0):
     """One instance from the named generator; both default b to m/5."""
     if generator == "adversarial":
         if density != 1.0:

@@ -45,10 +45,16 @@ def cmd_design(args):
 
 
 def _load_instance(args):
+    # run's flags for make_instance, in args only when given; --instance refuses them
+    given = {k: v for k, v in vars(args).items()
+             if k in ("generator", "n", "m", "b", "density", "seed")}
     if args.instance:
+        if given:
+            raise ValueError("--%s is a generator flag; --instance reads the instance from %s"
+                             % (next(iter(given)), args.instance))
         with open(args.instance) as fh:
             return instance_from_dict(json.load(fh))
-    return make_instance(args.generator, args.n, args.m, args.seed, args.b, args.density)
+    return make_instance(**given)
 
 
 def _check_design(spec, args, inst):
@@ -58,8 +64,8 @@ def _check_design(spec, args, inst):
     if spec.variant != args.variant:
         raise ValueError("--measure: design variant %s != --variant %s"
                          % (spec.variant, args.variant))
-    # rho2 is defined only to the TOL_EIG to which Arrival checks L L^T = A;
-    # the seq audit's rho_bound check still judges the run with inst.rho2
+    # an older design file's rho2, from the dense A_t, may differ from the factors' by
+    # TOL_EIG relative; the seq audit's rho_bound check still judges the run with inst.rho2
     if spec.variant == "seq" and spec.rho2 < inst.rho2 * (1.0 - TOL_EIG):
         raise ValueError("--measure: design rho2 %.17g < the instance's rho2 %.17g"
                          % (spec.rho2, inst.rho2))
@@ -173,13 +179,13 @@ def build_parser():
     p.add_argument("--objective", default="dopt")
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--measure", help="design JSON from the design subcommand")
-    p.add_argument("--instance", help="instance JSON (overrides generator flags)")
-    p.add_argument("--generator", default="adversarial", choices=["adversarial", "random"])
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--m", type=int, default=50)
-    p.add_argument("--b", type=float)
-    p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--instance", help="instance JSON, in place of the generator flags")
+    p.add_argument("--generator", choices=["adversarial", "random"], default=argparse.SUPPRESS)
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--m", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--b", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--density", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--variant", default="sim", choices=["sim", "seq"])
     p.add_argument("--out", default="-")

@@ -220,8 +220,11 @@ class _CutLP:
         hs = self.highs
         hs.run()
         status = hs.getModelStatus()
-        if status != self.optimal:
-            raise RuntimeError("design LP failed: %s" % hs.modelStatusToString(status))
+        # the LP's entries grow with gamma: HiGHS drops a cut with one past 1e15, and
+        # at tiny u_max it can lose the LP from about gamma = 1e5
+        if status != self.optimal or hs.getNumRow() != 1 + self.rhs.size:
+            raise ValueError("design LP failed (%s, %d of %d cuts held) at this --gamma" % (
+                hs.modelStatusToString(status), hs.getNumRow() - 1, self.rhs.size))
         sol = hs.getSolution()
         lam = np.maximum(-np.array(sol.row_dual)[1:], 0.0)
         lam /= lam.sum()

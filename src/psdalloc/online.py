@@ -14,10 +14,10 @@ dual pair (Y, z) = (grad H_S(U), gs'(u)).  Two step rules:
 Neither engine decomposes U.  grad H_S is the resolvent sum
 Y = sum_j mu_j R_j with R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, and the
 state holds one R_j per atom of positive weight, starting at I/(1 - lambda_j).
-Each arrival keeps a factor A = L L^T (n x k), so buying x A is a rank-k
-Woodbury update (Hager 1989) of every R_j and of Y; nothing is rebuilt.  A
-purchase costs O(atoms * n^2 * k), so near 50 atoms at n = 50 it costs as
-much as the eigh of U it replaces; the measures in use have at most 24.
+Each arrival is given by its factor L (n x k), A = L L^T, so buying x A is a
+rank-k Woodbury update (Hager 1989) of every R_j and of Y; nothing is
+rebuilt.  A purchase costs O(atoms * n^2 * k), so near 50 atoms at n = 50 it
+costs as much as the eigh of U it replaces; the measures in use have at most 24.
 
 The same factor makes the simultaneous root-find scalar:
 
@@ -44,7 +44,7 @@ from .budget import gs_prime, gs_second
 # tracer rebinds online.grad_hs and online.y_eval (tests/test_bench.py checks
 # every name the tracer binds)
 from .lowner import grad_hs, y_eval  # noqa: F401
-from .objectives import TOL_EIG, InvalidMatrix, psd_eigs, sym
+from .objectives import TOL_EIG, InvalidMatrix, psd_eigs
 
 VARIANTS = ("seq", "sim")
 
@@ -80,40 +80,40 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Arrival:
-    """A PSD matrix A = L L^T with cost c.
+    """A PSD matrix A = L L^T, given by its finite n x k factor L, with cost c > 0.
 
-    Without L the factor comes from psd_eigs(A) (eigenvalues at or below
-    TOL_EIG times the largest are dropped); a given L is checked against A.
+    A is formed once, here, for the prices <A, Y> and the dense audit.  A
+    dense matrix enters through from_matrix.
     """
 
-    A: np.ndarray
+    L: np.ndarray    # n x k
     c: float
-    L: np.ndarray = field(default=None, repr=False, compare=False)  # n x rank
+    A: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        A = sym(self.A)
-        if A.ndim != 2:
-            raise InvalidMatrix("expected a square matrix, got shape %r" % (A.shape,))
-        if self.L is None:
-            w, V = psd_eigs(A)  # raises NotPSD on a bad matrix
-            keep = w > TOL_EIG * max(w[-1], 0.0)
-            L = V[:, keep] * np.sqrt(w[keep])
-        else:
-            L = np.asarray(self.L, dtype=float)
-            if L.ndim != 2 or L.shape[0] != A.shape[0] or not np.isfinite(L).all():
-                raise InvalidMatrix("factor L must be a finite %d x k matrix, got shape %r"
-                                    % (A.shape[0], L.shape))
-            scale = np.max(np.abs(A), initial=0.0)
-            if np.max(np.abs(L @ L.T - A), initial=0.0) > TOL_EIG * scale:
-                raise InvalidMatrix("factor L does not reproduce A = L L^T")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "L", L)
+        L = np.asarray(self.L, dtype=float)
+        if L.ndim != 2 or L.shape[0] < 1 or not np.isfinite(L).all():
+            raise InvalidMatrix("factor L must be a finite n x k matrix with n >= 1, got shape %r"
+                                % (L.shape,))
         if not self.c > 0.0:
             raise ValueError("cost must be positive, got %r" % (self.c,))
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "A", L @ L.T)
+
+    @classmethod
+    def from_matrix(cls, A, c):
+        """The arrival of a dense PSD matrix, factored by psd_eigs (NotPSD on a bad one);
+        eigenvalues at or below TOL_EIG times the largest are dropped."""
+        A = np.asarray(A, dtype=float)
+        if A.ndim != 2:
+            raise InvalidMatrix("expected a square matrix, got shape %r" % (A.shape,))
+        w, V = psd_eigs(A)
+        keep = w > TOL_EIG * max(w[-1], 0.0)
+        return cls(V[:, keep] * np.sqrt(w[keep]), c)
 
     @property
     def n(self):
-        return self.A.shape[0]
+        return self.L.shape[0]
 
 
 @dataclass

@@ -26,7 +26,7 @@ AUDIT_BLOCK_FLOATS floats (see audit_run), so the m x n x n stack of the
 whole run is never built.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,16 +75,13 @@ class Instance:
             raise ValueError("instance needs at least one arrival")
         if not self.b > 0.0:
             raise ValueError("budget must be positive")
+        n = self.arrivals[0].n
+        for t, a in enumerate(self.arrivals):
+            if a.n != n:
+                raise ValueError("arrival %d has n = %d, arrival 0 has n = %d" % (t, a.n, n))
         stats = instance_stats(self.arrivals)
         for k, v in stats.items():
             setattr(self, k, v)
-        self._As = None
-
-    @property
-    def As(self):
-        if self._As is None:
-            self._As = np.stack([a.A for a in self.arrivals])
-        return self._As
 
     @property
     def costs(self):
@@ -98,8 +95,7 @@ def instance_stats(arrivals):
     engines reject a zero arrival and it adds nothing to P*, so it can set
     neither the density nor the largest cost that can be spent.  lambda_max
     of A = L L^T is that of the k x k Gram matrix L^T L (0 at rank 0), one
-    batched eigvalsh per rank, so no n x n matrix is decomposed; it is exact
-    to the TOL_EIG * max|A| to which Arrival checks L against A.
+    batched eigvalsh per rank, so no n x n matrix is decomposed.
     """
     traces = np.array([np.trace(a.A) for a in arrivals])
     if not np.any(traces > 0.0):
@@ -125,17 +121,29 @@ def instance_stats(arrivals):
 
 
 def instance_to_dict(inst):
+    """The budget and each arrival's factor "L" and cost "c"."""
     return {
         "b": inst.b,
-        "arrivals": [{"A": a.A.tolist(), "c": a.c} for a in inst.arrivals],
+        "arrivals": [{"L": a.L.tolist(), "c": a.c} for a in inst.arrivals],
     }
 
 
+def _key(d, where, *keys):
+    """d[k] for the first of keys in d; none there is a ValueError that names them."""
+    for k in keys:
+        if k in d:
+            return d[k]
+    raise ValueError("%s has no %s key" % (where, " or ".join(map(repr, keys))))
+
+
 def instance_from_dict(d):
+    """Inverse of instance_to_dict; an arrival may give the dense "A" of older files."""
     from .online import Arrival
-    arrivals = [Arrival(np.asarray(e["A"], dtype=float), float(e["c"]))
-                for e in d["arrivals"]]
-    return Instance(arrivals, float(d["b"]))
+    arrivals = []
+    for t, e in enumerate(_key(d, "instance", "arrivals")):
+        where, make = "arrival %d" % t, Arrival if "L" in e else Arrival.from_matrix
+        arrivals.append(make(_key(e, where, "L", "A"), float(_key(e, where, "c"))))
+    return Instance(arrivals, float(_key(d, "instance", "b")))
 
 
 def project_box_budget(v, c, b):
@@ -248,7 +256,7 @@ def offline_integer_opt(inst, obj, max_m=22):
     m, batch = inst.m, 65536     # subsets per batched eigvalsh
     if m > max_m:
         raise CapacityError("m = %d exceeds the enumeration cap %d" % (m, max_m))
-    As, c = inst.As, inst.costs
+    As, c = np.stack([a.A for a in inst.arrivals]), inst.costs
     best_val, best_bits = 0.0, np.zeros(m)
     shifts = np.arange(m)
     for start in range(0, 2 ** m, batch):
@@ -287,11 +295,7 @@ class AuditReport:
     checks: dict
 
     def to_dict(self):
-        out = {k: getattr(self, k) for k in (
-            "variant", "m", "budget_used", "b_prime", "budget_residual",
-            "decision_consistent", "worst_decision_residual", "max_z_step",
-            "min_y_gap", "telescope_residual", "dual_gap_residual",
-            "rho_bound_residual", "d_value", "p_star", "passed")}
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["checks"] = {k: bool(v) for k, v in self.checks.items()}  # numpy bools break json
         return out
 

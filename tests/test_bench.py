@@ -123,7 +123,7 @@ def test_config_rejects_unknown_keys():
 @pytest.mark.parametrize("variant", ["seq", "sim"])
 def test_run_one_zero_trace_arrival(variant):
     # the zero arrival is rejected and sets no density: theta comes from eye(2)
-    inst = Instance([Arrival(np.zeros((2, 2)), 1.0), Arrival(np.eye(2), 1.0)], 1.0)
+    inst = Instance([Arrival(np.zeros((2, 0)), 1.0), Arrival(np.eye(2), 1.0)], 1.0)
     assert inst.theta == inst.Theta == 2.0
     obj = make_objective("dopt")
     smoother = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tempfile
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -89,6 +90,43 @@ def test_audit_reads_a_run_file_in_the_old_measure_layout(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_audit_reads_a_run_file_with_dense_arrivals(tmp_path, capsys, variant):
+    trace = tmp_path / "run.json"
+    assert main(["run", "--generator", "random", "--variant", variant, "--n", "4",
+                 "--m", "12", "--b", "3", "--out", str(trace)]) == 0
+    payload = json.loads(trace.read_text())
+    arrivals = payload["instance"]["arrivals"]
+    # a run file stores each arrival's factor, never its dense matrix
+    assert all(set(e) == {"L", "c"} for e in arrivals)
+    # older run files wrote each arrival as its dense matrix "A"
+    for e in arrivals:
+        L = np.asarray(e.pop("L"))
+        e["A"] = (L @ L.T).tolist()
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload))
+    assert main(["audit", "--trace", str(old), "--out", str(tmp_path / "audit.json")]) == 0
+    assert "audit PASS" in capsys.readouterr().err
+
+
+def test_run_replays_an_instance_file_in_either_layout(tmp_path):
+    first, again, dense = tmp_path / "run.json", tmp_path / "again.json", tmp_path / "dense.json"
+    assert main(["run", "--generator", "random", "--n", "4", "--m", "12", "--b", "3",
+                 "--out", str(first)]) == 0
+    payload = json.loads(first.read_text())
+    (tmp_path / "inst.json").write_text(json.dumps(payload["instance"]))
+    assert main(["run", "--instance", str(tmp_path / "inst.json"), "--out", str(again)]) == 0
+    assert json.loads(again.read_text()) == payload
+    for e in payload["instance"]["arrivals"]:
+        L = np.asarray(e.pop("L"))
+        e["A"] = (L @ L.T).tolist()
+    (tmp_path / "inst.json").write_text(json.dumps(payload["instance"]))
+    assert main(["run", "--instance", str(tmp_path / "inst.json"), "--out", str(dense)]) == 0
+    # a dense arrival is factored again, so its decisions agree to rounding
+    np.testing.assert_allclose(json.loads(dense.read_text())["decisions"], payload["decisions"],
+                               rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["seq", "sim"])
 def test_run_boundary_layer_instance(tmp_path, capsys, variant):
     # theta = 16.56: the integrand of gs' has a boundary layer of width 1/theta
     out = tmp_path / "run.json"
@@ -156,9 +194,20 @@ def test_run_with_a_matching_design_reports_its_u_max_breach(tmp_path):
     # the design certifies lambda_max(U) <= u_max = 10 only, and this run
     # goes past it, as bench gates it
     inst = instance_from_dict(payload["instance"])
-    U = np.tensordot(np.asarray(payload["decisions"]), inst.As, axes=1)
+    As = np.stack([a.A for a in inst.arrivals])
+    U = np.tensordot(np.asarray(payload["decisions"]), As, axes=1)
     assert float(np.linalg.eigvalsh(U)[-1]) > design["u_max"] + 1e-12
     assert report["umax_breached"] is True
+
+
+# instance files, each with one fault
+BAD_INSTANCES = {
+    "no-b.json": {"arrivals": [{"L": [[1.0], [0.0]], "c": 1.0}]},
+    "no-c.json": {"b": 1.0, "arrivals": [{"L": [[1.0], [0.0]]}]},
+    "no-factor.json": {"b": 1.0, "arrivals": [{"L": [[1.0], [0.0]], "c": 1.0}, {"c": 1.0}]},
+    "two-n.json": {"b": 1.0, "arrivals": [{"L": [[1.0], [0.0]], "c": 1.0},
+                                          {"L": [[1.0], [0.0], [2.0]], "c": 1.0}]},
+}
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -168,9 +217,18 @@ def test_run_with_a_matching_design_reports_its_u_max_breach(tmp_path):
     (["run", "--density", "7"], "--density"),
     (["bench", "--density", "0.5", "--n", "3", "--m", "5"], "--density"),
     (["run", "--generator", "random", "--density", "7"], "--density"),
+    (["run", "--instance", "no-b.json"], "'b'"),
+    (["run", "--instance", "no-c.json"], "'c'"),
+    (["run", "--instance", "no-factor.json"], "'L'"),
+    (["run", "--instance", "two-n.json"], "n"),
+    (["run", "--instance", "no-b.json", "--seed", "3"], "--seed"),
 ], ids=["umax-inf", "n-zero", "aopt-p", "adversarial-density", "bench-adversarial-density",
-        "random-density"])
-def test_bad_input_exits_2_with_one_line(capsys, argv, name):
+        "random-density", "instance-no-b", "arrival-no-c", "arrival-no-factor",
+        "arrivals-of-two-n", "instance-with-a-generator-flag"])
+def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, name):
+    monkeypatch.chdir(tmp_path)
+    for path, instance in BAD_INSTANCES.items():
+        (tmp_path / path).write_text(json.dumps(instance))
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("psdalloc: error: ") and err.count("\n") == 1
@@ -181,7 +239,8 @@ def test_bad_input_exits_2_with_one_line(capsys, argv, name):
 @pytest.mark.parametrize("argv,word", [
     (["bench", "--generator", "foo"], "'foo'"),
     (["run", "--objective", "aopt", "--n", "3", "--m", "5"], "(--measure)"),
-], ids=["unknown-generator", "aopt-without-measure"])
+    (["design", "--gamma", "1e15", "--umax", "10", "--q", "10", "--d", "10"], "--gamma"),
+], ids=["unknown-generator", "aopt-without-measure", "design-lp-at-gamma-1e15"])
 def test_refused_input_exits_2_with_one_line(capsys, argv, word):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -281,6 +340,46 @@ def test_every_accepted_run_passes_its_audit_or_names_a_flag(argv):
     assert "Traceback" not in err
     if code == 0:
         assert "audit = True" in err
+    else:
+        assert code == 2 and err.startswith("psdalloc: error: ") and err.count("\n") == 1
+        assert re.search(r"--[a-z]", err), err
+
+
+@st.composite
+def bench_configs(draw):
+    """An ExperimentConfig for `bench --config`: small sizes, q and d up to 40, any b and gamma.
+
+    Weighted as run_argvs is; umax_override is mostly left to group_spec.
+    """
+    return {"objective": draw(st.sampled_from(["dopt", "linear"] * 3 + ["aopt", "pmean"])),
+            "p": draw(st.sampled_from([1.0, 0.5, 2.0])),
+            "variants": draw(st.sampled_from([["sim"], ["seq"], ["sim", "seq"]])),
+            "generator": draw(st.sampled_from(["adversarial", "random"])),
+            "density": draw(st.sampled_from([1.0] * 12 + [0.3, 0.0, 7.0])),
+            "n": draw(st.integers(1, 4)), "m": draw(st.integers(1, 12)),
+            "b": 10.0 ** draw(st.floats(-9.0, 9.0)),
+            "gammas": [10.0 ** g for g in draw(st.lists(st.floats(0.0, 15.0), min_size=1,
+                                                          max_size=2))],
+            "repeats": draw(st.integers(1, 2)), "seed": draw(st.integers(0, 99)),
+            "q": draw(st.integers(2, 40)), "d": draw(st.integers(2, 40)),
+            "umax_override": draw(st.sampled_from([None] * 4 + [1e-3, 10.0])),
+            "out": os.devnull}
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(config=bench_configs())
+def test_every_accepted_bench_passes_its_audits_or_names_a_flag(config):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stderr(err):
+            code = main(["bench", "--config", path])
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert re.fullmatch(r"(\d+) runs, \1 audits passed, csv: .*\n", err), err
     else:
         assert code == 2 and err.startswith("psdalloc: error: ") and err.count("\n") == 1
         assert re.search(r"--[a-z]", err), err

@@ -277,6 +277,18 @@ def test_cut_lp_warm_resolves_match_cold_linprog():
         assert lb >= values[k] - 1e-7
 
 
+@pytest.mark.parametrize("gamma,u_max,held", [(1e15, 10.0, r"0 of \d+"),
+                                               (8.8e11, 97.2, "28 of 29")],
+                         ids=["every-cut-refused", "one-cut-refused"])
+def test_cut_lp_failure_is_an_input_error_naming_gamma(gamma, u_max, held):
+    # the LP's entries grow with gamma; HiGHS drops a row with an entry past 1e15,
+    # so the LP it solves is not the one the cutting-plane loop built
+    spec = DesignSpec(make_objective("pmean", 2.0), gamma, u_max, 37, 14, "seq", 3.7)
+    with pytest.raises(ValueError, match=r"design LP failed \(.*, %s cuts held\) at this --gamma"
+                       % held):
+        design_hs(spec)
+
+
 def test_cut_lp_names_scipy_version_without_highs(monkeypatch):
     import scipy
 

@@ -13,7 +13,7 @@ from psdalloc.lowner import (
     hs_trace_lift,
     y_eval,
 )
-from psdalloc.objectives import InvalidMatrix, h_conj, make_objective, trace_lift
+from psdalloc.objectives import InvalidMatrix, NotPSD, h_conj, make_objective, trace_lift
 from psdalloc.online import (
     Arrival,
     ConfigError,
@@ -35,21 +35,29 @@ def small_stream(rng, n=3, m=8):
     arrivals = []
     for _ in range(m):
         v = rng.standard_normal(n)
-        arrivals.append(Arrival(np.outer(v, v), float(rng.uniform(0.5, 1.5))))
+        arrivals.append(Arrival(v[:, None], float(rng.uniform(0.5, 1.5))))
     return arrivals
 
 
-def test_arrival_validation():
-    with pytest.raises(Exception):
-        Arrival(np.diag([1.0, -1.0]), 1.0)
+def test_arrival_validation(rng):
+    with pytest.raises(NotPSD):
+        Arrival.from_matrix(np.diag([1.0, -1.0]), 1.0)
     with pytest.raises(ValueError):
         Arrival(np.eye(2), 0.0)
-    a = Arrival(np.array([[1.0, 0.3], [0.3001, 1.0]]), 1.0)
+    a = Arrival.from_matrix(np.array([[1.0, 0.3], [0.3001, 1.0]]), 1.0)
     assert np.array_equal(a.A, a.A.T)
     assert a.n == 2
     # sym and psd_eigs take stacks; an arrival is one matrix
     with pytest.raises(InvalidMatrix, match="square matrix"):
-        Arrival(np.stack([np.eye(2), np.eye(2)]), 1.0)
+        Arrival.from_matrix(np.stack([np.eye(2), np.eye(2)]), 1.0)
+    # a factor is a finite matrix with at least one row
+    for bad in (np.array([[1.0], [np.nan]]), np.array([[np.inf]]), np.ones(3), np.ones((0, 2))):
+        with pytest.raises(InvalidMatrix, match="factor"):
+            Arrival(bad, 1.0)
+    v = rng.standard_normal(4)
+    dense, factored = Arrival.from_matrix(np.outer(v, v), 0.7), Arrival(v[:, None], 0.7)
+    assert dense.L.shape == (4, 1)
+    np.testing.assert_allclose(dense.A, factored.A, rtol=0, atol=1e-14 * np.dot(v, v))
 
 
 def test_state_config_mismatch():
@@ -73,7 +81,7 @@ def test_run_stream_variant_and_dimension_checks(rng):
         run_stream(sm, budget, arrivals, "parallel")
     with pytest.raises(ConfigError):
         run_stream(sm, budget, [], "sim")
-    bad = arrivals[:2] + [Arrival(np.eye(4), 1.0)]
+    bad = arrivals[:2] + [Arrival(np.eye(4), 1.0)]   # A = I, n = 4
     with pytest.raises(ConfigError):
         run_stream(sm, budget, bad, "sim")
 
@@ -110,7 +118,7 @@ def test_sequential_tie_rejects():
     sm = SmoothedObjective(exact_measure(obj), obj)
     budget = BudgetSmoother(obj, 2.0, 4.0, 0.5, 2.0)
     st = OnlineState(sm, budget, 2)
-    zero = Arrival(np.zeros((2, 2)), 1.0)
+    zero = Arrival(np.zeros((2, 0)), 1.0)
     assert st.step_sequential(zero) == 0.0
 
 
@@ -171,8 +179,8 @@ def test_steps_decompose_only_to_buy(rng, monkeypatch):
     sm = SmoothedObjective(exact_measure(obj), obj)
     budget = BudgetSmoother(obj, 2.0, 4.0, 0.5, 2.0)
     tight = BudgetSmoother(obj, 2.0, 0.5, 0.5, 2.0)
-    zero = Arrival(np.zeros((3, 3)), 1.0)
-    ones = Arrival(np.ones((3, 3)), 1.0)   # rank one
+    zero = Arrival(np.zeros((3, 0)), 1.0)
+    ones = Arrival(np.ones((3, 1)), 1.0)   # A = ones((3, 3)), rank one
     (arr,) = small_stream(rng, m=1)
     calls = {"eigh": 0, "eigvalsh": 0, "gs_prime": 0}
     for name in ("eigh", "eigvalsh"):
@@ -235,9 +243,10 @@ def test_simultaneous_rank_k_matches_dense_reference(kind):
     for _ in range(4):
         W = rng.standard_normal((n, 3))
         v = rng.standard_normal(n)
-        arrivals += [Arrival(np.zeros((n, n)), 1.0), Arrival(W[:, :2] @ W[:, :2].T / 2.0, 1.0),
-                     Arrival(np.eye(n), 3.0), Arrival(np.outer(v, v), 0.5),
-                     Arrival(W @ W.T / 3.0, 0.5)]
+        arrivals += [Arrival.from_matrix(np.zeros((n, n)), 1.0),
+                     Arrival.from_matrix(W[:, :2] @ W[:, :2].T / 2.0, 1.0),
+                     Arrival.from_matrix(np.eye(n), 3.0), Arrival.from_matrix(np.outer(v, v), 0.5),
+                     Arrival.from_matrix(W @ W.T / 3.0, 0.5)]
     assert [np.linalg.matrix_rank(a.A) for a in arrivals[:5]] == [0, 2, n, 1, 3]
     budget = BudgetSmoother(obj, 2.0, 4.0, 0.2, 8.0)
     st = OnlineState(sm, budget, n)
@@ -385,7 +394,7 @@ def test_rank_k_purchases_and_zero_node_atoms(measure, variant):
     arrivals = []
     for t in range(40):
         W = rng.standard_normal((n, 2 + t % 2))
-        arrivals.append(Arrival(W @ W.T, float(rng.uniform(0.5, 1.5))))
+        arrivals.append(Arrival(W, float(rng.uniform(0.5, 1.5))))
     assert {a.L.shape[1] for a in arrivals} == {2, 3}
     inst = Instance(arrivals, b=8.0)
     budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
@@ -401,19 +410,16 @@ def test_rank_k_purchases_and_zero_node_atoms(measure, variant):
 
 def test_arrival_from_factor(rng):
     a = rng.standard_normal(5)
-    dense, factored = Arrival(np.outer(a, a), 0.7), Arrival(np.outer(a, a), 0.7, a[:, None])
-    assert np.array_equal(factored.A, dense.A)
+    factored = Arrival(a[:, None], 0.7)
+    assert np.array_equal(factored.A, np.outer(a, a))
     assert np.array_equal(factored.L, a[:, None])
     W = rng.standard_normal((5, 2))
-    assert np.array_equal(Arrival(W @ W.T, 1.0, W).A, Arrival(W @ W.T, 1.0).A)
-    for bad in (a, a[None, :], a[:4, None], np.where(np.arange(5) == 2, np.nan, a)[:, None]):
-        with pytest.raises(ValueError, match="factor"):
-            Arrival(np.outer(a, a), 1.0, bad)
-    with pytest.raises(ValueError, match="factor"):
-        Arrival(np.outer(a, a), 1.0, 2.0 * a[:, None])   # L L^T != A
+    assert np.array_equal(Arrival(W, 1.0).A, W @ W.T)
+    np.testing.assert_allclose(Arrival.from_matrix(W @ W.T, 1.0).A, W @ W.T,
+                               rtol=0, atol=1e-13 * np.max(np.abs(W @ W.T)))
     for c in (0.0, -1.0):
         with pytest.raises(ValueError, match="cost"):
-            Arrival(np.outer(a, a), c, a[:, None])
+            Arrival(a[:, None], c)
 
 
 def test_generated_arrivals_decompose_nothing(monkeypatch):
