@@ -51,6 +51,16 @@ def test_run_sim_reports_gamma_plus_one_bound(tmp_path):
     assert report["umax_breached"] is False  # the gamma + 1 bound has no u_max gate
 
 
+def test_run_at_a_tiny_budget_reports_a_certified_p_star(tmp_path):
+    # with f near 1e-9 a stop on an absolute gap ends at the starting point,
+    # which reports P* = 3e-9 and a ratio of 3.77
+    out = tmp_path / "run.json"
+    assert main(["run", "--n", "3", "--m", "5", "--b", "1e-9", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["p_star"] == pytest.approx(5e-9, rel=1e-7)
+    assert report["ratio"] == pytest.approx(report["budget_used"] / 1e-9, rel=1e-6)
+
+
 def test_design_reports_lp_gap(tmp_path, capsys):
     out = tmp_path / "design.json"
     assert main(["design", "--objective", "aopt", "--gamma", "1.5", "--umax", "8",

@@ -173,6 +173,30 @@ def test_projection_is_euclidean_nearest(seed):
             assert d0 <= np.sum((y - v) ** 2) + 1e-7
 
 
+@given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e4, 1e8]))
+def test_projection_of_a_far_point_spends_b_to_rounding(seed, scale):
+    # the offline solver projects x + s g with s up to 1e8; there v - tau c
+    # cancels, and without a correction the spend misses b by about 1e-8 b
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 200))
+    c = rng.uniform(0.1, 10.0, size=m)
+    v = rng.normal(size=m) * scale
+    b = float(rng.uniform(0.05, 0.95)) * float(c @ np.clip(v, 0.0, 1.0))
+    assume(b > 0.0)
+    x, _ = project_box_budget(v, c, b)
+    assert np.all(x >= 0.0) and np.all(x <= 1.0)
+    assert abs(float(c @ x) - b) <= 1e-12 * b
+
+
+def test_projection_is_relative_to_a_tiny_budget():
+    # an overspend of 1e-13 is within an absolute 1e-12 but 1e-4 of b = 1e-9
+    c = np.array([1.0, 2.0])
+    v = np.array([0.5e-9, 0.25e-9]) * (1.0 + 1e-4)
+    x, tau = project_box_budget(v, c, 1e-9)
+    assert float(c @ x) <= 1e-9 * (1.0 + 1e-12)
+    assert tau > 0.0
+
+
 def bisect_projection(v, c, b):
     """Reference: the budget multiplier by 100 bisection steps on [0, max v/c]."""
     x = np.clip(v, 0.0, 1.0)
@@ -276,6 +300,67 @@ def test_continuous_opt_gap_certificate(kind, reference):
         x = rng.uniform(0.0, 1.0, inst.m)
         x *= min(1.0, inst.b / float(inst.costs @ x))
         assert objective_value(obj, inst, x) <= res.upper
+
+
+@pytest.mark.parametrize("kind", ["dopt", "aopt", "pmean3"])
+def test_continuous_opt_stop_is_relative_at_a_tiny_budget(kind):
+    # f is about 1e-8 here: a gap stop at OFFLINE_TOL * max(1, f) is met at
+    # the starting point, a third below P*
+    inst = gen_random(10, 100, 1.0, 2, 1e-9)
+    res = offline_continuous_opt(inst, make_objective(kind))
+    assert 0.0 < res.value <= res.upper <= res.value + OFFLINE_TOL * res.value
+
+
+@pytest.mark.parametrize("kind", ["dopt", "aopt"])
+def test_continuous_opt_decomposes_each_point_once(kind, monkeypatch):
+    # the instance of test_continuous_opt_gap_certificate, where projected
+    # gradient with a monotone search takes 57 (dopt) and 61 (aopt) iterations
+    inst = gen_random(50, 500, 1.0, 1, 10.0)
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    res = offline_continuous_opt(inst, make_objective(kind))
+    assert res.iterations <= 40
+    assert calls["eigvalsh"] == 0
+    assert calls["eigh"] <= res.iterations + 5
+
+
+@st.composite
+def offline_cases(draw):
+    """A small instance with ranks 0..3 (at least one arrival nonzero), b over 1e-9..1e3."""
+    n = draw(st.integers(1, 5))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=30))
+    assume(any(ranks))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arrivals = [Arrival(rng.standard_normal((n, k)), float(rng.uniform(0.1, 10.0)))
+                for k in ranks]
+    b = 10.0 ** draw(st.floats(-9.0, 3.0))
+    kind = draw(st.sampled_from(["dopt", "aopt", "linear", "pmean0.5", "pmean3"]))
+    return Instance(arrivals, b), make_objective(kind), rng
+
+
+@settings(max_examples=200, derandomize=True)
+@given(offline_cases())
+def test_continuous_opt_certificate_holds_on_any_instance(case):
+    inst, obj, rng = case
+    res = offline_continuous_opt(inst, obj)
+    c, b = inst.costs, inst.b
+    assert np.all((res.x >= 0.0) & (res.x <= 1.0))
+    assert float(c @ res.x) <= b * (1.0 + 1e-12) + 1e-15
+    assert res.value == pytest.approx(objective_value(obj, inst, res.x), rel=1e-12)
+    assert res.value <= res.upper
+    # the dense H agrees with the factored one to rounding, so compare at 1e-12
+    for _ in range(20):
+        x = rng.uniform(0.0, 1.0, inst.m)
+        x *= min(1.0, b / float(c @ x))
+        assert objective_value(obj, inst, x) <= res.upper * (1.0 + 1e-12)
 
 
 def test_continuous_opt_kkt_multiplier(rng):
