@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -229,7 +230,17 @@ def main(argv=None):
     """Run one subcommand; a bad input exits 2 with a one-line error, as argparse does."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): not a bad input, so no error line; stdout
+        # goes to devnull so the flush at exit stays quiet; 141 is 128 + SIGPIPE
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):   # a stdout with no file descriptor
+            pass
+        return 141
     except (ValueError, OSError) as exc:   # every validation error, bad JSON, a missing file
         print("psdalloc: error: %s" % exc, file=sys.stderr)
         return 2

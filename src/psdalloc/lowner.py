@@ -17,10 +17,11 @@ smallest eigenvalue of grad H_S(U') - grad H_S(U) for U' <= U.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .objectives import TraceObjective, psd_eigs, sym
+from .objectives import TraceObjective, psd_eigs
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,14 @@ class AtomicMeasure:
     def y0(self):
         """y(0) = sum_j mu_j / (1 - lambda_j), the slope of h_S at zero."""
         return float(np.sum(self.weights / (1.0 - self.nodes)))
+
+    @cached_property
+    def live(self):
+        """The atoms of positive weight, all that y and h_S sum; self if that is all or none."""
+        keep = self.weights > 0.0
+        if keep.all() or not keep.any():
+            return self
+        return AtomicMeasure(self.nodes[keep], self.weights[keep])
 
 
 def phi_primitive(u, lam):
@@ -102,9 +111,14 @@ def hs_trace_lift(smoothed, M):
 
 
 def grad_hs(smoothed, M):
-    """Gradient of H_S: the mixture y applied through the spectrum of M, or of each in a stack."""
+    """Gradient of H_S: the mixture y applied through the spectrum of M, or of each in a stack.
+
+    y sums over the live atoms only, and W W^T with W = V sqrt(y(w)) is exactly
+    symmetric as matmul gives it (syrk), so it needs no sym pass.
+    """
     w, V = psd_eigs(M)
-    return sym((V * y_eval(smoothed.measure, w)[..., None, :]) @ np.swapaxes(V, -1, -2))
+    W = V * np.sqrt(y_eval(smoothed.measure.live, w))[..., None, :]
+    return W @ np.swapaxes(W, -1, -2)
 
 
 def exact_measure(obj):

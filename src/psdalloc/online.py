@@ -82,8 +82,9 @@ class ConfigError(ValueError):
 class Arrival:
     """A PSD matrix A = L L^T, given by its finite n x k factor L, with cost c > 0.
 
-    A is formed once, here, for the prices <A, Y> and the dense audit.  A
-    dense matrix enters through from_matrix.
+    A is formed once, here, for the engines' prices <A, Y> and the purchases
+    x A that enter U; the audit prices from L.  A dense matrix enters through
+    from_matrix.
     """
 
     L: np.ndarray    # n x k
@@ -143,8 +144,7 @@ class OnlineState:
         self.n = n
         self.U = np.zeros((n, n))
         self.u = 0.0
-        live = smoothed.measure.weights > 0.0
-        self.lam, self.mu = smoothed.measure.nodes[live], smoothed.measure.weights[live]
+        self.lam, self.mu = smoothed.measure.live.nodes, smoothed.measure.live.weights
         # R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, one per atom of positive weight
         self.R = np.eye(n) / (1.0 - self.lam)[:, None, None]
         self.Y = np.tensordot(self.mu, self.R, axes=1)

@@ -22,10 +22,11 @@ work from n x sum(k) data, where products with the dense m x n x n stack move
 m n^2 floats.  The exhaustive integer optimum is available for small m.
 
 Audits replay a recorded decision sequence from scratch and check every
-inequality the guarantees rest on.  The replay is dense, on the A_t
-themselves, and batched over blocks of steps whose stacked A_t hold about
-AUDIT_BLOCK_FLOATS floats (see audit_run), so the m x n x n stack of the
-whole run is never built.
+inequality the guarantees rest on.  The replay is dense in the aggregates
+and duals, batched over blocks of steps (see audit_run), and prices each
+step from its factor, <A_t, Y> = sum of l^T Y l over the columns l of L_t,
+so it reads no A_t of a rejected arrival and never builds the m x n x n
+stack of the whole run.
 """
 
 from dataclasses import dataclass, field, fields
@@ -33,7 +34,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .budget import b_prime, g_conj, gs_prime, gs_value
-from .lowner import grad_hs, hs_trace_lift, y_eval
+# hs_trace_lift is unused here; it stays bound because the perfbench tracer
+# rebinds oracle.hs_trace_lift (tests/test_bench.py checks every name the tracer binds)
+from .lowner import grad_hs, hs_eval, hs_trace_lift, y_eval  # noqa: F401
 from .objectives import h_conj, h_eval, h_prime, psd_eigs
 
 DEFAULT_TOLS = {
@@ -48,7 +51,8 @@ DEFAULT_TOLS = {
 }
 OFFLINE_TOL = 1e-7          # stop when the Frank-Wolfe gap is at most this times f
 OFFLINE_MAX_ITERS = 5000
-# the audit replays a run in blocks of steps whose stacked A_t hold about this many floats
+# the audit replays a run in blocks of steps whose factor columns, one n x n dual
+# gathered for each, hold at most this many floats
 AUDIT_BLOCK_FLOATS = 2 ** 22
 
 
@@ -310,6 +314,17 @@ class AuditReport:
         return out
 
 
+def _prices(duals, which, cols, cstep, steps):
+    """<A_t, duals[which[t]]> for each of the steps t, from the factor A_t = L_t L_t^T.
+
+    cols holds columns l of the factors as rows and cstep the step of each; a
+    step's price is the sum of l^T D l over its columns, so a step with none
+    among cols (a rank-0 arrival, or one left out) prices at exactly 0.
+    """
+    q = np.einsum("ki,ki->k", (duals[which[cstep]] @ cols[:, :, None])[:, :, 0], cols)
+    return np.bincount(cstep, q, minlength=steps)
+
+
 def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     """Replay a decision sequence from scratch and verify every guarantee.
 
@@ -322,17 +337,21 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     at the replayed z = gs'(u): u changes only on a purchase, which recomputes
     z, and gs'(0) = 0 is the initial z.
 
-    The replay runs over blocks of consecutive steps whose stacked dense A_t
-    hold about AUDIT_BLOCK_FLOATS floats.  In each block the aggregates U_k
-    and spends u_k after its purchases are running sums (np.cumsum, in stream
-    order, from the totals carried in), and the duals Y_k = grad H_S(U_k) and
-    z_k = gs'(u_k) come from one stacked grad_hs call and one array gs_prime
-    call.  Every price and decision residual is then an einsum of the block's
-    A_t against the duals in force at that step, and the monotonicity of Y is
+    The replay runs over blocks of AUDIT_BLOCK_FLOATS / (n^2 k) consecutive
+    steps, k the largest rank, so that the n x n duals gathered for a block's
+    factor columns hold at most AUDIT_BLOCK_FLOATS floats.  In each block the
+    aggregates U_k and spends u_k after its purchases are running sums
+    (np.cumsum, in stream order, from the totals carried in) of the purchased
+    x_t A_t alone, and the duals Y_k = grad H_S(U_k) and z_k = gs'(u_k) come
+    from one stacked grad_hs call and one array gs_prime call.  Every price
+    is then a sum of l^T Y l over a step's factor columns l, with Y the duals
+    in force at that step: one batched product over the block's stacked
+    columns, summed back to steps by np.bincount.  The monotonicity of Y is
     one batched eigvalsh of the differences Y_{k-1} - Y_k.  Y starts at
     h'(0) I; the sim check prices with grad_hs(0) until the first purchase.
     A rejected step leaves both duals as they are and adds exactly 0 to the
-    Y gap and the z step.
+    Y gap and the z step.  H_S(U) and h* at the end share one eigvalsh of the
+    final U, and y sums over the atoms of positive weight only.
     """
     decisions = np.asarray(decisions, dtype=float)
     if decisions.shape != (inst.m,):
@@ -342,9 +361,13 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     if not np.all((decisions >= 0.0) & (decisions <= 1.0)):
         raise AuditError("decisions must lie in [0, 1]")
     obj = smoothed.base
-    n = inst.n
-    block = max(1, AUDIT_BLOCK_FLOATS // (n * n))
+    n, m = inst.n, inst.m
     costs = inst.costs
+    Ls = [a.L for a in inst.arrivals]
+    ranks = np.array([L.shape[1] for L in Ls])
+    cols = np.concatenate(Ls, axis=1).T         # every factor column, as a row
+    first = np.concatenate([[0], np.cumsum(ranks)])     # each step's first column
+    block = max(1, AUDIT_BLOCK_FLOATS // (n * n * max(1, ranks.max())))
     U = np.zeros((n, n))
     u = 0.0
     Y = obj.h_prime0 * np.eye(n)
@@ -357,14 +380,21 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     decision_ok = True
     worst_resid = 0.0
 
-    for s in range(0, inst.m, block):
-        x, c = decisions[s:s + block], costs[s:s + block]
-        As = np.stack([a.A for a in inst.arrivals[s:s + block]])
+    for s in range(0, m, block):
+        e = min(s + block, m)
+        arrs, x, c = inst.arrivals[s:e], decisions[s:e], costs[s:e]
+        lc = cols[first[s]:first[e]]
+        cstep = np.repeat(np.arange(e - s), ranks[s:e])     # the step of each column
         buys = x > 0.0
         buy = np.flatnonzero(buys)
         after = np.cumsum(buys)         # each step's duals after it, as rows of Ys
         before = after - buys
-        Us = np.cumsum(np.concatenate([U[None], x[buy][:, None, None] * As[buy]]), axis=0)[1:]
+        on = buys[cstep]
+        bcols, bstep = lc[on], cstep[on]        # the purchases' columns
+        Us = np.stack([arrs[t].A for t in buy]) if buy.size else np.zeros((0, n, n))
+        Us *= x[buy][:, None, None]
+        Us[:1] += U
+        Us = np.cumsum(Us, axis=0)      # the U carried in plus each x_t A_t, in stream order
         us = np.cumsum(np.concatenate([[u], x[buy] * c[buy]]))[1:]
         if variant == "sim" and s == 0 and x[0] <= 0.0:     # the run opens at U = 0
             G0 = grad_hs(smoothed, np.zeros((n, n)))
@@ -374,7 +404,7 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         zb = np.concatenate([[z], zs])
         dY = Ys[:-1] - Ys[1:]                   # Y_{k-1} - Y_k at each purchase
         dz = zb[1:] - zb[:-1]
-        P_before = np.einsum("tij,tij->t", As, Ys[before])
+        P_before = _prices(Ys, before, lc, cstep, x.size)
         price_before = P_before + c * zb[before]
         if variant == "seq":
             pos_sum += float(np.sum(np.maximum(price_before, 0.0)))
@@ -383,15 +413,16 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
                 decision_ok = False
                 worst_resid = max(worst_resid, float(np.max(np.abs(price_before[wrong]))))
             # <A, Y_new - Y> = -<A, Y - Y_new>, exactly
-            corr_sum += float(np.sum(x[buy] * (-np.einsum("tij,tij->t", As[buy], dY)
-                                               + c[buy] * dz)))
+            P_dY = _prices(dY, before, bcols, bstep, x.size)
+            corr_sum += float(np.sum(x[buy] * (-P_dY[buy] + c[buy] * dz)))
         else:
-            P_after = P_before.copy()
-            P_after[buy] = np.einsum("tij,tij->t", As[buy], grads)
-            P_grad = P_after.copy()
+            # grads[k] = Ys[k + 1] is in force after the purchase that leaves before = k
+            P_after = np.where(buys, _prices(grads, before, bcols, bstep, x.size), P_before)
+            P_grad = P_after
             if G0 is not None:
                 pre = after == 0
-                P_grad[pre] = np.einsum("tij,ij->t", As[pre], G0)
+                P_grad = np.where(pre, _prices(G0[None], after, lc[pre[cstep]],
+                                               cstep[pre[cstep]], x.size), P_after)
             z_after = zb[after]
             d_at = P_grad + c * z_after
             scale = np.maximum(1.0, np.abs(P_before) + c * np.abs(zb[before]))
@@ -411,10 +442,13 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
 
     bprime = b_prime(budget)
     budget_residual = u - bprime
-    HS = hs_trace_lift(smoothed, U)
+    # one decomposition of the final U gives H_S(U) and y at its spectrum; U = 0
+    # when nothing was bought
+    measure = smoothed.measure.live
+    w = np.linalg.eigvalsh(U) if np.any(decisions > 0.0) else np.zeros(n)
+    HS = float(np.sum(hs_eval(measure, w)))
     GS = gs_value(budget, u)
-    y_eigs = y_eval(smoothed.measure, np.linalg.eigvalsh(U))
-    hstar = float(np.sum(h_conj(obj, y_eigs)))
+    hstar = float(np.sum(h_conj(obj, y_eval(measure, w))))
     gstar = g_conj(z, budget.b)
     D = pos_sum - hstar - gstar
     if variant == "seq":

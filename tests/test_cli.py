@@ -85,6 +85,27 @@ def test_audit_replays_a_recorded_run(tmp_path, capsys):
     assert "audit PASS" in capsys.readouterr().err
 
 
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as after `| head -c 5`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["audit", "--trace", "{trace}"],
+                                  ["run", "--n", "3", "--m", "6", "--b", "1"]],
+                         ids=["audit", "run"])
+def test_a_closed_stdout_exits_as_sigpipe_with_no_error_line(tmp_path, monkeypatch, capsys,
+                                                             argv):
+    trace = tmp_path / "run.json"
+    assert main(["run", "--n", "3", "--m", "8", "--b", "2", "--out", str(trace)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    # 141 = 128 + SIGPIPE; 1 would read as `audit FAIL` and 2 as a bad input
+    assert main([a.format(trace=trace) for a in argv]) == 141
+    assert "error" not in capsys.readouterr().err
+
+
 def test_audit_reads_a_run_file_in_the_old_measure_layout(tmp_path, capsys):
     trace = tmp_path / "run.json"
     assert main(["run", "--objective", "dopt", "--variant", "seq", "--n", "4",

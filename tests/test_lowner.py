@@ -65,6 +65,18 @@ def test_measure_sorted_and_clipped():
     assert np.all(m.weights >= 0.0)
 
 
+def test_live_atoms_give_the_same_y_and_h_s():
+    m = AtomicMeasure(np.array([0.0, 0.3, 0.5, 0.9]), np.array([0.5, 0.0, 0.25, 0.0]))
+    live = m.live
+    assert list(live.nodes) == [0.0, 0.5] and list(live.weights) == [0.5, 0.25]
+    u = np.linspace(0.0, 30.0, 61)
+    assert np.allclose(y_eval(live, u), y_eval(m, u), rtol=1e-15, atol=0.0)
+    assert np.allclose(hs_eval(live, u), hs_eval(m, u), rtol=1e-15, atol=0.0)
+    assert live.live is live
+    none = AtomicMeasure(np.array([0.5]), np.array([0.0]))
+    assert none.live is none
+
+
 def test_y0_closed_form():
     m = mixed_measure()
     assert m.y0 == pytest.approx(0.5 / 1.0 + 0.25 / 0.5, abs=1e-14)

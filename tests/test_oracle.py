@@ -800,6 +800,90 @@ def test_audit_decomposes_only_after_purchases(variant):
         assert not any(np.all(M == 0.0) for S in _stacks(eigs, 0, inst.n) for M in S)
 
 
+@st.composite
+def audit_cases(draw):
+    """A run of n <= 4, m <= 20 and ranks 0..3, with a measure whose zero-weight atoms
+    are kept and whose y(0) = h'(0) = 1.  The decisions are the engine's, or drawn
+    from {0, 1, U(0, 1)}, which fail most checks."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 20))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    assume(any(ranks))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arrivals = [Arrival(rng.standard_normal((n, k)), float(rng.uniform(0.5, 1.5)))
+                for k in ranks]
+    inst = Instance(arrivals, float(draw(st.floats(0.5, 5.0))))
+    x = np.array([draw(st.sampled_from([0.0, 1.0, float(rng.uniform(0.0, 1.0))]))
+                  for _ in ranks])
+    nodes = draw(st.lists(st.floats(0.0, 0.95), min_size=2, max_size=6, unique=True))
+    weights = rng.uniform(0.1, 1.0, len(nodes))
+    weights[draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1,
+                          max_size=len(nodes) - 1, unique=True))] = 0.0
+    weights /= np.sum(weights / (1.0 - np.array(nodes)))
+    obj = make_objective(draw(st.sampled_from(["dopt", "aopt"])))
+    sm = SmoothedObjective(AtomicMeasure(np.array(nodes), weights), obj)
+    variant = draw(st.sampled_from(["seq", "sim"]))
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta,
+                            inst.rho1 if variant == "seq" else 0.0, variant)
+    if draw(st.booleans()):
+        x = run_stream(sm, budget, inst.arrivals, variant).decisions
+    # past the overflow guard gs' is -inf and both replays compare nans
+    assume(np.isfinite(gs_prime(budget, float(inst.costs @ x))))
+    return inst, x, sm, budget, variant, draw(st.sampled_from([None, 3]))
+
+
+@settings(max_examples=100, derandomize=True)
+@given(audit_cases())
+def test_audit_matches_the_step_by_step_reference_on_any_run(case):
+    inst, x, sm, budget, variant, steps = case
+    ref = reference_audit_run(x, inst, sm, budget, variant, 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        _small_blocks(mp, inst, steps)
+        assert_reports_match(audit_run(x, inst, sm, budget, variant, p_star=1.0), ref)
+
+
+@pytest.mark.parametrize("steps", [None, 3], ids=["one-block", "blocks-of-3"])
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_audit_reads_no_matrix_of_a_rejected_arrival(variant, steps, monkeypatch):
+    # a price is summed over the factor's columns, and only a purchase enters U
+    inst = _opens_with_a_rejection()
+    sm, budget = engine_setup(inst, 2.0, variant)
+    x = run_stream(sm, budget, inst.arrivals, variant).decisions
+    assert 0 < np.count_nonzero(x) < inst.m
+    _small_blocks(monkeypatch, inst, steps)
+    expect = audit_run(x, inst, sm, budget, variant, p_star=1.0).to_dict()
+    inst.arrivals = [a if xt > 0.0 else SimpleNamespace(L=a.L, c=a.c, n=a.n)
+                     for a, xt in zip(inst.arrivals, x)]
+    assert audit_run(x, inst, sm, budget, variant, p_star=1.0).to_dict() == expect
+
+
+@pytest.mark.parametrize("kind", ["engine", "none"])
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_audit_decomposes_the_final_aggregate_once(variant, kind, monkeypatch):
+    # each block with a purchase pays one eigh of its U_k and one eigvalsh of
+    # its Y gaps, both stacked; the sim check adds grad_hs(0) for a run that
+    # opens with a rejection, and H_S(U) and h* share one decomposition of U
+    inst = _opens_with_a_rejection()
+    sm, budget = engine_setup(inst, 2.0, variant)
+    x = _decisions(kind, run_stream(sm, budget, inst.arrivals, variant).decisions, inst.m)
+    block = _small_blocks(monkeypatch, inst, 4)
+    blocks = {t // block for t in np.flatnonzero(x)}
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(M, *args, _real=real, **kwargs):
+            calls.append(np.asarray(M))
+            return _real(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    audit_run(x, inst, sm, budget, variant, p_star=1.0)
+    single = [M for M in calls if M.ndim == 2]
+    assert len(calls) - len(single) == 2 * len(blocks)
+    zero = [M for M in single if not M.any()]
+    assert len(zero) == (variant == "sim")
+    assert len(single) - len(zero) == (kind != "none")
+
+
 def test_audit_sim_evaluates_gs_prime_once_per_purchase():
     # a rejected step leaves u as it is, so its check reuses the replayed z
     inst = _opens_with_a_rejection()

@@ -106,6 +106,9 @@ def test_stacks_give_the_per_matrix_results(rng):
         assert np.allclose(w[i], wi, rtol=0.0, atol=TOL_EIG * max(1.0, np.abs(wi).max()))
         assert np.allclose((V[i] * w[i]) @ V[i].T, S[i], rtol=0.0, atol=TOL_EIG * 10.0)
         assert np.allclose(G[i], grad_hs(sm, stack[i]), rtol=1e-12, atol=1e-14)
+        # the audit's Y gaps and prices read both triangles of each gradient
+        assert np.array_equal(G[i], G[i].T)
+        assert np.array_equal(grad_hs(sm, stack[i]), grad_hs(sm, stack[i]).T)
 
 
 def test_one_non_psd_matrix_in_a_stack_raises(rng):
