@@ -234,10 +234,12 @@ def main(argv=None):
         sys.stdout.flush()      # a reader that left shows here, not at exit
         return code
     except BrokenPipeError:
-        # the reader closed stdout (`| head`): not a bad input, so no error line; stdout
-        # goes to devnull so the flush at exit stays quiet; 141 is 128 + SIGPIPE
+        # the reader closed stdout (`| head`): not a bad input, so no error line; the
+        # broken stdout goes to devnull so the flush at exit stays quiet; 141 is
+        # 128 + SIGPIPE
         try:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         except (OSError, ValueError):   # a stdout with no file descriptor
             pass
         return 141

@@ -95,17 +95,7 @@ def h_eval(obj, u):
 
 
 def h_prime(obj, u):
-    """h'(u), vectorized; constant h'(0) on u < 0.
-
-    A float takes the same steps in float arithmetic, to the same bits.
-    """
-    if isinstance(u, float):
-        up = max(float(u), 0.0)       # keeps a nan, as np.maximum does
-        if obj.kind == "linear":
-            return 1.0
-        if obj.kind == "dopt":
-            return 1.0 / (1.0 + up)
-        return obj.p * (1.0 + up) ** (-obj.p - 1.0)
+    """h'(u), vectorized; constant h'(0) on u < 0."""
     u, scalar = _shaped(u)
     up = np.maximum(u, 0.0)
     if obj.kind == "linear":

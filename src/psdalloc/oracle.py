@@ -51,8 +51,8 @@ DEFAULT_TOLS = {
 }
 OFFLINE_TOL = 1e-7          # stop when the Frank-Wolfe gap is at most this times f
 OFFLINE_MAX_ITERS = 5000
-# the audit replays a run in blocks of steps whose factor columns, one n x n dual
-# gathered for each, hold at most this many floats
+# the audit replays a run in blocks of steps whose gathered n x n duals and
+# factors hold at most this many floats
 AUDIT_BLOCK_FLOATS = 2 ** 22
 
 
@@ -314,15 +314,16 @@ class AuditReport:
         return out
 
 
-def _prices(duals, which, cols, cstep, steps):
-    """<A_t, duals[which[t]]> for each of the steps t, from the factor A_t = L_t L_t^T.
+def _audit_block(n, k):
+    """Steps per audit block at dimension n and largest rank k: the block's
+    gathered n x n duals and its n x k factors hold at most AUDIT_BLOCK_FLOATS floats."""
+    return max(1, AUDIT_BLOCK_FLOATS // (n * max(n, k)))
 
-    cols holds columns l of the factors as rows and cstep the step of each; a
-    step's price is the sum of l^T D l over its columns, so a step with none
-    among cols (a rank-0 arrival, or one left out) prices at exactly 0.
-    """
-    q = np.einsum("ki,ki->k", (duals[which[cstep]] @ cols[:, :, None])[:, :, 0], cols)
-    return np.bincount(cstep, q, minlength=steps)
+
+def _prices(D, Lp):
+    """<A_t, D_t> = sum of l^T D_t l over the columns l of L_t, for a stack Lp
+    of factors zero-padded to a common rank; D is one matrix or a stack."""
+    return np.einsum("tik,tik->t", D @ Lp, Lp)
 
 
 def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
@@ -337,17 +338,17 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     at the replayed z = gs'(u): u changes only on a purchase, which recomputes
     z, and gs'(0) = 0 is the initial z.
 
-    The replay runs over blocks of AUDIT_BLOCK_FLOATS / (n^2 k) consecutive
-    steps, k the largest rank, so that the n x n duals gathered for a block's
-    factor columns hold at most AUDIT_BLOCK_FLOATS floats.  In each block the
-    aggregates U_k and spends u_k after its purchases are running sums
-    (np.cumsum, in stream order, from the totals carried in) of the purchased
-    x_t A_t alone, and the duals Y_k = grad H_S(U_k) and z_k = gs'(u_k) come
-    from one stacked grad_hs call and one array gs_prime call.  Every price
-    is then a sum of l^T Y l over a step's factor columns l, with Y the duals
-    in force at that step: one batched product over the block's stacked
-    columns, summed back to steps by np.bincount.  The monotonicity of Y is
-    one batched eigvalsh of the differences Y_{k-1} - Y_k.  Y starts at
+    The replay runs over blocks of AUDIT_BLOCK_FLOATS / (n max(n, k))
+    consecutive steps, k the run's largest rank, so that the n x n dual
+    gathered for each step and its factor hold at most AUDIT_BLOCK_FLOATS
+    floats.  In each block the aggregates U_k and spends u_k after its
+    purchases are running sums (np.cumsum, in stream order, from the totals
+    carried in) of the purchased x_t A_t alone, and the duals
+    Y_k = grad H_S(U_k) and z_k = gs'(u_k) come from one stacked grad_hs call
+    and one array gs_prime call.  Every price is then a sum of l^T Y l over a
+    step's factor columns l, with Y the duals in force at that step: one
+    batched product over the block's factors, zero-padded to the block's
+    largest rank.  The monotonicity of Y is one batched eigvalsh of the differences Y_{k-1} - Y_k.  Y starts at
     h'(0) I; the sim check prices with grad_hs(0) until the first purchase.
     A rejected step leaves both duals as they are and adds exactly 0 to the
     Y gap and the z step.  H_S(U) and h* at the end share one eigvalsh of the
@@ -363,11 +364,12 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     obj = smoothed.base
     n, m = inst.n, inst.m
     costs = inst.costs
-    Ls = [a.L for a in inst.arrivals]
-    ranks = np.array([L.shape[1] for L in Ls])
-    cols = np.concatenate(Ls, axis=1).T         # every factor column, as a row
+    ranks = np.array([a.L.shape[1] for a in inst.arrivals])
+    cols = np.concatenate([a.L for a in inst.arrivals], axis=1).T   # every factor column, as a row
     first = np.concatenate([[0], np.cumsum(ranks)])     # each step's first column
-    block = max(1, AUDIT_BLOCK_FLOATS // (n * n * max(1, ranks.max())))
+    cstep = np.repeat(np.arange(m), ranks)              # the step of each column
+    cpos = np.arange(cols.shape[0]) - first[cstep]      # its place in that step's factor
+    block = _audit_block(n, ranks.max())
     U = np.zeros((n, n))
     u = 0.0
     Y = obj.h_prime0 * np.eye(n)
@@ -383,14 +385,13 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     for s in range(0, m, block):
         e = min(s + block, m)
         arrs, x, c = inst.arrivals[s:e], decisions[s:e], costs[s:e]
-        lc = cols[first[s]:first[e]]
-        cstep = np.repeat(np.arange(e - s), ranks[s:e])     # the step of each column
+        cs = slice(first[s], first[e])
+        Lp = np.zeros((e - s, n, ranks[s:e].max()))    # the factors, zero-padded
+        Lp[cstep[cs] - s, :, cpos[cs]] = cols[cs]
         buys = x > 0.0
         buy = np.flatnonzero(buys)
         after = np.cumsum(buys)         # each step's duals after it, as rows of Ys
         before = after - buys
-        on = buys[cstep]
-        bcols, bstep = lc[on], cstep[on]        # the purchases' columns
         Us = np.stack([arrs[t].A for t in buy]) if buy.size else np.zeros((0, n, n))
         Us *= x[buy][:, None, None]
         Us[:1] += U
@@ -404,7 +405,7 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         zb = np.concatenate([[z], zs])
         dY = Ys[:-1] - Ys[1:]                   # Y_{k-1} - Y_k at each purchase
         dz = zb[1:] - zb[:-1]
-        P_before = _prices(Ys, before, lc, cstep, x.size)
+        P_before = _prices(Ys[before], Lp)
         price_before = P_before + c * zb[before]
         if variant == "seq":
             pos_sum += float(np.sum(np.maximum(price_before, 0.0)))
@@ -413,16 +414,14 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
                 decision_ok = False
                 worst_resid = max(worst_resid, float(np.max(np.abs(price_before[wrong]))))
             # <A, Y_new - Y> = -<A, Y - Y_new>, exactly
-            P_dY = _prices(dY, before, bcols, bstep, x.size)
-            corr_sum += float(np.sum(x[buy] * (-P_dY[buy] + c[buy] * dz)))
+            corr_sum += float(np.sum(x[buy] * (-_prices(dY, Lp[buy]) + c[buy] * dz)))
         else:
-            # grads[k] = Ys[k + 1] is in force after the purchase that leaves before = k
-            P_after = np.where(buys, _prices(grads, before, bcols, bstep, x.size), P_before)
-            P_grad = P_after
+            P_after = P_before.copy()
+            P_after[buy] = _prices(grads, Lp[buy])
+            P_grad = P_after.copy()
             if G0 is not None:
                 pre = after == 0
-                P_grad = np.where(pre, _prices(G0[None], after, lc[pre[cstep]],
-                                               cstep[pre[cstep]], x.size), P_after)
+                P_grad[pre] = _prices(G0, Lp[pre])
             z_after = zb[after]
             d_at = P_grad + c * z_after
             scale = np.maximum(1.0, np.abs(P_before) + c * np.abs(zb[before]))
@@ -442,10 +441,9 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
 
     bprime = b_prime(budget)
     budget_residual = u - bprime
-    # one decomposition of the final U gives H_S(U) and y at its spectrum; U = 0
-    # when nothing was bought
+    # one decomposition of the final U gives H_S(U) and y at its spectrum
     measure = smoothed.measure.live
-    w = np.linalg.eigvalsh(U) if np.any(decisions > 0.0) else np.zeros(n)
+    w = np.linalg.eigvalsh(U)
     HS = float(np.sum(hs_eval(measure, w)))
     GS = gs_value(budget, u)
     hstar = float(np.sum(h_conj(obj, y_eval(measure, w))))

@@ -184,20 +184,6 @@ def test_vectorized_consistency():
         assert np.allclose(vecp, [h_prime(obj, x) for x in u], atol=1e-14)
 
 
-@pytest.mark.parametrize("obj", ALL + [make_objective("pmean", 0.1), make_objective("pmean", 7.3)],
-                         ids=lambda o: o.label)
-def test_h_prime_of_a_float_is_the_0d_array_path_to_the_bit(obj):
-    # b' and the scalar gs'' take h' of floats; the digests pin both
-    rng = np.random.default_rng(11)
-    pts = np.concatenate([[0.0, -0.0, -1e-300, -1.0, -1e300, 1e-300, 5e-324, np.inf],
-                          10.0 ** rng.uniform(-12.0, 8.0, 2000)])
-    for u in pts.tolist():
-        got = h_prime(obj, u)
-        assert type(got) is float
-        assert got == h_prime(obj, np.array(u)), u
-    assert np.isnan(h_prime(obj, float("nan"))) or obj.kind == "linear"
-
-
 def test_trace_lift_identity_cases():
     obj = make_objective("dopt")
     assert trace_lift(obj, np.eye(3)) == pytest.approx(3.0 * np.log(2.0), abs=1e-12)

@@ -639,10 +639,14 @@ def _opens_with_a_rejection():
 
 
 def _small_blocks(monkeypatch, inst, steps):
-    """Make the audit replay inst in blocks of `steps` steps; returns that block length."""
+    """Make the audit replay inst in blocks of `steps` steps; returns the block
+    length the audit uses."""
+    n, k = inst.n, max(a.L.shape[1] for a in inst.arrivals)
     if steps is not None:
-        monkeypatch.setattr(oracle, "AUDIT_BLOCK_FLOATS", steps * inst.n ** 2)
-    return oracle.AUDIT_BLOCK_FLOATS // inst.n ** 2
+        monkeypatch.setattr(oracle, "AUDIT_BLOCK_FLOATS", steps * n * max(n, k))
+    block = oracle._audit_block(n, k)
+    assert block == (steps or block)
+    return block
 
 
 def _stacks(calls, i, n):
@@ -716,7 +720,8 @@ def test_audit_matches_the_reference_on_full_rank_arrivals(kind):
             assert ref.min_y_gap > 1e-4
         for steps in (None, 3):
             with pytest.MonkeyPatch.context() as mp:
-                _small_blocks(mp, inst, steps)
+                block = _small_blocks(mp, inst, steps)
+                assert (inst.m > block) == (steps is not None)
                 assert_reports_match(audit_run(x, inst, sm, budget, variant, p_star=1.0), ref)
 
 
@@ -805,7 +810,8 @@ def audit_cases(draw):
     """A run of n <= 4, m <= 20 and ranks 0..3, with a measure whose zero-weight atoms
     are kept and whose y(0) = h'(0) = 1.  The decisions are the engine's, or drawn
     from {0, 1, U(0, 1)}, which fail most checks."""
-    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 20))
+    steps = draw(st.sampled_from([None, 3]))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1 if steps is None else 4, 20))
     ranks = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
     assume(any(ranks))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -828,7 +834,7 @@ def audit_cases(draw):
         x = run_stream(sm, budget, inst.arrivals, variant).decisions
     # past the overflow guard gs' is -inf and both replays compare nans
     assume(np.isfinite(gs_prime(budget, float(inst.costs @ x))))
-    return inst, x, sm, budget, variant, draw(st.sampled_from([None, 3]))
+    return inst, x, sm, budget, variant, steps
 
 
 @settings(max_examples=100, derandomize=True)
@@ -837,7 +843,8 @@ def test_audit_matches_the_step_by_step_reference_on_any_run(case):
     inst, x, sm, budget, variant, steps = case
     ref = reference_audit_run(x, inst, sm, budget, variant, 1.0)
     with pytest.MonkeyPatch.context() as mp:
-        _small_blocks(mp, inst, steps)
+        block = _small_blocks(mp, inst, steps)
+        assert (inst.m > block) == (steps is not None)
         assert_reports_match(audit_run(x, inst, sm, budget, variant, p_star=1.0), ref)
 
 
@@ -861,7 +868,7 @@ def test_audit_reads_no_matrix_of_a_rejected_arrival(variant, steps, monkeypatch
 def test_audit_decomposes_the_final_aggregate_once(variant, kind, monkeypatch):
     # each block with a purchase pays one eigh of its U_k and one eigvalsh of
     # its Y gaps, both stacked; the sim check adds grad_hs(0) for a run that
-    # opens with a rejection, and H_S(U) and h* share one decomposition of U
+    # opens with a rejection, and H_S(U) and h* share one eigvalsh of U
     inst = _opens_with_a_rejection()
     sm, budget = engine_setup(inst, 2.0, variant)
     x = _decisions(kind, run_stream(sm, budget, inst.arrivals, variant).decisions, inst.m)
@@ -871,17 +878,17 @@ def test_audit_decomposes_the_final_aggregate_once(variant, kind, monkeypatch):
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
 
-        def counted(M, *args, _real=real, **kwargs):
-            calls.append(np.asarray(M))
+        def counted(M, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, np.asarray(M)))
             return _real(M, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     audit_run(x, inst, sm, budget, variant, p_star=1.0)
-    single = [M for M in calls if M.ndim == 2]
+    single = [(name, M) for name, M in calls if M.ndim == 2]
     assert len(calls) - len(single) == 2 * len(blocks)
-    zero = [M for M in single if not M.any()]
-    assert len(zero) == (variant == "sim")
-    assert len(single) - len(zero) == (kind != "none")
+    assert [name for name, _ in single] == ["eigh"] * (variant == "sim") + ["eigvalsh"]
+    U = sum(xt * a.A for xt, a in zip(x, inst.arrivals))
+    assert np.allclose(single[-1][1], U, rtol=1e-12, atol=1e-12)
 
 
 def test_audit_sim_evaluates_gs_prime_once_per_purchase():
