@@ -348,11 +348,12 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     and one array gs_prime call.  Every price is then a sum of l^T Y l over a
     step's factor columns l, with Y the duals in force at that step: one
     batched product over the block's factors, zero-padded to the block's
-    largest rank.  The monotonicity of Y is one batched eigvalsh of the differences Y_{k-1} - Y_k.  Y starts at
-    h'(0) I; the sim check prices with grad_hs(0) until the first purchase.
-    A rejected step leaves both duals as they are and adds exactly 0 to the
-    Y gap and the z step.  H_S(U) and h* at the end share one eigvalsh of the
-    final U, and y sums over the atoms of positive weight only.
+    largest rank.  The monotonicity of Y is one batched eigvalsh of the
+    differences Y_{k-1} - Y_k.  Y starts at h'(0) I; the sim check prices with
+    grad_hs(0) until the first purchase.  A rejected step leaves both duals as
+    they are and adds exactly 0 to the Y gap and the z step.  H_S(U) and h* at
+    the end share one eigvalsh of the final U, and y sums over the atoms of
+    positive weight only.
     """
     decisions = np.asarray(decisions, dtype=float)
     if decisions.shape != (inst.m,):
