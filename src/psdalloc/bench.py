@@ -14,7 +14,7 @@ import numpy as np
 from .budget import BudgetSmoother, b_prime
 from .designer import DesignSpec, beta_for_measure, cr_bound, design_hs
 from .lowner import SmoothedObjective, exact_measure
-from .objectives import h_eval, make_objective, psd_eigs
+from .objectives import make_objective
 from .online import Arrival, run_stream
 from .oracle import Instance, audit_trace, offline_continuous_opt
 
@@ -166,22 +166,21 @@ def _unsmoothed_beta(spec):
 def run_one(inst, surrogate, smoother, beta, u_max, arm, p_star=None, repeat=0):
     """Stream one surrogate over one instance, audit the run; (RunReport, trace).
 
-    The audit solves for P* when p_star is None.  A run breaches its design
-    when lambda_max(U) passes u_max, except on the unsmoothed sim arm, whose
-    gamma+1 / gamma certificate has no u_max gate.
+    The spend, H(U) and lambda_max(U) are the audit's, from its replay of
+    the decisions.  The audit solves for P* when p_star is None.  A run
+    breaches its design when lambda_max(U) passes u_max, except on the
+    unsmoothed sim arm, whose gamma+1 / gamma certificate has no u_max gate.
     """
-    variant, obj = smoother.variant, surrogate.base
+    variant = smoother.variant
     trace = run_stream(surrogate, smoother, inst.arrivals, variant, inst.n)
-    w, _ = psd_eigs(trace.U)
-    primal = float(np.sum(h_eval(obj, w)))
     audit = audit_trace(trace, inst, p_star=p_star)
     gated = not (arm == "unsmoothed" and variant == "sim")
     report = RunReport(
-        objective=obj.label, gamma=smoother.gamma, repeat=repeat,
-        budget_used=trace.u, b_prime=audit.b_prime, primal_H=primal,
-        p_star=audit.p_star, ratio=primal / audit.p_star if audit.p_star > 0 else np.nan,
+        objective=surrogate.base.label, gamma=smoother.gamma, repeat=repeat,
+        budget_used=audit.budget_used, b_prime=audit.b_prime, primal_H=audit.primal_H,
+        p_star=audit.p_star, ratio=audit.primal_H / audit.p_star if audit.p_star > 0 else np.nan,
         bound=cr_bound(smoother.gamma, beta),
-        umax_breached=gated and bool(w[-1] > u_max + 1e-12),
+        umax_breached=gated and audit.lambda_max > u_max + 1e-12,
         audit_pass=audit.passed, variant=variant, arm=arm, beta=beta,
         d_value=audit.d_value)
     return report, trace

@@ -1,7 +1,7 @@
 """Online primal-dual allocation engines.
 
-State tracks the running aggregate U = sum A_t x_t, spent budget u, and the
-dual pair (Y, z) = (grad H_S(U), gs'(u)).  Two step rules:
+State tracks the spent budget u and the dual pair (Y, z) = (grad H_S(U), gs'(u))
+at the aggregate U = sum A_t x_t, which it never forms.  Two step rules:
 
   sequential   accept fully (x = 1) iff the stale price
                c_t z_{t-1} + <A_t, Y_{t-1}> is positive (ties reject);
@@ -11,7 +11,7 @@ dual pair (Y, z) = (grad H_S(U), gs'(u)).  Two step rules:
                concave stationarity condition
                Phi'(x) = <A, grad H_S(U + x A)> + c gs'(u + x c).
 
-Neither engine decomposes U.  grad H_S is the resolvent sum
+Neither engine holds or decomposes U.  grad H_S is the resolvent sum
 Y = sum_j mu_j R_j with R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, and the
 state holds one R_j per atom of positive weight, starting at I/(1 - lambda_j).
 Each arrival is given by its factor L (n x k), A = L L^T, so buying x A is a
@@ -31,8 +31,8 @@ R(x) + c H(x), H the cubic Hermite interpolant of gs'(u + x c), is solved at
 no quadrature, and exact Newton steps polish its root; both bisect on a step
 that leaves the bracket or fails to halve, and stop at X_TOL relative to x.
 
-The engines keep only their decisions; ``oracle.audit_run`` replays them to
-recompute every dual, price and correction term.
+The engines keep only their decisions and spend; ``oracle.audit_run`` replays
+them to rebuild U and recompute every dual, price and correction term.
 """
 
 from dataclasses import dataclass, field
@@ -45,8 +45,6 @@ from .budget import gs_prime, gs_second
 # every name the tracer binds)
 from .lowner import grad_hs, y_eval  # noqa: F401
 from .objectives import TOL_EIG, InvalidMatrix, psd_eigs
-
-VARIANTS = ("seq", "sim")
 
 # the simultaneous root-find stops when a step or the bracket is this short, relative to x
 X_TOL = 1e-12
@@ -82,9 +80,9 @@ class ConfigError(ValueError):
 class Arrival:
     """A PSD matrix A = L L^T, given by its finite n x k factor L, with cost c > 0.
 
-    A is formed once, here, for the engines' prices <A, Y> and the purchases
-    x A that enter U; the audit prices from L.  A dense matrix enters through
-    from_matrix.
+    A is formed once, here, for the engines' prices <A, Y> alone; every
+    other reader (purchases, the audit's replay, the instance statistics)
+    works from L.  A dense matrix enters through from_matrix.
     """
 
     L: np.ndarray    # n x k
@@ -124,7 +122,6 @@ class RunTrace:
     variant: str
     n: int
     decisions: np.ndarray
-    U: np.ndarray = None
     u: float = 0.0
     z: float = 0.0
 
@@ -142,7 +139,6 @@ class OnlineState:
         self.smoothed = smoothed
         self.budget = budget
         self.n = n
-        self.U = np.zeros((n, n))
         self.u = 0.0
         self.lam, self.mu = smoothed.measure.live.nodes, smoothed.measure.live.weights
         # R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, one per atom of positive weight
@@ -185,7 +181,6 @@ class OnlineState:
             # Y's term in one product, the atoms' columns side by side
             Z = np.swapaxes(P, 0, 1).reshape(self.n, -1)
             self.Y -= (Z * (self.mu[:, None] * c).ravel()) @ Z.T
-            self.U = self.U + x * arr.A
             self.u += x * arr.c
             self.z = gs_prime(self.budget, self.u) if z is None else z
         self.decisions.append(x)
@@ -246,13 +241,14 @@ class OnlineState:
 
     def finish(self, variant):
         return RunTrace(self.smoothed, self.budget, variant, self.n,
-                        np.array(self.decisions), self.U, self.u, self.z)
+                        np.array(self.decisions), self.u, self.z)
 
 
 def run_stream(smoothed, budget, arrivals, variant, n=None):
     """Drive one engine over an arrival sequence and return its trace."""
-    if variant not in VARIANTS:
-        raise ConfigError("variant must be one of %s" % (VARIANTS,))
+    if variant != budget.variant:       # a BudgetSmoother's variant is "seq" or "sim"
+        raise ConfigError("variant %r disagrees with the budget smoother's %r"
+                          % (variant, budget.variant))
     arrivals = list(arrivals)
     if n is None:
         if not arrivals:

@@ -24,9 +24,9 @@ m n^2 floats.  The exhaustive integer optimum is available for small m.
 Audits replay a recorded decision sequence from scratch and check every
 inequality the guarantees rest on.  The replay is dense in the aggregates
 and duals, batched over blocks of steps (see audit_run), and prices each
-step from its factor, <A_t, Y> = sum of l^T Y l over the columns l of L_t,
-so it reads no A_t of a rejected arrival and never builds the m x n x n
-stack of the whole run.
+step from its factor, <A_t, Y> = sum of l^T Y l over the columns l of L_t.
+A purchase enters U as x_t L_t L_t^T, so it reads no A_t at all and never
+builds the m x n x n stack of the whole run.
 """
 
 from dataclasses import dataclass, field, fields
@@ -99,11 +99,11 @@ def instance_stats(arrivals):
 
     theta and rho1 range over the arrivals with a positive trace: both
     engines reject a zero arrival and it adds nothing to P*, so it can set
-    neither the density nor the largest cost that can be spent.  lambda_max
-    of A = L L^T is that of the k x k Gram matrix L^T L (0 at rank 0), one
-    batched eigvalsh per rank, so no n x n matrix is decomposed.
+    neither the density nor the largest cost that can be spent.  The trace of
+    A = L L^T is sum(L * L), and lambda_max(A) that of the k x k Gram matrix
+    L^T L (0 at rank 0), by one batched eigvalsh per rank; A is never formed.
     """
-    traces = np.array([np.trace(a.A) for a in arrivals])
+    traces = np.array([np.sum(a.L * a.L) for a in arrivals])
     if not np.any(traces > 0.0):
         raise ValueError("instance needs an arrival with a positive trace")
     costs = np.array([a.c for a in arrivals])
@@ -303,6 +303,8 @@ class AuditReport:
     telescope_residual: float     # must be >= -tol
     dual_gap_residual: float      # must be >= -tol
     rho_bound_residual: float     # sequential only (nan otherwise), >= -tol
+    primal_H: float               # H(U) of the replayed aggregate
+    lambda_max: float             # lambda_max(U), for the design's u_max gate
     d_value: float
     p_star: float
     passed: bool
@@ -343,7 +345,7 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     gathered for each step and its factor hold at most AUDIT_BLOCK_FLOATS
     floats.  In each block the aggregates U_k and spends u_k after its
     purchases are running sums (np.cumsum, in stream order, from the totals
-    carried in) of the purchased x_t A_t alone, and the duals
+    carried in) of the purchased x_t L_t L_t^T alone, and the duals
     Y_k = grad H_S(U_k) and z_k = gs'(u_k) come from one stacked grad_hs call
     and one array gs_prime call.  Every price is then a sum of l^T Y l over a
     step's factor columns l, with Y the duals in force at that step: one
@@ -351,15 +353,16 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     largest rank.  The monotonicity of Y is one batched eigvalsh of the
     differences Y_{k-1} - Y_k.  Y starts at h'(0) I; the sim check prices with
     grad_hs(0) until the first purchase.  A rejected step leaves both duals as
-    they are and adds exactly 0 to the Y gap and the z step.  H_S(U) and h* at
-    the end share one eigvalsh of the final U, and y sums over the atoms of
-    positive weight only.
+    they are and adds exactly 0 to the Y gap and the z step.  H_S(U), h*, the
+    primal value H(U) and lambda_max(U) at the end share one eigh of the
+    final U, and y sums over the atoms of positive weight only.
     """
     decisions = np.asarray(decisions, dtype=float)
     if decisions.shape != (inst.m,):
         raise AuditError("decision sequence length %s != m = %d" % (decisions.shape, inst.m))
-    if variant not in ("seq", "sim"):
-        raise AuditError("unknown variant %r" % (variant,))
+    if variant != budget.variant:       # a BudgetSmoother's variant is "seq" or "sim"
+        raise AuditError("variant %r disagrees with the budget smoother's %r"
+                         % (variant, budget.variant))
     if not np.all((decisions >= 0.0) & (decisions <= 1.0)):
         raise AuditError("decisions must lie in [0, 1]")
     obj = smoothed.base
@@ -385,7 +388,7 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
 
     for s in range(0, m, block):
         e = min(s + block, m)
-        arrs, x, c = inst.arrivals[s:e], decisions[s:e], costs[s:e]
+        x, c = decisions[s:e], costs[s:e]
         cs = slice(first[s], first[e])
         Lp = np.zeros((e - s, n, ranks[s:e].max()))    # the factors, zero-padded
         Lp[cstep[cs] - s, :, cpos[cs]] = cols[cs]
@@ -393,8 +396,8 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         buy = np.flatnonzero(buys)
         after = np.cumsum(buys)         # each step's duals after it, as rows of Ys
         before = after - buys
-        Us = np.stack([arrs[t].A for t in buy]) if buy.size else np.zeros((0, n, n))
-        Us *= x[buy][:, None, None]
+        Lb = Lp[buy]
+        Us = (Lb @ np.swapaxes(Lb, 1, 2)) * x[buy][:, None, None]
         Us[:1] += U
         Us = np.cumsum(Us, axis=0)      # the U carried in plus each x_t A_t, in stream order
         us = np.cumsum(np.concatenate([[u], x[buy] * c[buy]]))[1:]
@@ -415,10 +418,10 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
                 decision_ok = False
                 worst_resid = max(worst_resid, float(np.max(np.abs(price_before[wrong]))))
             # <A, Y_new - Y> = -<A, Y - Y_new>, exactly
-            corr_sum += float(np.sum(x[buy] * (-_prices(dY, Lp[buy]) + c[buy] * dz)))
+            corr_sum += float(np.sum(x[buy] * (-_prices(dY, Lb) + c[buy] * dz)))
         else:
             P_after = P_before.copy()
-            P_after[buy] = _prices(grads, Lp[buy])
+            P_after[buy] = _prices(grads, Lb)
             P_grad = P_after.copy()
             if G0 is not None:
                 pre = after == 0
@@ -442,9 +445,9 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
 
     bprime = b_prime(budget)
     budget_residual = u - bprime
-    # one decomposition of the final U gives H_S(U) and y at its spectrum
+    # one decomposition of the final U gives H_S(U), H(U), lambda_max and y at its spectrum
     measure = smoothed.measure.live
-    w = np.linalg.eigvalsh(U)
+    w, _ = psd_eigs(U)
     HS = float(np.sum(hs_eval(measure, w)))
     GS = gs_value(budget, u)
     hstar = float(np.sum(h_conj(obj, y_eval(measure, w))))
@@ -479,7 +482,8 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         worst_decision_residual=worst_resid, max_z_step=max_z_step,
         min_y_gap=min_y_gap, telescope_residual=telescope,
         dual_gap_residual=dual_gap, rho_bound_residual=float(rho_bound),
-        d_value=D, p_star=p_star, passed=all(checks.values()), checks=checks,
+        primal_H=float(np.sum(h_eval(obj, w))), lambda_max=float(w[-1]), d_value=D,
+        p_star=p_star, passed=all(checks.values()), checks=checks,
     )
 
 

@@ -168,7 +168,9 @@ def test_criterion_08_integer_baseline_sandwich():
                            inst.rho1, "seq")
         trace = run_stream(surrogate, s, inst.arrivals, "seq", inst.n)
         assert trace.u <= inst.b + 1e-9
-        alg_value = trace_lift(obj, trace.U)
+        U = sum((x * a.A for a, x in zip(inst.arrivals, trace.decisions) if x > 0.0),
+                np.zeros((inst.n, inst.n)))     # the purchases, in stream order
+        alg_value = trace_lift(obj, U)
         int_value, _ = offline_integer_opt(inst, obj)
         p_star = offline_continuous_opt(inst, obj).value
         assert alg_value <= int_value + 1e-9

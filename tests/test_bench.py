@@ -17,7 +17,7 @@ from psdalloc.budget import BudgetSmoother, gs_prime
 from psdalloc.cli import main
 from psdalloc.designer import DesignSpec, cr_bound
 from psdalloc.lowner import SmoothedObjective, exact_measure
-from psdalloc.objectives import make_objective
+from psdalloc.objectives import h_eval, make_objective, psd_eigs
 from psdalloc.online import Arrival
 from psdalloc.oracle import Instance, instance_from_dict
 
@@ -131,6 +131,33 @@ def test_run_one_zero_trace_arrival(variant):
     rep, trace = bench.run_one(inst, surrogate, smoother, 1.0, 10.0, "unsmoothed")
     assert trace.decisions[0] == 0.0 and trace.decisions[1] > 0.0
     assert rep.audit_pass
+
+
+@pytest.mark.parametrize("arm", ["smoothed", "unsmoothed"])
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_run_one_reports_the_aggregate_of_its_decisions(variant, arm):
+    # primal_H, the u_max gate and the spend equal their values at
+    # U = sum x_t A_t and u = sum x_t c_t, both added in stream order
+    inst = gen_random(5, 40, seed=3, b=4.0)
+    obj = make_objective("dopt")
+    (smoother,), spec = bench.group_spec(obj, 2.0, variant, [inst], Q, D)
+    if arm == "smoothed":
+        dres = cached_design(spec)
+        surrogate, beta = dres.smoothed(), dres.beta
+    else:
+        surrogate, beta = SmoothedObjective(exact_measure(obj), obj), 1.0
+    rep, trace = bench.run_one(inst, surrogate, smoother, beta, spec.u_max, arm, p_star=1.0)
+    U, u = np.zeros((inst.n, inst.n)), 0.0
+    for a, x in zip(inst.arrivals, trace.decisions):
+        if x > 0.0:
+            U, u = U + x * a.A, u + x * a.c
+    w, _ = psd_eigs(U)
+    assert 0.0 < u and rep.budget_used == u
+    assert rep.primal_H == float(np.sum(h_eval(obj, w)))
+    gated = not (arm == "unsmoothed" and variant == "sim")
+    for u_max in (0.5 * w[-1], w[-1], 2.0 * w[-1]):
+        rep, _ = bench.run_one(inst, surrogate, smoother, beta, u_max, arm, p_star=1.0)
+        assert rep.umax_breached == (gated and w[-1] > u_max + 1e-12)
 
 
 @pytest.fixture(scope="module")

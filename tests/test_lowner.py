@@ -92,12 +92,12 @@ def test_phi_primitive_cases():
 
 @given(m=measures(), u=st.floats(min_value=0.0, max_value=30.0))
 def test_phi_primitive_is_antiderivative(m, u):
-    # derivative of h_S by central differences equals y
+    # the difference quotient of h_S over [lo, hi] equals y at the interval's
+    # midpoint, which is u itself unless u < eps cuts the interval at 0
     eps = 1e-6 * max(u, 1.0)
-    d = (hs_eval(m, u + eps) - hs_eval(m, max(u - eps, 0.0))) / (
-        u + eps - max(u - eps, 0.0)
-    )
-    assert d == pytest.approx(y_eval(m, u), rel=1e-5, abs=1e-7)
+    lo, hi = max(u - eps, 0.0), u + eps
+    d = (hs_eval(m, hi) - hs_eval(m, lo)) / (hi - lo)
+    assert d == pytest.approx(y_eval(m, 0.5 * (lo + hi)), rel=1e-5, abs=1e-7)
 
 
 def test_hs_matches_quadrature_oracle():

@@ -31,6 +31,11 @@ def dopt_setup(gamma=2.0, b=4.0, theta=0.5, Theta=2.0, rho1=0.0, variant="sim",
     return design_hs(spec).smoothed(), budget
 
 
+def aggregate(arrivals, decisions, n):
+    """U = sum of x_t A_t over the purchases, added in stream order."""
+    return sum((x * a.A for a, x in zip(arrivals, decisions) if x > 0.0), np.zeros((n, n)))
+
+
 def small_stream(rng, n=3, m=8):
     arrivals = []
     for _ in range(m):
@@ -79,6 +84,11 @@ def test_run_stream_variant_and_dimension_checks(rng):
     arrivals = small_stream(rng)
     with pytest.raises(ConfigError):
         run_stream(sm, budget, arrivals, "parallel")
+    # a b' is calibrated for one variant: the seq cap adds rho1
+    seq_budget = BudgetSmoother(budget.objective, 2.0, 4.0, 0.5, 2.0, 1.5, "seq")
+    for variant, smoother in (("seq", budget), ("sim", seq_budget)):
+        with pytest.raises(ConfigError, match="'%s'.*'%s'" % (variant, smoother.variant)):
+            run_stream(sm, smoother, arrivals, variant)
     with pytest.raises(ConfigError):
         run_stream(sm, budget, [], "sim")
     bad = arrivals[:2] + [Arrival(np.eye(4), 1.0)]   # A = I, n = 4
@@ -127,11 +137,10 @@ def test_simultaneous_grid_search_oracle(rng):
     # H_S/G_S increments
     sm, budget = dopt_setup(gamma=2.0, b=3.0)
     st = OnlineState(sm, budget, 3)
+    U0 = np.zeros((3, 3))
     for arr in small_stream(rng, n=3, m=6):
+        u0 = st.u
         x = st.step_simultaneous(arr)
-        # recompute the pre-step state by undoing the step
-        U0 = st.U - x * arr.A
-        u0 = st.u - x * arr.c
         xs = np.linspace(0.0, 1.0, 10_001)
         phi = np.array([
             hs_trace_lift(sm, U0 + t * arr.A) + gs_value(budget, u0 + t * arr.c)
@@ -140,21 +149,23 @@ def test_simultaneous_grid_search_oracle(rng):
         assert abs(x - xs[int(np.argmax(phi))]) <= 1e-4 or (
             phi.max() - phi[int(round(x * 10_000))] <= 1e-10
         )
+        U0 = U0 + x * arr.A
 
 
 def test_simultaneous_interior_stationarity(rng):
     sm, budget = dopt_setup(gamma=4.0, b=1.5)
     st = OnlineState(sm, budget, 3)
     saw_interior = False
+    U0 = np.zeros((3, 3))
     for arr in small_stream(rng, n=3, m=10):
+        u0 = st.u
         x = st.step_simultaneous(arr)
         if 0.0 < x < 1.0:
             saw_interior = True
-            U0 = st.U - x * arr.A
-            u0 = st.u - x * arr.c
             dphi = (float(np.sum(arr.A * grad_hs(sm, U0 + x * arr.A)))
                     + arr.c * gs_prime(budget, u0 + x * arr.c))
             assert abs(dphi) <= 1e-6 * max(1.0, float(np.sum(arr.A * np.eye(3))))
+        U0 = U0 + x * arr.A
     assert saw_interior
 
 
@@ -251,10 +262,12 @@ def test_simultaneous_rank_k_matches_dense_reference(kind):
     budget = BudgetSmoother(obj, 2.0, 4.0, 0.2, 8.0)
     st = OnlineState(sm, budget, n)
     interior_ranks = set()
+    U = np.zeros((n, n))
     for arr in arrivals:
-        U, u = st.U, st.u
+        u = st.u
         x = st.step_simultaneous(arr)
         ref = _dense_sim_reference(sm, budget, U, u, arr)
+        U = U + x * arr.A
         if 0.0 < x < 1.0:
             assert abs(x - ref) <= 1e-10 * ref
             interior_ranks.add(int(np.linalg.matrix_rank(arr.A)))
@@ -315,18 +328,20 @@ def test_dual_value_weak_duality(rng):
 
 def test_primal_value_matches_trace_lift(rng):
     sm, budget = dopt_setup()
-    trace = run_stream(sm, budget, small_stream(rng, m=6), "sim")
-    w = np.linalg.eigvalsh(trace.U)
-    assert trace_lift(sm.base, trace.U) == pytest.approx(float(np.sum(np.log1p(np.maximum(w, 0.0)))), abs=1e-9)
+    arrivals = small_stream(rng, m=6)
+    U = aggregate(arrivals, run_stream(sm, budget, arrivals, "sim").decisions, 3)
+    w = np.linalg.eigvalsh(U)
+    assert trace_lift(sm.base, U) == pytest.approx(float(np.sum(np.log1p(np.maximum(w, 0.0)))), abs=1e-9)
 
 
 def test_empty_stream_with_explicit_n():
     sm, budget = dopt_setup()
     trace = run_stream(sm, budget, [], "sim", n=3)
     assert trace.m == 0 and trace.u == 0.0
-    assert trace_lift(sm.base, trace.U) == 0.0
+    U = aggregate([], trace.decisions, 3)
+    assert trace_lift(sm.base, U) == 0.0
     # no price terms, so the dual value is -H*(Y_0) - G*(z_0) = 0
-    y_eigs = y_eval(sm.measure, np.linalg.eigvalsh(trace.U))
+    y_eigs = y_eval(sm.measure, np.linalg.eigvalsh(U))
     hstar = float(np.sum(h_conj(sm.base, y_eigs)))
     assert hstar + g_conj(trace.z, budget.b) == pytest.approx(0.0, abs=1e-12)
 
@@ -338,7 +353,8 @@ def test_linear_objective_run_keeps_finite_duals(rng):
     arrivals = small_stream(rng, m=10)
     trace = run_stream(sm, budget, arrivals, "sim")
     assert np.isfinite(audit_trace(trace, Instance(arrivals, b=3.0)).d_value)
-    assert np.allclose(y_eval(sm.measure, np.linalg.eigvalsh(trace.U)), 1.0, atol=1e-12)
+    U = aggregate(arrivals, trace.decisions, 3)
+    assert np.allclose(y_eval(sm.measure, np.linalg.eigvalsh(U)), 1.0, atol=1e-12)
 
 
 def _many_atoms(obj, atoms=24):
@@ -348,12 +364,14 @@ def _many_atoms(obj, atoms=24):
     return SmoothedObjective(AtomicMeasure(nodes, weights), obj)
 
 
-def _assert_resolvents_match(st, sm, tol=1e-12):
-    """Y and every R_j of the state against their dense definitions at st.U."""
-    Y = grad_hs(sm, st.U)
+def _assert_resolvents_match(st, sm, arrivals, tol=1e-12):
+    """Y and every R_j of the state against their dense definitions at the
+    aggregate of its decisions on arrivals."""
+    U = aggregate(arrivals, st.decisions, st.n)
+    Y = grad_hs(sm, U)
     assert np.linalg.norm(st.Y - Y) <= tol * np.linalg.norm(Y)
     for lam, R in zip(st.lam, st.R):
-        dense = np.linalg.inv(lam * st.U + (1.0 - lam) * np.eye(st.n))
+        dense = np.linalg.inv(lam * U + (1.0 - lam) * np.eye(st.n))
         assert np.linalg.norm(R - dense) <= tol * np.linalg.norm(dense)
 
 
@@ -372,7 +390,7 @@ def test_resolvents_track_grad_hs_over_the_longest_stream(measure, variant):
     for arr in inst.arrivals:
         (st.step_sequential if variant == "seq" else st.step_simultaneous)(arr)
     assert np.count_nonzero(st.decisions) >= 100
-    _assert_resolvents_match(st, sm)
+    _assert_resolvents_match(st, sm, inst.arrivals)
 
 
 @pytest.mark.parametrize("measure", ["linear-exact", "zero-node-mix", "24-atoms"])
@@ -402,7 +420,7 @@ def test_rank_k_purchases_and_zero_node_atoms(measure, variant):
     for arr in arrivals:
         (st.step_sequential if variant == "seq" else st.step_simultaneous)(arr)
     assert np.count_nonzero(st.decisions) >= 5
-    _assert_resolvents_match(st, sm)
+    _assert_resolvents_match(st, sm, arrivals)
     if 0.0 in st.lam:
         assert np.array_equal(st.R[list(st.lam).index(0.0)], np.eye(n))
     assert audit_trace(st.finish(variant), inst).passed

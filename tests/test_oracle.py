@@ -12,7 +12,7 @@ from psdalloc.budget import BudgetSmoother, b_prime, g_conj, gs_prime, gs_value
 from psdalloc.designer import DesignSpec, design_hs
 from psdalloc.lowner import AtomicMeasure, SmoothedObjective
 from psdalloc.objectives import TOL_EIG, grad_trace_lift, h_conj, h_eval, make_objective
-from psdalloc.online import Arrival, run_stream
+from psdalloc.online import Arrival, OnlineState, run_stream
 from psdalloc.oracle import (
     DEFAULT_TOLS,
     OFFLINE_TOL,
@@ -461,7 +461,8 @@ def test_audit_passes_on_clean_run(variant, rng):
     assert list(d) == ["variant", "m", "budget_used", "b_prime", "budget_residual",
                        "decision_consistent", "worst_decision_residual", "max_z_step",
                        "min_y_gap", "telescope_residual", "dual_gap_residual",
-                       "rho_bound_residual", "d_value", "p_star", "passed", "checks"]
+                       "rho_bound_residual", "primal_H", "lambda_max", "d_value", "p_star",
+                       "passed", "checks"]
     assert all(type(v) is bool for v in d["checks"].values())
 
 
@@ -492,6 +493,24 @@ def test_audit_length_mismatch(rng):
         audit_run(np.zeros(4), inst, sm, budget, "sim")
     with pytest.raises(AuditError):
         audit_run(np.zeros(5), inst, sm, budget, "diagonal")
+
+
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_audit_refuses_a_variant_the_smoother_was_not_built_for(variant):
+    # a seq smoother's b' adds rho1: the sim engine run against one spends
+    # 8.6 b here, which only the variant check can catch
+    inst = gen_random(3, 20, b=0.5)
+    other = "sim" if variant == "seq" else "seq"
+    obj = make_objective("dopt")
+    sm = SmoothedObjective(lowner.exact_measure(obj), obj)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, other)
+    st = OnlineState(sm, budget, inst.n)
+    for arr in inst.arrivals:
+        (st.step_sequential if variant == "seq" else st.step_simultaneous)(arr)
+    if variant == "sim":
+        assert st.u > 8.0 * inst.b
+    with pytest.raises(AuditError, match="'%s'.*'%s'" % (variant, other)):
+        audit_run(st.decisions, inst, sm, budget, variant, p_star=1.0)
 
 
 def test_audit_rejects_decisions_outside_unit_interval(rng):
@@ -567,7 +586,8 @@ def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
     budget_residual = u - bprime
     HS = lowner.hs_trace_lift(smoothed, U)
     GS = gs_value(budget, u)
-    y_eigs = lowner.y_eval(smoothed.measure, np.linalg.eigvalsh(U))
+    w = np.linalg.eigvalsh(U)
+    y_eigs = lowner.y_eval(smoothed.measure, w)
     hstar = float(np.sum(h_conj(obj, y_eigs)))
     gstar = g_conj(z, budget.b)
     D = pos_sum - hstar - gstar
@@ -598,6 +618,7 @@ def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
         worst_decision_residual=worst_resid, max_z_step=max_z_step,
         min_y_gap=min_y_gap, telescope_residual=telescope,
         dual_gap_residual=dual_gap, rho_bound_residual=float(rho_bound),
+        primal_H=float(np.sum(h_eval(obj, w))), lambda_max=float(w[-1]),
         d_value=D, p_star=p_star, passed=all(checks.values()), checks=checks,
     )
 
@@ -851,15 +872,15 @@ def test_audit_matches_the_step_by_step_reference_on_any_run(case):
 @pytest.mark.parametrize("steps", [None, 3], ids=["one-block", "blocks-of-3"])
 @pytest.mark.parametrize("variant", ["seq", "sim"])
 def test_audit_reads_no_matrix_of_a_rejected_arrival(variant, steps, monkeypatch):
-    # a price is summed over the factor's columns, and only a purchase enters U
+    # a price is summed over the factor's columns, and a purchase enters U as
+    # x L L^T, so the audit reads no arrival's A, bought or rejected
     inst = _opens_with_a_rejection()
     sm, budget = engine_setup(inst, 2.0, variant)
     x = run_stream(sm, budget, inst.arrivals, variant).decisions
     assert 0 < np.count_nonzero(x) < inst.m
     _small_blocks(monkeypatch, inst, steps)
     expect = audit_run(x, inst, sm, budget, variant, p_star=1.0).to_dict()
-    inst.arrivals = [a if xt > 0.0 else SimpleNamespace(L=a.L, c=a.c, n=a.n)
-                     for a, xt in zip(inst.arrivals, x)]
+    inst.arrivals = [SimpleNamespace(L=a.L, c=a.c, n=a.n) for a in inst.arrivals]
     assert audit_run(x, inst, sm, budget, variant, p_star=1.0).to_dict() == expect
 
 
@@ -868,7 +889,7 @@ def test_audit_reads_no_matrix_of_a_rejected_arrival(variant, steps, monkeypatch
 def test_audit_decomposes_the_final_aggregate_once(variant, kind, monkeypatch):
     # each block with a purchase pays one eigh of its U_k and one eigvalsh of
     # its Y gaps, both stacked; the sim check adds grad_hs(0) for a run that
-    # opens with a rejection, and H_S(U) and h* share one eigvalsh of U
+    # opens with a rejection, and H_S(U), h*, H(U) and lambda_max share one eigh of U
     inst = _opens_with_a_rejection()
     sm, budget = engine_setup(inst, 2.0, variant)
     x = _decisions(kind, run_stream(sm, budget, inst.arrivals, variant).decisions, inst.m)
@@ -886,7 +907,7 @@ def test_audit_decomposes_the_final_aggregate_once(variant, kind, monkeypatch):
     audit_run(x, inst, sm, budget, variant, p_star=1.0)
     single = [(name, M) for name, M in calls if M.ndim == 2]
     assert len(calls) - len(single) == 2 * len(blocks)
-    assert [name for name, _ in single] == ["eigh"] * (variant == "sim") + ["eigvalsh"]
+    assert [name for name, _ in single] == ["eigh"] * (variant == "sim") + ["eigh"]
     U = sum(xt * a.A for xt, a in zip(x, inst.arrivals))
     assert np.allclose(single[-1][1], U, rtol=1e-12, atol=1e-12)
 
