@@ -13,13 +13,14 @@ ratio is then 1/(gamma/(e-1) + beta).
 h_S and y are linear in mu, and -h*(y) = sup_{v>=0} h(v) - v y is a supremum
 of lines, so the minimax is a semi-infinite LP in (mu, beta).  Kelley's
 cutting-plane method solves it on the certification grid: the base grid, a
-10x-denser grid, its midpoints and a geometric near-zero tail.  Only the base
-abscissae are seeded; after each solve the tangent cut v = u*(y_i) is added at
-every local maximum of the ratio still above the LP value.  One HiGHS model
-holds the LP for a whole design: cuts are only ever added, so each re-solve
-is a dual simplex warm-started from the previous basis.  The returned beta is
-the largest ratio of the best iterate on the whole certification grid; the
-row duals bound the grid optimum below.
+10x-denser grid, its midpoints and a geometric near-zero tail.  Every tenth
+base abscissa is seeded; after each solve the tangent cut v = u*(y_i) is added
+at every local maximum of the ratio still above the LP value.  Each cut is
+held over gamma, so the LP's entries do not grow with gamma.  One HiGHS
+model holds the LP for a whole design: cuts are only ever added, so each
+re-solve is a dual simplex warm-started from the previous basis.  The
+returned beta is the largest ratio of the best iterate on the whole
+certification grid; the row duals bound the grid optimum below.
 """
 
 from dataclasses import dataclass
@@ -133,10 +134,10 @@ def cr_bound(gamma, beta):
 
 
 class _Tableau:
-    """Constraint arrays over (u-grid x node-grid).
+    """Constraint columns over (u-grid x node-grid), built only where they are read.
 
-    ratio_i(mu) = lin_i . mu - h*(Psi_i . mu)/h_i, with the part linear in mu
-    lin_i = (gamma Phi_i [+ gamma rho2 (a - Psi_i)])/h_i.
+    ratio_i(mu) = gamma lin_i . mu - h*(Psi_i . mu)/h_i, with the part linear in mu
+    over gamma lin_i = (Phi_i [+ rho2 (a - Psi_i)])/h_i.
     """
 
     def __init__(self, spec, grid):
@@ -145,29 +146,36 @@ class _Tableau:
         self.u = grid
         self.a = 1.0 / (1.0 - self.nodes)                      # y(0) coefficients
         self.h = h_eval(spec.objective, grid)
-        self.Psi = 1.0 / (grid[:, None] * self.nodes + (1.0 - self.nodes))
-        lin = spec.gamma * phi_primitive(grid[:, None], self.nodes[None, :])
-        if spec.variant == "seq":
+
+    def _block(self, i, j):
+        """lin and Psi at rows i, columns j."""
+        u, lam = self.u[i, None], self.nodes[j]
+        psi = 1.0 / (u * lam + (1.0 - lam))
+        lin = phi_primitive(u, lam)
+        if self.spec.variant == "seq":
             # a - Psi = u lambda a Psi exactly; the difference cancels at small u
-            lin = lin + spec.gamma * spec.rho2 * grid[:, None] * self.nodes * self.a * self.Psi
-        self.lin = lin / self.h[:, None]
+            lin = lin + self.spec.rho2 * u * lam * self.a[j] * psi
+        return lin / self.h[i, None], psi
 
     def ratio(self, w):
-        """Every row's ratio for the weights w, and y = Psi w."""
-        y = self.Psi @ w
-        return self.lin @ w - h_conj(self.spec.objective, y) / self.h, y
+        """Every row's ratio for the weights w, and y = Psi w; reads only the columns w != 0."""
+        live = np.flatnonzero(w)
+        lin, psi = self._block(slice(None), live)
+        y = psi @ w[live]
+        return self.spec.gamma * (lin @ w[live]) - h_conj(self.spec.objective, y) / self.h, y
 
     def cuts(self, i, v):
-        """LP rows (lin_i - v Psi_i/h_i, -1) and right sides -h(v)/h_i of the cuts v at rows i."""
-        rows = np.column_stack([self.lin[i] - (v / self.h[i])[:, None] * self.Psi[i],
-                                -np.ones(i.size)])
-        return rows, -h_eval(self.spec.objective, v) / self.h[i]
+        """LP rows (lin_i - v Psi_i/(gamma h_i), -1) and right sides -h(v)/(gamma h_i) of cuts v."""
+        lin, psi = self._block(i, slice(None))
+        gh = self.spec.gamma * self.h[i]
+        return (np.column_stack([lin - (v / gh)[:, None] * psi, -np.ones(i.size)]),
+                -h_eval(self.spec.objective, v) / gh)
 
 
 class _CutLP:
-    """The design LP in (mu, t), kept in one HiGHS model across all its solves.
+    """The design LP in (mu, t/gamma), kept in one HiGHS model across all its solves.
 
-        min t  s.t.  a . mu = h'(0),  mu >= 0,  t free,  cuts . (mu, t) <= rhs
+        min t/gamma  s.t.  a . mu = h'(0),  mu >= 0,  t free,  cuts . (mu, t/gamma) <= rhs
 
     Cuts are only ever added (addRows), so HiGHS keeps its optimal basis with
     the new rows basic and re-solves by dual simplex from there; only the
@@ -187,8 +195,8 @@ class _CutLP:
         self.optimal, self.inf = HighsModelStatus.kOptimal, kHighsInf
         self.highs = hs = _Highs()
         hs.setOptionValue("output_flag", False)
-        # HiGHS's default feasibility tolerance 1e-7 equals DESIGN_TOL: at dopt
-        # gamma=4 the loop then stalled, re-adding cuts the LP kept violating by 6e-8
+        # in units of t/gamma, about 1 or more as the ratio tends to gamma at u -> 0; at
+        # HiGHS's default 1e-7 = DESIGN_TOL the loop stalled, re-adding violated cuts
         hs.setOptionValue("primal_feasibility_tolerance", 1e-8)
         hs.setOptionValue("dual_feasibility_tolerance", 1e-8)
         # presolve was most of each cold first solve on these small dense LPs;
@@ -220,36 +228,26 @@ class _CutLP:
         hs = self.highs
         hs.run()
         status = hs.getModelStatus()
-        # the LP's entries grow with gamma: HiGHS drops a cut with one past 1e15, and
-        # at tiny u_max it can lose the LP from about gamma = 1e5
+        # HiGHS drops a cut with an entry past 1e15; held over gamma, no entry grows with gamma
         if status != self.optimal or hs.getNumRow() != 1 + self.rhs.size:
             raise ValueError("design LP failed (%s, %d of %d cuts held) at this --gamma" % (
                 hs.modelStatusToString(status), hs.getNumRow() - 1, self.rhs.size))
         sol = hs.getSolution()
         lam = np.maximum(-np.array(sol.row_dual)[1:], 0.0)
         lam /= lam.sum()
-        q = self.a.size
-        lb = (self.h_prime0 * float(np.min((lam @ self.rows[:, :q]) / self.a))
-              - float(lam @ self.rhs))
+        lb = self.h_prime0 * float(np.min(lam @ self.rows[:, :-1] / self.a)) - float(lam @ self.rhs)
         return np.array(sol.col_value), lb
 
 
 def design_hs(spec):
     """Design the measure minimizing the certified beta for this spec.
 
-    Kelley's cutting-plane method on the certification grid (the base grid,
-    the 10x-denser grid, its midpoints and the near-zero tail).  Every cut v
-    turns constraint i into the row
-
-        (lin_i - v Psi_i/h_i) . mu - t <= -h(v)/h_i
-
-    of the LP in (mu, t).  The base abscissae are seeded with the cuts
-    v = u_i, where the exact-h measure is tangent, and v = 0.  After each
-    solve the tangent cut v = u*(y_i) is added at every local maximum of the
-    ratio above t + DESIGN_TOL (relative to t once t exceeds 1).  The loop
-    stops once the best iterate is within that of the dual bound beta_lb, or
-    when no ratio is above it, as the LP could not move.  beta is the largest
-    ratio of the best iterate on the grid.
+    The base abscissae base[::10] are seeded with the cuts v = u_i, where the
+    exact-h measure is tangent, and v = 0; any one cut bounds the LP, so the
+    seeds are only a warm start.  After each solve a tangent cut is added at
+    every local maximum of the ratio above t + DESIGN_TOL (relative to t once
+    t exceeds 1).  The loop stops once the best iterate is within that of the
+    dual bound beta_lb, or when no ratio is above it, as the LP could not move.
     """
     obj = spec.objective
     if obj.kind == "linear":
@@ -263,14 +261,14 @@ def design_hs(spec):
         [_tail_grid(fine[0]), fine, 0.5 * (fine[:-1] + fine[1:]), base]))
     tab = _Tableau(spec, grid)
     lp = _CutLP(tab.a, obj.h_prime0)
-    seeds = np.searchsorted(grid, base)
-    lp.add(*tab.cuts(seeds, base))
+    seeds = np.searchsorted(grid, base[::10])
+    lp.add(*tab.cuts(seeds, base[::10]))
     lp.add(*tab.cuts(seeds, np.zeros(seeds.size)))
     best_w, best_F, lb = None, np.inf, -np.inf
     for solves in range(1, DESIGN_MAX_SOLVES + 1):
         x, lp_lb = lp.solve()
-        lb = max(lb, lp_lb)
-        t = float(x[-1])
+        lb = max(lb, spec.gamma * lp_lb)
+        t = spec.gamma * float(x[-1])
         w = np.maximum(x[:-1], 0.0)
         w *= obj.h_prime0 / float(tab.a @ w)
         r, y = tab.ratio(w)
@@ -282,7 +280,8 @@ def design_hs(spec):
         if best_F - lb <= step or hot.size == 0:   # certified, or nothing left to cut
             break
         lp.add(*tab.cuts(hot, h_conj_prime(obj, y[hot])))
-    return DesignResult(AtomicMeasure(tab.nodes, best_w), best_F, lb, solves, spec,
+    # the grid optimum is at most best_F; lb alone can pass it by rounding once the gap closes
+    return DesignResult(AtomicMeasure(tab.nodes, best_w), best_F, min(lb, best_F), solves, spec,
                         cuts=int(lp.rhs.size), atoms=int(np.count_nonzero(best_w)))
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psdalloc import designer
 from psdalloc.bench import ExperimentConfig, _unsmoothed_beta, gen_adversarial
 from psdalloc.budget import BudgetSmoother, b_prime
 from psdalloc.cli import _check_design, build_parser, main
@@ -270,13 +271,39 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, na
 @pytest.mark.parametrize("argv,word", [
     (["bench", "--generator", "foo"], "'foo'"),
     (["run", "--objective", "aopt", "--n", "3", "--m", "5"], "(--measure)"),
-    (["design", "--gamma", "1e15", "--umax", "10", "--q", "10", "--d", "10"], "--gamma"),
-], ids=["unknown-generator", "aopt-without-measure", "design-lp-at-gamma-1e15"])
+], ids=["unknown-generator", "aopt-without-measure"])
 def test_refused_input_exits_2_with_one_line(capsys, argv, word):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("psdalloc: error: ") and err.count("\n") == 1
     assert word in err and "Traceback" not in err
+
+
+DESIGN_AT_1E15 = ["design", "--gamma", "1e15", "--umax", "10", "--q", "10", "--d", "10"]
+
+
+def test_design_at_gamma_1e15(tmp_path, capsys):
+    # the LP holds its cuts over gamma, so their entries stay far below 1e15
+    out = tmp_path / "design.json"
+    assert main(DESIGN_AT_1E15 + ["--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert math.isfinite(record["beta"]) and record["beta_lb"] <= record["beta"]
+
+
+def test_design_lp_failure_exits_2_naming_gamma(tmp_path, monkeypatch, capsys):
+    # a cut with an entry past 1e15, which HiGHS drops, stands in for an LP it loses
+    cuts = designer._Tableau.cuts
+
+    def huge(tab, i, v):
+        rows, rhs = cuts(tab, i, v)
+        return rows * 1e16, rhs
+
+    monkeypatch.setattr(designer._Tableau, "cuts", huge)
+    assert main(DESIGN_AT_1E15 + ["--out", str(tmp_path / "design.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: design LP failed (") and err.count("\n") == 1
+    assert "--gamma" in err and "Traceback" not in err
+    assert not (tmp_path / "design.json").exists()
 
 
 def test_bench_flag_dests_are_config_fields():
