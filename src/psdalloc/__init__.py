@@ -8,7 +8,7 @@ engines carry certified competitive-ratio and budget-overrun guarantees.
 
 from .budget import BudgetSmoother, b_prime, gamma_for_budget, gs_prime, gs_value
 from .designer import DesignSpec, cr_bound, design_hs
-from .lowner import AtomicMeasure, SmoothedObjective, certify_psd_dr, exact_measure
+from .lowner import AtomicMeasure, SmoothedObjective, exact_measure
 from .objectives import TraceObjective, make_objective, trace_lift
 from .online import Arrival, OnlineState, run_stream
 from .oracle import Instance, audit_run, offline_continuous_opt, offline_integer_opt
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AtomicMeasure", "Arrival", "BudgetSmoother", "DesignSpec", "Instance",
     "OnlineState", "SmoothedObjective", "TraceObjective", "audit_run",
-    "b_prime", "certify_psd_dr", "cr_bound", "design_hs", "exact_measure",
-    "gamma_for_budget", "gs_prime", "gs_value", "make_objective",
-    "offline_continuous_opt", "offline_integer_opt", "run_stream", "trace_lift",
+    "b_prime", "cr_bound", "design_hs", "exact_measure", "gamma_for_budget",
+    "gs_prime", "gs_value", "make_objective", "offline_continuous_opt",
+    "offline_integer_opt", "run_stream", "trace_lift",
 ]

@@ -106,7 +106,9 @@ def _tail_grid(u1):
 def constraint_values(spec, measure, grid=None):
     """Ratios r_i whose maximum is the certified beta for this measure.
 
-    +inf where the conjugate is -inf (the measure fails the constraint there).
+    y and h_S sum over the live atoms only (y_eval, hs_eval), so a designed
+    measure costs its few atoms of positive weight, not all q nodes.  +inf
+    where the conjugate is -inf (the measure fails the constraint there).
     """
     u = design_grid(spec) if grid is None else np.asarray(grid, dtype=float)
     ys = y_eval(measure, u)
@@ -120,7 +122,7 @@ def constraint_values(spec, measure, grid=None):
 
 
 def beta_for_measure(spec, measure, dense=10):
-    """Certified beta of a fixed measure: max ratio on a dense grid."""
+    """Certified beta of a fixed measure: max ratio on a dense grid, over its live atoms."""
     return float(np.max(constraint_values(spec, measure, design_grid(spec, dense))))
 
 
@@ -137,7 +139,9 @@ class _Tableau:
     """Constraint columns over (u-grid x node-grid), built only where they are read.
 
     ratio_i(mu) = gamma lin_i . mu - h*(Psi_i . mu)/h_i, with the part linear in mu
-    over gamma lin_i = (Phi_i [+ rho2 (a - Psi_i)])/h_i.
+    over gamma lin_i = (Phi_i [+ rho2 (a - Psi_i)])/h_i.  An atom's (lin, Psi)
+    column over the whole grid is built once per design, the first time the atom
+    has positive weight; a batch of cuts builds only its own rows.
     """
 
     def __init__(self, spec, grid):
@@ -146,6 +150,7 @@ class _Tableau:
         self.u = grid
         self.a = 1.0 / (1.0 - self.nodes)                      # y(0) coefficients
         self.h = h_eval(spec.objective, grid)
+        self.cols = {}                                         # node -> its (lin, Psi) column
 
     def _block(self, i, j):
         """lin and Psi at rows i, columns j."""
@@ -158,9 +163,18 @@ class _Tableau:
         return lin / self.h[i, None], psi
 
     def ratio(self, w):
-        """Every row's ratio for the weights w, and y = Psi w; reads only the columns w != 0."""
+        """Every row's ratio for the weights w, and y = Psi w; reads only the columns w != 0.
+
+        The cached columns are stacked in live order, so lin, Psi and their
+        products are bit for bit those of one fresh block of the live columns.
+        """
         live = np.flatnonzero(w)
-        lin, psi = self._block(slice(None), live)
+        new = [j for j in live if j not in self.cols]
+        if new:
+            lin, psi = self._block(slice(None), np.array(new))
+            self.cols.update(zip(new, zip(lin.T, psi.T)))
+        lin = np.column_stack([self.cols[j][0] for j in live])
+        psi = np.column_stack([self.cols[j][1] for j in live])
         y = psi @ w[live]
         return self.spec.gamma * (lin @ w[live]) - h_conj(self.spec.objective, y) / self.h, y
 

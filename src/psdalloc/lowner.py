@@ -9,11 +9,12 @@ defines
              phi(u, 0) = u,  phi(u, lam) = log(1 + u lam/(1-lam)) / lam.
 
 For u < 0 both extend linearly/constantly: y(u) = y(0), h_S(u) = y(0) * u.
-Each summand of y is operator antitone in u, which is what makes the gradient
-of the lifted H_S order-reversing (the PSD diminishing-returns property).
-The lifts H_S and grad H_S apply h_S and y to the spectrum from
-objectives.psd_eigs; certify_psd_dr samples the order reversal as the
-smallest eigenvalue of grad H_S(U') - grad H_S(U) for U' <= U.
+y_eval and hs_eval sum over the live atoms (positive weight) only, so a
+designed measure, which keeps its zero-weight grid nodes, costs what its
+support costs.  Each summand of y is operator antitone in u, which is what
+makes the gradient of the lifted H_S order-reversing (the PSD
+diminishing-returns property).  The lifts H_S and grad H_S apply h_S and y
+to the spectrum from objectives.psd_eigs.
 """
 
 from dataclasses import dataclass
@@ -67,7 +68,8 @@ def phi_primitive(u, lam):
 
 
 def y_eval(measure, u):
-    """y(u) for scalar or array u; constant y(0) on u < 0."""
+    """y(u) for scalar or array u, summed over the live atoms; constant y(0) on u < 0."""
+    measure = measure.live
     u, scalar = np.asarray(u, dtype=float), np.ndim(u) == 0
     up = np.maximum(u, 0.0)
     den = up[..., None] * measure.nodes + (1.0 - measure.nodes)
@@ -77,7 +79,8 @@ def y_eval(measure, u):
 
 
 def hs_eval(measure, u):
-    """h_S(u) for scalar or array u; linear slope y(0) on u < 0."""
+    """h_S(u) for scalar or array u, summed over the live atoms; linear slope y(0) on u < 0."""
+    measure = measure.live
     u, scalar = np.asarray(u, dtype=float), np.ndim(u) == 0
     up = np.maximum(u, 0.0)
     val = np.sum(measure.weights * phi_primitive(up[..., None], measure.nodes), axis=-1)
@@ -113,11 +116,11 @@ def hs_trace_lift(smoothed, M):
 def grad_hs(smoothed, M):
     """Gradient of H_S: the mixture y applied through the spectrum of M, or of each in a stack.
 
-    y sums over the live atoms only, and W W^T with W = V sqrt(y(w)) is exactly
-    symmetric as matmul gives it (syrk), so it needs no sym pass.
+    W W^T with W = V sqrt(y(w)) is exactly symmetric as matmul gives it (syrk),
+    so it needs no sym pass.
     """
     w, V = psd_eigs(M)
-    W = V * np.sqrt(y_eval(smoothed.measure.live, w))[..., None, :]
+    W = V * np.sqrt(y_eval(smoothed.measure, w))[..., None, :]
     return W @ np.swapaxes(W, -1, -2)
 
 
@@ -132,36 +135,6 @@ def exact_measure(obj):
     if obj.kind == "dopt":
         return AtomicMeasure(np.array([0.5]), np.array([0.5]))
     return None
-
-
-@dataclass(frozen=True)
-class PsdDrReport:
-    min_gap: float
-    trials: int
-    dim: int
-
-    def passed(self, tol=1e-8):
-        return self.min_gap >= -tol
-
-
-def certify_psd_dr(smoothed, trials=200, dim=4, seed=0):
-    """Sample ordered PSD pairs U' <= U and check grad_hs reverses the order.
-
-    Pairs are built as U = U' + a sum of one to three random rank-one bumps.
-    Reports the minimum of lambda_min(grad(U') - grad(U)) over all trials;
-    nonnegative (up to tolerance) certifies the diminishing-returns property
-    empirically.
-    """
-    rng = np.random.default_rng(seed)
-    min_gap = np.inf
-    for _ in range(trials):
-        W = rng.normal(size=(dim, dim))
-        U_lo = W @ W.T / dim
-        V = rng.normal(size=(dim, int(rng.integers(1, 4))))
-        U_hi = U_lo + V @ V.T
-        gap = np.linalg.eigvalsh(grad_hs(smoothed, U_lo) - grad_hs(smoothed, U_hi))[0]
-        min_gap = min(min_gap, gap)
-    return PsdDrReport(min_gap=float(min_gap), trials=trials, dim=dim)
 
 
 def smoothed_to_dict(smoothed):

@@ -446,11 +446,10 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     bprime = b_prime(budget)
     budget_residual = u - bprime
     # one decomposition of the final U gives H_S(U), H(U), lambda_max and y at its spectrum
-    measure = smoothed.measure.live
     w, _ = psd_eigs(U)
-    HS = float(np.sum(hs_eval(measure, w)))
+    HS = float(np.sum(hs_eval(smoothed.measure, w)))
     GS = gs_value(budget, u)
-    hstar = float(np.sum(h_conj(obj, y_eval(measure, w))))
+    hstar = float(np.sum(h_conj(obj, y_eval(smoothed.measure, w))))
     gstar = g_conj(z, budget.b)
     D = pos_sum - hstar - gstar
     if variant == "seq":

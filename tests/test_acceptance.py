@@ -22,11 +22,12 @@ from psdalloc.bench import (ExperimentConfig, cached_design, curve_rows,
 from psdalloc.budget import (E1, BudgetSmoother, b_prime, gamma_for_budget, gs_prime,
                              gs_value)
 from psdalloc.designer import DesignSpec, constraint_values, design_grid
-from psdalloc.lowner import SmoothedObjective, certify_psd_dr, exact_measure
+from psdalloc.lowner import SmoothedObjective, exact_measure
 from psdalloc.lowner import grad_hs, hs_trace_lift
 from psdalloc.objectives import h_eval, make_objective, trace_lift
 from psdalloc.online import run_stream
 from psdalloc.oracle import offline_continuous_opt, offline_integer_opt
+from reference import certify_psd_dr
 
 Q, D = 100, 200
 U_MAX = 10.0

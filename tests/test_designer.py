@@ -26,7 +26,7 @@ from psdalloc.designer import (
     design_to_dict,
 )
 from psdalloc.lowner import AtomicMeasure, exact_measure, y_eval
-from psdalloc.objectives import h_eval, make_objective
+from psdalloc.objectives import h_conj, h_eval, make_objective
 
 # small but representative problem size so each design solves in < 1 s
 Q, D, UMAX = 40, 60, 8.0
@@ -186,6 +186,42 @@ def test_tableau_ratio_matches_constraint_values(kind, variant, rho2):
         measure = AtomicMeasure(tab.nodes, w)
         assert np.allclose(y, y_eval(measure, grid), rtol=1e-14, atol=0.0)
         assert np.allclose(r, constraint_values(spec, measure, grid), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind,variant,rho2", [("aopt", "sim", 0.0), ("dopt", "seq", 5.0)])
+def test_design_builds_each_atoms_column_once(monkeypatch, kind, variant, rho2):
+    # a design-sweep spec at perfbench's full scale: its live atoms persist across solves
+    spec = DesignSpec(make_objective(kind), 2.0, 10.0, 100, 200, variant, rho2)
+    built, block = [], _Tableau._block
+
+    def spy(self, i, j):
+        if isinstance(i, slice):          # a whole-grid column, not a batch of cut rows
+            built.extend(np.asarray(j).tolist())
+        return block(self, i, j)
+
+    monkeypatch.setattr(_Tableau, "_block", spy)
+    res = design_hs(spec)
+    assert res.iterations > 1
+    assert len(built) == len(set(built))
+    assert set(np.flatnonzero(res.measure.weights).tolist()) <= set(built)
+
+
+def test_cached_columns_give_the_ratio_of_a_fresh_block():
+    spec = spec_for(kind="aopt", gamma=3.0, variant="seq", rho2=5.0)
+    grid = np.concatenate([np.geomspace(1e-8, 1e-2, 25), design_grid(spec)])
+    tab = _Tableau(spec, grid)
+    rng, read = np.random.default_rng(11), 0
+    for _ in range(5):
+        w = rng.random(Q) * (rng.random(Q) < 0.3)
+        w *= spec.objective.h_prime0 / (tab.a @ w)
+        r, y = tab.ratio(w)
+        live = np.flatnonzero(w)
+        read += live.size
+        lin, psi = tab._block(slice(None), live)
+        y_fresh = psi @ w[live]
+        r_fresh = spec.gamma * (lin @ w[live]) - h_conj(spec.objective, y_fresh) / tab.h
+        assert np.array_equal(y, y_fresh) and np.array_equal(r, r_fresh)
+    assert len(tab.cols) < read          # later supports met cached columns
 
 
 def test_seq_design_with_steep_tail_is_certified():
