@@ -9,9 +9,9 @@ engines carry certified competitive-ratio and budget-overrun guarantees.
 from .budget import BudgetSmoother, b_prime, gamma_for_budget, gs_prime, gs_value
 from .designer import DesignSpec, cr_bound, design_hs
 from .lowner import AtomicMeasure, SmoothedObjective, exact_measure
-from .objectives import TraceObjective, make_objective, trace_lift
+from .objectives import TraceObjective, make_objective
 from .online import Arrival, OnlineState, run_stream
-from .oracle import Instance, audit_run, offline_continuous_opt, offline_integer_opt
+from .oracle import Instance, audit_run, offline_continuous_opt
 
 __version__ = "0.1.0"
 
@@ -20,5 +20,5 @@ __all__ = [
     "OnlineState", "SmoothedObjective", "TraceObjective", "audit_run",
     "b_prime", "cr_bound", "design_hs", "exact_measure", "gamma_for_budget",
     "gs_prime", "gs_value", "make_objective", "offline_continuous_opt",
-    "offline_integer_opt", "run_stream", "trace_lift",
+    "run_stream",
 ]

@@ -17,10 +17,12 @@ cutting-plane method solves it on the certification grid: the base grid, a
 base abscissa is seeded; after each solve the tangent cut v = u*(y_i) is added
 at every local maximum of the ratio still above the LP value.  Each cut is
 held over gamma, so the LP's entries do not grow with gamma.  One HiGHS
-model holds the LP for a whole design: cuts are only ever added, so each
-re-solve is a dual simplex warm-started from the previous basis.  The
-returned beta is the largest ratio of the best iterate on the whole
-certification grid; the row duals bound the grid optimum below.
+model holds only the binding part of the LP: it starts on every fifth node,
+a node enters once its reduced cost prices it in (column generation), a cut
+leaves once it is slack at zero dual at two consecutive solves, and each
+re-solve is warm-started from the previous basis.  The returned beta is the
+largest ratio of the best iterate on the whole certification grid; the row
+duals, priced over every node, bound the grid optimum below.
 """
 
 from dataclasses import dataclass
@@ -70,7 +72,7 @@ class DesignResult:
     beta_lb: float       # final LP value (from its duals): bounds the grid optimum below
     iterations: int      # LP solves, the first cold and every later one warm
     spec: DesignSpec
-    cuts: int = None     # cut rows of the final LP (None in records written without it)
+    cuts: int = None     # cuts the design added, seeds included (None in records written without it)
     atoms: int = None    # nonzero weights of the measure (likewise)
     residual: float = 0.0    # read from older records, which inflated beta by it
     flagged: bool = False    # likewise: set when that inflation exceeded 1e-6
@@ -186,15 +188,28 @@ class _Tableau:
                 -h_eval(self.spec.objective, v) / gh)
 
 
+def _dense(block):
+    """(entries, starts, indices, values) of a dense block, one vector per row, for HiGHS."""
+    k, width = block.shape
+    return (block.size, np.arange(0, block.size, width, dtype=np.int32),
+            np.tile(np.arange(width, dtype=np.int32), k), block.ravel())
+
+
 class _CutLP:
-    """The design LP in (mu, t/gamma), kept in one HiGHS model across all its solves.
+    """The design LP in (mu, t/gamma), one HiGHS model holding only its binding part.
 
         min t/gamma  s.t.  a . mu = h'(0),  mu >= 0,  t free,  cuts . (mu, t/gamma) <= rhs
 
-    Cuts are only ever added (addRows), so HiGHS keeps its optimal basis with
-    the new rows basic and re-solves by dual simplex from there; only the
-    first solve is cold.  The rows are also kept here for the dual bound.
+    The model starts with t/gamma and every fifth node.  Cut rows are kept here
+    at full width, so after each solve every node whose reduced cost is below
+    those of the nodes in the model enters at the next solve (addCols), its
+    column read off these rows.  A cut that is slack with zero dual at two
+    consecutive solves leaves the model (deleteRows); at zero dual that
+    leaves the LP value unchanged.  HiGHS keeps its basis across both edits,
+    so only the first solve is cold.
     """
+
+    TOL = 1e-8       # HiGHS's primal and dual feasibility tolerances
 
     def __init__(self, a, h_prime0):
         # imported here, not at module level: scipy.optimize roughly quadruples
@@ -211,46 +226,75 @@ class _CutLP:
         hs.setOptionValue("output_flag", False)
         # in units of t/gamma, about 1 or more as the ratio tends to gamma at u -> 0; at
         # HiGHS's default 1e-7 = DESIGN_TOL the loop stalled, re-adding violated cuts
-        hs.setOptionValue("primal_feasibility_tolerance", 1e-8)
-        hs.setOptionValue("dual_feasibility_tolerance", 1e-8)
+        hs.setOptionValue("primal_feasibility_tolerance", self.TOL)
+        hs.setOptionValue("dual_feasibility_tolerance", self.TOL)
         # presolve was most of each cold first solve on these small dense LPs;
         # the designs come out bit-identical without it
         hs.setOptionValue("presolve", "off")
         q = a.size
-        hs.addVars(q + 1, np.append(np.zeros(q), -kHighsInf), np.full(q + 1, kHighsInf))
-        hs.changeColsCost(1, np.array([q], dtype=np.int32), np.array([1.0]))
-        hs.addRows(1, np.array([h_prime0]), np.array([h_prime0]), q,
-                   np.array([0], dtype=np.int32), np.arange(q, dtype=np.int32), a)
-        self.a, self.h_prime0 = a, h_prime0
+        self.cols = np.append(q, np.arange(0, q, 5))     # each model column in a full row: t, nodes
+        self.a, self.eq, self.h_prime0 = a, np.append(a, 0.0), h_prime0
+        k = self.cols.size
+        hs.addVars(k, np.append(-kHighsInf, np.zeros(k - 1)), np.full(k, kHighsInf))
+        hs.changeColsCost(1, np.array([0], dtype=np.int32), np.array([1.0]))
+        hs.addRows(1, np.array([h_prime0]), np.array([h_prime0]), *_dense(self.eq[None, self.cols]))
         self.rows, self.rhs = np.empty((0, q + 1)), np.empty(0)
+        self.idle = np.empty(0, dtype=int)      # consecutive solves each cut was slack at zero dual
+        self.pending = np.empty(0, dtype=int)   # nodes that enter at the next solve
+        self.added = 0                          # cuts ever added
 
     def add(self, rows, rhs):
-        k, width = rows.shape
-        self.highs.addRows(k, np.full(k, -self.inf), rhs, rows.size,
-                           np.arange(0, rows.size, width, dtype=np.int32),
-                           np.tile(np.arange(width, dtype=np.int32), k), rows.ravel())
+        k = rhs.size
+        self.highs.addRows(k, np.full(k, -self.inf), rhs, *_dense(rows[:, self.cols]))
         self.rows = np.vstack([self.rows, rows])
         self.rhs = np.concatenate([self.rhs, rhs])
+        self.idle = np.concatenate([self.idle, np.zeros(k, dtype=int)])
+        self.added += k
+
+    def _refit(self):
+        """Drop the cuts idle at two consecutive solves, then enter the pending nodes."""
+        hs, drop = self.highs, np.flatnonzero(self.idle >= 2)
+        if drop.size:
+            hs.deleteRows(drop.size, (1 + drop).astype(np.int32))
+            keep = self.idle < 2
+            self.rows, self.rhs, self.idle = self.rows[keep], self.rhs[keep], self.idle[keep]
+        new, k = self.pending, self.pending.size
+        if k:
+            hs.addCols(k, np.zeros(k), np.zeros(k), np.full(k, self.inf),
+                       *_dense(np.vstack([self.eq[new], self.rows[:, new]]).T))
+            self.cols = np.append(self.cols, new)
+            self.pending = new[:0]
 
     def solve(self):
-        """Optimal (mu, t) and a lower bound on the LP value from the row duals.
+        """Optimal (mu, t) over all q + 1 variables and a lower bound on the LP value.
 
-        Weak duality, whatever the solver's tolerances: the duals lam >= 0 of
-        the cuts, scaled to sum 1, give max_i ratio_i(mu) >= lam.(A mu - b)
-        >= h'(0) min_j (lam A)_j / a_j - lam.b for every feasible mu.
+        Weak duality, whatever the solver's tolerances and whichever rows and
+        columns the model holds: the duals lam >= 0 of its cuts, scaled to sum
+        1, give max_i ratio_i(mu) >= lam.(A mu - b) >= h'(0) min_j (lam A)_j / a_j
+        - lam.b for every feasible mu over all q nodes.  (lam A)_j / a_j is
+        also node j's price: below the least price in the model, j enters.
         """
         hs = self.highs
+        self._refit()
         hs.run()
         status = hs.getModelStatus()
         # HiGHS drops a cut with an entry past 1e15; held over gamma, no entry grows with gamma
-        if status != self.optimal or hs.getNumRow() != 1 + self.rhs.size:
+        if (status != self.optimal or hs.getNumRow() != 1 + self.rhs.size
+                or hs.getNumCol() != self.cols.size):
             raise ValueError("design LP failed (%s, %d of %d cuts held) at this --gamma" % (
                 hs.modelStatusToString(status), hs.getNumRow() - 1, self.rhs.size))
         sol = hs.getSolution()
-        lam = np.maximum(-np.array(sol.row_dual)[1:], 0.0)
+        dual = -np.array(sol.row_dual)[1:]
+        lam = np.maximum(dual, 0.0)
         lam /= lam.sum()
-        lb = self.h_prime0 * float(np.min(lam @ self.rows[:, :-1] / self.a)) - float(lam @ self.rhs)
-        return np.array(sol.col_value), lb
+        price = lam @ self.rows[:, :-1] / self.a
+        lb = self.h_prime0 * float(np.min(price)) - float(lam @ self.rhs)
+        self.pending = np.flatnonzero(price < np.min(price[self.cols[1:]]))   # none in the model
+        slack = np.array(sol.row_value)[1:] < self.rhs - self.TOL
+        self.idle = np.where(slack & (dual == 0.0), self.idle + 1, 0)
+        x = np.zeros(self.a.size + 1)
+        x[self.cols] = sol.col_value
+        return x, lb
 
 
 def design_hs(spec):
@@ -260,8 +304,10 @@ def design_hs(spec):
     exact-h measure is tangent, and v = 0; any one cut bounds the LP, so the
     seeds are only a warm start.  After each solve a tangent cut is added at
     every local maximum of the ratio above t + DESIGN_TOL (relative to t once
-    t exceeds 1).  The loop stops once the best iterate is within that of the
-    dual bound beta_lb, or when no ratio is above it, as the LP could not move.
+    t exceeds 1), and the nodes that price in enter the LP with them.  The
+    loop stops once the best iterate is within that of the dual bound
+    beta_lb, or when no ratio is above it and no node prices in, as the LP
+    could not move.
     """
     obj = spec.objective
     if obj.kind == "linear":
@@ -291,33 +337,23 @@ def design_hs(spec):
         step = DESIGN_TOL * max(1.0, abs(t))
         peak = np.r_[r[:-1] >= r[1:], True] & np.r_[True, r[1:] >= r[:-1]]
         hot = np.flatnonzero(peak & (r > t + step))
-        if best_F - lb <= step or hot.size == 0:   # certified, or nothing left to cut
+        if best_F - lb <= step or hot.size + lp.pending.size == 0:   # certified, or stuck
             break
-        lp.add(*tab.cuts(hot, h_conj_prime(obj, y[hot])))
+        if hot.size:
+            lp.add(*tab.cuts(hot, h_conj_prime(obj, y[hot])))
     # the grid optimum is at most best_F; lb alone can pass it by rounding once the gap closes
     return DesignResult(AtomicMeasure(tab.nodes, best_w), best_F, min(lb, best_F), solves, spec,
-                        cuts=int(lp.rhs.size), atoms=int(np.count_nonzero(best_w)))
+                        cuts=lp.added, atoms=int(np.count_nonzero(best_w)))
 
 
 def design_to_dict(result):
-    return {
-        "objective": {"kind": result.spec.objective.kind, "p": result.spec.objective.p},
-        "gamma": result.spec.gamma,
-        "u_max": result.spec.u_max,
-        "q": result.spec.q,
-        "d": result.spec.d,
-        "variant": result.spec.variant,
-        "rho2": result.spec.rho2,
-        "beta": result.beta,
-        "beta_lb": result.beta_lb,
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "flagged": result.flagged,
-        "cuts": result.cuts,
-        "atoms": result.atoms,
-        "nodes": [float(x) for x in result.measure.nodes],
-        "weights": [float(x) for x in result.measure.weights],
-    }
+    spec, measure = result.spec, result.measure
+    return {"objective": {"kind": spec.objective.kind, "p": spec.objective.p},
+            **{k: getattr(spec, k) for k in ("gamma", "u_max", "q", "d", "variant", "rho2")},
+            **{k: getattr(result, k) for k in ("beta", "beta_lb", "residual", "iterations",
+                                               "flagged", "cuts", "atoms")},
+            "nodes": [float(x) for x in measure.nodes],
+            "weights": [float(x) for x in measure.weights]}
 
 
 def design_from_dict(d):

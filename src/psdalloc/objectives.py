@@ -1,4 +1,4 @@
-"""Scalar gain functions, their trace lifts, and the PSD eigendecomposition.
+"""Scalar gain functions, their conjugates, and the PSD eigendecomposition.
 
 Catalog of concave increasing h with h(0) = 0, used eigenvalue-wise as
 H(X) = sum_i h(lambda_i(X)):
@@ -196,14 +196,3 @@ def psd_eigs(M):
                      % (w[..., 0][bad].flat[0], TOL_EIG))
     return w, V
 
-
-def trace_lift(obj, M):
-    """H(M) = sum_i h(lambda_i(M)); requires M PSD up to tolerance."""
-    w, _ = psd_eigs(M)
-    return float(np.sum(h_eval(obj, w)))
-
-
-def grad_trace_lift(obj, M):
-    """Gradient of the trace lift: h' applied through the spectrum of M."""
-    w, V = psd_eigs(M)
-    return sym((V * h_prime(obj, w)) @ V.T)

@@ -19,7 +19,7 @@ and that maximum is a fractional knapsack solved by sorting grad f / c
 upper bound.  The aggregate X = sum_t x_t A_t and the gradient are products
 with the stacked factors of the arrivals (A_t = L_t L_t^T): O(n^2 sum(k))
 work from n x sum(k) data, where products with the dense m x n x n stack move
-m n^2 floats.  The exhaustive integer optimum is available for small m.
+m n^2 floats.
 
 Audits replay a recorded decision sequence from scratch and check every
 inequality the guarantees rest on.  The replay is dense in the aggregates
@@ -54,10 +54,6 @@ OFFLINE_MAX_ITERS = 5000
 # the audit replays a run in blocks of steps whose gathered n x n duals and
 # factors hold at most this many floats
 AUDIT_BLOCK_FLOATS = 2 ** 22
-
-
-class CapacityError(ValueError):
-    """Instance too large for exhaustive enumeration."""
 
 
 class AuditError(ValueError):
@@ -263,30 +259,6 @@ def offline_continuous_opt(inst, obj):
         fs.append(f)
     probe, _ = project_box_budget(x + g, c, inst.b)     # g is the gradient at x
     return OfflineResult(f, f + gap, x, it, float(np.linalg.norm(probe - x)))
-
-
-def offline_integer_opt(inst, obj, max_m=22):
-    """Exhaustive 0/1 optimum; CapacityError beyond max_m arrivals."""
-    m, batch = inst.m, 65536     # subsets per batched eigvalsh
-    if m > max_m:
-        raise CapacityError("m = %d exceeds the enumeration cap %d" % (m, max_m))
-    As, c = np.stack([a.A for a in inst.arrivals]), inst.costs
-    best_val, best_bits = 0.0, np.zeros(m)
-    shifts = np.arange(m)
-    for start in range(0, 2 ** m, batch):
-        idx = np.arange(start, min(start + batch, 2 ** m), dtype=np.int64)
-        bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(float)
-        feas = bits @ c <= inst.b + 1e-12
-        if not np.any(feas):
-            continue
-        bits = bits[feas]
-        X = np.tensordot(bits, As, axes=(1, 0))
-        w = np.linalg.eigvalsh(X)
-        vals = np.sum(h_eval(obj, w), axis=1)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val, best_bits = float(vals[k]), bits[k]
-    return best_val, best_bits
 
 
 @dataclass

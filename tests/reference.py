@@ -2,7 +2,9 @@
 
 certify_psd_dr samples the PSD diminishing-returns property of a smoothed
 gain: the order reversal of grad H_S, as the smallest eigenvalue of
-grad H_S(U') - grad H_S(U) for U' <= U.
+grad H_S(U') - grad H_S(U) for U' <= U.  trace_lift and grad_trace_lift are
+the unsmoothed gain H(M) = sum_i h(lambda_i(M)) and its gradient, and
+offline_integer_opt is the exhaustive 0/1 optimum of a small instance.
 """
 
 from dataclasses import dataclass
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from psdalloc.lowner import grad_hs
+from psdalloc.objectives import h_eval, h_prime, psd_eigs, sym
 
 
 @dataclass(frozen=True)
@@ -40,3 +43,43 @@ def certify_psd_dr(smoothed, trials=200, dim=4, seed=0):
         gap = np.linalg.eigvalsh(grad_hs(smoothed, U_lo) - grad_hs(smoothed, U_hi))[0]
         min_gap = min(min_gap, gap)
     return PsdDrReport(min_gap=float(min_gap), trials=trials, dim=dim)
+
+
+def trace_lift(obj, M):
+    """H(M) = sum_i h(lambda_i(M)); requires M PSD up to tolerance."""
+    w, _ = psd_eigs(M)
+    return float(np.sum(h_eval(obj, w)))
+
+
+def grad_trace_lift(obj, M):
+    """Gradient of the trace lift: h' applied through the spectrum of M."""
+    w, V = psd_eigs(M)
+    return sym((V * h_prime(obj, w)) @ V.T)
+
+
+class CapacityError(ValueError):
+    """Instance too large for exhaustive enumeration."""
+
+
+def offline_integer_opt(inst, obj, max_m=22):
+    """Exhaustive 0/1 optimum; CapacityError beyond max_m arrivals."""
+    m, batch = inst.m, 65536     # subsets per batched eigvalsh
+    if m > max_m:
+        raise CapacityError("m = %d exceeds the enumeration cap %d" % (m, max_m))
+    As, c = np.stack([a.A for a in inst.arrivals]), inst.costs
+    best_val, best_bits = 0.0, np.zeros(m)
+    shifts = np.arange(m)
+    for start in range(0, 2 ** m, batch):
+        idx = np.arange(start, min(start + batch, 2 ** m), dtype=np.int64)
+        bits = ((idx[:, None] >> shifts[None, :]) & 1).astype(float)
+        feas = bits @ c <= inst.b + 1e-12
+        if not np.any(feas):
+            continue
+        bits = bits[feas]
+        X = np.tensordot(bits, As, axes=(1, 0))
+        w = np.linalg.eigvalsh(X)
+        vals = np.sum(h_eval(obj, w), axis=1)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best_bits = float(vals[k]), bits[k]
+    return best_val, best_bits

@@ -24,10 +24,10 @@ from psdalloc.budget import (E1, BudgetSmoother, b_prime, gamma_for_budget, gs_p
 from psdalloc.designer import DesignSpec, constraint_values, design_grid
 from psdalloc.lowner import SmoothedObjective, exact_measure
 from psdalloc.lowner import grad_hs, hs_trace_lift
-from psdalloc.objectives import h_eval, make_objective, trace_lift
+from psdalloc.objectives import h_eval, make_objective
 from psdalloc.online import run_stream
-from psdalloc.oracle import offline_continuous_opt, offline_integer_opt
-from reference import certify_psd_dr
+from psdalloc.oracle import offline_continuous_opt
+from reference import certify_psd_dr, offline_integer_opt, trace_lift
 
 Q, D = 100, 200
 U_MAX = 10.0

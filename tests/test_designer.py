@@ -233,6 +233,24 @@ def test_seq_design_with_steep_tail_is_certified():
     assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
 
 
+def test_design_with_atoms_outside_the_start_set_is_certified():
+    # the LP starts on every fifth node; these atoms entered by pricing
+    spec = spec_for(kind="aopt", gamma=1.5)
+    res = design_hs(spec)
+    start = _CutLP(np.ones(Q), 1.0).cols[1:]
+    assert not np.isin(np.flatnonzero(res.measure.weights), start).all()
+    assert res.beta - res.beta_lb <= DESIGN_TOL * max(1.0, res.beta)
+    assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["dopt", "aopt"])
+def test_fine_node_grid_design_is_certified(kind):
+    spec = DesignSpec(make_objective(kind), 2.0, 10.0, 400, 200)
+    res = design_hs(spec)
+    assert res.beta - res.beta_lb <= DESIGN_TOL * max(1.0, res.beta)
+    assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
+
+
 def test_cr_bound():
     e1 = np.e - 1.0
     assert cr_bound(1.0, 2.0) == pytest.approx(1.0 / (1.0 / e1 + 2.0))
@@ -278,8 +296,8 @@ TOLS = {"primal_feasibility_tolerance": 1e-8, "dual_feasibility_tolerance": 1e-8
 
 
 def test_cut_lp_warm_resolves_match_cold_linprog():
-    # pins scipy's private incremental HiGHS interface: one model, rows added
-    # between solves; linprog (cold, on the same rows) is only the reference
+    # pins scipy's private incremental HiGHS interface: one model, rows added and
+    # deleted and columns added between solves; linprog (cold) is only the reference
     from scipy.optimize import linprog
 
     spec = spec_for(kind="dopt", gamma=2.0)
@@ -292,27 +310,45 @@ def test_cut_lp_warm_resolves_match_cold_linprog():
     for _ in range(5):
         i = np.sort(rng.choice(every, 12, replace=False))
         batches.append(tab.cuts(i, tab.u[i] * rng.uniform(0.2, 5.0, i.size)))
+
+    def cold(cols, rows, rhs):
+        t = cols == q
+        res = linprog(t.astype(float), A_ub=rows[:, cols], b_ub=rhs,
+                      A_eq=np.append(tab.a, 0.0)[None, cols], b_eq=[h0],
+                      bounds=[(None, None) if ti else (0.0, None) for ti in t],
+                      method="highs", options=TOLS)
+        assert res.status == 0
+        return res.fun
+
     lp = _CutLP(tab.a, h0)
-    values, bounds = [], []
+    start = lp.cols.copy()
+    every_row, every_rhs = np.empty((0, q + 1)), np.empty(0)
+    most_rows, entered = 0, False
     for rows, rhs in batches:
         lp.add(rows, rhs)
+        every_row, every_rhs = np.vstack([every_row, rows]), np.append(every_rhs, rhs)
+        most_rows = max(most_rows, lp.rhs.size)
         x, lb = lp.solve()
-        cold = linprog(np.append(np.zeros(q), 1.0), A_ub=lp.rows, b_ub=lp.rhs,
-                       A_eq=np.append(tab.a, 0.0)[None, :], b_eq=[h0],
-                       bounds=[(0.0, None)] * q + [(None, None)], method="highs",
-                       options=TOLS)
-        assert cold.status == 0
-        assert x[-1] == pytest.approx(cold.fun, abs=1e-9)
+        # the model holds t/gamma, its columns and its live rows, and the warm value is theirs
+        assert lp.rows.shape == (lp.rhs.size, q + 1)
+        assert lp.highs.getNumRow() == 1 + lp.rhs.size and lp.highs.getNumCol() == lp.cols.size
+        assert lp.cols[0] == q and np.unique(lp.cols).size == lp.cols.size
+        assert x[-1] == pytest.approx(cold(lp.cols, lp.rows, lp.rhs), abs=1e-9)
+        assert np.all(np.delete(x, lp.cols) == 0.0) and np.all(x[:q] >= -1e-12)
         assert tab.a @ x[:q] == pytest.approx(h0, abs=1e-8)
         assert np.all(lp.rows @ x <= lp.rhs + 1e-8)
-        values.append(float(x[-1]))
-        bounds.append(lb)
-    assert lp.rows.shape == (2 * tab.u.size + 5 * 12, q + 1)
-    assert np.all(np.diff(values) >= -1e-9)     # rows only tighten the LP
-    # weak duality: each solve's bound is at most its LP value and every later one
-    for k, lb in enumerate(bounds):
-        assert lb <= min(values[k:]) + 1e-10
-        assert lb >= values[k] - 1e-7
+        # weak duality: the bound holds for the LP over every node and every cut added
+        full = cold(np.arange(q + 1), every_row, every_rhs)
+        assert lb <= full + 1e-10
+        if lp.pending.size == 0:
+            # no node prices in: the held LP is the full one, and the bound is tight
+            assert x[-1] <= full + 1e-9 and lb >= x[-1] - 1e-7
+        assert not np.isin(lp.pending, lp.cols).any()
+        entered |= lp.cols.size > start.size
+    assert lp.added == every_rhs.size == 2 * tab.u.size + 5 * 12
+    # both edits ran: some node entered past the start set, and some cut left
+    assert entered and np.array_equal(lp.cols[:start.size], start)
+    assert lp.rhs.size < most_rows
 
 
 def test_cut_lp_failure_is_an_input_error_naming_gamma():

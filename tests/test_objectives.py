@@ -7,15 +7,14 @@ from psdalloc.objectives import (
     NotPSD,
     RangeError,
     TraceObjective,
-    grad_trace_lift,
     h_conj,
     h_conj_prime,
     h_eval,
     h_inverse,
     h_prime,
     make_objective,
-    trace_lift,
 )
+from reference import grad_trace_lift, trace_lift
 
 ALL = [
     make_objective("linear"),

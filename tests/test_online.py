@@ -13,7 +13,7 @@ from psdalloc.lowner import (
     hs_trace_lift,
     y_eval,
 )
-from psdalloc.objectives import InvalidMatrix, NotPSD, h_conj, make_objective, trace_lift
+from psdalloc.objectives import InvalidMatrix, NotPSD, h_conj, make_objective
 from psdalloc.online import (
     Arrival,
     ConfigError,
@@ -21,6 +21,7 @@ from psdalloc.online import (
     run_stream,
 )
 from psdalloc.oracle import Instance, audit_trace
+from reference import trace_lift
 
 
 def dopt_setup(gamma=2.0, b=4.0, theta=0.5, Theta=2.0, rho1=0.0, variant="sim",

