@@ -31,8 +31,9 @@ def gen_adversarial(n, m, seed, b=None):
     Density bounds come out pinned at theta = 1, Theta = m, which is the
     worst-case spread the stopping budget is calibrated against.
     """
-    if not n >= 1:
-        raise ValueError("n must be >= 1, got %r" % (n,))
+    for name, size in (("n", n), ("m", m)):
+        if not size >= 1:
+            raise ValueError("%s must be >= 1, got %r" % (name, size))
     rng = np.random.default_rng(seed)
     arrivals = []
     for t in range(1, m + 1):
@@ -48,8 +49,9 @@ def gen_random(n, m, density=1.0, seed=0, b=None):
     density in (0, 1] sparsifies the directions entrywise (resampled if a
     direction comes out all-zero).
     """
-    if not n >= 1:
-        raise ValueError("n must be >= 1, got %r" % (n,))
+    for name, size in (("n", n), ("m", m)):
+        if not size >= 1:
+            raise ValueError("%s must be >= 1, got %r" % (name, size))
     if not 0.0 < density <= 1.0:
         raise ValueError("--density must be in (0, 1], got %r" % (density,))
     rng = np.random.default_rng(seed)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .bench import (CURVE_COLUMNS, ExperimentConfig, _unsmoothed_beta, curve_rows,
                     group_spec, make_instance, run_experiment, run_one, write_csv)
-from .budget import BudgetSmoother, gs_prime
+from .budget import BudgetSmoother, QuadratureError, gs_prime
 from .designer import DesignSpec, cr_bound, design_hs, design_to_dict, design_from_dict
 from .lowner import SmoothedObjective, exact_measure, smoothed_from_dict, smoothed_to_dict
 from .objectives import TOL_EIG, make_objective
@@ -245,6 +245,9 @@ def main(argv=None):
         return 141
     except (ValueError, OSError) as exc:   # every validation error, bad JSON, a missing file
         print("psdalloc: error: %s" % exc, file=sys.stderr)
+        return 2
+    except QuadratureError as exc:   # at a huge b, exp(-r v) drops inside the rule's interval
+        print("psdalloc: error: --b is too large for the budget penalty (%s)" % exc, file=sys.stderr)
         return 2
 
 

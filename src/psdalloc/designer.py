@@ -21,16 +21,16 @@ model holds only the binding part of the LP: it starts on every fifth node,
 a node enters once its reduced cost prices it in (column generation), a cut
 leaves once it is slack at zero dual at two consecutive solves, and each
 re-solve is warm-started from the previous basis.  The returned beta is the
-largest ratio of the best iterate on the whole certification grid; the row
-duals, priced over every node, bound the grid optimum below.
+largest ratio of the best iterate on the whole certification grid, as
+beta_for_measure computes it for any fixed measure; the row duals, priced
+over every node, bound the grid optimum below.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lowner import (AtomicMeasure, SmoothedObjective, exact_measure, hs_eval,
-                     phi_primitive, y_eval)
+from .lowner import AtomicMeasure, SmoothedObjective, exact_measure, phi_primitive
 from .objectives import TraceObjective, h_conj, h_conj_prime, h_eval, h_inverse
 
 E1 = np.e - 1.0
@@ -105,27 +105,20 @@ def _tail_grid(u1):
     return np.array(pts[::-1])
 
 
-def constraint_values(spec, measure, grid=None):
-    """Ratios r_i whose maximum is the certified beta for this measure.
-
-    y and h_S sum over the live atoms only (y_eval, hs_eval), so a designed
-    measure costs its few atoms of positive weight, not all q nodes.  +inf
-    where the conjugate is -inf (the measure fails the constraint there).
-    """
-    u = design_grid(spec) if grid is None else np.asarray(grid, dtype=float)
-    ys = y_eval(measure, u)
-    lhs = spec.gamma * hs_eval(measure, u) - h_conj(spec.objective, ys)
-    if spec.variant == "seq":
-        # y(0) - y(u) = u sum_j mu_j lambda_j a_j/(u lambda_j + 1 - lambda_j), which does
-        # not cancel at small u (a_j = 1/(1 - lambda_j))
-        drop = AtomicMeasure(measure.nodes, measure.weights * measure.nodes / (1.0 - measure.nodes))
-        lhs = lhs + spec.gamma * spec.rho2 * u * y_eval(drop, u)
-    return lhs / h_eval(spec.objective, u)
+def certification_grid(spec, dense=10):
+    """The abscissae a beta is certified on, sorted: a geometric near-zero tail,
+    the dense-times-finer grid, its midpoints and the base grid."""
+    base, fine = design_grid(spec), design_grid(spec, dense)
+    return np.unique(np.concatenate(
+        [_tail_grid(fine[0]), fine, 0.5 * (fine[:-1] + fine[1:]), base]))
 
 
 def beta_for_measure(spec, measure, dense=10):
-    """Certified beta of a fixed measure: max ratio on a dense grid, over its live atoms."""
-    return float(np.max(constraint_values(spec, measure, design_grid(spec, dense))))
+    """Certified beta of a fixed measure: the largest _Tableau.ratio of its live atoms
+    on the certification grid, so a designed measure gets its design's beta bit for bit."""
+    live = measure.live
+    r, _ = _Tableau(spec, certification_grid(spec, dense), live.nodes).ratio(live.weights)
+    return float(np.max(r))
 
 
 def cr_bound(gamma, beta):
@@ -138,7 +131,7 @@ def cr_bound(gamma, beta):
 
 
 class _Tableau:
-    """Constraint columns over (u-grid x node-grid), built only where they are read.
+    """Constraint columns over (u-grid x the given nodes), built only where they are read.
 
     ratio_i(mu) = gamma lin_i . mu - h*(Psi_i . mu)/h_i, with the part linear in mu
     over gamma lin_i = (Phi_i [+ rho2 (a - Psi_i)])/h_i.  An atom's (lin, Psi)
@@ -146,9 +139,9 @@ class _Tableau:
     has positive weight; a batch of cuts builds only its own rows.
     """
 
-    def __init__(self, spec, grid):
+    def __init__(self, spec, grid, nodes):
         self.spec = spec
-        self.nodes = np.arange(spec.q) / spec.q
+        self.nodes = nodes
         self.u = grid
         self.a = 1.0 / (1.0 - self.nodes)                      # y(0) coefficients
         self.h = h_eval(spec.objective, grid)
@@ -278,10 +271,11 @@ class _CutLP:
         self._refit()
         hs.run()
         status = hs.getModelStatus()
-        # HiGHS drops a cut with an entry past 1e15; held over gamma, no entry grows with gamma
+        # HiGHS drops a cut with an entry past 1e15; cuts held over gamma grow with u_max, not gamma
         if (status != self.optimal or hs.getNumRow() != 1 + self.rhs.size
                 or hs.getNumCol() != self.cols.size):
-            raise ValueError("design LP failed (%s, %d of %d cuts held) at this --gamma" % (
+            raise ValueError("design LP failed (%s, %d of %d cuts held) at this --gamma and this "
+                             "--umax (cut entries grow with it)" % (
                 hs.modelStatusToString(status), hs.getNumRow() - 1, self.rhs.size))
         sol = hs.getSolution()
         dual = -np.array(sol.row_dual)[1:]
@@ -316,10 +310,8 @@ def design_hs(spec):
         return DesignResult(exact_measure(obj), float(spec.gamma), float(spec.gamma), 0, spec,
                             cuts=0, atoms=1)
 
-    base, fine = design_grid(spec), design_grid(spec, 10)
-    grid = np.unique(np.concatenate(
-        [_tail_grid(fine[0]), fine, 0.5 * (fine[:-1] + fine[1:]), base]))
-    tab = _Tableau(spec, grid)
+    base, grid = design_grid(spec), certification_grid(spec)
+    tab = _Tableau(spec, grid, np.arange(spec.q) / spec.q)
     lp = _CutLP(tab.a, obj.h_prime0)
     seeds = np.searchsorted(grid, base[::10])
     lp.add(*tab.cuts(seeds, base[::10]))

@@ -5,14 +5,17 @@ gain: the order reversal of grad H_S, as the smallest eigenvalue of
 grad H_S(U') - grad H_S(U) for U' <= U.  trace_lift and grad_trace_lift are
 the unsmoothed gain H(M) = sum_i h(lambda_i(M)) and its gradient, and
 offline_integer_opt is the exhaustive 0/1 optimum of a small instance.
+constraint_values is the design ratio written with y_eval and hs_eval,
+independently of the designer's tableau.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from psdalloc.lowner import grad_hs
-from psdalloc.objectives import h_eval, h_prime, psd_eigs, sym
+from psdalloc.designer import design_grid
+from psdalloc.lowner import AtomicMeasure, grad_hs, hs_eval, y_eval
+from psdalloc.objectives import h_conj, h_eval, h_prime, psd_eigs, sym
 
 
 @dataclass(frozen=True)
@@ -83,3 +86,20 @@ def offline_integer_opt(inst, obj, max_m=22):
         if vals[k] > best_val:
             best_val, best_bits = float(vals[k]), bits[k]
     return best_val, best_bits
+
+
+def constraint_values(spec, measure, grid=None):
+    """Ratios r_i whose maximum is the certified beta for this measure.
+
+    y and h_S sum over the live atoms only (y_eval, hs_eval).  +inf where the
+    conjugate is -inf (the measure fails the constraint there).
+    """
+    u = design_grid(spec) if grid is None else np.asarray(grid, dtype=float)
+    ys = y_eval(measure, u)
+    lhs = spec.gamma * hs_eval(measure, u) - h_conj(spec.objective, ys)
+    if spec.variant == "seq":
+        # y(0) - y(u) = u sum_j mu_j lambda_j a_j/(u lambda_j + 1 - lambda_j), which does
+        # not cancel at small u (a_j = 1/(1 - lambda_j))
+        drop = AtomicMeasure(measure.nodes, measure.weights * measure.nodes / (1.0 - measure.nodes))
+        lhs = lhs + spec.gamma * spec.rho2 * u * y_eval(drop, u)
+    return lhs / h_eval(spec.objective, u)

@@ -21,13 +21,13 @@ from psdalloc.bench import (ExperimentConfig, cached_design, curve_rows,
                             gen_adversarial, gen_random, run_experiment)
 from psdalloc.budget import (E1, BudgetSmoother, b_prime, gamma_for_budget, gs_prime,
                              gs_value)
-from psdalloc.designer import DesignSpec, constraint_values, design_grid
+from psdalloc.designer import DesignSpec, design_grid
 from psdalloc.lowner import SmoothedObjective, exact_measure
 from psdalloc.lowner import grad_hs, hs_trace_lift
 from psdalloc.objectives import h_eval, make_objective
 from psdalloc.online import run_stream
 from psdalloc.oracle import offline_continuous_opt
-from reference import certify_psd_dr, offline_integer_opt, trace_lift
+from reference import certify_psd_dr, constraint_values, offline_integer_opt, trace_lift
 
 Q, D = 100, 200
 U_MAX = 10.0

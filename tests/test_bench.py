@@ -20,6 +20,7 @@ from psdalloc.lowner import SmoothedObjective, exact_measure
 from psdalloc.objectives import h_eval, make_objective, psd_eigs
 from psdalloc.online import Arrival
 from psdalloc.oracle import Instance, instance_from_dict
+from reference import constraint_values
 
 Q, D = 40, 60  # small design grids keep the pipeline tests fast
 
@@ -93,6 +94,16 @@ def test_generators_reject_empty_dimension(gen):
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be"):
             gen(n)
+
+
+@pytest.mark.parametrize("gen", [lambda m: gen_adversarial(3, m, 0),
+                                 lambda m: gen_random(3, m)],
+                         ids=["adversarial", "random"])
+def test_generators_reject_an_empty_stream(gen):
+    # named here, not by the Instance that would find no arrivals
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be"):
+            gen(m)
 
 
 # ------------------------------------------------------------------- config
@@ -257,6 +268,13 @@ def test_curve_rows_aopt_has_no_unsmoothed_bound():
     rows = curve_rows("aopt", (1.0,), u_max=8.0, q=Q, d=D)
     assert math.isnan(rows[0]["bound_unsmoothed"])
     assert rows[0]["bound_smoothed"] > 0
+
+
+def test_unsmoothed_seq_beta_covers_the_ratio_near_zero():
+    # the rho2 term's ratio climbs as u -> 0, below the first h-spaced abscissa
+    spec = DesignSpec(make_objective("dopt"), 4.0, 10.0, 100, 200, "seq", 5.0)
+    near_zero = constraint_values(spec, exact_measure(spec.objective), [1e-6])[0]
+    assert bench._unsmoothed_beta(spec) >= near_zero
 
 
 def test_emit_curve_file(tmp_path):

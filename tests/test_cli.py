@@ -22,8 +22,10 @@ from psdalloc.objectives import make_objective
 from psdalloc.oracle import instance_from_dict
 
 
-@pytest.mark.parametrize("gamma,beta", [(1.0, 50.9004752531962),
-                                        (2.0, 101.81500400009259)],
+# the ratio of the exact measure climbs to gamma (1 + rho2) = 51 gamma as u -> 0,
+# and the certification grid's tail reaches u = 1e-8
+@pytest.mark.parametrize("gamma,beta", [(1.0, 50.9999997306305),
+                                        (2.0, 101.99999949943357)],
                          ids=["gamma1", "gamma2"])
 def test_run_seq_reports_certified_bound(tmp_path, gamma, beta):
     out = tmp_path / "run.json"
@@ -254,9 +256,16 @@ BAD_INSTANCES = {
     (["run", "--instance", "no-factor.json"], "'L'"),
     (["run", "--instance", "two-n.json"], "n"),
     (["run", "--instance", "no-b.json", "--seed", "3"], "--seed"),
+    (["run", "--m", "0"], "m"),
+    # the budget penalty's quadrature and its check disagree at these budgets
+    (["run", "--b", "1e20"], "--b"),
+    (["bench", "--b", "1e300", "--n", "3", "--m", "5"], "--b"),
+    # gamma = 1 is the floor; HiGHS drops cuts whose entries grow with u_max
+    (["design", "--gamma", "1", "--umax", "1e30"], "--umax"),
 ], ids=["umax-inf", "n-zero", "aopt-p", "adversarial-density", "bench-adversarial-density",
         "random-density", "instance-no-b", "arrival-no-c", "arrival-no-factor",
-        "arrivals-of-two-n", "instance-with-a-generator-flag"])
+        "arrivals-of-two-n", "instance-with-a-generator-flag", "m-zero", "huge-b",
+        "bench-huge-b", "design-lp-at-huge-umax"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, name):
     monkeypatch.chdir(tmp_path)
     for path, instance in BAD_INSTANCES.items():

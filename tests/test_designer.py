@@ -18,7 +18,6 @@ from psdalloc.designer import (
     _Tableau,
     _tail_grid,
     beta_for_measure,
-    constraint_values,
     cr_bound,
     design_from_dict,
     design_grid,
@@ -27,9 +26,11 @@ from psdalloc.designer import (
 )
 from psdalloc.lowner import AtomicMeasure, exact_measure, y_eval
 from psdalloc.objectives import h_conj, h_eval, make_objective
+from reference import constraint_values
 
 # small but representative problem size so each design solves in < 1 s
 Q, D, UMAX = 40, 60, 8.0
+NODES = np.arange(Q) / Q
 
 
 def spec_for(kind="dopt", gamma=2.0, variant="sim", rho2=0.0, u_max=UMAX):
@@ -177,7 +178,7 @@ def test_lp_design_is_certified_and_tight(args, fallback_beta):
 def test_tableau_ratio_matches_constraint_values(kind, variant, rho2):
     spec = spec_for(kind=kind, gamma=3.0, variant=variant, rho2=rho2)
     grid = np.concatenate([np.geomspace(1e-8, 1e-2, 25), design_grid(spec)])
-    tab = _Tableau(spec, grid)
+    tab = _Tableau(spec, grid, NODES)
     rng = np.random.default_rng(5)
     for _ in range(3):
         w = rng.random(Q) * (rng.random(Q) < 0.3)
@@ -209,7 +210,7 @@ def test_design_builds_each_atoms_column_once(monkeypatch, kind, variant, rho2):
 def test_cached_columns_give_the_ratio_of_a_fresh_block():
     spec = spec_for(kind="aopt", gamma=3.0, variant="seq", rho2=5.0)
     grid = np.concatenate([np.geomspace(1e-8, 1e-2, 25), design_grid(spec)])
-    tab = _Tableau(spec, grid)
+    tab = _Tableau(spec, grid, NODES)
     rng, read = np.random.default_rng(11), 0
     for _ in range(5):
         w = rng.random(Q) * (rng.random(Q) < 0.3)
@@ -222,6 +223,20 @@ def test_cached_columns_give_the_ratio_of_a_fresh_block():
         r_fresh = spec.gamma * (lin @ w[live]) - h_conj(spec.objective, y_fresh) / tab.h
         assert np.array_equal(y, y_fresh) and np.array_equal(r, r_fresh)
     assert len(tab.cols) < read          # later supports met cached columns
+
+
+SWEEP_SPECS = [("dopt", 1.0, "sim", 0.0), ("dopt", 2.0, "sim", 0.0), ("dopt", 4.0, "sim", 0.0),
+               ("aopt", 1.0, "sim", 0.0), ("aopt", 2.0, "sim", 0.0), ("aopt", 4.0, "sim", 0.0),
+               ("dopt", 2.0, "seq", 5.0)]
+
+
+@pytest.mark.parametrize("kind,gamma,variant,rho2", SWEEP_SPECS,
+                         ids=["-".join(map(str, s)) for s in SWEEP_SPECS])
+def test_beta_for_measure_gives_a_design_its_beta(kind, gamma, variant, rho2):
+    # the benchmark's design-sweep specs: one ratio on one grid certifies both
+    spec = DesignSpec(make_objective(kind), gamma, 10.0, 100, 200, variant, rho2)
+    res = design_hs(spec)
+    assert beta_for_measure(spec, res.measure) == res.beta
 
 
 def test_seq_design_with_steep_tail_is_certified():
@@ -302,7 +317,7 @@ def test_cut_lp_warm_resolves_match_cold_linprog():
 
     spec = spec_for(kind="dopt", gamma=2.0)
     h0 = spec.objective.h_prime0
-    tab = _Tableau(spec, design_grid(spec))
+    tab = _Tableau(spec, design_grid(spec), NODES)
     q = tab.a.size
     every = np.arange(tab.u.size)
     rng = np.random.default_rng(3)
@@ -387,7 +402,7 @@ def design_specs(draw):
 def test_every_spec_designs_a_certified_measure(spec):
     res = design_hs(spec)
     assert np.isfinite(res.beta) and res.beta_lb <= res.beta
-    assert beta_for_measure(spec, res.measure, dense=10) <= res.beta * (1.0 + 1e-9) + 1e-9
+    assert beta_for_measure(spec, res.measure, dense=10) == res.beta
 
 
 def test_cut_lp_names_scipy_version_without_highs(monkeypatch):
