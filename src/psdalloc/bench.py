@@ -6,6 +6,7 @@ one DesignSpec that serves them all.  run_one streams and audits one run, and
 write_csv writes every CSV the package emits, with 12 significant digits.
 """
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -23,6 +24,8 @@ CSV_COLUMNS = ["objective", "gamma", "repeat", "budget_used", "b_prime",
                "primal_H", "p_star", "ratio", "bound", "umax_breached",
                "audit_pass", "variant", "arm"]
 CURVE_COLUMNS = ["gamma", "beta", "bound_smoothed", "bound_unsmoothed"]
+# gen_random refuses a density at which a draw keeps an entry with a smaller chance
+RANDOM_MIN_KEEP = 1e-4
 
 
 def gen_adversarial(n, m, seed, b=None):
@@ -47,13 +50,19 @@ def gen_random(n, m, density=1.0, seed=0, b=None):
     """Rank-one Gaussian arrivals with uniform costs in [0.5, 1.5].
 
     density in (0, 1] sparsifies the directions entrywise (resampled if a
-    direction comes out all-zero).
+    direction comes out all-zero).  A density at which a draw keeps no entry
+    of the n with chance above 1 - RANDOM_MIN_KEEP is refused, since its
+    arrivals would take more than 1/RANDOM_MIN_KEEP draws each on average.
     """
     for name, size in (("n", n), ("m", m)):
         if not size >= 1:
             raise ValueError("%s must be >= 1, got %r" % (name, size))
     if not 0.0 < density <= 1.0:
         raise ValueError("--density must be in (0, 1], got %r" % (density,))
+    keep = -math.expm1(n * math.log1p(-density)) if density < 1.0 else 1.0  # 1 - (1 - d)^n
+    if keep < RANDOM_MIN_KEEP:
+        raise ValueError("--density %r keeps an entry of an n = %d direction with chance "
+                         "%.3g per draw, below %g" % (density, n, keep, RANDOM_MIN_KEEP))
     rng = np.random.default_rng(seed)
     arrivals = []
     for _ in range(m):

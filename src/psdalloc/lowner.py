@@ -13,8 +13,14 @@ y_eval and hs_eval sum over the live atoms (positive weight) only, so a
 designed measure, which keeps its zero-weight grid nodes, costs what its
 support costs.  Each summand of y is operator antitone in u, which is what
 makes the gradient of the lifted H_S order-reversing (the PSD
-diminishing-returns property).  The lifts H_S and grad H_S apply h_S and y
-to the spectrum from objectives.psd_eigs.
+diminishing-returns property).  The lift H_S applies h_S to the spectrum from
+objectives.psd_eigs.  Its gradient is the Loewner resolvent sum
+
+    grad H_S(M) = sum_j mu_j (lambda_j M + (1 - lambda_j) I)^-1,
+
+which grad_hs evaluates as written, one inverse per live atom, for a measure
+of at most RESOLVENT_ATOMS live atoms, and otherwise by applying y to the
+spectrum of M, whose one eigh and lift cost between two and three inverses.
 """
 
 from dataclasses import dataclass
@@ -22,7 +28,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .objectives import TraceObjective, psd_eigs
+from .objectives import TOL_EIG, TraceObjective, psd_eigs, sym
+
+# grad_hs sums one inverse per live atom up to this many live atoms, and lifts y
+# through one eigh past it: per n x n matrix with BLAS on one thread, at n = 5 to
+# 50, the eigh and the lift cost between two and three inverses and a PSD check.
+RESOLVENT_ATOMS = 2
 
 
 @dataclass(frozen=True)
@@ -114,14 +125,47 @@ def hs_trace_lift(smoothed, M):
 
 
 def grad_hs(smoothed, M):
-    """Gradient of H_S: the mixture y applied through the spectrum of M, or of each in a stack.
+    """Gradient of H_S at M, or at each matrix of a stack; NotPSD as psd_eigs raises it.
 
-    W W^T with W = V sqrt(y(w)) is exactly symmetric as matmul gives it (syrk),
-    so it needs no sym pass.
+    A measure of at most RESOLVENT_ATOMS live atoms sums its resolvents
+    mu_j (lambda_j S + (1 - lambda_j) I)^-1, S = sym(M), with one batched inverse
+    per atom, after a batched Cholesky of S + TOL_EIG ||S||_F I has checked S
+    PSD; the sum is made exactly symmetric.  A measure of more live atoms applies
+    y through the spectrum: W W^T with W = V sqrt(y(w)), exactly symmetric as
+    matmul gives it (syrk).
     """
-    w, V = psd_eigs(M)
-    W = V * np.sqrt(y_eval(smoothed.measure, w))[..., None, :]
-    return W @ np.swapaxes(W, -1, -2)
+    measure = smoothed.measure.live
+    if np.count_nonzero(measure.weights) > RESOLVENT_ATOMS:
+        w, V = psd_eigs(M)
+        W = V * np.sqrt(y_eval(measure, w))[..., None, :]
+        return W @ np.swapaxes(W, -1, -2)
+    S = _checked_psd(M)
+    G = sum(mu * np.linalg.inv(_plus_identity(lam * S, 1.0 - lam))
+            for lam, mu in zip(measure.nodes, measure.weights) if mu > 0.0)
+    G += np.swapaxes(G, -1, -2)
+    G *= 0.5
+    return G
+
+
+def _plus_identity(A, s):
+    """A + s I for A one matrix or a stack, s a scalar or one per matrix; in place."""
+    np.einsum("...ii->...i", A)[...] += np.asarray(s)[..., None]
+    return A
+
+
+def _checked_psd(M):
+    """sym(M), once a Cholesky of S + TOL_EIG ||S||_F I (I at S = 0) passes for each S.
+
+    Where it fails psd_eigs decides, and raises NotPSD unless S sits on its
+    tolerance.
+    """
+    S = sym(M)
+    fro = np.sqrt(np.einsum("...ij,...ij->...", S, S))
+    try:
+        np.linalg.cholesky(_plus_identity(S.copy(), np.where(fro > 0.0, TOL_EIG * fro, 1.0)))
+    except np.linalg.LinAlgError:
+        psd_eigs(S)
+    return S
 
 
 def exact_measure(obj):

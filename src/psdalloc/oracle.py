@@ -319,10 +319,12 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     purchases are running sums (np.cumsum, in stream order, from the totals
     carried in) of the purchased x_t L_t L_t^T alone, and the duals
     Y_k = grad H_S(U_k) and z_k = gs'(u_k) come from one stacked grad_hs call
-    and one array gs_prime call.  Every price is then a sum of l^T Y l over a
-    step's factor columns l, with Y the duals in force at that step: one
-    batched product over the block's factors, zero-padded to the block's
-    largest rank.  The monotonicity of Y is one batched eigvalsh of the
+    and one array gs_prime call.  grad_hs sums one batched inverse per atom
+    for a measure of at most lowner.RESOLVENT_ATOMS live atoms, and lifts y
+    through one stacked eigh of the U_k for more.  Every price is then a sum
+    of l^T Y l over a step's factor columns l, with Y the duals in force at
+    that step: one batched product over the block's factors, zero-padded to
+    the block's largest rank.  The monotonicity of Y is one batched eigvalsh of the
     differences Y_{k-1} - Y_k.  Y starts at h'(0) I; the sim check prices with
     grad_hs(0) until the first purchase.  A rejected step leaves both duals as
     they are and adds exactly 0 to the Y gap and the z step.  H_S(U), h*, the

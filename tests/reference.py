@@ -2,8 +2,10 @@
 
 certify_psd_dr samples the PSD diminishing-returns property of a smoothed
 gain: the order reversal of grad H_S, as the smallest eigenvalue of
-grad H_S(U') - grad H_S(U) for U' <= U.  trace_lift and grad_trace_lift are
-the unsmoothed gain H(M) = sum_i h(lambda_i(M)) and its gradient, and
+grad H_S(U') - grad H_S(U) for U' <= U.  grad_hs_lift is grad H_S applied
+through the spectrum for any number of atoms, the reference for
+lowner.grad_hs's resolvent sums.  trace_lift and grad_trace_lift are the
+unsmoothed gain H(M) = sum_i h(lambda_i(M)) and its gradient, and
 offline_integer_opt is the exhaustive 0/1 optimum of a small instance.
 constraint_values is the design ratio written with y_eval and hs_eval,
 independently of the designer's tableau.
@@ -46,6 +48,13 @@ def certify_psd_dr(smoothed, trials=200, dim=4, seed=0):
         gap = np.linalg.eigvalsh(grad_hs(smoothed, U_lo) - grad_hs(smoothed, U_hi))[0]
         min_gap = min(min_gap, gap)
     return PsdDrReport(min_gap=float(min_gap), trials=trials, dim=dim)
+
+
+def grad_hs_lift(smoothed, M):
+    """grad H_S(M) = V y(w) V^T from the eigh of M, or of each matrix in a stack."""
+    w, V = psd_eigs(M)
+    W = V * np.sqrt(y_eval(smoothed.measure, w))[..., None, :]
+    return W @ np.swapaxes(W, -1, -2)
 
 
 def trace_lift(obj, M):

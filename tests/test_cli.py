@@ -251,6 +251,11 @@ BAD_INSTANCES = {
     (["run", "--density", "7"], "--density"),
     (["bench", "--density", "0.5", "--n", "3", "--m", "5"], "--density"),
     (["run", "--generator", "random", "--density", "7"], "--density"),
+    # no entry of a direction survives the mask at these densities: refused, not redrawn
+    (["run", "--generator", "random", "--n", "3", "--m", "5", "--density", "1e-300"],
+     "--density"),
+    (["run", "--generator", "random", "--n", "3", "--m", "5", "--density", "5e-324"],
+     "--density"),
     (["run", "--instance", "no-b.json"], "'b'"),
     (["run", "--instance", "no-c.json"], "'c'"),
     (["run", "--instance", "no-factor.json"], "'L'"),
@@ -263,9 +268,10 @@ BAD_INSTANCES = {
     # gamma = 1 is the floor; HiGHS drops cuts whose entries grow with u_max
     (["design", "--gamma", "1", "--umax", "1e30"], "--umax"),
 ], ids=["umax-inf", "n-zero", "aopt-p", "adversarial-density", "bench-adversarial-density",
-        "random-density", "instance-no-b", "arrival-no-c", "arrival-no-factor",
-        "arrivals-of-two-n", "instance-with-a-generator-flag", "m-zero", "huge-b",
-        "bench-huge-b", "design-lp-at-huge-umax"])
+        "random-density", "random-density-1e-300", "random-density-5e-324", "instance-no-b",
+        "arrival-no-c", "arrival-no-factor", "arrivals-of-two-n",
+        "instance-with-a-generator-flag", "m-zero", "huge-b", "bench-huge-b",
+        "design-lp-at-huge-umax"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, name):
     monkeypatch.chdir(tmp_path)
     for path, instance in BAD_INSTANCES.items():
@@ -390,7 +396,8 @@ def run_argvs(draw):
             "--p", repr(draw(st.sampled_from([1.0, 0.5, 2.0]))),
             "--variant", draw(st.sampled_from(["sim", "seq"])),
             "--generator", draw(st.sampled_from(["adversarial", "random"])),
-            "--density", repr(draw(st.sampled_from([1.0] * 12 + [0.3, 0.0, 7.0, math.nan]))),
+            "--density", repr(draw(st.sampled_from([1.0] * 12 + [0.3, 0.0, 7.0, math.nan,
+                                                            1e-300, 5e-324]))),
             "--n", str(draw(st.integers(1, 4))), "--m", str(draw(st.integers(1, 20))),
             "--b", repr(10.0 ** draw(st.floats(-9.0, 9.0))),
             "--gamma", repr(10.0 ** draw(st.floats(0.0, 15.0))),
@@ -422,7 +429,7 @@ def bench_configs(draw):
             "p": draw(st.sampled_from([1.0, 0.5, 2.0])),
             "variants": draw(st.sampled_from([["sim"], ["seq"], ["sim", "seq"]])),
             "generator": draw(st.sampled_from(["adversarial", "random"])),
-            "density": draw(st.sampled_from([1.0] * 12 + [0.3, 0.0, 7.0])),
+            "density": draw(st.sampled_from([1.0] * 12 + [0.3, 0.0, 7.0, 1e-300, 5e-324])),
             "n": draw(st.integers(1, 4)), "m": draw(st.integers(1, 12)),
             "b": 10.0 ** draw(st.floats(-9.0, 9.0)),
             "gammas": [10.0 ** g for g in draw(st.lists(st.floats(0.0, 15.0), min_size=1,

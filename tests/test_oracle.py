@@ -27,7 +27,7 @@ from psdalloc.oracle import (
     offline_continuous_opt,
     project_box_budget,
 )
-from reference import CapacityError, grad_trace_lift, offline_integer_opt
+from reference import CapacityError, grad_hs_lift, grad_trace_lift, offline_integer_opt
 
 
 def random_instance(rng, n=3, m=8, b=3.0):
@@ -526,7 +526,10 @@ def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
     """The audit as a step-by-step loop: the reference for oracle.audit_run's block replay.
 
     Each step takes its inner products with np.vdot, each purchase one
-    grad_hs and one scalar gs_prime, and each Y gap one eigvalsh.
+    gradient and one scalar gs_prime, and each Y gap one eigvalsh.  The
+    gradients come from the spectrum (grad_hs_lift), so on a measure of at
+    most lowner.RESOLVENT_ATOMS live atoms the audit's resolvent sums are
+    checked against it.
     """
     decisions = np.asarray(decisions, dtype=float)
     obj = smoothed.base
@@ -541,7 +544,7 @@ def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
     max_z_step = -np.inf
     decision_ok = True
     worst_resid = 0.0
-    G = None      # grad_hs(smoothed, U), once per U; Y starts at h'(0) I instead
+    G = None      # grad H_S(U), once per U; Y starts at h'(0) I instead
 
     for arr, x in zip(inst.arrivals, decisions):
         A, c = arr.A, arr.c
@@ -556,11 +559,11 @@ def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
         if x > 0.0:
             U = U + x * A
             u += x * c
-            G = Y_new = lowner.grad_hs(smoothed, U)
+            G = Y_new = grad_hs_lift(smoothed, U)
             z_new = gs_prime(budget, u)
         if variant == "sim":
             if G is None:
-                G = lowner.grad_hs(smoothed, U)    # U = 0: no purchase yet
+                G = grad_hs_lift(smoothed, U)    # U = 0: no purchase yet
             d_at = float(np.vdot(A, G)) + c * z_new     # z_new = gs'(u) at this u
             scale = max(1.0, abs(float(np.vdot(A, Y))) + c * abs(z))
             if x <= 0.0:
@@ -883,14 +886,22 @@ def test_audit_reads_no_matrix_of_a_rejected_arrival(variant, steps, monkeypatch
     assert audit_run(x, inst, sm, budget, variant, p_star=1.0).to_dict() == expect
 
 
-@pytest.mark.parametrize("kind", ["engine", "none"])
+@pytest.mark.parametrize("kind,measure", [
+    ("engine", "designed"), ("none", "designed"), ("engine", "one-atom"), ("none", "one-atom"),
+], ids=["engine", "none", "engine-one-atom", "none-one-atom"])
 @pytest.mark.parametrize("variant", ["seq", "sim"])
-def test_audit_decomposes_the_final_aggregate_once(variant, kind, monkeypatch):
-    # each block with a purchase pays one eigh of its U_k and one eigvalsh of
-    # its Y gaps, both stacked; the sim check adds grad_hs(0) for a run that
-    # opens with a rejection, and H_S(U), h*, H(U) and lambda_max share one eigh of U
+def test_audit_decomposes_the_final_aggregate_once(variant, kind, measure, monkeypatch):
+    # each block with a purchase pays one eigvalsh of its Y gaps, stacked, and
+    # under a measure of more than RESOLVENT_ATOMS live atoms one stacked eigh of
+    # its U_k, as does the sim check's grad_hs(0) for a run that opens with a
+    # rejection; a one-atom measure sums resolvents instead.  H_S(U), h*, H(U)
+    # and lambda_max share one eigh of U
     inst = _opens_with_a_rejection()
     sm, budget = engine_setup(inst, 2.0, variant)
+    if measure == "one-atom":
+        sm = SmoothedObjective(lowner.exact_measure(sm.base), sm.base)
+    spectral = bool(np.count_nonzero(sm.measure.weights) > lowner.RESOLVENT_ATOMS)
+    assert spectral == (measure == "designed")
     x = _decisions(kind, run_stream(sm, budget, inst.arrivals, variant).decisions, inst.m)
     block = _small_blocks(monkeypatch, inst, 4)
     blocks = {t // block for t in np.flatnonzero(x)}
@@ -905,8 +916,10 @@ def test_audit_decomposes_the_final_aggregate_once(variant, kind, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     audit_run(x, inst, sm, budget, variant, p_star=1.0)
     single = [(name, M) for name, M in calls if M.ndim == 2]
-    assert len(calls) - len(single) == 2 * len(blocks)
-    assert [name for name, _ in single] == ["eigh"] * (variant == "sim") + ["eigh"]
+    assert len(calls) - len(single) == (1 + spectral) * len(blocks)
+    assert [name for name, _ in single] == ["eigh"] * (variant == "sim" and spectral) + ["eigh"]
+    if kind == "engine":
+        assert blocks
     U = sum(xt * a.A for xt, a in zip(x, inst.arrivals))
     assert np.allclose(single[-1][1], U, rtol=1e-12, atol=1e-12)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from psdalloc.lowner import AtomicMeasure, SmoothedObjective, grad_hs
+from psdalloc.lowner import RESOLVENT_ATOMS, AtomicMeasure, SmoothedObjective, grad_hs
 from psdalloc.objectives import (
     TOL_EIG,
     InvalidMatrix,
@@ -12,6 +12,7 @@ from psdalloc.objectives import (
     psd_eigs,
     sym,
 )
+from reference import grad_hs_lift
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -118,3 +119,56 @@ def test_one_non_psd_matrix_in_a_stack_raises(rng):
     psd_eigs(stack[[0, 2]])     # each of the others passes on its own
     with pytest.raises(InvalidMatrix):
         sym(np.ones((2, 3, 4)))
+
+
+def _dopt_smoothed(nodes, weights):
+    """The measure scaled to y(0) = h'(0) = 1, paired with dopt."""
+    nodes, weights = np.array(nodes), np.array(weights, dtype=float)
+    weights /= np.sum(weights / (1.0 - nodes))
+    return SmoothedObjective(AtomicMeasure(nodes, weights), make_objective("dopt"))
+
+
+@pytest.mark.parametrize("n", [1, 5, 20, 50])
+@pytest.mark.parametrize("nodes,weights", [
+    ([0.5], [1.0]),
+    ([0.0], [1.0]),
+    ([0.0, 0.975], [1.0, 1.0]),
+    ([0.1, 0.3, 0.6, 0.9], [0.0, 1.0, 0.0, 2.0]),
+    ([0.2, 0.5, 0.8], [1.0, 1.0, 1.0]),
+], ids=["one-atom", "node-0", "node-0-and-0.975", "two-live-of-four", "three-live"])
+def test_grad_hs_sums_resolvents_up_to_resolvent_atoms_live(nodes, weights, n, rng,
+                                                            monkeypatch):
+    # both paths give the spectral lift V y(w) V^T to rounding, at every
+    # matrix of a stack; only a measure of more live atoms than
+    # RESOLVENT_ATOMS decomposes M.  Rounding moves w by about eps ||M|| and
+    # y(w) by that times max |y'|, and the columns of V are orthonormal to
+    # about n eps, which leaves n eps y(0) even where y is constant (node 0)
+    sm = _dopt_smoothed(nodes, weights)
+    lam, mu = sm.measure.nodes, sm.measure.weights
+    resolvents = np.count_nonzero(mu) <= RESOLVENT_ATOMS
+    assert resolvents == (len(nodes) != 3)
+    mats = [np.zeros((n, n))]
+    for k in (1, max(1, n // 2)):           # rank one and rank about n/2
+        F = rng.standard_normal((n, k))
+        mats.append(F @ F.T)
+    mats += [random_psd(rng, n, scale) for scale in (0.1, 1.0, 30.0)]
+    stack = np.stack(mats).reshape(2, 3, n, n)
+    eighs, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: eighs.append(M) or eigh(M))
+    G = grad_hs(sm, stack)
+    assert bool(eighs) != resolvents
+    ref = grad_hs_lift(sm, stack)
+    y0, dy0 = np.sum(mu / (1.0 - lam)), np.sum(mu * lam / (1.0 - lam) ** 2)   # max y, max |y'|
+    for i in np.ndindex(2, 3):
+        tol = 4.0 * n * np.finfo(float).eps * (np.linalg.norm(stack[i]) * dy0 + y0)
+        assert np.max(np.abs(G[i] - ref[i])) <= tol
+        assert np.array_equal(G[i], G[i].T)
+        assert np.array_equal(G[i], grad_hs(sm, stack[i]))
+    # within psd_eigs's tolerance passes; below it NotPSD carries psd_eigs's message
+    d = np.linspace(1.0, 2.0, n)
+    if n > 1:       # a 1 x 1 matrix is its own norm
+        d[0] = -0.5 * TOL_EIG * np.linalg.norm(d)
+        assert np.array_equal(grad_hs(sm, np.diag(d)), grad_hs(sm, np.diag(d)).T)
+    d[0] = -1e-3
+    with pytest.raises(NotPSD, match="-0.001 below"):
+        grad_hs(sm, np.stack([stack[0, 1], np.diag(d), np.zeros((n, n))]))
