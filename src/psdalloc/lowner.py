@@ -70,12 +70,20 @@ class AtomicMeasure:
 
 
 def phi_primitive(u, lam):
-    """Antiderivative basis phi(u, lam) of 1/(u lam + 1 - lam); broadcasts."""
+    """Antiderivative basis phi(u, lam) of 1/(u lam + 1 - lam); broadcasts.
+
+    phi = (u/(1 - lam)) log1p(x)/x with x = u lam/(1 - lam).  Where x is a
+    normal float that is log1p(x)/lam; where x is subnormal or 0 (lam = 0, or
+    u lam underflowing at a tiny node) log1p(x)/x rounds to 1, and phi is
+    u/(1 - lam).
+    """
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    safe = np.where(lam > 0.0, lam, 1.0)
-    logpart = np.log1p(u * lam / (1.0 - lam)) / safe
-    return np.where(lam > 0.0, logpart, u)
+    x = u * lam / (1.0 - lam)
+    out = np.log1p(x, out=np.empty(np.shape(x)))
+    out /= np.where(lam > 0.0, lam, 1.0)
+    np.divide(u, 1.0 - lam, out=out, where=x < np.finfo(float).tiny)
+    return out
 
 
 def y_eval(measure, u):

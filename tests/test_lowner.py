@@ -91,6 +91,13 @@ def test_phi_primitive_cases():
     assert out.shape == (2, 2)
 
 
+@pytest.mark.parametrize("lam", [5e-324, 1e-310])
+def test_hs_at_a_subnormal_node_is_its_limit(lam):
+    # u lam underflows to 0 (5e-324) or to a subnormal of few digits (1e-310);
+    # either way h_S(u) = mu u/(1 - lam) up to a relative O(u lam)
+    assert hs_eval(AtomicMeasure([lam], [0.5]), 1e-6) == pytest.approx(5e-7, rel=1e-15, abs=0.0)
+
+
 @given(m=measures(), u=st.floats(min_value=0.0, max_value=30.0))
 def test_phi_primitive_is_antiderivative(m, u):
     # the difference quotient of h_S over [lo, hi] equals y at the interval's

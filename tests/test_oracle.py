@@ -891,11 +891,14 @@ def test_audit_reads_no_matrix_of_a_rejected_arrival(variant, steps, monkeypatch
 ], ids=["engine", "none", "engine-one-atom", "none-one-atom"])
 @pytest.mark.parametrize("variant", ["seq", "sim"])
 def test_audit_decomposes_the_final_aggregate_once(variant, kind, measure, monkeypatch):
-    # each block with a purchase pays one eigvalsh of its Y gaps, stacked, and
-    # under a measure of more than RESOLVENT_ATOMS live atoms one stacked eigh of
-    # its U_k, as does the sim check's grad_hs(0) for a run that opens with a
-    # rejection; a one-atom measure sums resolvents instead.  H_S(U), h*, H(U)
-    # and lambda_max share one eigh of U
+    # each block with a purchase pays, in this order: under a measure of more than
+    # RESOLVENT_ATOMS live atoms one stacked eigh of its U_k (a one-atom measure
+    # sums resolvents, after one stacked Cholesky of the U_k); one eigvalsh of its
+    # least-trace Y gap, as a stack of one; and past one gap a shifted Cholesky of
+    # all its gaps, then one eigvalsh of all of them only where that Cholesky fails.
+    # The sim check's grad_hs(0), for a run that opens with a rejection, is one
+    # eigh under the designed measure.  H_S(U), h*, H(U) and lambda_max share one
+    # eigh of U
     inst = _opens_with_a_rejection()
     sm, budget = engine_setup(inst, 2.0, variant)
     if measure == "one-atom":
@@ -904,24 +907,124 @@ def test_audit_decomposes_the_final_aggregate_once(variant, kind, measure, monke
     assert spectral == (measure == "designed")
     x = _decisions(kind, run_stream(sm, budget, inst.arrivals, variant).decisions, inst.m)
     block = _small_blocks(monkeypatch, inst, 4)
-    blocks = {t // block for t in np.flatnonzero(x)}
+    gaps = np.bincount(np.flatnonzero(x) // block, minlength=-(-inst.m // block))
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         real = getattr(np.linalg, name)
 
         def counted(M, *args, _real=real, _name=name, **kwargs):
-            calls.append((_name, np.asarray(M)))
-            return _real(M, *args, **kwargs)
+            calls.append([_name, np.asarray(M), True])      # raised, until it returns
+            out = _real(M, *args, **kwargs)
+            calls[-1][2] = False
+            return out
 
         monkeypatch.setattr(np.linalg, name, counted)
     audit_run(x, inst, sm, budget, variant, p_star=1.0)
-    single = [(name, M) for name, M in calls if M.ndim == 2]
-    assert len(calls) - len(single) == (1 + spectral) * len(blocks)
-    assert [name for name, _ in single] == ["eigh"] * (variant == "sim" and spectral) + ["eigh"]
+    single = [(name, M) for name, M, _ in calls if M.ndim == 2 and name != "cholesky"]
+    stacked = [(name, len(M), raised) for name, M, raised in calls if M.ndim == 3]
+    expect = []
+    for k in gaps[gaps > 0]:
+        expect += [("eigh" if spectral else "cholesky", k, False), ("eigvalsh", 1, False)]
+        if k > 1:
+            # the shifted Cholesky follows the seed; read whether it failed
+            raised = len(stacked) > len(expect) and stacked[len(expect)][2]
+            expect.append(("cholesky", k, raised))
+            if raised:
+                expect.append(("eigvalsh", k, False))
+    assert stacked == expect
     if kind == "engine":
-        assert blocks
+        assert gaps.any()
+    assert [name for name, _ in single] == ["eigh"] * (variant == "sim" and spectral) + ["eigh"]
     U = sum(xt * a.A for xt, a in zip(x, inst.arrivals))
     assert np.allclose(single[-1][1], U, rtol=1e-12, atol=1e-12)
+
+
+def _bump_gradient_at(monkeypatch, target, bump):
+    """Add bump I to grad H_S at the aggregate target, in the audit and in the reference."""
+    def bumped(real):
+        def grad(smoothed, M):
+            at = np.all(np.isclose(M, target, rtol=1e-12, atol=1e-15), axis=(-2, -1))
+            return real(smoothed, M) + bump * at[..., None, None] * np.eye(M.shape[-1])
+        return grad
+
+    monkeypatch.setattr(oracle, "grad_hs", bumped(oracle.grad_hs))
+    monkeypatch.setitem(globals(), "grad_hs_lift", bumped(grad_hs_lift))
+
+
+def test_audit_finds_a_failing_gap_hidden_among_rank_deficient_ones(monkeypatch):
+    # rank-one purchases under the one-atom measure move Y by rank one, so at n = 4
+    # every gap's lambda_min is 0 up to rounding.  Lifting one Y_k by 2 tol I, away
+    # from the gap of least trace, takes that gap to -2 tol: the seed misses it, the
+    # shifted Cholesky fails, and the eigvalsh of every gap reports it
+    n, tol = 4, DEFAULT_TOLS["y_monotone"]
+    inst = gen_random(n, 12, 1.0, 5)
+    obj = make_objective("dopt")
+    sm = SmoothedObjective(lowner.exact_measure(obj), obj)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, 0.0, "sim")
+    x = np.ones(inst.m)
+    Us = np.cumsum([a.A for a in inst.arrivals], axis=0)
+    Ys = np.concatenate([[obj.h_prime0 * np.eye(n)], grad_hs_lift(sm, Us)])
+    traces = np.trace(Ys[:-1] - Ys[1:], axis1=1, axis2=2)
+    k = int(np.argmax(traces))
+    assert traces[k] - 2.0 * tol * n > traces.min()
+    _bump_gradient_at(monkeypatch, Us[k], 2.0 * tol)
+    ref = reference_audit_run(x, inst, sm, budget, "sim", 1.0)
+    assert ref.min_y_gap == pytest.approx(-2.0 * tol, rel=1e-6)
+    eigs = _spy(monkeypatch, np.linalg, "eigvalsh")
+    rep = audit_run(x, inst, sm, budget, "sim", p_star=1.0)
+    assert [len(args[0]) for args in eigs] == [1, inst.m]      # the seed, then every gap
+    assert not rep.checks["y_monotone"]
+    assert_reports_match(rep, ref)
+
+
+def test_audit_certifies_rank_deficient_gaps_by_one_shifted_cholesky(monkeypatch):
+    # at n = 20 a rank-one purchase under a measure of more than RESOLVENT_ATOMS
+    # atoms moves Y by rank at most the atom count, so each gap's lambda_min is 0
+    # up to rounding: the shifted Cholesky passes, no gap but the seed is
+    # decomposed, and the reported gap is at most the slack above the least
+    n = 20
+    inst = gen_random(n, 60, 1.0, 11)
+    obj = make_objective("aopt")
+    sm = design_hs(DesignSpec(obj, 2.0, 14.0)).smoothed()
+    assert np.count_nonzero(sm.measure.weights) > lowner.RESOLVENT_ATOMS
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, 0.0, "sim")
+    x = run_stream(sm, budget, inst.arrivals, "sim").decisions
+    gaps = _spy(monkeypatch, oracle, "_min_y_gap")
+    eigs = _spy(monkeypatch, np.linalg, "eigvalsh")
+    rep = audit_run(x, inst, sm, budget, "sim", p_star=0.0)
+    assert [np.shape(args[0]) for args in eigs] == [(1, n, n)]
+    ((dY,),) = gaps                                             # one block
+    assert len(dY) == np.count_nonzero(x) > 1
+    exact = float(np.min(np.linalg.eigvalsh(dY)[:, 0]))
+    if np.any(x == 0.0):
+        exact = min(exact, 0.0)         # a rejected step's gap is exactly 0
+    slack = oracle.Y_GAP_SLACK * n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(dY))))
+    assert exact <= rep.min_y_gap <= exact + slack
+    assert rep.checks["y_monotone"] and rep.passed
+
+
+def test_audit_reports_the_exact_gap_of_a_block_with_one_purchase(monkeypatch):
+    # blocks of one step: each purchase is its block's only gap, which is
+    # decomposed alone, so the reported gap is exact, here a real margin of
+    # full-rank arrivals
+    rng = np.random.default_rng(2)
+    arrivals = []
+    for _ in range(10):
+        W = rng.standard_normal((3, 3))
+        arrivals.append(Arrival.from_matrix(W @ W.T / 3.0 + 0.1 * np.eye(3),
+                                            float(rng.uniform(0.5, 1.5))))
+    inst = Instance(arrivals, 2.0)
+    sm, budget = engine_setup(inst, 2.0, "sim")
+    x = np.ones(inst.m)
+    _small_blocks(monkeypatch, inst, 1)
+    ref = reference_audit_run(x, inst, sm, budget, "sim", 1.0)
+    gaps = _spy(monkeypatch, oracle, "_min_y_gap")
+    chol = _spy(monkeypatch, np.linalg, "cholesky")
+    rep = audit_run(x, inst, sm, budget, "sim", p_star=1.0)
+    assert [len(args[0]) for args in gaps] == [1] * inst.m and not chol
+    assert rep.min_y_gap == min(float(np.linalg.eigvalsh(args[0])[0, 0]) for args in gaps)
+    assert ref.min_y_gap > 1e-4
+    assert_reports_match(rep, ref)
 
 
 def test_audit_sim_evaluates_gs_prime_once_per_purchase():
