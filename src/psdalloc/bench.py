@@ -165,9 +165,7 @@ def group_spec(obj, gamma, variant, instances, q=100, d=200, u_max=None):
 
 
 def _unsmoothed_beta(spec):
-    """Certified beta of the raw h used as its own surrogate."""
-    if spec.objective.kind == "linear":
-        return spec.gamma
+    """Certified beta of the raw h used as its own surrogate (exactly gamma for linear)."""
     if spec.variant == "sim" and spec.objective.kind == "dopt":
         # sup over all u >= 0 of the raw-ratio is gamma + 1, valid unconditionally
         return spec.gamma + 1.0

@@ -73,8 +73,8 @@ class BudgetSmoother:
             raise ValueError("variant must be 'sim' or 'seq', got %r" % (self.variant,))
         if not 1.0 <= self.gamma < np.inf:
             raise ValueError("gamma must be finite and >= 1, got %r" % (self.gamma,))
-        if not self.b > 0.0:
-            raise ValueError("budget b must be positive")
+        if not 0.0 < self.b < np.inf:
+            raise ValueError("budget --b must be finite and positive, got %r" % (self.b,))
         if not (0.0 < self.theta <= self.Theta):
             raise ValueError("need 0 < theta <= Theta, got %r, %r" % (self.theta, self.Theta))
         if self.rho1 < 0.0:

@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 
 import numpy as np
@@ -13,18 +14,14 @@ from .bench import (CURVE_COLUMNS, ExperimentConfig, _unsmoothed_beta, curve_row
 from .budget import BudgetSmoother, QuadratureError, gs_prime
 from .designer import DesignSpec, cr_bound, design_hs, design_to_dict, design_from_dict
 from .lowner import SmoothedObjective, exact_measure, smoothed_from_dict, smoothed_to_dict
-from .objectives import TOL_EIG, make_objective
+from .objectives import TOL_EIG, _key, make_objective
 from .oracle import audit_run, instance_from_dict, instance_to_dict
 
 
 def _write_json(obj, path):
-    if path is None or path == "-":
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
+    with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _gammas(text):
@@ -119,6 +116,8 @@ def cmd_bench(args):
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError("--config %s is not a JSON object" % args.config)
     # every flag's dest is a config field, so a given flag overrides its key
     base.update({f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
                  if getattr(args, f.name, None) is not None})
@@ -133,11 +132,14 @@ def cmd_bench(args):
 def cmd_audit(args):
     with open(args.trace) as fh:
         payload = json.load(fh)
-    surrogate = smoothed_from_dict(dict(payload["measure"], objective=payload["objective"]))
-    inst = instance_from_dict(payload["instance"])
-    smoother = BudgetSmoother(surrogate.base, float(payload["gamma"]), inst.b, inst.theta,
-                              inst.Theta, inst.rho1, payload["variant"])
-    report = audit_run(payload["decisions"], inst, surrogate, smoother, payload["variant"])
+    measure, objective, instance, gamma, variant, decisions = (
+        _key(payload, "--trace file", k)
+        for k in ("measure", "objective", "instance", "gamma", "variant", "decisions"))
+    surrogate = smoothed_from_dict(measure, objective)
+    inst = instance_from_dict(instance)
+    smoother = BudgetSmoother(surrogate.base, float(gamma), inst.b, inst.theta,
+                              inst.Theta, inst.rho1, variant)
+    report = audit_run(decisions, inst, surrogate, smoother, variant)
     _write_json(report.to_dict(), args.out)
     print("audit %s" % ("PASS" if report.passed else "FAIL"), file=sys.stderr)
     return 0 if report.passed else 1

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lowner import AtomicMeasure, SmoothedObjective, exact_measure, phi_primitive
-from .objectives import TraceObjective, h_conj, h_conj_prime, h_eval, h_inverse
+from .lowner import (AtomicMeasure, SmoothedObjective, exact_measure, phi_primitive,
+                     smoothed_from_dict, smoothed_to_dict)
+from .objectives import TraceObjective, _key, h_conj, h_conj_prime, h_eval, h_inverse
 
 E1 = np.e - 1.0
 DESIGN_TOL = 1e-7          # stop once the best iterate is within this times max(1, t) of the bound
@@ -208,7 +209,7 @@ class _CutLP:
 
     TOL = 1e-8       # HiGHS's primal and dual feasibility tolerances
 
-    def __init__(self, a, h_prime0):
+    def __init__(self, a, h_prime0, variant="sim"):
         # imported here, not at module level: scipy.optimize roughly quadruples
         # the import time of the package, and only designing needs it.  The
         # incremental interface is private to scipy; tests/test_designer.py pins it.
@@ -231,6 +232,8 @@ class _CutLP:
         q = a.size
         self.cols = np.append(q, np.arange(0, q, 5))     # each model column in a full row: t, nodes
         self.a, self.eq, self.h_prime0 = a, np.append(a, 0.0), h_prime0
+        self.flags = ("this --gamma and this --umax (cut entries grow with it)" if variant == "sim"
+                      else "this --gamma, this --umax and this --rho2 (cut entries grow with both)")
         k = self.cols.size
         hs.addVars(k, np.append(-kHighsInf, np.zeros(k - 1)), np.full(k, kHighsInf))
         hs.changeColsCost(1, np.array([0], dtype=np.int32), np.array([1.0]))
@@ -275,12 +278,11 @@ class _CutLP:
         self._refit()
         hs.run()
         status = hs.getModelStatus()
-        # HiGHS drops a cut with an entry past 1e15; cuts held over gamma grow with u_max, not gamma
+        # HiGHS drops a cut with an entry past 1e15; cuts held over gamma do not grow with it
         if (status != self.optimal or hs.getNumRow() != 1 + self.rhs.size
                 or hs.getNumCol() != self.cols.size):
-            raise ValueError("design LP failed (%s, %d of %d cuts held) at this --gamma and this "
-                             "--umax (cut entries grow with it)" % (
-                hs.modelStatusToString(status), hs.getNumRow() - 1, self.rhs.size))
+            raise ValueError("design LP failed (%s, %d of %d cuts held) at %s" % (
+                hs.modelStatusToString(status), hs.getNumRow() - 1, self.rhs.size, self.flags))
         sol = hs.getSolution()
         dual = -np.array(sol.row_dual)[1:]
         lam = np.maximum(dual, 0.0)
@@ -316,7 +318,7 @@ def design_hs(spec):
 
     base, grid = design_grid(spec), certification_grid(spec)
     tab = _Tableau(spec, grid, np.arange(spec.q) / spec.q)
-    lp = _CutLP(tab.a, obj.h_prime0)
+    lp = _CutLP(tab.a, obj.h_prime0, spec.variant)
     seeds = np.searchsorted(grid, base[::10])
     lp.add(*tab.cuts(seeds, base[::10]))
     lp.add(*tab.cuts(seeds, np.zeros(seeds.size)))
@@ -343,27 +345,24 @@ def design_hs(spec):
 
 
 def design_to_dict(result):
-    spec, measure = result.spec, result.measure
-    return {"objective": {"kind": spec.objective.kind, "p": spec.objective.p},
+    """lowner.smoothed_to_dict of the measure, with the spec and the design's counts."""
+    spec = result.spec
+    return {**smoothed_to_dict(result.smoothed()),
             **{k: getattr(spec, k) for k in ("gamma", "u_max", "q", "d", "variant", "rho2")},
             **{k: getattr(result, k) for k in ("beta", "beta_lb", "residual", "iterations",
-                                               "flagged", "cuts", "atoms")},
-            "nodes": [float(x) for x in measure.nodes],
-            "weights": [float(x) for x in measure.weights]}
+                                               "flagged", "cuts", "atoms")}}
 
 
 def design_from_dict(d):
-    """Inverse of design_to_dict; beta_lb, cuts and atoms are None for records written without them.
-    An older record's converged is ignored: beta - beta_lb says whether the loop closed its gap."""
-    obj = TraceObjective(d["objective"]["kind"], float(d["objective"].get("p", 1.0)))
-    spec = DesignSpec(obj, float(d["gamma"]), float(d["u_max"]), int(d["q"]),
-                      int(d["d"]), d["variant"], float(d["rho2"]))
-    measure = AtomicMeasure(np.asarray(d["nodes"], dtype=float),
-                            np.asarray(d["weights"], dtype=float))
-    beta_lb, cuts, atoms = d.get("beta_lb"), d.get("cuts"), d.get("atoms")
-    return DesignResult(measure, float(d["beta"]),
-                        None if beta_lb is None else float(beta_lb),
-                        int(d["iterations"]), spec,
-                        None if cuts is None else int(cuts),
-                        None if atoms is None else int(atoms),
-                        float(d["residual"]), bool(d["flagged"]))
+    """Inverse of design_to_dict; a missing key is a ValueError that names it.  beta_lb, cuts
+    and atoms are None for records written without them.  An older record's converged is
+    ignored: beta - beta_lb says whether the loop closed its gap."""
+    gamma, u_max, q, dd, variant, rho2, beta, iterations = (_key(d, "design", k) for k in (
+        "gamma", "u_max", "q", "d", "variant", "rho2", "beta", "iterations"))
+    smoothed = smoothed_from_dict(d)
+    spec = DesignSpec(smoothed.base, float(gamma), float(u_max), int(q), int(dd), variant,
+                      float(rho2))
+    beta_lb, cuts, atoms = (None if d.get(k) is None else t(d[k])
+                            for k, t in (("beta_lb", float), ("cuts", int), ("atoms", int)))
+    return DesignResult(smoothed.measure, float(beta), beta_lb, int(iterations), spec, cuts,
+                        atoms, float(d.get("residual", 0.0)), bool(d.get("flagged", False)))

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .objectives import TOL_EIG, TraceObjective, psd_eigs, sym
+from .objectives import TOL_EIG, TraceObjective, _key, psd_eigs, sym
 
 # grad_hs sums one inverse per live atom up to this many live atoms, and lifts y
 # through one eigh past it: per n x n matrix with BLAS on one thread, at n = 5 to
@@ -190,15 +190,14 @@ def exact_measure(obj):
 
 
 def smoothed_to_dict(smoothed):
-    return {
-        "objective": {"kind": smoothed.base.kind, "p": smoothed.base.p},
-        "nodes": [float(x) for x in smoothed.measure.nodes],
-        "weights": [float(x) for x in smoothed.measure.weights],
-    }
+    return {"objective": {"kind": smoothed.base.kind, "p": smoothed.base.p},
+            "nodes": smoothed.measure.nodes.tolist(), "weights": smoothed.measure.weights.tolist()}
 
 
-def smoothed_from_dict(d):
-    obj = TraceObjective(d["objective"]["kind"], float(d["objective"].get("p", 1.0)))
-    measure = AtomicMeasure(np.asarray(d["nodes"], dtype=float),
-                            np.asarray(d["weights"], dtype=float))
+def smoothed_from_dict(d, objective=None):
+    """Inverse of smoothed_to_dict; a given objective stands for d's, which old run files lack."""
+    o = _key(d, "measure", "objective") if objective is None else objective
+    obj = TraceObjective(_key(o, "objective", "kind"), float(o.get("p", 1.0)))
+    measure = AtomicMeasure(np.asarray(_key(d, "measure", "nodes"), dtype=float),
+                            np.asarray(_key(d, "measure", "weights"), dtype=float))
     return SmoothedObjective(measure, obj)

@@ -75,6 +75,16 @@ def make_objective(name, p=1.0):
     return TraceObjective(name, float(p))
 
 
+def _key(d, where, *keys):
+    """d[k] for the first of keys in d, a JSON object; else a ValueError that names them."""
+    if not isinstance(d, dict):
+        raise ValueError("%s is not a JSON object" % where)
+    for k in keys:
+        if k in d:
+            return d[k]
+    raise ValueError("%s has no %s key" % (where, " or ".join(map(repr, keys))))
+
+
 def _shaped(u):
     arr = np.asarray(u, dtype=float)
     return arr, arr.ndim == 0

@@ -31,8 +31,9 @@ R(x) + c H(x), H the cubic Hermite interpolant of gs'(u + x c), is solved at
 no quadrature, and exact Newton steps polish its root; both bisect on a step
 that leaves the bracket or fails to halve, and stop at X_TOL relative to x.
 
-The engines keep only their decisions and spend; ``oracle.audit_run`` replays
-them to rebuild U and recompute every dual, price and correction term.
+A finished run keeps only its decisions, with the surrogate and budget
+smoother that made them; ``oracle.audit_run`` replays them to rebuild U and
+the spend and to recompute every dual, price and correction term.
 """
 
 from dataclasses import dataclass, field
@@ -94,8 +95,8 @@ class Arrival:
         if L.ndim != 2 or L.shape[0] < 1 or not np.isfinite(L).all():
             raise InvalidMatrix("factor L must be a finite n x k matrix with n >= 1, got shape %r"
                                 % (L.shape,))
-        if not self.c > 0.0:
-            raise ValueError("cost must be positive, got %r" % (self.c,))
+        if not 0.0 < self.c < np.inf:
+            raise ValueError("cost c must be finite and positive, got %r" % (self.c,))
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "A", L @ L.T)
 
@@ -120,10 +121,7 @@ class RunTrace:
     smoothed: object
     budget: object
     variant: str
-    n: int
     decisions: np.ndarray
-    u: float = 0.0
-    z: float = 0.0
 
     @property
     def m(self):
@@ -240,8 +238,7 @@ class OnlineState:
         return self._take(_newton(exact, x, f, fp), arr, split)
 
     def finish(self, variant):
-        return RunTrace(self.smoothed, self.budget, variant, self.n,
-                        np.array(self.decisions), self.u, self.z)
+        return RunTrace(self.smoothed, self.budget, variant, np.array(self.decisions))
 
 
 def run_stream(smoothed, budget, arrivals, variant, n=None):

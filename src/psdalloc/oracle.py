@@ -25,10 +25,12 @@ Audits replay a recorded decision sequence from scratch and check every
 inequality the guarantees rest on.  The replay is dense in the aggregates
 and duals, batched over blocks of steps (see audit_run), and prices each
 step from its factor, <A_t, Y> = sum of l^T Y l over the columns l of L_t.
-A purchase enters U as x_t L_t L_t^T, so it reads no A_t at all and never
-builds the m x n x n stack of the whole run.  That the duals fall in the
-Loewner order (PSD-DR) is certified per block by one eigvalsh of a seed gap
-and one shifted batched Cholesky of every gap (see _min_y_gap).
+A purchase enters U as x_t L_t L_t^T, so it reads no A_t at all.  Each block
+stacks the factors of its own arrivals, so the audit never holds the
+m x n x n stack of the whole run, nor a copy of all its factors.  That the
+duals fall in the Loewner order (PSD-DR) is certified per block by one
+eigvalsh of a seed gap and one shifted batched Cholesky of every gap (see
+_min_y_gap).
 """
 
 from dataclasses import dataclass, field, fields
@@ -39,7 +41,7 @@ from .budget import b_prime, g_conj, gs_prime, gs_value
 # hs_trace_lift is unused here; it stays bound because the perfbench tracer
 # rebinds oracle.hs_trace_lift (tests/test_bench.py checks every name the tracer binds)
 from .lowner import _plus_identity, grad_hs, hs_eval, hs_trace_lift, y_eval  # noqa: F401
-from .objectives import h_conj, h_eval, h_prime, psd_eigs
+from .objectives import _key, h_conj, h_eval, h_prime, psd_eigs
 
 DEFAULT_TOLS = {
     "budget": 1e-9,
@@ -80,8 +82,8 @@ class Instance:
     def __post_init__(self):
         if not self.arrivals:
             raise ValueError("instance needs at least one arrival")
-        if not self.b > 0.0:
-            raise ValueError("budget must be positive")
+        if not 0.0 < self.b < np.inf:
+            raise ValueError("budget --b must be finite and positive, got %r" % (self.b,))
         n = self.arrivals[0].n
         for t, a in enumerate(self.arrivals):
             if a.n != n:
@@ -135,21 +137,14 @@ def instance_to_dict(inst):
     }
 
 
-def _key(d, where, *keys):
-    """d[k] for the first of keys in d; none there is a ValueError that names them."""
-    for k in keys:
-        if k in d:
-            return d[k]
-    raise ValueError("%s has no %s key" % (where, " or ".join(map(repr, keys))))
-
-
 def instance_from_dict(d):
     """Inverse of instance_to_dict; an arrival may give the dense "A" of older files."""
     from .online import Arrival
     arrivals = []
     for t, e in enumerate(_key(d, "instance", "arrivals")):
-        where, make = "arrival %d" % t, Arrival if "L" in e else Arrival.from_matrix
-        arrivals.append(make(_key(e, where, "L", "A"), float(_key(e, where, "c"))))
+        where = "arrival %d" % t
+        L, c = _key(e, where, "L", "A"), float(_key(e, where, "c"))
+        arrivals.append((Arrival if "L" in e else Arrival.from_matrix)(L, c))
     return Instance(arrivals, float(_key(d, "instance", "b")))
 
 
@@ -351,8 +346,8 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     for a measure of at most lowner.RESOLVENT_ATOMS live atoms, and lifts y
     through one stacked eigh of the U_k for more.  Every price is then a sum
     of l^T Y l over a step's factor columns l, with Y the duals in force at
-    that step: one batched product over the block's factors, zero-padded to
-    the block's largest rank.  _min_y_gap checks the differences
+    that step: one batched product over the block's factors, stacked from its
+    arrivals and zero-padded to the block's largest rank.  _min_y_gap checks the differences
     Y_{k-1} - Y_k with one eigvalsh of a seed gap and one shifted batched
     Cholesky, and takes one batched eigvalsh of them all only where that
     Cholesky fails; min_y_gap reports the exact eigenvalue it computed, and
@@ -375,10 +370,6 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     n, m = inst.n, inst.m
     costs = inst.costs
     ranks = np.array([a.L.shape[1] for a in inst.arrivals])
-    cols = np.concatenate([a.L for a in inst.arrivals], axis=1).T   # every factor column, as a row
-    first = np.concatenate([[0], np.cumsum(ranks)])     # each step's first column
-    cstep = np.repeat(np.arange(m), ranks)              # the step of each column
-    cpos = np.arange(cols.shape[0]) - first[cstep]      # its place in that step's factor
     block = _audit_block(n, ranks.max())
     U = np.zeros((n, n))
     u = 0.0
@@ -395,9 +386,9 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     for s in range(0, m, block):
         e = min(s + block, m)
         x, c = decisions[s:e], costs[s:e]
-        cs = slice(first[s], first[e])
-        Lp = np.zeros((e - s, n, ranks[s:e].max()))    # the factors, zero-padded
-        Lp[cstep[cs] - s, :, cpos[cs]] = cols[cs]
+        Lp = np.zeros((e - s, n, ranks[s:e].max()))    # the block's factors, zero-padded
+        for i, a in enumerate(inst.arrivals[s:e]):
+            Lp[i, :, :a.L.shape[1]] = a.L
         buys = x > 0.0
         buy = np.flatnonzero(buys)
         after = np.cumsum(buys)         # each step's duals after it, as rows of Ys

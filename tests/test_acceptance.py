@@ -168,7 +168,7 @@ def test_criterion_08_integer_baseline_sandwich():
         s = BudgetSmoother(obj, gamma, inst.b, inst.theta, inst.Theta,
                            inst.rho1, "seq")
         trace = run_stream(surrogate, s, inst.arrivals, "seq", inst.n)
-        assert trace.u <= inst.b + 1e-9
+        assert trace.decisions @ inst.costs <= inst.b + 1e-9
         U = sum((x * a.A for a, x in zip(inst.arrivals, trace.decisions) if x > 0.0),
                 np.zeros((inst.n, inst.n)))     # the purchases, in stream order
         alg_value = trace_lift(obj, U)

@@ -241,6 +241,8 @@ BAD_INSTANCES = {
     "no-factor.json": {"b": 1.0, "arrivals": [{"L": [[1.0], [0.0]], "c": 1.0}, {"c": 1.0}]},
     "two-n.json": {"b": 1.0, "arrivals": [{"L": [[1.0], [0.0]], "c": 1.0},
                                           {"L": [[1.0], [0.0], [2.0]], "c": 1.0}]},
+    "inf-b.json": {"b": math.inf, "arrivals": [{"L": [[1.0], [0.0]], "c": 1.0}]},
+    "inf-c.json": {"b": 1.0, "arrivals": [{"L": [[1.0], [0.0]], "c": math.inf}]},
 }
 
 
@@ -267,11 +269,20 @@ BAD_INSTANCES = {
     (["bench", "--b", "1e300", "--n", "3", "--m", "5"], "--b"),
     # gamma = 1 is the floor; HiGHS drops cuts whose entries grow with u_max
     (["design", "--gamma", "1", "--umax", "1e30"], "--umax"),
+    # under seq the cut entries grow with rho2 as well
+    (["design", "--variant", "seq", "--rho2", "1e300", "--gamma", "2", "--umax", "10"],
+     "--rho2"),
+    # an infinite budget would divide by zero in b'
+    (["run", "--b", "inf"], "--b"),
+    (["bench", "--b", "inf", "--n", "3", "--m", "5"], "--b"),
+    (["run", "--instance", "inf-b.json"], "--b"),
+    (["run", "--instance", "inf-c.json"], "c"),
 ], ids=["umax-inf", "n-zero", "aopt-p", "adversarial-density", "bench-adversarial-density",
         "random-density", "random-density-1e-300", "random-density-5e-324", "instance-no-b",
         "arrival-no-c", "arrival-no-factor", "arrivals-of-two-n",
         "instance-with-a-generator-flag", "m-zero", "huge-b", "bench-huge-b",
-        "design-lp-at-huge-umax"])
+        "design-lp-at-huge-umax", "seq-design-lp-at-huge-rho2", "infinite-b", "bench-infinite-b",
+        "instance-infinite-b", "arrival-infinite-c"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, name):
     monkeypatch.chdir(tmp_path)
     for path, instance in BAD_INSTANCES.items():
@@ -281,6 +292,49 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, na
     assert err.startswith("psdalloc: error: ") and err.count("\n") == 1
     assert " %s " % name in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["nodes", "objective"])
+def test_run_with_a_design_file_missing_a_key_exits_2(tmp_path, capsys, key):
+    path = _design(tmp_path, "seq", 1.0, 50.0)
+    record = json.loads(path.read_text())
+    del record[key]
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(RUN_SEQ + ["--measure", str(path), "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: ") and err.count("\n") == 1
+    assert " %r " % key in err and "Traceback" not in err
+
+
+def test_run_with_a_design_file_without_residual_or_flagged(tmp_path, capsys):
+    # both are constants of the designer, so a record may leave them out
+    path = _design(tmp_path, "seq", 1.0, 50.0)
+    record = json.loads(path.read_text())
+    del record["residual"], record["flagged"]
+    path.write_text(json.dumps(record))
+    assert main(RUN_SEQ + ["--measure", str(path), "--out", os.devnull]) == 0
+    assert "audit = True" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,payload,name", [
+    (["audit", "--trace", "run.json"], "no-decisions", "'decisions'"),
+    (["audit", "--trace", "run.json"], [1, 2], "--trace"),
+    (["bench", "--config", "run.json"], [1, 2], "--config"),
+], ids=["audit-no-decisions", "audit-array", "bench-config-array"])
+def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, payload,
+                                               name):
+    monkeypatch.chdir(tmp_path)
+    if payload == "no-decisions":
+        assert main(["run", "--n", "3", "--m", "8", "--b", "2", "--out", "run.json"]) == 0
+        payload = json.loads((tmp_path / "run.json").read_text())
+        del payload["decisions"]
+    (tmp_path / "run.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: ") and err.count("\n") == 1
+    assert " %s " % name in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,word", [

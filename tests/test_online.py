@@ -119,8 +119,9 @@ def test_sequential_straight_line_replay():
         else:
             expected.append(0.0)
     assert np.array_equal(trace.decisions, expected)
-    assert trace.u == pytest.approx(u)
-    assert 0 < trace.u  # the stream is profitable enough to buy something
+    spent = float(trace.decisions @ inst.costs)
+    assert spent == pytest.approx(u)
+    assert 0 < spent  # the stream is profitable enough to buy something
 
 
 def test_sequential_tie_rejects():
@@ -312,8 +313,9 @@ def test_budget_never_exceeds_certificate(rng):
         sm, budget = dopt_setup(gamma=1.0, b=2.0, rho1=rho1, variant=variant,
                                 rho2=rho2)
         bp = b_prime(budget)
-        trace = run_stream(sm, budget, small_stream(rng, m=25), variant)
-        assert trace.u <= bp + 1e-9
+        arrivals = small_stream(rng, m=25)
+        trace = run_stream(sm, budget, arrivals, variant)
+        assert trace.decisions @ np.array([a.c for a in arrivals]) <= bp + 1e-9
 
 
 def test_dual_value_weak_duality(rng):
@@ -338,13 +340,14 @@ def test_primal_value_matches_trace_lift(rng):
 def test_empty_stream_with_explicit_n():
     sm, budget = dopt_setup()
     trace = run_stream(sm, budget, [], "sim", n=3)
-    assert trace.m == 0 and trace.u == 0.0
+    u = float(trace.decisions @ np.zeros(0))    # decisions @ costs, of no arrivals
+    assert trace.m == 0 and u == 0.0
     U = aggregate([], trace.decisions, 3)
     assert trace_lift(sm.base, U) == 0.0
     # no price terms, so the dual value is -H*(Y_0) - G*(z_0) = 0
     y_eigs = y_eval(sm.measure, np.linalg.eigvalsh(U))
     hstar = float(np.sum(h_conj(sm.base, y_eigs)))
-    assert hstar + g_conj(trace.z, budget.b) == pytest.approx(0.0, abs=1e-12)
+    assert hstar + g_conj(gs_prime(budget, u), budget.b) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_linear_objective_run_keeps_finite_duals(rng):
@@ -439,6 +442,13 @@ def test_arrival_from_factor(rng):
     for c in (0.0, -1.0):
         with pytest.raises(ValueError, match="cost"):
             Arrival(a[:, None], c)
+
+
+@pytest.mark.parametrize("c", [np.inf, np.nan])
+def test_arrival_refuses_a_non_finite_cost(c):
+    # an infinite cost once passed here and failed later, as a density theta of 0
+    with pytest.raises(ValueError, match="cost c must be finite and positive"):
+        Arrival(np.ones((2, 1)), c)
 
 
 def test_generated_arrivals_decompose_nothing(monkeypatch):

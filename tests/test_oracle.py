@@ -56,6 +56,15 @@ def test_instance_validation():
         Instance([Arrival(np.zeros((2, 0)), 1.0)], 1.0)
 
 
+@pytest.mark.parametrize("b", [np.inf, np.nan, 0.0])
+def test_instance_and_smoother_refuse_a_budget_outside_zero_to_inf(b):
+    # an infinite budget once passed both and divided by zero in b'
+    with pytest.raises(ValueError, match="--b must be finite and positive"):
+        Instance([Arrival(np.eye(2), 1.0)], b)
+    with pytest.raises(ValueError, match="--b must be finite and positive"):
+        BudgetSmoother(make_objective("dopt"), 1.0, b, 1.0, 2.0)
+
+
 def test_zero_trace_arrival_sets_no_rho1():
     # a zero arrival is never bought, so its cost cannot raise the seq cap b'
     dopt = make_objective("dopt")
