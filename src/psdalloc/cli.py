@@ -14,7 +14,7 @@ from .bench import (CURVE_COLUMNS, ExperimentConfig, _unsmoothed_beta, curve_row
 from .budget import BudgetSmoother, QuadratureError, gs_prime
 from .designer import DesignSpec, cr_bound, design_hs, design_to_dict, design_from_dict
 from .lowner import SmoothedObjective, exact_measure, smoothed_from_dict, smoothed_to_dict
-from .objectives import TOL_EIG, _key, make_objective
+from .objectives import TOL_EIG, _key, float_array, make_objective
 from .oracle import audit_run, instance_from_dict, instance_to_dict
 
 
@@ -132,12 +132,13 @@ def cmd_bench(args):
 def cmd_audit(args):
     with open(args.trace) as fh:
         payload = json.load(fh)
-    measure, objective, instance, gamma, variant, decisions = (
-        _key(payload, "--trace file", k)
-        for k in ("measure", "objective", "instance", "gamma", "variant", "decisions"))
+    measure, objective, instance, variant = (
+        _key(payload, "--trace file", k) for k in ("measure", "objective", "instance", "variant"))
+    gamma = _key(payload, "--trace file", "gamma", cast=float)
+    decisions = _key(payload, "--trace file", "decisions", cast=float_array)
     surrogate = smoothed_from_dict(measure, objective)
     inst = instance_from_dict(instance)
-    smoother = BudgetSmoother(surrogate.base, float(gamma), inst.b, inst.theta,
+    smoother = BudgetSmoother(surrogate.base, gamma, inst.b, inst.theta,
                               inst.Theta, inst.rho1, variant)
     report = audit_run(decisions, inst, surrogate, smoother, variant)
     _write_json(report.to_dict(), args.out)

@@ -355,14 +355,15 @@ def design_to_dict(result):
 
 def design_from_dict(d):
     """Inverse of design_to_dict; a missing key is a ValueError that names it.  beta_lb, cuts
-    and atoms are None for records written without them.  An older record's converged is
-    ignored: beta - beta_lb says whether the loop closed its gap."""
-    gamma, u_max, q, dd, variant, rho2, beta, iterations = (_key(d, "design", k) for k in (
-        "gamma", "u_max", "q", "d", "variant", "rho2", "beta", "iterations"))
+    and atoms are None, and residual 0, for records written without them.  An older
+    record's converged is ignored: beta - beta_lb says whether the loop closed its gap."""
+    gamma, u_max, rho2, beta = (_key(d, "design", k, cast=float)
+                                for k in ("gamma", "u_max", "rho2", "beta"))
+    q, dd, iterations = (_key(d, "design", k, cast=int) for k in ("q", "d", "iterations"))
     smoothed = smoothed_from_dict(d)
-    spec = DesignSpec(smoothed.base, float(gamma), float(u_max), int(q), int(dd), variant,
-                      float(rho2))
-    beta_lb, cuts, atoms = (None if d.get(k) is None else t(d[k])
-                            for k, t in (("beta_lb", float), ("cuts", int), ("atoms", int)))
-    return DesignResult(smoothed.measure, float(beta), beta_lb, int(iterations), spec, cuts,
-                        atoms, float(d.get("residual", 0.0)), bool(d.get("flagged", False)))
+    spec = DesignSpec(smoothed.base, gamma, u_max, q, dd, _key(d, "design", "variant"), rho2)
+    beta_lb, cuts, atoms, residual = (
+        None if d.get(k) is None else _key(d, "design", k, cast=t) for k, t in (
+            ("beta_lb", float), ("cuts", int), ("atoms", int), ("residual", float)))
+    return DesignResult(smoothed.measure, beta, beta_lb, iterations, spec, cuts, atoms,
+                        residual or 0.0, bool(d.get("flagged", False)))

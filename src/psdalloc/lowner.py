@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .objectives import TOL_EIG, TraceObjective, _key, psd_eigs, sym
+from .objectives import TOL_EIG, TraceObjective, _key, float_array, psd_eigs, sym
 
 # grad_hs sums one inverse per live atom up to this many live atoms, and lifts y
 # through one eigh past it: per n x n matrix with BLAS on one thread, at n = 5 to
@@ -46,10 +46,10 @@ class AtomicMeasure:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
             raise ValueError("nodes and weights must be matching nonempty vectors")
-        if np.any(nodes < 0.0) or np.any(nodes >= 1.0):
+        if not np.all((nodes >= 0.0) & (nodes < 1.0)):      # nan fails too
             raise ValueError("nodes must lie in [0, 1)")
-        if np.any(weights < -1e-15):
-            raise ValueError("weights must be nonnegative")
+        if not np.all((weights >= -1e-15) & (weights < np.inf)):
+            raise ValueError("weights must be finite and nonnegative")
         weights = np.maximum(weights, 0.0)
         order = np.argsort(nodes, kind="stable")
         object.__setattr__(self, "nodes", nodes[order])
@@ -119,7 +119,7 @@ class SmoothedObjective:
     base: TraceObjective
 
     def __post_init__(self):
-        if abs(self.measure.y0 - self.base.h_prime0) > 1e-8:
+        if not abs(self.measure.y0 - self.base.h_prime0) <= 1e-8:     # nan fails too
             raise ValueError(
                 "measure slope y(0) = %.12g does not match h'(0) = %.12g"
                 % (self.measure.y0, self.base.h_prime0)
@@ -143,13 +143,13 @@ def grad_hs(smoothed, M):
     matmul gives it (syrk).
     """
     measure = smoothed.measure.live
-    if np.count_nonzero(measure.weights) > RESOLVENT_ATOMS:
+    if measure.weights.size > RESOLVENT_ATOMS:
         w, V = psd_eigs(M)
         W = V * np.sqrt(y_eval(measure, w))[..., None, :]
         return W @ np.swapaxes(W, -1, -2)
     S = _checked_psd(M)
     G = sum(mu * np.linalg.inv(_plus_identity(lam * S, 1.0 - lam))
-            for lam, mu in zip(measure.nodes, measure.weights) if mu > 0.0)
+            for lam, mu in zip(measure.nodes, measure.weights))
     G += np.swapaxes(G, -1, -2)
     G *= 0.5
     return G
@@ -197,7 +197,7 @@ def smoothed_to_dict(smoothed):
 def smoothed_from_dict(d, objective=None):
     """Inverse of smoothed_to_dict; a given objective stands for d's, which old run files lack."""
     o = _key(d, "measure", "objective") if objective is None else objective
-    obj = TraceObjective(_key(o, "objective", "kind"), float(o.get("p", 1.0)))
-    measure = AtomicMeasure(np.asarray(_key(d, "measure", "nodes"), dtype=float),
-                            np.asarray(_key(d, "measure", "weights"), dtype=float))
+    obj = TraceObjective(_key(o, "objective", "kind"),
+                         _key(o, "objective", "p", cast=float) if "p" in o else 1.0)
+    measure = AtomicMeasure(*(_key(d, "measure", k, cast=float_array) for k in ("nodes", "weights")))
     return SmoothedObjective(measure, obj)

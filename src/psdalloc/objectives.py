@@ -16,6 +16,7 @@ psd_eigs is the package's one dense eigendecomposition of a PSD matrix, in
 numpy's ascending order; every lift applies a scalar function to its spectrum.
 """
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,14 +76,24 @@ def make_objective(name, p=1.0):
     return TraceObjective(name, float(p))
 
 
-def _key(d, where, *keys):
-    """d[k] for the first of keys in d, a JSON object; else a ValueError that names them."""
+def _key(d, where, *keys, cast=None):
+    """d[k] for the first of keys in d, a JSON object, through cast when given; else a
+    ValueError that names them, or the key of a value cast refuses (float of null)."""
     if not isinstance(d, dict):
         raise ValueError("%s is not a JSON object" % where)
     for k in keys:
         if k in d:
-            return d[k]
+            try:
+                return d[k] if cast is None else cast(d[k])
+            except (TypeError, ValueError):
+                raise ValueError("%s key %r is not a %s: %s" % (
+                    where, k, cast.__name__.replace("_", " "), reprlib.repr(d[k]))) from None
     raise ValueError("%s has no %s key" % (where, " or ".join(map(repr, keys))))
+
+
+def float_array(v):
+    """v as an array of floats: _key's cast for a JSON array of numbers."""
+    return np.asarray(v, dtype=float)
 
 
 def _shaped(u):

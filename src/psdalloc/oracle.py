@@ -25,12 +25,13 @@ Audits replay a recorded decision sequence from scratch and check every
 inequality the guarantees rest on.  The replay is dense in the aggregates
 and duals, batched over blocks of steps (see audit_run), and prices each
 step from its factor, <A_t, Y> = sum of l^T Y l over the columns l of L_t.
-A purchase enters U as x_t L_t L_t^T, so it reads no A_t at all.  Each block
-stacks the factors of its own arrivals, so the audit never holds the
-m x n x n stack of the whole run, nor a copy of all its factors.  That the
-duals fall in the Loewner order (PSD-DR) is certified per block by one
-eigvalsh of a seed gap and one shifted batched Cholesky of every gap (see
-_min_y_gap).
+A purchase enters U as x_t L_t L_t^T, so it reads no A_t at all.  The duals
+are the paper's one chain Y_t = grad H_S(U_t) from Y_0 = y(0) I, as in the
+engines.  Each block stacks the factors of its own arrivals, so the audit
+never holds the m x n x n stack of the whole run, nor a copy of all its
+factors.  That the duals fall in the Loewner order (PSD-DR) is certified per
+block by one eigvalsh of a seed gap and one shifted batched Cholesky of every
+gap (see _min_y_gap).
 """
 
 from dataclasses import dataclass, field, fields
@@ -41,7 +42,7 @@ from .budget import b_prime, g_conj, gs_prime, gs_value
 # hs_trace_lift is unused here; it stays bound because the perfbench tracer
 # rebinds oracle.hs_trace_lift (tests/test_bench.py checks every name the tracer binds)
 from .lowner import _plus_identity, grad_hs, hs_eval, hs_trace_lift, y_eval  # noqa: F401
-from .objectives import _key, h_conj, h_eval, h_prime, psd_eigs
+from .objectives import _key, float_array, h_conj, h_eval, h_prime, psd_eigs
 
 DEFAULT_TOLS = {
     "budget": 1e-9,
@@ -141,11 +142,11 @@ def instance_from_dict(d):
     """Inverse of instance_to_dict; an arrival may give the dense "A" of older files."""
     from .online import Arrival
     arrivals = []
-    for t, e in enumerate(_key(d, "instance", "arrivals")):
+    for t, e in enumerate(_key(d, "instance", "arrivals", cast=list)):
         where = "arrival %d" % t
-        L, c = _key(e, where, "L", "A"), float(_key(e, where, "c"))
+        L, c = _key(e, where, "L", "A", cast=float_array), _key(e, where, "c", cast=float)
         arrivals.append((Arrival if "L" in e else Arrival.from_matrix)(L, c))
-    return Instance(arrivals, float(_key(d, "instance", "b")))
+    return Instance(arrivals, _key(d, "instance", "b", cast=float))
 
 
 def project_box_budget(v, c, b):
@@ -273,9 +274,9 @@ class AuditReport:
     max_z_step: float             # max of z_t - z_{t-1}, <= tol
     min_y_gap: float              # lambda_min of one Y_{t-1} - Y_t, at most the Y-gap
                                   # slack above the least; less the slack, >= -tol
-    telescope_residual: float     # must be >= -tol
-    dual_gap_residual: float      # must be >= -tol
-    rho_bound_residual: float     # sequential only (nan otherwise), >= -tol
+    telescope_residual: float     # H_S(U) + G_S(u) less the seq correction sum, >= -tol
+    dual_gap_residual: float      # the telescope less D + h* + g*, >= -tol
+    rho_bound_residual: float     # seq only (nan on sim), from tr(Y0 - Y); >= -tol
     primal_H: float               # H(U) of the replayed aggregate
     lambda_max: float             # lambda_max(U), for the design's u_max gate
     d_value: float
@@ -347,16 +348,17 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     through one stacked eigh of the U_k for more.  Every price is then a sum
     of l^T Y l over a step's factor columns l, with Y the duals in force at
     that step: one batched product over the block's factors, stacked from its
-    arrivals and zero-padded to the block's largest rank.  _min_y_gap checks the differences
-    Y_{k-1} - Y_k with one eigvalsh of a seed gap and one shifted batched
-    Cholesky, and takes one batched eigvalsh of them all only where that
-    Cholesky fails; min_y_gap reports the exact eigenvalue it computed, and
-    y_monotone tests the certified bound below it.  Y starts at h'(0) I; the
-    sim check prices with grad_hs(0) until the first purchase.  A rejected
-    step leaves both duals as they are and adds exactly 0 to the Y gap and
-    the z step.  H_S(U), h*, the primal value H(U) and lambda_max(U) at the
-    end share one eigh of the final U, and y sums over the atoms of positive
-    weight only.
+    arrivals and zero-padded to the block's largest rank.  _min_y_gap checks
+    the differences Y_{k-1} - Y_k with one eigvalsh of a seed gap and one
+    shifted batched Cholesky, and takes one batched eigvalsh of them all only
+    where that Cholesky fails; min_y_gap reports the exact eigenvalue it
+    computed, and y_monotone tests the certified bound below it.  Y starts
+    where the engines' does, at Y0 = grad H_S(0) = y(0) I, so every dual the
+    replay uses, the sim check's included, is grad H_S of a replayed
+    aggregate.  A rejected step leaves both duals as they are and adds
+    exactly 0 to the Y gap and the z step.  H_S(U), h*, the primal value H(U)
+    and lambda_max(U) at the end share one eigh of the final U, and y sums
+    over the atoms of positive weight only.
     """
     decisions = np.asarray(decisions, dtype=float)
     if decisions.shape != (inst.m,):
@@ -372,12 +374,8 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     ranks = np.array([a.L.shape[1] for a in inst.arrivals])
     block = _audit_block(n, ranks.max())
     U = np.zeros((n, n))
-    u = 0.0
-    Y = obj.h_prime0 * np.eye(n)
-    z = 0.0
-    G0 = None     # the sim check's grad_hs(0), in force until the first purchase
-    pos_sum = 0.0
-    corr_sum = 0.0
+    Y0 = Y = smoothed.measure.y0 * np.eye(n)    # grad H_S(0), the engines' first dual
+    u = z = pos_sum = corr_sum = 0.0
     min_y_gap = y_gap_bound = np.inf
     max_z_step = -np.inf
     decision_ok = True
@@ -398,8 +396,6 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         Us[:1] += U
         Us = np.cumsum(Us, axis=0)      # the U carried in plus each x_t A_t, in stream order
         us = np.cumsum(np.concatenate([[u], x[buy] * c[buy]]))[1:]
-        if variant == "sim" and s == 0 and x[0] <= 0.0:     # the run opens at U = 0
-            G0 = grad_hs(smoothed, np.zeros((n, n)))
         grads = grad_hs(smoothed, Us) if buy.size else Us
         zs = gs_prime(budget, us) if buy.size else us
         Ys = np.concatenate([Y[None], grads])
@@ -419,24 +415,19 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         else:
             P_after = P_before.copy()
             P_after[buy] = _prices(grads, Lb)
-            P_grad = P_after.copy()
-            if G0 is not None:
-                pre = after == 0
-                P_grad[pre] = _prices(G0, Lp[pre])
-            z_after = zb[after]
-            d_at = P_grad + c * z_after
+            d_at = P_after + c * zb[after]
             scale = np.maximum(1.0, np.abs(P_before) + c * np.abs(zb[before]))
             resid = np.where(x <= 0.0, np.maximum(0.0, d_at),
                              np.where(x >= 1.0, np.maximum(0.0, -d_at), np.abs(d_at)))
             if np.any(resid > DEFAULT_TOLS["decision"] * scale):
                 decision_ok = False
             worst_resid = max(worst_resid, float(np.max(resid / scale)))
-            pos_sum += float(np.sum(np.maximum(P_after + c * z_after, 0.0)))
+            pos_sum += float(np.sum(np.maximum(d_at, 0.0)))
         if buy.size:
             g, bound = _min_y_gap(dY)
             min_y_gap, y_gap_bound = min(min_y_gap, g), min(y_gap_bound, bound)
             max_z_step = max(max_z_step, float(np.max(dz)))
-            U, u, Y, z, G0 = Us[-1], float(us[-1]), Ys[-1], float(zs[-1]), None
+            U, u, Y, z = Us[-1], float(us[-1]), Ys[-1], float(zs[-1])
         if buy.size < x.size:
             min_y_gap, y_gap_bound = min(min_y_gap, 0.0), min(y_gap_bound, 0.0)
             max_z_step = max(max_z_step, 0.0)
@@ -450,15 +441,10 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     hstar = float(np.sum(h_conj(obj, y_eval(smoothed.measure, w))))
     gstar = g_conj(z, budget.b)
     D = pos_sum - hstar - gstar
-    if variant == "seq":
-        telescope = HS + GS - corr_sum
-        dual_gap = HS + GS - D - hstar - gstar - corr_sum
-        rho_bound = (inst.rho2 * float(np.trace(obj.h_prime0 * np.eye(n) - Y))
-                     - inst.rho1 * z) - (-corr_sum)
-    else:
-        telescope = HS + GS
-        dual_gap = HS + GS - D - hstar - gstar
-        rho_bound = np.nan
+    telescope = HS + GS - corr_sum      # corr_sum stays 0 on sim
+    dual_gap = telescope - D - hstar - gstar
+    rho_bound = (inst.rho2 * float(np.trace(Y0 - Y)) - inst.rho1 * z + corr_sum
+                 if variant == "seq" else np.nan)
     if p_star is None:
         p_star = offline_continuous_opt(inst, obj).value
 

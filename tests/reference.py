@@ -8,16 +8,19 @@ lowner.grad_hs's resolvent sums.  trace_lift and grad_trace_lift are the
 unsmoothed gain H(M) = sum_i h(lambda_i(M)) and its gradient, and
 offline_integer_opt is the exhaustive 0/1 optimum of a small instance.
 constraint_values is the design ratio written with y_eval and hs_eval,
-independently of the designer's tableau.
+independently of the designer's tableau.  reference_audit_run is
+oracle.audit_run as a step-by-step loop, the reference for its block replay.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from psdalloc.budget import b_prime, g_conj, gs_prime, gs_value
 from psdalloc.designer import design_grid
-from psdalloc.lowner import AtomicMeasure, grad_hs, hs_eval, y_eval
+from psdalloc.lowner import AtomicMeasure, grad_hs, hs_eval, hs_trace_lift, y_eval
 from psdalloc.objectives import h_conj, h_eval, h_prime, psd_eigs, sym
+from psdalloc.oracle import DEFAULT_TOLS, AuditReport
 
 
 @dataclass(frozen=True)
@@ -112,3 +115,99 @@ def constraint_values(spec, measure, grid=None):
         drop = AtomicMeasure(measure.nodes, measure.weights * measure.nodes / (1.0 - measure.nodes))
         lhs = lhs + spec.gamma * spec.rho2 * u * y_eval(drop, u)
     return lhs / h_eval(spec.objective, u)
+
+
+def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
+    """The audit as a step-by-step loop: the reference for oracle.audit_run's block replay.
+
+    Each step takes its inner products with np.vdot, each purchase one
+    gradient and one scalar gs_prime, and each Y gap one eigvalsh.  The
+    gradients come from the spectrum (grad_hs_lift), so on a measure of at
+    most lowner.RESOLVENT_ATOMS live atoms the audit's resolvent sums are
+    checked against it.  Y starts at grad_hs_lift at U = 0.
+    """
+    decisions = np.asarray(decisions, dtype=float)
+    obj = smoothed.base
+    n = inst.n
+    U = np.zeros((n, n))
+    u = 0.0
+    Y0 = Y = grad_hs_lift(smoothed, U)
+    z = 0.0
+    pos_sum = 0.0
+    corr_sum = 0.0
+    min_y_gap = np.inf
+    max_z_step = -np.inf
+    decision_ok = True
+    worst_resid = 0.0
+
+    for arr, x in zip(inst.arrivals, decisions):
+        A, c = arr.A, arr.c
+        Y_new, z_new = Y, z
+        if variant == "seq":
+            price = float(np.vdot(A, Y)) + c * z
+            pos_sum += max(price, 0.0)
+            expect = 1.0 if price > 0.0 else 0.0
+            if x != expect:
+                decision_ok = False
+                worst_resid = max(worst_resid, abs(price))
+        if x > 0.0:
+            U = U + x * A
+            u += x * c
+            Y_new = grad_hs_lift(smoothed, U)
+            z_new = gs_prime(budget, u)
+        if variant == "sim":
+            d_at = float(np.vdot(A, Y_new)) + c * z_new     # z_new = gs'(u) at this u
+            scale = max(1.0, abs(float(np.vdot(A, Y))) + c * abs(z))
+            if x <= 0.0:
+                resid = max(0.0, d_at)
+            elif x >= 1.0:
+                resid = max(0.0, -d_at)
+            else:
+                resid = abs(d_at)
+            if resid > DEFAULT_TOLS["decision"] * scale:
+                decision_ok = False
+            worst_resid = max(worst_resid, resid / scale)
+            pos_sum += max(d_at, 0.0)
+        elif x > 0.0:
+            corr_sum += x * (float(np.vdot(A, Y_new - Y)) + c * (z_new - z))
+        # a rejected step leaves Y as it is: Y - Y_new is exactly 0
+        y_gap = float(np.linalg.eigvalsh(Y - Y_new)[0]) if x > 0.0 else 0.0
+        min_y_gap = min(min_y_gap, y_gap)
+        max_z_step = max(max_z_step, z_new - z)
+        Y, z = Y_new, z_new
+
+    bprime = b_prime(budget)
+    budget_residual = u - bprime
+    HS = hs_trace_lift(smoothed, U)
+    GS = gs_value(budget, u)
+    w = np.linalg.eigvalsh(U)
+    hstar = float(np.sum(h_conj(obj, y_eval(smoothed.measure, w))))
+    gstar = g_conj(z, budget.b)
+    D = pos_sum - hstar - gstar
+    telescope = HS + GS - corr_sum
+    dual_gap = HS + GS - D - hstar - gstar - corr_sum
+    if variant == "seq":
+        rho_bound = inst.rho2 * float(np.trace(Y0 - Y)) - inst.rho1 * z + corr_sum
+    else:
+        rho_bound = np.nan
+
+    checks = {
+        "budget": budget_residual <= DEFAULT_TOLS["budget"],
+        "decisions": decision_ok,
+        "z_monotone": max_z_step <= DEFAULT_TOLS["z_monotone"],
+        "y_monotone": min_y_gap >= -DEFAULT_TOLS["y_monotone"],
+        "telescope": telescope >= -DEFAULT_TOLS["telescope"],
+        "dual_gap": dual_gap >= -DEFAULT_TOLS["dual_gap"],
+        "d_vs_pstar": D >= p_star - DEFAULT_TOLS["d_vs_pstar"],
+    }
+    if variant == "seq":
+        checks["rho_bound"] = rho_bound >= -DEFAULT_TOLS["rho_bound"]
+    return AuditReport(
+        variant=variant, m=inst.m, budget_used=u, b_prime=bprime,
+        budget_residual=budget_residual, decision_consistent=decision_ok,
+        worst_decision_residual=worst_resid, max_z_step=max_z_step,
+        min_y_gap=min_y_gap, telescope_residual=telescope,
+        dual_gap_residual=dual_gap, rho_bound_residual=float(rho_bound),
+        primal_H=float(np.sum(h_eval(obj, w))), lambda_max=float(w[-1]),
+        d_value=D, p_star=p_star, passed=all(checks.values()), checks=checks,
+    )

@@ -243,6 +243,9 @@ BAD_INSTANCES = {
                                           {"L": [[1.0], [0.0], [2.0]], "c": 1.0}]},
     "inf-b.json": {"b": math.inf, "arrivals": [{"L": [[1.0], [0.0]], "c": 1.0}]},
     "inf-c.json": {"b": 1.0, "arrivals": [{"L": [[1.0], [0.0]], "c": math.inf}]},
+    "arrivals-5.json": {"b": 1.0, "arrivals": 5},
+    "null-c.json": {"b": 1.0, "arrivals": [{"L": [[1.0], [0.0]], "c": None}]},
+    "object-L.json": {"b": 1.0, "arrivals": [{"L": {}, "c": 1.0}]},
 }
 
 
@@ -277,12 +280,17 @@ BAD_INSTANCES = {
     (["bench", "--b", "inf", "--n", "3", "--m", "5"], "--b"),
     (["run", "--instance", "inf-b.json"], "--b"),
     (["run", "--instance", "inf-c.json"], "c"),
+    # a value of the wrong JSON type names its key
+    (["run", "--instance", "arrivals-5.json"], "'arrivals'"),
+    (["run", "--instance", "null-c.json"], "'c'"),
+    (["run", "--instance", "object-L.json"], "'L'"),
 ], ids=["umax-inf", "n-zero", "aopt-p", "adversarial-density", "bench-adversarial-density",
         "random-density", "random-density-1e-300", "random-density-5e-324", "instance-no-b",
         "arrival-no-c", "arrival-no-factor", "arrivals-of-two-n",
         "instance-with-a-generator-flag", "m-zero", "huge-b", "bench-huge-b",
         "design-lp-at-huge-umax", "seq-design-lp-at-huge-rho2", "infinite-b", "bench-infinite-b",
-        "instance-infinite-b", "arrival-infinite-c"])
+        "instance-infinite-b", "arrival-infinite-c", "instance-arrivals-not-an-array",
+        "arrival-null-c", "arrival-object-factor"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, name):
     monkeypatch.chdir(tmp_path)
     for path, instance in BAD_INSTANCES.items():
@@ -307,6 +315,21 @@ def test_run_with_a_design_file_missing_a_key_exits_2(tmp_path, capsys, key):
     assert " %r " % key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value", [("gamma", None), ("q", "x"), ("weights", {}),
+                                       ("residual", "x")],
+                         ids=["null-gamma", "string-q", "object-weights", "string-residual"])
+def test_run_with_a_design_file_of_a_wrong_type_exits_2(tmp_path, capsys, key, value):
+    path = _design(tmp_path, "seq", 1.0, 50.0)
+    record = json.loads(path.read_text())
+    record[key] = value
+    path.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(RUN_SEQ + ["--measure", str(path), "--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: ") and err.count("\n") == 1
+    assert " %r " % key in err and "Traceback" not in err
+
+
 def test_run_with_a_design_file_without_residual_or_flagged(tmp_path, capsys):
     # both are constants of the designer, so a record may leave them out
     path = _design(tmp_path, "seq", 1.0, 50.0)
@@ -317,18 +340,33 @@ def test_run_with_a_design_file_without_residual_or_flagged(tmp_path, capsys):
     assert "audit = True" in capsys.readouterr().err
 
 
+# faults in a run file that `psdalloc run` wrote
+RUN_FILE_EDITS = {
+    "no-decisions": lambda r: r.pop("decisions"),
+    "null-gamma": lambda r: r.update(gamma=None),
+    "null-nodes": lambda r: r["measure"].update(nodes=None),
+    "object-decisions": lambda r: r.update(decisions={}),
+}
+
+
 @pytest.mark.parametrize("argv,payload,name", [
     (["audit", "--trace", "run.json"], "no-decisions", "'decisions'"),
     (["audit", "--trace", "run.json"], [1, 2], "--trace"),
     (["bench", "--config", "run.json"], [1, 2], "--config"),
-], ids=["audit-no-decisions", "audit-array", "bench-config-array"])
+    (["audit", "--trace", "run.json"], "null-gamma", "'gamma'"),
+    # null reads as a nan node, which the measure refuses by name
+    (["audit", "--trace", "run.json"], "null-nodes", "nodes"),
+    (["audit", "--trace", "run.json"], "object-decisions", "'decisions'"),
+], ids=["audit-no-decisions", "audit-array", "bench-config-array", "audit-null-gamma",
+        "audit-null-nodes", "audit-object-decisions"])
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, payload,
                                                name):
     monkeypatch.chdir(tmp_path)
-    if payload == "no-decisions":
+    if isinstance(payload, str):
         assert main(["run", "--n", "3", "--m", "8", "--b", "2", "--out", "run.json"]) == 0
-        payload = json.loads((tmp_path / "run.json").read_text())
-        del payload["decisions"]
+        record = json.loads((tmp_path / "run.json").read_text())
+        RUN_FILE_EDITS[payload](record)
+        payload = record
     (tmp_path / "run.json").write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(argv) == 2

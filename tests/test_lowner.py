@@ -59,6 +59,23 @@ def test_measure_validation():
         AtomicMeasure(np.array([0.1, 0.2]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("nodes,weights,word", [
+    ([np.nan], [0.5], "nodes"), ([0.5], [np.nan], "weights"), ([0.5], [np.inf], "weights"),
+    ([0.2, np.nan], [0.5, 0.5], "nodes"),
+], ids=["nan-node", "nan-weight", "inf-weight", "one-nan-node-of-two"])
+def test_measure_refuses_a_non_finite_atom(nodes, weights, word):
+    # nan fails every comparison, so each range check asks for the values inside it
+    with pytest.raises(ValueError, match=word):
+        AtomicMeasure(np.array(nodes), np.array(weights))
+
+
+def test_smoothed_objective_refuses_a_nan_slope():
+    m = mixed_measure()
+    object.__setattr__(m, "weights", np.array([np.nan, 0.25]))     # past the measure's check
+    with pytest.raises(ValueError, match="y\\(0\\) = nan"):
+        SmoothedObjective(m, make_objective("dopt"))
+
+
 def test_measure_sorted_and_clipped():
     m = AtomicMeasure(np.array([0.7, 0.1]), np.array([1.0, -1e-16]))
     assert np.all(np.diff(m.nodes) > 0)

@@ -8,16 +8,15 @@ from scipy import optimize
 
 from psdalloc import lowner, oracle
 from psdalloc.bench import gen_adversarial, gen_random
-from psdalloc.budget import BudgetSmoother, b_prime, g_conj, gs_prime, gs_value
+from psdalloc.budget import BudgetSmoother, b_prime, gs_prime
 from psdalloc.designer import DesignSpec, design_hs
 from psdalloc.lowner import AtomicMeasure, SmoothedObjective
-from psdalloc.objectives import TOL_EIG, h_conj, h_eval, make_objective
+from psdalloc.objectives import TOL_EIG, h_eval, make_objective
 from psdalloc.online import Arrival, OnlineState, run_stream
 from psdalloc.oracle import (
     DEFAULT_TOLS,
     OFFLINE_TOL,
     AuditError,
-    AuditReport,
     Instance,
     audit_run,
     audit_trace,
@@ -27,7 +26,9 @@ from psdalloc.oracle import (
     offline_continuous_opt,
     project_box_budget,
 )
-from reference import CapacityError, grad_hs_lift, grad_trace_lift, offline_integer_opt
+import reference
+from reference import (CapacityError, grad_hs_lift, grad_trace_lift, offline_integer_opt,
+                       reference_audit_run)
 
 
 def random_instance(rng, n=3, m=8, b=3.0):
@@ -531,109 +532,6 @@ def test_audit_rejects_decisions_outside_unit_interval(rng):
             audit_run(x, inst, sm, budget, "sim")
 
 
-def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
-    """The audit as a step-by-step loop: the reference for oracle.audit_run's block replay.
-
-    Each step takes its inner products with np.vdot, each purchase one
-    gradient and one scalar gs_prime, and each Y gap one eigvalsh.  The
-    gradients come from the spectrum (grad_hs_lift), so on a measure of at
-    most lowner.RESOLVENT_ATOMS live atoms the audit's resolvent sums are
-    checked against it.
-    """
-    decisions = np.asarray(decisions, dtype=float)
-    obj = smoothed.base
-    n = inst.n
-    U = np.zeros((n, n))
-    u = 0.0
-    Y = obj.h_prime0 * np.eye(n)
-    z = 0.0
-    pos_sum = 0.0
-    corr_sum = 0.0
-    min_y_gap = np.inf
-    max_z_step = -np.inf
-    decision_ok = True
-    worst_resid = 0.0
-    G = None      # grad H_S(U), once per U; Y starts at h'(0) I instead
-
-    for arr, x in zip(inst.arrivals, decisions):
-        A, c = arr.A, arr.c
-        Y_new, z_new = Y, z
-        if variant == "seq":
-            price = float(np.vdot(A, Y)) + c * z
-            pos_sum += max(price, 0.0)
-            expect = 1.0 if price > 0.0 else 0.0
-            if x != expect:
-                decision_ok = False
-                worst_resid = max(worst_resid, abs(price))
-        if x > 0.0:
-            U = U + x * A
-            u += x * c
-            G = Y_new = grad_hs_lift(smoothed, U)
-            z_new = gs_prime(budget, u)
-        if variant == "sim":
-            if G is None:
-                G = grad_hs_lift(smoothed, U)    # U = 0: no purchase yet
-            d_at = float(np.vdot(A, G)) + c * z_new     # z_new = gs'(u) at this u
-            scale = max(1.0, abs(float(np.vdot(A, Y))) + c * abs(z))
-            if x <= 0.0:
-                resid = max(0.0, d_at)
-            elif x >= 1.0:
-                resid = max(0.0, -d_at)
-            else:
-                resid = abs(d_at)
-            if resid > DEFAULT_TOLS["decision"] * scale:
-                decision_ok = False
-            worst_resid = max(worst_resid, resid / scale)
-            pos_sum += max(float(np.vdot(A, Y_new)) + c * z_new, 0.0)
-        elif x > 0.0:
-            corr_sum += x * (float(np.vdot(A, Y_new - Y)) + c * (z_new - z))
-        # a rejected step leaves Y as it is: Y - Y_new is exactly 0
-        y_gap = float(np.linalg.eigvalsh(Y - Y_new)[0]) if x > 0.0 else 0.0
-        min_y_gap = min(min_y_gap, y_gap)
-        max_z_step = max(max_z_step, z_new - z)
-        Y, z = Y_new, z_new
-
-    bprime = b_prime(budget)
-    budget_residual = u - bprime
-    HS = lowner.hs_trace_lift(smoothed, U)
-    GS = gs_value(budget, u)
-    w = np.linalg.eigvalsh(U)
-    y_eigs = lowner.y_eval(smoothed.measure, w)
-    hstar = float(np.sum(h_conj(obj, y_eigs)))
-    gstar = g_conj(z, budget.b)
-    D = pos_sum - hstar - gstar
-    if variant == "seq":
-        telescope = HS + GS - corr_sum
-        dual_gap = HS + GS - D - hstar - gstar - corr_sum
-        rho_bound = (inst.rho2 * float(np.trace(obj.h_prime0 * np.eye(n) - Y))
-                     - inst.rho1 * z) - (-corr_sum)
-    else:
-        telescope = HS + GS
-        dual_gap = HS + GS - D - hstar - gstar
-        rho_bound = np.nan
-
-    checks = {
-        "budget": budget_residual <= DEFAULT_TOLS["budget"],
-        "decisions": decision_ok,
-        "z_monotone": max_z_step <= DEFAULT_TOLS["z_monotone"],
-        "y_monotone": min_y_gap >= -DEFAULT_TOLS["y_monotone"],
-        "telescope": telescope >= -DEFAULT_TOLS["telescope"],
-        "dual_gap": dual_gap >= -DEFAULT_TOLS["dual_gap"],
-        "d_vs_pstar": D >= p_star - DEFAULT_TOLS["d_vs_pstar"],
-    }
-    if variant == "seq":
-        checks["rho_bound"] = rho_bound >= -DEFAULT_TOLS["rho_bound"]
-    return AuditReport(
-        variant=variant, m=inst.m, budget_used=u, b_prime=bprime,
-        budget_residual=budget_residual, decision_consistent=decision_ok,
-        worst_decision_residual=worst_resid, max_z_step=max_z_step,
-        min_y_gap=min_y_gap, telescope_residual=telescope,
-        dual_gap_residual=dual_gap, rho_bound_residual=float(rho_bound),
-        primal_H=float(np.sum(h_eval(obj, w))), lambda_max=float(w[-1]),
-        d_value=D, p_star=p_star, passed=all(checks.values()), checks=checks,
-    )
-
-
 def _spy(monkeypatch, module, name):
     """Replace module.name by a wrapper that records the arguments of each call."""
     calls, real = [], getattr(module, name)
@@ -757,21 +655,48 @@ def test_audit_matches_the_reference_on_full_rank_arrivals(kind):
                 assert_reports_match(audit_run(x, inst, sm, budget, variant, p_star=1.0), ref)
 
 
-def test_audit_sim_prices_with_grad_hs_at_zero_until_the_first_purchase():
-    # y(0) may differ from h'(0) by up to 1e-8, so grad_hs(0) = y(0) I is not
-    # Y's starting value h'(0) I; the sim check uses the former
+@pytest.mark.parametrize("measure", ["dopt-exact", "aopt-designed", "hand"])
+def test_audit_duals_start_at_the_engines_y0(measure, monkeypatch):
+    # the first price of a run that opens with a rejection reads Y0 as it is
     inst = _opens_with_a_rejection()
-    _, budget = engine_setup(inst, 2.0, "sim")
+    if measure == "aopt-designed":
+        obj = make_objective("aopt")
+        sm = design_hs(DesignSpec(obj, 2.0, 14.0)).smoothed()
+        assert np.count_nonzero(sm.measure.weights) > lowner.RESOLVENT_ATOMS
+    else:
+        obj = make_objective("dopt")
+        y0 = 1.0 + 5e-9 * (measure == "hand")
+        sm = SmoothedObjective(AtomicMeasure(np.array([0.5]), np.array([0.5 * y0])), obj)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, 0.0, "sim")
+    prices = _spy(monkeypatch, oracle, "_prices")
+    audit_run(np.zeros(inst.m), inst, sm, budget, "sim", p_star=1.0)
+    Y0 = np.reshape(prices[0][0], (-1, inst.n, inst.n))[0]
+    np.testing.assert_array_max_ulp(Y0, OnlineState(sm, budget, inst.n).Y, maxulp=4)
+    np.testing.assert_array_max_ulp(Y0, sm.measure.y0 * np.eye(inst.n), maxulp=4)
+    if measure == "hand":
+        assert Y0[0, 0] - obj.h_prime0 > 4e-9
+
+
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_audit_prices_at_y0_until_the_first_purchase(variant):
+    # y(0) may differ from h'(0) by up to 1e-8; Y starts at grad H_S(0) = y(0) I,
+    # where the engines' does.  A third of each factor keeps y(0) tr A below 1, so
+    # the sim check's scale max(1, y(0) tr A) is 1 and both variants report y(0) tr A
+    base = _opens_with_a_rejection()
+    inst = Instance([Arrival(a.L / 3.0, a.c) for a in base.arrivals], base.b)
+    _, budget = engine_setup(inst, 2.0, variant)
     y0 = 1.0 + 5e-9
     sm = SmoothedObjective(AtomicMeasure(np.array([0.5]), np.array([0.5 * y0])),
                            make_objective("dopt"))
     x = np.zeros(inst.m)
-    x[5] = 1.0
-    ref = reference_audit_run(x, inst, sm, budget, "sim", 1.0)
-    rep = audit_run(x, inst, sm, budget, "sim", p_star=1.0)
+    x[-1] = 1.0
+    ref = reference_audit_run(x, inst, sm, budget, variant, 1.0)
+    rep = audit_run(x, inst, sm, budget, variant, p_star=1.0)
     assert_reports_match(rep, ref)
     # the worst residual is a rejection before the purchase, priced at y(0) I
-    before = [y0 * np.trace(a.A) / max(1.0, np.trace(a.A)) for a in inst.arrivals[:5]]
+    prices = [y0 * np.trace(a.A) for a in inst.arrivals[:-1]]
+    before = [p / (max(1.0, p) if variant == "sim" else 1.0) for p in prices]
+    assert max(prices) < 1.0
     assert rep.worst_decision_residual == pytest.approx(max(before), rel=1e-12)
 
 
@@ -830,8 +755,8 @@ def test_audit_decomposes_only_after_purchases(variant):
             rep = audit_run(x, inst, sm, budget, variant, p_star=p_star)
         assert rep.passed and rep.to_dict() == expect
         stacks = _stacks(grads, 1, inst.n)
-        # one gradient per purchase, plus the sim check's gradient at U = 0
-        assert sum(len(S) for S in stacks) == bought + (variant == "sim")
+        # one gradient per purchase; Y starts at y(0) I with none
+        assert sum(len(S) for S in stacks) == bought
         assert max(len(S) for S in stacks) <= block
         # a rejected step leaves Y as it is: no eigvalsh of the zero matrix Y - Y
         assert not any(np.all(M == 0.0) for S in _stacks(eigs, 0, inst.n) for M in S)
@@ -905,9 +830,8 @@ def test_audit_decomposes_the_final_aggregate_once(variant, kind, measure, monke
     # sums resolvents, after one stacked Cholesky of the U_k); one eigvalsh of its
     # least-trace Y gap, as a stack of one; and past one gap a shifted Cholesky of
     # all its gaps, then one eigvalsh of all of them only where that Cholesky fails.
-    # The sim check's grad_hs(0), for a run that opens with a rejection, is one
-    # eigh under the designed measure.  H_S(U), h*, H(U) and lambda_max share one
-    # eigh of U
+    # Y starts at y(0) I, so a run that opens with a rejection decomposes nothing
+    # at U = 0.  H_S(U), h*, H(U) and lambda_max share one eigh of U
     inst = _opens_with_a_rejection()
     sm, budget = engine_setup(inst, 2.0, variant)
     if measure == "one-atom":
@@ -943,7 +867,7 @@ def test_audit_decomposes_the_final_aggregate_once(variant, kind, measure, monke
     assert stacked == expect
     if kind == "engine":
         assert gaps.any()
-    assert [name for name, _ in single] == ["eigh"] * (variant == "sim" and spectral) + ["eigh"]
+    assert [name for name, _ in single] == ["eigh"]
     U = sum(xt * a.A for xt, a in zip(x, inst.arrivals))
     assert np.allclose(single[-1][1], U, rtol=1e-12, atol=1e-12)
 
@@ -957,7 +881,7 @@ def _bump_gradient_at(monkeypatch, target, bump):
         return grad
 
     monkeypatch.setattr(oracle, "grad_hs", bumped(oracle.grad_hs))
-    monkeypatch.setitem(globals(), "grad_hs_lift", bumped(grad_hs_lift))
+    monkeypatch.setattr(reference, "grad_hs_lift", bumped(grad_hs_lift))
 
 
 def test_audit_finds_a_failing_gap_hidden_among_rank_deficient_ones(monkeypatch):
