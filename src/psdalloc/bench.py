@@ -8,14 +8,14 @@ write_csv writes every CSV the package emits, with 12 significant digits.
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .budget import BudgetSmoother, b_prime
 from .designer import DesignSpec, beta_for_measure, cr_bound, design_hs
 from .lowner import SmoothedObjective, exact_measure
-from .objectives import make_objective
+from .objectives import _key, make_objective
 from .online import Arrival, run_stream
 from .oracle import Instance, audit_trace, offline_continuous_opt
 
@@ -77,10 +77,49 @@ def gen_random(n, m, density=1.0, seed=0, b=None):
     return Instance(arrivals, float(b) if b is not None else m / 5)
 
 
+def whole_number(v):
+    """v as an int where that loses nothing (3 or 3.0, not 3.5 or true): one of
+    ExperimentConfig.from_dict's casts, as are the five below."""
+    if type(v) is bool or int(v) != v:
+        raise ValueError
+    return int(v)
+
+
+def boolean(v):
+    if type(v) is not bool:
+        raise TypeError
+    return v
+
+
+def string(v):
+    if type(v) is not str:
+        raise TypeError
+    return v
+
+
+def number_list(v):
+    """A number or a nonempty list of numbers, as a tuple of floats."""
+    vs = tuple(map(float, v if type(v) in (list, tuple) else [v]))
+    if not vs:
+        raise ValueError
+    return vs
+
+
+def variant_list(v):
+    if not (type(v) in (list, tuple) and v and set(v) <= {"sim", "seq"}):
+        raise ValueError
+    return tuple(v)
+
+
+def list_of_instances(v):
+    if not (type(v) in (list, tuple) and v and all(isinstance(i, Instance) for i in v)):
+        raise TypeError
+    return list(v)
+
+
 @dataclass
 class ExperimentConfig:
     objective: str = "dopt"
-    p: float = 1.0
     n: int = 5
     m: int = 50
     b: float = None            # defaults to m/5
@@ -103,11 +142,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        """A config from a JSON object, each key read through its cast, so a value of the
+        wrong JSON type is a ValueError that names its key; a null value is the default."""
+        casts = {"objective": string, "n": whole_number, "m": whole_number, "b": float,
+                 "gammas": number_list, "repeats": whole_number, "seed": whole_number,
+                 "variants": variant_list, "generator": string, "density": float,
+                 "q": whole_number, "d": whole_number, "umax_override": float,
+                 "unsmoothed_arm": boolean, "out": string, "instances": list_of_instances}
+        unknown = set(d) - set(casts)
         if unknown:
             raise ValueError("unknown config keys: %s" % sorted(unknown))
-        return cls(**d)
+        return cls(**{k: _key(d, "config", k, cast=casts[k]) for k in d if d[k] is not None})
 
 
 @dataclass
@@ -202,7 +247,7 @@ def run_experiment(cfg):
     instance keeps its own budget smoother.  PSD-DR objectives also get an
     unsmoothed arm.
     """
-    obj = make_objective(cfg.objective, cfg.p)
+    obj = make_objective(cfg.objective)
     if cfg.instances is not None:
         instances = list(cfg.instances)
     else:
@@ -248,9 +293,9 @@ def write_csv(path, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def curve_rows(objective, gammas, u_max, q=100, d=200, variant="sim", rho2=0.0, p=1.0):
-    """Per-gamma designed beta and the smoothed/unsmoothed ratio bounds."""
-    obj = make_objective(objective, p)
+def curve_rows(objective, gammas, u_max, q=100, d=200, variant="sim", rho2=0.0):
+    """Per-gamma designed beta and the smoothed/unsmoothed ratio bounds of an objective label."""
+    obj = make_objective(objective)
     rows = []
     for gamma in gammas:
         spec = DesignSpec(obj, float(gamma), u_max, q, d, variant, rho2)

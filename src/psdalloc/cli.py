@@ -29,7 +29,7 @@ def _gammas(text):
 
 
 def cmd_design(args):
-    obj = make_objective(args.objective, args.p)
+    obj = make_objective(args.objective)
     spec = DesignSpec(obj, args.gamma, args.umax, args.q, args.d,
                       args.variant, args.rho2)
     result = design_hs(spec)
@@ -55,18 +55,18 @@ def _load_instance(args):
     return make_instance(**given)
 
 
-def _check_design(spec, args, inst):
-    """Refuse a --measure design certified for another run."""
-    if spec.gamma != args.gamma:
-        raise ValueError("--measure: design gamma %g != --gamma %g" % (spec.gamma, args.gamma))
-    if spec.variant != args.variant:
-        raise ValueError("--measure: design variant %s != --variant %s"
-                         % (spec.variant, args.variant))
+def _check_design(design, spec):
+    """Refuse a --measure design certified for another run: spec is group_spec's for this one."""
+    if (design.objective, design.gamma, design.variant) != (spec.objective, spec.gamma,
+                                                           spec.variant):
+        raise ValueError("--measure: the design is for %s, not %s" % tuple(
+            "--objective %s --gamma %r --variant %s" % (s.objective.label, s.gamma, s.variant)
+            for s in (design, spec)))
     # an older design file's rho2, from the dense A_t, may differ from the factors' by
     # TOL_EIG relative; the seq audit's rho_bound check still judges the run with inst.rho2
-    if spec.variant == "seq" and spec.rho2 < inst.rho2 * (1.0 - TOL_EIG):
+    if design.rho2 < spec.rho2 * (1.0 - TOL_EIG):
         raise ValueError("--measure: design rho2 %.17g < the instance's rho2 %.17g"
-                         % (spec.rho2, inst.rho2))
+                         % (design.rho2, spec.rho2))
 
 
 def cmd_run(args):
@@ -74,21 +74,20 @@ def cmd_run(args):
     if args.measure:
         with open(args.measure) as fh:
             dres = design_from_dict(json.load(fh))
-        _check_design(dres.spec, args, inst)
-        obj = dres.spec.objective
-        smoother = BudgetSmoother(obj, args.gamma, inst.b, inst.theta, inst.Theta,
-                                  inst.rho1, args.variant)
-        surrogate, beta, u_max, arm = dres.smoothed(), dres.beta, dres.spec.u_max, "smoothed"
+        obj = dres.spec.objective if args.objective is None else make_objective(args.objective)
+        (smoother,), spec = group_spec(obj, args.gamma, args.variant, [inst],
+                                       u_max=dres.spec.u_max)
+        _check_design(dres.spec, spec)
+        surrogate, beta, arm = dres.smoothed(), dres.beta, "smoothed"
     else:
-        obj = make_objective(args.objective, args.p)
+        obj = make_objective("dopt" if args.objective is None else args.objective)
         em = exact_measure(obj)
         if em is None:
             raise ValueError("objective %s needs a designed measure (--measure)" % obj.label)
         # the beta bench certifies for the exact measure on a one-instance group
         (smoother,), spec = group_spec(obj, args.gamma, args.variant, [inst])
-        surrogate, beta, u_max, arm = (SmoothedObjective(em, obj), _unsmoothed_beta(spec),
-                                       spec.u_max, "unsmoothed")
-    rep, trace = run_one(inst, surrogate, smoother, beta, u_max, arm)
+        surrogate, beta, arm = SmoothedObjective(em, obj), _unsmoothed_beta(spec), "unsmoothed"
+    rep, trace = run_one(inst, surrogate, smoother, beta, spec.u_max, arm)
     payload = {
         "objective": {"kind": obj.kind, "p": obj.p},
         "gamma": args.gamma,
@@ -148,7 +147,7 @@ def cmd_audit(args):
 
 def cmd_curve(args):
     rows = curve_rows(args.objective, args.gamma, args.umax, args.q, args.d,
-                      args.variant, args.rho2, args.p)
+                      args.variant, args.rho2)
     write_csv(args.out, CURVE_COLUMNS, ([row[c] for c in CURVE_COLUMNS] for row in rows))
     for row in rows:
         print("gamma=%g beta=%.6g bound=%.6g" %
@@ -157,8 +156,7 @@ def cmd_curve(args):
 
 
 def _add_design_flags(p):
-    p.add_argument("--objective", default="dopt")
-    p.add_argument("--p", type=float, default=1.0, help="exponent for pmean")
+    p.add_argument("--objective", default="dopt", help="linear, dopt, aopt or pmean<p> (pmean2)")
     p.add_argument("--q", type=int, default=100)
     p.add_argument("--d", type=int, default=200)
     p.add_argument("--variant", default="sim", choices=["sim", "seq"])
@@ -180,9 +178,10 @@ def build_parser():
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("run", help="run one engine over one instance")
-    p.add_argument("--objective", default="dopt")
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--measure", help="design JSON from the design subcommand")
+    p.add_argument("--objective", help="linear, dopt, aopt or pmean<p> (pmean2); default "
+                   "the --measure design's objective, else dopt")
+    p.add_argument("--measure", help="design JSON from the design subcommand, whose objective "
+                   "the run takes; --objective, if given, --gamma and --variant must match it")
     p.add_argument("--instance", help="instance JSON, in place of the generator flags")
     p.add_argument("--generator", choices=["adversarial", "random"], default=argparse.SUPPRESS)
     p.add_argument("--n", type=int, default=argparse.SUPPRESS)

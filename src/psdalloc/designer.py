@@ -147,7 +147,6 @@ class _Tableau:
         self.a = 1.0 / (1.0 - self.nodes)                      # y(0) coefficients
         self.h = h_eval(spec.objective, grid)
         self.cols = {}                                         # node -> its (lin, Psi) column
-        self.stacked = ((), None, None)                        # live nodes, their lin, Psi
 
     def _block(self, i, j):
         """lin and Psi at rows i, columns j."""
@@ -164,17 +163,13 @@ class _Tableau:
 
         The cached columns are stacked in live order, so lin, Psi and their
         products are bit for bit those of one fresh block of the live columns.
-        The stack is kept until the live set changes.
         """
         live = np.flatnonzero(w)
-        if tuple(live) != self.stacked[0]:
-            new = [j for j in live if j not in self.cols]
-            if new:
-                lin, psi = self._block(slice(None), np.array(new))
-                self.cols.update(zip(new, zip(lin.T, psi.T)))
-            self.stacked = (tuple(live), np.column_stack([self.cols[j][0] for j in live]),
-                            np.column_stack([self.cols[j][1] for j in live]))
-        _, lin, psi = self.stacked
+        new = [j for j in live if j not in self.cols]
+        if new:
+            lin, psi = self._block(slice(None), np.array(new))
+            self.cols.update(zip(new, zip(lin.T, psi.T)))
+        lin, psi = (np.column_stack([self.cols[j][k] for j in live]) for k in (0, 1))
         y = psi @ w[live]
         return self.spec.gamma * (lin @ w[live]) - h_conj(self.spec.objective, y) / self.h, y
 

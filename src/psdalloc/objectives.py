@@ -5,8 +5,12 @@ H(X) = sum_i h(lambda_i(X)):
 
     linear  h(u) = u
     dopt    h(u) = log(1 + u)
-    pmean   h(u) = 1 - (1+u)^(-p)       (p > 0)
+    pmean   h(u) = 1 - (1+u)^(-p)       (0 < p < inf)
     aopt    pmean at p = 1: 1 - 1/(1+u), the shifted inverse-trace criterion
+
+An objective is named by its label alone, as TraceObjective.label prints it:
+linear, dopt, aopt or pmean<p> (pmean2, pmean0.5).  p is h'(0), and every
+kind but pmean has p = 1.
 
 Each h is extended linearly to u < 0 with slope h'(0).  The concave conjugate
 h*(y) = inf_u { y u - h(u) } is over u >= 0 (over all u for linear), so
@@ -47,15 +51,16 @@ class TraceObjective:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown objective kind %r (one of %s)" % (self.kind, list(KINDS)))
-        if self.kind == "pmean" and not self.p > 0:
-            raise ValueError("pmean requires p > 0 (--p), got %r" % (self.p,))
-        if self.kind == "aopt" and self.p != 1.0:
-            raise ValueError("aopt is pmean at p = 1 (--p), got p = %r" % (self.p,))
+        if self.kind == "pmean" and not 0.0 < self.p < np.inf:
+            raise ValueError("pmean needs a finite p > 0, got p = %r" % (self.p,))
+        if self.kind != "pmean" and self.p != 1.0:
+            raise ValueError("%s has p = 1 (only pmean takes another p), got p = %r"
+                             % (self.kind, self.p))
 
     @property
     def h_prime0(self):
-        """Slope at zero: 1 for linear/dopt, p for pmean and aopt."""
-        return 1.0 if self.kind in ("linear", "dopt") else float(self.p)
+        """Slope at zero: p, which is 1 for every kind but pmean."""
+        return float(self.p)
 
     @property
     def sup_h(self):
@@ -68,12 +73,16 @@ class TraceObjective:
         return self.kind
 
 
-def make_objective(name, p=1.0):
-    """Parse an objective label ('linear' | 'dopt' | 'aopt' | 'pmean')."""
-    name = str(name).strip().lower()
-    if name.startswith("pmean") and name != "pmean":
-        return TraceObjective("pmean", float(name[5:]))
-    return TraceObjective(name, float(p))
+def make_objective(label):
+    """The objective a label names: 'linear', 'dopt', 'aopt' or 'pmean<p>' ('pmean2'),
+    as TraceObjective.label prints it; any other label is a ValueError naming --objective."""
+    name = str(label).strip().lower()
+    kind, p = ("pmean", name[5:]) if name.startswith("pmean") else (name, "1")
+    try:
+        return TraceObjective(kind, float(p))
+    except ValueError:
+        raise ValueError("--objective %r is not linear, dopt, aopt or pmean<p> with a finite "
+                         "p > 0" % (label,)) from None
 
 
 def _key(d, where, *keys, cast=None):
@@ -85,7 +94,7 @@ def _key(d, where, *keys, cast=None):
         if k in d:
             try:
                 return d[k] if cast is None else cast(d[k])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError("%s key %r is not a %s: %s" % (
                     where, k, cast.__name__.replace("_", " "), reprlib.repr(d[k]))) from None
     raise ValueError("%s has no %s key" % (where, " or ".join(map(repr, keys))))

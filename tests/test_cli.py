@@ -205,16 +205,72 @@ def test_run_refuses_a_design_for_another_run(tmp_path, capsys, design, names):
 @pytest.mark.parametrize("rel,refused", [(1e-9, True), (1e-11, False)])
 def test_check_design_compares_rho2_at_tol_eig(rel, refused):
     inst = gen_adversarial(5, 50, 0, 10.0)
-    spec = SimpleNamespace(gamma=1.0, variant="seq", rho2=inst.rho2 * (1.0 - rel))
-    args = SimpleNamespace(gamma=1.0, variant="seq")
+    obj = make_objective("dopt")
+    spec = SimpleNamespace(objective=obj, gamma=1.0, variant="seq", rho2=inst.rho2 * (1.0 - rel))
+    group = SimpleNamespace(objective=obj, gamma=1.0, variant="seq", rho2=inst.rho2)
     if not refused:
-        assert _check_design(spec, args, inst) is None
+        assert _check_design(spec, group) is None
         return
     with pytest.raises(ValueError) as exc:
-        _check_design(spec, args, inst)
+        _check_design(spec, group)
     # both values with every digit the comparison reads
     assert str(exc.value) == ("--measure: design rho2 %.17g < the instance's rho2 %.17g"
                               % (spec.rho2, inst.rho2))
+
+
+def test_run_takes_its_objective_from_the_design(tmp_path, capsys):
+    path = tmp_path / "design.json"
+    assert main(["design", "--objective", "aopt", "--gamma", "2", "--umax", "10", "--q", "40",
+                 "--d", "60", "--out", str(path)]) == 0
+    run = ["run", "--measure", str(path), "--gamma", "2", "--n", "3", "--m", "8", "--b", "2"]
+    out, again = tmp_path / "run.json", tmp_path / "again.json"
+    capsys.readouterr()
+    assert main(run + ["--objective", "dopt", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: --measure: ") and err.count("\n") == 1
+    assert "--objective aopt" in err and "--objective dopt" in err
+    assert not out.exists()
+    assert main(run + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["objective"] == {"kind": "aopt", "p": 1.0}
+    # a given --objective that names the design's runs the same
+    assert main(run + ["--objective", "aopt", "--out", str(again)]) == 0
+    assert again.read_text() == out.read_text()
+
+
+@pytest.mark.parametrize("argv", [RUN_SEQ + ["--measure", "edited.json"],
+                                  ["audit", "--trace", "edited.json"]],
+                         ids=["measure", "trace"])
+def test_a_file_objective_with_p_other_than_one_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "run":
+        path = _design(tmp_path, "seq", 1.0, 50.0)
+    else:
+        path = tmp_path / "run.json"
+        assert main(["run", "--n", "3", "--m", "8", "--b", "2", "--out", str(path)]) == 0
+    record = json.loads(path.read_text())
+    record["objective"] = {"kind": "dopt", "p": 3}
+    (tmp_path / "edited.json").write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(argv + ["--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: ") and err.count("\n") == 1
+    assert "got p = 3" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("label", ["pmean", "pmeanx", "foo"])
+@pytest.mark.parametrize("argv", [
+    ["design", "--gamma", "2", "--umax", "5"],
+    ["run", "--n", "3", "--m", "5"],
+    ["curve", "--gamma", "1,2", "--umax", "5", "--out", "curve.csv"],
+    ["bench", "--n", "3", "--m", "5"],
+], ids=["design", "run", "curve", "bench"])
+def test_an_unreadable_objective_label_exits_2_naming_objective(tmp_path, monkeypatch, capsys,
+                                                                argv, label):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--objective", label]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: --objective %r " % label) and err.count("\n") == 1
+    assert not (tmp_path / "curve.csv").exists()
 
 
 def test_run_with_a_matching_design_reports_its_u_max_breach(tmp_path):
@@ -252,7 +308,8 @@ BAD_INSTANCES = {
 @pytest.mark.parametrize("argv,name", [
     (["design", "--objective", "dopt", "--gamma", "2", "--umax", "inf"], "u_max"),
     (["run", "--n", "0"], "n"),
-    (["design", "--objective", "aopt", "--p", "3", "--gamma", "2", "--umax", "5"], "p"),
+    # aopt is pmean at p = 1 and has no other p, so no label names one
+    (["design", "--objective", "aopt3", "--gamma", "2", "--umax", "5"], "--objective"),
     (["run", "--density", "7"], "--density"),
     (["bench", "--density", "0.5", "--n", "3", "--m", "5"], "--density"),
     (["run", "--generator", "random", "--density", "7"], "--density"),
@@ -419,6 +476,30 @@ def test_bench_flag_dests_are_config_fields():
     assert dests - {f.name for f in fields(ExperimentConfig)} <= {"command", "func", "config"}
 
 
+CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
+
+
+# null is a key's default; a value of the wrong JSON type is refused by its key, and any
+# other value runs or is refused by the check that reads it
+@pytest.mark.parametrize("value", [None, "x", [], {}, 5.5, -1, math.inf],
+                         ids=["null", "string", "array", "object", "5.5", "-1", "infinity"])
+@pytest.mark.parametrize("key", CONFIG_KEYS)
+def test_bench_config_value_of_any_json_type_runs_or_exits_2(tmp_path, monkeypatch, capsys,
+                                                             key, value):
+    monkeypatch.chdir(tmp_path)
+    config = {"n": 2, "m": 4, "q": 10, "d": 10, "out": "bench.csv", key: value}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = main(["bench", "--config", "config.json"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert re.fullmatch(r"(\d+) runs, \1 audits passed, csv: .*\n", err), err
+    else:
+        assert code == 2 and err.startswith("psdalloc: error: ") and err.count("\n") == 1
+    if isinstance(value, (list, dict)) or key in ("unsmoothed_arm", "instances") and value:
+        assert code == 2 and " %r " % key in err
+
+
 def test_bench_flag_overrides_its_config_key(tmp_path, capsys):
     config, out = tmp_path / "config.json", tmp_path / "bench.csv"
     config.write_text(json.dumps({"objective": "dopt", "n": 3, "m": 8, "b": 2.0,
@@ -484,8 +565,8 @@ def run_argvs(draw):
     Repeated entries weight the draws toward inputs that run: the exact
     measures of linear and dopt, and the default density.
     """
-    return ["run", "--objective", draw(st.sampled_from(["dopt", "linear"] * 3 + ["aopt", "pmean"])),
-            "--p", repr(draw(st.sampled_from([1.0, 0.5, 2.0]))),
+    return ["run", "--objective", draw(st.sampled_from(["dopt", "linear"] * 3 + [
+                "aopt", "pmean1", "pmean0.5", "pmean2"])),
             "--variant", draw(st.sampled_from(["sim", "seq"])),
             "--generator", draw(st.sampled_from(["adversarial", "random"])),
             "--density", repr(draw(st.sampled_from([1.0] * 12 + [0.3, 0.0, 7.0, math.nan,
@@ -517,8 +598,8 @@ def bench_configs(draw):
 
     Weighted as run_argvs is; umax_override is mostly left to group_spec.
     """
-    return {"objective": draw(st.sampled_from(["dopt", "linear"] * 3 + ["aopt", "pmean"])),
-            "p": draw(st.sampled_from([1.0, 0.5, 2.0])),
+    return {"objective": draw(st.sampled_from(["dopt", "linear"] * 3 + [
+                "aopt", "pmean1", "pmean0.5", "pmean2"])),
             "variants": draw(st.sampled_from([["sim"], ["seq"], ["sim", "seq"]])),
             "generator": draw(st.sampled_from(["adversarial", "random"])),
             "density": draw(st.sampled_from([1.0] * 12 + [0.3, 0.0, 7.0, 1e-300, 5e-324])),

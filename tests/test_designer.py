@@ -381,7 +381,7 @@ def test_cut_lp_failure_is_an_input_error_naming_gamma():
 def test_cuts_over_gamma_design_at_large_gamma(gamma, u_max):
     # cuts not held over gamma have entries past 1e15 here, which HiGHS drops:
     # every cut of the first spec and one of 29 of the second
-    spec = DesignSpec(make_objective("pmean", 2.0), gamma, u_max, 37, 14, "seq", 3.7)
+    spec = DesignSpec(make_objective("pmean2"), gamma, u_max, 37, 14, "seq", 3.7)
     res = design_hs(spec)
     assert np.isfinite(res.beta) and res.beta_lb <= res.beta
     assert beta_for_measure(spec, res.measure, dense=10) <= res.beta * (1.0 + 1e-9) + 1e-9

@@ -167,7 +167,7 @@ def test_exact_measures_reproduce_base_derivative():
         assert np.allclose(y_eval(m, u), h_prime(obj, u), atol=1e-12)
         assert np.allclose(hs_eval(m, u), h_eval(obj, u), atol=1e-12)
     assert exact_measure(make_objective("aopt")) is None
-    assert exact_measure(make_objective("pmean", 2.0)) is None
+    assert exact_measure(make_objective("pmean2")) is None
 
 
 def test_smoothed_objective_slope_check():
@@ -219,7 +219,7 @@ def test_certify_psd_dr_unsmoothed_dopt():
 
 
 def test_serialization_round_trip():
-    sm = SmoothedObjective(mixed_measure(), make_objective("pmean", 1.0))
+    sm = SmoothedObjective(mixed_measure(), make_objective("pmean1"))
     d = smoothed_to_dict(sm)
     back = smoothed_from_dict(d)
     assert np.array_equal(back.measure.nodes, sm.measure.nodes)

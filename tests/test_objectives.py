@@ -20,8 +20,8 @@ ALL = [
     make_objective("linear"),
     make_objective("dopt"),
     make_objective("aopt"),
-    make_objective("pmean", 0.5),
-    make_objective("pmean", 2.0),
+    TraceObjective("pmean", 0.5),
+    TraceObjective("pmean", 2.0),
 ]
 SMOOTH = ALL[1:]
 
@@ -44,14 +44,14 @@ CONJ_ORACLE = [
 
 def test_make_objective_parsing():
     assert make_objective("pmean2.0") == TraceObjective("pmean", 2.0)
-    assert make_objective("pmean", 0.5).p == 0.5
+    assert make_objective("pmean0.5").p == 0.5
     assert make_objective("DOPT").kind == "dopt"
     assert make_objective("linear").label == "linear"
-    assert make_objective("pmean", 2.0).label == "pmean2"
+    assert make_objective("pmean2").label == "pmean2"
     with pytest.raises(ValueError):
         make_objective("quadratic")
     with pytest.raises(ValueError):
-        make_objective("pmean", -1.0)
+        make_objective("pmean-1")
 
 
 def test_h_closed_forms():
@@ -59,7 +59,7 @@ def test_h_closed_forms():
     assert h_eval(make_objective("dopt"), np.e - 1.0) == pytest.approx(1.0, abs=1e-14)
     assert h_eval(make_objective("aopt"), 1.0) == pytest.approx(0.5, abs=1e-14)
     assert h_eval(make_objective("linear"), 3.5) == 3.5
-    assert h_eval(make_objective("pmean", 2.0), 1.0) == pytest.approx(0.75, abs=1e-14)
+    assert h_eval(make_objective("pmean2"), 1.0) == pytest.approx(0.75, abs=1e-14)
 
 
 def test_h_prime0_values():
@@ -67,7 +67,7 @@ def test_h_prime0_values():
 
 
 def test_aopt_is_pmean_at_p_one():
-    aopt, pm1 = make_objective("aopt"), make_objective("pmean", 1.0)
+    aopt, pm1 = make_objective("aopt"), make_objective("pmean1")
     u = np.array([0.0, 1e-8, 0.3, 1.0, 7.0, 1e4])
     v = np.array([0.0, 1e-9, 0.25, 0.5, 0.9, 0.999])
     y = np.array([1e-12, 0.01, 0.25, 0.5, 0.999999, 1.0])
@@ -81,7 +81,21 @@ def test_aopt_is_pmean_at_p_one():
     assert h_conj(aopt, 0.0) == h_conj(pm1, 0.0) == -1.0
     assert aopt.label == "aopt" and aopt.sup_h == 1.0
     with pytest.raises(ValueError, match="p = 3"):
-        make_objective("aopt", 3.0)
+        TraceObjective("aopt", 3.0)
+
+
+@pytest.mark.parametrize("label", ["pmean", "pmeanx", "foo", "pmean0", "pmean-1", "pmeaninf",
+                                   "pmeannan", "aopt3"])
+def test_make_objective_refuses_a_label_naming_objective(label):
+    with pytest.raises(ValueError, match="^--objective %r " % label):
+        make_objective(label)
+
+
+@pytest.mark.parametrize("kind", ["linear", "dopt", "aopt"])
+def test_every_kind_but_pmean_has_p_one(kind):
+    assert TraceObjective(kind, 1).h_prime0 == 1.0
+    with pytest.raises(ValueError, match="got p = 3"):
+        TraceObjective(kind, 3.0)
 
 
 @given(obj=objs, u=us)
@@ -120,7 +134,7 @@ def test_h_inverse_range_error():
 
 @pytest.mark.parametrize("kind,p,y,expected", CONJ_ORACLE)
 def test_h_conj_frozen_oracle(kind, p, y, expected):
-    assert h_conj(make_objective(kind, p), y) == pytest.approx(expected, abs=1e-12)
+    assert h_conj(TraceObjective(kind, p), y) == pytest.approx(expected, abs=1e-12)
 
 
 def test_h_conj_piecewise_boundaries():
@@ -136,7 +150,7 @@ def test_h_conj_piecewise_boundaries():
     assert h_conj(aopt, 0.0) == -1.0
     assert h_conj(aopt, 1.5) == 0.0
     assert h_conj(aopt, -0.01) == -np.inf
-    pm = make_objective("pmean", 2.0)
+    pm = make_objective("pmean2")
     assert h_conj(pm, 0.0) == -1.0
     assert h_conj(pm, 2.0) == pytest.approx(0.0, abs=1e-12)
     assert h_conj(pm, 2.5) == 0.0
