@@ -34,9 +34,9 @@ def gen_adversarial(n, m, seed, b=None):
     Density bounds come out pinned at theta = 1, Theta = m, which is the
     worst-case spread the stopping budget is calibrated against.
     """
-    for name, size in (("n", n), ("m", m)):
-        if not size >= 1:
-            raise ValueError("%s must be >= 1, got %r" % (name, size))
+    for name, value, least in (("n", n, 1), ("m", m, 1), ("--seed", seed, 0)):
+        if not value >= least:
+            raise ValueError("%s must be >= %d, got %r" % (name, least, value))
     rng = np.random.default_rng(seed)
     arrivals = []
     for t in range(1, m + 1):
@@ -54,9 +54,9 @@ def gen_random(n, m, density=1.0, seed=0, b=None):
     of the n with chance above 1 - RANDOM_MIN_KEEP is refused, since its
     arrivals would take more than 1/RANDOM_MIN_KEEP draws each on average.
     """
-    for name, size in (("n", n), ("m", m)):
-        if not size >= 1:
-            raise ValueError("%s must be >= 1, got %r" % (name, size))
+    for name, value, least in (("n", n, 1), ("m", m, 1), ("--seed", seed, 0)):
+        if not value >= least:
+            raise ValueError("%s must be >= %d, got %r" % (name, least, value))
     if not 0.0 < density <= 1.0:
         raise ValueError("--density must be in (0, 1], got %r" % (density,))
     keep = -math.expm1(n * math.log1p(-density)) if density < 1.0 else 1.0  # 1 - (1 - d)^n

@@ -89,10 +89,8 @@ def cmd_run(args):
         surrogate, beta, arm = SmoothedObjective(em, obj), _unsmoothed_beta(spec), "unsmoothed"
     rep, trace = run_one(inst, surrogate, smoother, beta, spec.u_max, arm)
     payload = {
-        "objective": {"kind": obj.kind, "p": obj.p},
         "gamma": args.gamma,
         "variant": args.variant,
-        "b": inst.b,
         "measure": smoothed_to_dict(surrogate),
         "instance": instance_to_dict(inst),
         "decisions": [float(x) for x in trace.decisions],
@@ -131,10 +129,13 @@ def cmd_bench(args):
 def cmd_audit(args):
     with open(args.trace) as fh:
         payload = json.load(fh)
-    measure, objective, instance, variant = (
-        _key(payload, "--trace file", k) for k in ("measure", "objective", "instance", "variant"))
+    measure, instance, variant = (
+        _key(payload, "--trace file", k) for k in ("measure", "instance", "variant"))
     gamma = _key(payload, "--trace file", "gamma", cast=float)
     decisions = _key(payload, "--trace file", "decisions", cast=float_array)
+    # an older run file keeps its objective beside the measure, not in it
+    objective = (_key(payload, "--trace file", "objective")
+                 if isinstance(measure, dict) and "objective" not in measure else None)
     surrogate = smoothed_from_dict(measure, objective)
     inst = instance_from_dict(instance)
     smoother = BudgetSmoother(surrogate.base, gamma, inst.b, inst.theta,

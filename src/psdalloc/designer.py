@@ -74,9 +74,12 @@ class DesignResult:
     iterations: int      # LP solves, the first cold and every later one warm
     spec: DesignSpec
     cuts: int = None     # cuts the design added, seeds included (None in records written without it)
-    atoms: int = None    # nonzero weights of the measure (likewise)
     residual: float = 0.0    # read from older records, which inflated beta by it
     flagged: bool = False    # likewise: set when that inflation exceeded 1e-6
+
+    @property
+    def atoms(self):
+        return len(self.measure.nodes)
 
     def smoothed(self):
         return SmoothedObjective(self.measure, self.spec.objective)
@@ -115,10 +118,9 @@ def certification_grid(spec, dense=10):
 
 
 def beta_for_measure(spec, measure, dense=10):
-    """Certified beta of a fixed measure: the largest _Tableau.ratio of its live atoms
-    on the certification grid, so a designed measure gets its design's beta bit for bit."""
-    live = measure.live
-    r, _ = _Tableau(spec, certification_grid(spec, dense), live.nodes).ratio(live.weights)
+    """Certified beta of a fixed measure: the largest _Tableau.ratio of its atoms on the
+    certification grid, so a designed measure gets its design's beta bit for bit."""
+    r, _ = _Tableau(spec, certification_grid(spec, dense), measure.nodes).ratio(measure.weights)
     return float(np.max(r))
 
 
@@ -309,7 +311,7 @@ def design_hs(spec):
         # h* is -inf off y = 1, so the only admissible measure is the atom at 0
         # with weight 1; every ratio is then exactly gamma.
         return DesignResult(exact_measure(obj), float(spec.gamma), float(spec.gamma), 0, spec,
-                            cuts=0, atoms=1)
+                            cuts=0)
 
     base, grid = design_grid(spec), certification_grid(spec)
     tab = _Tableau(spec, grid, np.arange(spec.q) / spec.q)
@@ -336,7 +338,7 @@ def design_hs(spec):
             lp.add(*tab.cuts(hot, h_conj_prime(obj, y[hot])))
     # the grid optimum is at most best_F; lb alone can pass it by rounding once the gap closes
     return DesignResult(AtomicMeasure(tab.nodes, best_w), best_F, min(lb, best_F), solves, spec,
-                        cuts=lp.added, atoms=int(np.count_nonzero(best_w)))
+                        cuts=lp.added)
 
 
 def design_to_dict(result):
@@ -344,21 +346,21 @@ def design_to_dict(result):
     spec = result.spec
     return {**smoothed_to_dict(result.smoothed()),
             **{k: getattr(spec, k) for k in ("gamma", "u_max", "q", "d", "variant", "rho2")},
-            **{k: getattr(result, k) for k in ("beta", "beta_lb", "residual", "iterations",
-                                               "flagged", "cuts", "atoms")}}
+            **{k: getattr(result, k) for k in ("beta", "beta_lb", "iterations", "cuts")}}
 
 
 def design_from_dict(d):
-    """Inverse of design_to_dict; a missing key is a ValueError that names it.  beta_lb, cuts
-    and atoms are None, and residual 0, for records written without them.  An older
-    record's converged is ignored: beta - beta_lb says whether the loop closed its gap."""
+    """Inverse of design_to_dict; a missing key is a ValueError that names it.  beta_lb and
+    cuts are None, residual 0 and flagged False, for records written without them.  An older
+    record's atoms and converged are ignored: the measure counts its atoms, and beta -
+    beta_lb says whether the loop closed its gap."""
     gamma, u_max, rho2, beta = (_key(d, "design", k, cast=float)
                                 for k in ("gamma", "u_max", "rho2", "beta"))
     q, dd, iterations = (_key(d, "design", k, cast=int) for k in ("q", "d", "iterations"))
     smoothed = smoothed_from_dict(d)
     spec = DesignSpec(smoothed.base, gamma, u_max, q, dd, _key(d, "design", "variant"), rho2)
-    beta_lb, cuts, atoms, residual = (
+    beta_lb, cuts, residual = (
         None if d.get(k) is None else _key(d, "design", k, cast=t) for k, t in (
-            ("beta_lb", float), ("cuts", int), ("atoms", int), ("residual", float)))
-    return DesignResult(smoothed.measure, beta, beta_lb, iterations, spec, cuts, atoms,
+            ("beta_lb", float), ("cuts", int), ("residual", float)))
+    return DesignResult(smoothed.measure, beta, beta_lb, iterations, spec, cuts,
                         residual or 0.0, bool(d.get("flagged", False)))

@@ -9,28 +9,27 @@ defines
              phi(u, 0) = u,  phi(u, lam) = log(1 + u lam/(1-lam)) / lam.
 
 For u < 0 both extend linearly/constantly: y(u) = y(0), h_S(u) = y(0) * u.
-y_eval and hs_eval sum over the live atoms (positive weight) only, so a
-designed measure, which keeps its zero-weight grid nodes, costs what its
-support costs.  Each summand of y is operator antitone in u, which is what
-makes the gradient of the lifted H_S order-reversing (the PSD
-diminishing-returns property).  The lift H_S applies h_S to the spectrum from
-objectives.psd_eigs.  Its gradient is the Loewner resolvent sum
+An AtomicMeasure holds its support only: the atoms of positive weight, so a
+designed measure costs what its support costs.  Each summand of y is operator
+antitone in u, which is what makes the gradient of the lifted H_S
+order-reversing (the PSD diminishing-returns property).  The lift H_S applies
+h_S to the spectrum from objectives.psd_eigs.  Its gradient is the Loewner
+resolvent sum
 
     grad H_S(M) = sum_j mu_j (lambda_j M + (1 - lambda_j) I)^-1,
 
-which grad_hs evaluates as written, one inverse per live atom, for a measure
-of at most RESOLVENT_ATOMS live atoms, and otherwise by applying y to the
-spectrum of M, whose one eigh and lift cost between two and three inverses.
+which grad_hs evaluates as written, one inverse per atom, for a measure of at
+most RESOLVENT_ATOMS atoms, and otherwise by applying y to the spectrum of M,
+whose one eigh and lift cost between two and three inverses.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .objectives import TOL_EIG, TraceObjective, _key, float_array, psd_eigs, sym
 
-# grad_hs sums one inverse per live atom up to this many live atoms, and lifts y
+# grad_hs sums one inverse per atom up to this many atoms, and lifts y
 # through one eigh past it: per n x n matrix with BLAS on one thread, at n = 5 to
 # 50, the eigh and the lift cost between two and three inverses and a PSD check.
 RESOLVENT_ATOMS = 2
@@ -50,8 +49,9 @@ class AtomicMeasure:
             raise ValueError("nodes must lie in [0, 1)")
         if not np.all((weights >= -1e-15) & (weights < np.inf)):
             raise ValueError("weights must be finite and nonnegative")
-        weights = np.maximum(weights, 0.0)
-        order = np.argsort(nodes, kind="stable")
+        # the support, sorted: an atom of weight 0, or rounded below it, is dropped
+        keep = np.flatnonzero(weights > 0.0)
+        order = keep[np.argsort(nodes[keep], kind="stable")]
         object.__setattr__(self, "nodes", nodes[order])
         object.__setattr__(self, "weights", weights[order])
 
@@ -59,14 +59,6 @@ class AtomicMeasure:
     def y0(self):
         """y(0) = sum_j mu_j / (1 - lambda_j), the slope of h_S at zero."""
         return float(np.sum(self.weights / (1.0 - self.nodes)))
-
-    @cached_property
-    def live(self):
-        """The atoms of positive weight, all that y and h_S sum; self if that is all or none."""
-        keep = self.weights > 0.0
-        if keep.all() or not keep.any():
-            return self
-        return AtomicMeasure(self.nodes[keep], self.weights[keep])
 
 
 def phi_primitive(u, lam):
@@ -87,8 +79,7 @@ def phi_primitive(u, lam):
 
 
 def y_eval(measure, u):
-    """y(u) for scalar or array u, summed over the live atoms; constant y(0) on u < 0."""
-    measure = measure.live
+    """y(u) for scalar or array u; constant y(0) on u < 0."""
     u, scalar = np.asarray(u, dtype=float), np.ndim(u) == 0
     up = np.maximum(u, 0.0)
     den = up[..., None] * measure.nodes + (1.0 - measure.nodes)
@@ -98,8 +89,7 @@ def y_eval(measure, u):
 
 
 def hs_eval(measure, u):
-    """h_S(u) for scalar or array u, summed over the live atoms; linear slope y(0) on u < 0."""
-    measure = measure.live
+    """h_S(u) for scalar or array u; linear slope y(0) on u < 0."""
     u, scalar = np.asarray(u, dtype=float), np.ndim(u) == 0
     up = np.maximum(u, 0.0)
     val = np.sum(measure.weights * phi_primitive(up[..., None], measure.nodes), axis=-1)
@@ -135,14 +125,14 @@ def hs_trace_lift(smoothed, M):
 def grad_hs(smoothed, M):
     """Gradient of H_S at M, or at each matrix of a stack; NotPSD as psd_eigs raises it.
 
-    A measure of at most RESOLVENT_ATOMS live atoms sums its resolvents
+    A measure of at most RESOLVENT_ATOMS atoms sums its resolvents
     mu_j (lambda_j S + (1 - lambda_j) I)^-1, S = sym(M), with one batched inverse
     per atom, after a batched Cholesky of S + TOL_EIG ||S||_F I has checked S
-    PSD; the sum is made exactly symmetric.  A measure of more live atoms applies
+    PSD; the sum is made exactly symmetric.  A measure of more atoms applies
     y through the spectrum: W W^T with W = V sqrt(y(w)), exactly symmetric as
     matmul gives it (syrk).
     """
-    measure = smoothed.measure.live
+    measure = smoothed.measure
     if measure.weights.size > RESOLVENT_ATOMS:
         w, V = psd_eigs(M)
         W = V * np.sqrt(y_eval(measure, w))[..., None, :]

@@ -68,9 +68,9 @@ class TraceObjective:
 
     @property
     def label(self):
-        if self.kind == "pmean":
-            return "pmean%g" % self.p
-        return self.kind
+        short = "%g" % self.p       # p's repr where six digits do not read back to p
+        return ("pmean" + (short if float(short) == self.p else repr(float(self.p)))
+                if self.kind == "pmean" else self.kind)
 
 
 def make_objective(label):

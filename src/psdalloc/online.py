@@ -13,7 +13,7 @@ at the aggregate U = sum A_t x_t, which it never forms.  Two step rules:
 
 Neither engine holds or decomposes U.  grad H_S is the resolvent sum
 Y = sum_j mu_j R_j with R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, and the
-state holds one R_j per atom of positive weight, starting at I/(1 - lambda_j).
+state holds one R_j per atom, starting at I/(1 - lambda_j).
 Each arrival is given by its factor L (n x k), A = L L^T, so buying x A is a
 rank-k Woodbury update (Hager 1989) of every R_j and of Y; nothing is
 rebuilt.  A purchase costs O(atoms * n^2 * k), so near 50 atoms at n = 50 it
@@ -138,8 +138,8 @@ class OnlineState:
         self.budget = budget
         self.n = n
         self.u = 0.0
-        self.lam, self.mu = smoothed.measure.live.nodes, smoothed.measure.live.weights
-        # R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, one per atom of positive weight
+        self.lam, self.mu = smoothed.measure.nodes, smoothed.measure.weights
+        # R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, one per atom
         self.R = np.eye(n) / (1.0 - self.lam)[:, None, None]
         self.Y = np.tensordot(self.mu, self.R, axes=1)
         self.z = 0.0

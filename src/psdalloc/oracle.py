@@ -344,7 +344,7 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     carried in) of the purchased x_t L_t L_t^T alone, and the duals
     Y_k = grad H_S(U_k) and z_k = gs'(u_k) come from one stacked grad_hs call
     and one array gs_prime call.  grad_hs sums one batched inverse per atom
-    for a measure of at most lowner.RESOLVENT_ATOMS live atoms, and lifts y
+    for a measure of at most lowner.RESOLVENT_ATOMS atoms, and lifts y
     through one stacked eigh of the U_k for more.  Every price is then a sum
     of l^T Y l over a step's factor columns l, with Y the duals in force at
     that step: one batched product over the block's factors, stacked from its
@@ -357,8 +357,8 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     replay uses, the sim check's included, is grad H_S of a replayed
     aggregate.  A rejected step leaves both duals as they are and adds
     exactly 0 to the Y gap and the z step.  H_S(U), h*, the primal value H(U)
-    and lambda_max(U) at the end share one eigh of the final U, and y sums
-    over the atoms of positive weight only.
+    and lambda_max(U) at the end share one eigh of the final U.  As in the
+    engines, a budget smoother built for another objective is refused.
     """
     decisions = np.asarray(decisions, dtype=float)
     if decisions.shape != (inst.m,):
@@ -366,6 +366,9 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     if variant != budget.variant:       # a BudgetSmoother's variant is "seq" or "sim"
         raise AuditError("variant %r disagrees with the budget smoother's %r"
                          % (variant, budget.variant))
+    if smoothed.base != budget.objective:
+        raise AuditError("objective %s of the surrogate disagrees with the budget smoother's %s"
+                         % (smoothed.base.label, budget.objective.label))
     if not np.all((decisions >= 0.0) & (decisions <= 1.0)):
         raise AuditError("decisions must lie in [0, 1]")
     obj = smoothed.base

@@ -103,8 +103,9 @@ def offline_integer_opt(inst, obj, max_m=22):
 def constraint_values(spec, measure, grid=None):
     """Ratios r_i whose maximum is the certified beta for this measure.
 
-    y and h_S sum over the live atoms only (y_eval, hs_eval).  +inf where the
-    conjugate is -inf (the measure fails the constraint there).
+    y and h_S are y_eval's and hs_eval's.  +inf where the conjugate is -inf (the
+    measure fails the constraint there).  The seq term's drop measure has no
+    atom at node 0, so the linear exact measure's is empty, with y = 0.
     """
     u = design_grid(spec) if grid is None else np.asarray(grid, dtype=float)
     ys = y_eval(measure, u)
@@ -123,7 +124,7 @@ def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
     Each step takes its inner products with np.vdot, each purchase one
     gradient and one scalar gs_prime, and each Y gap one eigvalsh.  The
     gradients come from the spectrum (grad_hs_lift), so on a measure of at
-    most lowner.RESOLVENT_ATOMS live atoms the audit's resolvent sums are
+    most lowner.RESOLVENT_ATOMS atoms the audit's resolvent sums are
     checked against it.  Y starts at grad_hs_lift at U = 0.
     """
     decisions = np.asarray(decisions, dtype=float)

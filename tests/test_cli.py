@@ -73,9 +73,11 @@ def test_design_reports_lp_gap(tmp_path, capsys):
     line = capsys.readouterr().err
     assert "beta_lb = %.9g" % record["beta_lb"] in line
     assert "gap = %.3g" % (record["beta"] - record["beta_lb"]) in line
-    assert record["cuts"] > 0 and record["atoms"] > 0
+    # the record lists the measure's support only, so its atoms are its nodes
+    atoms = len(record["nodes"])
+    assert record["cuts"] > 0 and 0 < atoms < 40 and 0.0 not in record["weights"]
     assert ("lp_solves = %d  cuts = %d  atoms = %d"
-            % (record["iterations"], record["cuts"], record["atoms"])) in line
+            % (record["iterations"], record["cuts"], atoms)) in line
 
 
 def test_audit_replays_a_recorded_run(tmp_path, capsys):
@@ -114,12 +116,23 @@ def test_audit_reads_a_run_file_in_the_old_measure_layout(tmp_path, capsys):
     assert main(["run", "--objective", "dopt", "--variant", "seq", "--n", "4",
                  "--m", "12", "--b", "3", "--out", str(trace)]) == 0
     payload = json.loads(trace.read_text())
-    assert payload["measure"]["objective"] == payload["objective"]
-    # older run files wrote the measure as nodes and weights only
-    payload["measure"] = {k: payload["measure"][k] for k in ("nodes", "weights")}
+    assert "objective" not in payload and "b" not in payload
+    # older run files wrote the measure as nodes and weights only, the objective beside it
+    payload["objective"] = payload["measure"].pop("objective")
     old = tmp_path / "old.json"
     old.write_text(json.dumps(payload))
     assert main(["audit", "--trace", str(old), "--out", str(tmp_path / "audit.json")]) == 0
+    assert "audit PASS" in capsys.readouterr().err
+
+
+def test_audit_reads_the_measure_objective_over_a_top_level_one(tmp_path, capsys):
+    # a top-level objective stands in only for a measure without one; this one is no objective
+    trace = tmp_path / "run.json"
+    assert main(["run", "--n", "3", "--m", "8", "--b", "2", "--out", str(trace)]) == 0
+    payload = json.loads(trace.read_text())
+    payload["objective"] = {"kind": "dopt", "p": 3}
+    trace.write_text(json.dumps(payload))
+    assert main(["audit", "--trace", str(trace), "--out", os.devnull]) == 0
     assert "audit PASS" in capsys.readouterr().err
 
 
@@ -231,7 +244,7 @@ def test_run_takes_its_objective_from_the_design(tmp_path, capsys):
     assert "--objective aopt" in err and "--objective dopt" in err
     assert not out.exists()
     assert main(run + ["--out", str(out)]) == 0
-    assert json.loads(out.read_text())["objective"] == {"kind": "aopt", "p": 1.0}
+    assert json.loads(out.read_text())["measure"]["objective"] == {"kind": "aopt", "p": 1.0}
     # a given --objective that names the design's runs the same
     assert main(run + ["--objective", "aopt", "--out", str(again)]) == 0
     assert again.read_text() == out.read_text()
@@ -248,7 +261,8 @@ def test_a_file_objective_with_p_other_than_one_exits_2(tmp_path, monkeypatch, c
         path = tmp_path / "run.json"
         assert main(["run", "--n", "3", "--m", "8", "--b", "2", "--out", str(path)]) == 0
     record = json.loads(path.read_text())
-    record["objective"] = {"kind": "dopt", "p": 3}
+    # a design record holds its objective at the top, a run file in its measure
+    (record if argv[0] == "run" else record["measure"])["objective"] = {"kind": "dopt", "p": 3}
     (tmp_path / "edited.json").write_text(json.dumps(record))
     capsys.readouterr()
     assert main(argv + ["--out", os.devnull]) == 2
@@ -302,6 +316,8 @@ BAD_INSTANCES = {
     "arrivals-5.json": {"b": 1.0, "arrivals": 5},
     "null-c.json": {"b": 1.0, "arrivals": [{"L": [[1.0], [0.0]], "c": None}]},
     "object-L.json": {"b": 1.0, "arrivals": [{"L": {}, "c": 1.0}]},
+    # a bench config, not an instance
+    "negative-seed.json": {"seed": -1, "n": 3, "m": 5},
 }
 
 
@@ -341,13 +357,16 @@ BAD_INSTANCES = {
     (["run", "--instance", "arrivals-5.json"], "'arrivals'"),
     (["run", "--instance", "null-c.json"], "'c'"),
     (["run", "--instance", "object-L.json"], "'L'"),
+    # numpy's own message for a negative seed names no parameter
+    (["run", "--seed", "-1"], "--seed"),
+    (["bench", "--config", "negative-seed.json"], "--seed"),
 ], ids=["umax-inf", "n-zero", "aopt-p", "adversarial-density", "bench-adversarial-density",
         "random-density", "random-density-1e-300", "random-density-5e-324", "instance-no-b",
         "arrival-no-c", "arrival-no-factor", "arrivals-of-two-n",
         "instance-with-a-generator-flag", "m-zero", "huge-b", "bench-huge-b",
         "design-lp-at-huge-umax", "seq-design-lp-at-huge-rho2", "infinite-b", "bench-infinite-b",
         "instance-infinite-b", "arrival-infinite-c", "instance-arrivals-not-an-array",
-        "arrival-null-c", "arrival-object-factor"])
+        "arrival-null-c", "arrival-object-factor", "negative-seed", "bench-config-negative-seed"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, name):
     monkeypatch.chdir(tmp_path)
     for path, instance in BAD_INSTANCES.items():
@@ -388,11 +407,10 @@ def test_run_with_a_design_file_of_a_wrong_type_exits_2(tmp_path, capsys, key, v
 
 
 def test_run_with_a_design_file_without_residual_or_flagged(tmp_path, capsys):
-    # both are constants of the designer, so a record may leave them out
+    # both are constants of the designer, so a record leaves them out, and its atom count
     path = _design(tmp_path, "seq", 1.0, 50.0)
     record = json.loads(path.read_text())
-    del record["residual"], record["flagged"]
-    path.write_text(json.dumps(record))
+    assert not {"residual", "flagged", "atoms"} & record.keys()
     assert main(RUN_SEQ + ["--measure", str(path), "--out", os.devnull]) == 0
     assert "audit = True" in capsys.readouterr().err
 

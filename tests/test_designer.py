@@ -204,7 +204,7 @@ def test_design_builds_each_atoms_column_once(monkeypatch, kind, variant, rho2):
     res = design_hs(spec)
     assert res.iterations > 1
     assert len(built) == len(set(built))
-    assert set(np.flatnonzero(res.measure.weights).tolist()) <= set(built)
+    assert set(np.rint(res.measure.nodes * spec.q).astype(int).tolist()) <= set(built)
 
 
 def test_cached_columns_give_the_ratio_of_a_fresh_block():
@@ -253,7 +253,7 @@ def test_design_with_atoms_outside_the_start_set_is_certified():
     spec = spec_for(kind="aopt", gamma=1.5)
     res = design_hs(spec)
     start = _CutLP(np.ones(Q), 1.0).cols[1:]
-    assert not np.isin(np.flatnonzero(res.measure.weights), start).all()
+    assert not np.isin(np.rint(res.measure.nodes * spec.q), start).all()
     assert res.beta - res.beta_lb <= DESIGN_TOL * max(1.0, res.beta)
     assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
 
@@ -303,8 +303,12 @@ def test_design_from_legacy_dict():
     assert res.smoothed().measure.y0 == pytest.approx(1.0)
     assert design_to_dict(res)["beta_lb"] is None
     assert "final_step" not in design_to_dict(res) and "converged" not in design_to_dict(res)
-    assert res.cuts is None and res.atoms is None
-    assert design_to_dict(res)["cuts"] is None and design_to_dict(res)["atoms"] is None
+    # the measure holds its two atoms; residual and flagged are read but no longer written
+    assert res.cuts is None and res.atoms == 2
+    assert design_to_dict(res)["cuts"] is None
+    assert not {"atoms", "residual", "flagged"} & design_to_dict(res).keys()
+    # an older record's atom count is ignored: the measure counts its own
+    assert design_from_dict({**legacy, "atoms": 4}).atoms == 2
 
 
 TOLS = {"primal_feasibility_tolerance": 1e-8, "dual_feasibility_tolerance": 1e-8}

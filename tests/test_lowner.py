@@ -77,22 +77,28 @@ def test_smoothed_objective_refuses_a_nan_slope():
 
 
 def test_measure_sorted_and_clipped():
-    m = AtomicMeasure(np.array([0.7, 0.1]), np.array([1.0, -1e-16]))
-    assert np.all(np.diff(m.nodes) > 0)
-    assert np.all(m.weights >= 0.0)
+    m = AtomicMeasure(np.array([0.7, 0.1, 0.4]), np.array([1.0, -1e-16, 0.5]))
+    # the weight rounded below 0 drops its atom
+    assert list(m.nodes) == [0.4, 0.7] and list(m.weights) == [0.5, 1.0]
 
 
-def test_live_atoms_give_the_same_y_and_h_s():
-    m = AtomicMeasure(np.array([0.0, 0.3, 0.5, 0.9]), np.array([0.5, 0.0, 0.25, 0.0]))
-    live = m.live
-    assert list(live.nodes) == [0.0, 0.5] and list(live.weights) == [0.5, 0.25]
-    u = np.linspace(0.0, 30.0, 61)
-    # both sides sum the same atoms, so they agree to the bit
-    assert np.array_equal(y_eval(live, u), y_eval(m, u))
-    assert np.array_equal(hs_eval(live, u), hs_eval(m, u))
-    assert live.live is live
-    none = AtomicMeasure(np.array([0.5]), np.array([0.0]))
-    assert none.live is none
+def test_zero_weight_atoms_are_dropped_at_construction():
+    m = AtomicMeasure(np.array([0.9, 0.0, 0.3, 0.5]), np.array([0.0, 0.5, 0.0, 0.25]))
+    assert list(m.nodes) == [0.0, 0.5] and list(m.weights) == [0.5, 0.25]
+    u = np.linspace(-1.0, 30.0, 63)
+    # the support alone is the measure: y and h_S are the two-atom measure's to the bit
+    assert np.array_equal(y_eval(m, u), y_eval(mixed_measure(), u))
+    assert np.array_equal(hs_eval(m, u), hs_eval(mixed_measure(), u))
+    assert m.y0 == mixed_measure().y0
+    # all-zero weights leave no atom: y and h_S are 0, and no surrogate has slope 0
+    none = AtomicMeasure(np.array([0.5, 0.0]), np.array([0.0, 0.0]))
+    assert none.nodes.size == none.weights.size == 0 and none.y0 == 0.0
+    assert np.array_equal(y_eval(none, u), np.zeros_like(u))
+    assert np.array_equal(hs_eval(none, u), np.zeros_like(u))
+    with pytest.raises(ValueError, match="y\\(0\\) = 0 "):
+        SmoothedObjective(none, make_objective("linear"))
+    with pytest.raises(ValueError, match="nonempty"):
+        AtomicMeasure(np.array([]), np.array([]))
 
 
 def test_y0_closed_form():

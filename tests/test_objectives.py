@@ -84,6 +84,16 @@ def test_aopt_is_pmean_at_p_one():
         TraceObjective("aopt", 3.0)
 
 
+@pytest.mark.parametrize("p,label", [(2.0, "pmean2"), (0.5, "pmean0.5"), (1e-7, "pmean1e-07"),
+                                     (0.1234567, "pmean0.1234567"),
+                                     (123456789.0, "pmean123456789.0"), (0.1 + 0.2, None)])
+def test_a_label_names_its_objective(p, label):
+    # %g keeps six digits; past them the label is p's repr, which reads back to p
+    obj = TraceObjective("pmean", p)
+    assert label is None or obj.label == label
+    assert make_objective(obj.label) == obj
+
+
 @pytest.mark.parametrize("label", ["pmean", "pmeanx", "foo", "pmean0", "pmean-1", "pmeaninf",
                                    "pmeannan", "aopt3"])
 def test_make_objective_refuses_a_label_naming_objective(label):

@@ -522,6 +522,18 @@ def test_audit_refuses_a_variant_the_smoother_was_not_built_for(variant):
         audit_run(st.decisions, inst, sm, budget, variant, p_star=1.0)
 
 
+def test_audit_refuses_a_smoother_built_for_another_objective():
+    # the engines refuse this pair; the audit would check the run against the wrong b'
+    inst = gen_random(3, 20, b=0.5)
+    dopt, aopt = make_objective("dopt"), make_objective("aopt")
+    sm = SmoothedObjective(lowner.exact_measure(dopt), dopt)
+    budget = BudgetSmoother(dopt, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, "sim")
+    trace = run_stream(sm, budget, inst.arrivals, "sim", inst.n)
+    other = BudgetSmoother(aopt, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, "sim")
+    with pytest.raises(AuditError, match="objective dopt .* aopt"):
+        audit_run(trace.decisions, inst, sm, other, "sim", p_star=1.0)
+
+
 def test_audit_rejects_decisions_outside_unit_interval(rng):
     inst = random_instance(rng, n=3, m=5)
     sm, budget = engine_setup(inst, 2.0, "sim")
@@ -764,8 +776,8 @@ def test_audit_decomposes_only_after_purchases(variant):
 
 @st.composite
 def audit_cases(draw):
-    """A run of n <= 4, m <= 20 and ranks 0..3, with a measure whose zero-weight atoms
-    are kept and whose y(0) = h'(0) = 1.  The decisions are the engine's, or drawn
+    """A run of n <= 4, m <= 20 and ranks 0..3, with a measure given zero-weight atoms,
+    which it drops, and whose y(0) = h'(0) = 1.  The decisions are the engine's, or drawn
     from {0, 1, U(0, 1)}, which fail most checks."""
     steps = draw(st.sampled_from([None, 3]))
     n, m = draw(st.integers(1, 4)), draw(st.integers(1 if steps is None else 4, 20))

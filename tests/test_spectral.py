@@ -139,13 +139,14 @@ def _dopt_smoothed(nodes, weights):
 def test_grad_hs_sums_resolvents_up_to_resolvent_atoms_live(nodes, weights, n, rng,
                                                             monkeypatch):
     # both paths give the spectral lift V y(w) V^T to rounding, at every
-    # matrix of a stack; only a measure of more live atoms than
-    # RESOLVENT_ATOMS decomposes M.  Rounding moves w by about eps ||M|| and
-    # y(w) by that times max |y'|, and the columns of V are orthonormal to
-    # about n eps, which leaves n eps y(0) even where y is constant (node 0)
+    # matrix of a stack; only a measure of more atoms than RESOLVENT_ATOMS,
+    # once its zero weights are dropped, decomposes M.  Rounding moves w by
+    # about eps ||M|| and y(w) by that times max |y'|, and the columns of V
+    # are orthonormal to about n eps, which leaves n eps y(0) even where y
+    # is constant (node 0)
     sm = _dopt_smoothed(nodes, weights)
     lam, mu = sm.measure.nodes, sm.measure.weights
-    resolvents = np.count_nonzero(mu) <= RESOLVENT_ATOMS
+    resolvents = mu.size <= RESOLVENT_ATOMS
     assert resolvents == (len(nodes) != 3)
     mats = [np.zeros((n, n))]
     for k in (1, max(1, n // 2)):           # rank one and rank about n/2
