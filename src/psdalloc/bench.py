@@ -204,7 +204,12 @@ def group_spec(obj, gamma, variant, instances, q=100, d=200, u_max=None):
     smoothers = [BudgetSmoother(obj, gamma, inst.b, inst.theta, inst.Theta, inst.rho1,
                                 variant) for inst in instances]
     if u_max is None:
-        u_max = max(b_prime(s) * inst.max_lam_over_c for s, inst in zip(smoothers, instances))
+        ranges = [b_prime(s) * inst.max_lam_over_c for s, inst in zip(smoothers, instances)]
+        for s, r in zip(smoothers, ranges):
+            if not r < np.inf:
+                raise ValueError("--gamma %r, theta %r and budget --b %r give an infinite design"
+                                 " range b' max_t lambda_max(A_t)/c_t" % (s.gamma, s.theta, s.b))
+        u_max = max(ranges)
     rho2 = max(inst.rho2 for inst in instances) if variant == "seq" else 0.0
     return smoothers, DesignSpec(obj, gamma, u_max, q, d, variant, rho2)
 

@@ -14,8 +14,10 @@ exp(-r v) within 1/r, and h'(theta v) within 1/(k theta) where
 k = -h''(0)/h'(0) (0 linear, 1 dopt, p+1 pmean and aopt).  The substitution
 v = expm1(s)/kappa with kappa = max(r, k theta) spreads both layers over a
 stretch of s of order one, so F is one fixed Gauss-Legendre rule in s on
-[0, log(1 + kappa u)] for every kind, linear included.  A coarser rule on
-the same interval checks it; a disagreement raises QuadratureError.
+[0, log(1 + kappa u)] for every kind, linear included.  Its integrand is one
+exponential: h'(theta v)/h'(0) = (1 + theta v)^(-k) enters as -k log1p(theta v)
+(objectives.h_prime_drop).  A coarser rule on the same interval checks it; a
+disagreement raises QuadratureError.
 
 F solves F' = r F + h'(theta u) with F(0) = 0, which gives in closed form
 
@@ -32,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .objectives import h_eval, h_prime
+from .objectives import h_eval, h_prime, h_prime_drop
 
 E1 = np.e - 1.0
 
@@ -81,6 +83,9 @@ class BudgetSmoother:
             raise ValueError("rho1 must be nonnegative")
         if self.variant == "seq" and not self.rho1 > 0.0:
             raise ValueError("sequential variant requires rho1 > 0")
+        if not np.finfo(float).tiny <= self.scale < np.inf:     # b' divides by it
+            raise ValueError("--gamma %r, theta %r and budget --b %r give gs' scale %r, not a "
+                             "normal float" % (self.gamma, self.theta, self.b, self.scale))
 
     @property
     def B(self):
@@ -94,9 +99,7 @@ class BudgetSmoother:
     @cached_property
     def kappa(self):
         """The substitution's kappa = max(r, k theta)."""
-        obj = self.objective
-        k = {"linear": 0.0, "dopt": 1.0}.get(obj.kind, obj.p + 1.0)
-        return max(self.rate, k * self.theta)
+        return max(self.rate, self.objective.decay * self.theta)
 
     @cached_property
     def scale(self):
@@ -114,14 +117,14 @@ def _conv(s, x):
     S = np.log1p(kappa * x)
     sv = (S if one else S[:, None]) * NODES
     v = np.expm1(sv) / kappa
-    # exp(r (x - v)) h'(theta v) dv/ds, with exp(r x) taken out
-    f = np.exp(sv - r * v) * h_prime(s.objective, s.theta * v)
+    # exp(r (x - v)) h'(theta v) dv/ds in one exponential, with exp(r x) and h'(0) taken out
+    f = np.exp(sv - r * v - h_prime_drop(s.objective, s.theta * v))
     val, check = ((f @ WEIGHTS) * S).tolist() if one else (f @ WEIGHTS).T * S
     bad = abs(val - check) > CHECK_REL_TOL * val
     if bad if one else bad.any():
         raise QuadratureError("gs_prime: the Gauss-Legendre rule and its check disagree "
                               "on F(%g) by more than %g" % (np.extract(bad, x)[0], CHECK_REL_TOL))
-    return np.exp(r * x) * val / kappa
+    return np.exp(r * x) * val / kappa * s.objective.h_prime0
 
 
 def _F(s, u):

@@ -63,6 +63,11 @@ class TraceObjective:
         return float(self.p)
 
     @property
+    def decay(self):
+        """k with h'(u) = h'(0) (1 + u)^(-k) on u >= 0: 0 linear, 1 dopt, p + 1 pmean, aopt."""
+        return {"linear": 0.0, "dopt": 1.0}.get(self.kind, self.p + 1.0)
+
+    @property
     def sup_h(self):
         return 1.0 if self.kind in ("aopt", "pmean") else np.inf
 
@@ -135,6 +140,12 @@ def h_prime(obj, u):
     else:
         out = obj.p * (1.0 + up) ** (-obj.p - 1.0)
     return float(out) if scalar else out
+
+
+def h_prime_drop(obj, u):
+    """-log(h'(u)/h'(0)) = k log1p(u) on u >= 0 (k = obj.decay), vectorized: the form in
+    which the budget kernel folds h' into one exponential."""
+    return 0.0 if obj.kind == "linear" else obj.decay * np.log1p(u)
 
 
 def h_inverse(obj, v):

@@ -30,6 +30,8 @@ After the probe at x = 1, gs' and gs'' are known at both ends, so the model
 R(x) + c H(x), H the cubic Hermite interpolant of gs'(u + x c), is solved at
 no quadrature, and exact Newton steps polish its root; both bisect on a step
 that leaves the bracket or fails to halve, and stop at X_TOL relative to x.
+Newton returns the point it last evaluated, whose gs' becomes the new z: a
+fractional purchase usually costs three quadratures, a whole one its probe.
 
 A finished run keeps only its decisions, with the surrogate and budget
 smoother that made them; ``oracle.audit_run`` replays them to rebuild U and
@@ -54,6 +56,7 @@ X_TOL = 1e-12
 def _newton(dphi, x, f, fp):
     """Root in [0, 1] of a decreasing dphi, from x with (f, fp) = dphi(x).
 
+    The root returned is the point dphi last evaluated (x itself if none).
     rtsafe's safeguard (Numerical Recipes 9.4): a Newton step that leaves the
     bracket, or is over half the step before last, becomes a bisection;
     f = -inf (gs' past the overflow guard) only lowers hi.
@@ -65,7 +68,7 @@ def _newton(dphi, x, f, fp):
             return x
         step = f / fp if fp < 0.0 and f > -np.inf else np.inf
         if abs(step) <= X_TOL * x:
-            return min(max(x - step, lo), hi)
+            return x
         halves = lo < x - step < hi and abs(step) <= 0.5 * abs(last2)
         nxt = x - step if halves else 0.5 * (lo + hi)
         last2, last, x = last, x - nxt, nxt
@@ -139,6 +142,7 @@ class OnlineState:
         self.n = n
         self.u = 0.0
         self.lam, self.mu = smoothed.measure.nodes, smoothed.measure.weights
+        self.ml = self.mu * self.lam
         # R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, one per atom
         self.R = np.eye(n) / (1.0 - self.lam)[:, None, None]
         self.Y = np.tensordot(self.mu, self.R, axes=1)
@@ -170,15 +174,16 @@ class OnlineState:
             P, g = split if split is not None else self._split(arr.L)
             xl = x * self.lam[:, None]
             c = xl / (1.0 + xl * g)
-            Pc = P * c[:, None, :]
-            # einsum is numpy's fast kernel for one column, matmul for several
             if P.shape[2] == 1:
-                self.R -= np.einsum("ank,amk->anm", Pc, P)
+                # one column: outer products, and Y's term over the atoms' columns
+                p, c = P[:, :, 0], c[:, 0]
+                self.R -= (p * c[:, None])[:, :, None] * p[:, None, :]
+                self.Y -= (p.T * (self.mu * c)) @ p
             else:
-                self.R -= Pc @ np.swapaxes(P, 1, 2)
-            # Y's term in one product, the atoms' columns side by side
-            Z = np.swapaxes(P, 0, 1).reshape(self.n, -1)
-            self.Y -= (Z * (self.mu[:, None] * c).ravel()) @ Z.T
+                self.R -= (P * c[:, None, :]) @ np.swapaxes(P, 1, 2)
+                # Y's term in one product, the atoms' columns side by side
+                Z = np.swapaxes(P, 0, 1).reshape(self.n, -1)
+                self.Y -= (Z * (self.mu[:, None] * c).ravel()) @ Z.T
             self.u += x * arr.c
             self.z = gs_prime(self.budget, self.u) if z is None else z
         self.decisions.append(x)
@@ -200,12 +205,15 @@ class OnlineState:
         """Buy at the root of Phi' on [0, 1], given Phi'(0) = d0 > 0.
 
         Phi'(1) >= 0 buys all, and the x = 1 probe's gs' is the new z; else the
-        model R + c H is solved, then exact Newton from its root polishes it.
+        model R + c H is solved, then exact Newton from its root polishes it, and
+        gs' at the point Newton returns, the last it evaluated, is the new z.
         """
         c, u, s, z = arr.c, self.u, self.budget, self.z
         split = self._split(arr.L)
-        g, (lam, mu) = split[1].ravel(), np.repeat([self.lam, self.mu], split[1].shape[1], axis=1)
-        lg, ml = lam * g, mu * lam
+        g, k = split[1].ravel(), split[1].shape[1]
+        lam, mu, ml = (self.lam, self.mu, self.ml) if k == 1 else np.repeat(
+            [self.lam, self.mu, self.ml], k, axis=1)
+        lg = lam * g
 
         def rational(x):
             """R(x) and R'(x), over the atoms' g_ji."""
@@ -213,7 +221,8 @@ class OnlineState:
             return float(mu @ q), -float(ml @ (q * q))
 
         def exact(x):
-            """Phi'(x) and Phi''(x), at one gs' quadrature."""
+            """Phi'(x) and Phi''(x), at one gs' quadrature, kept as gp."""
+            nonlocal gp
             gp = gs_prime(s, u + x * c)
             r, dr = rational(x)
             return r + c * gp, dr + c * c * gs_second(s, u + x * c, gp)
@@ -223,7 +232,8 @@ class OnlineState:
         if f1 >= 0.0:
             return self._take(1.0, arr, split, gp1)
         m0, m1 = c * c * gs_second(s, u, z), c * c * gs_second(s, u + c, gp1)
-        x, f, fp = (0.0, d0, rational(0.0)[1] + m0) if d0 < -f1 else (1.0, f1, dr1 + m1)
+        x, f, fp, gp = ((0.0, d0, rational(0.0)[1] + m0, z) if d0 < -f1
+                        else (1.0, f1, dr1 + m1, gp1))
         if gp1 > -np.inf:
             # c H from c gs' and its slopes c^2 gs'' at both ends
             p0, dp = c * z, c * (gp1 - z)
@@ -235,7 +245,7 @@ class OnlineState:
 
             x = _newton(model, x, f, fp)
             f, fp = exact(x)
-        return self._take(_newton(exact, x, f, fp), arr, split)
+        return self._take(_newton(exact, x, f, fp), arr, split, gp)  # gp read after Newton
 
     def finish(self, variant):
         return RunTrace(self.smoothed, self.budget, variant, np.array(self.decisions))

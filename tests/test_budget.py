@@ -105,6 +105,26 @@ def test_gs_prime_matches_scipy_quad():
         assert gs_prime(s, u) == pytest.approx(expected, abs=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["linear", "dopt", "aopt", "pmean20"])
+def test_F_matches_mpmath_quad(kind):
+    # F(u) = int_0^u exp(r (u - v)) h'(theta v) dv at 20 digits, in v as defined, with
+    # breakpoints spaced geometrically over the layers at v ~ 1/r and v ~ 1/(k theta)
+    mpmath = pytest.importorskip("mpmath")
+    for theta in (0.01, 1.0, 1e3):
+        s = smoother(kind, gamma=2.0, b=5.0, theta=theta, Theta=theta)
+        k, p = {"linear": 0, "dopt": 1}.get(kind, s.objective.p + 1.0), s.objective.p
+        for ru in (1e-2, 30.0, 690.0):
+            u = ru / s.rate
+            kappa = max(s.rate, k * theta)
+            S = np.log1p(kappa * u)
+            with mpmath.workdps(20):
+                want = mpmath.quad(
+                    lambda v: mpmath.exp(s.rate * (u - v)) * p * (1 + theta * v) ** -k,
+                    [0.0] + [np.expm1(j) / kappa for j in range(2, int(S), 2)] + [u],
+                    method="gauss-legendre")
+            assert abs(budget._F(s, u) - want) <= 1e-12 * want, (theta, ru)
+
+
 @given(s=smoothers(), u=st.floats(min_value=0.0, max_value=40.0))
 def test_gs_prime_nonpositive_nonincreasing(s, u):
     v = gs_prime(s, np.array([u, u + 0.5]))

@@ -351,6 +351,15 @@ BAD_INSTANCES = {
     # an infinite budget would divide by zero in b'
     (["run", "--b", "inf"], "--b"),
     (["bench", "--b", "inf", "--n", "3", "--m", "5"], "--b"),
+    # gs' scale gamma theta / (B (e-1)) underflows to 0, which b' would divide by
+    (["run", "--n", "3", "--m", "8", "--b", "1.7e308"], "--b"),
+    # the scale is subnormal here; at gamma 4 it is normal, and b' u_max overflows
+    (["run", "--n", "3", "--m", "8", "--b", "1e308"], "--b"),
+    (["run", "--n", "3", "--m", "8", "--b", "1e308", "--gamma", "4"], "--b"),
+    # and overflows to inf at a tiny budget
+    (["run", "--n", "3", "--m", "8", "--b", "1e-310"], "--b"),
+    # or at a huge gamma, which the message names with the budget
+    (["run", "--gamma", "1e308", "--b", "0.1"], "--gamma"),
     (["run", "--instance", "inf-b.json"], "--b"),
     (["run", "--instance", "inf-c.json"], "c"),
     # a value of the wrong JSON type names its key
@@ -365,6 +374,8 @@ BAD_INSTANCES = {
         "arrival-no-c", "arrival-no-factor", "arrivals-of-two-n",
         "instance-with-a-generator-flag", "m-zero", "huge-b", "bench-huge-b",
         "design-lp-at-huge-umax", "seq-design-lp-at-huge-rho2", "infinite-b", "bench-infinite-b",
+        "b-scale-underflow", "b-scale-subnormal", "b-umax-overflow", "b-scale-overflow",
+        "gamma-scale-overflow",
         "instance-infinite-b", "arrival-infinite-c", "instance-arrivals-not-an-array",
         "arrival-null-c", "arrival-object-factor", "negative-seed", "bench-config-negative-seed"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, name):

@@ -12,6 +12,7 @@ from psdalloc.objectives import (
     h_eval,
     h_inverse,
     h_prime,
+    h_prime_drop,
     make_objective,
 )
 from reference import grad_trace_lift, trace_lift
@@ -106,6 +107,14 @@ def test_every_kind_but_pmean_has_p_one(kind):
     assert TraceObjective(kind, 1).h_prime0 == 1.0
     with pytest.raises(ValueError, match="got p = 3"):
         TraceObjective(kind, 3.0)
+
+
+@pytest.mark.parametrize("obj", ALL, ids=lambda o: o.label)
+def test_h_prime_log_form(obj):
+    # h'(u) = h'(0) exp(-h_prime_drop(u)), the form the budget kernel uses
+    pos = np.concatenate([[0.0], np.geomspace(1e-12, 1e12, 300)])
+    np.testing.assert_allclose(obj.h_prime0 * np.exp(-h_prime_drop(obj, pos)),
+                               h_prime(obj, pos), rtol=1e-13, atol=0.0)
 
 
 @given(obj=objs, u=us)

@@ -282,7 +282,8 @@ def test_simultaneous_rank_k_matches_dense_reference(kind):
 
 def test_simultaneous_step_counts_its_quadratures(monkeypatch):
     # a rejection reads the cached duals; a whole purchase reuses its x = 1
-    # probe as the new z; a fractional purchase solves a model of Phi' first
+    # probe as the new z; a fractional purchase solves a model of Phi' first,
+    # takes one exact Newton step from its root, and keeps that step's gs' as z
     obj = make_objective("dopt")
     sm = SmoothedObjective(exact_measure(obj), obj)
     inst = gen_random(20, 200, seed=1)
@@ -299,11 +300,11 @@ def test_simultaneous_step_counts_its_quadratures(monkeypatch):
         calls[0] = 0
         x = st.step_simultaneous(arr)
         per_x["reject" if x == 0.0 else "whole" if x == 1.0 else "fractional"].append(calls[0])
-        if x == 1.0:
+        if x > 0.0:
             assert st.z == gs_prime(budget, st.u)
     assert min(len(v) for v in per_x.values()) >= 10
     assert set(per_x["reject"]) == {0} and set(per_x["whole"]) == {1}
-    assert np.mean(per_x["fractional"]) <= 5.0
+    assert set(per_x["fractional"]) == {3}
 
 
 def test_budget_never_exceeds_certificate(rng):
