@@ -17,7 +17,14 @@ stretch of s of order one, so F is one fixed Gauss-Legendre rule in s on
 [0, log(1 + kappa u)] for every kind, linear included.  Its integrand is one
 exponential: h'(theta v)/h'(0) = (1 + theta v)^(-k) enters as -k log1p(theta v)
 (objectives.h_prime_drop).  A coarser rule on the same interval checks it; a
-disagreement raises QuadratureError.
+disagreement raises QuadratureError.  The quadrature is the only evaluator
+of gs'.  Between its values, the ODE below with 0 < h' <= h'(0) bounds F from
+one value F(u0): for d = u - u0 >= 0,
+
+    exp(r d) F(u0) <= F(u) <= exp(r d) F(u0) + h'(0) expm1(r d)/r,
+
+so gs_prime_bracket brackets gs'(u) for the cost of one exponential, and an
+engine evaluates gs' only for a price that falls inside the bracket.
 
 F solves F' = r F + h'(theta u) with F(0) = 0, which gives in closed form
 
@@ -29,6 +36,7 @@ budget b' is the u with gs'(u) = -h'(0) Theta, plus rho1 for the sequential
 variant; it is found by Newton steps on F kept inside a bracket.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +62,9 @@ def _rules(n, m):
 # F is the 64-node rule; the 48-node rule on the same interval checks it
 NODES, WEIGHTS = _rules(64, 48)
 CHECK_REL_TOL = 1e-9
+# gs' rounds relative to its value while no step of the quadrature is subnormal:
+# past this floor on u, kappa u and |gs'|, CHECK_REL_TOL of them is a normal float
+NORMAL_FLOOR = np.finfo(float).tiny / CHECK_REL_TOL
 
 
 class QuadratureError(RuntimeError):
@@ -146,6 +157,27 @@ def _F(s, u):
 def gs_prime(s, u):
     """gs'(u) for scalar or array u; exponents past the overflow guard give -inf."""
     return 0.0 - s.scale * _F(s, u)    # 0.0 - 0.0 keeps u <= 0 at +0.0
+
+
+def gs_prime_bracket(s, u0, z0, u):
+    """(zlo, zhi) around gs'(u), from z0 = gs'(u0) at u0 <= u, by the ODE bound on F.
+
+    Each end is widened by CHECK_REL_TOL, so the bracket holds gs_prime's
+    values where their rounding is relative: it is (-inf, inf) where a bound
+    leaves the float range, or a spend, kappa times one, z0 or the lower
+    bound falls below NORMAL_FLOOR.
+    """
+    if not (s.rate * u <= OVERFLOW_EXP and u >= NORMAL_FLOOR and s.kappa * u >= NORMAL_FLOOR
+            and (u0 == 0.0 or u0 >= NORMAL_FLOOR and s.kappa * u0 >= NORMAL_FLOOR
+                 and z0 <= -NORMAL_FLOOR)):
+        return -np.inf, np.inf
+    em1 = math.expm1(s.rate * (u - u0))
+    hi = z0 + em1 * z0
+    lo = hi - s.scale * s.objective.h_prime0 * em1 / s.rate
+    lo += CHECK_REL_TOL * lo
+    if not -np.inf < lo <= -NORMAL_FLOOR:
+        return -np.inf, np.inf
+    return lo, hi - CHECK_REL_TOL * hi
 
 
 def gs_second(s, u, gp):

@@ -1,10 +1,11 @@
 """Online primal-dual allocation engines.
 
-State tracks the spent budget u and the dual pair (Y, z) = (grad H_S(U), gs'(u))
-at the aggregate U = sum A_t x_t, which it never forms.  Two step rules:
+State tracks the spent budget u, Y = grad H_S(U) at the aggregate
+U = sum A_t x_t, which it never forms, and a bracket [zlo, zhi] on the dual
+gs'(u) in place of gs'(u) itself.  Two step rules:
 
   sequential   accept fully (x = 1) iff the stale price
-               c_t z_{t-1} + <A_t, Y_{t-1}> is positive (ties reject);
+               c_t gs'(u_{t-1}) + <A_t, Y_{t-1}> is positive (ties reject);
                duals refresh after the decision.
   simultaneous pick x in [0, 1] maximizing
                Phi(x) = H_S(U + x A) + G_S(u + x c), via the scalar
@@ -31,7 +32,17 @@ R(x) + c H(x), H the cubic Hermite interpolant of gs'(u + x c), is solved at
 no quadrature, and exact Newton steps polish its root; both bisect on a step
 that leaves the bracket or fails to halve, and stop at X_TOL relative to x.
 Newton returns the point it last evaluated, whose gs' becomes the new z: a
-fractional purchase usually costs three quadratures, a whole one its probe.
+fractional purchase usually costs three quadratures.
+
+z is gs' at the spend u0 where it was last evaluated.  From (u0, z),
+budget.gs_prime_bracket bounds gs'(u) by the ODE gs' solves, for the cost of
+one exponential; a purchase without a new z grows the bracket to the new
+spend.  A price is settled by the bracket where its sign is the same at both
+ends, and otherwise z is evaluated at u, which closes the bracket.  So a
+rejection reads one cached bound, a seq purchase or a sim whole purchase whose
+x = 1 probe the bracket settles takes no quadrature, and a fractional purchase
+makes z exact at u first.  Containment makes every decision the one the exact
+gs' would make, bit for bit.
 
 A finished run keeps only its decisions, with the surrogate and budget
 smoother that made them; ``oracle.audit_run`` replays them to rebuild U and
@@ -42,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import gs_prime, gs_second
+from .budget import gs_prime, gs_prime_bracket, gs_second
 # grad_hs and y_eval are unused here; they stay bound because the perfbench
 # tracer rebinds online.grad_hs and online.y_eval (tests/test_bench.py checks
 # every name the tracer binds)
@@ -146,8 +157,15 @@ class OnlineState:
         # R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, one per atom
         self.R = np.eye(n) / (1.0 - self.lam)[:, None, None]
         self.Y = np.tensordot(self.mu, self.R, axes=1)
-        self.z = 0.0
+        # z = gs'(u0) at the last spend where it was evaluated; [zlo, zhi] holds gs'(u)
+        self.u0 = self.z = self.zlo = self.zhi = 0.0
         self.decisions = []
+
+    def _close(self):
+        """Make z exact at u, at one gs' quadrature unless it is already there."""
+        if self.u0 != self.u:
+            self.u0, self.z = self.u, gs_prime(self.budget, self.u)
+        self.zlo = self.zhi = self.z
 
     def _split(self, L):
         """P_j = R_j L Q_j and g_j, with G_j = L^T R_j L = Q_j diag(g_j) Q_j^T.
@@ -168,7 +186,8 @@ class OnlineState:
         By Woodbury, buying x L L^T subtracts P_j diag(c_j) P_j^T from R_j,
         c_ji = x lambda_j / (1 + x lambda_j g_ji), and the mu-weighted sum of
         those terms from Y.  c_j vanishes with lambda_j, so no atom divides by it.
-        A caller holding gs' at the new spend passes it as z.
+        A caller holding gs' at the new spend passes it as z; otherwise the
+        bracket grows from the last exact point to the new spend.
         """
         if x > 0.0:
             P, g = split if split is not None else self._split(arr.L)
@@ -185,30 +204,50 @@ class OnlineState:
                 Z = np.swapaxes(P, 0, 1).reshape(self.n, -1)
                 self.Y -= (Z * (self.mu[:, None] * c).ravel()) @ Z.T
             self.u += x * arr.c
-            self.z = gs_prime(self.budget, self.u) if z is None else z
+            if z is None:
+                self.zlo, self.zhi = gs_prime_bracket(self.budget, self.u0, self.z, self.u)
+            else:
+                self.u0, self.z, self.zlo, self.zhi = self.u, z, z, z
         self.decisions.append(x)
         return x
 
     def step_sequential(self, arr):
-        """Threshold rule on the stale price; returns the decision x in {0, 1}."""
-        price = float(np.vdot(arr.A, self.Y)) + arr.c * self.z
-        return self._take(1.0 if price > 0.0 else 0.0, arr)
+        """Threshold rule on the stale price; returns the decision x in {0, 1}.
+
+        The bracket settles the price's sign, or z is made exact at u first.
+        """
+        v, c = float(np.vdot(arr.A, self.Y)), arr.c
+        if v + c * self.zhi <= 0.0:
+            return self._take(0.0, arr)
+        if not v + c * self.zlo > 0.0:
+            self._close()
+        return self._take(1.0 if v + c * self.zhi > 0.0 else 0.0, arr)
 
     def step_simultaneous(self, arr):
-        """Fractional step maximizing Phi; returns x in [0, 1], rejecting at no quadrature."""
-        d0 = float(np.vdot(arr.A, self.Y)) + arr.c * self.z  # Phi'(0) via cached duals
-        if d0 <= 0.0:
-            return self._take(0.0, arr)
-        return self._buy(arr, d0)
+        """Fractional step maximizing Phi; returns x in [0, 1].
 
-    def _buy(self, arr, d0):
-        """Buy at the root of Phi' on [0, 1], given Phi'(0) = d0 > 0.
-
-        Phi'(1) >= 0 buys all, and the x = 1 probe's gs' is the new z; else the
-        model R + c H is solved, then exact Newton from its root polishes it, and
-        gs' at the point Newton returns, the last it evaluated, is the new z.
+        A rejection the bracket settles reads the one cached bound zhi.
         """
-        c, u, s, z = arr.c, self.u, self.budget, self.z
+        v = float(np.vdot(arr.A, self.Y))   # Phi'(0) = v + c gs'(u), with gs'(u) <= zhi
+        if v + arr.c * self.zhi <= 0.0:
+            return self._take(0.0, arr)
+        return self._buy(arr, v)
+
+    def _buy(self, arr, v):
+        """Buy at the root of Phi' on [0, 1], given Phi'(0) = v + c gs'(u) > 0 if z is exact.
+
+        Where the bracket leaves Phi'(0)'s sign open, z is made exact at u.
+        Phi'(1) >= 0 buys all: the bracket at u + c settles that at no
+        quadrature, or the x = 1 probe's gs' does and becomes the new z.  Else
+        z is made exact at u, the model R + c H is solved, then exact Newton
+        from its root polishes it, and gs' at the point Newton returns, the
+        last it evaluated, is the new z.
+        """
+        c, u, s = arr.c, self.u, self.budget
+        if not v + c * self.zlo > 0.0:
+            self._close()
+            if not v + c * self.z > 0.0:
+                return self._take(0.0, arr)
         split = self._split(arr.L)
         g, k = split[1].ravel(), split[1].shape[1]
         lam, mu, ml = (self.lam, self.mu, self.ml) if k == 1 else np.repeat(
@@ -227,10 +266,16 @@ class OnlineState:
             r, dr = rational(x)
             return r + c * gp, dr + c * c * gs_second(s, u + x * c, gp)
 
-        gp1, (r1, dr1) = gs_prime(s, u + c), rational(1.0)
+        r1, dr1 = rational(1.0)
+        if r1 + c * gs_prime_bracket(s, self.u0, self.z, u + c)[0] >= 0.0:
+            return self._take(1.0, arr, split)
+        gp1 = gs_prime(s, u + c)
         f1 = r1 + c * gp1
         if f1 >= 0.0:
             return self._take(1.0, arr, split, gp1)
+        self._close()
+        z = self.z
+        d0 = v + c * z
         m0, m1 = c * c * gs_second(s, u, z), c * c * gs_second(s, u + c, gp1)
         x, f, fp, gp = ((0.0, d0, rational(0.0)[1] + m0, z) if d0 < -f1
                         else (1.0, f1, dr1 + m1, gp1))

@@ -8,6 +8,10 @@ from psdalloc.objectives import h_prime
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=50, derandomize=True
 )
+# a deeper run of the same properties, for CI: pytest --hypothesis-profile=deep
+hypothesis.settings.register_profile(
+    "deep", deadline=None, max_examples=1000, derandomize=True
+)
 hypothesis.settings.load_profile("default")
 
 

@@ -10,16 +10,19 @@ offline_integer_opt is the exhaustive 0/1 optimum of a small instance.
 constraint_values is the design ratio written with y_eval and hs_eval,
 independently of the designer's tableau.  reference_audit_run is
 oracle.audit_run as a step-by-step loop, the reference for its block replay.
+EagerState is the engines' step rules with gs' evaluated at every purchase,
+the reference for the decisions OnlineState settles from its bracket on gs'.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from psdalloc.budget import b_prime, g_conj, gs_prime, gs_value
+from psdalloc.budget import b_prime, g_conj, gs_prime, gs_second, gs_value
 from psdalloc.designer import design_grid
 from psdalloc.lowner import AtomicMeasure, grad_hs, hs_eval, hs_trace_lift, y_eval
 from psdalloc.objectives import h_conj, h_eval, h_prime, psd_eigs, sym
+from psdalloc.online import OnlineState, _newton
 from psdalloc.oracle import DEFAULT_TOLS, AuditReport
 
 
@@ -212,3 +215,61 @@ def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
         primal_H=float(np.sum(h_eval(obj, w))), lambda_max=float(w[-1]),
         d_value=D, p_star=p_star, passed=all(checks.values()), checks=checks,
     )
+
+
+class EagerState(OnlineState):
+    """OnlineState whose every price reads z = gs'(u), evaluated at each purchase.
+
+    The step rules are written out here with the exact z, so OnlineState's
+    decisions, which its bracket on gs' settles where it can, must equal
+    these bit for bit; the splits and Woodbury updates are OnlineState's.
+    """
+
+    def _take(self, x, arr, split=None, z=None):
+        if x > 0.0 and z is None:
+            z = gs_prime(self.budget, self.u + x * arr.c)
+        return super()._take(x, arr, split, z)
+
+    def step_sequential(self, arr):
+        price = float(np.vdot(arr.A, self.Y)) + arr.c * self.z
+        return self._take(1.0 if price > 0.0 else 0.0, arr)
+
+    def step_simultaneous(self, arr):
+        d0 = float(np.vdot(arr.A, self.Y)) + arr.c * self.z
+        if d0 <= 0.0:
+            return self._take(0.0, arr)
+        c, u, s, z = arr.c, self.u, self.budget, self.z
+        split = self._split(arr.L)
+        g, k = split[1].ravel(), split[1].shape[1]
+        lam, mu, ml = (self.lam, self.mu, self.ml) if k == 1 else np.repeat(
+            [self.lam, self.mu, self.ml], k, axis=1)
+        lg = lam * g
+
+        def rational(x):
+            q = g / (1.0 + x * lg)
+            return float(mu @ q), -float(ml @ (q * q))
+
+        def exact(x):
+            nonlocal gp
+            gp = gs_prime(s, u + x * c)
+            r, dr = rational(x)
+            return r + c * gp, dr + c * c * gs_second(s, u + x * c, gp)
+
+        gp1, (r1, dr1) = gs_prime(s, u + c), rational(1.0)
+        f1 = r1 + c * gp1
+        if f1 >= 0.0:
+            return self._take(1.0, arr, split, gp1)
+        m0, m1 = c * c * gs_second(s, u, z), c * c * gs_second(s, u + c, gp1)
+        x, f, fp, gp = ((0.0, d0, rational(0.0)[1] + m0, z) if d0 < -f1
+                        else (1.0, f1, dr1 + m1, gp1))
+        if gp1 > -np.inf:
+            p0, dp = c * z, c * (gp1 - z)
+            a, b = 3.0 * dp - 2.0 * m0 - m1, m0 + m1 - 2.0 * dp
+
+            def model(x):
+                r, dr = rational(x)
+                return r + p0 + x * (m0 + x * (a + x * b)), dr + m0 + x * (2.0 * a + 3.0 * b * x)
+
+            x = _newton(model, x, f, fp)
+            f, fp = exact(x)
+        return self._take(_newton(exact, x, f, fp), arr, split, gp)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
@@ -8,12 +8,14 @@ from psdalloc import budget
 from psdalloc.bench import gen_random
 from psdalloc.budget import (
     E1,
+    OVERFLOW_EXP,
     BudgetSmoother,
     QuadratureError,
     b_prime,
     g_conj,
     gamma_for_budget,
     gs_prime,
+    gs_prime_bracket,
     gs_second,
     gs_value,
 )
@@ -144,6 +146,50 @@ def test_gs_prime_dominated_by_linear_rate(s, u):
 def test_gs_prime_overflow_guard():
     s = smoother(kind="linear", gamma=4.0, b=1.0)
     assert gs_prime(s, 1000.0) == -np.inf
+
+
+@given(kind=st.sampled_from(["linear", "dopt", "aopt", "pmean0.5", "pmean2"]),
+       log_theta=st.floats(min_value=-2.0, max_value=3.0),
+       gamma=st.floats(min_value=1.0, max_value=8.0),
+       variant=st.sampled_from(["sim", "seq"]),
+       ru=st.floats(min_value=0.0, max_value=690.0),
+       share=st.floats(min_value=0.0, max_value=1.0))
+@example(kind="linear", log_theta=0.0, gamma=2.0, variant="sim", ru=690.0, share=0.0)
+@example(kind="linear", log_theta=0.0, gamma=1.0, variant="sim", ru=5e-324, share=0.0)
+@example(kind="dopt", log_theta=3.0, gamma=1.0, variant="sim", ru=1e-9, share=0.5)
+@example(kind="aopt", log_theta=-2.0, gamma=8.0, variant="seq", ru=30.0, share=1.0)
+def test_gs_prime_bracket_holds_gs_prime(kind, log_theta, gamma, variant, ru, share):
+    # from z0 = gs'(u0) at u0 = share u <= u, the widened ODE bracket holds
+    # gs'(u); it is open only for a spend near the subnormal range
+    theta = 10.0 ** log_theta
+    s = smoother(kind, gamma, 5.0, theta, theta, 1.5 if variant == "seq" else 0.0, variant)
+    u = ru / s.rate
+    u0 = share * u
+    lo, hi = gs_prime_bracket(s, u0, gs_prime(s, u0), u)
+    assert lo <= gs_prime(s, u) <= hi
+    if ru >= 1e-12 and (share == 0.0 or share >= 1e-12):
+        assert -np.inf < lo and hi <= 0.0
+    else:
+        assert -np.inf < lo or (lo, hi) == (-np.inf, np.inf)
+
+
+def test_gs_prime_bracket_is_open_where_a_bound_leaves_the_float_range():
+    # past the overflow guard gs' is -inf; gs' of -inf, a product past the
+    # float range or a rate of inf (r u nan at u = 0) gives no bound either
+    s = smoother("dopt")
+    u = OVERFLOW_EXP / s.rate
+    lo, hi = gs_prime_bracket(s, 0.0, 0.0, u)
+    assert -np.inf < lo <= gs_prime(s, u) <= hi == 0.0
+    assert gs_prime_bracket(s, 0.0, 0.0, np.nextafter(u, np.inf)) == (-np.inf, np.inf)
+    assert gs_prime_bracket(s, u, -np.inf, u) == (-np.inf, np.inf)
+    huge = smoother("linear", gamma=1e8, b=10.0, theta=1.0, Theta=1.0)
+    u = 697.0 / huge.rate
+    assert np.isfinite(gs_prime(huge, u))
+    assert gs_prime_bracket(huge, 0.0, 0.0, u) == (-np.inf, np.inf)
+    inf_rate = smoother("dopt", gamma=1e308, b=0.1, theta=1e-3, Theta=1e-3)
+    assert inf_rate.rate == np.inf
+    for u in (0.0, 1.0):
+        assert gs_prime_bracket(inf_rate, 0.0, 0.0, u) == (-np.inf, np.inf)
 
 
 @pytest.mark.parametrize("kind", ["linear", "dopt", "aopt", "pmean2.0"])

@@ -3,7 +3,7 @@ import pytest
 
 from psdalloc import online
 from psdalloc.bench import gen_adversarial, gen_random
-from psdalloc.budget import BudgetSmoother, b_prime, g_conj, gs_prime, gs_value
+from psdalloc.budget import OVERFLOW_EXP, BudgetSmoother, b_prime, g_conj, gs_prime, gs_value
 from psdalloc.designer import DesignSpec, design_hs
 from psdalloc.lowner import (
     AtomicMeasure,
@@ -21,7 +21,7 @@ from psdalloc.online import (
     run_stream,
 )
 from psdalloc.oracle import Instance, audit_trace
-from reference import trace_lift
+from reference import EagerState, trace_lift
 
 
 def dopt_setup(gamma=2.0, b=4.0, theta=0.5, Theta=2.0, rho1=0.0, variant="sim",
@@ -185,37 +185,63 @@ def test_duals_monotone_along_run(rng):
         assert audit.min_y_gap >= -1e-8
 
 
+def _counters(monkeypatch):
+    """Count the calls of numpy.linalg.eigh and eigvalsh and of online.gs_prime."""
+    calls = {"eigh": 0, "eigvalsh": 0, "gs_prime": 0}
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (online, "gs_prime")):
+        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _assert_bracket_holds(st):
+    """gs'(u) lies in [zlo, zhi], and is z bit for bit where z is exact at u (u0 == u)."""
+    gp = gs_prime(st.budget, st.u)
+    assert st.zlo <= gp <= st.zhi
+    if st.u0 == st.u:
+        assert float(gp).hex() == float(st.z).hex() == float(st.zlo).hex() == float(st.zhi).hex()
+
+
+def _straddles(st, arr):
+    """The bracket leaves the sign of <A, Y> + c gs'(u) open, with z not yet exact at u."""
+    v = float(np.vdot(arr.A, st.Y))
+    return st.u0 != st.u and v + arr.c * st.zlo <= 0.0 < v + arr.c * st.zhi
+
+
 def test_steps_decompose_only_to_buy(rng, monkeypatch):
     # a rejection leaves the duals alone; a rank-one purchase refreshes them by
-    # a Woodbury update, so neither engine decomposes a matrix
+    # a Woodbury update, so neither engine decomposes a matrix.  A sequential
+    # price takes a gs' quadrature only where the bracket straddles its sign
     obj = make_objective("dopt")
     sm = SmoothedObjective(exact_measure(obj), obj)
     budget = BudgetSmoother(obj, 2.0, 4.0, 0.5, 2.0)
     tight = BudgetSmoother(obj, 2.0, 0.5, 0.5, 2.0)
     zero = Arrival(np.zeros((3, 0)), 1.0)
     ones = Arrival(np.ones((3, 1)), 1.0)   # A = ones((3, 3)), rank one
-    (arr,) = small_stream(rng, m=1)
-    calls = {"eigh": 0, "eigvalsh": 0, "gs_prime": 0}
-    for name in ("eigh", "eigvalsh"):
-        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-
-    def counted_gs(*args, _fn=online.gs_prime, **kwargs):
-        calls["gs_prime"] += 1
-        return _fn(*args, **kwargs)
-    monkeypatch.setattr(online, "gs_prime", counted_gs)
-
+    calls = _counters(monkeypatch)
     for step in ("step_sequential", "step_simultaneous"):
         assert getattr(OnlineState(sm, budget, 3), step)(zero) == 0.0
         assert calls == {"eigh": 0, "eigvalsh": 0, "gs_prime": 0}
-    assert OnlineState(sm, budget, 3).step_sequential(arr) == 1.0
-    assert calls == {"eigh": 0, "eigvalsh": 0, "gs_prime": 1}
-    calls.update(gs_prime=0)
     assert 0.0 < OnlineState(sm, tight, 3).step_simultaneous(ones) < 1.0
     assert calls["eigh"] == 0 and calls["eigvalsh"] == 0
     assert 1 <= calls["gs_prime"] <= 20
+
+    inst = gen_random(20, 200, seed=1)
+    seq = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, "seq")
+    st = OnlineState(sm, seq, inst.n)
+    per_x = {"reject": [], "buy": []}
+    for arr in inst.arrivals:
+        straddles = _straddles(st, arr)
+        calls.update(eigh=0, eigvalsh=0, gs_prime=0)
+        x = st.step_sequential(arr)
+        assert calls == {"eigh": 0, "eigvalsh": 0, "gs_prime": int(straddles)}
+        per_x["buy" if x else "reject"].append(calls["gs_prime"])
+        _assert_bracket_holds(st)
+    # purchases the bracket settles, with no quadrature, and ones it does not
+    assert per_x["buy"].count(0) >= 10 and per_x["buy"].count(1) >= 1
+    assert per_x["reject"].count(0) >= 10
 
 
 def _dense_sim_reference(sm, budget, U, u, arr):
@@ -281,30 +307,107 @@ def test_simultaneous_rank_k_matches_dense_reference(kind):
 
 
 def test_simultaneous_step_counts_its_quadratures(monkeypatch):
-    # a rejection reads the cached duals; a whole purchase reuses its x = 1
-    # probe as the new z; a fractional purchase solves a model of Phi' first,
-    # takes one exact Newton step from its root, and keeps that step's gs' as z
+    # a rejection the bracket settles reads one cached bound; where the
+    # bracket straddles Phi'(0)'s sign, z is made exact at u first.  A whole
+    # purchase the bracket at u + c settles takes no quadrature and leaves the
+    # bracket open; one it does not settle takes its x = 1 probe, which
+    # becomes z.  A fractional purchase makes z exact at u if the bracket is
+    # open, probes x = 1, solves a model of Phi', takes one exact Newton step
+    # from its root and keeps that step's gs' as z
     obj = make_objective("dopt")
     sm = SmoothedObjective(exact_measure(obj), obj)
     inst = gen_random(20, 200, seed=1)
     budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta)
-    calls = [0]
-
-    def counted_gs(*args, _fn=online.gs_prime):
-        calls[0] += 1
-        return _fn(*args)
-    monkeypatch.setattr(online, "gs_prime", counted_gs)
+    calls = _counters(monkeypatch)
     st = OnlineState(sm, budget, inst.n)
     per_x = {"reject": [], "whole": [], "fractional": []}
     for arr in inst.arrivals:
-        calls[0] = 0
+        straddles, exact = _straddles(st, arr), st.u0 == st.u
+        calls.update(eigh=0, eigvalsh=0, gs_prime=0)
         x = st.step_simultaneous(arr)
-        per_x["reject" if x == 0.0 else "whole" if x == 1.0 else "fractional"].append(calls[0])
-        if x > 0.0:
-            assert st.z == gs_prime(budget, st.u)
+        assert calls["eigh"] == 0 and calls["eigvalsh"] == 0
+        n = calls["gs_prime"]
+        if x == 0.0:
+            assert n == straddles
+        elif x == 1.0:
+            assert n == straddles + (st.u0 == st.u)
+        else:
+            assert n == 3 + (not exact) and st.u0 == st.u
+        per_x["reject" if x == 0.0 else "whole" if x == 1.0 else "fractional"].append(n)
+        _assert_bracket_holds(st)
     assert min(len(v) for v in per_x.values()) >= 10
-    assert set(per_x["reject"]) == {0} and set(per_x["whole"]) == {1}
-    assert set(per_x["fractional"]) == {3}
+    assert per_x["reject"].count(0) >= 10
+    assert per_x["whole"].count(0) >= 10 and per_x["whole"].count(1) >= 1
+    assert set(per_x["fractional"]) == {3, 4}
+
+
+def _assert_eager_decisions(sm, budget, arrivals, variant):
+    """Step the engine and EagerState side by side: the same decisions, spend and
+    duals to the bit, with gs'(u) inside the engine's bracket after every step."""
+    st, ref = OnlineState(sm, budget, arrivals[0].n), EagerState(sm, budget, arrivals[0].n)
+    for arr in arrivals:
+        if variant == "seq":
+            x, want = st.step_sequential(arr), ref.step_sequential(arr)
+        else:
+            x, want = st.step_simultaneous(arr), ref.step_simultaneous(arr)
+        assert float(x).hex() == float(want).hex()
+        _assert_bracket_holds(st)
+    assert float(st.u).hex() == float(ref.u).hex()
+    assert st.Y.tobytes() == ref.Y.tobytes()
+    return st
+
+
+@pytest.mark.parametrize("b", [8.0, 0.5], ids=["loose", "tight"])
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+@pytest.mark.parametrize("kind", ["linear", "dopt", "aopt", "pmean0.5", "pmean2"])
+def test_decisions_match_the_eager_reference(kind, variant, rank, b):
+    # the bracket on gs' decides only where the exact gs' decides the same
+    # way.  Costs near 1 put the tight sim budget at r c = 4 (gamma 2, b 0.5)
+    obj = make_objective(kind)
+    em = exact_measure(obj)
+    sm = SmoothedObjective(em, obj) if em is not None else _many_atoms(obj)
+    rng = np.random.default_rng(11)
+    arrivals = [Arrival(rng.standard_normal((5, rank)) / rank, float(rng.uniform(0.8, 1.2)))
+                for _ in range(60)]
+    inst = Instance(arrivals, b=b)
+    budget = BudgetSmoother(obj, 2.0, b, inst.theta, inst.Theta, inst.rho1, variant)
+    st = _assert_eager_decisions(sm, budget, arrivals, variant)
+    assert 3 <= np.count_nonzero(st.decisions) <= 57
+
+
+def test_a_spend_past_the_overflow_guard_opens_the_bracket():
+    # linear, y = 1, so <A, Y> = 1e16 on every step and seq buys until
+    # gs'(u) = -theta expm1(r u)/(e - 1) passes -1e16: with theta = 1e-290 that
+    # is past r u = OVERFLOW_EXP, where gs' is -inf.  The bracket grown past
+    # the guard is open, and the next price makes z exact at -inf
+    obj = make_objective("linear")
+    sm = SmoothedObjective(exact_measure(obj), obj)
+    budget = BudgetSmoother(obj, 1000.0, 1e-3, 1e-290, 1.0, 1.0, "seq")
+    arrivals = [Arrival(np.array([[1e8]]), 1.0)] * 720
+    st = _assert_eager_decisions(sm, budget, arrivals, "seq")
+    assert budget.rate * st.u > OVERFLOW_EXP and st.z == -np.inf and st.u0 == st.u
+    assert st.decisions[-1] == 0.0 and st.decisions[0] == 1.0
+    st.step_sequential(arrivals[0])
+    assert (st.zlo, st.zhi) == (-np.inf, -np.inf)
+
+
+def test_a_bracket_whose_terms_overflow_is_open(monkeypatch):
+    # gamma 1e8 puts scale near 6e6; a probe at r (u + c) = 697 <= OVERFLOW_EXP
+    # has scale h'(0) expm1(697) past the float range, which opens its bracket
+    obj = make_objective("linear")
+    sm = SmoothedObjective(exact_measure(obj), obj)
+    budget = BudgetSmoother(obj, 1e8, 10.0, 1.0, 1.0)
+    seen = []
+
+    def spy(*args, _fn=online.gs_prime_bracket):
+        seen.append((budget.rate * args[3], _fn(*args)))
+        return seen[-1][1]
+    monkeypatch.setattr(online, "gs_prime_bracket", spy)
+    arrivals = [Arrival(np.array([[1.0]]), 697.0 / budget.rate)] * 5
+    st = _assert_eager_decisions(sm, budget, arrivals, "sim")
+    assert 0.0 < st.decisions[0] < 1.0
+    assert any(ru <= OVERFLOW_EXP and bracket == (-np.inf, np.inf) for ru, bracket in seen)
 
 
 def test_budget_never_exceeds_certificate(rng):
