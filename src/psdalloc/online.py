@@ -170,14 +170,16 @@ class OnlineState:
     def _split(self, L):
         """P_j = R_j L Q_j and g_j, with G_j = L^T R_j L = Q_j diag(g_j) Q_j^T.
 
-        Rank one needs no decomposition (Q_j = 1); otherwise each k x k G_j is
-        decomposed, so the purchase reuses its eigenvectors.
+        Rank one needs no decomposition (Q_j = 1), and takes two matrix-vector
+        products; otherwise each k x k G_j is decomposed, so the purchase
+        reuses its eigenvectors.
         """
-        P = self.R @ L
-        G = np.swapaxes(P, 1, 2) @ L
         if L.shape[1] == 1:
-            return P, G[:, :, 0]
-        g, Q = np.linalg.eigh(G)
+            l = L[:, 0]
+            p = self.R @ l
+            return p[:, :, None], (p @ l)[:, None]
+        P = self.R @ L
+        g, Q = np.linalg.eigh(np.swapaxes(P, 1, 2) @ L)
         return P @ Q, g
 
     def _take(self, x, arr, split=None, z=None):
