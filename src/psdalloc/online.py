@@ -70,14 +70,15 @@ def _newton(dphi, x, f, fp):
     The root returned is the point dphi last evaluated (x itself if none).
     rtsafe's safeguard (Numerical Recipes 9.4): a Newton step that leaves the
     bracket, or is over half the step before last, becomes a bisection;
-    f = -inf (gs' past the overflow guard) only lowers hi.
+    f = -inf (gs' past the overflow guard) only lowers hi, and fp = -inf
+    (r gs' past the float range at a huge gamma) takes no Newton step.
     """
     lo, hi, last, last2 = 0.0, 1.0, 1.0, 1.0
     for _ in range(200):
         lo, hi = (x, hi) if f > 0.0 else (lo, x)
         if hi - lo <= X_TOL * hi:
             return x
-        step = f / fp if fp < 0.0 and f > -np.inf else np.inf
+        step = f / fp if -np.inf < fp < 0.0 and f > -np.inf else np.inf
         if abs(step) <= X_TOL * x:
             return x
         halves = lo < x - step < hi and abs(step) <= 0.5 * abs(last2)

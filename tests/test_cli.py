@@ -389,6 +389,17 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, na
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("gamma", ["1e302", "1e304", "1e308"])
+def test_run_at_a_huge_gamma_passes_its_audit(tmp_path, capsys, gamma):
+    # b' = 4.3e-304 at gamma 1e304: the sim root lies where r gs' overflows, so
+    # Phi'' is -inf there and Newton bisects; reading its zero step as a root
+    # once bought 5 times b' and failed the audit
+    out = tmp_path / "run.json"
+    assert main(["run", "--n", "3", "--m", "8", "--gamma", gamma, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["audit_pass"] and report["budget_used"] <= report["b_prime"] * (1.0 + 1e-12)
+
+
 @pytest.mark.parametrize("key", ["nodes", "objective"])
 def test_run_with_a_design_file_missing_a_key_exits_2(tmp_path, capsys, key):
     path = _design(tmp_path, "seq", 1.0, 50.0)
