@@ -34,15 +34,13 @@ that leaves the bracket or fails to halve, and stop at X_TOL relative to x.
 Newton returns the point it last evaluated, whose gs' becomes the new z: a
 fractional purchase usually costs three quadratures.
 
-z is gs' at the spend u0 where it was last evaluated.  From (u0, z),
-budget.gs_prime_bracket bounds gs'(u) by the ODE gs' solves, for the cost of
-one exponential; a purchase without a new z grows the bracket to the new
-spend.  A price is settled by the bracket where its sign is the same at both
-ends, and otherwise z is evaluated at u, which closes the bracket.  So a
-rejection reads one cached bound, a seq purchase or a sim whole purchase whose
-x = 1 probe the bracket settles takes no quadrature, and a fractional purchase
-makes z exact at u first.  Containment makes every decision the one the exact
-gs' would make, bit for bit.
+z is gs' at the spend u0 where it was last evaluated, and from (u0, z)
+budget.gs_prime_bracket bounds gs'(u) for the cost of one exponential.  A
+price whose sign is the same at both ends of the bracket is settled by it;
+otherwise z is evaluated at u, which closes the bracket.  So a rejection reads
+one cached bound, and a seq purchase or a sim whole purchase that the bracket
+settles takes no quadrature.  Since the bracket holds gs', every decision is
+the one the exact gs' makes, bit for bit.
 
 A finished run keeps only its decisions, with the surrogate and budget
 smoother that made them; ``oracle.audit_run`` replays them to rebuild U and
@@ -215,10 +213,7 @@ class OnlineState:
         return x
 
     def step_sequential(self, arr):
-        """Threshold rule on the stale price; returns the decision x in {0, 1}.
-
-        The bracket settles the price's sign, or z is made exact at u first.
-        """
+        """Threshold rule on the stale price; returns the decision x in {0, 1}."""
         v, c = float(np.vdot(arr.A, self.Y)), arr.c
         if v + c * self.zhi <= 0.0:
             return self._take(0.0, arr)
@@ -227,10 +222,7 @@ class OnlineState:
         return self._take(1.0 if v + c * self.zhi > 0.0 else 0.0, arr)
 
     def step_simultaneous(self, arr):
-        """Fractional step maximizing Phi; returns x in [0, 1].
-
-        A rejection the bracket settles reads the one cached bound zhi.
-        """
+        """Fractional step maximizing Phi; returns x in [0, 1]."""
         v = float(np.vdot(arr.A, self.Y))   # Phi'(0) = v + c gs'(u), with gs'(u) <= zhi
         if v + arr.c * self.zhi <= 0.0:
             return self._take(0.0, arr)
