@@ -174,9 +174,9 @@ class OnlineState:
         reuses its eigenvectors.
         """
         if L.shape[1] == 1:
-            l = L[:, 0]
-            p = self.R @ l
-            return p[:, :, None], (p @ l)[:, None]
+            col = L[:, 0]
+            p = self.R @ col
+            return p[:, :, None], (p @ col)[:, None]
         P = self.R @ L
         g, Q = np.linalg.eigh(np.swapaxes(P, 1, 2) @ L)
         return P @ Q, g
@@ -229,9 +229,10 @@ class OnlineState:
         return self._buy(arr, v)
 
     def _buy(self, arr, v):
-        """Buy at the root of Phi' on [0, 1], given Phi'(0) = v + c gs'(u) > 0 if z is exact.
+        """Buy at the root of Phi' on [0, 1], given v = <A, Y> with v + c zhi > 0.
 
-        Where the bracket leaves Phi'(0)'s sign open, z is made exact at u.
+        Where the bracket leaves the sign of Phi'(0) = v + c gs'(u) open, z is
+        made exact at u, and Phi'(0) <= 0 rejects.
         Phi'(1) >= 0 buys all: the bracket at u + c settles that at no
         quadrature, or the x = 1 probe's gs' does and becomes the new z.  Else
         z is made exact at u, the model R + c H is solved, then exact Newton
