@@ -173,7 +173,9 @@ class _Tableau:
             self.cols.update(zip(new, zip(lin.T, psi.T)))
         lin, psi = (np.column_stack([self.cols[j][k] for j in live]) for k in (0, 1))
         y = psi @ w[live]
-        return self.spec.gamma * (lin @ w[live]) - h_conj(self.spec.objective, y) / self.h, y
+        with np.errstate(over="ignore"):    # past the float range at a huge gamma: beta = inf
+            lin = self.spec.gamma * (lin @ w[live])
+        return lin - h_conj(self.spec.objective, y) / self.h, y
 
     def cuts(self, i, v):
         """LP rows (lin_i - v Psi_i/(gamma h_i), -1) and right sides -h(v)/(gamma h_i) of cuts v."""

@@ -19,14 +19,18 @@ Each arrival is given by its factor L (n x k), A = L L^T, so buying x A is a
 rank-k Woodbury update (Hager 1989) of every R_j and of Y; nothing is
 rebuilt.  A purchase costs O(atoms * n^2 * k), so near 50 atoms at n = 50 it
 costs as much as the eigh of U it replaces; the measures in use have at most 24.
+A stack of BLOCK_MIN_FLOATS floats or more holds R_j = B_j - W_j^T P_j, up to
+BLOCK_COLS pending columns that one batched product folds into B_j (the compact
+form of Byrd, Nocedal & Schnabel 1994); a smaller one, where that costs more, updates at once.
 
 The same factor makes the simultaneous root-find scalar:
 
     <A, grad H_S(U + x A)> = R(x) = sum_j mu_j sum_i g_ji / (1 + x lambda_j g_ji),
 
 where g_j. are the eigenvalues of the k x k matrix G_j = L^T R_j L (for
-k = 1, G_j is the scalar g_j itself).  A probe of Phi' and the closed-form
-Phi'' (gs'' by budget.gs_second) costs one gs' quadrature and no matrix work.
+k = 1, G_j is the scalar g_j itself), summed in Python floats.  A probe of
+Phi' and the closed-form Phi'' (gs'' by budget.gs_second) costs one gs'
+quadrature and no matrix work.
 After the probe at x = 1, gs' and gs'' are known at both ends, so the model
 R(x) + c H(x), H the cubic Hermite interpolant of gs'(u + x c), is solved at
 no quadrature, and exact Newton steps polish its root; both bisect on a step
@@ -60,6 +64,10 @@ from .objectives import TOL_EIG, InvalidMatrix, psd_eigs
 
 # the simultaneous root-find stops when a step or the bracket is this short, relative to x
 X_TOL = 1e-12
+# a resolvent stack of BLOCK_MIN_FLOATS floats (atoms * n^2) or more holds up to BLOCK_COLS
+# pending Woodbury columns; CHANGES.md has the measurements that chose both
+BLOCK_MIN_FLOATS = 4096
+BLOCK_COLS = 16
 
 
 def _newton(dphi, x, f, fp):
@@ -153,8 +161,11 @@ class OnlineState:
         self.u = 0.0
         self.lam, self.mu = smoothed.measure.nodes, smoothed.measure.weights
         self.ml = self.mu * self.lam
-        # R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, one per atom
+        # R_j = (lambda_j U + (1 - lambda_j) I)^{-1} = R[j] - W[j, :k]^T P[j, :k], one per atom
         self.R = np.eye(n) / (1.0 - self.lam)[:, None, None]
+        self.k, self.W = 0, None
+        if self.R.size >= BLOCK_MIN_FLOATS:
+            self.W, self.P = np.empty((2, len(self.lam), BLOCK_COLS, n))
         self.Y = np.tensordot(self.mu, self.R, axes=1)
         # z = gs'(u0) at the last spend where it was evaluated; [zlo, zhi] holds gs'(u)
         self.u0 = self.z = self.zlo = self.zhi = 0.0
@@ -166,18 +177,27 @@ class OnlineState:
             self.u0, self.z = self.u, gs_prime(self.budget, self.u)
         self.zlo = self.zhi = self.z
 
+    def _fold(self):
+        """Fold the pending columns into R, R_j -= W_j^T P_j, in one batched product."""
+        self.R -= np.swapaxes(self.W[:, :self.k], 1, 2) @ self.P[:, :self.k]
+        self.k = 0
+
     def _split(self, L):
         """P_j = R_j L Q_j and g_j, with G_j = L^T R_j L = Q_j diag(g_j) Q_j^T.
 
         Rank one needs no decomposition (Q_j = 1), and takes two matrix-vector
         products; otherwise each k x k G_j is decomposed, so the purchase
-        reuses its eigenvectors.
+        reuses its eigenvectors.  Pending columns take W_j^T (P_j L) off R_j L.
         """
         if L.shape[1] == 1:
             col = L[:, 0]
             p = self.R @ col
+            if self.k:
+                p -= (np.swapaxes(self.W[:, :self.k], 1, 2) @ (self.P[:, :self.k] @ L))[:, :, 0]
             return p[:, :, None], (p @ col)[:, None]
         P = self.R @ L
+        if self.k:
+            P -= np.swapaxes(self.W[:, :self.k], 1, 2) @ (self.P[:, :self.k] @ L)
         g, Q = np.linalg.eigh(np.swapaxes(P, 1, 2) @ L)
         return P @ Q, g
 
@@ -187,6 +207,8 @@ class OnlineState:
         By Woodbury, buying x L L^T subtracts P_j diag(c_j) P_j^T from R_j,
         c_ji = x lambda_j / (1 + x lambda_j g_ji), and the mu-weighted sum of
         those terms from Y.  c_j vanishes with lambda_j, so no atom divides by it.
+        A blocked stack holds the columns P_j diag(c_j) and P_j as pending;
+        wider than BLOCK_COLS, they update R at once.
         A caller holding gs' at the new spend passes it as z; otherwise the
         bracket grows from the last exact point to the new spend.
         """
@@ -194,13 +216,20 @@ class OnlineState:
             P, g = split if split is not None else self._split(arr.L)
             xl = x * self.lam[:, None]
             c = xl / (1.0 + xl * g)
-            if P.shape[2] == 1:
+            if P.shape[2] == 1 and self.W is None:
                 # one column: outer products, and Y's term over the atoms' columns
                 p, c = P[:, :, 0], c[:, 0]
                 self.R -= (p * c[:, None])[:, :, None] * p[:, None, :]
                 self.Y -= (p.T * (self.mu * c)) @ p
             else:
-                self.R -= (P * c[:, None, :]) @ np.swapaxes(P, 1, 2)
+                k, Pc, PT = P.shape[2], P * c[:, None, :], np.swapaxes(P, 1, 2)
+                if self.W is None or k > BLOCK_COLS:
+                    self.R -= Pc @ PT
+                else:
+                    if self.k + k > BLOCK_COLS:
+                        self._fold()
+                    new = slice(self.k, self.k + k)
+                    self.W[:, new], self.P[:, new], self.k = Pc.swapaxes(1, 2), PT, self.k + k
                 # Y's term in one product, the atoms' columns side by side
                 Z = np.swapaxes(P, 0, 1).reshape(self.n, -1)
                 self.Y -= (Z * (self.mu[:, None] * c).ravel()) @ Z.T
@@ -248,12 +277,16 @@ class OnlineState:
         g, k = split[1].ravel(), split[1].shape[1]
         lam, mu, ml = (self.lam, self.mu, self.ml) if k == 1 else np.repeat(
             [self.lam, self.mu, self.ml], k, axis=1)
-        lg = lam * g
+        terms = list(zip(g.tolist(), (lam * g).tolist(), mu.tolist(), ml.tolist()))
 
         def rational(x):
-            """R(x) and R'(x), over the atoms' g_ji."""
-            q = g / (1.0 + x * lg)
-            return float(mu @ q), -float(ml @ (q * q))
+            """R(x) and R'(x), term by term in Python floats: quicker than numpy here."""
+            r = dr = 0.0
+            for gi, lgi, mi, mli in terms:
+                q = gi / (1.0 + x * lgi)
+                r += mi * q
+                dr -= mli * (q * q)
+            return r, dr
 
         def exact(x):
             """Phi'(x) and Phi''(x), at one gs' quadrature, kept as gp."""

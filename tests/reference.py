@@ -243,11 +243,16 @@ class EagerState(OnlineState):
         g, k = split[1].ravel(), split[1].shape[1]
         lam, mu, ml = (self.lam, self.mu, self.ml) if k == 1 else np.repeat(
             [self.lam, self.mu, self.ml], k, axis=1)
-        lg = lam * g
+        terms = list(zip(g.tolist(), (lam * g).tolist(), mu.tolist(), ml.tolist()))
 
         def rational(x):
-            q = g / (1.0 + x * lg)
-            return float(mu @ q), -float(ml @ (q * q))
+            # the engine's float form, term by term, so the sums round alike
+            r = dr = 0.0
+            for gi, lgi, mi, mli in terms:
+                q = gi / (1.0 + x * lgi)
+                r += mi * q
+                dr -= mli * (q * q)
+            return r, dr
 
         def exact(x):
             nonlocal gp

@@ -400,6 +400,19 @@ def test_run_at_a_huge_gamma_passes_its_audit(tmp_path, capsys, gamma):
     assert report["audit_pass"] and report["budget_used"] <= report["b_prime"] * (1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("gamma", ["1e304", "1e308"])
+def test_seq_run_at_a_huge_gamma_certifies_beta_without_overflow(tmp_path, gamma):
+    # the exact measure's seq beta is gamma times a ratio above 1, past the
+    # float range at 1e308: it is inf and the bound 0, with no overflow
+    # warning, which pytest's filter makes an error
+    out = tmp_path / "run.json"
+    assert main(["run", "--n", "3", "--m", "8", "--gamma", gamma, "--variant", "seq",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["audit_pass"]
+    assert (report["bound"] == 0.0) == (gamma == "1e308") and report["bound"] >= 0.0
+
+
 @pytest.mark.parametrize("key", ["nodes", "objective"])
 def test_run_with_a_design_file_missing_a_key_exits_2(tmp_path, capsys, key):
     path = _design(tmp_path, "seq", 1.0, 50.0)

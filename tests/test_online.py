@@ -1,3 +1,6 @@
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -472,13 +475,24 @@ def _many_atoms(obj, atoms=24):
     return SmoothedObjective(AtomicMeasure(nodes, weights), obj)
 
 
+def _resolvents(st):
+    """The state's R_j, any pending Woodbury columns folded in by the engine's own
+    fold on a shallow copy, so the state keeps them."""
+    if not st.k:
+        return st.R
+    view = copy.copy(st)
+    view.R = st.R.copy()
+    view._fold()
+    return view.R
+
+
 def _assert_resolvents_match(st, sm, arrivals, tol=1e-12):
     """Y and every R_j of the state against their dense definitions at the
     aggregate of its decisions on arrivals."""
     U = aggregate(arrivals, st.decisions, st.n)
     Y = grad_hs(sm, U)
     assert np.linalg.norm(st.Y - Y) <= tol * np.linalg.norm(Y)
-    for lam, R in zip(st.lam, st.R):
+    for lam, R in zip(st.lam, _resolvents(st)):
         dense = np.linalg.inv(lam * U + (1.0 - lam) * np.eye(st.n))
         assert np.linalg.norm(R - dense) <= tol * np.linalg.norm(dense)
 
@@ -532,6 +546,69 @@ def test_rank_k_purchases_and_zero_node_atoms(measure, variant):
     if 0.0 in st.lam:
         assert np.array_equal(st.R[list(st.lam).index(0.0)], np.eye(n))
     assert audit_trace(st.finish(variant), inst).passed
+
+
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_blocked_resolvents_match_their_definitions_across_folds(variant):
+    # 24 atoms at n = 20 put the stack above the crossover: rank-1 and rank-3
+    # purchases fill and fold the block of pending columns, and a rank-n one,
+    # wider than a block, updates R at once while columns are pending; after
+    # every purchase each R_j and Y match their dense definitions
+    n = 20
+    assert n > online.BLOCK_COLS
+    obj = make_objective("aopt")
+    sm = _many_atoms(obj)
+    assert len(sm.measure.nodes) * n * n >= online.BLOCK_MIN_FLOATS
+    rng = np.random.default_rng(5)
+    arrivals = [Arrival(rng.standard_normal((n, (1, 3, 1, n)[t % 4])) / n,
+                        float(rng.uniform(0.5, 1.5))) for t in range(48)]
+    inst = Instance(arrivals, b=40.0)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
+    st = OnlineState(sm, budget, n)
+    step = st.step_sequential if variant == "seq" else st.step_simultaneous
+    folds = wide_with_pending = 0
+    for t, arr in enumerate(arrivals):
+        k, rank = st.k, arr.L.shape[1]
+        if step(arr) == 0.0:
+            continue
+        if rank > online.BLOCK_COLS:
+            assert st.k == k
+            wide_with_pending += k > 0
+        else:
+            assert st.k == (k + rank if k + rank <= online.BLOCK_COLS else rank)
+            folds += k + rank > online.BLOCK_COLS
+        _assert_resolvents_match(st, sm, arrivals[:t + 1])
+    assert folds >= 3 and wide_with_pending >= 3
+    assert audit_trace(st.finish(variant), inst).passed
+
+
+@pytest.mark.parametrize("atoms, n", [(1, 63), (6, 5), (24, 13)])
+def test_a_stack_below_the_crossover_holds_no_pending_columns(atoms, n):
+    obj = make_objective("dopt")
+    sm = SmoothedObjective(exact_measure(obj), obj) if atoms == 1 else _many_atoms(obj, atoms)
+    assert len(sm.measure.nodes) * n * n < online.BLOCK_MIN_FLOATS
+    rng = np.random.default_rng(2)
+    arrivals = [Arrival(rng.standard_normal((n, 1 + t % 3)) / n, float(rng.uniform(0.5, 1.5)))
+                for t in range(30)]
+    inst = Instance(arrivals, b=20.0)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, "sim")
+    st = OnlineState(sm, budget, n)
+    for arr in arrivals:
+        st.step_simultaneous(arr)
+        assert st.W is None and st.k == 0
+    assert np.count_nonzero(st.decisions) >= 5
+    _assert_resolvents_match(st, sm, arrivals)
+
+
+def test_the_crossover_is_at_block_min_floats():
+    # one atom: the smallest n with n^2 >= BLOCK_MIN_FLOATS is the first blocked one
+    obj = make_objective("dopt")
+    sm = SmoothedObjective(exact_measure(obj), obj)
+    budget = BudgetSmoother(obj, 2.0, 4.0, 0.5, 2.0)
+    n = math.isqrt(online.BLOCK_MIN_FLOATS - 1) + 1
+    assert OnlineState(sm, budget, n - 1).W is None
+    st = OnlineState(sm, budget, n)
+    assert st.W.shape == st.P.shape == (1, online.BLOCK_COLS, n) and st.k == 0
 
 
 def test_arrival_from_factor(rng):
