@@ -9,6 +9,7 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import designer
 from .bench import (CURVE_COLUMNS, ExperimentConfig, _unsmoothed_beta, curve_rows,
                     group_spec, make_instance, run_experiment, run_one, write_csv)
 from .budget import BudgetSmoother, QuadratureError, gs_prime
@@ -39,6 +40,10 @@ def cmd_design(args):
           % (result.beta, result.beta_lb, result.beta - result.beta_lb,
              cr_bound(args.gamma, result.beta), result.iterations, result.cuts, result.atoms),
           file=sys.stderr)
+    if (result.iterations == designer.DESIGN_MAX_SOLVES
+            and result.beta - result.beta_lb > designer.DESIGN_TOL * max(1.0, result.beta_lb)):
+        print("design stopped at its cap of %d LP solves with the gap still open; beta is "
+              "certified, beta_lb is the bound at the cap" % result.iterations, file=sys.stderr)
     return 0
 
 

@@ -6,11 +6,13 @@ The continuous relaxation
 
 is solved by spectral projected gradient ascent (Birgin, Martinez & Raydan
 2000): Barzilai-Borwein steps (1988), a nonmonotone Armijo search with
-memory 10, and one eigh per point for both f and its gradient.  The
-Euclidean projection onto the box-and-budget polytope is a continuous
-quadratic knapsack: its budget multiplier is found exactly by sorting the
-breakpoints of the piecewise-linear spend (Kiwiel 2008).  The ascent stops on
-the Frank-Wolfe duality gap (Jaggi 2013): H is concave, so for every x
+memory 10, and one factorization per point for both f and its gradient:
+of I + X for dopt and aopt (see _offline_point), an eigh of X for the other
+kinds.  The Euclidean projection onto the box-and-budget polytope is a
+continuous quadratic knapsack: its budget multiplier is found exactly by
+sorting the breakpoints of the piecewise-linear spend (Kiwiel 2008).  The
+ascent stops on the Frank-Wolfe duality gap (Jaggi 2013): H is concave, so
+for every x
 
     P* <= f(x) + max_{s in polytope} grad f(x) . (s - x),
 
@@ -206,13 +208,38 @@ class OfflineResult:
     stationarity: float         # norm of the projected-gradient step at x
 
 
+def _offline_point(obj, X, Lc):
+    """(H(X), l^T grad H(X) l for each column l of Lc).
+
+    dopt and aopt factor I + X: grad H is G = (I + X)^-1 (dopt) or G^2 (aopt),
+    so the terms are l^T G l or |G l|^2 from one product G Lc, and aopt's H
+    is <X, G>, which does not cancel.  dopt's H = 2 sum log C_ii (C the
+    Cholesky factor) carries about n eps of absolute rounding, an eigenvalue
+    lift about n eps relative, so where H < 1 dopt takes H from an eigvalsh
+    of X.  The other kinds lift h and h' through one eigh of X.
+    """
+    if obj.kind not in ("dopt", "aopt"):
+        w, V = psd_eigs(X)
+        G = (V * h_prime(obj, w)) @ V.T
+        return float(np.sum(h_eval(obj, w))), np.einsum("ik,ik->k", Lc, G @ Lc)
+    A = _plus_identity(X.copy(), 1.0)
+    G = np.linalg.inv(A)
+    GL = G @ Lc
+    if obj.kind == "aopt":
+        return float(np.sum(X * G)), np.einsum("ik,ik->k", GL, GL)
+    f = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(A)))))
+    if f < 1.0:
+        f = float(np.sum(h_eval(obj, np.linalg.eigvalsh(X))))
+    return f, np.einsum("ik,ik->k", Lc, GL)
+
+
 def offline_continuous_opt(inst, obj):
     """Spectral projected gradient ascent for the continuous relaxation.
 
     Works on the arrivals' factors A_t = L_t L_t^T, stacked once as the
-    n x sum(k) matrix Lc with arrival index idx: X = (Lc * x[idx]) Lc^T and
-    grad_t = sum over the columns l of L_t of l^T G l, G = V h'(w) V^T from
-    the eigh (w, V) of X that gave f(x), so no point is decomposed twice.
+    n x sum(k) matrix Lc with arrival index idx: X = (Lc * x[idx]) Lc^T, and
+    f(x) and grad_t = sum over the columns l of L_t of l^T grad H(X) l come
+    from one _offline_point, so no point is decomposed twice.
 
     An iteration projects once, d = P(x + s g) - x, with the Barzilai-Borwein
     step s = -|dx|^2 / (dx . dg) (1e8 where dx . dg >= 0, as on the linear
@@ -226,17 +253,13 @@ def offline_continuous_opt(inst, obj):
     idx = np.repeat(np.arange(m), [L.shape[1] for L in Ls])
 
     def value(x):
-        w, V = psd_eigs((Lc * x[idx]) @ Lc.T)
-        return float(np.sum(h_eval(obj, w))), (w, V)
-
-    def grad(w, V):
-        G = (V * h_prime(obj, w)) @ V.T
-        return np.bincount(idx, np.einsum("ik,ik->k", Lc, G @ Lc), minlength=m)
+        f, terms = _offline_point(obj, (Lc * x[idx]) @ Lc.T, Lc)
+        return f, np.bincount(idx, terms, minlength=m)
 
     x, _ = project_box_budget(np.full(m, min(1.0, inst.b / max(float(c.sum()), 1e-300))),
                               c, inst.b)
-    f, eig = value(x)
-    g, fs, s = grad(*eig), [f], 1.0
+    f, g = value(x)
+    fs, s = [f], 1.0
     for it in range(1, OFFLINE_MAX_ITERS + 1):
         gap = max(0.0, _knapsack_max(g, c, inst.b) - float(g @ x))
         if gap <= OFFLINE_TOL * f or it == OFFLINE_MAX_ITERS:
@@ -246,13 +269,12 @@ def offline_continuous_opt(inst, obj):
         gd, ref, t = float(g @ d), min(fs[-10:]), 1.0
         for _ in range(60 if gd > 0.0 else 0):      # gd <= 0: no ascent left to take
             xt = xp if t == 1.0 else x + t * d
-            ft, eig = value(xt)
+            ft, gt = value(xt)
             if ft >= ref + 1e-4 * t * gd:
                 break
             t *= 0.5
         else:
             break
-        gt = grad(*eig)
         dx = xt - x
         sty = float(dx @ (gt - g))
         s = 1e8 if sty >= 0.0 else min(max(-float(dx @ dx) / sty, 1e-8), 1e8)

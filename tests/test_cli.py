@@ -80,6 +80,25 @@ def test_design_reports_lp_gap(tmp_path, capsys):
             % (record["iterations"], record["cuts"], atoms)) in line
 
 
+@pytest.mark.parametrize("cap", [None, 2], ids=["default", "capped"])
+def test_design_says_when_the_solve_cap_ended_it(cap, tmp_path, monkeypatch, capsys):
+    # stdout and the record stay as they are; only stderr gains the line
+    if cap is not None:
+        monkeypatch.setattr(designer, "DESIGN_MAX_SOLVES", cap)
+    out = tmp_path / "design.json"
+    assert main(["design", "--objective", "dopt", "--gamma", "2", "--umax", "100",
+                 "--q", "40", "--d", "60", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    captured = capsys.readouterr()
+    err = captured.err
+    assert captured.out == "" and len(err.splitlines()) == (1 if cap is None else 2)
+    if cap is None:
+        assert record["iterations"] < designer.DESIGN_MAX_SOLVES and "cap" not in err
+    else:
+        assert record["iterations"] == 2 and record["beta"] - record["beta_lb"] > 1e-6
+        assert "stopped at its cap of 2 LP solves with the gap still open" in err.splitlines()[1]
+
+
 def test_audit_replays_a_recorded_run(tmp_path, capsys):
     trace = tmp_path / "run.json"
     assert main(["run", "--objective", "dopt", "--variant", "sim", "--n", "4",

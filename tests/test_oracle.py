@@ -28,7 +28,7 @@ from psdalloc.oracle import (
 )
 import reference
 from reference import (CapacityError, grad_hs_lift, grad_trace_lift, offline_integer_opt,
-                       reference_audit_run)
+                       reference_audit_run, trace_lift)
 
 
 def random_instance(rng, n=3, m=8, b=3.0):
@@ -323,9 +323,10 @@ def test_continuous_opt_stop_is_relative_at_a_tiny_budget(kind):
 @pytest.mark.parametrize("kind", ["dopt", "aopt"])
 def test_continuous_opt_decomposes_each_point_once(kind, monkeypatch):
     # the instance of test_continuous_opt_gap_certificate, where projected
-    # gradient with a monotone search takes 57 (dopt) and 61 (aopt) iterations
+    # gradient with a monotone search takes 57 (dopt) and 61 (aopt) iterations;
+    # f is far above 1, so dopt needs no eigvalsh for it
     inst = gen_random(50, 500, 1.0, 1, 10.0)
-    calls = {"eigh": 0, "eigvalsh": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "cholesky": 0, "inv": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -337,8 +338,57 @@ def test_continuous_opt_decomposes_each_point_once(kind, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     res = offline_continuous_opt(inst, make_objective(kind))
     assert res.iterations <= 40
-    assert calls["eigvalsh"] == 0
-    assert calls["eigh"] <= res.iterations + 5
+    assert calls["eigh"] == calls["eigvalsh"] == 0
+    assert calls["inv"] <= res.iterations + 5
+    assert calls["cholesky"] == (calls["inv"] if kind == "dopt" else 0)
+
+
+def _eigh_point(obj, X, Lc):
+    """_offline_point's (f, column terms) from the reference eigenvalue lifts."""
+    return trace_lift(obj, X), np.einsum("ik,ik->k", Lc, grad_trace_lift(obj, X) @ Lc)
+
+
+def _point_instance(n, k, scale):
+    """2n + 3 arrivals of rank k at dimension n, at x = 0, in (0.2, 0.8) or at
+    lambda_max(X) = 1e8.  The aggregate is full rank: at rank deficiency and
+    lambda_max 1e8, rounding X leaves about 1e-8 of G on the null space, which
+    no path from X (the eigh reference's included) resolves."""
+    rng = np.random.default_rng(100 * n + k)
+    m = 2 * n + 3
+    Lc = rng.standard_normal((n, k * m))
+    idx = np.repeat(np.arange(m), k)
+    x = rng.uniform(0.2, 0.8, m) if scale else np.zeros(m)
+    if scale == "huge":
+        x *= 1e8 / np.linalg.eigvalsh((Lc * x[idx]) @ Lc.T)[-1]
+    return Lc, idx, (Lc * x[idx]) @ Lc.T
+
+
+@pytest.mark.parametrize("kind", ["dopt", "aopt", "pmean0.5", "linear"])
+@pytest.mark.parametrize("scale", [None, "interior", "huge"], ids=["zero", "interior", "huge"])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("n", [1, 5, 50])
+def test_offline_point_matches_the_eigenvalue_lift(n, k, scale, kind):
+    obj = make_objective(kind)
+    Lc, idx, X = _point_instance(n, k, scale)
+    f, terms = oracle._offline_point(obj, X, Lc)
+    want_f, want_terms = _eigh_point(obj, X, Lc)
+    grad, want = np.bincount(idx, terms), np.bincount(idx, want_terms)
+    assert abs(f - want_f) <= 1e-12 * abs(want_f)
+    assert np.max(np.abs(grad - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["dopt", "aopt", "pmean0.5", "linear"])
+@pytest.mark.parametrize("b", [1e-300, 1e-12, 1e-6, 1.0, 1e4])
+def test_continuous_opt_matches_an_eigh_solve_at_any_budget(b, kind, monkeypatch):
+    # a Cholesky log det alone gives dopt f = 0 at b = 1e-300 and is off by
+    # 3e-5 relative at 1e-12; aopt's n - tr (I + X)^-1 would cancel likewise
+    obj = make_objective(kind)
+    inst = Instance(gen_random(5, 40, 1.0, 3).arrivals, b)
+    res = offline_continuous_opt(inst, obj)
+    monkeypatch.setattr(oracle, "_offline_point", _eigh_point)
+    want = offline_continuous_opt(inst, obj)
+    assert abs(res.value - want.value) <= 1e-12 * want.value
+    assert abs(res.upper - want.upper) <= 1e-12 * want.upper
 
 
 @st.composite
