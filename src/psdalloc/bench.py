@@ -8,14 +8,15 @@ write_csv writes every CSV the package emits, with 12 significant digits.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .budget import BudgetSmoother, b_prime
 from .designer import DesignSpec, beta_for_measure, cr_bound, design_hs
 from .lowner import SmoothedObjective, exact_measure
-from .objectives import _key, make_objective
+from .objectives import PARAMS, _key, make_objective, param
 from .online import Arrival, run_stream
 from .oracle import Instance, audit_trace, offline_continuous_opt
 
@@ -34,19 +35,17 @@ def gen_adversarial(n, m, seed, b=None):
     Density bounds come out pinned at theta = 1, Theta = m, which is the
     worst-case spread the stopping budget is calibrated against.
     """
-    for name, value, least in (("n", n, 1), ("m", m, 1), ("--seed", seed, 0)):
-        if not value >= least:
-            raise ValueError("%s must be >= %d, got %r" % (name, least, value))
+    n, m, seed = (param(k, v) for k, v in (("n", n), ("m", m), ("seed", seed)))
     rng = np.random.default_rng(seed)
     arrivals = []
     for t in range(1, m + 1):
         eta = rng.integers(0, 2, size=n) * 2.0 - 1.0
         a = np.sqrt((m - t + 1) / n) * eta
         arrivals.append(Arrival(a[:, None], 1.0))
-    return Instance(arrivals, float(b) if b is not None else m / 5)
+    return Instance(arrivals, m / 5 if b is None else b)
 
 
-def gen_random(n, m, density=1.0, seed=0, b=None):
+def gen_random(n, m, density=PARAMS["density"].default, seed=PARAMS["seed"].default, b=None):
     """Rank-one Gaussian arrivals with uniform costs in [0.5, 1.5].
 
     density in (0, 1] sparsifies the directions entrywise (resampled if a
@@ -54,11 +53,8 @@ def gen_random(n, m, density=1.0, seed=0, b=None):
     of the n with chance above 1 - RANDOM_MIN_KEEP is refused, since its
     arrivals would take more than 1/RANDOM_MIN_KEEP draws each on average.
     """
-    for name, value, least in (("n", n, 1), ("m", m, 1), ("--seed", seed, 0)):
-        if not value >= least:
-            raise ValueError("%s must be >= %d, got %r" % (name, least, value))
-    if not 0.0 < density <= 1.0:
-        raise ValueError("--density must be in (0, 1], got %r" % (density,))
+    n, m, seed = (param(k, v) for k, v in (("n", n), ("m", m), ("seed", seed)))
+    density = param("density", density)
     keep = -math.expm1(n * math.log1p(-density)) if density < 1.0 else 1.0  # 1 - (1 - d)^n
     if keep < RANDOM_MIN_KEEP:
         raise ValueError("--density %r keeps an entry of an n = %d direction with chance "
@@ -74,41 +70,16 @@ def gen_random(n, m, density=1.0, seed=0, b=None):
                 break
         c = float(rng.uniform(0.5, 1.5))
         arrivals.append(Arrival(a[:, None], c))
-    return Instance(arrivals, float(b) if b is not None else m / 5)
+    return Instance(arrivals, m / 5 if b is None else b)
 
 
-def whole_number(v):
-    """v as an int where that loses nothing (3 or 3.0, not 3.5 or true): one of
-    ExperimentConfig.from_dict's casts, as are the five below."""
-    if type(v) is bool or int(v) != v:
-        raise ValueError
-    return int(v)
-
-
-def boolean(v):
-    if type(v) is not bool:
-        raise TypeError
-    return v
-
-
-def string(v):
-    if type(v) is not str:
-        raise TypeError
-    return v
-
-
-def number_list(v):
-    """A number or a nonempty list of numbers, as a tuple of floats."""
-    vs = tuple(map(float, v if type(v) in (list, tuple) else [v]))
-    if not vs:
-        raise ValueError
+def param_list(key, v):
+    """A value or a nonempty list of distinct values, each through param(key), as a tuple."""
+    vs = tuple(param(key, x) for x in (v if type(v) in (list, tuple) else [v]))
+    if not vs or len(set(vs)) < len(vs):
+        raise ValueError("%s takes one or more values, each once, got %s"
+                         % (PARAMS[key].flag, ",".join(map(str, vs)) or "none"))
     return vs
-
-
-def variant_list(v):
-    if not (type(v) in (list, tuple) and v and set(v) <= {"sim", "seq"}):
-        raise ValueError
-    return tuple(v)
 
 
 def list_of_instances(v):
@@ -120,39 +91,36 @@ def list_of_instances(v):
 @dataclass
 class ExperimentConfig:
     objective: str = "dopt"
-    n: int = 5
-    m: int = 50
-    b: float = None            # defaults to m/5
-    gammas: tuple = (1.0,)
-    repeats: int = 1
-    seed: int = 0
-    variants: tuple = ("sim",)
-    generator: str = "adversarial"
-    density: float = 1.0
-    q: int = 100
-    d: int = 200
-    umax_override: float = None
+    n: int = PARAMS["n"].default
+    m: int = PARAMS["m"].default
+    b: float = PARAMS["b"].default     # None is m/5
+    gammas: tuple = (PARAMS["gamma"].default,)
+    repeats: int = PARAMS["repeats"].default
+    seed: int = PARAMS["seed"].default
+    variants: tuple = (PARAMS["variant"].default,)
+    generator: str = PARAMS["generator"].default
+    density: float = PARAMS["density"].default
+    q: int = PARAMS["q"].default
+    d: int = PARAMS["d"].default
+    umax_override: float = None    # None: group_spec derives u_max from the instances
     unsmoothed_arm: bool = True
     out: str = None            # CSV path; no file written when None
     instances: list = None     # explicit instances override the generator
 
     def __post_init__(self):
-        if not self.repeats >= 1:
-            raise ValueError("repeats must be >= 1, got %r" % (self.repeats,))
+        param("repeats", self.repeats)
 
     @classmethod
     def from_dict(cls, d):
-        """A config from a JSON object, each key read through its cast, so a value of the
-        wrong JSON type is a ValueError that names its key; a null value is the default."""
-        casts = {"objective": string, "n": whole_number, "m": whole_number, "b": float,
-                 "gammas": number_list, "repeats": whole_number, "seed": whole_number,
-                 "variants": variant_list, "generator": string, "density": float,
-                 "q": whole_number, "d": whole_number, "umax_override": float,
-                 "unsmoothed_arm": boolean, "out": string, "instances": list_of_instances}
-        unknown = set(d) - set(casts)
+        """A config from a JSON object, each key read through its cast (by _key, which names
+        the key of a value refused); a null value is the default."""
+        casts = {"objective": str, "unsmoothed_arm": bool, "out": str,
+                 "instances": list_of_instances, "umax_override": "u_max",
+                 "gammas": partial(param_list, "gamma"), "variants": partial(param_list, "variant")}
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError("unknown config keys: %s" % sorted(unknown))
-        return cls(**{k: _key(d, "config", k, cast=casts[k]) for k in d if d[k] is not None})
+        return cls(**{k: _key(d, "config", k, cast=casts.get(k)) for k in d if d[k] is not None})
 
 
 @dataclass
@@ -183,18 +151,19 @@ def cached_design(spec):
     return _design_cache[spec]
 
 
-def make_instance(generator="adversarial", n=5, m=50, seed=0, b=None, density=1.0):
+def make_instance(generator=PARAMS["generator"].default, n=PARAMS["n"].default,
+                  m=PARAMS["m"].default, seed=PARAMS["seed"].default, b=None,
+                  density=PARAMS["density"].default):
     """One instance from the named generator; both default b to m/5."""
-    if generator == "adversarial":
-        if density != 1.0:
-            raise ValueError("--density %r: the adversarial generator takes no density" % (density,))
-        return gen_adversarial(n, m, seed, b)
-    if generator == "random":
+    if param("generator", generator) == "random":
         return gen_random(n, m, density, seed, b)
-    raise ValueError("unknown generator %r" % (generator,))
+    if density != 1.0:
+        raise ValueError("--density %r: the adversarial generator takes no density" % (density,))
+    return gen_adversarial(n, m, seed, b)
 
 
-def group_spec(obj, gamma, variant, instances, q=100, d=200, u_max=None):
+def group_spec(obj, gamma, variant, instances, q=PARAMS["q"].default, d=PARAMS["d"].default,
+               u_max=None):
     """(smoothers, DesignSpec): one budget smoother per instance, one design for all.
 
     The design covers the largest u_max the instances induce,
@@ -298,18 +267,19 @@ def write_csv(path, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def curve_rows(objective, gammas, u_max, q=100, d=200, variant="sim", rho2=0.0):
+def curve_rows(objective, gammas, u_max, q=PARAMS["q"].default, d=PARAMS["d"].default,
+               variant=PARAMS["variant"].default, rho2=PARAMS["rho2"].default):
     """Per-gamma designed beta and the smoothed/unsmoothed ratio bounds of an objective label."""
     obj = make_objective(objective)
     rows = []
-    for gamma in gammas:
-        spec = DesignSpec(obj, float(gamma), u_max, q, d, variant, rho2)
+    for gamma in param_list("gamma", gammas):
+        spec = DesignSpec(obj, gamma, u_max, q, d, variant, rho2)
         dres = cached_design(spec)
         bound_s = cr_bound(gamma, dres.beta)
         if exact_measure(obj) is not None:
             bound_u = cr_bound(gamma, _unsmoothed_beta(spec))
         else:
             bound_u = np.nan
-        rows.append({"gamma": float(gamma), "beta": dres.beta,
+        rows.append({"gamma": gamma, "beta": dres.beta,
                      "bound_smoothed": bound_s, "bound_unsmoothed": bound_u})
     return rows

@@ -31,9 +31,8 @@ F solves F' = r F + h'(theta u) with F(0) = 0, which gives in closed form
     gs''(u)  = -(gamma theta / (B (e-1))) (r F(u) + h'(theta u))
     G_S(u)   = int_0^u gs' = (B/gamma) gs'(u) + h(theta u)/(e-1)   (penalty identity)
 
-for both variants, so gs'' costs no quadrature beyond gs'.  The stopping
-budget b' is the u with gs'(u) = -h'(0) Theta, plus rho1 for the sequential
-variant; it is found by Newton steps on F kept inside a bracket.
+for both variants, so gs'' costs no quadrature beyond gs'; b_prime finds the
+stopping budget b'.
 """
 
 import math
@@ -42,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .objectives import h_eval, h_prime, h_prime_drop
+from .objectives import PARAMS, h_eval, h_prime, h_prime_drop, param
 
 E1 = np.e - 1.0
 
@@ -79,21 +78,15 @@ class BudgetSmoother:
     theta: float
     Theta: float
     rho1: float = 0.0
-    variant: str = "sim"
+    variant: str = PARAMS["variant"].default
 
     def __post_init__(self):
-        if self.variant not in ("sim", "seq"):
-            raise ValueError("variant must be 'sim' or 'seq', got %r" % (self.variant,))
-        if not 1.0 <= self.gamma < np.inf:
-            raise ValueError("gamma must be finite and >= 1, got %r" % (self.gamma,))
-        if not 0.0 < self.b < np.inf:
-            raise ValueError("budget --b must be finite and positive, got %r" % (self.b,))
-        if not (0.0 < self.theta <= self.Theta):
-            raise ValueError("need 0 < theta <= Theta, got %r, %r" % (self.theta, self.Theta))
-        if self.rho1 < 0.0:
-            raise ValueError("rho1 must be nonnegative")
-        if self.variant == "seq" and not self.rho1 > 0.0:
-            raise ValueError("sequential variant requires rho1 > 0")
+        for k in ("variant", "gamma", "b"):
+            param(k, getattr(self, k))
+        if not (0.0 < self.theta <= self.Theta and self.rho1 >= 0.0
+                and (self.rho1 > 0.0 or self.variant == "sim")):
+            raise ValueError("need 0 < theta <= Theta and rho1 >= 0, > 0 under seq; got %r, %r, %r"
+                             % (self.theta, self.Theta, self.rho1))
         if not np.finfo(float).tiny <= self.scale < np.inf:     # b' divides by it
             raise ValueError("--gamma %r, theta %r and budget --b %r give gs' scale %r, not a "
                              "normal float" % (self.gamma, self.theta, self.b, self.scale))
@@ -209,6 +202,8 @@ def b_prime(s):
     returned, so gs'(b' - rho1) <= -h'(0) Theta holds.
     """
     obj, r = s.objective, s.rate
+    if not r < np.inf:      # the search below would double x without end
+        raise ValueError("--gamma %r and budget --b %r give gs' rate %r" % (s.gamma, s.b, r))
     target = obj.h_prime0 * s.Theta / s.scale
     # h' <= h'(0) gives F(u) <= h'(0) expm1(r u)/r, which stays below target up to lo
     lo = x = float(np.log1p(r * target / obj.h_prime0) / r)
@@ -235,7 +230,7 @@ def b_prime(s):
     return hi + s.rho1 if s.variant == "seq" else hi
 
 
-def gamma_for_budget(objective, b, theta, Theta, rho1=0.0, variant="sim"):
+def gamma_for_budget(objective, b, theta, Theta, rho1=0.0, variant=PARAMS["variant"].default):
     """Smallest gamma >= 1 with b'(gamma) <= b, to 1e-6 by bisection (b' is nonincreasing)."""
     if variant == "seq" and not b > rho1:
         raise ValueError("the sequential b' exceeds rho1 for every gamma, so budget b = %g "

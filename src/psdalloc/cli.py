@@ -15,7 +15,7 @@ from .bench import (CURVE_COLUMNS, ExperimentConfig, _unsmoothed_beta, curve_row
 from .budget import BudgetSmoother, QuadratureError, gs_prime
 from .designer import DesignSpec, cr_bound, design_hs, design_to_dict, design_from_dict
 from .lowner import SmoothedObjective, exact_measure, smoothed_from_dict, smoothed_to_dict
-from .objectives import TOL_EIG, _key, float_array, make_objective
+from .objectives import PARAMS, TOL_EIG, _key, float_array, make_objective, number, whole
 from .oracle import audit_run, instance_from_dict, instance_to_dict
 
 
@@ -134,9 +134,8 @@ def cmd_bench(args):
 def cmd_audit(args):
     with open(args.trace) as fh:
         payload = json.load(fh)
-    measure, instance, variant = (
-        _key(payload, "--trace file", k) for k in ("measure", "instance", "variant"))
-    gamma = _key(payload, "--trace file", "gamma", cast=float)
+    measure, instance, variant, gamma = (
+        _key(payload, "--trace file", k) for k in ("measure", "instance", "variant", "gamma"))
     decisions = _key(payload, "--trace file", "decisions", cast=float_array)
     # an older run file keeps its objective beside the measure, not in it
     objective = (_key(payload, "--trace file", "objective")
@@ -161,12 +160,17 @@ def cmd_curve(args):
     return 0
 
 
+def _add(p, key, **kw):
+    """p's flag for a PARAMS entry, read as a literal of its cast; param checks it downstream."""
+    kw.setdefault("default", PARAMS[key].default)
+    p.add_argument(PARAMS[key].flag, type={whole: int, number: float}.get(PARAMS[key].cast), **kw)
+
+
 def _add_design_flags(p):
     p.add_argument("--objective", default="dopt", help="linear, dopt, aopt or pmean<p> (pmean2)")
-    p.add_argument("--q", type=int, default=100)
-    p.add_argument("--d", type=int, default=200)
-    p.add_argument("--variant", default="sim", choices=["sim", "seq"])
-    p.add_argument("--rho2", type=float, default=0.0)
+    for key in ("q", "d", "variant", "rho2"):
+        _add(p, key)
+    _add(p, "u_max", required=True)
 
 
 def build_parser():
@@ -178,8 +182,7 @@ def build_parser():
 
     p = sub.add_parser("design", help="design a smoothed gain measure")
     _add_design_flags(p)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--umax", type=float, required=True)
+    _add(p, "gamma", required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_design)
 
@@ -189,34 +192,24 @@ def build_parser():
     p.add_argument("--measure", help="design JSON from the design subcommand, whose objective "
                    "the run takes; --objective, if given, --gamma and --variant must match it")
     p.add_argument("--instance", help="instance JSON, in place of the generator flags")
-    p.add_argument("--generator", choices=["adversarial", "random"], default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--m", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--b", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--density", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--variant", default="sim", choices=["sim", "seq"])
+    for key in ("generator", "n", "m", "b", "density", "seed"):
+        _add(p, key, default=argparse.SUPPRESS)
+    _add(p, "gamma")
+    _add(p, "variant")
     p.add_argument("--out", default="-")
     p.add_argument("--gs-out", dest="gs_out", help="CSV trace of gs_prime")
     p.set_defaults(func=cmd_run)
 
+    # a given flag overrides its config key, and the config checks every value
     p = sub.add_parser("bench", help="run the full experiment pipeline")
     p.add_argument("--config", help="JSON config; flags override its keys")
     p.add_argument("--objective")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--b", type=float)
+    for key in ("generator", "n", "m", "b", "repeats", "seed", "density", "q", "d"):
+        _add(p, key, default=None)
+    _add(p, "u_max", dest="umax_override", default=None)
     p.add_argument("--gamma", dest="gammas", type=_gammas, help="comma-separated gamma grid")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--variant", dest="variants", type=lambda text: tuple(text.split(",")),
                    help="comma-separated: sim,seq")
-    p.add_argument("--generator")
-    p.add_argument("--density", type=float)
-    p.add_argument("--q", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--umax", dest="umax_override", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_bench)
 
@@ -228,7 +221,6 @@ def build_parser():
     p = sub.add_parser("curve", help="bound-vs-gamma curve CSV")
     _add_design_flags(p)
     p.add_argument("--gamma", type=_gammas, required=True, help="comma-separated gamma grid")
-    p.add_argument("--umax", type=float, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curve)
     return parser
@@ -242,9 +234,8 @@ def main(argv=None):
         sys.stdout.flush()      # a reader that left shows here, not at exit
         return code
     except BrokenPipeError:
-        # the reader closed stdout (`| head`): not a bad input, so no error line; the
-        # broken stdout goes to devnull so the flush at exit stays quiet; 141 is
-        # 128 + SIGPIPE
+        # the reader closed stdout (`| head`): not a bad input, so no error line; stdout goes
+        # to devnull so the flush at exit stays quiet; 141 is 128 + SIGPIPE
         try:
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())

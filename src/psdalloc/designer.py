@@ -17,10 +17,7 @@ cutting-plane method solves it on the certification grid: the base grid, a
 base abscissa is seeded; after each solve the tangent cut v = u*(y_i) is added
 at every local maximum of the ratio still above the LP value.  Each cut is
 held over gamma, so the LP's entries do not grow with gamma.  One HiGHS
-model holds only the binding part of the LP: it starts on every fifth node,
-a node enters once its reduced cost prices it in (column generation), a cut
-leaves once it is slack at zero dual at two consecutive solves, and each
-re-solve is warm-started from the previous basis.  The returned beta is the
+model holds only the binding part of the LP (_CutLP).  The returned beta is the
 largest ratio of the best iterate on the whole certification grid, as
 beta_for_measure computes it for any fixed measure; the row duals, priced
 over every node, bound the grid optimum below.
@@ -32,7 +29,8 @@ import numpy as np
 
 from .lowner import (AtomicMeasure, SmoothedObjective, exact_measure, phi_primitive,
                      smoothed_from_dict, smoothed_to_dict)
-from .objectives import TraceObjective, _key, h_conj, h_conj_prime, h_eval, h_inverse
+from .objectives import (PARAMS, TraceObjective, _key, h_conj, h_conj_prime,
+                         h_eval, h_inverse, number, param, whole)
 
 E1 = np.e - 1.0
 DESIGN_TOL = 1e-7          # stop once the best iterate is within this times max(1, t) of the bound
@@ -44,26 +42,23 @@ class DesignSpec:
     objective: TraceObjective
     gamma: float
     u_max: float
-    q: int = 100
-    d: int = 200
-    variant: str = "sim"
-    rho2: float = 0.0
+    q: int = PARAMS["q"].default
+    d: int = PARAMS["d"].default
+    variant: str = PARAMS["variant"].default
+    rho2: float = PARAMS["rho2"].default
 
     def __post_init__(self):
-        if not 1.0 <= self.gamma < np.inf:
-            raise ValueError("gamma must be finite and >= 1, got %r" % (self.gamma,))
-        if not 0.0 < self.u_max < np.inf:
-            raise ValueError("u_max must be finite and positive, got %r" % (self.u_max,))
-        if self.q < 2 or self.d < 2:
-            raise ValueError("need q >= 2 and d >= 2")
-        if self.variant not in ("sim", "seq"):
-            raise ValueError("variant must be 'sim' or 'seq'")
-        if self.rho2 < 0.0:
-            raise ValueError("rho2 must be nonnegative")
-        if self.variant == "sim" and self.rho2 != 0.0:
-            raise ValueError("rho2 > 0 only applies to the sequential variant")
-        if self.variant == "seq" and not self.rho2 > 0.0:
-            raise ValueError("sequential design needs rho2 > 0")
+        for k in ("gamma", "u_max", "q", "d", "variant", "rho2"):
+            param(k, getattr(self, k))
+        if (self.variant == "seq") != (self.rho2 > 0.0):
+            raise ValueError("--variant %s takes %s, got --rho2 %r" % (
+                self.variant, "--rho2 > 0" if self.variant == "seq" else "no --rho2", self.rho2))
+        # _Tableau's columns hold Phi_j + rho2 u a_j Psi_j <= (1 + rho2) q^2 u, and that over
+        # h(u); u/h(u) is largest at u_max, as h is concave
+        u, h = self.u_max, h_eval(self.objective, self.u_max)
+        if not (1.0 + self.rho2) * self.q**2 * max(u, u / h) < np.inf:
+            raise ValueError("--umax %r and --rho2 %r put the design past the float range"
+                             % (u, self.rho2))
 
 
 @dataclass
@@ -126,8 +121,7 @@ def beta_for_measure(spec, measure, dense=10):
 
 def cr_bound(gamma, beta):
     """Competitive-ratio bound 1/(gamma/(e-1) + beta)."""
-    if not gamma >= 1.0:
-        raise ValueError("gamma must be >= 1")
+    param("gamma", gamma)
     if not beta > 0.0:
         raise ValueError("beta must be positive")
     return 1.0 / (gamma / E1 + beta)
@@ -208,7 +202,7 @@ class _CutLP:
 
     TOL = 1e-8       # HiGHS's primal and dual feasibility tolerances
 
-    def __init__(self, a, h_prime0, variant="sim"):
+    def __init__(self, a, h_prime0):
         # imported here, not at module level: scipy.optimize roughly quadruples
         # the import time of the package, and only designing needs it.  The
         # incremental interface is private to scipy; tests/test_designer.py pins it.
@@ -231,8 +225,8 @@ class _CutLP:
         q = a.size
         self.cols = np.append(q, np.arange(0, q, 5))     # each model column in a full row: t, nodes
         self.a, self.eq, self.h_prime0 = a, np.append(a, 0.0), h_prime0
-        self.flags = ("this --gamma and this --umax (cut entries grow with it)" if variant == "sim"
-                      else "this --gamma, this --umax and this --rho2 (cut entries grow with both)")
+        self.flags = ("this --gamma, --umax and --rho2 (cut entries grow with u_max, which run "
+                      "and bench derive from --b, and under seq with rho2)")
         k = self.cols.size
         hs.addVars(k, np.append(-kHighsInf, np.zeros(k - 1)), np.full(k, kHighsInf))
         hs.changeColsCost(1, np.array([0], dtype=np.int32), np.array([1.0]))
@@ -314,10 +308,12 @@ def design_hs(spec):
         # with weight 1; every ratio is then exactly gamma.
         return DesignResult(exact_measure(obj), float(spec.gamma), float(spec.gamma), 0, spec,
                             cuts=0)
-
+    if not spec.gamma * h_eval(obj, spec.u_max) < np.inf:   # _Tableau.cuts divides by it
+        raise ValueError("--gamma %r and --umax %r put the design's cuts past the float range"
+                         % (spec.gamma, spec.u_max))
     base, grid = design_grid(spec), certification_grid(spec)
     tab = _Tableau(spec, grid, np.arange(spec.q) / spec.q)
-    lp = _CutLP(tab.a, obj.h_prime0, spec.variant)
+    lp = _CutLP(tab.a, obj.h_prime0)
     seeds = np.searchsorted(grid, base[::10])
     lp.add(*tab.cuts(seeds, base[::10]))
     lp.add(*tab.cuts(seeds, np.zeros(seeds.size)))
@@ -338,6 +334,8 @@ def design_hs(spec):
             break
         if hot.size:
             lp.add(*tab.cuts(hot, h_conj_prime(obj, y[hot])))
+    if best_w is None:
+        raise ValueError("--gamma %r puts every design ratio past the float range" % spec.gamma)
     # the grid optimum is at most best_F; lb alone can pass it by rounding once the gap closes
     return DesignResult(AtomicMeasure(tab.nodes, best_w), best_F, min(lb, best_F), solves, spec,
                         cuts=lp.added)
@@ -356,13 +354,13 @@ def design_from_dict(d):
     cuts are None, residual 0 and flagged False, for records written without them.  An older
     record's atoms and converged are ignored: the measure counts its atoms, and beta -
     beta_lb says whether the loop closed its gap."""
-    gamma, u_max, rho2, beta = (_key(d, "design", k, cast=float)
-                                for k in ("gamma", "u_max", "rho2", "beta"))
-    q, dd, iterations = (_key(d, "design", k, cast=int) for k in ("q", "d", "iterations"))
     smoothed = smoothed_from_dict(d)
-    spec = DesignSpec(smoothed.base, gamma, u_max, q, dd, _key(d, "design", "variant"), rho2)
+    spec = DesignSpec(smoothed.base, *(_key(d, "design", k) for k in (
+        "gamma", "u_max", "q", "d", "variant", "rho2")))
+    beta = _key(d, "design", "beta", cast=number)
+    iterations = _key(d, "design", "iterations", cast=whole)
     beta_lb, cuts, residual = (
         None if d.get(k) is None else _key(d, "design", k, cast=t) for k, t in (
-            ("beta_lb", float), ("cuts", int), ("residual", float)))
+            ("beta_lb", number), ("cuts", whole), ("residual", number)))
     return DesignResult(smoothed.measure, beta, beta_lb, iterations, spec, cuts,
                         residual or 0.0, bool(d.get("flagged", False)))

@@ -18,16 +18,14 @@ resolvent sum
 
     grad H_S(M) = sum_j mu_j (lambda_j M + (1 - lambda_j) I)^-1,
 
-which grad_hs evaluates as written, one inverse per atom, for a measure of at
-most RESOLVENT_ATOMS atoms, and otherwise by applying y to the spectrum of M,
-whose one eigh and lift cost between two and three inverses.
+which grad_hs evaluates as written, or through the spectrum of M (RESOLVENT_ATOMS).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import TOL_EIG, TraceObjective, _key, float_array, psd_eigs, sym
+from .objectives import TOL_EIG, TraceObjective, _key, float_array, number, psd_eigs, sym
 
 # grad_hs sums one inverse per atom up to this many atoms, and lifts y
 # through one eigh past it: per n x n matrix with BLAS on one thread, at n = 5 to
@@ -188,6 +186,6 @@ def smoothed_from_dict(d, objective=None):
     """Inverse of smoothed_to_dict; a given objective stands for d's, which old run files lack."""
     o = _key(d, "measure", "objective") if objective is None else objective
     obj = TraceObjective(_key(o, "objective", "kind"),
-                         _key(o, "objective", "p", cast=float) if "p" in o else 1.0)
+                         _key(o, "objective", "p", cast=number) if "p" in o else 1.0)
     measure = AtomicMeasure(*(_key(d, "measure", k, cast=float_array) for k in ("nodes", "weights")))
     return SmoothedObjective(measure, obj)

@@ -18,9 +18,12 @@ h*(y) = 0 for y > h'(0) and -inf for y < 0.
 
 psd_eigs is the package's one dense eigendecomposition of a PSD matrix, in
 numpy's ascending order; every lift applies a scalar function to its spectrum.
+
+PARAMS declares each external parameter once; everything reads it through param.
 """
 
 import reprlib
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,18 +93,79 @@ def make_objective(label):
                          "p > 0" % (label,)) from None
 
 
+def number(v):
+    """v as a float: a JSON number, not a bool or a string (nor is whole's v)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.number)):
+        raise TypeError
+    return float(v)
+
+
+def whole(v):
+    """v as an int where that loses nothing (3 or 3.0, not 3.5)."""
+    if int(v) != v or isinstance(v, bool) or not isinstance(v, (int, float, np.number)):
+        raise ValueError
+    return int(v)
+
+
+# cast is number, whole or str; span the closed range (lo, hi), or for str the two words
+Param = namedtuple("Param", "flag cast span default")
+
+# Each external parameter, by its key in instance, design and run files.  A size's cap is
+# the largest decade at which one run at the defaults finishes (CHANGES.md); u_max's keeps
+# the design grid's midpoints finite.  b = None is m/5; u_max has no default.
+FLOAT_MAX = float(np.finfo(float).max)
+PARAMS = {
+    "n": Param("--n", whole, (1, 1000), 5),
+    "m": Param("--m", whole, (1, 1000000), 50),
+    "seed": Param("--seed", whole, (0, np.inf), 0),
+    "repeats": Param("--repeats", whole, (1, 10000), 1),
+    "generator": Param("--generator", str, ("adversarial", "random"), "adversarial"),
+    "b": Param("--b", number, (5e-324, FLOAT_MAX), None),
+    "density": Param("--density", number, (5e-324, 1.0), 1.0),
+    "gamma": Param("--gamma", number, (1.0, FLOAT_MAX), 1.0),
+    "variant": Param("--variant", str, ("sim", "seq"), "sim"),
+    "q": Param("--q", whole, (2, 10000), 100),
+    "d": Param("--d", whole, (2, 100000), 200),
+    "u_max": Param("--umax", number, (float(np.finfo(float).tiny), FLOAT_MAX / 2), None),
+    "rho2": Param("--rho2", number, (0.0, FLOAT_MAX), 0.0),
+}
+
+
+def param(key, value):
+    """value through PARAMS[key]'s cast if it is in range, else a ValueError naming the flag."""
+    flag, cast, (lo, hi), _ = PARAMS[key]
+    try:
+        v = cast(value)
+        if v in (lo, hi) if cast is str else lo <= v <= hi:
+            return v
+    except (TypeError, ValueError, OverflowError):
+        pass
+    span = (("positive" if lo == 5e-324 else ">= %r" % lo) if hi in (np.inf, FLOAT_MAX)
+            else "in [%r, %r]" % (lo, hi))
+    text = "%r or %r" % (lo, hi) if cast is str else (
+        "a whole number " if cast is whole else "finite and " if hi == FLOAT_MAX else "") + span
+    raise ValueError("%s must be %s, got %s" % (flag, text, reprlib.repr(value)))
+
+
 def _key(d, where, *keys, cast=None):
-    """d[k] for the first of keys in d, a JSON object, through cast when given; else a
-    ValueError that names them, or the key of a value cast refuses (float of null)."""
+    """d[k] for the first of keys in d, a JSON object, through cast when given: a type passes
+    its own values alone, and a PARAMS key (cast, else k) reads by param.  Else a ValueError
+    that names the keys, or the key of a value refused, with the reason."""
     if not isinstance(d, dict):
         raise ValueError("%s is not a JSON object" % where)
     for k in keys:
         if k in d:
+            v = d[k]
             try:
-                return d[k] if cast is None else cast(d[k])
-            except (TypeError, ValueError, OverflowError):
-                raise ValueError("%s key %r is not a %s: %s" % (
-                    where, k, cast.__name__.replace("_", " "), reprlib.repr(d[k]))) from None
+                if (cast or k) in PARAMS:
+                    return param(cast or k, v)
+                if isinstance(cast, type) and type(v) is not cast:
+                    raise TypeError
+                return v if cast is None else cast(v)
+            except (TypeError, ValueError, OverflowError) as exc:
+                why = "refused: %s" % exc if str(exc) else "not a %s: %s" % (
+                    cast.__name__.replace("_", " "), reprlib.repr(v))
+                raise ValueError("%s key %r is %s" % (where, k, why)) from None
     raise ValueError("%s has no %s key" % (where, " or ".join(map(repr, keys))))
 
 

@@ -18,10 +18,8 @@ for every x
 
 and that maximum is a fractional knapsack solved by sorting grad f / c
 (Dantzig 1957).  The result carries the value f(x) <= P* and this certified
-upper bound.  The aggregate X = sum_t x_t A_t and the gradient are products
-with the stacked factors of the arrivals (A_t = L_t L_t^T): O(n^2 sum(k))
-work from n x sum(k) data, where products with the dense m x n x n stack move
-m n^2 floats.
+upper bound.  X = sum_t x_t A_t and the gradient are O(n^2 sum(k)) products
+with the arrivals' stacked factors (A_t = L_t L_t^T), not with the m n^2 stack.
 
 Audits replay a recorded decision sequence from scratch and check every
 inequality the guarantees rest on.  The replay is dense in the aggregates
@@ -31,9 +29,7 @@ A purchase enters U as x_t L_t L_t^T, so it reads no A_t at all.  The duals
 are the paper's one chain Y_t = grad H_S(U_t) from Y_0 = y(0) I, as in the
 engines.  Each block stacks the factors of its own arrivals, so the audit
 never holds the m x n x n stack of the whole run, nor a copy of all its
-factors.  That the duals fall in the Loewner order (PSD-DR) is certified per
-block by one eigvalsh of a seed gap and one shifted batched Cholesky of every
-gap (see _min_y_gap).
+factors.  _min_y_gap certifies per block that the duals fall in the Loewner order.
 """
 
 from dataclasses import dataclass, field, fields
@@ -44,7 +40,7 @@ from .budget import b_prime, g_conj, gs_prime, gs_value
 # hs_trace_lift is unused here; it stays bound because the perfbench tracer
 # rebinds oracle.hs_trace_lift (tests/test_bench.py checks every name the tracer binds)
 from .lowner import _plus_identity, grad_hs, hs_eval, hs_trace_lift, y_eval  # noqa: F401
-from .objectives import _key, float_array, h_conj, h_eval, h_prime, psd_eigs
+from .objectives import _key, float_array, h_conj, h_eval, h_prime, number, param, psd_eigs
 
 DEFAULT_TOLS = {
     "budget": 1e-9,
@@ -85,8 +81,7 @@ class Instance:
     def __post_init__(self):
         if not self.arrivals:
             raise ValueError("instance needs at least one arrival")
-        if not 0.0 < self.b < np.inf:
-            raise ValueError("budget --b must be finite and positive, got %r" % (self.b,))
+        param("b", self.b)
         n = self.arrivals[0].n
         for t, a in enumerate(self.arrivals):
             if a.n != n:
@@ -146,9 +141,9 @@ def instance_from_dict(d):
     arrivals = []
     for t, e in enumerate(_key(d, "instance", "arrivals", cast=list)):
         where = "arrival %d" % t
-        L, c = _key(e, where, "L", "A", cast=float_array), _key(e, where, "c", cast=float)
+        L, c = _key(e, where, "L", "A", cast=float_array), _key(e, where, "c", cast=number)
         arrivals.append((Arrival if "L" in e else Arrival.from_matrix)(L, c))
-    return Instance(arrivals, _key(d, "instance", "b", cast=float))
+    return Instance(arrivals, _key(d, "instance", "b"))
 
 
 def project_box_budget(v, c, b):
@@ -358,29 +353,16 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     at the replayed z = gs'(u): u changes only on a purchase, which recomputes
     z, and gs'(0) = 0 is the initial z.
 
-    The replay runs over blocks of AUDIT_BLOCK_FLOATS / (n max(n, k))
-    consecutive steps, k the run's largest rank, so that the n x n dual
-    gathered for each step and its factor hold at most AUDIT_BLOCK_FLOATS
-    floats.  In each block the aggregates U_k and spends u_k after its
-    purchases are running sums (np.cumsum, in stream order, from the totals
-    carried in) of the purchased x_t L_t L_t^T alone, and the duals
+    The replay runs over blocks of _audit_block steps.  In each block the
+    aggregates U_k and spends u_k after its purchases are running sums
+    (np.cumsum, in stream order, from the totals carried in), and the duals
     Y_k = grad H_S(U_k) and z_k = gs'(u_k) come from one stacked grad_hs call
-    and one array gs_prime call.  grad_hs sums one batched inverse per atom
-    for a measure of at most lowner.RESOLVENT_ATOMS atoms, and lifts y
-    through one stacked eigh of the U_k for more.  Every price is then a sum
-    of l^T Y l over a step's factor columns l, with Y the duals in force at
-    that step: one batched product over the block's factors, stacked from its
-    arrivals and zero-padded to the block's largest rank.  _min_y_gap checks
-    the differences Y_{k-1} - Y_k with one eigvalsh of a seed gap and one
-    shifted batched Cholesky, and takes one batched eigvalsh of them all only
-    where that Cholesky fails; min_y_gap reports the exact eigenvalue it
-    computed, and y_monotone tests the certified bound below it.  Y starts
-    where the engines' does, at Y0 = grad H_S(0) = y(0) I, so every dual the
-    replay uses, the sim check's included, is grad H_S of a replayed
-    aggregate.  A rejected step leaves both duals as they are and adds
-    exactly 0 to the Y gap and the z step.  H_S(U), h*, the primal value H(U)
-    and lambda_max(U) at the end share one eigh of the final U.  As in the
-    engines, a budget smoother built for another objective is refused.
+    and one array gs_prime call; every price is one batched _prices product
+    with the duals in force at its step.  min_y_gap reports the exact
+    eigenvalue _min_y_gap computed, and y_monotone tests its certified bound.
+    A rejected step adds exactly 0 to the Y gap and the z step.  H_S(U), h*,
+    H(U) and lambda_max(U) at the end share one eigh of the final U.  As in
+    the engines, a budget smoother built for another objective is refused.
     """
     decisions = np.asarray(decisions, dtype=float)
     if decisions.shape != (inst.m,):

@@ -341,8 +341,8 @@ BAD_INSTANCES = {
 
 
 @pytest.mark.parametrize("argv,name", [
-    (["design", "--objective", "dopt", "--gamma", "2", "--umax", "inf"], "u_max"),
-    (["run", "--n", "0"], "n"),
+    (["design", "--objective", "dopt", "--gamma", "2", "--umax", "inf"], "--umax"),
+    (["run", "--n", "0"], "--n"),
     # aopt is pmean at p = 1 and has no other p, so no label names one
     (["design", "--objective", "aopt3", "--gamma", "2", "--umax", "5"], "--objective"),
     (["run", "--density", "7"], "--density"),
@@ -358,7 +358,7 @@ BAD_INSTANCES = {
     (["run", "--instance", "no-factor.json"], "'L'"),
     (["run", "--instance", "two-n.json"], "n"),
     (["run", "--instance", "no-b.json", "--seed", "3"], "--seed"),
-    (["run", "--m", "0"], "m"),
+    (["run", "--m", "0"], "--m"),
     # the budget penalty's quadrature and its check disagree at these budgets
     (["run", "--b", "1e20"], "--b"),
     (["bench", "--b", "1e300", "--n", "3", "--m", "5"], "--b"),
@@ -388,6 +388,30 @@ BAD_INSTANCES = {
     # numpy's own message for a negative seed names no parameter
     (["run", "--seed", "-1"], "--seed"),
     (["bench", "--config", "negative-seed.json"], "--seed"),
+    (["design", "--gamma", "0.5", "--umax", "5"], "--gamma"),
+    (["design", "--gamma", "2", "--umax", "5", "--q", "1"], "--q"),
+    (["design", "--gamma", "2", "--umax", "5", "--variant", "seq"], "--rho2"),
+    (["design", "--gamma", "2", "--umax", "5", "--variant", "seq", "--rho2", "nan"], "--rho2"),
+    (["design", "--gamma", "2", "--umax", "5", "--variant", "foo"], "--variant"),
+    (["bench", "--variant", "foo"], "--variant"),
+    # a size past its cap, before anything is allocated
+    (["run", "--n", "1000000000000"], "--n"),
+    (["run", "--m", "1000000000000"], "--m"),
+    (["design", "--gamma", "2", "--umax", "5", "--q", "100000000"], "--q"),
+    (["bench", "--d", "100000000"], "--d"),
+    (["bench", "--repeats", "100000000"], "--repeats"),
+    # a repeated entry would run twice and write its CSV rows twice
+    (["bench", "--n", "3", "--m", "5", "--variant", "sim,sim"], "--variant"),
+    (["bench", "--n", "3", "--m", "5", "--gamma", "1,1"], "--gamma"),
+    (["curve", "--gamma", "2,2", "--umax", "5", "--out", os.devnull], "--gamma"),
+    # the design grid's midpoints, and gamma h(u_max) in its cuts, leave the float range
+    (["design", "--gamma", "2", "--umax", "1e308"], "--umax"),
+    (["design", "--gamma", "1e308", "--umax", "10"], "--gamma"),
+    (["design", "--gamma", "2", "--umax", "10", "--variant", "seq", "--rho2", "1e307"],
+     "--rho2"),
+    # the budget penalty's rate gamma/B overflows where its scale is still normal; b' once
+    # looped on it without end
+    (["run", "--n", "3", "--m", "8", "--b", "5e-309"], "--b"),
 ], ids=["umax-inf", "n-zero", "aopt-p", "adversarial-density", "bench-adversarial-density",
         "random-density", "random-density-1e-300", "random-density-5e-324", "instance-no-b",
         "arrival-no-c", "arrival-no-factor", "arrivals-of-two-n",
@@ -396,7 +420,12 @@ BAD_INSTANCES = {
         "b-scale-underflow", "b-scale-subnormal", "b-umax-overflow", "b-scale-overflow",
         "gamma-scale-overflow",
         "instance-infinite-b", "arrival-infinite-c", "instance-arrivals-not-an-array",
-        "arrival-null-c", "arrival-object-factor", "negative-seed", "bench-config-negative-seed"])
+        "arrival-null-c", "arrival-object-factor", "negative-seed", "bench-config-negative-seed",
+        "gamma-below-1", "q-1", "seq-without-rho2", "seq-nan-rho2", "design-variant-foo",
+        "bench-variant-foo", "n-past-cap", "m-past-cap", "q-past-cap", "bench-d-past-cap",
+        "bench-repeats-past-cap", "bench-variant-twice", "bench-gamma-twice",
+        "curve-gamma-twice", "umax-past-half-the-float-range", "gamma-times-h-overflows",
+        "rho2-columns-overflow", "b-rate-overflow"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, name):
     monkeypatch.chdir(tmp_path)
     for path, instance in BAD_INSTANCES.items():
@@ -446,8 +475,10 @@ def test_run_with_a_design_file_missing_a_key_exits_2(tmp_path, capsys, key):
 
 
 @pytest.mark.parametrize("key,value", [("gamma", None), ("q", "x"), ("weights", {}),
-                                       ("residual", "x")],
-                         ids=["null-gamma", "string-q", "object-weights", "string-residual"])
+                                       ("residual", "x"), ("q", 40.5), ("gamma", True),
+                                       ("gamma", "1"), ("iterations", True)],
+                         ids=["null-gamma", "string-q", "object-weights", "string-residual",
+                              "fraction-q", "true-gamma", "string-gamma", "true-iterations"])
 def test_run_with_a_design_file_of_a_wrong_type_exits_2(tmp_path, capsys, key, value):
     path = _design(tmp_path, "seq", 1.0, 50.0)
     record = json.loads(path.read_text())
@@ -475,6 +506,8 @@ RUN_FILE_EDITS = {
     "null-gamma": lambda r: r.update(gamma=None),
     "null-nodes": lambda r: r["measure"].update(nodes=None),
     "object-decisions": lambda r: r.update(decisions={}),
+    "string-gamma": lambda r: r.update(gamma="1"),
+    "true-gamma": lambda r: r.update(gamma=True),
 }
 
 
@@ -486,8 +519,11 @@ RUN_FILE_EDITS = {
     # null reads as a nan node, which the measure refuses by name
     (["audit", "--trace", "run.json"], "null-nodes", "nodes"),
     (["audit", "--trace", "run.json"], "object-decisions", "'decisions'"),
+    # a JSON string or bool is not a number, though float() would read it as one
+    (["audit", "--trace", "run.json"], "string-gamma", "'gamma'"),
+    (["audit", "--trace", "run.json"], "true-gamma", "'gamma'"),
 ], ids=["audit-no-decisions", "audit-array", "bench-config-array", "audit-null-gamma",
-        "audit-null-nodes", "audit-object-decisions"])
+        "audit-null-nodes", "audit-object-decisions", "audit-string-gamma", "audit-true-gamma"])
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, payload,
                                                name):
     monkeypatch.chdir(tmp_path)
@@ -551,10 +587,16 @@ def test_bench_flag_dests_are_config_fields():
 CONFIG_KEYS = [f.name for f in fields(ExperimentConfig)]
 
 
+# the keys read through objectives.param as numbers or whole numbers
+NUMERIC_CONFIG_KEYS = ("n", "m", "b", "gammas", "repeats", "seed", "density", "q", "d",
+                       "umax_override")
+
+
 # null is a key's default; a value of the wrong JSON type is refused by its key, and any
 # other value runs or is refused by the check that reads it
-@pytest.mark.parametrize("value", [None, "x", [], {}, 5.5, -1, math.inf],
-                         ids=["null", "string", "array", "object", "5.5", "-1", "infinity"])
+@pytest.mark.parametrize("value", [None, "x", [], {}, 5.5, -1, math.inf, True, "2"],
+                         ids=["null", "string", "array", "object", "5.5", "-1", "infinity",
+                              "true", "string-2"])
 @pytest.mark.parametrize("key", CONFIG_KEYS)
 def test_bench_config_value_of_any_json_type_runs_or_exits_2(tmp_path, monkeypatch, capsys,
                                                              key, value):
@@ -568,7 +610,11 @@ def test_bench_config_value_of_any_json_type_runs_or_exits_2(tmp_path, monkeypat
         assert re.fullmatch(r"(\d+) runs, \1 audits passed, csv: .*\n", err), err
     else:
         assert code == 2 and err.startswith("psdalloc: error: ") and err.count("\n") == 1
-    if isinstance(value, (list, dict)) or key in ("unsmoothed_arm", "instances") and value:
+    if (isinstance(value, (list, dict)) or key == "instances" and value
+            or key == "unsmoothed_arm" and type(value) is not bool and value):
+        assert code == 2 and " %r " % key in err
+    # neither a bool nor a numeric string passes for a number
+    if key in NUMERIC_CONFIG_KEYS and type(value) in (bool, str):
         assert code == 2 and " %r " % key in err
 
 

@@ -51,9 +51,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         spec_for(variant="parallel")
     # an infinite u_max gives an infinite grid, whose near-zero tail never ends
-    for field in ("u_max", "gamma"):
+    for field, flag in (("u_max", "--umax"), ("gamma", "--gamma")):
         for value in (np.inf, np.nan):
-            with pytest.raises(ValueError, match=field):
+            with pytest.raises(ValueError, match=flag):
                 spec_for(**{field: value})
 
 

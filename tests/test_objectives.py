@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from psdalloc.objectives import (
     NotPSD,
+    PARAMS,
     RangeError,
     TraceObjective,
     h_conj,
@@ -14,6 +17,7 @@ from psdalloc.objectives import (
     h_prime,
     h_prime_drop,
     make_objective,
+    param,
 )
 from reference import grad_trace_lift, trace_lift
 
@@ -100,6 +104,27 @@ def test_a_label_names_its_objective(p, label):
 def test_make_objective_refuses_a_label_naming_objective(label):
     with pytest.raises(ValueError, match="^--objective %r " % label):
         make_objective(label)
+
+
+@pytest.mark.parametrize("key", sorted(PARAMS))
+def test_param_takes_each_end_of_its_range_and_refuses_past_it_by_flag(key):
+    p = PARAMS[key]
+    lo, hi = p.span
+    ends = [lo] + ([hi] if hi != math.inf else []) + ([p.default] if p.default is not None else [])
+    assert [param(key, v) for v in ends] == ends
+    # a value just past an end, of the wrong JSON type, or read from a JSON bool or string
+    past = [] if p.cast is str else [lo - 1 if type(lo) is int else math.nextafter(lo, -math.inf),
+                                     hi + 1 if type(hi) is int else math.nextafter(hi, math.inf)]
+    for value in past + [None, [lo], True, str(lo) if p.cast is not str else lo.upper()]:
+        with pytest.raises(ValueError, match="^%s must be " % p.flag):
+            param(key, value)
+
+
+def test_param_casts_a_whole_number_without_loss():
+    assert param("q", 40.0) == 40 and type(param("q", 40.0)) is int
+    assert param("seed", 10 ** 308) == 10 ** 308        # no upper end
+    with pytest.raises(ValueError, match="^--q "):
+        param("q", 40.5)
 
 
 @pytest.mark.parametrize("kind", ["linear", "dopt", "aopt"])
