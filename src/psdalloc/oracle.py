@@ -81,7 +81,7 @@ class Instance:
     def __post_init__(self):
         if not self.arrivals:
             raise ValueError("instance needs at least one arrival")
-        param("b", self.b)
+        self.b = param("b", self.b)
         n = self.arrivals[0].n
         for t, a in enumerate(self.arrivals):
             if a.n != n:
