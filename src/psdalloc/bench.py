@@ -36,13 +36,14 @@ def gen_adversarial(n, m, seed, b=None):
     worst-case spread the stopping budget is calibrated against.
     """
     n, m, seed = (param(k, v) for k, v in (("n", n), ("m", m), ("seed", seed)))
+    b = m / 5 if b is None else param("b", b)
     rng = np.random.default_rng(seed)
     arrivals = []
     for t in range(1, m + 1):
         eta = rng.integers(0, 2, size=n) * 2.0 - 1.0
         a = np.sqrt((m - t + 1) / n) * eta
         arrivals.append(Arrival(a[:, None], 1.0))
-    return Instance(arrivals, m / 5 if b is None else b)
+    return Instance(arrivals, b)
 
 
 def gen_random(n, m, density=PARAMS["density"].default, seed=PARAMS["seed"].default, b=None):
@@ -55,6 +56,7 @@ def gen_random(n, m, density=PARAMS["density"].default, seed=PARAMS["seed"].defa
     """
     n, m, seed = (param(k, v) for k, v in (("n", n), ("m", m), ("seed", seed)))
     density = param("density", density)
+    b = m / 5 if b is None else param("b", b)
     keep = -math.expm1(n * math.log1p(-density)) if density < 1.0 else 1.0  # 1 - (1 - d)^n
     if keep < RANDOM_MIN_KEEP:
         raise ValueError("--density %r keeps an entry of an n = %d direction with chance "
@@ -70,7 +72,7 @@ def gen_random(n, m, density=PARAMS["density"].default, seed=PARAMS["seed"].defa
                 break
         c = float(rng.uniform(0.5, 1.5))
         arrivals.append(Arrival(a[:, None], c))
-    return Instance(arrivals, m / 5 if b is None else b)
+    return Instance(arrivals, b)
 
 
 def param_list(key, v):

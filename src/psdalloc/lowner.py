@@ -18,7 +18,8 @@ resolvent sum
 
     grad H_S(M) = sum_j mu_j (lambda_j M + (1 - lambda_j) I)^-1,
 
-which grad_hs evaluates as written, or through the spectrum of M (RESOLVENT_ATOMS).
+which grad_hs_into evaluates as written, or through the spectrum of M
+(RESOLVENT_ATOMS), and grad_hs does behind its NotPSD guard.
 """
 
 from dataclasses import dataclass
@@ -121,47 +122,43 @@ def hs_trace_lift(smoothed, M):
 
 
 def grad_hs(smoothed, M):
-    """Gradient of H_S at M, or at each matrix of a stack; NotPSD as psd_eigs raises it.
+    """Gradient of H_S at M, or at each matrix of a stack: grad_hs_into behind its guard,
+    which takes S = sym(M) (refusing M not square or not finite) and one batched Cholesky
+    of S + TOL_EIG ||S||_F I (I at S = 0); where that fails, psd_eigs(S) raises NotPSD
+    unless S sits on its tolerance."""
+    S = sym(M)
+    fro = np.sqrt(np.einsum("...ij,...ij->...", S, S))
+    out = _plus_identity(S.copy(), np.where(fro > 0.0, TOL_EIG * fro, 1.0))
+    try:
+        np.linalg.cholesky(out)
+    except np.linalg.LinAlgError:
+        psd_eigs(S)
+    return grad_hs_into(smoothed.measure, S, out)     # the checked copy serves as out
 
-    A measure of at most RESOLVENT_ATOMS atoms sums its resolvents
-    mu_j (lambda_j S + (1 - lambda_j) I)^-1, S = sym(M), with one batched inverse
-    per atom, after a batched Cholesky of S + TOL_EIG ||S||_F I has checked S
-    PSD; the sum is made exactly symmetric.  A measure of more atoms applies
-    y through the spectrum: W W^T with W = V sqrt(y(w)), exactly symmetric as
-    matmul gives it (syrk).
-    """
-    measure = smoothed.measure
+
+def grad_hs_into(measure, S, out):
+    """grad H_S at each matrix of S, an exactly symmetric, finite PSD stack it does not check,
+    written into out.  At most RESOLVENT_ATOMS atoms sum mu_j (lambda_j S + (1 - lambda_j) I)^-1,
+    one batched inverse per atom, made exactly symmetric; more apply y through the spectrum,
+    W W^T with W = V sqrt(y(w)), exactly symmetric as matmul gives it (syrk)."""
     if measure.weights.size > RESOLVENT_ATOMS:
-        w, V = psd_eigs(M)
-        W = V * np.sqrt(y_eval(measure, w))[..., None, :]
-        return W @ np.swapaxes(W, -1, -2)
-    S = _checked_psd(M)
-    G = sum(mu * np.linalg.inv(_plus_identity(lam * S, 1.0 - lam))
-            for lam, mu in zip(measure.nodes, measure.weights))
-    G += np.swapaxes(G, -1, -2)
-    G *= 0.5
-    return G
+        w, V = np.linalg.eigh(S)
+        V *= np.sqrt(y_eval(measure, w))[..., None, :]
+        return np.matmul(V, np.swapaxes(V, -1, -2), out=out)
+    G = 0.0
+    for lam, mu in zip(measure.nodes, measure.weights):
+        R = np.linalg.inv(_plus_identity(np.multiply(lam, S, out=out), 1.0 - lam))
+        R *= mu
+        G = np.add(R, G, out=R)
+    np.add(G, np.swapaxes(G, -1, -2), out=out)
+    out *= 0.5
+    return out
 
 
 def _plus_identity(A, s):
     """A + s I for A one matrix or a stack, s a scalar or one per matrix; in place."""
     np.einsum("...ii->...i", A)[...] += np.asarray(s)[..., None]
     return A
-
-
-def _checked_psd(M):
-    """sym(M), once a Cholesky of S + TOL_EIG ||S||_F I (I at S = 0) passes for each S.
-
-    Where it fails psd_eigs decides, and raises NotPSD unless S sits on its
-    tolerance.
-    """
-    S = sym(M)
-    fro = np.sqrt(np.einsum("...ij,...ij->...", S, S))
-    try:
-        np.linalg.cholesky(_plus_identity(S.copy(), np.where(fro > 0.0, TOL_EIG * fro, 1.0)))
-    except np.linalg.LinAlgError:
-        psd_eigs(S)
-    return S
 
 
 def exact_measure(obj):

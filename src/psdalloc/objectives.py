@@ -170,8 +170,12 @@ def _key(d, where, *keys, cast=None):
 
 
 def float_array(v):
-    """v as an array of floats: _key's cast for a JSON array of numbers."""
-    return np.asarray(v, dtype=float)
+    """v as an array of floats: _key's cast for a JSON array of numbers, or of such arrays.
+    Each entry is a JSON int or float; numpy alone would read a bool or a numeric string."""
+    a = np.asarray(v, dtype=object)
+    if not set(map(type, a.flat)) <= {int, float}:
+        raise TypeError
+    return a.astype(float)
 
 
 def _shaped(u):

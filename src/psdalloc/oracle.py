@@ -27,9 +27,10 @@ and duals, batched over blocks of steps (see audit_run), and prices each
 step from its factor, <A_t, Y> = sum of l^T Y l over the columns l of L_t.
 A purchase enters U as x_t L_t L_t^T, so it reads no A_t at all.  The duals
 are the paper's one chain Y_t = grad H_S(U_t) from Y_0 = y(0) I, as in the
-engines.  Each block stacks the factors of its own arrivals, so the audit
-never holds the m x n x n stack of the whole run, nor a copy of all its
-factors.  _min_y_gap certifies per block that the duals fall in the Loewner order.
+engines, by grad_hs_into: sums of x L L^T pass grad_hs's guard by construction.
+Each block stacks the factors of its own arrivals, so the audit never holds
+the m x n x n stack of the whole run, nor a copy of all its factors.
+_min_y_gap certifies per block that the duals fall in the Loewner order.
 """
 
 from dataclasses import dataclass, field, fields
@@ -37,10 +38,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .budget import b_prime, g_conj, gs_prime, gs_value
-# hs_trace_lift is unused here; it stays bound because the perfbench tracer
-# rebinds oracle.hs_trace_lift (tests/test_bench.py checks every name the tracer binds)
-from .lowner import _plus_identity, grad_hs, hs_eval, hs_trace_lift, y_eval  # noqa: F401
-from .objectives import _key, float_array, h_conj, h_eval, h_prime, number, param, psd_eigs
+# grad_hs and hs_trace_lift are unused here; they stay bound because the perfbench tracer
+# rebinds both (tests/test_bench.py checks every name the tracer binds)
+from .lowner import (_plus_identity, grad_hs, grad_hs_into, hs_eval, hs_trace_lift,  # noqa: F401
+                     y_eval)
+from .objectives import (InvalidMatrix, _key, float_array, h_conj, h_eval, h_prime, number,
+                         param, psd_eigs)
 
 DEFAULT_TOLS = {
     "budget": 1e-9,
@@ -190,7 +193,7 @@ def _knapsack_max(g, c, b):
     """
     order = np.argsort(-g / c)
     g, c = g[order], c[order]
-    room = b - np.cumsum(c) + c          # budget left when item i comes up
+    room = b - (np.cumsum(c) - c)        # budget left when item i comes up, relative to b
     return float(g @ np.clip(room / c, 0.0, 1.0))
 
 
@@ -323,22 +326,25 @@ def _min_y_gap(dY):
     """(g, certified lower bound) on the least lambda_min over a stack of Y gaps.
 
     g is the exact lambda_min of the gap of least trace.  For more than one
-    gap, one batched Cholesky of dY + (slack - g) I, slack = Y_GAP_SLACK n eps
-    max(1, max|dY|), certifies every gap at least g - slack; where it fails,
-    g is the least lambda_min of one batched eigvalsh of the stack, and exact.
+    gap, one batched Cholesky of dY, shifted in place by (slack - g) I with
+    slack = Y_GAP_SLACK n eps max(1, max|dY|), certifies every gap at least
+    g - slack and leaves dY shifted; where it fails, the shift is undone and g
+    is the exact least lambda_min of one batched eigvalsh of the stack.
     """
     i = int(np.argmin(np.einsum("kii->k", dY)))
     g = float(np.linalg.eigvalsh(dY[i:i + 1])[0, 0])
     if len(dY) == 1:
         return g, g
-    scale = max(1.0, float(np.max(np.abs(dY))))
+    scale = max(1.0, float(np.max(dY)), -float(np.min(dY)))
     slack = Y_GAP_SLACK * dY.shape[-1] * np.finfo(float).eps * scale
+    kept = np.einsum("kii->ki", dY).copy()
     try:
-        np.linalg.cholesky(_plus_identity(dY.copy(), slack - g))
+        np.linalg.cholesky(_plus_identity(dY, slack - g))
+        return g, g - slack
     except np.linalg.LinAlgError:
-        g = float(np.min(np.linalg.eigvalsh(dY)[:, 0]))
-        return g, g
-    return g, g - slack
+        np.einsum("kii->ki", dY)[...] = kept        # the shift undone, exactly
+    g = float(np.min(np.linalg.eigvalsh(dY)[:, 0]))
+    return g, g
 
 
 def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
@@ -356,7 +362,7 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     The replay runs over blocks of _audit_block steps.  In each block the
     aggregates U_k and spends u_k after its purchases are running sums
     (np.cumsum, in stream order, from the totals carried in), and the duals
-    Y_k = grad H_S(U_k) and z_k = gs'(u_k) come from one stacked grad_hs call
+    Y_k = grad H_S(U_k) and z_k = gs'(u_k) come from one stacked grad_hs_into call
     and one array gs_prime call; every price is one batched _prices product
     with the duals in force at its step.  min_y_gap reports the exact
     eigenvalue _min_y_gap computed, and y_monotone tests its certified bound.
@@ -392,20 +398,26 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         e = min(s + block, m)
         x, c = decisions[s:e], costs[s:e]
         Lp = np.zeros((e - s, n, ranks[s:e].max()))    # the block's factors, zero-padded
-        for i, a in enumerate(inst.arrivals[s:e]):
-            Lp[i, :, :a.L.shape[1]] = a.L
+        for k in np.unique(ranks[s:e]):
+            idx = np.flatnonzero(ranks[s:e] == k)
+            Lp[idx, :, :k] = [inst.arrivals[s + i].L for i in idx]
         buys = x > 0.0
         buy = np.flatnonzero(buys)
         after = np.cumsum(buys)         # each step's duals after it, as rows of Ys
         before = after - buys
         Lb = Lp[buy]
-        Us = (Lb @ np.swapaxes(Lb, 1, 2)) * x[buy][:, None, None]
+        Us = Lb @ np.swapaxes(Lb, 1, 2)
+        Us *= x[buy][:, None, None]
         Us[:1] += U
-        Us = np.cumsum(Us, axis=0)      # the U carried in plus each x_t A_t, in stream order
+        np.cumsum(Us, axis=0, out=Us)   # the U carried in plus each x_t A_t, in stream order
         us = np.cumsum(np.concatenate([[u], x[buy] * c[buy]]))[1:]
-        grads = grad_hs(smoothed, Us) if buy.size else Us
+        Ys = np.empty((buy.size + 1, n, n))     # the Y carried in, then each Y_k
+        Ys[0] = Y
+        if buy.size:
+            if not np.isfinite(Us[-1]).all():   # each U_k is PSD, bounded by the last's diagonal
+                raise InvalidMatrix("matrix has non-finite entries")
+            grad_hs_into(smoothed.measure, Us, Ys[1:])
         zs = gs_prime(budget, us) if buy.size else us
-        Ys = np.concatenate([Y[None], grads])
         zb = np.concatenate([[z], zs])
         dY = Ys[:-1] - Ys[1:]                   # Y_{k-1} - Y_k at each purchase
         dz = zb[1:] - zb[:-1]
@@ -421,7 +433,7 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
             corr_sum += float(np.sum(x[buy] * (-_prices(dY, Lb) + c[buy] * dz)))
         else:
             P_after = P_before.copy()
-            P_after[buy] = _prices(grads, Lb)
+            P_after[buy] = _prices(Ys[1:], Lb)
             d_at = P_after + c * zb[after]
             scale = np.maximum(1.0, np.abs(P_before) + c * np.abs(zb[before]))
             resid = np.where(x <= 0.0, np.maximum(0.0, d_at),

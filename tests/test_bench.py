@@ -72,6 +72,18 @@ def test_random_generator_rejects_bad_density():
         gen_random(3, 5, density=1.5)
 
 
+@pytest.mark.parametrize("b", [np.nan, np.inf, 0.0, -1.0, "2", True])
+@pytest.mark.parametrize("gen", [gen_adversarial, gen_random])
+def test_generators_refuse_a_budget_before_drawing_an_arrival(gen, b, monkeypatch):
+    # b was checked only when Instance was built, after every arrival was drawn
+    made = []
+    monkeypatch.setattr(bench, "Arrival", lambda *args: made.append(args) or Arrival(*args))
+    with pytest.raises(ValueError, match="^--b must be"):
+        gen(3, 100000, seed=0, b=b)
+    assert not made
+    assert gen(3, 4, seed=0, b=1.0).b == 1.0 and len(made) == 4
+
+
 @pytest.mark.parametrize("generator", ["adversarial", "random"])
 def test_make_instance_defaults_b_to_m_over_5(generator):
     inst = make_instance(generator, 3, 10, seed=2)

@@ -64,6 +64,18 @@ def test_run_at_a_tiny_budget_reports_a_certified_p_star(tmp_path):
     assert report["ratio"] == pytest.approx(report["budget_used"] / 1e-9, rel=1e-6)
 
 
+@pytest.mark.parametrize("b", ["1e-20", "1e-300"])
+def test_run_far_below_the_costs_reports_p_star_at_the_best_density(tmp_path, capsys, b):
+    # h is linear at such a b, so P* is b times the best tr(A_t)/c_t, which is m = 8 on
+    # the adversarial stream.  A knapsack room of b - cumsum(c) + c rounds to 0 there,
+    # and the solve stopped at its start, P* = 4.5e-20, reported as certified
+    out = tmp_path / "run.json"
+    assert main(["run", "--n", "3", "--m", "8", "--b", b, "--out", str(out)]) == 0
+    assert " P* = %g " % (8.0 * float(b)) in capsys.readouterr().err
+    p_star = json.loads(out.read_text())["report"]["p_star"]
+    assert p_star == pytest.approx(8.0 * float(b), rel=1e-7, abs=0.0)
+
+
 def test_design_reports_lp_gap(tmp_path, capsys):
     out = tmp_path / "design.json"
     assert main(["design", "--objective", "aopt", "--gamma", "1.5", "--umax", "8",
@@ -508,6 +520,9 @@ RUN_FILE_EDITS = {
     "object-decisions": lambda r: r.update(decisions={}),
     "string-gamma": lambda r: r.update(gamma="1"),
     "true-gamma": lambda r: r.update(gamma=True),
+    "bool-and-string-decisions": lambda r: r.update(decisions=[True, 0.46, "0"]
+                                                    + r["decisions"][3:]),
+    "string-factor": lambda r: r["instance"]["arrivals"][0]["L"][0].__setitem__(0, "1"),
 }
 
 
@@ -516,14 +531,18 @@ RUN_FILE_EDITS = {
     (["audit", "--trace", "run.json"], [1, 2], "--trace"),
     (["bench", "--config", "run.json"], [1, 2], "--config"),
     (["audit", "--trace", "run.json"], "null-gamma", "'gamma'"),
-    # null reads as a nan node, which the measure refuses by name
-    (["audit", "--trace", "run.json"], "null-nodes", "nodes"),
+    # null is not a number, so float_array refuses it as the key's value
+    (["audit", "--trace", "run.json"], "null-nodes", "'nodes'"),
     (["audit", "--trace", "run.json"], "object-decisions", "'decisions'"),
     # a JSON string or bool is not a number, though float() would read it as one
     (["audit", "--trace", "run.json"], "string-gamma", "'gamma'"),
     (["audit", "--trace", "run.json"], "true-gamma", "'gamma'"),
+    # nor is an entry of an array, though numpy would convert both
+    (["audit", "--trace", "run.json"], "bool-and-string-decisions", "'decisions'"),
+    (["audit", "--trace", "run.json"], "string-factor", "'L'"),
 ], ids=["audit-no-decisions", "audit-array", "bench-config-array", "audit-null-gamma",
-        "audit-null-nodes", "audit-object-decisions", "audit-string-gamma", "audit-true-gamma"])
+        "audit-null-nodes", "audit-object-decisions", "audit-string-gamma", "audit-true-gamma",
+        "audit-bool-and-string-decisions", "audit-string-factor"])
 def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, payload,
                                                name):
     monkeypatch.chdir(tmp_path)

@@ -8,10 +8,10 @@ from scipy import optimize
 
 from psdalloc import lowner, oracle
 from psdalloc.bench import gen_adversarial, gen_random
-from psdalloc.budget import BudgetSmoother, b_prime, gs_prime
+from psdalloc.budget import BudgetSmoother, QuadratureError, b_prime, gs_prime
 from psdalloc.designer import DesignSpec, design_hs
 from psdalloc.lowner import AtomicMeasure, SmoothedObjective
-from psdalloc.objectives import TOL_EIG, h_eval, make_objective
+from psdalloc.objectives import TOL_EIG, InvalidMatrix, h_eval, make_objective
 from psdalloc.online import Arrival, OnlineState, run_stream
 from psdalloc.oracle import (
     DEFAULT_TOLS,
@@ -318,6 +318,13 @@ def test_continuous_opt_stop_is_relative_at_a_tiny_budget(kind):
     inst = gen_random(10, 100, 1.0, 2, 1e-9)
     res = offline_continuous_opt(inst, make_objective(kind))
     assert 0.0 < res.value <= res.upper <= res.value + OFFLINE_TOL * res.value
+
+
+def test_knapsack_room_is_relative_to_a_tiny_budget():
+    # the budget left when the second item comes up is b - 1; taken as b - 1 + 1,
+    # the first item's room b rounds to 0 as well, and so does the maximum
+    value = oracle._knapsack_max(np.array([8.0, 1.0]), np.ones(2), 1e-20)
+    assert value == pytest.approx(8e-20, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", ["dopt", "aopt"])
@@ -812,7 +819,7 @@ def test_audit_decomposes_only_after_purchases(variant):
         with pytest.MonkeyPatch.context() as mp:
             block = _small_blocks(mp, inst, steps)
             expect = audit_run(x, inst, sm, budget, variant, p_star=p_star).to_dict()
-            grads = _spy(mp, oracle, "grad_hs")
+            grads = _spy(mp, oracle, "grad_hs_into")
             eigs = _spy(mp, np.linalg, "eigvalsh")
             rep = audit_run(x, inst, sm, budget, variant, p_star=p_star)
         assert rep.passed and rep.to_dict() == expect
@@ -884,27 +891,32 @@ def test_audit_reads_no_matrix_of_a_rejected_arrival(variant, steps, monkeypatch
 
 @pytest.mark.parametrize("kind,measure", [
     ("engine", "designed"), ("none", "designed"), ("engine", "one-atom"), ("none", "one-atom"),
-], ids=["engine", "none", "engine-one-atom", "none-one-atom"])
+    ("engine", "two-atom"),
+], ids=["engine", "none", "engine-one-atom", "none-one-atom", "engine-two-atom"])
 @pytest.mark.parametrize("variant", ["seq", "sim"])
 def test_audit_decomposes_the_final_aggregate_once(variant, kind, measure, monkeypatch):
     # each block with a purchase pays, in this order: under a measure of more than
-    # RESOLVENT_ATOMS live atoms one stacked eigh of its U_k (a one-atom measure
-    # sums resolvents, after one stacked Cholesky of the U_k); one eigvalsh of its
-    # least-trace Y gap, as a stack of one; and past one gap a shifted Cholesky of
-    # all its gaps, then one eigvalsh of all of them only where that Cholesky fails.
-    # Y starts at y(0) I, so a run that opens with a rejection decomposes nothing
-    # at U = 0.  H_S(U), h*, H(U) and lambda_max share one eigh of U
+    # RESOLVENT_ATOMS live atoms one stacked eigh of its U_k, else one stacked inverse
+    # per atom and no PSD check; one eigvalsh of its least-trace Y gap, as a stack of
+    # one; and past one gap a shifted Cholesky of all its gaps, then one eigvalsh of
+    # all of them only where that Cholesky fails.  Y starts at y(0) I, so a run that
+    # opens with a rejection decomposes nothing at U = 0.  H_S(U), h*, H(U) and
+    # lambda_max share one eigh of U
     inst = _opens_with_a_rejection()
     sm, budget = engine_setup(inst, 2.0, variant)
     if measure == "one-atom":
         sm = SmoothedObjective(lowner.exact_measure(sm.base), sm.base)
-    spectral = bool(np.count_nonzero(sm.measure.weights) > lowner.RESOLVENT_ATOMS)
+    elif measure == "two-atom":
+        sm = SmoothedObjective(AtomicMeasure(np.array([0.0, 0.5]), np.array([0.5, 0.25])),
+                               sm.base)
+    atoms = np.count_nonzero(sm.measure.weights)
+    spectral = bool(atoms > lowner.RESOLVENT_ATOMS)
     assert spectral == (measure == "designed")
     x = _decisions(kind, run_stream(sm, budget, inst.arrivals, variant).decisions, inst.m)
     block = _small_blocks(monkeypatch, inst, 4)
     gaps = np.bincount(np.flatnonzero(x) // block, minlength=-(-inst.m // block))
     calls = []
-    for name in ("eigh", "eigvalsh", "cholesky"):
+    for name in ("eigh", "eigvalsh", "cholesky", "inv"):
         real = getattr(np.linalg, name)
 
         def counted(M, *args, _real=real, _name=name, **kwargs):
@@ -915,11 +927,12 @@ def test_audit_decomposes_the_final_aggregate_once(variant, kind, measure, monke
 
         monkeypatch.setattr(np.linalg, name, counted)
     audit_run(x, inst, sm, budget, variant, p_star=1.0)
-    single = [(name, M) for name, M, _ in calls if M.ndim == 2 and name != "cholesky"]
+    single = [(name, M) for name, M, _ in calls if M.ndim == 2]
     stacked = [(name, len(M), raised) for name, M, raised in calls if M.ndim == 3]
     expect = []
     for k in gaps[gaps > 0]:
-        expect += [("eigh" if spectral else "cholesky", k, False), ("eigvalsh", 1, False)]
+        expect += [("eigh", k, False)] if spectral else [("inv", k, False)] * atoms
+        expect.append(("eigvalsh", 1, False))
         if k > 1:
             # the shifted Cholesky follows the seed; read whether it failed
             raised = len(stacked) > len(expect) and stacked[len(expect)][2]
@@ -934,16 +947,49 @@ def test_audit_decomposes_the_final_aggregate_once(variant, kind, measure, monke
     assert np.allclose(single[-1][1], U, rtol=1e-12, atol=1e-12)
 
 
-def _bump_gradient_at(monkeypatch, target, bump):
-    """Add bump I to grad H_S at the aggregate target, in the audit and in the reference."""
-    def bumped(real):
-        def grad(smoothed, M):
-            at = np.all(np.isclose(M, target, rtol=1e-12, atol=1e-15), axis=(-2, -1))
-            return real(smoothed, M) + bump * at[..., None, None] * np.eye(M.shape[-1])
-        return grad
+@pytest.mark.parametrize("bought", ["every", "first"])
+@pytest.mark.parametrize("measure", ["one-atom", "designed"])
+def test_audit_raises_where_its_duals_cannot_be_formed(measure, bought):
+    # factors scaled by 1e150 put U near 1e300, where lambda U + (1 - lambda) I rounds
+    # to a singular matrix: the duals skip grad_hs's PSD check, and the audit still
+    # raises, as it did with the check, instead of returning any report
+    base = gen_random(3, 8, 1.0, 0)
+    sm, _ = engine_setup(base, 2.0, "seq")
+    if measure == "one-atom":
+        sm = SmoothedObjective(lowner.exact_measure(sm.base), sm.base)
+    inst = Instance([Arrival(a.L * 1e150, a.c) for a in base.arrivals], 1e-300)
+    budget = BudgetSmoother(sm.base, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, "seq")
+    x = np.ones(inst.m) if bought == "every" else np.eye(inst.m)[0]
+    raised = np.linalg.LinAlgError if measure == "one-atom" else QuadratureError
+    with pytest.raises(raised):
+        audit_run(x, inst, sm, budget, "seq", p_star=0.0)
 
-    monkeypatch.setattr(oracle, "grad_hs", bumped(oracle.grad_hs))
-    monkeypatch.setattr(reference, "grad_hs_lift", bumped(grad_hs_lift))
+
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_audit_refuses_an_aggregate_that_overflows(variant):
+    # each A_t is finite and their sum is not: the finite check on a block's last
+    # aggregate stands for sym's, which refused it before the duals skipped grad_hs
+    L = np.zeros((3, 1))
+    L[0, 0] = 1e154
+    inst = Instance([Arrival(L, 1.0), Arrival(L, 1.0), Arrival(np.ones((3, 1)), 1.0)], 1.0)
+    obj = make_objective("dopt")
+    sm = SmoothedObjective(lowner.exact_measure(obj), obj)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
+    with np.errstate(over="ignore"), pytest.raises(InvalidMatrix, match="non-finite"):
+        audit_run(np.ones(inst.m), inst, sm, budget, variant, p_star=0.0)
+
+
+def _bump_gradient_at(monkeypatch, target, bump):
+    """Add bump I to grad H_S at the aggregate target, in the audit (whose duals are
+    grad_hs_into's, written into out) and in the reference."""
+    def at(M):
+        hit = np.all(np.isclose(M, target, rtol=1e-12, atol=1e-15), axis=(-2, -1))
+        return bump * hit[..., None, None] * np.eye(M.shape[-1])
+
+    into = oracle.grad_hs_into
+    monkeypatch.setattr(oracle, "grad_hs_into",
+                        lambda measure, S, out: np.add(into(measure, S, out), at(S), out=out))
+    monkeypatch.setattr(reference, "grad_hs_lift", lambda sm, M: grad_hs_lift(sm, M) + at(M))
 
 
 def test_audit_finds_a_failing_gap_hidden_among_rank_deficient_ones(monkeypatch):
@@ -984,11 +1030,12 @@ def test_audit_certifies_rank_deficient_gaps_by_one_shifted_cholesky(monkeypatch
     assert np.count_nonzero(sm.measure.weights) > lowner.RESOLVENT_ATOMS
     budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, 0.0, "sim")
     x = run_stream(sm, budget, inst.arrivals, "sim").decisions
-    gaps = _spy(monkeypatch, oracle, "_min_y_gap")
+    gaps, min_y_gap = [], oracle._min_y_gap      # the gaps as they come in, before the shift
+    monkeypatch.setattr(oracle, "_min_y_gap", lambda dY: gaps.append(dY.copy()) or min_y_gap(dY))
     eigs = _spy(monkeypatch, np.linalg, "eigvalsh")
     rep = audit_run(x, inst, sm, budget, "sim", p_star=0.0)
     assert [np.shape(args[0]) for args in eigs] == [(1, n, n)]
-    ((dY,),) = gaps                                             # one block
+    (dY,) = gaps                                                # one block
     assert len(dY) == np.count_nonzero(x) > 1
     exact = float(np.min(np.linalg.eigvalsh(dY)[:, 0]))
     if np.any(x == 0.0):
@@ -996,6 +1043,22 @@ def test_audit_certifies_rank_deficient_gaps_by_one_shifted_cholesky(monkeypatch
     slack = oracle.Y_GAP_SLACK * n * np.finfo(float).eps * max(1.0, float(np.max(np.abs(dY))))
     assert exact <= rep.min_y_gap <= exact + slack
     assert rep.checks["y_monotone"] and rep.passed
+
+
+def test_min_y_gap_falls_back_on_the_gaps_as_they_came_in():
+    # the least-trace gap seeds g near -1.3 and another gap lies below it, so the
+    # shifted Cholesky fails.  Its shift of about 1.3 is undone by putting the diagonal
+    # back: subtracting it would not restore entries near 1e-3, and the fallback
+    # eigvalsh reads every gap bit for bit
+    rng = np.random.default_rng(3)
+    F = rng.standard_normal((4, 5, 5))
+    dY = 1e-3 * (F @ np.swapaxes(F, 1, 2))
+    dY[0] -= (1.3 + rng.uniform(0.0, 0.1)) * np.eye(5)
+    dY[2, 0, 0] = -2.0 - rng.uniform()
+    came = dY.copy()
+    g, bound = oracle._min_y_gap(dY)
+    assert dY.tobytes() == came.tobytes()
+    assert g == bound == np.min(np.linalg.eigvalsh(came)[:, 0]) < 0.0
 
 
 def test_audit_reports_the_exact_gap_of_a_block_with_one_purchase(monkeypatch):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from psdalloc.lowner import RESOLVENT_ATOMS, AtomicMeasure, SmoothedObjective, grad_hs
+from psdalloc.lowner import (RESOLVENT_ATOMS, AtomicMeasure, SmoothedObjective, grad_hs,
+                             grad_hs_into)
 from psdalloc.objectives import (
     TOL_EIG,
     InvalidMatrix,
@@ -35,11 +36,13 @@ def test_eig_diagonal():
 
 
 @given(a=finite, b=finite, c=finite)
+@example(a=-1.0, b=2.2641092365274003e-55, c=-1.0)
 def test_eig_2x2_quadratic_formula(a, b, c):
     # independent closed-form oracle: roots of the characteristic polynomial;
-    # the diagonal shift makes the matrix diagonally dominant, hence PSD
+    # the diagonal shift makes the matrix diagonally dominant, hence PSD, and
+    # where |b| rounds away in the shift (b = 2e-55 against 1) max restores it
     shift = abs(b) + max(-a, -c, 0.0)
-    a, c = a + shift, c + shift
+    a, c = max(a + shift, abs(b)), max(c + shift, abs(b))
     M = np.array([[a, b], [b, c]])
     tr, det = a + c, a * c - b * b
     disc = np.sqrt(max((a - c) ** 2 / 4.0 + b * b, 0.0))
@@ -173,3 +176,37 @@ def test_grad_hs_sums_resolvents_up_to_resolvent_atoms_live(nodes, weights, n, r
     d[0] = -1e-3
     with pytest.raises(NotPSD, match="-0.001 below"):
         grad_hs(sm, np.stack([stack[0, 1], np.diag(d), np.zeros((n, n))]))
+
+
+@st.composite
+def psd_sums(draw):
+    """A stack of running sums of x_t L_t L_t^T, x_t in [0, 1], built as the audit builds
+    its aggregates, and a dopt measure of 1, 2 or more than RESOLVENT_ATOMS atoms."""
+    n, k, steps = draw(st.integers(1, 6)), draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    L = rng.standard_normal((steps, n, k)) * 10.0 ** draw(st.integers(-8, 8))
+    x = rng.choice([0.0, 1.0, rng.uniform()], steps)
+    U = np.matmul(L, np.swapaxes(L, 1, 2))
+    U *= x[:, None, None]
+    np.cumsum(U, axis=0, out=U)
+    atoms = draw(st.sampled_from([1, RESOLVENT_ATOMS, RESOLVENT_ATOMS + 1, 6]))
+    nodes = draw(st.lists(st.floats(0.0, 0.95), min_size=atoms, max_size=atoms, unique=True))
+    return U, _dopt_smoothed(nodes, rng.uniform(0.1, 1.0, atoms))
+
+
+@given(psd_sums())
+def test_grad_hs_into_is_grad_hs_bit_for_bit_on_sums_of_psd_terms(case):
+    # the audit calls the kernel on its aggregates with no guard: they are exactly
+    # symmetric, so sym changes no bit, and PSD, so the guard passes.  Where
+    # lambda U + (1 - lambda) I rounds to a singular matrix both raise
+    U, sm = case
+    assert np.array_equal(U, np.swapaxes(U, -1, -2))
+    kept, out = U.copy(), np.full_like(U, np.nan)
+    try:
+        want = grad_hs(sm, U)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            grad_hs_into(sm.measure, U, out)
+        return
+    assert grad_hs_into(sm.measure, U, out) is out and out.tobytes() == want.tobytes()
+    assert U.tobytes() == kept.tobytes()
