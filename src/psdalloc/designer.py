@@ -11,16 +11,19 @@ sum_j mu_j/(1 - lambda_j) = h'(0) and mu >= 0.  The certified competitive
 ratio is then 1/(gamma/(e-1) + beta).
 
 h_S and y are linear in mu, and -h*(y) = sup_{v>=0} h(v) - v y is a supremum
-of lines, so the minimax is a semi-infinite LP in (mu, beta).  Kelley's
-cutting-plane method solves it on the certification grid: the base grid, a
-10x-denser grid, its midpoints and a geometric near-zero tail.  Every tenth
-base abscissa is seeded; after each solve the tangent cut v = u*(y_i) is added
-at every local maximum of the ratio still above the LP value.  Each cut is
-held over gamma, so the LP's entries do not grow with gamma.  One HiGHS
-model holds only the binding part of the LP (_CutLP).  The returned beta is the
-largest ratio of the best iterate on the whole certification grid, as
-beta_for_measure computes it for any fixed measure; the row duals, priced
-over every node, bound the grid optimum below.
+of lines, so the minimax is a semi-infinite LP in (mu, beta) over nodes in
+[0, 1) and abscissae in (0, u_max].  Its core takes node and abscissa values,
+never grid indices (_block, _cuts, _Ratio), so a node or abscissa off the
+grids can join it, as in the exchange method (Hettich and Kortanek, SIAM
+Review 1993).  Kelley's cutting-plane method solves it over the q nodes on the
+certification grid: the base grid, a 10x-denser grid, its midpoints and a
+geometric near-zero tail.  Every tenth base abscissa is seeded; after each
+solve the tangent cut v = u*(y_i) is added at every local maximum of the ratio
+still above the LP value.  Each cut is held over gamma, so the LP's entries do
+not grow with gamma.  One HiGHS model holds only the binding part of the LP
+(_CutLP).  The returned beta is the largest ratio of the best iterate on the
+whole certification grid, as beta_for_measure computes it for any fixed
+measure; the row duals, priced over every node, bound the grid optimum below.
 """
 
 from dataclasses import dataclass
@@ -53,7 +56,7 @@ class DesignSpec:
         if (self.variant == "seq") != (self.rho2 > 0.0):
             raise ValueError("--variant %s takes %s, got --rho2 %r" % (
                 self.variant, "--rho2 > 0" if self.variant == "seq" else "no --rho2", self.rho2))
-        # _Tableau's columns hold Phi_j + rho2 u a_j Psi_j <= (1 + rho2) q^2 u, and that over
+        # _block's columns hold Phi_j + rho2 u a_j Psi_j <= (1 + rho2) q^2 u, and that over
         # h(u); u/h(u) is largest at u_max, as h is concave
         u, h = self.u_max, h_eval(self.objective, self.u_max)
         if not (1.0 + self.rho2) * self.q**2 * max(u, u / h) < np.inf:
@@ -113,9 +116,9 @@ def certification_grid(spec, dense=10):
 
 
 def beta_for_measure(spec, measure, dense=10):
-    """Certified beta of a fixed measure: the largest _Tableau.ratio of its atoms on the
-    certification grid, so a designed measure gets its design's beta bit for bit."""
-    r, _ = _Tableau(spec, certification_grid(spec, dense), measure.nodes).ratio(measure.weights)
+    """Certified beta of a fixed measure: its largest _Ratio on the certification grid,
+    so a designed measure gets its design's beta bit for bit."""
+    r, _ = _Ratio(spec, certification_grid(spec, dense))(measure)
     return float(np.max(r))
 
 
@@ -127,56 +130,50 @@ def cr_bound(gamma, beta):
     return 1.0 / (gamma / E1 + beta)
 
 
-class _Tableau:
-    """Constraint columns over (u-grid x the given nodes), built only where they are read.
+def _block(spec, u, h, lam):
+    """lin = (Phi [+ rho2 (a - Psi)])/h(u) and Psi at abscissae u (rows) and nodes lam (columns)."""
+    u = u[:, None]
+    psi = 1.0 / (u * lam + (1.0 - lam))
+    lin = phi_primitive(u, lam)
+    if spec.variant == "seq":
+        # a - Psi = u lambda a Psi exactly; the difference cancels at small u
+        lin = lin + spec.rho2 * u * lam * (1.0 / (1.0 - lam)) * psi
+    return lin / h[:, None], psi
 
-    ratio_i(mu) = gamma lin_i . mu - h*(Psi_i . mu)/h_i, with the part linear in mu
-    over gamma lin_i = (Phi_i [+ rho2 (a - Psi_i)])/h_i.  An atom's (lin, Psi)
-    column over the whole grid is built once per design, the first time the atom
-    has positive weight; a batch of cuts builds only its own rows.
+
+def _cuts(spec, u, v, lam):
+    """Rows (lin - v Psi/(gamma h), -1) over nodes lam, right sides -h(v)/(gamma h): cuts v at u."""
+    h = h_eval(spec.objective, u)
+    lin, psi = _block(spec, u, h, lam)
+    gh = spec.gamma * h
+    return (np.column_stack([lin - (v / gh)[:, None] * psi, -np.ones(u.size)]),
+            -h_eval(spec.objective, v) / gh)
+
+
+class _Ratio:
+    """ratio(u) = gamma lin(u) . mu - h*(Psi(u) . mu)/h(u) of a measure mu at the abscissae u.
+
+    An atom's (lin, Psi) column is built the first time a measure holds its node,
+    and cached by the node's value.  Stacked in node order, the columns give bit
+    for bit the products of one fresh _block of the measure's nodes.
     """
 
-    def __init__(self, spec, grid, nodes):
-        self.spec = spec
-        self.nodes = nodes
-        self.u = grid
-        self.a = 1.0 / (1.0 - self.nodes)                      # y(0) coefficients
-        self.h = h_eval(spec.objective, grid)
+    def __init__(self, spec, u):
+        self.spec, self.u, self.h = spec, u, h_eval(spec.objective, u)
         self.cols = {}                                         # node -> its (lin, Psi) column
 
-    def _block(self, i, j):
-        """lin and Psi at rows i, columns j."""
-        u, lam = self.u[i, None], self.nodes[j]
-        psi = 1.0 / (u * lam + (1.0 - lam))
-        lin = phi_primitive(u, lam)
-        if self.spec.variant == "seq":
-            # a - Psi = u lambda a Psi exactly; the difference cancels at small u
-            lin = lin + self.spec.rho2 * u * lam * self.a[j] * psi
-        return lin / self.h[i, None], psi
-
-    def ratio(self, w):
-        """Every row's ratio for the weights w, and y = Psi w; reads only the columns w != 0.
-
-        The cached columns are stacked in live order, so lin, Psi and their
-        products are bit for bit those of one fresh block of the live columns.
-        """
-        live = np.flatnonzero(w)
-        new = [j for j in live if j not in self.cols]
+    def __call__(self, measure):
+        """Every abscissa's ratio for the measure, and y = Psi mu."""
+        nodes, w = measure.nodes, measure.weights
+        new = [lam for lam in nodes if lam not in self.cols]
         if new:
-            lin, psi = self._block(slice(None), np.array(new))
+            lin, psi = _block(self.spec, self.u, self.h, np.array(new))
             self.cols.update(zip(new, zip(lin.T, psi.T)))
-        lin, psi = (np.column_stack([self.cols[j][k] for j in live]) for k in (0, 1))
-        y = psi @ w[live]
+        lin, psi = (np.column_stack([self.cols[lam][k] for lam in nodes]) for k in (0, 1))
+        y = psi @ w
         with np.errstate(over="ignore"):    # past the float range at a huge gamma: beta = inf
-            lin = self.spec.gamma * (lin @ w[live])
+            lin = self.spec.gamma * (lin @ w)
         return lin - h_conj(self.spec.objective, y) / self.h, y
-
-    def cuts(self, i, v):
-        """LP rows (lin_i - v Psi_i/(gamma h_i), -1) and right sides -h(v)/(gamma h_i) of cuts v."""
-        lin, psi = self._block(i, slice(None))
-        gh = self.spec.gamma * self.h[i]
-        return (np.column_stack([lin - (v / gh)[:, None] * psi, -np.ones(i.size)]),
-                -h_eval(self.spec.objective, v) / gh)
 
 
 def _dense(block):
@@ -202,7 +199,7 @@ class _CutLP:
 
     TOL = 1e-8       # HiGHS's primal and dual feasibility tolerances
 
-    def __init__(self, a, h_prime0):
+    def __init__(self, spec, nodes):
         # imported here, not at module level: scipy.optimize roughly quadruples
         # the import time of the package, and only designing needs it.  The
         # incremental interface is private to scipy; tests/test_designer.py pins it.
@@ -222,9 +219,10 @@ class _CutLP:
         # presolve was most of each cold first solve on these small dense LPs;
         # the designs come out bit-identical without it
         hs.setOptionValue("presolve", "off")
-        q = a.size
+        q, h_prime0 = nodes.size, spec.objective.h_prime0
         self.cols = np.append(q, np.arange(0, q, 5))     # each model column in a full row: t, nodes
-        self.a, self.eq, self.h_prime0 = a, np.append(a, 0.0), h_prime0
+        self.a = a = 1.0 / (1.0 - nodes)                 # y(0) coefficients
+        self.spec, self.nodes, self.eq, self.h_prime0 = spec, nodes, np.append(a, 0.0), h_prime0
         self.flags = ("this --gamma, --umax and --rho2 (cut entries grow with u_max, which run "
                       "and bench derive from --b, and under seq with rho2)")
         k = self.cols.size
@@ -236,7 +234,9 @@ class _CutLP:
         self.pending = np.empty(0, dtype=int)   # nodes that enter at the next solve
         self.added = 0                          # cuts ever added
 
-    def add(self, rows, rhs):
+    def add(self, u, v):
+        """Add the tangent cuts v at the abscissae u, each row over every node."""
+        rows, rhs = _cuts(self.spec, u, v, self.nodes)
         k = rhs.size
         self.highs.addRows(k, np.full(k, -self.inf), rhs, *_dense(rows[:, self.cols]))
         self.rows = np.vstack([self.rows, rows])
@@ -308,37 +308,36 @@ def design_hs(spec):
         # with weight 1; every ratio is then exactly gamma.
         return DesignResult(exact_measure(obj), float(spec.gamma), float(spec.gamma), 0, spec,
                             cuts=0)
-    if not spec.gamma * h_eval(obj, spec.u_max) < np.inf:   # _Tableau.cuts divides by it
+    if not spec.gamma * h_eval(obj, spec.u_max) < np.inf:   # _cuts divides by it
         raise ValueError("--gamma %r and --umax %r put the design's cuts past the float range"
                          % (spec.gamma, spec.u_max))
-    base, grid = design_grid(spec), certification_grid(spec)
-    tab = _Tableau(spec, grid, np.arange(spec.q) / spec.q)
-    lp = _CutLP(tab.a, obj.h_prime0)
-    seeds = np.searchsorted(grid, base[::10])
-    lp.add(*tab.cuts(seeds, base[::10]))
-    lp.add(*tab.cuts(seeds, np.zeros(seeds.size)))
-    best_w, best_F, lb = None, np.inf, -np.inf
+    ratio = _Ratio(spec, certification_grid(spec))
+    lp = _CutLP(spec, np.arange(spec.q) / spec.q)
+    seeds = design_grid(spec)[::10]
+    lp.add(seeds, seeds)
+    lp.add(seeds, np.zeros(seeds.size))
+    best, best_F, lb = None, np.inf, -np.inf
     for solves in range(1, DESIGN_MAX_SOLVES + 1):
         x, lp_lb = lp.solve()
         lb = max(lb, spec.gamma * lp_lb)
         t = spec.gamma * float(x[-1])
         w = np.maximum(x[:-1], 0.0)
-        w *= obj.h_prime0 / float(tab.a @ w)
-        r, y = tab.ratio(w)
+        w *= obj.h_prime0 / float(lp.a @ w)
+        measure = AtomicMeasure(lp.nodes, w)
+        r, y = ratio(measure)
         if float(np.max(r)) < best_F:
-            best_w, best_F = w, float(np.max(r))
+            best, best_F = measure, float(np.max(r))
         step = DESIGN_TOL * max(1.0, abs(t))
         peak = np.r_[r[:-1] >= r[1:], True] & np.r_[True, r[1:] >= r[:-1]]
         hot = np.flatnonzero(peak & (r > t + step))
         if best_F - lb <= step or hot.size + lp.pending.size == 0:   # certified, or stuck
             break
         if hot.size:
-            lp.add(*tab.cuts(hot, h_conj_prime(obj, y[hot])))
-    if best_w is None:
+            lp.add(ratio.u[hot], h_conj_prime(obj, y[hot]))
+    if best is None:
         raise ValueError("--gamma %r puts every design ratio past the float range" % spec.gamma)
     # the grid optimum is at most best_F; lb alone can pass it by rounding once the gap closes
-    return DesignResult(AtomicMeasure(tab.nodes, best_w), best_F, min(lb, best_F), solves, spec,
-                        cuts=lp.added)
+    return DesignResult(best, best_F, min(lb, best_F), solves, spec, cuts=lp.added)
 
 
 def design_to_dict(result):

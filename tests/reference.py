@@ -8,8 +8,8 @@ lowner.grad_hs's resolvent sums.  trace_lift and grad_trace_lift are the
 unsmoothed gain H(M) = sum_i h(lambda_i(M)) and its gradient, and
 offline_integer_opt is the exhaustive 0/1 optimum of a small instance.
 constraint_values is the design ratio written with y_eval and hs_eval,
-independently of the designer's tableau.  reference_audit_run is
-oracle.audit_run as a step-by-step loop, the reference for its block replay.
+independently of the designer's columns (designer._block).  reference_audit_run
+is oracle.audit_run as a step-by-step loop, the reference for its block replay.
 EagerState is the engines' step rules with gs' evaluated at every purchase,
 the reference for the decisions OnlineState settles from its bracket on gs'.
 """

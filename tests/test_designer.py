@@ -11,13 +11,17 @@ from hypothesis import strategies as st
 
 import psdalloc
 
+from psdalloc import designer
 from psdalloc.designer import (
     DESIGN_TOL,
     DesignSpec,
     _CutLP,
-    _Tableau,
+    _Ratio,
+    _block,
+    _cuts,
     _tail_grid,
     beta_for_measure,
+    certification_grid,
     cr_bound,
     design_from_dict,
     design_grid,
@@ -31,6 +35,7 @@ from reference import constraint_values
 # small but representative problem size so each design solves in < 1 s
 Q, D, UMAX = 40, 60, 8.0
 NODES = np.arange(Q) / Q
+OFF_GRID = np.sort(np.append(NODES, [1.0 / 3.0, 0.123, 0.995]))   # three nodes off the j/q grid
 
 
 def spec_for(kind="dopt", gamma=2.0, variant="sim", rho2=0.0, u_max=UMAX):
@@ -178,51 +183,52 @@ def test_lp_design_is_certified_and_tight(args, fallback_beta):
 def test_tableau_ratio_matches_constraint_values(kind, variant, rho2):
     spec = spec_for(kind=kind, gamma=3.0, variant=variant, rho2=rho2)
     grid = np.concatenate([np.geomspace(1e-8, 1e-2, 25), design_grid(spec)])
-    tab = _Tableau(spec, grid, NODES)
     rng = np.random.default_rng(5)
-    for _ in range(3):
-        w = rng.random(Q) * (rng.random(Q) < 0.3)
-        w *= spec.objective.h_prime0 / (tab.a @ w)
-        r, y = tab.ratio(w)
-        measure = AtomicMeasure(tab.nodes, w)
-        assert np.allclose(y, y_eval(measure, grid), rtol=1e-14, atol=0.0)
-        assert np.allclose(r, constraint_values(spec, measure, grid), rtol=1e-12, atol=0.0)
+    for nodes in (NODES, OFF_GRID):
+        ratio, off = _Ratio(spec, grid), ~np.isin(nodes, NODES)   # off-grid atoms always live
+        for _ in range(3):
+            w = rng.random(nodes.size) * ((rng.random(nodes.size) < 0.3) | off)
+            w *= spec.objective.h_prime0 / (w @ (1.0 / (1.0 - nodes)))
+            measure = AtomicMeasure(nodes, w)
+            r, y = ratio(measure)
+            assert np.allclose(y, y_eval(measure, grid), rtol=1e-14, atol=0.0)
+            assert np.allclose(r, constraint_values(spec, measure, grid), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("kind,variant,rho2", [("aopt", "sim", 0.0), ("dopt", "seq", 5.0)])
 def test_design_builds_each_atoms_column_once(monkeypatch, kind, variant, rho2):
     # a design-sweep spec at perfbench's full scale: its live atoms persist across solves
     spec = DesignSpec(make_objective(kind), 2.0, 10.0, 100, 200, variant, rho2)
-    built, block = [], _Tableau._block
+    grid, built = certification_grid(spec), []
 
-    def spy(self, i, j):
-        if isinstance(i, slice):          # a whole-grid column, not a batch of cut rows
-            built.extend(np.asarray(j).tolist())
-        return block(self, i, j)
+    def spy(s, u, h, lam):
+        if np.array_equal(u, grid):       # columns over the whole grid, not a batch of cut rows
+            built.extend(lam.tolist())
+        return _block(s, u, h, lam)
 
-    monkeypatch.setattr(_Tableau, "_block", spy)
+    monkeypatch.setattr(designer, "_block", spy)
     res = design_hs(spec)
     assert res.iterations > 1
     assert len(built) == len(set(built))
-    assert set(np.rint(res.measure.nodes * spec.q).astype(int).tolist()) <= set(built)
+    assert set(res.measure.nodes.tolist()) <= set(built)
 
 
 def test_cached_columns_give_the_ratio_of_a_fresh_block():
     spec = spec_for(kind="aopt", gamma=3.0, variant="seq", rho2=5.0)
     grid = np.concatenate([np.geomspace(1e-8, 1e-2, 25), design_grid(spec)])
-    tab = _Tableau(spec, grid, NODES)
+    ratio, h = _Ratio(spec, grid), h_eval(spec.objective, grid)
     rng, read = np.random.default_rng(11), 0
     for _ in range(5):
         w = rng.random(Q) * (rng.random(Q) < 0.3)
-        w *= spec.objective.h_prime0 / (tab.a @ w)
-        r, y = tab.ratio(w)
-        live = np.flatnonzero(w)
-        read += live.size
-        lin, psi = tab._block(slice(None), live)
-        y_fresh = psi @ w[live]
-        r_fresh = spec.gamma * (lin @ w[live]) - h_conj(spec.objective, y_fresh) / tab.h
+        w *= spec.objective.h_prime0 / (w @ (1.0 / (1.0 - NODES)))
+        measure = AtomicMeasure(NODES, w)
+        r, y = ratio(measure)
+        read += measure.nodes.size
+        lin, psi = _block(spec, grid, h, measure.nodes)
+        y_fresh = psi @ measure.weights
+        r_fresh = spec.gamma * (lin @ measure.weights) - h_conj(spec.objective, y_fresh) / h
         assert np.array_equal(y, y_fresh) and np.array_equal(r, r_fresh)
-    assert len(tab.cols) < read          # later supports met cached columns
+    assert len(ratio.cols) < read          # later supports met cached columns
 
 
 SWEEP_SPECS = [("dopt", 1.0, "sim", 0.0), ("dopt", 2.0, "sim", 0.0), ("dopt", 4.0, "sim", 0.0),
@@ -252,8 +258,8 @@ def test_design_with_atoms_outside_the_start_set_is_certified():
     # the LP starts on every fifth node; these atoms entered by pricing
     spec = spec_for(kind="aopt", gamma=1.5)
     res = design_hs(spec)
-    start = _CutLP(np.ones(Q), 1.0).cols[1:]
-    assert not np.isin(np.rint(res.measure.nodes * spec.q), start).all()
+    lp = _CutLP(spec, NODES)
+    assert not np.isin(res.measure.nodes, lp.nodes[lp.cols[1:]]).all()
     assert res.beta - res.beta_lb <= DESIGN_TOL * max(1.0, res.beta)
     assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
 
@@ -320,61 +326,63 @@ def test_cut_lp_warm_resolves_match_cold_linprog():
     from scipy.optimize import linprog
 
     spec = spec_for(kind="dopt", gamma=2.0)
-    h0 = spec.objective.h_prime0
-    tab = _Tableau(spec, design_grid(spec), NODES)
-    q = tab.a.size
-    every = np.arange(tab.u.size)
-    rng = np.random.default_rng(3)
-    batches = [tab.cuts(every, tab.u), tab.cuts(every, np.zeros(every.size))]
-    for _ in range(5):
-        i = np.sort(rng.choice(every, 12, replace=False))
-        batches.append(tab.cuts(i, tab.u[i] * rng.uniform(0.2, 5.0, i.size)))
+    h0, u = spec.objective.h_prime0, design_grid(spec)
 
-    def cold(cols, rows, rhs):
-        t = cols == q
+    def cold(a, cols, rows, rhs):
+        t = cols == a.size
         res = linprog(t.astype(float), A_ub=rows[:, cols], b_ub=rhs,
-                      A_eq=np.append(tab.a, 0.0)[None, cols], b_eq=[h0],
+                      A_eq=np.append(a, 0.0)[None, cols], b_eq=[h0],
                       bounds=[(None, None) if ti else (0.0, None) for ti in t],
                       method="highs", options=TOLS)
         assert res.status == 0
         return res.fun
 
-    lp = _CutLP(tab.a, h0)
-    start = lp.cols.copy()
-    every_row, every_rhs = np.empty((0, q + 1)), np.empty(0)
-    most_rows, entered = 0, False
-    for rows, rhs in batches:
-        lp.add(rows, rhs)
-        every_row, every_rhs = np.vstack([every_row, rows]), np.append(every_rhs, rhs)
-        most_rows = max(most_rows, lp.rhs.size)
-        x, lb = lp.solve()
-        # the model holds t/gamma, its columns and its live rows, and the warm value is theirs
-        assert lp.rows.shape == (lp.rhs.size, q + 1)
-        assert lp.highs.getNumRow() == 1 + lp.rhs.size and lp.highs.getNumCol() == lp.cols.size
-        assert lp.cols[0] == q and np.unique(lp.cols).size == lp.cols.size
-        assert x[-1] == pytest.approx(cold(lp.cols, lp.rows, lp.rhs), abs=1e-9)
-        assert np.all(np.delete(x, lp.cols) == 0.0) and np.all(x[:q] >= -1e-12)
-        assert tab.a @ x[:q] == pytest.approx(h0, abs=1e-8)
-        assert np.all(lp.rows @ x <= lp.rhs + 1e-8)
-        # weak duality: the bound holds for the LP over every node and every cut added
-        full = cold(np.arange(q + 1), every_row, every_rhs)
-        assert lb <= full + 1e-10
-        if lp.pending.size == 0:
-            # no node prices in: the held LP is the full one, and the bound is tight
-            assert x[-1] <= full + 1e-9 and lb >= x[-1] - 1e-7
-        assert not np.isin(lp.pending, lp.cols).any()
-        entered |= lp.cols.size > start.size
-    assert lp.added == every_rhs.size == 2 * tab.u.size + 5 * 12
-    # both edits ran: some node entered past the start set, and some cut left
-    assert entered and np.array_equal(lp.cols[:start.size], start)
-    assert lp.rhs.size < most_rows
+    for nodes in (NODES, OFF_GRID):
+        q, a, rng = nodes.size, 1.0 / (1.0 - nodes), np.random.default_rng(3)
+        batches = [(u, u), (u, np.zeros(u.size))]
+        for _ in range(5):
+            i = np.sort(rng.choice(u.size, 12, replace=False))
+            batches.append((u[i], u[i] * rng.uniform(0.2, 5.0, i.size)))
+        lp = _CutLP(spec, nodes)
+        start = lp.cols.copy()
+        every_row, every_rhs = np.empty((0, q + 1)), np.empty(0)
+        most_rows, entered = 0, False
+        for cut_u, v in batches:
+            lp.add(cut_u, v)
+            rows, rhs = _cuts(spec, cut_u, v, nodes)     # each cut's row over every node
+            assert np.array_equal(lp.rows[-rhs.size:], rows)
+            assert np.array_equal(lp.rhs[-rhs.size:], rhs)
+            every_row, every_rhs = np.vstack([every_row, rows]), np.append(every_rhs, rhs)
+            most_rows = max(most_rows, lp.rhs.size)
+            x, lb = lp.solve()
+            # the model holds t/gamma, its columns and its live rows, and the warm value is theirs
+            assert lp.rows.shape == (lp.rhs.size, q + 1)
+            assert lp.highs.getNumRow() == 1 + lp.rhs.size and lp.highs.getNumCol() == lp.cols.size
+            assert lp.cols[0] == q and np.unique(lp.cols).size == lp.cols.size
+            assert x[-1] == pytest.approx(cold(a, lp.cols, lp.rows, lp.rhs), abs=1e-9)
+            assert np.all(np.delete(x, lp.cols) == 0.0) and np.all(x[:q] >= -1e-12)
+            assert a @ x[:q] == pytest.approx(h0, abs=1e-8)
+            assert np.all(lp.rows @ x <= lp.rhs + 1e-8)
+            # weak duality: the bound holds for the LP over every node and every cut added
+            full = cold(a, np.arange(q + 1), every_row, every_rhs)
+            assert lb <= full + 1e-10
+            if lp.pending.size == 0:
+                # no node prices in: the held LP is the full one, and the bound is tight
+                assert x[-1] <= full + 1e-9 and lb >= x[-1] - 1e-7
+            assert not np.isin(lp.pending, lp.cols).any()
+            entered |= lp.cols.size > start.size
+        assert lp.added == every_rhs.size == 2 * u.size + 5 * 12
+        # both edits ran: some node entered past the start set, and some cut left
+        assert entered and np.array_equal(lp.cols[:start.size], start)
+        assert lp.rhs.size < most_rows
 
 
 def test_cut_lp_failure_is_an_input_error_naming_gamma():
     # HiGHS drops a row with an entry past 1e15, so the LP it solves is not the
-    # one the cutting-plane loop built; here no cut is left to bound t
-    lp = _CutLP(np.ones(3), 1.0)
-    lp.add(np.array([[1e16, 0.0, 0.0, -1.0]]), np.array([0.0]))
+    # one the cutting-plane loop built; here the node-0 entry of the cut v = 0 at
+    # u = 1e30 is u/log(1 + u), about 1.4e28, and no cut is left to bound t
+    lp = _CutLP(spec_for(u_max=1e30), np.arange(3) / 3)
+    lp.add(np.array([1e30]), np.array([0.0]))
     with pytest.raises(ValueError, match=re.escape(
             "design LP failed (Unbounded, 0 of 1 cuts held) at this --gamma")):
         lp.solve()
@@ -414,7 +422,7 @@ def test_cut_lp_names_scipy_version_without_highs(monkeypatch):
 
     monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
     with pytest.raises(ImportError, match=re.escape("scipy %s" % scipy.__version__)):
-        _CutLP(np.ones(3), 1.0)
+        _CutLP(spec_for(), NODES)
 
 
 def test_import_does_not_load_scipy_optimize():

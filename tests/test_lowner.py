@@ -161,8 +161,8 @@ def test_hs_concave_nondecreasing(m, u):
 
 @given(m=measures(), u=st.floats(min_value=-5.0, max_value=-0.01))
 def test_negative_extension(m, u):
-    assert y_eval(m, u) == pytest.approx(m.y0, rel=1e-14)
-    assert hs_eval(m, u) == pytest.approx(m.y0 * u, rel=1e-12)
+    assert y_eval(m, u) == pytest.approx(m.y0, rel=1e-14, abs=0.0)
+    assert hs_eval(m, u) == pytest.approx(m.y0 * u, rel=1e-12, abs=0.0)
 
 
 def test_exact_measures_reproduce_base_derivative():

@@ -159,7 +159,7 @@ def test_h_prime_nonincreasing_and_concavity(obj, u):
 
 @given(obj=objs, u=st.floats(min_value=-10.0, max_value=-1e-6))
 def test_linear_extension_below_zero(obj, u):
-    assert h_eval(obj, u) == pytest.approx(obj.h_prime0 * u, rel=1e-12)
+    assert h_eval(obj, u) == pytest.approx(obj.h_prime0 * u, rel=1e-12, abs=0.0)
     assert h_prime(obj, u) == obj.h_prime0
 
 
