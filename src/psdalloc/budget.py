@@ -174,15 +174,12 @@ def gs_prime_bracket(s, u0, z0, u):
 
 
 def gs_second(s, u, gp):
-    """gs''(u) = r gs'(u) - scale h'(theta u), given gp = gs'(u) for scalar or array u.
+    """gs''(u) = r gs'(u) - scale h'(theta u) at a float u, given gp = gs'(u).
 
     From F' = r F + h'(theta u); gs' is an argument so that a caller holding
     it pays no second quadrature.  0 on u < 0, the right derivative at u = 0.
     """
-    if np.ndim(u) == 0:
-        return s.rate * gp - s.scale * h_prime(s.objective, s.theta * u) if u >= 0.0 else 0.0
-    u = np.asarray(u, dtype=float)
-    return np.where(u >= 0.0, s.rate * gp - s.scale * h_prime(s.objective, s.theta * u), 0.0)
+    return s.rate * gp - s.scale * h_prime(s.objective, s.theta * u) if u >= 0.0 else 0.0
 
 
 def gs_value(s, u):

@@ -16,14 +16,14 @@ of lines, so the minimax is a semi-infinite LP in (mu, beta) over nodes in
 never grid indices (_block, _cuts, _Ratio), so a node or abscissa off the
 grids can join it, as in the exchange method (Hettich and Kortanek, SIAM
 Review 1993).  Kelley's cutting-plane method solves it over the q nodes on the
-certification grid: the base grid, a 10x-denser grid, its midpoints and a
-geometric near-zero tail.  Every tenth base abscissa is seeded; after each
-solve the tangent cut v = u*(y_i) is added at every local maximum of the ratio
-still above the LP value.  Each cut is held over gamma, so the LP's entries do
-not grow with gamma.  One HiGHS model holds only the binding part of the LP
-(_CutLP).  The returned beta is the largest ratio of the best iterate on the
-whole certification grid, as beta_for_measure computes it for any fixed
-measure; the row duals, priced over every node, bound the grid optimum below.
+certification grid: a geometric near-zero tail, then 20 d abscissae spaced
+like u_i in h.  Every tenth u_i is seeded; after each solve the tangent cut
+v = u*(y_i) is added at every local maximum of the ratio still above the LP
+value.  Each cut is held over gamma, so the LP's entries do not grow with
+gamma.  One HiGHS model holds only the binding part of the LP (_CutLP).  The
+returned beta is the largest ratio of the best iterate on the whole
+certification grid, as beta_for_measure computes it for any fixed measure;
+the row duals, priced over every node, bound the grid optimum below.
 """
 
 from dataclasses import dataclass
@@ -108,11 +108,10 @@ def _tail_grid(u1):
 
 
 def certification_grid(spec, dense=10):
-    """The abscissae a beta is certified on, sorted: a geometric near-zero tail,
-    the dense-times-finer grid, its midpoints and the base grid."""
-    base, fine = design_grid(spec), design_grid(spec, dense)
-    return np.unique(np.concatenate(
-        [_tail_grid(fine[0]), fine, 0.5 * (fine[:-1] + fine[1:]), base]))
+    """The abscissae a beta is certified on, increasing: a geometric near-zero tail,
+    then design_grid(spec, 2 dense), the dense grid and its midpoints in h."""
+    fine = design_grid(spec, 2 * dense)
+    return np.concatenate([_tail_grid(fine[0]), fine])
 
 
 def beta_for_measure(spec, measure, dense=10):
@@ -293,8 +292,8 @@ class _CutLP:
 def design_hs(spec):
     """Design the measure minimizing the certified beta for this spec.
 
-    The base abscissae base[::10] are seeded with the cuts v = u_i, where the
-    exact-h measure is tangent, and v = 0; any one cut bounds the LP, so the
+    The abscissae design_grid(spec)[::10] are seeded with the cuts v = u_i, where
+    the exact-h measure is tangent, and v = 0; any one cut bounds the LP, so the
     seeds are only a warm start.  After each solve a tangent cut is added at
     every local maximum of the ratio above t + DESIGN_TOL (relative to t once
     t exceeds 1), and the nodes that price in enter the LP with them.  The

@@ -111,8 +111,8 @@ def whole(v):
 Param = namedtuple("Param", "flag cast span default")
 
 # Each external parameter, by its key in instance, design and run files.  A size's cap is
-# the largest decade at which one run at the defaults finishes (CHANGES.md); u_max's keeps
-# the design grid's midpoints finite.  b = None is m/5; u_max has no default.
+# the largest decade at which one run at the defaults finishes (CHANGES.md); u_max's lies
+# above what DesignSpec admits (q^2 u_max finite).  b = None is m/5; u_max has no default.
 FLOAT_MAX = float(np.finfo(float).max)
 PARAMS = {
     "n": Param("--n", whole, (1, 1000), 5),
@@ -193,7 +193,7 @@ def h_eval(obj, u):
         pos = np.log1p(up)
     else:
         pos = -np.expm1(-obj.p * np.log1p(up))
-    out = np.where(u < 0.0, obj.h_prime0 * u, pos)
+    out = np.where(u < 0.0, obj.h_prime0 * np.minimum(u, 0.0), pos)
     return float(out) if scalar else out
 
 

@@ -185,7 +185,7 @@ def test_criterion_09_bound_curve():
     for row in rows:
         g = row["gamma"]
         formula = 1.0 / (g / (math.e - 1.0) + g + 1.0)
-        assert row["bound_unsmoothed"] == pytest.approx(formula, rel=1e-12)
+        assert row["bound_unsmoothed"] == pytest.approx(formula, rel=1e-12, abs=0.0)
         assert row["bound_smoothed"] >= row["bound_unsmoothed"]
     # frozen arithmetic oracle for the formula at gamma = 1
     assert abs(rows[0]["bound_unsmoothed"] - 0.38730016321971794) <= 1e-4

@@ -34,11 +34,11 @@ def test_adversarial_instance_stats():
     assert inst.b == pytest.approx(m / 5)
     for t, arr in enumerate(inst.arrivals, start=1):
         assert arr.c == 1.0
-        assert np.trace(arr.A) == pytest.approx(m - t + 1, rel=1e-12)
+        assert np.trace(arr.A) == pytest.approx(m - t + 1, rel=1e-12, abs=0.0)
         assert np.linalg.matrix_rank(arr.A) == 1
     # unit costs and the decaying traces pin the density spread exactly
-    assert inst.theta == pytest.approx(1.0, rel=1e-12)
-    assert inst.Theta == pytest.approx(m, rel=1e-12)
+    assert inst.theta == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert inst.Theta == pytest.approx(m, rel=1e-12, abs=0.0)
     assert inst.rho1 == 1.0
 
 
@@ -262,7 +262,7 @@ def test_curve_rows_dopt_bounds():
     for row in rows:
         g = row["gamma"]
         expected_u = 1.0 / (g / (math.e - 1.0) + g + 1.0)
-        assert row["bound_unsmoothed"] == pytest.approx(expected_u, rel=1e-12)
+        assert row["bound_unsmoothed"] == pytest.approx(expected_u, rel=1e-12, abs=0.0)
         assert row["bound_smoothed"] >= row["bound_unsmoothed"] - 1e-12
         assert row["beta"] <= g + 1.0 + 1e-6
 
@@ -272,8 +272,8 @@ def test_curve_rows_linear_collapse():
     for row in rows:
         g = row["gamma"]
         assert row["beta"] == g
-        assert row["bound_smoothed"] == pytest.approx(cr_bound(g, g), rel=1e-12)
-        assert row["bound_unsmoothed"] == pytest.approx(cr_bound(g, g), rel=1e-12)
+        assert row["bound_smoothed"] == pytest.approx(cr_bound(g, g), rel=1e-12, abs=0.0)
+        assert row["bound_unsmoothed"] == pytest.approx(cr_bound(g, g), rel=1e-12, abs=0.0)
 
 
 def test_curve_rows_aopt_has_no_unsmoothed_bound():

@@ -41,7 +41,7 @@ def test_run_seq_reports_certified_bound(tmp_path, gamma, beta):
                       100, 200, "seq", inst.rho2)
     assert bound == cr_bound(gamma, _unsmoothed_beta(spec))
     # the rho2 term dominates: far below the sim bound for beta = gamma + 1
-    assert 1.0 / bound - gamma / (math.e - 1.0) == pytest.approx(beta, rel=1e-6)
+    assert 1.0 / bound - gamma / (math.e - 1.0) == pytest.approx(beta, rel=1e-6, abs=0.0)
     assert bound < 0.1 * cr_bound(gamma, gamma + 1.0)
 
 
@@ -61,7 +61,7 @@ def test_run_at_a_tiny_budget_reports_a_certified_p_star(tmp_path):
     assert main(["run", "--n", "3", "--m", "5", "--b", "1e-9", "--out", str(out)]) == 0
     report = json.loads(out.read_text())["report"]
     assert report["p_star"] == pytest.approx(5e-9, rel=1e-7, abs=0.0)
-    assert report["ratio"] == pytest.approx(report["budget_used"] / 1e-9, rel=1e-6)
+    assert report["ratio"] == pytest.approx(report["budget_used"] / 1e-9, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("b", ["1e-20", "1e-300"])
@@ -416,8 +416,10 @@ BAD_INSTANCES = {
     (["bench", "--n", "3", "--m", "5", "--variant", "sim,sim"], "--variant"),
     (["bench", "--n", "3", "--m", "5", "--gamma", "1,1"], "--gamma"),
     (["curve", "--gamma", "2,2", "--umax", "5", "--out", os.devnull], "--gamma"),
-    # the design grid's midpoints, and gamma h(u_max) in its cuts, leave the float range
+    # past the cap on u_max, and gamma h(u_max) in the cuts leaves the float range
     (["design", "--gamma", "2", "--umax", "1e308"], "--umax"),
+    # below the cap, where p u_max overflows: h_eval's extension h'(0) u belongs to u < 0 only
+    (["design", "--objective", "pmean3", "--gamma", "2", "--umax", "8.9e307"], "--umax"),
     (["design", "--gamma", "1e308", "--umax", "10"], "--gamma"),
     (["design", "--gamma", "2", "--umax", "10", "--variant", "seq", "--rho2", "1e307"],
      "--rho2"),
@@ -436,7 +438,8 @@ BAD_INSTANCES = {
         "gamma-below-1", "q-1", "seq-without-rho2", "seq-nan-rho2", "design-variant-foo",
         "bench-variant-foo", "n-past-cap", "m-past-cap", "q-past-cap", "bench-d-past-cap",
         "bench-repeats-past-cap", "bench-variant-twice", "bench-gamma-twice",
-        "curve-gamma-twice", "umax-past-half-the-float-range", "gamma-times-h-overflows",
+        "curve-gamma-twice", "umax-past-half-the-float-range", "pmean3-p-umax-overflows",
+        "gamma-times-h-overflows",
         "rho2-columns-overflow", "b-rate-overflow"])
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, name):
     monkeypatch.chdir(tmp_path)

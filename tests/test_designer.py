@@ -67,7 +67,7 @@ def test_design_grid_shape_and_spacing():
     u = design_grid(spec)
     assert u.shape == (D,)
     assert np.all(np.diff(u) > 0.0)
-    assert u[-1] == pytest.approx(UMAX, rel=1e-9)
+    assert u[-1] == pytest.approx(UMAX, rel=1e-9, abs=0.0)
     # levels are equispaced in h
     lv = h_eval(spec.objective, u)
     assert np.allclose(np.diff(lv), lv[0], rtol=1e-9)
@@ -112,7 +112,7 @@ def test_dopt_beta_bound_and_certificate(gamma):
     res = design_hs(spec)
     assert res.beta <= gamma + 1.0 + 1e-6
     assert not res.flagged and res.residual <= 1e-6
-    # certified: the 10x-denser grid never exceeds beta
+    # certified: no ratio on the certification grid exceeds beta
     assert beta_for_measure(spec, res.measure, dense=10) <= res.beta + 1e-9
     # measure is normalized to the base slope
     assert res.measure.y0 == pytest.approx(spec.objective.h_prime0, abs=1e-7)
@@ -243,6 +243,16 @@ def test_beta_for_measure_gives_a_design_its_beta(kind, gamma, variant, rho2):
     spec = DesignSpec(make_objective(kind), gamma, 10.0, 100, 200, variant, rho2)
     res = design_hs(spec)
     assert beta_for_measure(spec, res.measure) == res.beta
+
+
+@pytest.mark.parametrize("kind,gamma,variant,rho2", SWEEP_SPECS,
+                         ids=["-".join(map(str, s)) for s in SWEEP_SPECS])
+def test_sweep_beta_bounds_the_ratio_on_a_100x_finer_grid(kind, gamma, variant, rho2):
+    # the theorem needs the ratio bound at every u in (0, u_max], not only on the grid
+    spec = DesignSpec(make_objective(kind), gamma, 10.0, 100, 200, variant, rho2)
+    res = design_hs(spec)
+    r, _ = _Ratio(spec, design_grid(spec, 2000))(res.measure)
+    assert res.beta >= (1.0 - 1e-8) * float(np.max(r))
 
 
 def test_seq_design_with_steep_tail_is_certified():
@@ -415,6 +425,9 @@ def test_every_spec_designs_a_certified_measure(spec):
     res = design_hs(spec)
     assert np.isfinite(res.beta) and res.beta_lb <= res.beta
     assert beta_for_measure(spec, res.measure, dense=10) == res.beta
+    # no one-ulp twins: their rounding noise plants false local maxima to cut at
+    grid = certification_grid(spec)
+    assert np.all(np.diff(grid) >= 1e-6 * grid[1:])
 
 
 def test_cut_lp_names_scipy_version_without_highs(monkeypatch):

@@ -113,15 +113,15 @@ def test_instance_stats_lam_max_from_the_factor_matches_dense(arrivals):
     lam = np.array([float(np.linalg.eigvalsh(a.A)[-1]) for a in arrivals])
     costs = np.array([a.c for a in arrivals])
     stats = instance_stats(arrivals)
-    assert stats["rho2"] == pytest.approx(lam.max(), rel=TOL_EIG)
-    assert stats["max_lam_over_c"] == pytest.approx((lam / costs).max(), rel=TOL_EIG)
+    assert stats["rho2"] == pytest.approx(lam.max(), rel=TOL_EIG, abs=0.0)
+    assert stats["max_lam_over_c"] == pytest.approx((lam / costs).max(), rel=TOL_EIG, abs=0.0)
     for a, want in zip(arrivals, lam):
         if a.L.shape[1] == 0:    # a zero arrival: rank-0 factor, lambda_max 0
             e0 = np.eye(a.n)[:, :1]
             ref = Arrival(e0, 1e9)   # lambda_max / c = 1e-9 exactly
             assert instance_stats([a, ref])["max_lam_over_c"] == 1e-9
         else:
-            assert instance_stats([a])["rho2"] == pytest.approx(want, rel=TOL_EIG)
+            assert instance_stats([a])["rho2"] == pytest.approx(want, rel=TOL_EIG, abs=0.0)
 
 
 @pytest.mark.parametrize("gen", [lambda: gen_random(20, 200),
@@ -303,7 +303,7 @@ def test_continuous_opt_gap_certificate(kind, reference):
     inst = gen_random(50, 500, 1.0, 1, 10.0)
     res = offline_continuous_opt(inst, obj)
     assert res.value <= res.upper <= res.value + OFFLINE_TOL * max(1.0, res.value)
-    assert res.value == pytest.approx(reference, rel=1e-7)
+    assert res.value == pytest.approx(reference, rel=1e-7, abs=0.0)
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = rng.uniform(0.0, 1.0, inst.m)
@@ -439,7 +439,7 @@ def test_continuous_opt_certificate_holds_on_any_instance(case):
     c, b = inst.costs, inst.b
     assert np.all((res.x >= 0.0) & (res.x <= 1.0))
     assert float(c @ res.x) <= b * (1.0 + 1e-12) + 1e-15
-    assert res.value == pytest.approx(objective_value(obj, inst, res.x), rel=1e-12)
+    assert res.value == pytest.approx(objective_value(obj, inst, res.x), rel=1e-12, abs=0.0)
     assert res.value <= res.upper
     # the dense H agrees with the factored one to rounding, so compare at 1e-12
     for _ in range(20):
@@ -470,7 +470,7 @@ def test_continuous_opt_factored_matches_dense(kind):
     inst = _mixed_rank_instance()
     assert sorted({a.L.shape[1] for a in inst.arrivals}) == [0, 1, 3]
     res = offline_continuous_opt(inst, obj)
-    assert res.value == pytest.approx(objective_value(obj, inst, res.x), rel=1e-12)
+    assert res.value == pytest.approx(objective_value(obj, inst, res.x), rel=1e-12, abs=0.0)
     # the Frank-Wolfe gap from the dense gradient, with the knapsack filled greedily
     As = dense_stack(inst)
     X = np.tensordot(res.x, As, axes=(0, 0))
@@ -481,7 +481,7 @@ def test_continuous_opt_factored_matches_dense(kind):
         best += take * g[i]
         room -= take * inst.costs[i]
     upper = res.value + max(0.0, best - float(g @ res.x))
-    assert res.upper == pytest.approx(upper, rel=1e-10)
+    assert res.upper == pytest.approx(upper, rel=1e-10, abs=0.0)
 
 
 def test_continuous_opt_never_builds_the_dense_stack():
@@ -785,7 +785,7 @@ def test_audit_prices_at_y0_until_the_first_purchase(variant):
     prices = [y0 * np.trace(a.A) for a in inst.arrivals[:-1]]
     before = [p / (max(1.0, p) if variant == "sim" else 1.0) for p in prices]
     assert max(prices) < 1.0
-    assert rep.worst_decision_residual == pytest.approx(max(before), rel=1e-12)
+    assert rep.worst_decision_residual == pytest.approx(max(before), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("steps", [None, 3], ids=["one-block", "blocks-of-3"])
@@ -806,7 +806,8 @@ def test_audit_fails_a_changed_decision_with_the_reference_residual(variant, ste
     rep = audit_run(x, inst, sm, budget, variant, p_star=1.0)
     assert not rep.decision_consistent and not rep.checks["decisions"] and not rep.passed
     assert rep.worst_decision_residual > DEFAULT_TOLS["decision"]
-    assert rep.worst_decision_residual == pytest.approx(ref.worst_decision_residual, rel=1e-12)
+    assert rep.worst_decision_residual == pytest.approx(ref.worst_decision_residual,
+                                                        rel=1e-12, abs=0.0)
     assert_reports_match(rep, ref)
 
 
