@@ -30,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import E1
 from .lowner import (AtomicMeasure, SmoothedObjective, exact_measure, phi_primitive,
                      smoothed_from_dict, smoothed_to_dict)
 from .objectives import (PARAMS, TraceObjective, _key, h_conj, h_conj_prime,
                          h_eval, h_inverse, number, param, whole)
 
-E1 = np.e - 1.0
 DESIGN_TOL = 1e-7          # stop once the best iterate is within this times max(1, t) of the bound
 DESIGN_MAX_SOLVES = 200    # LP solves per design
 

@@ -111,8 +111,8 @@ def whole(v):
 Param = namedtuple("Param", "flag cast span default")
 
 # Each external parameter, by its key in instance, design and run files.  A size's cap is
-# the largest decade at which one run at the defaults finishes (CHANGES.md); u_max's lies
-# above what DesignSpec admits (q^2 u_max finite).  b = None is m/5; u_max has no default.
+# the largest decade at which one run at the defaults finishes (CHANGES.md); DesignSpec
+# refuses a u_max whose cuts leave the float range.  b = None is m/5; u_max has no default.
 FLOAT_MAX = float(np.finfo(float).max)
 PARAMS = {
     "n": Param("--n", whole, (1, 1000), 5),
@@ -126,7 +126,7 @@ PARAMS = {
     "variant": Param("--variant", str, ("sim", "seq"), "sim"),
     "q": Param("--q", whole, (2, 10000), 100),
     "d": Param("--d", whole, (2, 100000), 200),
-    "u_max": Param("--umax", number, (float(np.finfo(float).tiny), FLOAT_MAX / 2), None),
+    "u_max": Param("--umax", number, (float(np.finfo(float).tiny), FLOAT_MAX), None),
     "rho2": Param("--rho2", number, (0.0, FLOAT_MAX), 0.0),
 }
 

@@ -15,10 +15,12 @@ gs'(u) in place of gs'(u) itself.  Two step rules:
 Neither engine holds or decomposes U.  grad H_S is the resolvent sum
 Y = sum_j mu_j R_j with R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, and the
 state holds one R_j per atom, starting at I/(1 - lambda_j).
-Each arrival is given by its factor L (n x k), A = L L^T, so buying x A is a
-rank-k Woodbury update (Hager 1989) of every R_j and of Y; nothing is
-rebuilt.  A purchase costs O(atoms * n^2 * k), so near 50 atoms at n = 50 it
-costs as much as the eigh of U it replaces; the measures in use have at most 24.
+Each arrival is given by its factor L (n x k), A = L L^T, which is never
+formed: its price <A, Y> is the sum of l^T Y l over the columns l of L, as in
+the audit, and buying x A is a rank-k Woodbury update (Hager 1989) of every
+R_j and of Y; nothing is rebuilt.  A purchase costs O(atoms * n^2 * k), so
+near 50 atoms at n = 50 it costs as much as the eigh of U it replaces; the
+measures in use have at most 24.
 A stack of BLOCK_MIN_FLOATS floats or more holds R_j = B_j - W_j^T P_j, up to
 BLOCK_COLS pending columns that one batched product folds into B_j (the compact
 form of Byrd, Nocedal & Schnabel 1994); a smaller one, where that costs more, updates at once.
@@ -102,14 +104,14 @@ class ConfigError(ValueError):
 class Arrival:
     """A PSD matrix A = L L^T, given by its finite n x k factor L, with cost c > 0.
 
-    A is formed once, here, for the engines' prices <A, Y> alone; every
-    other reader (purchases, the audit's replay, the instance statistics)
-    works from L.  A dense matrix enters through from_matrix.
+    A is never formed: every reader (prices, purchases, the audit's replay,
+    the instance statistics) works from L.  A dense matrix enters through
+    from_matrix.
     """
 
     L: np.ndarray    # n x k
     c: float
-    A: np.ndarray = field(init=False, repr=False, compare=False)
+    col: np.ndarray = field(init=False, repr=False, compare=False)  # L[:, 0] at k = 1, else None
 
     def __post_init__(self):
         L = np.asarray(self.L, dtype=float)
@@ -119,7 +121,7 @@ class Arrival:
         if not 0.0 < self.c < np.inf:
             raise ValueError("cost c must be finite and positive, got %r" % (self.c,))
         object.__setattr__(self, "L", L)
-        object.__setattr__(self, "A", L @ L.T)
+        object.__setattr__(self, "col", L[:, 0] if L.shape[1] == 1 else None)
 
     @classmethod
     def from_matrix(cls, A, c):
@@ -143,10 +145,6 @@ class RunTrace:
     budget: object
     variant: str
     decisions: np.ndarray
-
-    @property
-    def m(self):
-        return len(self.decisions)
 
 
 class OnlineState:
@@ -182,15 +180,15 @@ class OnlineState:
         self.R -= np.swapaxes(self.W[:, :self.k], 1, 2) @ self.P[:, :self.k]
         self.k = 0
 
-    def _split(self, L):
+    def _split(self, arr):
         """P_j = R_j L Q_j and g_j, with G_j = L^T R_j L = Q_j diag(g_j) Q_j^T.
 
         Rank one needs no decomposition (Q_j = 1), and takes two matrix-vector
         products; otherwise each k x k G_j is decomposed, so the purchase
         reuses its eigenvectors.  Pending columns take W_j^T (P_j L) off R_j L.
         """
-        if L.shape[1] == 1:
-            col = L[:, 0]
+        L, col = arr.L, arr.col
+        if col is not None:
             p = self.R @ col
             if self.k:
                 p -= (np.swapaxes(self.W[:, :self.k], 1, 2) @ (self.P[:, :self.k] @ L))[:, :, 0]
@@ -213,7 +211,7 @@ class OnlineState:
         bracket grows from the last exact point to the new spend.
         """
         if x > 0.0:
-            P, g = split if split is not None else self._split(arr.L)
+            P, g = split if split is not None else self._split(arr)
             xl = x * self.lam[:, None]
             c = xl / (1.0 + xl * g)
             if P.shape[2] == 1 and self.W is None:
@@ -243,18 +241,22 @@ class OnlineState:
 
     def step_sequential(self, arr):
         """Threshold rule on the stale price; returns the decision x in {0, 1}."""
-        v, c = float(np.vdot(arr.A, self.Y)), arr.c
+        L, col, c = arr.L, arr.col, arr.c
+        v = float(self.Y.dot(col).dot(col) if col is not None else np.vdot(L, self.Y.dot(L)))
         if v + c * self.zhi <= 0.0:
-            return self._take(0.0, arr)
+            self.decisions.append(0.0)
+            return 0.0
         if not v + c * self.zlo > 0.0:
             self._close()
         return self._take(1.0 if v + c * self.zhi > 0.0 else 0.0, arr)
 
     def step_simultaneous(self, arr):
         """Fractional step maximizing Phi; returns x in [0, 1]."""
-        v = float(np.vdot(arr.A, self.Y))   # Phi'(0) = v + c gs'(u), with gs'(u) <= zhi
-        if v + arr.c * self.zhi <= 0.0:
-            return self._take(0.0, arr)
+        L, col = arr.L, arr.col
+        v = float(self.Y.dot(col).dot(col) if col is not None else np.vdot(L, self.Y.dot(L)))
+        if v + arr.c * self.zhi <= 0.0:     # Phi'(0) = v + c gs'(u), with gs'(u) <= zhi
+            self.decisions.append(0.0)
+            return 0.0
         return self._buy(arr, v)
 
     def _buy(self, arr, v):
@@ -273,7 +275,7 @@ class OnlineState:
             self._close()
             if not v + c * self.z > 0.0:
                 return self._take(0.0, arr)
-        split = self._split(arr.L)
+        split = self._split(arr)
         g, k = split[1].ravel(), split[1].shape[1]
         lam, mu, ml = (self.lam, self.mu, self.ml) if k == 1 else np.repeat(
             [self.lam, self.mu, self.ml], k, axis=1)

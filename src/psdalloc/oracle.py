@@ -80,6 +80,8 @@ class Instance:
     max_lam_over_c: float = field(init=False)
     n: int = field(init=False)
     m: int = field(init=False)
+    costs: np.ndarray = field(init=False, repr=False)    # c_t per arrival
+    ranks: np.ndarray = field(init=False, repr=False)    # k_t, the columns of L_t
 
     def __post_init__(self):
         if not self.arrivals:
@@ -89,17 +91,13 @@ class Instance:
         for t, a in enumerate(self.arrivals):
             if a.n != n:
                 raise ValueError("arrival %d has n = %d, arrival 0 has n = %d" % (t, a.n, n))
-        stats = instance_stats(self.arrivals)
-        for k, v in stats.items():
+        for k, v in instance_stats(self.arrivals).items():
             setattr(self, k, v)
-
-    @property
-    def costs(self):
-        return np.array([a.c for a in self.arrivals])
 
 
 def instance_stats(arrivals):
-    """Density bounds and caps recomputed from scratch: theta, Theta, rho1, rho2.
+    """Density bounds and caps recomputed from scratch: theta, Theta, rho1, rho2,
+    with n, m and the costs and ranks of the arrivals.
 
     theta and rho1 range over the arrivals with a positive trace: both
     engines reject a zero arrival and it adds nothing to P*, so it can set
@@ -127,6 +125,8 @@ def instance_stats(arrivals):
         "max_lam_over_c": float((lam_max / costs).max()),
         "n": arrivals[0].n,
         "m": len(arrivals),
+        "costs": costs,
+        "ranks": ranks,
     }
 
 
@@ -246,9 +246,8 @@ def offline_continuous_opt(inst, obj):
     P*, when backtracking cannot move, or after OFFLINE_MAX_ITERS gradients.
     """
     c, m = inst.costs, inst.m
-    Ls = [a.L for a in inst.arrivals]
-    Lc = np.concatenate(Ls, axis=1)
-    idx = np.repeat(np.arange(m), [L.shape[1] for L in Ls])
+    Lc = np.concatenate([a.L for a in inst.arrivals], axis=1)
+    idx = np.repeat(np.arange(m), inst.ranks)
 
     def value(x):
         f, terms = _offline_point(obj, (Lc * x[idx]) @ Lc.T, Lc)
@@ -383,8 +382,7 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         raise AuditError("decisions must lie in [0, 1]")
     obj = smoothed.base
     n, m = inst.n, inst.m
-    costs = inst.costs
-    ranks = np.array([a.L.shape[1] for a in inst.arrivals])
+    costs, ranks = inst.costs, inst.ranks
     block = _audit_block(n, ranks.max())
     U = np.zeros((n, n))
     Y0 = Y = smoothed.measure.y0 * np.eye(n)    # grad H_S(0), the engines' first dual
@@ -491,7 +489,5 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
 
 def audit_trace(trace, inst, p_star=None):
     """Audit an engine trace against the instance it was produced from."""
-    if trace.m != inst.m:
-        raise AuditError("trace has %d steps, instance has %d" % (trace.m, inst.m))
     return audit_run(trace.decisions, inst, trace.smoothed, trace.budget,
                      trace.variant, p_star=p_star)

@@ -12,6 +12,8 @@ independently of the designer's columns (designer._block).  reference_audit_run
 is oracle.audit_run as a step-by-step loop, the reference for its block replay.
 EagerState is the engines' step rules with gs' evaluated at every purchase,
 the reference for the decisions OnlineState settles from its bracket on gs'.
+engine_price is the engines' price <A, Y>, written from the factor as they
+write it, so that EagerState's prices round as theirs do.
 """
 
 from dataclasses import dataclass
@@ -84,7 +86,7 @@ def offline_integer_opt(inst, obj, max_m=22):
     m, batch = inst.m, 65536     # subsets per batched eigvalsh
     if m > max_m:
         raise CapacityError("m = %d exceeds the enumeration cap %d" % (m, max_m))
-    As, c = np.stack([a.A for a in inst.arrivals]), inst.costs
+    As, c = np.stack([a.L @ a.L.T for a in inst.arrivals]), inst.costs
     best_val, best_bits = 0.0, np.zeros(m)
     shifts = np.arange(m)
     for start in range(0, 2 ** m, batch):
@@ -145,7 +147,7 @@ def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
     worst_resid = 0.0
 
     for arr, x in zip(inst.arrivals, decisions):
-        A, c = arr.A, arr.c
+        A, c = arr.L @ arr.L.T, arr.c
         Y_new, z_new = Y, z
         if variant == "seq":
             price = float(np.vdot(A, Y)) + c * z
@@ -217,6 +219,12 @@ def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
     )
 
 
+def engine_price(arr, Y):
+    """<L L^T, Y> as the engines form it: Y l . l at rank one, else <L, Y L>."""
+    col = arr.col
+    return float(Y.dot(col).dot(col) if col is not None else np.vdot(arr.L, Y.dot(arr.L)))
+
+
 class EagerState(OnlineState):
     """OnlineState whose every price reads z = gs'(u), evaluated at each purchase.
 
@@ -231,15 +239,15 @@ class EagerState(OnlineState):
         return super()._take(x, arr, split, z)
 
     def step_sequential(self, arr):
-        price = float(np.vdot(arr.A, self.Y)) + arr.c * self.z
+        price = engine_price(arr, self.Y) + arr.c * self.z
         return self._take(1.0 if price > 0.0 else 0.0, arr)
 
     def step_simultaneous(self, arr):
-        d0 = float(np.vdot(arr.A, self.Y)) + arr.c * self.z
+        d0 = engine_price(arr, self.Y) + arr.c * self.z
         if d0 <= 0.0:
             return self._take(0.0, arr)
         c, u, s, z = arr.c, self.u, self.budget, self.z
-        split = self._split(arr.L)
+        split = self._split(arr)
         g, k = split[1].ravel(), split[1].shape[1]
         lam, mu, ml = (self.lam, self.mu, self.ml) if k == 1 else np.repeat(
             [self.lam, self.mu, self.ml], k, axis=1)

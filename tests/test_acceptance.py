@@ -169,7 +169,7 @@ def test_criterion_08_integer_baseline_sandwich():
                            inst.rho1, "seq")
         trace = run_stream(surrogate, s, inst.arrivals, "seq", inst.n)
         assert trace.decisions @ inst.costs <= inst.b + 1e-9
-        U = sum((x * a.A for a, x in zip(inst.arrivals, trace.decisions) if x > 0.0),
+        U = sum((x * (a.L @ a.L.T) for a, x in zip(inst.arrivals, trace.decisions) if x > 0.0),
                 np.zeros((inst.n, inst.n)))     # the purchases, in stream order
         alg_value = trace_lift(obj, U)
         int_value, _ = offline_integer_opt(inst, obj)

@@ -34,8 +34,8 @@ def test_adversarial_instance_stats():
     assert inst.b == pytest.approx(m / 5)
     for t, arr in enumerate(inst.arrivals, start=1):
         assert arr.c == 1.0
-        assert np.trace(arr.A) == pytest.approx(m - t + 1, rel=1e-12, abs=0.0)
-        assert np.linalg.matrix_rank(arr.A) == 1
+        assert np.trace(arr.L @ arr.L.T) == pytest.approx(m - t + 1, rel=1e-12, abs=0.0)
+        assert np.linalg.matrix_rank(arr.L @ arr.L.T) == 1
     # unit costs and the decaying traces pin the density spread exactly
     assert inst.theta == pytest.approx(1.0, rel=1e-12, abs=0.0)
     assert inst.Theta == pytest.approx(m, rel=1e-12, abs=0.0)
@@ -47,8 +47,8 @@ def test_adversarial_deterministic_in_seed():
     b = gen_adversarial(3, 6, seed=9)
     c = gen_adversarial(3, 6, seed=10)
     for x, y in zip(a.arrivals, b.arrivals):
-        np.testing.assert_array_equal(x.A, y.A)
-    assert any(not np.array_equal(x.A, y.A)
+        np.testing.assert_array_equal(x.L, y.L)
+    assert any(not np.array_equal(x.L, y.L)
                for x, y in zip(a.arrivals, c.arrivals))
 
 
@@ -58,10 +58,10 @@ def test_random_generator_costs_and_budget():
     assert len(inst.arrivals) == 25
     for arr in inst.arrivals:
         assert 0.5 <= arr.c <= 1.5
-        assert np.any(arr.A != 0.0)
+        assert np.any(arr.L @ arr.L.T != 0.0)
     again = gen_random(3, 25, density=0.6, seed=4, b=7.5)
     for x, y in zip(inst.arrivals, again.arrivals):
-        np.testing.assert_array_equal(x.A, y.A)
+        np.testing.assert_array_equal(x.L, y.L)
         assert x.c == y.c
 
 
@@ -94,7 +94,7 @@ def test_make_instance_defaults_b_to_m_over_5(generator):
 def test_make_instance_passes_density_and_seed_to_the_generator():
     inst = make_instance("random", 3, 10, 4, density=0.5)
     for x, y in zip(inst.arrivals, gen_random(3, 10, 0.5, 4).arrivals):
-        np.testing.assert_array_equal(x.A, y.A)
+        np.testing.assert_array_equal(x.L, y.L)
         assert x.c == y.c
 
 
@@ -173,7 +173,7 @@ def test_run_one_reports_the_aggregate_of_its_decisions(variant, arm):
     U, u = np.zeros((inst.n, inst.n)), 0.0
     for a, x in zip(inst.arrivals, trace.decisions):
         if x > 0.0:
-            U, u = U + x * a.A, u + x * a.c
+            U, u = U + x * (a.L @ a.L.T), u + x * a.c
     w, _ = psd_eigs(U)
     assert 0.0 < u and rep.budget_used == u
     assert rep.primal_H == float(np.sum(h_eval(obj, w)))

@@ -329,7 +329,7 @@ def test_run_with_a_matching_design_reports_its_u_max_breach(tmp_path):
     # the design certifies lambda_max(U) <= u_max = 10 only, and this run
     # goes past it, as bench gates it
     inst = instance_from_dict(payload["instance"])
-    As = np.stack([a.A for a in inst.arrivals])
+    As = np.stack([a.L @ a.L.T for a in inst.arrivals])
     U = np.tensordot(np.asarray(payload["decisions"]), As, axes=1)
     assert float(np.linalg.eigvalsh(U)[-1]) > design["u_max"] + 1e-12
     assert report["umax_breached"] is True
@@ -416,9 +416,9 @@ BAD_INSTANCES = {
     (["bench", "--n", "3", "--m", "5", "--variant", "sim,sim"], "--variant"),
     (["bench", "--n", "3", "--m", "5", "--gamma", "1,1"], "--gamma"),
     (["curve", "--gamma", "2,2", "--umax", "5", "--out", os.devnull], "--gamma"),
-    # past the cap on u_max, and gamma h(u_max) in the cuts leaves the float range
+    # within --umax's range, which ends at the float range's, but q^2 u_max overflows there
     (["design", "--gamma", "2", "--umax", "1e308"], "--umax"),
-    # below the cap, where p u_max overflows: h_eval's extension h'(0) u belongs to u < 0 only
+    # where p u_max overflows: h_eval's extension h'(0) u belongs to u < 0 only
     (["design", "--objective", "pmean3", "--gamma", "2", "--umax", "8.9e307"], "--umax"),
     (["design", "--gamma", "1e308", "--umax", "10"], "--gamma"),
     (["design", "--gamma", "2", "--umax", "10", "--variant", "seq", "--rho2", "1e307"],

@@ -24,7 +24,7 @@ from psdalloc.online import (
     run_stream,
 )
 from psdalloc.oracle import Instance, audit_trace
-from reference import EagerState, trace_lift
+from reference import EagerState, engine_price, trace_lift
 
 
 def dopt_setup(gamma=2.0, b=4.0, theta=0.5, Theta=2.0, rho1=0.0, variant="sim",
@@ -37,7 +37,8 @@ def dopt_setup(gamma=2.0, b=4.0, theta=0.5, Theta=2.0, rho1=0.0, variant="sim",
 
 def aggregate(arrivals, decisions, n):
     """U = sum of x_t A_t over the purchases, added in stream order."""
-    return sum((x * a.A for a, x in zip(arrivals, decisions) if x > 0.0), np.zeros((n, n)))
+    return sum((x * (a.L @ a.L.T) for a, x in zip(arrivals, decisions) if x > 0.0),
+               np.zeros((n, n)))
 
 
 def small_stream(rng, n=3, m=8):
@@ -54,7 +55,8 @@ def test_arrival_validation(rng):
     with pytest.raises(ValueError):
         Arrival(np.eye(2), 0.0)
     a = Arrival.from_matrix(np.array([[1.0, 0.3], [0.3001, 1.0]]), 1.0)
-    assert np.array_equal(a.A, a.A.T)
+    A = a.L @ a.L.T
+    assert np.array_equal(A, A.T)
     assert a.n == 2
     # sym and psd_eigs take stacks; an arrival is one matrix
     with pytest.raises(InvalidMatrix, match="square matrix"):
@@ -66,7 +68,8 @@ def test_arrival_validation(rng):
     v = rng.standard_normal(4)
     dense, factored = Arrival.from_matrix(np.outer(v, v), 0.7), Arrival(v[:, None], 0.7)
     assert dense.L.shape == (4, 1)
-    np.testing.assert_allclose(dense.A, factored.A, rtol=0, atol=1e-14 * np.dot(v, v))
+    np.testing.assert_allclose(dense.L @ dense.L.T, np.outer(v, v),
+                               rtol=0, atol=1e-14 * np.dot(v, v))
 
 
 def test_state_config_mismatch():
@@ -113,11 +116,10 @@ def test_sequential_straight_line_replay():
     u = 0.0
     expected = []
     for arr in inst.arrivals:
-        Y = grad_hs(sm, U)
-        z = gs_prime(budget, u)
-        if float(np.sum(arr.A * Y)) + arr.c * z > 0.0:
+        A, Y, z = arr.L @ arr.L.T, grad_hs(sm, U), gs_prime(budget, u)
+        if float(np.sum(A * Y)) + arr.c * z > 0.0:
             expected.append(1.0)
-            U = U + arr.A
+            U = U + A
             u += arr.c
         else:
             expected.append(0.0)
@@ -135,6 +137,25 @@ def test_sequential_tie_rejects():
     st = OnlineState(sm, budget, 2)
     zero = Arrival(np.zeros((2, 0)), 1.0)
     assert st.step_sequential(zero) == 0.0
+    # both engines price <A, Y> from the factor, and that price is the dense
+    # <L L^T, Y> to rounding at ranks 0, 1 and 3: with gs'(u) pinned at -p/c,
+    # an engine buys iff its price exceeds p.  Y is taken past I by purchases
+    rng = np.random.default_rng(4)
+    st = OnlineState(sm, budget, 5)
+    for L in rng.standard_normal((3, 5, 4)):
+        st.step_simultaneous(Arrival(L, 1.0))
+    assert not np.allclose(st.Y, st.Y[0, 0] * np.eye(5))
+    for k in (0, 1, 3):
+        arr = Arrival(rng.standard_normal((5, k)), 0.7)
+        dense = float(np.vdot(arr.L @ arr.L.T, st.Y))
+        tol = 1e-13 * np.sum(arr.L * arr.L) * np.abs(st.Y).max()
+        # a zero arrival prices at exactly 0, a tie
+        for p, buys in ((dense - tol, True), (dense + tol, False)) if k else ((0.0, False),):
+            for step in ("step_sequential", "step_simultaneous"):
+                probe = copy.deepcopy(st)
+                probe.u0, probe.z = probe.u, -p / arr.c
+                probe.zlo = probe.zhi = probe.z
+                assert (getattr(probe, step)(arr) > 0.0) == buys
 
 
 def test_simultaneous_grid_search_oracle(rng):
@@ -144,17 +165,17 @@ def test_simultaneous_grid_search_oracle(rng):
     st = OnlineState(sm, budget, 3)
     U0 = np.zeros((3, 3))
     for arr in small_stream(rng, n=3, m=6):
-        u0 = st.u
+        u0, A = st.u, arr.L @ arr.L.T
         x = st.step_simultaneous(arr)
         xs = np.linspace(0.0, 1.0, 10_001)
         phi = np.array([
-            hs_trace_lift(sm, U0 + t * arr.A) + gs_value(budget, u0 + t * arr.c)
+            hs_trace_lift(sm, U0 + t * A) + gs_value(budget, u0 + t * arr.c)
             for t in xs
         ])
         assert abs(x - xs[int(np.argmax(phi))]) <= 1e-4 or (
             phi.max() - phi[int(round(x * 10_000))] <= 1e-10
         )
-        U0 = U0 + x * arr.A
+        U0 = U0 + x * A
 
 
 def test_simultaneous_interior_stationarity(rng):
@@ -163,14 +184,14 @@ def test_simultaneous_interior_stationarity(rng):
     saw_interior = False
     U0 = np.zeros((3, 3))
     for arr in small_stream(rng, n=3, m=10):
-        u0 = st.u
+        u0, A = st.u, arr.L @ arr.L.T
         x = st.step_simultaneous(arr)
         if 0.0 < x < 1.0:
             saw_interior = True
-            dphi = (float(np.sum(arr.A * grad_hs(sm, U0 + x * arr.A)))
+            dphi = (float(np.sum(A * grad_hs(sm, U0 + x * A)))
                     + arr.c * gs_prime(budget, u0 + x * arr.c))
-            assert abs(dphi) <= 1e-6 * max(1.0, float(np.sum(arr.A * np.eye(3))))
-        U0 = U0 + x * arr.A
+            assert abs(dphi) <= 1e-6 * max(1.0, float(np.sum(A * np.eye(3))))
+        U0 = U0 + x * A
     assert saw_interior
 
 
@@ -209,7 +230,7 @@ def _assert_bracket_holds(st):
 
 def _straddles(st, arr):
     """The bracket leaves the sign of <A, Y> + c gs'(u) open, with z not yet exact at u."""
-    v = float(np.vdot(arr.A, st.Y))
+    v = engine_price(arr, st.Y)
     return st.u0 != st.u and v + arr.c * st.zlo <= 0.0 < v + arr.c * st.zhi
 
 
@@ -249,7 +270,7 @@ def test_steps_decompose_only_to_buy(rng, monkeypatch):
 
 def _dense_sim_reference(sm, budget, U, u, arr):
     """The simultaneous decision by bisection on the dense Phi' to 1e-12 relative."""
-    A, c = arr.A, arr.c
+    A, c = arr.L @ arr.L.T, arr.c
 
     def dphi(x):
         return float(np.vdot(A, grad_hs(sm, U + x * A))) + c * gs_prime(budget, u + x * c)
@@ -289,7 +310,7 @@ def test_simultaneous_rank_k_matches_dense_reference(kind):
                      Arrival.from_matrix(W[:, :2] @ W[:, :2].T / 2.0, 1.0),
                      Arrival.from_matrix(np.eye(n), 3.0), Arrival.from_matrix(np.outer(v, v), 0.5),
                      Arrival.from_matrix(W @ W.T / 3.0, 0.5)]
-    assert [np.linalg.matrix_rank(a.A) for a in arrivals[:5]] == [0, 2, n, 1, 3]
+    assert [np.linalg.matrix_rank(a.L @ a.L.T) for a in arrivals[:5]] == [0, 2, n, 1, 3]
     budget = BudgetSmoother(obj, 2.0, 4.0, 0.2, 8.0)
     st = OnlineState(sm, budget, n)
     interior_ranks = set()
@@ -298,10 +319,10 @@ def test_simultaneous_rank_k_matches_dense_reference(kind):
         u = st.u
         x = st.step_simultaneous(arr)
         ref = _dense_sim_reference(sm, budget, U, u, arr)
-        U = U + x * arr.A
+        U = U + x * (arr.L @ arr.L.T)
         if 0.0 < x < 1.0:
             assert abs(x - ref) <= 1e-10 * ref
-            interior_ranks.add(int(np.linalg.matrix_rank(arr.A)))
+            interior_ranks.add(int(np.linalg.matrix_rank(arr.L @ arr.L.T)))
         else:
             assert x == ref
     assert {1, 2, 3, n} <= interior_ranks
@@ -448,7 +469,7 @@ def test_empty_stream_with_explicit_n():
     sm, budget = dopt_setup()
     trace = run_stream(sm, budget, [], "sim", n=3)
     u = float(trace.decisions @ np.zeros(0))    # decisions @ costs, of no arrivals
-    assert trace.m == 0 and u == 0.0
+    assert len(trace.decisions) == 0 and u == 0.0
     U = aggregate([], trace.decisions, 3)
     assert trace_lift(sm.base, U) == 0.0
     # no price terms, so the dual value is -H*(Y_0) - G*(z_0) = 0
@@ -614,12 +635,13 @@ def test_the_crossover_is_at_block_min_floats():
 def test_arrival_from_factor(rng):
     a = rng.standard_normal(5)
     factored = Arrival(a[:, None], 0.7)
-    assert np.array_equal(factored.A, np.outer(a, a))
     assert np.array_equal(factored.L, a[:, None])
+    # a rank-one arrival holds its column as a view of L; no other does
+    assert np.shares_memory(factored.col, factored.L) and np.array_equal(factored.col, a)
     W = rng.standard_normal((5, 2))
-    assert np.array_equal(Arrival(W, 1.0).A, W @ W.T)
-    np.testing.assert_allclose(Arrival.from_matrix(W @ W.T, 1.0).A, W @ W.T,
-                               rtol=0, atol=1e-13 * np.max(np.abs(W @ W.T)))
+    assert np.array_equal(Arrival(W, 1.0).L, W) and Arrival(W, 1.0).col is None
+    L = Arrival.from_matrix(W @ W.T, 1.0).L
+    np.testing.assert_allclose(L @ L.T, W @ W.T, rtol=0, atol=1e-13 * np.max(np.abs(W @ W.T)))
     for c in (0.0, -1.0):
         with pytest.raises(ValueError, match="cost"):
             Arrival(a[:, None], c)
@@ -645,4 +667,4 @@ def test_generated_arrivals_decompose_nothing(monkeypatch):
         assert len(arrivals) == 10
         for arr in arrivals:
             a = arr.L[:, 0]
-            assert arr.L.shape == (6, 1) and np.array_equal(np.outer(a, a), arr.A)
+            assert arr.L.shape == (6, 1) and np.array_equal(np.outer(a, a), arr.L @ arr.L.T)

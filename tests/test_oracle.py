@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,7 +41,7 @@ def random_instance(rng, n=3, m=8, b=3.0):
 
 
 def dense_stack(inst):
-    return np.stack([a.A for a in inst.arrivals])
+    return np.stack([a.L @ a.L.T for a in inst.arrivals])
 
 
 def objective_value(obj, inst, x):
@@ -82,13 +83,13 @@ def test_zero_trace_arrival_sets_no_rho1():
 
 def test_instance_stats_recompute(rng):
     inst = random_instance(rng, n=4, m=6)
-    traces = [float(np.trace(a.A)) for a in inst.arrivals]
+    traces = [float(np.trace(a.L @ a.L.T)) for a in inst.arrivals]
     costs = [a.c for a in inst.arrivals]
     dens = [t / c for t, c in zip(traces, costs)]
     assert inst.theta == pytest.approx(min(dens))
     assert inst.Theta == pytest.approx(max(dens))
     assert inst.rho1 == pytest.approx(max(costs))
-    lam = [float(np.linalg.eigvalsh(a.A)[-1]) for a in inst.arrivals]
+    lam = [float(np.linalg.eigvalsh(a.L @ a.L.T)[-1]) for a in inst.arrivals]
     assert inst.rho2 == pytest.approx(max(lam))
     assert inst.max_lam_over_c == pytest.approx(max(l / c for l, c in zip(lam, costs)))
     assert inst.n == 4 and inst.m == 6
@@ -110,7 +111,7 @@ def _dense_rank3():
 ], ids=["random", "adversarial", "dense-rank3", "zero-and-positive"])
 def test_instance_stats_lam_max_from_the_factor_matches_dense(arrivals):
     arrivals = arrivals()
-    lam = np.array([float(np.linalg.eigvalsh(a.A)[-1]) for a in arrivals])
+    lam = np.array([float(np.linalg.eigvalsh(a.L @ a.L.T)[-1]) for a in arrivals])
     costs = np.array([a.c for a in arrivals])
     stats = instance_stats(arrivals)
     assert stats["rho2"] == pytest.approx(lam.max(), rel=TOL_EIG, abs=0.0)
@@ -140,6 +141,19 @@ def test_building_a_generated_instance_decomposes_no_n_by_n_matrix(gen, monkeypa
         monkeypatch.setattr(np.linalg, name, refuse_above_rank(getattr(np.linalg, name)))
     inst = gen()
     assert inst.rho2 > 0.0 and all(a.L.shape[1] == 1 for a in inst.arrivals)
+
+
+def test_building_a_generated_instance_holds_no_n_by_n_matrix_per_arrival():
+    # an arrival is its factor: m = 200 rank-one arrivals at n = 200 take
+    # 200 floats each, where their dense matrices would take m n^2 in all
+    n = m = 200
+    tracemalloc.start()
+    try:
+        gen_random(n, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * n * n * np.dtype(float).itemsize
 
 
 def test_instance_serialization_round_trip(rng):
@@ -578,6 +592,10 @@ def test_audit_length_mismatch(rng):
         audit_run(np.zeros(4), inst, sm, budget, "sim")
     with pytest.raises(AuditError):
         audit_run(np.zeros(5), inst, sm, budget, "diagonal")
+    # a trace is audited through audit_run, which makes the one length check
+    trace = run_stream(sm, budget, inst.arrivals[:4], "sim")
+    with pytest.raises(AuditError, match="length"):
+        audit_trace(trace, inst)
 
 
 @pytest.mark.parametrize("variant", ["seq", "sim"])
@@ -639,7 +657,7 @@ def _dense_decision_residuals(decisions, inst, sm, budget):
     Y, z = sm.base.h_prime0 * np.eye(n), 0.0
     out = []
     for arr, x in zip(inst.arrivals, decisions):
-        A, c = arr.A, arr.c
+        A, c = arr.L @ arr.L.T, arr.c
         d_at = (float(np.vdot(A, oracle.grad_hs(sm, U + x * A)))
                 + c * gs_prime(budget, u + x * c))
         resid = max(0.0, d_at) if x <= 0.0 else max(0.0, -d_at) if x >= 1.0 else abs(d_at)
@@ -782,7 +800,7 @@ def test_audit_prices_at_y0_until_the_first_purchase(variant):
     rep = audit_run(x, inst, sm, budget, variant, p_star=1.0)
     assert_reports_match(rep, ref)
     # the worst residual is a rejection before the purchase, priced at y(0) I
-    prices = [y0 * np.trace(a.A) for a in inst.arrivals[:-1]]
+    prices = [y0 * np.trace(a.L @ a.L.T) for a in inst.arrivals[:-1]]
     before = [p / (max(1.0, p) if variant == "sim" else 1.0) for p in prices]
     assert max(prices) < 1.0
     assert rep.worst_decision_residual == pytest.approx(max(before), rel=1e-12, abs=0.0)
@@ -963,7 +981,7 @@ def test_audit_decomposes_the_final_aggregate_once(variant, kind, measure, monke
     if kind == "engine":
         assert gaps.any()
     assert [name for name, _ in single] == ["eigh"]
-    U = sum(xt * a.A for xt, a in zip(x, inst.arrivals))
+    U = sum(xt * (a.L @ a.L.T) for xt, a in zip(x, inst.arrivals))
     assert np.allclose(single[-1][1], U, rtol=1e-12, atol=1e-12)
 
 
@@ -1023,7 +1041,7 @@ def test_audit_finds_a_failing_gap_hidden_among_rank_deficient_ones(monkeypatch)
     sm = SmoothedObjective(lowner.exact_measure(obj), obj)
     budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, 0.0, "sim")
     x = np.ones(inst.m)
-    Us = np.cumsum([a.A for a in inst.arrivals], axis=0)
+    Us = np.cumsum([a.L @ a.L.T for a in inst.arrivals], axis=0)
     Ys = np.concatenate([[obj.h_prime0 * np.eye(n)], grad_hs_lift(sm, Us)])
     traces = np.trace(Ys[:-1] - Ys[1:], axis1=1, axis2=2)
     k = int(np.argmax(traces))

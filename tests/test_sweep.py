@@ -19,7 +19,7 @@ import tracemalloc
 import pytest
 
 from psdalloc.cli import build_parser, main
-from psdalloc.objectives import PARAMS, number, whole
+from psdalloc.objectives import FLOAT_MAX, PARAMS, number, whole
 
 SMALL = ["--q", "10", "--d", "10"]
 BASE = {
@@ -37,14 +37,17 @@ DECADES = [1e-300, 1e-10, 0.5, 1.0, 2.0, 10.0, 1e10, 1e300]
 
 def values(p):
     """About 20 literals for one PARAMS entry: EXTREMES, each end of its range plus or minus
-    one step, and decades; the whole numbers above the default up to the cap are left out."""
+    one step, and decades; the whole numbers above the default up to the cap are left out.
+    A range that ends at the float range's end also takes its half plus or minus one step,
+    where a doubling overflows."""
     lo, hi = p.span
     if p.cast is whole:
         ints = [lo - 1, lo, lo + 1, p.default, hi + 1] + [10 ** k for k in (1, 3, 6, 19, 308)]
         more = [str(v) for v in sorted(set(ints)) if hi == math.inf or not p.default < v <= hi]
     else:
-        ends = [math.nextafter(end, way) for end in (lo, hi) for way in (-math.inf, math.inf)]
-        more = [repr(v) for v in sorted({lo, hi, *ends, *DECADES})]
+        ends = (lo, hi) + ((hi / 2,) if hi == FLOAT_MAX else ())
+        steps = [math.nextafter(end, way) for end in ends for way in (-math.inf, math.inf)]
+        more = [repr(v) for v in sorted({*ends, *steps, *DECADES})]
     return EXTREMES + [v for v in more if float(v) not in map(float, EXTREMES)]
 
 
