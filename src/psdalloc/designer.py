@@ -24,6 +24,10 @@ gamma.  One HiGHS model holds only the binding part of the LP (_CutLP).  The
 returned beta is the largest ratio of the best iterate on the whole
 certification grid, as beta_for_measure computes it for any fixed measure;
 the row duals, priced over every node, bound the grid optimum below.
+
+The ratio's columns over that grid are cached as one row per node, built the
+first time an iterate gives the node weight, and stacked for the products
+only when an iterate's support differs from the last one's (_Ratio).
 """
 
 from dataclasses import dataclass
@@ -56,7 +60,7 @@ class DesignSpec:
         if (self.variant == "seq") != (self.rho2 > 0.0):
             raise ValueError("--variant %s takes %s, got --rho2 %r" % (
                 self.variant, "--rho2 > 0" if self.variant == "seq" else "no --rho2", self.rho2))
-        # _block's columns hold Phi_j + rho2 u a_j Psi_j <= (1 + rho2) q^2 u, and that over
+        # _block's entries hold Phi_j + rho2 u a_j Psi_j <= (1 + rho2) q^2 u, and that over
         # h(u); u/h(u) is largest at u_max, as h is concave
         u, h = self.u_max, h_eval(self.objective, self.u_max)
         if not (1.0 + self.rho2) * self.q**2 * max(u, u / h) < np.inf:
@@ -117,7 +121,7 @@ def certification_grid(spec, dense=10):
 def beta_for_measure(spec, measure, dense=10):
     """Certified beta of a fixed measure: its largest _Ratio on the certification grid,
     so a designed measure gets its design's beta bit for bit."""
-    r, _ = _Ratio(spec, certification_grid(spec, dense))(measure)
+    r, _ = _Ratio(spec, certification_grid(spec, dense))(measure.nodes, measure.weights)
     return float(np.max(r))
 
 
@@ -130,20 +134,21 @@ def cr_bound(gamma, beta):
 
 
 def _block(spec, u, h, lam):
-    """lin = (Phi [+ rho2 (a - Psi)])/h(u) and Psi at abscissae u (rows) and nodes lam (columns)."""
-    u = u[:, None]
+    """lin = (Phi [+ rho2 (a - Psi)])/h(u) and Psi at abscissae u and nodes lam, which broadcast
+    against each other: lam[:, None] gives one row per node, u[:, None] and h[:, None] one per
+    abscissa.  Either way every entry takes the same operations, so the same bits."""
     psi = 1.0 / (u * lam + (1.0 - lam))
     lin = phi_primitive(u, lam)
     if spec.variant == "seq":
         # a - Psi = u lambda a Psi exactly; the difference cancels at small u
         lin = lin + spec.rho2 * u * lam * (1.0 / (1.0 - lam)) * psi
-    return lin / h[:, None], psi
+    return lin / h, psi
 
 
 def _cuts(spec, u, v, lam):
     """Rows (lin - v Psi/(gamma h), -1) over nodes lam, right sides -h(v)/(gamma h): cuts v at u."""
     h = h_eval(spec.objective, u)
-    lin, psi = _block(spec, u, h, lam)
+    lin, psi = _block(spec, u[:, None], h[:, None], lam)
     gh = spec.gamma * h
     return (np.column_stack([lin - (v / gh)[:, None] * psi, -np.ones(u.size)]),
             -h_eval(spec.objective, v) / gh)
@@ -152,26 +157,32 @@ def _cuts(spec, u, v, lam):
 class _Ratio:
     """ratio(u) = gamma lin(u) . mu - h*(Psi(u) . mu)/h(u) of a measure mu at the abscissae u.
 
-    An atom's (lin, Psi) column is built the first time a measure holds its node,
-    and cached by the node's value.  Stacked in node order, the columns give bit
-    for bit the products of one fresh _block of the measure's nodes.
+    An atom's (lin, Psi) pair is built the first time a measure holds its node,
+    as one row per node over u, and cached by the node's value.  The rows are
+    stacked as columns, in node order, only when the support differs from the
+    last call's; the products then match those of one fresh _block of the
+    measure's nodes bit for bit.
     """
 
     def __init__(self, spec, u):
         self.spec, self.u, self.h = spec, u, h_eval(spec.objective, u)
-        self.cols = {}                                         # node -> its (lin, Psi) column
+        self.rows = {}                                         # node -> its (lin, Psi) rows
+        self.nodes = None                                      # the support stacked last, if any
 
-    def __call__(self, measure):
-        """Every abscissa's ratio for the measure, and y = Psi mu."""
-        nodes, w = measure.nodes, measure.weights
-        new = [lam for lam in nodes if lam not in self.cols]
-        if new:
-            lin, psi = _block(self.spec, self.u, self.h, np.array(new))
-            self.cols.update(zip(new, zip(lin.T, psi.T)))
-        lin, psi = (np.column_stack([self.cols[lam][k] for lam in nodes]) for k in (0, 1))
-        y = psi @ w
+    def __call__(self, nodes, w):
+        """Every abscissa's ratio for the atoms (nodes, w), nodes increasing, and y = Psi w."""
+        if not np.array_equal(nodes, self.nodes):
+            keys = nodes.tolist()
+            new = [lam for lam in keys if lam not in self.rows]
+            if new:
+                lin, psi = _block(self.spec, self.u, self.h, np.array(new)[:, None])
+                self.rows.update(zip(new, zip(lin, psi)))
+            self.nodes = nodes.copy()          # a caller may reuse its array
+            self.lin, self.psi = (np.column_stack([self.rows[lam][k] for lam in keys])
+                                  for k in (0, 1))
+        y = self.psi @ w
         with np.errstate(over="ignore"):    # past the float range at a huge gamma: beta = inf
-            lin = self.spec.gamma * (lin @ w)
+            lin = self.spec.gamma * (self.lin @ w)
         return lin - h_conj(self.spec.objective, y) / self.h, y
 
 
@@ -322,13 +333,16 @@ def design_hs(spec):
         t = spec.gamma * float(x[-1])
         w = np.maximum(x[:-1], 0.0)
         w *= obj.h_prime0 / float(lp.a @ w)
-        measure = AtomicMeasure(lp.nodes, w)
-        r, y = ratio(measure)
+        support = np.flatnonzero(w > 0.0)      # the atoms an AtomicMeasure of the iterate keeps
+        atoms = lp.nodes[support], w[support]
+        r, y = ratio(*atoms)
         if float(np.max(r)) < best_F:
-            best, best_F = measure, float(np.max(r))
+            best, best_F = atoms, float(np.max(r))
         step = DESIGN_TOL * max(1.0, abs(t))
-        peak = np.r_[r[:-1] >= r[1:], True] & np.r_[True, r[1:] >= r[:-1]]
-        hot = np.flatnonzero(peak & (r > t + step))
+        peak = r > t + step                    # and no lower than either neighbour
+        peak[:-1] &= r[:-1] >= r[1:]
+        peak[1:] &= r[1:] >= r[:-1]
+        hot = np.flatnonzero(peak)
         if best_F - lb <= step or hot.size + lp.pending.size == 0:   # certified, or stuck
             break
         if hot.size:
@@ -336,7 +350,8 @@ def design_hs(spec):
     if best is None:
         raise ValueError("--gamma %r puts every design ratio past the float range" % spec.gamma)
     # the grid optimum is at most best_F; lb alone can pass it by rounding once the gap closes
-    return DesignResult(best, best_F, min(lb, best_F), solves, spec, cuts=lp.added)
+    return DesignResult(AtomicMeasure(*best), best_F, min(lb, best_F), solves, spec,
+                        cuts=lp.added)
 
 
 def design_to_dict(result):

@@ -241,20 +241,21 @@ def h_conj(obj, y):
     if obj.kind == "linear":
         out = np.where(y == 1.0, 0.0, -np.inf)
         return float(out) if scalar else out
-    out = np.full(y.shape, -np.inf)
-    if obj.kind == "dopt":
-        mid = (y > 0.0) & (y <= 1.0)
-        ys = np.where(mid, y, 1.0)
-        out = np.where(mid, 1.0 - ys + np.log(ys), out)
-        out = np.where(y > 1.0, 0.0, out)
-    else:
-        p = obj.p
-        mid = (y >= 0.0) & (y <= p)
-        ys = np.where(mid, y, p)
+    p, dopt = obj.h_prime0, obj.kind == "dopt"
+
+    def closed(ys):
+        if dopt:
+            return 1.0 - ys + np.log(ys)
         # (p+1) t^p - p t^(p+1) - 1 with t = (y/p)^(1/(p+1)) = exp(L)
         with np.errstate(divide="ignore"):
             L = np.log(ys / p) / (p + 1.0)
-        out = np.where(mid, (p + 1.0) * np.expm1(p * L) - p * np.expm1((p + 1.0) * L), out)
+        return (p + 1.0) * np.expm1(p * L) - p * np.expm1((p + 1.0) * L)
+
+    mid = ((y > 0.0) if dopt else (y >= 0.0)) & (y <= p)
+    if mid.all():
+        out = closed(y)         # every y in the domain: no mask to apply
+    else:
+        out = np.where(mid, closed(np.where(mid, y, p)), -np.inf)   # closed(p) = 0
         out = np.where(y > p, 0.0, out)
     return float(out) if scalar else out
 

@@ -190,7 +190,7 @@ def test_tableau_ratio_matches_constraint_values(kind, variant, rho2):
             w = rng.random(nodes.size) * ((rng.random(nodes.size) < 0.3) | off)
             w *= spec.objective.h_prime0 / (w @ (1.0 / (1.0 - nodes)))
             measure = AtomicMeasure(nodes, w)
-            r, y = ratio(measure)
+            r, y = ratio(measure.nodes, measure.weights)
             assert np.allclose(y, y_eval(measure, grid), rtol=1e-14, atol=0.0)
             assert np.allclose(r, constraint_values(spec, measure, grid), rtol=1e-12, atol=0.0)
 
@@ -202,8 +202,9 @@ def test_design_builds_each_atoms_column_once(monkeypatch, kind, variant, rho2):
     grid, built = certification_grid(spec), []
 
     def spy(s, u, h, lam):
-        if np.array_equal(u, grid):       # columns over the whole grid, not a batch of cut rows
-            built.extend(lam.tolist())
+        if np.array_equal(u, grid):       # rows over the whole grid, not a batch of cut rows
+            assert lam.shape == (lam.size, 1)         # one row per node
+            built.extend(lam.ravel().tolist())
         return _block(s, u, h, lam)
 
     monkeypatch.setattr(designer, "_block", spy)
@@ -213,22 +214,61 @@ def test_design_builds_each_atoms_column_once(monkeypatch, kind, variant, rho2):
     assert set(res.measure.nodes.tolist()) <= set(built)
 
 
+def _fresh_ratio(spec, grid, nodes, w):
+    """The reference: the ratio from one fresh abscissa-major _block of the atoms (nodes, w)."""
+    h = h_eval(spec.objective, grid)
+    lin, psi = _block(spec, grid[:, None], h[:, None], nodes)
+    y = psi @ w
+    return spec.gamma * (lin @ w) - h_conj(spec.objective, y) / h, y
+
+
+def _weights(spec, rng, nodes):
+    w = rng.random(nodes.size)
+    return w * (spec.objective.h_prime0 / (w @ (1.0 / (1.0 - nodes))))
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
 def test_cached_columns_give_the_ratio_of_a_fresh_block():
     spec = spec_for(kind="aopt", gamma=3.0, variant="seq", rho2=5.0)
     grid = np.concatenate([np.geomspace(1e-8, 1e-2, 25), design_grid(spec)])
-    ratio, h = _Ratio(spec, grid), h_eval(spec.objective, grid)
-    rng, read = np.random.default_rng(11), 0
+    ratio, rng, read, stacks = _Ratio(spec, grid), np.random.default_rng(11), 0, 0
     for _ in range(5):
-        w = rng.random(Q) * (rng.random(Q) < 0.3)
-        w *= spec.objective.h_prime0 / (w @ (1.0 / (1.0 - NODES)))
-        measure = AtomicMeasure(NODES, w)
-        r, y = ratio(measure)
-        read += measure.nodes.size
-        lin, psi = _block(spec, grid, h, measure.nodes)
-        y_fresh = psi @ measure.weights
-        r_fresh = spec.gamma * (lin @ measure.weights) - h_conj(spec.objective, y_fresh) / h
-        assert np.array_equal(y, y_fresh) and np.array_equal(r, r_fresh)
-    assert len(ratio.cols) < read          # later supports met cached columns
+        nodes = np.sort(rng.choice(NODES, 8, replace=False))    # a new support of one size
+        for k in range(3):
+            # new weights on one support: the stack formed at the first call is reused
+            w = _weights(spec, rng, nodes)
+            r, y = ratio(nodes, w)
+            if k == 0:
+                stack, read, stacks = ratio.psi, read + nodes.size, stacks + 1
+            assert ratio.psi is stack
+            r_fresh, y_fresh = _fresh_ratio(spec, grid, nodes, w)
+            assert _bits(y) == _bits(y_fresh) and _bits(r) == _bits(r_fresh)
+    assert stacks == 5
+    assert len(ratio.rows) < read          # later supports met cached rows
+
+
+@pytest.mark.parametrize("kind,variant,rho2", [("aopt", "seq", 5.0), ("dopt", "sim", 0.0)])
+def test_rows_built_in_batches_match_rows_built_one_node_at_a_time(kind, variant, rho2):
+    spec = spec_for(kind=kind, gamma=3.0, variant=variant, rho2=rho2)
+    grid = np.concatenate([np.geomspace(1e-8, 1e-2, 25), design_grid(spec)])
+    rng = np.random.default_rng(12)
+    nodes = np.sort(rng.choice(OFF_GRID, 12, replace=False))
+    w = _weights(spec, rng, nodes)
+    batched, single = _Ratio(spec, grid), _Ratio(spec, grid)
+    for lam in nodes:                      # each row of single is built on its own
+        single(nodes[nodes == lam], np.ones(1))
+    batched(nodes[::2], w[::2])            # half the rows in one batch, the rest in another
+    out = [ratio(nodes, w) for ratio in (batched, single)]
+    assert batched.rows.keys() == single.rows.keys() == set(nodes.tolist())
+    for lam in nodes.tolist():
+        for k in (0, 1):
+            assert _bits(batched.rows[lam][k]) == _bits(single.rows[lam][k])
+    r_fresh, y_fresh = _fresh_ratio(spec, grid, nodes, w)
+    for r, y in out:
+        assert _bits(r) == _bits(r_fresh) and _bits(y) == _bits(y_fresh)
 
 
 SWEEP_SPECS = [("dopt", 1.0, "sim", 0.0), ("dopt", 2.0, "sim", 0.0), ("dopt", 4.0, "sim", 0.0),
@@ -251,7 +291,7 @@ def test_sweep_beta_bounds_the_ratio_on_a_100x_finer_grid(kind, gamma, variant, 
     # the theorem needs the ratio bound at every u in (0, u_max], not only on the grid
     spec = DesignSpec(make_objective(kind), gamma, 10.0, 100, 200, variant, rho2)
     res = design_hs(spec)
-    r, _ = _Ratio(spec, design_grid(spec, 2000))(res.measure)
+    r, _ = _Ratio(spec, design_grid(spec, 2000))(res.measure.nodes, res.measure.weights)
     assert res.beta >= (1.0 - 1e-8) * float(np.max(r))
 
 

@@ -200,6 +200,22 @@ def test_h_conj_piecewise_boundaries():
     assert h_conj(pm, 2.5) == 0.0
 
 
+@given(obj=objs, mixed=st.booleans(), data=st.data())
+def test_array_h_conj_is_the_scalar_h_conj_bit_for_bit(obj, mixed, data):
+    # an array entirely in the domain takes the unmasked path, a mixed one the masked path;
+    # every entry must come out with the bits the scalar gives it either way
+    p = obj.h_prime0
+    inside = st.floats(0.0, p, exclude_min=obj.kind == "dopt")
+    outside = st.one_of(st.floats(-4.0 * p, 0.0), st.floats(p, 4.0 * p, exclude_min=True),
+                        st.sampled_from([0.0, -0.0, np.nextafter(p, np.inf)]))
+    ys = data.draw(st.lists(st.one_of(inside, outside) if mixed else inside,
+                            min_size=1, max_size=12))
+    out = h_conj(obj, np.array(ys))
+    assert out.dtype == np.float64 and out.shape == (len(ys),)
+    for y, v in zip(ys, out):
+        assert np.float64(h_conj(obj, y)).tobytes() == v.tobytes(), y
+
+
 @given(obj=smooth_objs, y=st.floats(min_value=1e-3, max_value=3.0), u=us)
 def test_fenchel_inequality(obj, y, u):
     # h*(y) <= y*u - h(u) for all u >= 0 whenever h* is finite
