@@ -26,8 +26,8 @@ certification grid, as beta_for_measure computes it for any fixed measure;
 the row duals, priced over every node, bound the grid optimum below.
 
 The ratio's columns over that grid are cached as one row per node, built the
-first time an iterate gives the node weight, and stacked for the products
-only when an iterate's support differs from the last one's (_Ratio).
+first time an iterate gives the node weight, and stacked as columns for the
+products with each iterate's weights (_Ratio).
 """
 
 from dataclasses import dataclass
@@ -158,31 +158,26 @@ class _Ratio:
     """ratio(u) = gamma lin(u) . mu - h*(Psi(u) . mu)/h(u) of a measure mu at the abscissae u.
 
     An atom's (lin, Psi) pair is built the first time a measure holds its node,
-    as one row per node over u, and cached by the node's value.  The rows are
-    stacked as columns, in node order, only when the support differs from the
-    last call's; the products then match those of one fresh _block of the
-    measure's nodes bit for bit.
+    as one row per node over u, and cached by the node's value.  Every call
+    stacks its support's rows as columns, in node order, so the products match
+    those of one fresh _block of the measure's nodes bit for bit.
     """
 
     def __init__(self, spec, u):
         self.spec, self.u, self.h = spec, u, h_eval(spec.objective, u)
         self.rows = {}                                         # node -> its (lin, Psi) rows
-        self.nodes = None                                      # the support stacked last, if any
 
     def __call__(self, nodes, w):
         """Every abscissa's ratio for the atoms (nodes, w), nodes increasing, and y = Psi w."""
-        if not np.array_equal(nodes, self.nodes):
-            keys = nodes.tolist()
-            new = [lam for lam in keys if lam not in self.rows]
-            if new:
-                lin, psi = _block(self.spec, self.u, self.h, np.array(new)[:, None])
-                self.rows.update(zip(new, zip(lin, psi)))
-            self.nodes = nodes.copy()          # a caller may reuse its array
-            self.lin, self.psi = (np.column_stack([self.rows[lam][k] for lam in keys])
-                                  for k in (0, 1))
-        y = self.psi @ w
+        keys = nodes.tolist()
+        new = [lam for lam in keys if lam not in self.rows]
+        if new:
+            lin, psi = _block(self.spec, self.u, self.h, np.array(new)[:, None])
+            self.rows.update(zip(new, zip(lin, psi)))
+        lin, psi = (np.column_stack([self.rows[lam][k] for lam in keys]) for k in (0, 1))
+        y = psi @ w
         with np.errstate(over="ignore"):    # past the float range at a huge gamma: beta = inf
-            lin = self.spec.gamma * (self.lin @ w)
+            lin = self.spec.gamma * (lin @ w)
         return lin - h_conj(self.spec.objective, y) / self.h, y
 
 

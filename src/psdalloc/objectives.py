@@ -242,21 +242,17 @@ def h_conj(obj, y):
         out = np.where(y == 1.0, 0.0, -np.inf)
         return float(out) if scalar else out
     p, dopt = obj.h_prime0, obj.kind == "dopt"
-
-    def closed(ys):
-        if dopt:
-            return 1.0 - ys + np.log(ys)
+    mid = ((y > 0.0) if dopt else (y >= 0.0)) & (y <= p)
+    ys = np.where(mid, y, p)              # the closed form is 0 at p
+    if dopt:
+        out = 1.0 - ys + np.log(ys)
+    else:
         # (p+1) t^p - p t^(p+1) - 1 with t = (y/p)^(1/(p+1)) = exp(L)
         with np.errstate(divide="ignore"):
             L = np.log(ys / p) / (p + 1.0)
-        return (p + 1.0) * np.expm1(p * L) - p * np.expm1((p + 1.0) * L)
-
-    mid = ((y > 0.0) if dopt else (y >= 0.0)) & (y <= p)
-    if mid.all():
-        out = closed(y)         # every y in the domain: no mask to apply
-    else:
-        out = np.where(mid, closed(np.where(mid, y, p)), -np.inf)   # closed(p) = 0
-        out = np.where(y > p, 0.0, out)
+        out = (p + 1.0) * np.expm1(p * L) - p * np.expm1((p + 1.0) * L)
+    out = np.where(mid, out, -np.inf)
+    out = np.where(y > p, 0.0, out)
     return float(out) if scalar else out
 
 

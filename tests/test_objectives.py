@@ -202,8 +202,8 @@ def test_h_conj_piecewise_boundaries():
 
 @given(obj=objs, mixed=st.booleans(), data=st.data())
 def test_array_h_conj_is_the_scalar_h_conj_bit_for_bit(obj, mixed, data):
-    # an array entirely in the domain takes the unmasked path, a mixed one the masked path;
-    # every entry must come out with the bits the scalar gives it either way
+    # arrays entirely in the domain and arrays mixed with points below and above it:
+    # every entry must come out with the bits the scalar gives it
     p = obj.h_prime0
     inside = st.floats(0.0, p, exclude_min=obj.kind == "dopt")
     outside = st.one_of(st.floats(-4.0 * p, 0.0), st.floats(p, 4.0 * p, exclude_min=True),
