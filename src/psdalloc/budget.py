@@ -32,7 +32,7 @@ F solves F' = r F + h'(theta u) with F(0) = 0, which gives in closed form
     G_S(u)   = int_0^u gs' = (B/gamma) gs'(u) + h(theta u)/(e-1)   (penalty identity)
 
 for both variants, so gs'' costs no quadrature beyond gs'; b_prime finds the
-stopping budget b'.
+stopping budget b' with newton_root, the package's one scalar root-finder.
 """
 
 import math
@@ -64,6 +64,8 @@ CHECK_REL_TOL = 1e-9
 # gs' rounds relative to its value while no step of the quadrature is subnormal:
 # past this floor on u, kappa u and |gs'|, CHECK_REL_TOL of them is a normal float
 NORMAL_FLOOR = np.finfo(float).tiny / CHECK_REL_TOL
+# b' lies within this of the crossing, relative to b'
+B_TOL = 1e-12
 
 
 class QuadratureError(RuntimeError):
@@ -131,25 +133,19 @@ def _conv(s, x):
     return np.exp(r * x) * val / kappa * s.objective.h_prime0
 
 
-def _F(s, u):
-    """F(u) for scalar or array u: 0 on u <= 0, +inf past the overflow guard."""
+def gs_prime(s, u):
+    """gs'(u) = -scale F(u) for scalar or array u: 0 on u <= 0, -inf past the overflow guard."""
     if isinstance(u, float) or np.ndim(u) == 0:
         u = float(u)
-        if s.rate * u > OVERFLOW_EXP:
-            return np.inf
-        return float(_conv(s, u)) if u > 0.0 else 0.0
-    u = np.asarray(u, dtype=float)
-    over = s.rate * u > OVERFLOW_EXP
-    out = np.where(over, np.inf, 0.0)
-    ok = (u > 0.0) & ~over
-    if ok.any():
-        out[ok] = _conv(s, u[ok])
-    return out
-
-
-def gs_prime(s, u):
-    """gs'(u) for scalar or array u; exponents past the overflow guard give -inf."""
-    return 0.0 - s.scale * _F(s, u)    # 0.0 - 0.0 keeps u <= 0 at +0.0
+        F = np.inf if s.rate * u > OVERFLOW_EXP else float(_conv(s, u)) if u > 0.0 else 0.0
+    else:
+        u = np.asarray(u, dtype=float)
+        over = s.rate * u > OVERFLOW_EXP
+        F = np.where(over, np.inf, 0.0)
+        ok = (u > 0.0) & ~over
+        if ok.any():
+            F[ok] = _conv(s, u[ok])
+    return 0.0 - s.scale * F    # 0.0 - 0.0 keeps u <= 0 at +0.0
 
 
 def gs_prime_bracket(s, u0, z0, u):
@@ -190,40 +186,59 @@ def gs_value(s, u):
     return float(val) if u.ndim == 0 else val
 
 
+def newton_root(fn, x, f, fp, lo, hi, tol):
+    """(x, lo, hi) about the root of a decreasing fn in [lo, hi], 0 <= lo, from x with
+    (f, fp) = fn(x); x is the point fn last evaluated.
+
+    rtsafe's safeguard (Numerical Recipes 9.4): a Newton step that leaves the
+    bracket, or is over half the step before last, becomes a bisection.  Each
+    point fn evaluates moves an end, so fn(lo) > 0 >= fn(hi) where evaluated.
+    It stops once the bracket or a Newton step is at most tol relative to x.
+    f = -inf only lowers hi, and fp = -inf takes no Newton step, so a caller
+    with no derivative bisects.
+    """
+    last = last2 = hi - lo
+    for _ in range(200):
+        lo, hi = (x, hi) if f > 0.0 else (lo, x)
+        if hi - lo <= tol * hi:
+            break
+        step = f / fp if -np.inf < fp < 0.0 and f > -np.inf else np.inf
+        if abs(step) <= tol * x:
+            break
+        halves = lo < x - step < hi and abs(step) <= 0.5 * abs(last2)
+        nxt = x - step if halves else 0.5 * (lo + hi)
+        last2, last, x = last, x - nxt, nxt
+        f, fp = fn(x)
+    return x, lo, hi
+
+
 def b_prime(s):
     """Stopping budget: the crossing of gs' below -h'(0) Theta, plus rho1 if sequential.
 
-    gs'(u) <= -h'(0) Theta means F(u) >= target.  F' = r F + h'(theta u) > 0,
-    so the crossing is bracketed and refined by Newton steps, with bisection
-    when a step leaves the bracket.  The right end of the bracket is
-    returned, so gs'(b' - rho1) <= -h'(0) Theta holds.
+    gs'' < 0, so doubling brackets the crossing and newton_root, with gs'' by
+    gs_second, brings its right end within B_TOL of it.  That end is returned,
+    so gs' at b' - rho1 is at most -h'(0) Theta as computed.
     """
     obj, r = s.objective, s.rate
     if not r < np.inf:      # the search below would double x without end
         raise ValueError("--gamma %r and budget --b %r give gs' rate %r" % (s.gamma, s.b, r))
-    target = obj.h_prime0 * s.Theta / s.scale
-    # h' <= h'(0) gives F(u) <= h'(0) expm1(r u)/r, which stays below target up to lo
-    lo = x = float(np.log1p(r * target / obj.h_prime0) / r)
-    Fx = _F(s, x)
-    while Fx < target:          # F is +inf past the overflow guard
+    bound = -obj.h_prime0 * s.Theta
+
+    def excess(x):      # gs'(x) + h'(0) Theta, decreasing, and gs''(x)
+        gp = gs_prime(s, x)
+        return gp - bound, gs_second(s, x, gp)
+
+    # h' <= h'(0) gives gs'(u) >= -scale h'(0) expm1(r u)/r, above the bound up to lo
+    lo = x = float(np.log1p(r * (s.Theta / s.scale)) / r)
+    f, fp = excess(x)
+    while f > 0.0:          # gs' is -inf past the overflow guard
         lo, x = x, 2.0 * x
-        Fx = _F(s, x)
-    hi = x
-    for _ in range(100):
-        if hi - lo <= 2e-12 * hi:
-            break
-        # Newton step on F - target; F' = r F + h'(theta x)
-        dx = (Fx - target) / (r * Fx + h_prime(obj, s.theta * x))
-        nxt = x - dx
-        if abs(dx) < 1e-12 * x:
-            # converged: step just across the crossing to close the bracket
-            nxt += 1e-12 * x if Fx < target else -1e-12 * x
-        x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-        Fx = _F(s, x)
-        if Fx >= target:
-            hi = x
-        else:
-            lo = x
+        f, fp = excess(x)
+    x, lo, hi = newton_root(excess, x, f, fp, lo, x, B_TOL)
+    # the solve stops at lo when its last Newton step, below B_TOL, came from below: the
+    # crossing lies just past lo, so start again there (a subnormal lo cannot move)
+    while x < hi - B_TOL * hi and lo < (x := lo + 0.5 * B_TOL * lo):
+        x, lo, hi = newton_root(excess, x, *excess(x), lo, hi, B_TOL)
     return hi + s.rho1 if s.variant == "seq" else hi
 
 
@@ -233,26 +248,18 @@ def gamma_for_budget(objective, b, theta, Theta, rho1=0.0, variant=PARAMS["varia
         raise ValueError("the sequential b' exceeds rho1 for every gamma, so budget b = %g "
                          "must exceed rho1 = %g" % (b, rho1))
 
-    def bp(g):
-        return b_prime(BudgetSmoother(objective, g, b, theta, Theta, rho1, variant))
+    def over(g):        # b'(g) - b, with no derivative, so newton_root bisects
+        return b_prime(BudgetSmoother(objective, g, b, theta, Theta, rho1, variant)) - b, -np.inf
 
-    if bp(1.0) <= b:
-        return 1.0
-    lo, hi = 1.0, 2.0
-    for _ in range(200):
-        if bp(hi) <= b:
+    lo = hi = 1.0
+    for _ in range(201):
+        f, fp = over(hi)
+        if f <= 0.0:
             break
-        lo = hi
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
     else:
         raise RuntimeError("no gamma found with b' <= b")
-    while hi - lo > 1e-6:
-        mid = 0.5 * (lo + hi)
-        if bp(mid) <= b:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return newton_root(over, hi, f, fp, lo, hi, 1e-6 / hi)[2]     # hi only falls from here
 
 
 def g_conj(z, b):

@@ -16,7 +16,8 @@ from .budget import BudgetSmoother, QuadratureError, gs_prime
 from .designer import DesignSpec, cr_bound, design_hs, design_to_dict, design_from_dict
 from .lowner import SmoothedObjective, exact_measure, smoothed_from_dict, smoothed_to_dict
 from .objectives import PARAMS, TOL_EIG, _key, float_array, make_objective, number, whole
-from .oracle import audit_run, instance_from_dict, instance_to_dict
+from .oracle import (OFFLINE_TOL, audit_run, instance_from_dict, instance_to_dict,
+                     offline_continuous_opt)
 
 
 def _write_json(obj, path):
@@ -60,6 +61,15 @@ def _load_instance(args):
     return make_instance(**given)
 
 
+def _p_star(inst, obj):
+    """The offline optimum's value, with one stderr line when its Frank-Wolfe gap stayed open."""
+    opt = offline_continuous_opt(inst, obj)
+    if opt.upper - opt.value > OFFLINE_TOL * opt.value:
+        print("P* solve stopped after %d iterations with its gap open: %.9g <= P* <= %.9g"
+              % (opt.iterations, opt.value, opt.upper), file=sys.stderr)
+    return opt.value
+
+
 def _check_design(design, spec):
     """Refuse a --measure design certified for another run: spec is group_spec's for this one."""
     if (design.objective, design.gamma, design.variant) != (spec.objective, spec.gamma,
@@ -92,7 +102,8 @@ def cmd_run(args):
         # the beta bench certifies for the exact measure on a one-instance group
         (smoother,), spec = group_spec(obj, args.gamma, args.variant, [inst])
         surrogate, beta, arm = SmoothedObjective(em, obj), _unsmoothed_beta(spec), "unsmoothed"
-    rep, trace = run_one(inst, surrogate, smoother, beta, spec.u_max, arm)
+    rep, trace = run_one(inst, surrogate, smoother, beta, spec.u_max, arm,
+                         _p_star(inst, surrogate.base))
     payload = {
         "gamma": args.gamma,
         "variant": args.variant,
@@ -144,7 +155,8 @@ def cmd_audit(args):
     inst = instance_from_dict(instance)
     smoother = BudgetSmoother(surrogate.base, gamma, inst.b, inst.theta,
                               inst.Theta, inst.rho1, variant)
-    report = audit_run(decisions, inst, surrogate, smoother, variant)
+    report = audit_run(decisions, inst, surrogate, smoother, variant,
+                       _p_star(inst, surrogate.base))
     _write_json(report.to_dict(), args.out)
     print("audit %s" % ("PASS" if report.passed else "FAIL"), file=sys.stderr)
     return 0 if report.passed else 1

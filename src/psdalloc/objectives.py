@@ -10,7 +10,9 @@ H(X) = sum_i h(lambda_i(X)):
 
 An objective is named by its label alone, as TraceObjective.label prints it:
 linear, dopt, aopt or pmean<p> (pmean2, pmean0.5).  p is h'(0), and every
-kind but pmean has p = 1.
+kind but pmean has p = 1.  Every kind has h'(u) = h'(0) (1+u)^(-k) on u >= 0,
+with the decay k = 0 (linear), 1 (dopt) or p + 1 (pmean and aopt), so h',
+-log(h'/h'(0)) and the inverse of h' are each one formula in (p, k).
 
 Each h is extended linearly to u < 0 with slope h'(0).  The concave conjugate
 h*(y) = inf_u { y u - h(u) } is over u >= 0 (over all u for linear), so
@@ -198,22 +200,16 @@ def h_eval(obj, u):
 
 
 def h_prime(obj, u):
-    """h'(u), vectorized; constant h'(0) on u < 0."""
+    """h'(u) = h'(0) (1 + u)^(-k) (k = obj.decay), vectorized; constant h'(0) on u < 0."""
     u, scalar = _shaped(u)
-    up = np.maximum(u, 0.0)
-    if obj.kind == "linear":
-        out = np.ones_like(up)
-    elif obj.kind == "dopt":
-        out = 1.0 / (1.0 + up)
-    else:
-        out = obj.p * (1.0 + up) ** (-obj.p - 1.0)
+    out = obj.h_prime0 * (1.0 + np.maximum(u, 0.0)) ** -obj.decay
     return float(out) if scalar else out
 
 
 def h_prime_drop(obj, u):
-    """-log(h'(u)/h'(0)) = k log1p(u) on u >= 0 (k = obj.decay), vectorized: the form in
-    which the budget kernel folds h' into one exponential."""
-    return 0.0 if obj.kind == "linear" else obj.decay * np.log1p(u)
+    """-log(h'(u)/h'(0)) = k log1p(u) on finite u >= 0 (k = obj.decay), vectorized: the
+    form in which the budget kernel folds h' into one exponential."""
+    return obj.decay * np.log1p(u)
 
 
 def h_inverse(obj, v):
@@ -257,20 +253,16 @@ def h_conj(obj, y):
 
 
 def h_conj_prime(obj, y):
-    """Derivative of h*: the minimizer u*(y) = (h')^{-1}(y) clipped at 0.
+    """Derivative of h*: the minimizer u*(y) = (h')^{-1}(y) = (h'(0)/y)^(1/k) - 1 clipped at 0.
 
-    Defined for y > 0; not meaningful for the linear kind.
+    Defined for y > 0; not meaningful for the linear kind (k = 0).
     """
     if obj.kind == "linear":
         raise ValueError("conjugate of the linear kind has no usable derivative")
     y, scalar = _shaped(y)
     if np.any(y <= 0.0):
         raise RangeError("h_conj_prime needs y > 0")
-    if obj.kind == "dopt":
-        out = 1.0 / y - 1.0
-    else:
-        out = (obj.p / y) ** (1.0 / (obj.p + 1.0)) - 1.0
-    out = np.maximum(out, 0.0)
+    out = np.maximum((obj.h_prime0 / y) ** (1.0 / obj.decay) - 1.0, 0.0)
     return float(out) if scalar else out
 
 

@@ -35,10 +35,11 @@ Phi' and the closed-form Phi'' (gs'' by budget.gs_second) costs one gs'
 quadrature and no matrix work.
 After the probe at x = 1, gs' and gs'' are known at both ends, so the model
 R(x) + c H(x), H the cubic Hermite interpolant of gs'(u + x c), is solved at
-no quadrature, and exact Newton steps polish its root; both bisect on a step
-that leaves the bracket or fails to halve, and stop at X_TOL relative to x.
-Newton returns the point it last evaluated, whose gs' becomes the new z: a
-fractional purchase usually costs three quadratures.
+no quadrature, and exact Newton steps polish its root.  Both solves are
+budget.newton_root on [0, 1], which bisects on a step that leaves the
+bracket or fails to halve, and stops at X_TOL relative to x.  It returns the
+point it last evaluated, whose gs' becomes the new z: a fractional purchase
+usually costs three quadratures.
 
 z is gs' at the spend u0 where it was last evaluated, and from (u0, z)
 budget.gs_prime_bracket bounds gs'(u) for the cost of one exponential.  A
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import gs_prime, gs_prime_bracket, gs_second
+from .budget import gs_prime, gs_prime_bracket, gs_second, newton_root
 # grad_hs and y_eval are unused here; they stay bound because the perfbench
 # tracer rebinds online.grad_hs and online.y_eval (tests/test_bench.py checks
 # every name the tracer binds)
@@ -70,30 +71,6 @@ X_TOL = 1e-12
 # pending Woodbury columns; CHANGES.md has the measurements that chose both
 BLOCK_MIN_FLOATS = 4096
 BLOCK_COLS = 16
-
-
-def _newton(dphi, x, f, fp):
-    """Root in [0, 1] of a decreasing dphi, from x with (f, fp) = dphi(x).
-
-    The root returned is the point dphi last evaluated (x itself if none).
-    rtsafe's safeguard (Numerical Recipes 9.4): a Newton step that leaves the
-    bracket, or is over half the step before last, becomes a bisection;
-    f = -inf (gs' past the overflow guard) only lowers hi, and fp = -inf
-    (r gs' past the float range at a huge gamma) takes no Newton step.
-    """
-    lo, hi, last, last2 = 0.0, 1.0, 1.0, 1.0
-    for _ in range(200):
-        lo, hi = (x, hi) if f > 0.0 else (lo, x)
-        if hi - lo <= X_TOL * hi:
-            return x
-        step = f / fp if -np.inf < fp < 0.0 and f > -np.inf else np.inf
-        if abs(step) <= X_TOL * x:
-            return x
-        halves = lo < x - step < hi and abs(step) <= 0.5 * abs(last2)
-        nxt = x - step if halves else 0.5 * (lo + hi)
-        last2, last, x = last, x - nxt, nxt
-        f, fp = dphi(x)
-    return x
 
 
 class ConfigError(ValueError):
@@ -319,9 +296,10 @@ class OnlineState:
                 r, dr = rational(x)
                 return r + p0 + x * (m0 + x * (a + x * b)), dr + m0 + x * (2.0 * a + 3.0 * b * x)
 
-            x = _newton(model, x, f, fp)
+            x = newton_root(model, x, f, fp, 0.0, 1.0, X_TOL)[0]
             f, fp = exact(x)
-        return self._take(_newton(exact, x, f, fp), arr, split, gp)  # gp read after Newton
+        x = newton_root(exact, x, f, fp, 0.0, 1.0, X_TOL)[0]
+        return self._take(x, arr, split, gp)    # gp as exact last set it, at x
 
     def finish(self, variant):
         return RunTrace(self.smoothed, self.budget, variant, np.array(self.decisions))

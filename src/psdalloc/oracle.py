@@ -159,7 +159,8 @@ def project_box_budget(v, c, b):
     at each one, which locates the segment where phi first reaches b.  tau is
     then solved from that segment's own items, so it does not inherit the
     rounding of the running sums; a Newton step on the spend of x then takes
-    out what v - tau c rounds off at large v.
+    out what v - tau c rounds off at large v, and where x ~ b/c is below the
+    rounding of v itself, x is scaled onto the budget: c . x <= b (1 + 1e-12).
     """
     x = np.clip(v, 0.0, 1.0)
     if c @ x <= b * (1.0 + 1e-12):
@@ -173,6 +174,7 @@ def project_box_budget(v, c, b):
     # slope on (knots[k], knots[k+1]); it returns to 0 past the last breakpoint
     slopes = np.cumsum(dslope) - dslope.sum() - dslope
     phi = c @ x + np.concatenate(([0.0], np.cumsum(slopes * np.diff(knots))))
+    phi[-1] = 0.0       # exactly: past the last breakpoint every item is clipped to 0
     k = int(np.argmax(phi <= b))
     y = v - 0.5 * (knots[k - 1] + knots[k]) * c
     mid = (y > 0.0) & (y < 1.0)
@@ -183,6 +185,9 @@ def project_box_budget(v, c, b):
     x = np.clip(v - tau * c, 0.0, 1.0)
     step = (c @ x - b) / den if den > 0.0 else 0.0
     x[mid] = np.clip(x[mid] - step * c[mid], 0.0, 1.0)
+    spend = c @ x
+    if spend > b * (1.0 + 1e-12):   # v - tau c cancels where x ~ b/c is below eps v
+        x *= b / spend
     return x, float(tau + step)
 
 
@@ -240,8 +245,10 @@ def offline_continuous_opt(inst, obj):
     from one _offline_point, so no point is decomposed twice.
 
     An iteration projects once, d = P(x + s g) - x, with the Barzilai-Borwein
-    step s = -|dx|^2 / (dx . dg) (1e8 where dx . dg >= 0, as on the linear
-    kind), then halves t until f(x + t d) >= min(last 10 f) + 1e-4 t g . d.
+    step s = -|dx|^2 / (dx . dg) held to [1e-8 s0, 1e8 s0] (1e8 s0 where
+    dx . dg >= 0, as on the linear kind), then halves t until f(x + t d) >=
+    min(last 10 f) + 1e-4 t g . d.  The first step s0 = 1 / max(g) crosses the
+    box, so the solve does not depend on the scale of the arrivals.
     Stops once the Frank-Wolfe gap certifies f(x) within OFFLINE_TOL * f of
     P*, when backtracking cannot move, or after OFFLINE_MAX_ITERS gradients.
     """
@@ -256,7 +263,8 @@ def offline_continuous_opt(inst, obj):
     x, _ = project_box_budget(np.full(m, min(1.0, inst.b / max(float(c.sum()), 1e-300))),
                               c, inst.b)
     f, g = value(x)
-    fs, s = [f], 1.0
+    s0 = 1.0 / (float(g.max()) or 1.0)        # g >= 0: a step that crosses the box
+    fs, s = [f], s0
     for it in range(1, OFFLINE_MAX_ITERS + 1):
         gap = max(0.0, _knapsack_max(g, c, inst.b) - float(g @ x))
         if gap <= OFFLINE_TOL * f or it == OFFLINE_MAX_ITERS:
@@ -274,7 +282,7 @@ def offline_continuous_opt(inst, obj):
             break
         dx = xt - x
         sty = float(dx @ (gt - g))
-        s = 1e8 if sty >= 0.0 else min(max(-float(dx @ dx) / sty, 1e-8), 1e8)
+        s = 1e8 * s0 if sty >= 0.0 else min(max(-float(dx @ dx) / sty, 1e-8 * s0), 1e8 * s0)
         x, f, g = xt, ft, gt
         fs.append(f)
     probe, _ = project_box_budget(x + g, c, inst.b)     # g is the gradient at x

@@ -13,18 +13,21 @@ is oracle.audit_run as a step-by-step loop, the reference for its block replay.
 EagerState is the engines' step rules with gs' evaluated at every purchase,
 the reference for the decisions OnlineState settles from its bracket on gs'.
 engine_price is the engines' price <A, Y>, written from the factor as they
-write it, so that EagerState's prices round as theirs do.
+write it, so that EagerState's prices round as theirs do.  h_prime_by_kind,
+h_prime_drop_by_kind and h_conj_prime_by_kind are h', -log(h'/h'(0)) and the
+inverse of h' written once per kind, the reference for objectives' single
+formulas in h'(0) and the decay k.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from psdalloc.budget import b_prime, g_conj, gs_prime, gs_second, gs_value
+from psdalloc.budget import b_prime, g_conj, gs_prime, gs_second, gs_value, newton_root
 from psdalloc.designer import design_grid
 from psdalloc.lowner import AtomicMeasure, grad_hs, hs_eval, hs_trace_lift, y_eval
 from psdalloc.objectives import h_conj, h_eval, h_prime, psd_eigs, sym
-from psdalloc.online import OnlineState, _newton
+from psdalloc.online import X_TOL, OnlineState
 from psdalloc.oracle import DEFAULT_TOLS, AuditReport
 
 
@@ -75,6 +78,35 @@ def grad_trace_lift(obj, M):
     """Gradient of the trace lift: h' applied through the spectrum of M."""
     w, V = psd_eigs(M)
     return sym((V * h_prime(obj, w)) @ V.T)
+
+
+def h_prime_by_kind(obj, u):
+    """h'(u) kind by kind; constant h'(0) on u < 0."""
+    u = np.asarray(u, dtype=float)
+    up = np.maximum(u, 0.0)
+    if obj.kind == "linear":
+        out = np.ones_like(up)
+    elif obj.kind == "dopt":
+        out = 1.0 / (1.0 + up)
+    else:
+        out = obj.p * (1.0 + up) ** (-obj.p - 1.0)
+    return float(out) if u.ndim == 0 else out
+
+
+def h_prime_drop_by_kind(obj, u):
+    """-log(h'(u)/h'(0)) on u >= 0, kind by kind."""
+    return 0.0 if obj.kind == "linear" else obj.decay * np.log1p(u)
+
+
+def h_conj_prime_by_kind(obj, y):
+    """(h')^{-1}(y) clipped at 0 for 0 < y, kind by kind (not for linear)."""
+    y = np.asarray(y, dtype=float)
+    if obj.kind == "dopt":
+        out = 1.0 / y - 1.0
+    else:
+        out = (obj.p / y) ** (1.0 / (obj.p + 1.0)) - 1.0
+    out = np.maximum(out, 0.0)
+    return float(out) if y.ndim == 0 else out
 
 
 class CapacityError(ValueError):
@@ -283,6 +315,6 @@ class EagerState(OnlineState):
                 r, dr = rational(x)
                 return r + p0 + x * (m0 + x * (a + x * b)), dr + m0 + x * (2.0 * a + 3.0 * b * x)
 
-            x = _newton(model, x, f, fp)
+            x = newton_root(model, x, f, fp, 0.0, 1.0, X_TOL)[0]
             f, fp = exact(x)
-        return self._take(_newton(exact, x, f, fp), arr, split, gp)
+        return self._take(newton_root(exact, x, f, fp, 0.0, 1.0, X_TOL)[0], arr, split, gp)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -18,6 +20,7 @@ from psdalloc.budget import (
     gs_prime_bracket,
     gs_second,
     gs_value,
+    newton_root,
 )
 from psdalloc.objectives import h_eval, h_prime, make_objective
 
@@ -124,7 +127,7 @@ def test_F_matches_mpmath_quad(kind):
                     lambda v: mpmath.exp(s.rate * (u - v)) * p * (1 + theta * v) ** -k,
                     [0.0] + [np.expm1(j) / kappa for j in range(2, int(S), 2)] + [u],
                     method="gauss-legendre")
-            assert abs(budget._F(s, u) - want) <= 1e-12 * want, (theta, ru)
+            assert abs(budget._conv(s, u) - want) <= 1e-12 * want, (theta, ru)
 
 
 @given(s=smoothers(), u=st.floats(min_value=0.0, max_value=40.0))
@@ -313,6 +316,73 @@ def test_b_prime_definition(s):
     assert gs_prime(s, u) <= target + 1e-9
     if u > 1e-6:
         assert gs_prime(s, u - 1e-5) > target - 1e-7
+
+
+@given(kind=st.sampled_from(["linear", "dopt", "aopt", "pmean0.5", "pmean2", "pmean7"]),
+       log_gamma=st.floats(min_value=0.0, max_value=9.0),
+       log_b=st.floats(min_value=-12.0, max_value=6.0),
+       log_theta=st.floats(min_value=-3.0, max_value=1.0),
+       log_spread=st.floats(min_value=0.0, max_value=6.0))
+@example(kind="dopt", log_gamma=9.0, log_b=math.log10(2.0), log_theta=math.log10(0.7),
+         log_spread=math.log10(1.3 / 0.7))
+def test_b_prime_is_certified_and_within_1e_11_of_the_crossing(kind, log_gamma, log_b,
+                                                                log_theta, log_spread):
+    # the example's last Newton step lands just below the crossing; without the
+    # restart past it, the right end of the bracket stayed 1.3e-8 above it
+    theta = 10.0 ** log_theta
+    s = smoother(kind, 10.0 ** log_gamma, 10.0 ** log_b, theta, theta * 10.0 ** log_spread)
+    u, target = b_prime(s), -s.objective.h_prime0 * s.Theta
+    assert gs_prime(s, u) <= target
+    assert gs_prime(s, u * (1.0 - 1e-11)) > target
+
+
+@st.composite
+def decreasing_functions(draw):
+    """(fn, root, lo, hi): a decreasing fn on 0 <= lo < hi with one simple root inside,
+    returning (f, f') or, drawn without a derivative, (f, -inf)."""
+    lo = draw(st.sampled_from([0.0, draw(st.floats(min_value=1e-6, max_value=10.0))]))
+    hi = lo + draw(st.floats(min_value=1e-3, max_value=100.0))
+    root = lo + (hi - lo) * draw(st.floats(min_value=0.01, max_value=0.99))
+    a = draw(st.floats(min_value=1e-3, max_value=1e3))
+    k = draw(st.floats(min_value=0.0, max_value=10.0))
+    derivative = draw(st.booleans())
+    if draw(st.booleans()):
+        def fn(x):
+            return a * (root - x) + k * (root - x) ** 3, -a - 3.0 * k * (root - x) ** 2
+    else:
+        k += 1e-3
+
+        def fn(x):
+            e = k * (root - x)
+            return a * math.expm1(e), -a * k * math.exp(e)
+
+    return (fn if derivative else lambda x: (fn(x)[0], -np.inf)), root, lo, hi
+
+
+@given(fdata=decreasing_functions(), share=st.floats(min_value=0.0, max_value=1.0),
+       tol=st.sampled_from([1e-12, 1e-9, 1e-6]))
+def test_newton_root_keeps_its_bracket_and_stops_within_tol(fdata, share, tol):
+    fn, root, lo0, hi0 = fdata
+    seen = {}
+
+    def logged(x):
+        seen[x] = fn(x)
+        return seen[x]
+
+    x0 = lo0 + share * (hi0 - lo0)
+    x, lo, hi = newton_root(logged, x0, *logged(x0), lo0, hi0, tol)
+    assert x in seen and lo < hi
+    assert lo in seen or lo == lo0
+    assert hi in seen or hi == hi0
+    assert lo not in seen or seen[lo][0] > 0.0
+    assert hi not in seen or seen[hi][0] <= 0.0
+    # the bracket closed, or a Newton step from x was at most tol relative
+    f, fp = seen[x]
+    assert hi - lo <= tol * hi or abs(f / fp) <= tol * x
+    if fp == -np.inf:
+        assert hi - lo <= tol * hi      # bisection alone closes the bracket
+    else:
+        assert abs(x - root) <= 2.0 * tol * max(root, x) or hi - lo <= tol * hi
 
 
 @pytest.mark.parametrize("kind", ["linear", "dopt", "aopt"])

@@ -5,7 +5,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdalloc import designer
-from psdalloc.bench import ExperimentConfig, _unsmoothed_beta, gen_adversarial
+from psdalloc import cli, designer, oracle
+from psdalloc.bench import ExperimentConfig, _unsmoothed_beta, gen_adversarial, make_instance
 from psdalloc.budget import BudgetSmoother, b_prime
 from psdalloc.cli import _check_design, build_parser, main
 from psdalloc.designer import DesignSpec, cr_bound
 from psdalloc.objectives import make_objective
-from psdalloc.oracle import instance_from_dict
+from psdalloc.oracle import instance_from_dict, offline_continuous_opt
 
 
 # the ratio of the exact measure climbs to gamma (1 + rho2) = 51 gamma as u -> 0,
@@ -74,6 +74,39 @@ def test_run_far_below_the_costs_reports_p_star_at_the_best_density(tmp_path, ca
     assert " P* = %g " % (8.0 * float(b)) in capsys.readouterr().err
     p_star = json.loads(out.read_text())["report"]["p_star"]
     assert p_star == pytest.approx(8.0 * float(b), rel=1e-7, abs=0.0)
+
+
+def test_run_at_a_budget_below_the_rounding_of_the_spend_passes_its_audit(tmp_path, capsys):
+    # the projection read the last knot for the segment's left end at b = 1e-14, and
+    # P* came from an x that spent 1e15 b: P* = 45.6, ratio 1.9e-14 and a failed audit
+    out = tmp_path / "run.json"
+    assert main(["run", "--generator", "random", "--n", "20", "--m", "200", "--seed", "3",
+                 "--b", "1e-14", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    inst = make_instance("random", 20, 200, 3, 1e-14)
+    opt = offline_continuous_opt(inst, make_objective("dopt"))
+    assert report["audit_pass"] is True and report["p_star"] == opt.value <= opt.upper
+    assert float(inst.costs @ opt.x) <= 1e-14 * (1.0 + 1e-12)
+    assert "audit = True" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-3])
+def test_run_and_audit_say_when_the_offline_gap_stayed_open(tmp_path, monkeypatch, capsys,
+                                                           gap):
+    trace = tmp_path / "run.json"
+    solve = oracle.offline_continuous_opt
+
+    def stopped(inst, obj):
+        res = solve(inst, obj)
+        return replace(res, value=res.upper / (1.0 + gap))
+
+    monkeypatch.setattr(cli, "offline_continuous_opt", stopped)
+    assert main(["run", "--n", "4", "--m", "12", "--b", "3", "--out", str(trace)]) == 0
+    assert main(["audit", "--trace", str(trace), "--out", str(tmp_path / "audit.json")]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "gap open" in line]
+    assert len(lines) == (2 if gap else 0)
+    for line in lines:
+        assert line.startswith("P* solve stopped after ") and "<= P* <=" in line
 
 
 def test_design_reports_lp_gap(tmp_path, capsys):

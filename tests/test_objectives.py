@@ -19,7 +19,8 @@ from psdalloc.objectives import (
     make_objective,
     param,
 )
-from reference import grad_trace_lift, trace_lift
+from reference import (grad_trace_lift, h_conj_prime_by_kind, h_prime_by_kind,
+                       h_prime_drop_by_kind, trace_lift)
 
 ALL = [
     make_objective("linear"),
@@ -140,6 +141,46 @@ def test_h_prime_log_form(obj):
     pos = np.concatenate([[0.0], np.geomspace(1e-12, 1e12, 300)])
     np.testing.assert_allclose(obj.h_prime0 * np.exp(-h_prime_drop(obj, pos)),
                                h_prime(obj, pos), rtol=1e-13, atol=0.0)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@given(obj=objs, u=st.lists(st.floats(min_value=-1.0, max_value=1e300), min_size=1,
+                            max_size=8))
+def test_h_prime_is_the_per_kind_form_bit_for_bit(obj, u):
+    # h'(0) (1 + u)^(-k) is 1/(1 + u) at k = 1 and 1 at k = 0 on arrays, where numpy's
+    # power takes its exact paths at exponents -1 and 0
+    u = np.array(u)
+    assert _bits(h_prime(obj, u)) == _bits(h_prime_by_kind(obj, u))
+    for v in u.tolist():
+        new, old = h_prime(obj, v), h_prime_by_kind(obj, v)
+        if obj.kind == "dopt":
+            # a float's power is the C library's pow, within an ulp of 1/(1 + u)
+            assert new == old or abs(new - old) <= np.spacing(old)
+        else:
+            assert _bits(new) == _bits(old)
+
+
+@given(obj=objs, u=st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1,
+                            max_size=8))
+def test_h_prime_drop_is_the_per_kind_form_bit_for_bit(obj, u):
+    u = np.array(u)
+    assert _bits(h_prime_drop(obj, u)) == _bits(np.broadcast_to(h_prime_drop_by_kind(obj, u),
+                                                                 u.shape))
+    for v in u.tolist():
+        assert _bits(h_prime_drop(obj, v)) == _bits(h_prime_drop_by_kind(obj, v))
+
+
+@given(obj=smooth_objs, t=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
+                                   max_size=8))
+def test_h_conj_prime_is_the_per_kind_form_bit_for_bit(obj, t):
+    # y spans [1e-12, h'(0)], log-uniform
+    y = obj.h_prime0 * 1e-12 ** np.array(t)
+    assert _bits(h_conj_prime(obj, y)) == _bits(h_conj_prime_by_kind(obj, y))
+    for v in y.tolist():
+        assert _bits(h_conj_prime(obj, v)) == _bits(h_conj_prime_by_kind(obj, v))
 
 
 @given(obj=objs, u=us)
