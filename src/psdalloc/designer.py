@@ -30,6 +30,8 @@ first time an iterate gives the node weight, and stacked as columns for the
 products with each iterate's weights (_Ratio).
 """
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,13 +207,23 @@ class _CutLP:
     TOL = 1e-8       # HiGHS's primal and dual feasibility tolerances
 
     def __init__(self, spec, nodes):
-        # imported here, not at module level: scipy.optimize roughly quadruples
-        # the import time of the package, and only designing needs it.  The
-        # incremental interface is private to scipy; tests/test_designer.py pins it.
+        # HiGHS's extension is loaded here, once per process, from its file: importing
+        # scipy.optimize would roughly quadruple the package's import time, and the import
+        # below is only the fallback.  Its interface is private; tests/test_designer.py pins it.
+        import glob
+        import scipy
+        name = "scipy.optimize._highspy._core"
+        if name not in sys.modules:
+            try:
+                path, = glob.glob(scipy.__path__[0] + "/optimize/_highspy/_core*.so")
+                found = importlib.util.spec_from_file_location(name, path)
+                sys.modules[name] = core = importlib.util.module_from_spec(found)
+                found.loader.exec_module(core)
+            except Exception:
+                sys.modules.pop(name, None)
         try:
             from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
         except ImportError as exc:
-            import scipy
             raise ImportError("the designer needs scipy.optimize._highspy._core._Highs, "
                               "which scipy %s does not provide" % scipy.__version__) from exc
         self.optimal, self.inf = HighsModelStatus.kOptimal, kHighsInf

@@ -27,6 +27,7 @@ PARAMS declares each external parameter once; everything reads it through param.
 import reprlib
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class TraceObjective:
         """Slope at zero: p, which is 1 for every kind but pmean."""
         return float(self.p)
 
-    @property
+    @cached_property
     def decay(self):
         """k with h'(u) = h'(0) (1 + u)^(-k) on u >= 0: 0 linear, 1 dopt, p + 1 pmean, aopt."""
         return {"linear": 0.0, "dopt": 1.0}.get(self.kind, self.p + 1.0)

@@ -12,18 +12,19 @@ gs'(u) in place of gs'(u) itself.  Two step rules:
                concave stationarity condition
                Phi'(x) = <A, grad H_S(U + x A)> + c gs'(u + x c).
 
-Neither engine holds or decomposes U.  grad H_S is the resolvent sum
-Y = sum_j mu_j R_j with R_j = (lambda_j U + (1 - lambda_j) I)^{-1}, and the
-state holds one R_j per atom, starting at I/(1 - lambda_j).
+Neither engine holds or decomposes U.  grad H_S is the resolvent sum Y = sum_j mu_j R_j,
+R_j = (lambda_j U + kappa_j I)^{-1}, and the state holds one R_j per atom, starting at
+I/kappa_j = I/(1 - lambda_j).  One atom (dopt's and linear's exact measures) is held at
+weight 1, node lambda/mu and shift (1 - lambda)/mu: its R is Y, and the state holds Y alone.
 Each arrival is given by its factor L (n x k), A = L L^T, which is never
 formed: its price <A, Y> is the sum of l^T Y l over the columns l of L, as in
 the audit, and buying x A is a rank-k Woodbury update (Hager 1989) of every
-R_j and of Y; nothing is rebuilt.  A purchase costs O(atoms * n^2 * k), so
-near 50 atoms at n = 50 it costs as much as the eigh of U it replaces; the
-measures in use have at most 24.
-A stack of BLOCK_MIN_FLOATS floats or more holds R_j = B_j - W_j^T P_j, up to
-BLOCK_COLS pending columns that one batched product folds into B_j (the compact
-form of Byrd, Nocedal & Schnabel 1994); a smaller one, where that costs more, updates at once.
+R_j and, past one atom, of Y; nothing is rebuilt.  A purchase costs
+O(atoms * n^2 * k), so near 50 atoms at n = 50 it costs as much as the eigh of
+U it replaces; the measures in use have at most 24.
+A stack of two atoms or more and BLOCK_MIN_FLOATS floats or more holds R_j =
+B_j - W_j^T P_j, up to BLOCK_COLS pending columns that one batched product folds
+into B_j (the compact form of Byrd, Nocedal & Schnabel 1994); a smaller one updates at once.
 
 The same factor makes the simultaneous root-find scalar:
 
@@ -68,7 +69,8 @@ from .objectives import TOL_EIG, InvalidMatrix, psd_eigs
 # the simultaneous root-find stops when a step or the bracket is this short, relative to x
 X_TOL = 1e-12
 # a resolvent stack of BLOCK_MIN_FLOATS floats (atoms * n^2) or more holds up to BLOCK_COLS
-# pending Woodbury columns; CHANGES.md has the measurements that chose both
+# pending Woodbury columns; CHANGES.md has the measurements that chose both.  One atom
+# never blocks: its R is the prices' Y, which pending columns would leave stale
 BLOCK_MIN_FLOATS = 4096
 BLOCK_COLS = 16
 
@@ -134,14 +136,17 @@ class OnlineState:
         self.budget = budget
         self.n = n
         self.u = 0.0
-        self.lam, self.mu = smoothed.measure.nodes, smoothed.measure.weights
+        lam, mu = smoothed.measure.nodes, smoothed.measure.weights
+        # R_j = (lambda_j U + kappa_j I)^{-1} = R[j] - W[j, :k]^T P[j, :k], one per atom.
+        # One atom is rescaled to weight 1, so that its R is Y = mu R_0; it never blocks
+        one = len(lam) == 1
+        self.lam, self.mu, self.kappa = ((lam / mu, np.ones(1), (1.0 - lam) / mu) if one
+                                         else (lam, mu, 1.0 - lam))
         self.ml = self.mu * self.lam
-        # R_j = (lambda_j U + (1 - lambda_j) I)^{-1} = R[j] - W[j, :k]^T P[j, :k], one per atom
-        self.R = np.eye(n) / (1.0 - self.lam)[:, None, None]
-        self.k, self.W = 0, None
-        if self.R.size >= BLOCK_MIN_FLOATS:
-            self.W, self.P = np.empty((2, len(self.lam), BLOCK_COLS, n))
-        self.Y = np.tensordot(self.mu, self.R, axes=1)
+        self.R, self.k, self.W = np.eye(n) / self.kappa[:, None, None], 0, None
+        if not one and self.R.size >= BLOCK_MIN_FLOATS:
+            self.W, self.P = np.empty((2, len(lam), BLOCK_COLS, n))
+        self.Y = self.R[0] if one else np.tensordot(mu, self.R, axes=1)
         # z = gs'(u0) at the last spend where it was evaluated; [zlo, zhi] holds gs'(u)
         self.u0 = self.z = self.zlo = self.zhi = 0.0
         self.decisions = []
@@ -181,7 +186,7 @@ class OnlineState:
 
         By Woodbury, buying x L L^T subtracts P_j diag(c_j) P_j^T from R_j,
         c_ji = x lambda_j / (1 + x lambda_j g_ji), and the mu-weighted sum of
-        those terms from Y.  c_j vanishes with lambda_j, so no atom divides by it.
+        those terms from Y, unless Y is R_0.  c_j vanishes with lambda_j, so no atom divides by it.
         A blocked stack holds the columns P_j diag(c_j) and P_j as pending;
         wider than BLOCK_COLS, they update R at once.
         A caller holding gs' at the new spend passes it as z; otherwise the
@@ -195,7 +200,8 @@ class OnlineState:
                 # one column: outer products, and Y's term over the atoms' columns
                 p, c = P[:, :, 0], c[:, 0]
                 self.R -= (p * c[:, None])[:, :, None] * p[:, None, :]
-                self.Y -= (p.T * (self.mu * c)) @ p
+                if len(c) > 1:
+                    self.Y -= (p.T * (self.mu * c)) @ p
             else:
                 k, Pc, PT = P.shape[2], P * c[:, None, :], np.swapaxes(P, 1, 2)
                 if self.W is None or k > BLOCK_COLS:
@@ -205,9 +211,10 @@ class OnlineState:
                         self._fold()
                     new = slice(self.k, self.k + k)
                     self.W[:, new], self.P[:, new], self.k = Pc.swapaxes(1, 2), PT, self.k + k
-                # Y's term in one product, the atoms' columns side by side
-                Z = np.swapaxes(P, 0, 1).reshape(self.n, -1)
-                self.Y -= (Z * (self.mu[:, None] * c).ravel()) @ Z.T
+                if len(c) > 1:
+                    # Y's term in one product, the atoms' columns side by side
+                    Z = np.swapaxes(P, 0, 1).reshape(self.n, -1)
+                    self.Y -= (Z * (self.mu[:, None] * c).ravel()) @ Z.T
             self.u += x * arr.c
             if z is None:
                 self.zlo, self.zhi = gs_prime_bracket(self.budget, self.u0, self.z, self.u)

@@ -490,3 +490,47 @@ def test_import_does_not_load_scipy_optimize():
     where, loaded = proc.stdout.split()
     assert Path(where).resolve() == Path(psdalloc.__file__).resolve()
     assert loaded == "False"
+
+
+def _fresh_design(setup="", after=""):
+    """Run `setup`, the aopt gamma 2 design and `after` in a fresh process; return the
+    design's repr(beta) and atom count and whether scipy.optimize was then loaded,
+    followed by what `after` prints."""
+    env = dict(os.environ)
+    pkg_root = str(Path(psdalloc.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    probe = ("import sys\n" + setup + "\n"
+             "from psdalloc import DesignSpec, design_hs, make_objective\n"
+             "res = design_hs(DesignSpec(make_objective('aopt'), 2.0, 10.0))\n"
+             "print(repr(res.beta), res.measure.nodes.size, 'scipy.optimize' in sys.modules)\n"
+             + after)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()
+
+
+def _in_process_design():
+    res = design_hs(DesignSpec(make_objective("aopt"), 2.0, 10.0))
+    return [repr(res.beta), str(res.measure.nodes.size)]
+
+
+def test_a_design_leaves_scipy_optimize_unloaded():
+    # HiGHS's extension is loaded from its file, not through scipy.optimize,
+    # whose import is most of a first design's cost
+    out = _fresh_design()
+    assert out[:2] == _in_process_design() and out[2] == "False"
+
+
+def test_linprog_solves_after_a_design():
+    # the extension the designer registered is the one scipy.optimize then uses
+    out = _fresh_design(after="from scipy.optimize import linprog\n"
+                              "r = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0])\n"
+                              "print(r.status, repr(r.fun))")
+    assert out[:2] == _in_process_design() and out[3:] == ["0", "1.0"]
+
+
+def test_the_design_falls_back_to_the_import_when_the_direct_load_fails():
+    out = _fresh_design(setup="import glob\nglob.glob = lambda *args, **kwargs: []")
+    assert out[:2] == _in_process_design() and out[2] == "True"

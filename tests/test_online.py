@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from psdalloc import online
 from psdalloc.bench import gen_adversarial, gen_random
@@ -509,12 +511,12 @@ def _resolvents(st):
 
 def _assert_resolvents_match(st, sm, arrivals, tol=1e-12):
     """Y and every R_j of the state against their dense definitions at the
-    aggregate of its decisions on arrivals."""
+    aggregate of its decisions on arrivals, each R_j at the state's own node and shift."""
     U = aggregate(arrivals, st.decisions, st.n)
     Y = grad_hs(sm, U)
     assert np.linalg.norm(st.Y - Y) <= tol * np.linalg.norm(Y)
-    for lam, R in zip(st.lam, _resolvents(st)):
-        dense = np.linalg.inv(lam * U + (1.0 - lam) * np.eye(st.n))
+    for lam, kappa, R in zip(st.lam, st.kappa, _resolvents(st)):
+        dense = np.linalg.inv(lam * U + kappa * np.eye(st.n))
         assert np.linalg.norm(R - dense) <= tol * np.linalg.norm(dense)
 
 
@@ -529,7 +531,9 @@ def test_resolvents_track_grad_hs_over_the_longest_stream(measure, variant):
     inst = gen_random(50, 500)
     budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
     st = OnlineState(sm, budget, 50)
+    # one R_j per atom; one atom's R is Y itself
     assert len(st.R) == np.count_nonzero(sm.measure.weights)
+    assert np.shares_memory(st.Y, st.R) == (measure == "dopt-exact")
     for arr in inst.arrivals:
         (st.step_sequential if variant == "seq" else st.step_simultaneous)(arr)
     assert np.count_nonzero(st.decisions) >= 100
@@ -564,9 +568,43 @@ def test_rank_k_purchases_and_zero_node_atoms(measure, variant):
         (st.step_sequential if variant == "seq" else st.step_simultaneous)(arr)
     assert np.count_nonzero(st.decisions) >= 5
     _assert_resolvents_match(st, sm, arrivals)
-    if 0.0 in st.lam:
-        assert np.array_equal(st.R[list(st.lam).index(0.0)], np.eye(n))
+    assert 0.0 in st.lam
+    j = list(st.lam).index(0.0)
+    assert np.array_equal(st.R[j], OnlineState(sm, budget, n).R[j])
     assert audit_trace(st.finish(variant), inst).passed
+
+
+@given(kind=st.sampled_from(["linear", "dopt", "aopt", "pmean0.5", "pmean2"]),
+       share=st.floats(min_value=0.0, max_value=1.0), variant=st.sampled_from(["seq", "sim"]),
+       rank=st.integers(min_value=1, max_value=3), n=st.sampled_from([5, 63, 64, 70]),
+       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(kind="dopt", share=1.0, variant="sim", rank=1, n=64, seed=0)
+def test_one_atom_runs_as_its_two_atom_split(kind, share, variant, rank, n, seed):
+    # one atom (lambda, mu) holds Y alone and never blocks; the same measure as
+    # two atoms (lambda, mu/2) takes the general stack, blocked from n = 46 on.
+    # Both make the same decisions to rounding, with Y on grad_hs of the
+    # replayed aggregate, and both runs pass the audit.  A node at most
+    # k/(1 + k), k = decay, keeps y >= h' (Bernoulli), so the audit's duals hold;
+    # share 1 at dopt is its exact measure
+    obj = make_objective(kind)
+    lam = share * obj.decay / (1.0 + obj.decay)
+    mu = obj.h_prime0 * (1.0 - lam)
+    one = SmoothedObjective(AtomicMeasure([lam], [mu]), obj)
+    two = SmoothedObjective(AtomicMeasure([lam, lam], [mu / 2.0, mu / 2.0]), obj)
+    rng = np.random.default_rng(seed)
+    arrivals = [Arrival(rng.standard_normal((n, rank)) / math.sqrt(n * rank),
+                        float(rng.uniform(0.5, 1.5))) for _ in range(12)]
+    inst = Instance(arrivals, b=4.0)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
+    states = OnlineState(one, budget, n), OnlineState(two, budget, n)
+    assert states[0].W is None and (states[1].W is not None) == (n >= 46)
+    for arr in arrivals:
+        for s in states:
+            (s.step_sequential if variant == "seq" else s.step_simultaneous)(arr)
+    np.testing.assert_allclose(states[0].decisions, states[1].decisions, rtol=0, atol=1e-9)
+    for s, sm in zip(states, (one, two)):
+        _assert_resolvents_match(s, sm, arrivals)
+        assert audit_trace(s.finish(variant), inst).passed
 
 
 @pytest.mark.parametrize("variant", ["seq", "sim"])
@@ -622,14 +660,25 @@ def test_a_stack_below_the_crossover_holds_no_pending_columns(atoms, n):
 
 
 def test_the_crossover_is_at_block_min_floats():
-    # one atom: the smallest n with n^2 >= BLOCK_MIN_FLOATS is the first blocked one
+    # two atoms: the smallest n with 2 n^2 >= BLOCK_MIN_FLOATS is the first blocked one
     obj = make_objective("dopt")
-    sm = SmoothedObjective(exact_measure(obj), obj)
     budget = BudgetSmoother(obj, 2.0, 4.0, 0.5, 2.0)
-    n = math.isqrt(online.BLOCK_MIN_FLOATS - 1) + 1
+    n = 46
+    assert 2 * (n - 1) ** 2 < online.BLOCK_MIN_FLOATS <= 2 * n * n
+    sm = _many_atoms(obj, 2)
     assert OnlineState(sm, budget, n - 1).W is None
     st = OnlineState(sm, budget, n)
-    assert st.W.shape == st.P.shape == (1, online.BLOCK_COLS, n) and st.k == 0
+    assert st.W.shape == st.P.shape == (2, online.BLOCK_COLS, n) and st.k == 0
+    # one atom never blocks: pending columns would leave the prices' Y stale
+    sm = SmoothedObjective(exact_measure(obj), obj)
+    rng = np.random.default_rng(4)
+    for n in (64, 200):
+        assert n * n >= online.BLOCK_MIN_FLOATS
+        st = OnlineState(sm, budget, n)
+        for t in range(6):
+            st.step_simultaneous(Arrival(rng.standard_normal((n, 1 + t % 3)) / n, 1.0))
+            assert st.W is None and st.k == 0
+        assert np.count_nonzero(st.decisions) >= 3
 
 
 def test_arrival_from_factor(rng):
