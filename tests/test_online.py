@@ -3,8 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
+from hypothesis import example, given, strategies
 
 from psdalloc import online
 from psdalloc.bench import gen_adversarial, gen_random
@@ -574,10 +573,12 @@ def test_rank_k_purchases_and_zero_node_atoms(measure, variant):
     assert audit_trace(st.finish(variant), inst).passed
 
 
-@given(kind=st.sampled_from(["linear", "dopt", "aopt", "pmean0.5", "pmean2"]),
-       share=st.floats(min_value=0.0, max_value=1.0), variant=st.sampled_from(["seq", "sim"]),
-       rank=st.integers(min_value=1, max_value=3), n=st.sampled_from([5, 63, 64, 70]),
-       seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+@given(kind=strategies.sampled_from(["linear", "dopt", "aopt", "pmean0.5", "pmean2"]),
+       share=strategies.floats(min_value=0.0, max_value=1.0),
+       variant=strategies.sampled_from(["seq", "sim"]),
+       rank=strategies.integers(min_value=1, max_value=3),
+       n=strategies.sampled_from([5, 63, 64, 70]),
+       seed=strategies.integers(min_value=0, max_value=2 ** 32 - 1))
 @example(kind="dopt", share=1.0, variant="sim", rank=1, n=64, seed=0)
 def test_one_atom_runs_as_its_two_atom_split(kind, share, variant, rank, n, seed):
     # one atom (lambda, mu) holds Y alone and never blocks; the same measure as
@@ -599,12 +600,12 @@ def test_one_atom_runs_as_its_two_atom_split(kind, share, variant, rank, n, seed
     states = OnlineState(one, budget, n), OnlineState(two, budget, n)
     assert states[0].W is None and (states[1].W is not None) == (n >= 46)
     for arr in arrivals:
-        for s in states:
-            (s.step_sequential if variant == "seq" else s.step_simultaneous)(arr)
+        for state in states:
+            (state.step_sequential if variant == "seq" else state.step_simultaneous)(arr)
     np.testing.assert_allclose(states[0].decisions, states[1].decisions, rtol=0, atol=1e-9)
-    for s, sm in zip(states, (one, two)):
-        _assert_resolvents_match(s, sm, arrivals)
-        assert audit_trace(s.finish(variant), inst).passed
+    for state, sm in zip(states, (one, two)):
+        _assert_resolvents_match(state, sm, arrivals)
+        assert audit_trace(state.finish(variant), inst).passed
 
 
 @pytest.mark.parametrize("variant", ["seq", "sim"])
