@@ -18,13 +18,14 @@ stretch of s of order one, so F is one fixed Gauss-Legendre rule in s on
 exponential: h'(theta v)/h'(0) = (1 + theta v)^(-k) enters as -k log1p(theta v)
 (objectives.h_prime_drop).  A coarser rule on the same interval checks it; a
 disagreement raises QuadratureError.  The quadrature is the only evaluator
-of gs'.  Between its values, the ODE below with 0 < h' <= h'(0) bounds F from
-one value F(u0): for d = u - u0 >= 0,
+of gs'.  Between its values, the ODE below bounds F from one value F(u0): h'
+falls on [theta u0, theta u], so for d = u - u0 >= 0 and E = exp(r d) F(u0)
 
-    exp(r d) F(u0) <= F(u) <= exp(r d) F(u0) + h'(0) expm1(r d)/r,
+    E + h'(theta u) expm1(r d)/r <= F(u) <= E + h'(theta u0) expm1(r d)/r,
 
-so gs_prime_bracket brackets gs'(u) for the cost of one exponential, and an
-engine evaluates gs' only for a price that falls inside the bracket.
+a bracket of width second order in d (nil for linear).  gs_prime_bracket
+takes it for one exponential and two powers, and an engine evaluates gs'
+only for a price that falls inside it.
 
 F solves F' = r F + h'(theta u) with F(0) = 0, which gives in closed form
 
@@ -112,6 +113,11 @@ class BudgetSmoother:
         """gs' = -scale * F."""
         return self.gamma * self.theta / (self.B * E1)
 
+    @cached_property
+    def source(self):
+        """(scale h'(0), k), which give the bracket scale h'(theta u) as (1 + theta u)^(-k)."""
+        return self.scale * self.objective.h_prime0, self.objective.decay
+
 
 def _conv(s, x):
     """F(x) for a float or an array of 0 < x with rate * x <= OVERFLOW_EXP.
@@ -161,11 +167,14 @@ def gs_prime_bracket(s, u0, z0, u):
                  and z0 <= -NORMAL_FLOOR)):
         return -np.inf, np.inf
     em1 = math.expm1(s.rate * (u - u0))
-    hi = z0 + em1 * z0
-    lo = hi - s.scale * s.objective.h_prime0 * em1 / s.rate
+    # exp(r d) z0, less scale h'(theta v) expm1(r d)/r at v = u0 for lo and v = u for hi
+    a, k = s.source
+    z, a = z0 + em1 * z0, a * em1 / s.rate
+    lo = z - a * (1.0 + s.theta * u0) ** -k
     lo += CHECK_REL_TOL * lo
     if not -np.inf < lo <= -NORMAL_FLOOR:
         return -np.inf, np.inf
+    hi = z - a * (1.0 + s.theta * u) ** -k
     return lo, hi - CHECK_REL_TOL * hi
 
 

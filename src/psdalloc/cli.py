@@ -21,9 +21,9 @@ from .oracle import (OFFLINE_TOL, audit_run, instance_from_dict, instance_to_dic
 
 
 def _write_json(obj, path):
+    # json.dumps runs the C encoder; json.dump, with or without an indent, runs the Python one
     with nullcontext(sys.stdout) if path in (None, "-") else open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def _gammas(text):

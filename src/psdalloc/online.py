@@ -43,7 +43,8 @@ point it last evaluated, whose gs' becomes the new z: a fractional purchase
 usually costs three quadratures.
 
 z is gs' at the spend u0 where it was last evaluated, and from (u0, z)
-budget.gs_prime_bracket bounds gs'(u) for the cost of one exponential.  A
+budget.gs_prime_bracket bounds gs'(u) by h' at both ends of the step, for the
+cost of one exponential and two powers and to second order in the step.  A
 price whose sign is the same at both ends of the bracket is settled by it;
 otherwise z is evaluated at u, which closes the bracket.  So a rejection reads
 one cached bound, and a seq purchase or a sim whole purchase that the bracket

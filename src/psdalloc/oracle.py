@@ -422,7 +422,12 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         if buy.size:
             if not np.isfinite(Us[-1]).all():   # each U_k is PSD, bounded by the last's diagonal
                 raise InvalidMatrix("matrix has non-finite entries")
-            grad_hs_into(smoothed.measure, Us, Ys[1:])
+            try:
+                grad_hs_into(smoothed.measure, Us, Ys[1:])
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    "audit: lambda U + (1 - lambda) I is singular in float64 at the replayed "
+                    "aggregate's scale, diagonal up to %g" % Us[-1].diagonal().max()) from exc
         zs = gs_prime(budget, us) if buy.size else us
         zb = np.concatenate([[z], zs])
         dY = Ys[:-1] - Ys[1:]                   # Y_{k-1} - Y_k at each purchase

@@ -9,7 +9,9 @@ from scipy import integrate, optimize
 from psdalloc import budget
 from psdalloc.bench import gen_random
 from psdalloc.budget import (
+    CHECK_REL_TOL,
     E1,
+    NORMAL_FLOOR,
     OVERFLOW_EXP,
     BudgetSmoother,
     QuadratureError,
@@ -176,13 +178,65 @@ def test_gs_prime_bracket_holds_gs_prime(kind, log_theta, gamma, variant, ru, sh
         assert -np.inf < lo or (lo, hi) == (-np.inf, np.inf)
 
 
+def _one_sided_bracket(s, u0, z0, u):
+    """The bracket from 0 < h' <= h'(0) alone, which gs_prime_bracket narrows."""
+    if not (s.rate * u <= OVERFLOW_EXP and u >= NORMAL_FLOOR and s.kappa * u >= NORMAL_FLOOR
+            and (u0 == 0.0 or u0 >= NORMAL_FLOOR and s.kappa * u0 >= NORMAL_FLOOR
+                 and z0 <= -NORMAL_FLOOR)):
+        return -np.inf, np.inf
+    em1 = math.expm1(s.rate * (u - u0))
+    hi = z0 + em1 * z0
+    lo = hi - s.scale * s.objective.h_prime0 * em1 / s.rate
+    lo += CHECK_REL_TOL * lo
+    if not -np.inf < lo <= -NORMAL_FLOOR:
+        return -np.inf, np.inf
+    return lo, hi - CHECK_REL_TOL * hi
+
+
+@given(kind=st.sampled_from(["linear", "dopt", "aopt", "pmean0.5", "pmean2"]),
+       log_theta=st.floats(min_value=-2.0, max_value=3.0),
+       gamma=st.floats(min_value=1.0, max_value=8.0),
+       variant=st.sampled_from(["sim", "seq"]),
+       ru=st.floats(min_value=0.0, max_value=690.0),
+       share=st.floats(min_value=0.0, max_value=1.0))
+@example(kind="linear", log_theta=0.0, gamma=2.0, variant="sim", ru=690.0, share=0.0)
+@example(kind="linear", log_theta=0.0, gamma=1.0, variant="sim", ru=5e-324, share=0.0)
+@example(kind="dopt", log_theta=3.0, gamma=1.0, variant="sim", ru=1e-9, share=0.5)
+@example(kind="aopt", log_theta=-2.0, gamma=8.0, variant="seq", ru=30.0, share=1.0)
+@example(kind="aopt", log_theta=1.5, gamma=2.0, variant="sim", ru=2.0, share=0.9)
+def test_gs_prime_bracket_lies_inside_the_one_sided_bound(kind, log_theta, gamma, variant, ru,
+                                                          share):
+    # h' at the step's ends bounds the source term: the bracket lies inside the one from
+    # 0 < h' <= h'(0), open exactly where that one is, and is no wider than
+    # scale (h'(theta u0) - h'(theta u)) expm1(r d)/r, which is 0 for linear, plus the
+    # widening of both ends and a few units in the last place of rounding
+    theta = 10.0 ** log_theta
+    s = smoother(kind, gamma, 5.0, theta, theta, 1.5 if variant == "seq" else 0.0, variant)
+    u = ru / s.rate
+    u0 = share * u
+    z0 = gs_prime(s, u0)
+    lo, hi = gs_prime_bracket(s, u0, z0, u)
+    lo1, hi1 = _one_sided_bracket(s, u0, z0, u)
+    assert lo1 <= lo <= hi <= hi1
+    if lo1 == -np.inf:
+        assert (lo, hi) == (-np.inf, np.inf)
+        return
+    drop = h_prime(s.objective, s.theta * u0) - h_prime(s.objective, s.theta * u)
+    width = s.scale * drop * math.expm1(s.rate * (u - u0)) / s.rate
+    assert drop == 0.0 if kind == "linear" else drop >= 0.0
+    assert hi - lo <= width + CHECK_REL_TOL * (abs(lo) + abs(hi)) + 8.0 * math.ulp(lo)
+
+
 def test_gs_prime_bracket_is_open_where_a_bound_leaves_the_float_range():
     # past the overflow guard gs' is -inf; gs' of -inf, a product past the
     # float range or a rate of inf (r u nan at u = 0) gives no bound either
     s = smoother("dopt")
     u = OVERFLOW_EXP / s.rate
     lo, hi = gs_prime_bracket(s, 0.0, 0.0, u)
-    assert -np.inf < lo <= gs_prime(s, u) <= hi == 0.0
+    # the upper end is -scale h'(theta u) expm1(r u)/r, widened by CHECK_REL_TOL
+    end = -s.scale * h_prime(s.objective, s.theta * u) * math.expm1(OVERFLOW_EXP) / s.rate
+    assert -np.inf < lo <= gs_prime(s, u) <= hi
+    assert hi == pytest.approx(end * (1.0 - CHECK_REL_TOL), rel=1e-12, abs=0.0)
     assert gs_prime_bracket(s, 0.0, 0.0, np.nextafter(u, np.inf)) == (-np.inf, np.inf)
     assert gs_prime_bracket(s, u, -np.inf, u) == (-np.inf, np.inf)
     huge = smoother("linear", gamma=1e8, b=10.0, theta=1.0, Theta=1.0)

@@ -237,6 +237,23 @@ def test_run_replays_an_instance_file_in_either_layout(tmp_path):
                                rtol=1e-9, atol=1e-12)
 
 
+def test_run_files_are_compact_and_indented_ones_still_load(tmp_path):
+    # the writer runs json's C encoder, with no indent; a file written with indent=2,
+    # as earlier versions did, replays and audits the same
+    first, again = tmp_path / "run.json", tmp_path / "again.json"
+    assert main(["run", "--generator", "random", "--n", "4", "--m", "12", "--b", "3",
+                 "--out", str(first)]) == 0
+    text = first.read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload) + "\n"
+    (tmp_path / "inst.json").write_text(json.dumps(payload["instance"], indent=2))
+    assert main(["run", "--instance", str(tmp_path / "inst.json"), "--out", str(again)]) == 0
+    assert json.loads(again.read_text()) == payload
+    (tmp_path / "indented.json").write_text(json.dumps(payload, indent=2))
+    assert main(["audit", "--trace", str(tmp_path / "indented.json"),
+                 "--out", str(tmp_path / "audit.json")]) == 0
+
+
 @pytest.mark.parametrize("variant", ["seq", "sim"])
 def test_run_boundary_layer_instance(tmp_path, capsys, variant):
     # theta = 16.56: the integrand of gs' has a boundary layer of width 1/theta

@@ -269,6 +269,20 @@ def test_steps_decompose_only_to_buy(rng, monkeypatch):
     assert per_x["reject"].count(0) >= 10
 
 
+def test_seq_purchases_settle_without_a_quadrature(monkeypatch):
+    # h' at both ends of a step bounds gs' to second order in the step, so the
+    # bracket settles nearly every seq purchase: 2 quadratures over 55 purchases
+    # here, where bounding h' by h'(0) alone leaves 13
+    inst = gen_random(20, 200, 1.0, 1)
+    obj = make_objective("dopt")
+    sm = SmoothedObjective(exact_measure(obj), obj)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, "seq")
+    calls = _counters(monkeypatch)
+    trace = run_stream(sm, budget, inst.arrivals, "seq")
+    assert np.count_nonzero(trace.decisions) >= 50
+    assert calls["gs_prime"] <= 3
+
+
 def _dense_sim_reference(sm, budget, U, u, arr):
     """The simultaneous decision by bisection on the dense Phi' to 1e-12 relative."""
     A, c = arr.L @ arr.L.T, arr.c

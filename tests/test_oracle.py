@@ -1022,7 +1022,7 @@ def test_audit_decomposes_the_final_aggregate_once(variant, kind, measure, monke
 def test_audit_raises_where_its_duals_cannot_be_formed(measure, bought):
     # factors scaled by 1e150 put U near 1e300, where lambda U + (1 - lambda) I rounds
     # to a singular matrix: the duals skip grad_hs's PSD check, and the audit still
-    # raises, as it did with the check, instead of returning any report
+    # raises, as it did with the check, instead of returning any report, and says why
     base = gen_random(3, 8, 1.0, 0)
     sm, _ = engine_setup(base, 2.0, "seq")
     if measure == "one-atom":
@@ -1030,8 +1030,9 @@ def test_audit_raises_where_its_duals_cannot_be_formed(measure, bought):
     inst = Instance([Arrival(a.L * 1e150, a.c) for a in base.arrivals], 1e-300)
     budget = BudgetSmoother(sm.base, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, "seq")
     x = np.ones(inst.m) if bought == "every" else np.eye(inst.m)[0]
-    raised = np.linalg.LinAlgError if measure == "one-atom" else QuadratureError
-    with pytest.raises(raised):
+    raised, match = ((np.linalg.LinAlgError, "singular in float64 at the replayed aggregate")
+                     if measure == "one-atom" else (QuadratureError, None))
+    with pytest.raises(raised, match=match):
         audit_run(x, inst, sm, budget, "seq", p_star=0.0)
 
 
