@@ -57,7 +57,8 @@ def _load_instance(args):
             raise ValueError("--%s is a generator flag; --instance reads the instance from %s"
                              % (next(iter(given)), args.instance))
         with open(args.instance) as fh:
-            return instance_from_dict(json.load(fh))
+            args.from_file = ("--instance " + args.instance, instance_from_dict(json.load(fh)))
+        return args.from_file[1]
     return make_instance(**given)
 
 
@@ -153,6 +154,7 @@ def cmd_audit(args):
                  if isinstance(measure, dict) and "objective" not in measure else None)
     surrogate = smoothed_from_dict(measure, objective)
     inst = instance_from_dict(instance)
+    args.from_file = ("--trace " + args.trace, inst)
     smoother = BudgetSmoother(surrogate.base, gamma, inst.b, inst.theta,
                               inst.Theta, inst.rho1, variant)
     report = audit_run(decisions, inst, surrogate, smoother, variant,
@@ -258,7 +260,11 @@ def main(argv=None):
         print("psdalloc: error: %s" % exc, file=sys.stderr)
         return 2
     except QuadratureError as exc:   # at a huge b, exp(-r v) drops inside the rule's interval
-        print("psdalloc: error: --b is too large for the budget penalty (%s)" % exc, file=sys.stderr)
+        # a file's instance, which args.from_file holds, has no --b: name the file and its scales
+        what, inst = getattr(args, "from_file", (None, None))
+        where = ("--b is too large" if inst is None else "%s: b %.6g, theta %.6g and Theta %.6g "
+                 "are too large" % (what, inst.b, inst.theta, inst.Theta))
+        print("psdalloc: error: %s for the budget penalty (%s)" % (where, exc), file=sys.stderr)
         return 2
 
 

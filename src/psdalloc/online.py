@@ -19,7 +19,10 @@ weight 1, node lambda/mu and shift (1 - lambda)/mu: its R is Y, and the state ho
 Each arrival is given by its factor L (n x k), A = L L^T, which is never
 formed: its price <A, Y> is the sum of l^T Y l over the columns l of L, as in
 the audit, and buying x A is a rank-k Woodbury update (Hager 1989) of every
-R_j and, past one atom, of Y; nothing is rebuilt.  A purchase costs
+R_j and, past one atom, of Y; nothing is rebuilt.  One atom buys a rank-one
+arrival, the common step of online experiment design, as the Sherman-Morrison
+update Y -= c p p^T of the 2-D Y in place, p = Y l and c in floats, off the
+(atoms, n, k) stack.  A purchase costs
 O(atoms * n^2 * k), so near 50 atoms at n = 50 it costs as much as the eigh of
 U it replaces; the measures in use have at most 24.
 A stack of two atoms or more and BLOCK_MIN_FLOATS floats or more holds R_j =
@@ -144,6 +147,8 @@ class OnlineState:
         self.lam, self.mu, self.kappa = ((lam / mu, np.ones(1), (1.0 - lam) / mu) if one
                                          else (lam, mu, 1.0 - lam))
         self.ml = self.mu * self.lam
+        # one atom's node as a float: a rank-one purchase of Y alone is reckoned in floats
+        self.node = float(self.lam[0]) if one else None
         self.R, self.k, self.W = np.eye(n) / self.kappa[:, None, None], 0, None
         if not one and self.R.size >= BLOCK_MIN_FLOATS:
             self.W, self.P = np.empty((2, len(lam), BLOCK_COLS, n))
@@ -167,10 +172,15 @@ class OnlineState:
         """P_j = R_j L Q_j and g_j, with G_j = L^T R_j L = Q_j diag(g_j) Q_j^T.
 
         Rank one needs no decomposition (Q_j = 1), and takes two matrix-vector
-        products; otherwise each k x k G_j is decomposed, so the purchase
-        reuses its eigenvectors.  Pending columns take W_j^T (P_j L) off R_j L.
+        products; at one atom they are the vector p = Y l and the float
+        g = p . l, off the stack.  Otherwise each k x k G_j is decomposed, so
+        the purchase reuses its eigenvectors.  Pending columns take W_j^T (P_j L)
+        off R_j L.
         """
         L, col = arr.L, arr.col
+        if col is not None and self.node is not None:
+            p = self.Y @ col
+            return p, float(p @ col)
         if col is not None:
             p = self.R @ col
             if self.k:
@@ -182,12 +192,25 @@ class OnlineState:
         g, Q = np.linalg.eigh(np.swapaxes(P, 1, 2) @ L)
         return P @ Q, g
 
+    def _terms(self, split):
+        """(g, lambda g, mu, mu lambda) of each term of R(x) = sum mu g/(1 + x lambda g), as
+        Python floats, from the split's eigenvalues g: one term at one atom's rank one."""
+        P, g = split
+        if P.ndim == 1:
+            return [(g, self.node * g, 1.0, self.node)]
+        k, g = g.shape[1], g.ravel()
+        lam, mu, ml = (self.lam, self.mu, self.ml) if k == 1 else np.repeat(
+            [self.lam, self.mu, self.ml], k, axis=1)
+        return list(zip(g.tolist(), (lam * g).tolist(), mu.tolist(), ml.tolist()))
+
     def _take(self, x, arr, split=None, z=None):
         """Commit the decision x; duals refresh only when something is bought.
 
         By Woodbury, buying x L L^T subtracts P_j diag(c_j) P_j^T from R_j,
         c_ji = x lambda_j / (1 + x lambda_j g_ji), and the mu-weighted sum of
         those terms from Y, unless Y is R_0.  c_j vanishes with lambda_j, so no atom divides by it.
+        One atom's rank-one split (p, g) takes the Sherman-Morrison update
+        Y -= c p p^T in place, c reckoned in floats, which R_0, a view of Y, sees.
         A blocked stack holds the columns P_j diag(c_j) and P_j as pending;
         wider than BLOCK_COLS, they update R at once.
         A caller holding gs' at the new spend passes it as z; otherwise the
@@ -195,14 +218,15 @@ class OnlineState:
         """
         if x > 0.0:
             P, g = split if split is not None else self._split(arr)
-            xl = x * self.lam[:, None]
+            xl = x * (self.node if P.ndim == 1 else self.lam[:, None])
             c = xl / (1.0 + xl * g)
-            if P.shape[2] == 1 and self.W is None:
-                # one column: outer products, and Y's term over the atoms' columns
+            if P.ndim == 1:
+                self.Y -= np.multiply.outer(c * P, P)
+            elif P.shape[2] == 1 and self.W is None:
+                # one column, two atoms or more: outer products, and Y's term over their columns
                 p, c = P[:, :, 0], c[:, 0]
                 self.R -= (p * c[:, None])[:, :, None] * p[:, None, :]
-                if len(c) > 1:
-                    self.Y -= (p.T * (self.mu * c)) @ p
+                self.Y -= (p.T * (self.mu * c)) @ p
             else:
                 k, Pc, PT = P.shape[2], P * c[:, None, :], np.swapaxes(P, 1, 2)
                 if self.W is None or k > BLOCK_COLS:
@@ -261,10 +285,7 @@ class OnlineState:
             if not v + c * self.z > 0.0:
                 return self._take(0.0, arr)
         split = self._split(arr)
-        g, k = split[1].ravel(), split[1].shape[1]
-        lam, mu, ml = (self.lam, self.mu, self.ml) if k == 1 else np.repeat(
-            [self.lam, self.mu, self.ml], k, axis=1)
-        terms = list(zip(g.tolist(), (lam * g).tolist(), mu.tolist(), ml.tolist()))
+        terms = self._terms(split)
 
         def rational(x):
             """R(x) and R'(x), term by term in Python floats: quicker than numpy here."""

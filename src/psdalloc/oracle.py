@@ -314,6 +314,7 @@ class AuditReport:
     def to_dict(self):
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["checks"] = {k: bool(v) for k, v in self.checks.items()}  # numpy bools break json
+        out["tols"] = dict(DEFAULT_TOLS)    # the tolerance each residual is held to
         return out
 
 

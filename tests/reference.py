@@ -262,7 +262,8 @@ class EagerState(OnlineState):
 
     The step rules are written out here with the exact z, so OnlineState's
     decisions, which its bracket on gs' settles where it can, must equal
-    these bit for bit; the splits and Woodbury updates are OnlineState's.
+    these bit for bit; the splits, the terms of R(x) and the Woodbury and
+    Sherman-Morrison updates are OnlineState's.
     """
 
     def _take(self, x, arr, split=None, z=None):
@@ -280,10 +281,7 @@ class EagerState(OnlineState):
             return self._take(0.0, arr)
         c, u, s, z = arr.c, self.u, self.budget, self.z
         split = self._split(arr)
-        g, k = split[1].ravel(), split[1].shape[1]
-        lam, mu, ml = (self.lam, self.mu, self.ml) if k == 1 else np.repeat(
-            [self.lam, self.mu, self.ml], k, axis=1)
-        terms = list(zip(g.tolist(), (lam * g).tolist(), mu.tolist(), ml.tolist()))
+        terms = self._terms(split)
 
         def rational(x):
             # the engine's float form, term by term, so the sums round alike

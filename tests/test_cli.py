@@ -612,6 +612,31 @@ def test_malformed_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys, arg
     assert " %s " % name in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,scale,b", [
+    (["run", "--instance", "big.json"], 1e150, 1.0),
+    # at larger factors the audit's P* solve fails before b'
+    (["audit", "--trace", "big.json"], 1e4, 1e9),
+], ids=["run-instance", "audit-trace"])
+def test_a_file_instance_past_the_budget_penalty_exits_2_naming_the_file(
+        tmp_path, monkeypatch, capsys, argv, scale, b):
+    # b' raises QuadratureError on the file's instance, whose message once named --b, a
+    # flag neither command was given: it names the file and the instance's b, theta and Theta
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--n", "3", "--m", "8", "--b", "2", "--out", "run.json"]) == 0
+    record = json.loads((tmp_path / "run.json").read_text())
+    record["instance"]["b"] = b
+    for arrival in record["instance"]["arrivals"]:
+        arrival["L"] = (scale * np.array(arrival["L"])).tolist()
+    (tmp_path / "big.json").write_text(json.dumps(record if argv[0] == "audit"
+                                                  else record["instance"]))
+    capsys.readouterr()
+    assert main(argv + ["--out", os.devnull]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psdalloc: error: %s big.json: b %.6g, theta " % (argv[1], b))
+    assert err.count("\n") == 1 and "budget penalty" in err
+    assert "--b" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv,word", [
     (["bench", "--generator", "foo"], "'foo'"),
     (["run", "--objective", "aopt", "--n", "3", "--m", "5"], "(--measure)"),

@@ -591,16 +591,18 @@ def test_rank_k_purchases_and_zero_node_atoms(measure, variant):
        share=strategies.floats(min_value=0.0, max_value=1.0),
        variant=strategies.sampled_from(["seq", "sim"]),
        rank=strategies.integers(min_value=1, max_value=3),
-       n=strategies.sampled_from([5, 63, 64, 70]),
+       n=strategies.sampled_from([1, 5, 63, 64, 70]),
        seed=strategies.integers(min_value=0, max_value=2 ** 32 - 1))
 @example(kind="dopt", share=1.0, variant="sim", rank=1, n=64, seed=0)
+@example(kind="dopt", share=1.0, variant="seq", rank=1, n=1, seed=0)
 def test_one_atom_runs_as_its_two_atom_split(kind, share, variant, rank, n, seed):
     # one atom (lambda, mu) holds Y alone and never blocks; the same measure as
     # two atoms (lambda, mu/2) takes the general stack, blocked from n = 46 on.
     # Both make the same decisions to rounding, with Y on grad_hs of the
     # replayed aggregate, and both runs pass the audit.  A node at most
     # k/(1 + k), k = decay, keeps y >= h' (Bernoulli), so the audit's duals hold;
-    # share 1 at dopt is its exact measure
+    # share 1 at dopt is its exact measure.  At n = 1, Y is 1 x 1 and the one atom's
+    # rank-one split p has one entry
     obj = make_objective(kind)
     lam = share * obj.decay / (1.0 + obj.decay)
     mu = obj.h_prime0 * (1.0 - lam)

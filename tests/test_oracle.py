@@ -588,13 +588,15 @@ def test_audit_passes_on_clean_run(variant, rng):
     assert rep.d_value >= rep.p_star - 1e-6
     d = rep.to_dict()
     assert d["passed"] and d["checks"] == rep.checks
-    # the layout of `psdalloc audit`'s JSON: the fields in order, checks as plain bools
+    # the layout of `psdalloc audit`'s JSON: the fields in order, checks as plain bools,
+    # then the tolerance each residual is held to
     assert list(d) == ["variant", "m", "budget_used", "b_prime", "budget_residual",
                        "decision_consistent", "worst_decision_residual", "max_z_step",
                        "min_y_gap", "telescope_residual", "dual_gap_residual",
                        "rho_bound_residual", "primal_H", "lambda_max", "d_value", "p_star",
-                       "passed", "checks"]
+                       "passed", "checks", "tols"]
     assert all(type(v) is bool for v in d["checks"].values())
+    assert d["tols"] == DEFAULT_TOLS and d["tols"] is not DEFAULT_TOLS
 
 
 def test_audit_detects_corrupted_decisions(rng):
