@@ -2,12 +2,14 @@
 
 make_instance builds an instance from generator flags.  group_spec gives an
 (objective, gamma, variant) group of instances its budget smoothers and the
-one DesignSpec that serves them all.  run_one streams and audits one run, and
-write_csv writes every CSV the package emits, with 12 significant digits.
+one DesignSpec that serves them all.  _p_star is the P* of run, bench and
+audit.  run_one streams and audits one run, and write_csv writes every CSV the
+package emits, with 12 significant digits.
 """
 
 import math
 import os
+import sys
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -18,7 +20,7 @@ from .designer import DesignSpec, beta_for_measure, cr_bound, design_hs
 from .lowner import SmoothedObjective, exact_measure
 from .objectives import PARAMS, _key, make_objective, param
 from .online import Arrival, run_stream
-from .oracle import Instance, audit_trace, offline_continuous_opt
+from .oracle import OFFLINE_TOL, Instance, audit_trace, offline_continuous_opt
 
 # the eleven report columns fixed by the interface contract, then discriminators
 CSV_COLUMNS = ["objective", "gamma", "repeat", "budget_used", "b_prime",
@@ -193,6 +195,15 @@ def _unsmoothed_beta(spec):
     return beta_for_measure(spec, exact_measure(spec.objective))
 
 
+def _p_star(inst, obj):
+    """The offline optimum's value, with one stderr line when its Frank-Wolfe gap stayed open."""
+    opt = offline_continuous_opt(inst, obj)
+    if opt.upper - opt.value > OFFLINE_TOL * opt.value:
+        print("P* solve stopped after %d iterations with its gap open: %.9g <= P* <= %.9g"
+              % (opt.iterations, opt.value, opt.upper), file=sys.stderr)
+    return opt.value
+
+
 def run_one(inst, surrogate, smoother, beta, u_max, arm, p_star=None, repeat=0):
     """Stream one surrogate over one instance, audit the run; (RunReport, trace).
 
@@ -229,7 +240,7 @@ def run_experiment(cfg):
     else:
         instances = [make_instance(cfg.generator, cfg.n, cfg.m, cfg.seed + r, cfg.b,
                                    cfg.density) for r in range(cfg.repeats)]
-    p_stars = [offline_continuous_opt(inst, obj).value for inst in instances]
+    p_stars = [_p_star(inst, obj) for inst in instances]
     em = exact_measure(obj)
     reports = []
     for gamma in cfg.gammas:

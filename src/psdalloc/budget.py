@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .objectives import PARAMS, h_eval, h_prime, h_prime_drop, param
+from .objectives import PARAMS, h_eval, h_prime_drop, param
 
 E1 = np.e - 1.0
 
@@ -182,9 +182,12 @@ def gs_second(s, u, gp):
     """gs''(u) = r gs'(u) - scale h'(theta u) at a float u, given gp = gs'(u).
 
     From F' = r F + h'(theta u); gs' is an argument so that a caller holding
-    it pays no second quadrature.  0 on u < 0, the right derivative at u = 0.
+    it pays no second quadrature.  h'(theta u) is objectives.h_prime's, bit for
+    bit, in floats.  0 on u < 0, the right derivative at u = 0.
     """
-    return s.rate * gp - s.scale * h_prime(s.objective, s.theta * u) if u >= 0.0 else 0.0
+    obj = s.objective
+    return (s.rate * gp - s.scale * (obj.h_prime0 * (1.0 + s.theta * u) ** -obj.decay)
+            if u >= 0.0 else 0.0)
 
 
 def gs_value(s, u):

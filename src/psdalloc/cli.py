@@ -10,14 +10,13 @@ from dataclasses import fields
 import numpy as np
 
 from . import designer
-from .bench import (CURVE_COLUMNS, ExperimentConfig, _unsmoothed_beta, curve_rows,
+from .bench import (CURVE_COLUMNS, ExperimentConfig, _p_star, _unsmoothed_beta, curve_rows,
                     group_spec, make_instance, run_experiment, run_one, write_csv)
 from .budget import BudgetSmoother, QuadratureError, gs_prime
 from .designer import DesignSpec, cr_bound, design_hs, design_to_dict, design_from_dict
 from .lowner import SmoothedObjective, exact_measure, smoothed_from_dict, smoothed_to_dict
 from .objectives import PARAMS, TOL_EIG, _key, float_array, make_objective, number, whole
-from .oracle import (OFFLINE_TOL, audit_run, instance_from_dict, instance_to_dict,
-                     offline_continuous_opt)
+from .oracle import audit_run, instance_from_dict, instance_to_dict
 
 
 def _write_json(obj, path):
@@ -60,15 +59,6 @@ def _load_instance(args):
             args.from_file = ("--instance " + args.instance, instance_from_dict(json.load(fh)))
         return args.from_file[1]
     return make_instance(**given)
-
-
-def _p_star(inst, obj):
-    """The offline optimum's value, with one stderr line when its Frank-Wolfe gap stayed open."""
-    opt = offline_continuous_opt(inst, obj)
-    if opt.upper - opt.value > OFFLINE_TOL * opt.value:
-        print("P* solve stopped after %d iterations with its gap open: %.9g <= P* <= %.9g"
-              % (opt.iterations, opt.value, opt.upper), file=sys.stderr)
-    return opt.value
 
 
 def _check_design(design, spec):
@@ -256,15 +246,20 @@ def main(argv=None):
         except (OSError, ValueError):   # a stdout with no file descriptor
             pass
         return 141
-    except (ValueError, OSError) as exc:   # every validation error, bad JSON, a missing file
-        print("psdalloc: error: %s" % exc, file=sys.stderr)
-        return 2
-    except QuadratureError as exc:   # at a huge b, exp(-r v) drops inside the rule's interval
-        # a file's instance, which args.from_file holds, has no --b: name the file and its scales
+    except (ValueError, OSError, QuadratureError) as exc:
+        # every validation error, bad JSON, a missing file, and two limits of the numerics:
+        # a QuadratureError where exp(-r v) drops inside the rule's interval at a huge b, a
+        # LinAlgError where float64 cannot invert a matrix at the instance's scale.  A
+        # file's instance, which args.from_file holds, has no --b: they name the file
         what, inst = getattr(args, "from_file", (None, None))
-        where = ("--b is too large" if inst is None else "%s: b %.6g, theta %.6g and Theta %.6g "
-                 "are too large" % (what, inst.b, inst.theta, inst.Theta))
-        print("psdalloc: error: %s for the budget penalty (%s)" % (where, exc), file=sys.stderr)
+        if inst is not None:
+            what = "%s: b %.6g, theta %.6g and Theta %.6g" % (what, inst.b, inst.theta, inst.Theta)
+        if isinstance(exc, QuadratureError):
+            exc = "%s for the budget penalty (%s)" % (
+                "--b is too large" if inst is None else what + " are too large", exc)
+        elif isinstance(exc, np.linalg.LinAlgError) and inst is not None:
+            exc = "%s: %s" % (what, exc)
+        print("psdalloc: error: %s" % exc, file=sys.stderr)
         return 2
 
 

@@ -12,29 +12,29 @@ gs'(u) in place of gs'(u) itself.  Two step rules:
                concave stationarity condition
                Phi'(x) = <A, grad H_S(U + x A)> + c gs'(u + x c).
 
-Neither engine holds or decomposes U.  grad H_S is the resolvent sum Y = sum_j mu_j R_j,
-R_j = (lambda_j U + kappa_j I)^{-1}, and the state holds one R_j per atom, starting at
-I/kappa_j = I/(1 - lambda_j).  One atom (dopt's and linear's exact measures) is held at
-weight 1, node lambda/mu and shift (1 - lambda)/mu: its R is Y, and the state holds Y alone.
-Each arrival is given by its factor L (n x k), A = L L^T, which is never
-formed: its price <A, Y> is the sum of l^T Y l over the columns l of L, as in
-the audit, and buying x A is a rank-k Woodbury update (Hager 1989) of every
-R_j and, past one atom, of Y; nothing is rebuilt.  One atom buys a rank-one
-arrival, the common step of online experiment design, as the Sherman-Morrison
-update Y -= c p p^T of the 2-D Y in place, p = Y l and c in floats, off the
-(atoms, n, k) stack.  A purchase costs
-O(atoms * n^2 * k), so near 50 atoms at n = 50 it costs as much as the eigh of
-U it replaces; the measures in use have at most 24.
-A stack of two atoms or more and BLOCK_MIN_FLOATS floats or more holds R_j =
-B_j - W_j^T P_j, up to BLOCK_COLS pending columns that one batched product folds
-into B_j (the compact form of Byrd, Nocedal & Schnabel 1994); a smaller one updates at once.
+Neither engine holds or decomposes U.  An arrival is given by its factor L
+(n x k), A = L L^T, which is never formed: its price <A, Y>, the sum of
+l^T Y l over the columns l of L as in the audit, is read off the product
+Y L, and buying x A is a rank-k Woodbury update (Hager 1989).
+grad H_S is Y = sum_j mu_j R_j, R_j = (lambda_j U + (1 - lambda_j) I)^{-1}.
+One atom (dopt's and linear's exact measures) makes Y itself the resolvent
+(node U + shift I)^{-1}, node lambda/mu and shift (1 - lambda)/mu: the state
+holds the 2-D Y alone, splits each purchase from the price's Y L and
+updates Y in place.  Two atoms or more hold an (atoms, n, n) stack of R_j,
+from I/(1 - lambda_j), and update every R_j and Y: O(atoms * n^2 * k) a
+purchase, as much as the eigh of U it replaces near 50 atoms at n = 50 (the
+measures in use have at most 24).  A stack of BLOCK_MIN_FLOATS floats or
+more holds R_j = B_j - W_j^T P_j, up to BLOCK_COLS pending columns that one
+batched product folds into B_j (the compact form of Byrd, Nocedal &
+Schnabel 1994); a smaller one updates at once.
 
 The same factor makes the simultaneous root-find scalar:
 
     <A, grad H_S(U + x A)> = R(x) = sum_j mu_j sum_i g_ji / (1 + x lambda_j g_ji),
 
 where g_j. are the eigenvalues of the k x k matrix G_j = L^T R_j L (for
-k = 1, G_j is the scalar g_j itself), summed in Python floats.  A probe of
+k = 1, G_j is the scalar g_j itself), summed in Python floats; one atom is
+the term of weight 1 and node lambda/mu, with R = Y.  A probe of
 Phi' and the closed-form Phi'' (gs'' by budget.gs_second) costs one gs'
 quadrature and no matrix work.
 After the probe at x = 1, gs' and gs'' are known at both ends, so the model
@@ -73,8 +73,7 @@ from .objectives import TOL_EIG, InvalidMatrix, psd_eigs
 # the simultaneous root-find stops when a step or the bracket is this short, relative to x
 X_TOL = 1e-12
 # a resolvent stack of BLOCK_MIN_FLOATS floats (atoms * n^2) or more holds up to BLOCK_COLS
-# pending Woodbury columns; CHANGES.md has the measurements that chose both.  One atom
-# never blocks: its R is the prices' Y, which pending columns would leave stale
+# pending Woodbury columns; CHANGES.md has the measurements that chose both
 BLOCK_MIN_FLOATS = 4096
 BLOCK_COLS = 16
 
@@ -136,25 +135,21 @@ class OnlineState:
     def __init__(self, smoothed, budget, n):
         if smoothed.base != budget.objective:
             raise ConfigError("smoothed measure and budget smoother disagree on the objective")
-        self.smoothed = smoothed
-        self.budget = budget
-        self.n = n
-        self.u = 0.0
+        self.smoothed, self.budget, self.n = smoothed, budget, n
         lam, mu = smoothed.measure.nodes, smoothed.measure.weights
-        # R_j = (lambda_j U + kappa_j I)^{-1} = R[j] - W[j, :k]^T P[j, :k], one per atom.
-        # One atom is rescaled to weight 1, so that its R is Y = mu R_0; it never blocks
-        one = len(lam) == 1
-        self.lam, self.mu, self.kappa = ((lam / mu, np.ones(1), (1.0 - lam) / mu) if one
-                                         else (lam, mu, 1.0 - lam))
-        self.ml = self.mu * self.lam
-        # one atom's node as a float: a rank-one purchase of Y alone is reckoned in floats
-        self.node = float(self.lam[0]) if one else None
-        self.R, self.k, self.W = np.eye(n) / self.kappa[:, None, None], 0, None
-        if not one and self.R.size >= BLOCK_MIN_FLOATS:
-            self.W, self.P = np.empty((2, len(lam), BLOCK_COLS, n))
-        self.Y = self.R[0] if one else np.tensordot(mu, self.R, axes=1)
-        # z = gs'(u0) at the last spend where it was evaluated; [zlo, zhi] holds gs'(u)
-        self.u0 = self.z = self.zlo = self.zhi = 0.0
+        if len(lam) == 1:
+            # Y = (node U + shift I)^{-1} alone, node lambda/mu and shift (1 - lambda)/mu
+            self.node = float(lam[0] / mu[0])
+            self.Y = np.eye(n) / ((1.0 - lam[0]) / mu[0])
+        else:
+            # R_j = (lambda_j U + (1 - lambda_j) I)^{-1} = R[j] - W[j, :k]^T P[j, :k], one per atom
+            self.node, self.lam, self.mu, self.ml = None, lam, mu, mu * lam
+            self.R, self.k, self.W = np.eye(n) / (1.0 - lam)[:, None, None], 0, None
+            if self.R.size >= BLOCK_MIN_FLOATS:
+                self.W, self.P = np.empty((2, len(lam), BLOCK_COLS, n))
+            self.Y = np.tensordot(mu, self.R, axes=1)
+        # spend u; z = gs'(u0), u0 the spend of its last evaluation; [zlo, zhi] holds gs'(u)
+        self.u = self.u0 = self.z = self.zlo = self.zhi = 0.0
         self.decisions = []
 
     def _close(self):
@@ -168,19 +163,21 @@ class OnlineState:
         self.R -= np.swapaxes(self.W[:, :self.k], 1, 2) @ self.P[:, :self.k]
         self.k = 0
 
-    def _split(self, arr):
-        """P_j = R_j L Q_j and g_j, with G_j = L^T R_j L = Q_j diag(g_j) Q_j^T.
+    def _split(self, arr, YL, v):
+        """The purchase's split (P, g), from the price's YL = Y L (Y l at rank one) and v.
 
-        Rank one needs no decomposition (Q_j = 1), and takes two matrix-vector
-        products; at one atom they are the vector p = Y l and the float
-        g = p . l, off the stack.  Otherwise each k x k G_j is decomposed, so
-        the purchase reuses its eigenvectors.  Pending columns take W_j^T (P_j L)
-        off R_j L.
+        One atom takes it from YL: (Y l, v) at rank one, a vector and a float,
+        and (YL Q, g) at rank k, L^T Y L = Q diag(g) Q^T.  A stack takes
+        P_j = R_j L Q_j and g_j, G_j = L^T R_j L = Q_j diag(g_j) Q_j^T: two batched
+        products at rank one (Q_j = 1), else one eigh of each k x k G_j, whose
+        eigenvectors the purchase reuses.  Pending columns take W_j^T (P_j L) off R_j L.
         """
         L, col = arr.L, arr.col
-        if col is not None and self.node is not None:
-            p = self.Y @ col
-            return p, float(p @ col)
+        if self.node is not None:
+            if col is not None:
+                return YL, v
+            g, Q = np.linalg.eigh(YL.T @ L)
+            return YL @ Q, g
         if col is not None:
             p = self.R @ col
             if self.k:
@@ -194,36 +191,36 @@ class OnlineState:
 
     def _terms(self, split):
         """(g, lambda g, mu, mu lambda) of each term of R(x) = sum mu g/(1 + x lambda g), as
-        Python floats, from the split's eigenvalues g: one term at one atom's rank one."""
+        Python floats, from the split's eigenvalues g; one atom's terms have weight 1."""
         P, g = split
-        if P.ndim == 1:
-            return [(g, self.node * g, 1.0, self.node)]
+        if self.node is not None:
+            return [(gi, self.node * gi, 1.0, self.node) for gi in ([g] if P.ndim == 1
+                                                                    else g.tolist())]
         k, g = g.shape[1], g.ravel()
         lam, mu, ml = (self.lam, self.mu, self.ml) if k == 1 else np.repeat(
             [self.lam, self.mu, self.ml], k, axis=1)
         return list(zip(g.tolist(), (lam * g).tolist(), mu.tolist(), ml.tolist()))
 
     def _take(self, x, arr, split=None, z=None):
-        """Commit the decision x; duals refresh only when something is bought.
+        """Commit the decision x, with the split of a purchase; duals refresh only on one.
 
-        By Woodbury, buying x L L^T subtracts P_j diag(c_j) P_j^T from R_j,
-        c_ji = x lambda_j / (1 + x lambda_j g_ji), and the mu-weighted sum of
-        those terms from Y, unless Y is R_0.  c_j vanishes with lambda_j, so no atom divides by it.
-        One atom's rank-one split (p, g) takes the Sherman-Morrison update
-        Y -= c p p^T in place, c reckoned in floats, which R_0, a view of Y, sees.
-        A blocked stack holds the columns P_j diag(c_j) and P_j as pending;
-        wider than BLOCK_COLS, they update R at once.
+        By Woodbury, buying x L L^T subtracts P diag(c) P^T, c_i = x lambda /
+        (1 + x lambda g_i), from a resolvent.  One atom updates Y in place, by
+        c p p^T at rank one, c in floats, and by (P c) P^T at rank k.  A stack
+        does so to each R_j, and to Y by the mu-weighted sum; c_j vanishes with
+        lambda_j, so no atom divides by it.  A blocked stack holds P_j diag(c_j)
+        and P_j as pending columns; wider than BLOCK_COLS, they update R at once.
         A caller holding gs' at the new spend passes it as z; otherwise the
         bracket grows from the last exact point to the new spend.
         """
         if x > 0.0:
-            P, g = split if split is not None else self._split(arr)
-            xl = x * (self.node if P.ndim == 1 else self.lam[:, None])
+            P, g = split
+            xl = x * (self.lam[:, None] if self.node is None else self.node)
             c = xl / (1.0 + xl * g)
-            if P.ndim == 1:
-                self.Y -= np.multiply.outer(c * P, P)
+            if self.node is not None:
+                self.Y -= np.multiply.outer(c * P, P) if P.ndim == 1 else (P * c) @ P.T
             elif P.shape[2] == 1 and self.W is None:
-                # one column, two atoms or more: outer products, and Y's term over their columns
+                # one column: outer products, and Y's term over the atoms' columns
                 p, c = P[:, :, 0], c[:, 0]
                 self.R -= (p * c[:, None])[:, :, None] * p[:, None, :]
                 self.Y -= (p.T * (self.mu * c)) @ p
@@ -236,10 +233,9 @@ class OnlineState:
                         self._fold()
                     new = slice(self.k, self.k + k)
                     self.W[:, new], self.P[:, new], self.k = Pc.swapaxes(1, 2), PT, self.k + k
-                if len(c) > 1:
-                    # Y's term in one product, the atoms' columns side by side
-                    Z = np.swapaxes(P, 0, 1).reshape(self.n, -1)
-                    self.Y -= (Z * (self.mu[:, None] * c).ravel()) @ Z.T
+                # Y's term in one product, the atoms' columns side by side
+                Z = np.swapaxes(P, 0, 1).reshape(self.n, -1)
+                self.Y -= (Z * (self.mu[:, None] * c).ravel()) @ Z.T
             self.u += x * arr.c
             if z is None:
                 self.zlo, self.zhi = gs_prime_bracket(self.budget, self.u0, self.z, self.u)
@@ -251,25 +247,29 @@ class OnlineState:
     def step_sequential(self, arr):
         """Threshold rule on the stale price; returns the decision x in {0, 1}."""
         L, col, c = arr.L, arr.col, arr.c
-        v = float(self.Y.dot(col).dot(col) if col is not None else np.vdot(L, self.Y.dot(L)))
+        YL = self.Y.dot(L if col is None else col)
+        v = float(np.vdot(L, YL) if col is None else YL.dot(col))
         if v + c * self.zhi <= 0.0:
             self.decisions.append(0.0)
             return 0.0
         if not v + c * self.zlo > 0.0:
             self._close()
-        return self._take(1.0 if v + c * self.zhi > 0.0 else 0.0, arr)
+            if not v + c * self.z > 0.0:
+                return self._take(0.0, arr)
+        return self._take(1.0, arr, self._split(arr, YL, v))
 
     def step_simultaneous(self, arr):
         """Fractional step maximizing Phi; returns x in [0, 1]."""
         L, col = arr.L, arr.col
-        v = float(self.Y.dot(col).dot(col) if col is not None else np.vdot(L, self.Y.dot(L)))
+        YL = self.Y.dot(L if col is None else col)
+        v = float(np.vdot(L, YL) if col is None else YL.dot(col))
         if v + arr.c * self.zhi <= 0.0:     # Phi'(0) = v + c gs'(u), with gs'(u) <= zhi
             self.decisions.append(0.0)
             return 0.0
-        return self._buy(arr, v)
+        return self._buy(arr, YL, v)
 
-    def _buy(self, arr, v):
-        """Buy at the root of Phi' on [0, 1], given v = <A, Y> with v + c zhi > 0.
+    def _buy(self, arr, YL, v):
+        """Buy at the root of Phi' on [0, 1], given v = <A, Y>, read off YL, with v + c zhi > 0.
 
         Where the bracket leaves the sign of Phi'(0) = v + c gs'(u) open, z is
         made exact at u, and Phi'(0) <= 0 rejects.
@@ -284,7 +284,7 @@ class OnlineState:
             self._close()
             if not v + c * self.z > 0.0:
                 return self._take(0.0, arr)
-        split = self._split(arr)
+        split = self._split(arr, YL, v)
         terms = self._terms(split)
 
         def rational(x):

@@ -226,11 +226,16 @@ def _offline_point(obj, X, Lc):
         G = (V * h_prime(obj, w)) @ V.T
         return float(np.sum(h_eval(obj, w))), np.einsum("ik,ik->k", Lc, G @ Lc)
     A = _plus_identity(X.copy(), 1.0)
-    G = np.linalg.inv(A)
+    try:
+        G, C = np.linalg.inv(A), np.linalg.cholesky(A) if obj.kind == "dopt" else None
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            "P* solve: I + X is singular in float64 at the aggregate's scale, diagonal up "
+            "to %g" % X.diagonal().max()) from exc
     GL = G @ Lc
     if obj.kind == "aopt":
         return float(np.sum(X * G)), np.einsum("ik,ik->k", GL, GL)
-    f = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(A)))))
+    f = 2.0 * float(np.sum(np.log(np.diag(C))))
     if f < 1.0:
         f = float(np.sum(h_eval(obj, np.linalg.eigvalsh(X))))
     return f, np.einsum("ik,ik->k", Lc, GL)

@@ -12,11 +12,11 @@ independently of the designer's columns (designer._block).  reference_audit_run
 is oracle.audit_run as a step-by-step loop, the reference for its block replay.
 EagerState is the engines' step rules with gs' evaluated at every purchase,
 the reference for the decisions OnlineState settles from its bracket on gs'.
-engine_price is the engines' price <A, Y>, written from the factor as they
-write it, so that EagerState's prices round as theirs do.  h_prime_by_kind,
-h_prime_drop_by_kind and h_conj_prime_by_kind are h', -log(h'/h'(0)) and the
-inverse of h' written once per kind, the reference for objectives' single
-formulas in h'(0) and the decay k.
+engine_price is the engines' product Y L and price <A, Y>, written from the
+factor as they write them, so that EagerState's prices and splits round as
+theirs do.  h_prime_by_kind, h_prime_drop_by_kind and h_conj_prime_by_kind
+are h', -log(h'/h'(0)) and the inverse of h' written once per kind, the
+reference for objectives' single formulas in h'(0) and the decay k.
 """
 
 from dataclasses import dataclass
@@ -252,9 +252,11 @@ def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
 
 
 def engine_price(arr, Y):
-    """<L L^T, Y> as the engines form it: Y l . l at rank one, else <L, Y L>."""
-    col = arr.col
-    return float(Y.dot(col).dot(col) if col is not None else np.vdot(arr.L, Y.dot(arr.L)))
+    """(Y L, <L L^T, Y>) as the engines form them: (Y l, Y l . l) at rank one, else
+    (Y L, <L, Y L>)."""
+    L, col = arr.L, arr.col
+    YL = Y.dot(L if col is None else col)
+    return YL, float(np.vdot(L, YL) if col is None else YL.dot(col))
 
 
 class EagerState(OnlineState):
@@ -262,8 +264,9 @@ class EagerState(OnlineState):
 
     The step rules are written out here with the exact z, so OnlineState's
     decisions, which its bracket on gs' settles where it can, must equal
-    these bit for bit; the splits, the terms of R(x) and the Woodbury and
-    Sherman-Morrison updates are OnlineState's.
+    these bit for bit; the splits, taken from engine_price's Y L as the
+    engines take them, the terms of R(x) and the Woodbury and Sherman-Morrison
+    updates are OnlineState's.
     """
 
     def _take(self, x, arr, split=None, z=None):
@@ -272,15 +275,18 @@ class EagerState(OnlineState):
         return super()._take(x, arr, split, z)
 
     def step_sequential(self, arr):
-        price = engine_price(arr, self.Y) + arr.c * self.z
-        return self._take(1.0 if price > 0.0 else 0.0, arr)
+        YL, v = engine_price(arr, self.Y)
+        if not v + arr.c * self.z > 0.0:
+            return self._take(0.0, arr)
+        return self._take(1.0, arr, self._split(arr, YL, v))
 
     def step_simultaneous(self, arr):
-        d0 = engine_price(arr, self.Y) + arr.c * self.z
+        YL, v = engine_price(arr, self.Y)
+        d0 = v + arr.c * self.z
         if d0 <= 0.0:
             return self._take(0.0, arr)
         c, u, s, z = arr.c, self.u, self.budget, self.z
-        split = self._split(arr)
+        split = self._split(arr, YL, v)
         terms = self._terms(split)
 
         def rational(x):

@@ -262,6 +262,28 @@ def test_gs_second_matches_central_difference(kind, variant):
     assert gs_second(s, -1.0, gs_prime(s, -1.0)) == 0.0
 
 
+
+@given(kind=st.sampled_from(["linear", "dopt", "aopt", "pmean"]),
+       p=st.floats(min_value=0.05, max_value=20.0),
+       log_theta=st.floats(min_value=-6.0, max_value=6.0),
+       gamma=st.floats(min_value=1.0, max_value=8.0),
+       variant=st.sampled_from(["sim", "seq"]),
+       u=st.floats(min_value=0.0, max_value=1e12),
+       gp=st.floats(min_value=-1e300, max_value=0.0))
+@example(kind="pmean", p=0.3, log_theta=0.0, gamma=2.0, variant="sim", u=0.37, gp=-1.5)
+@example(kind="pmean", p=1.7, log_theta=-1.0, gamma=3.0, variant="seq", u=12.5, gp=-40.0)
+@example(kind="pmean", p=3.0, log_theta=2.0, gamma=1.0, variant="sim", u=1e-300, gp=-0.0)
+def test_gs_second_reads_h_prime_in_floats_bit_for_bit(kind, p, log_theta, gamma, variant,
+                                                       u, gp):
+    # gs'' takes h'(theta u) in Python floats, where h_prime takes it through a 0-d
+    # array; h'(0) (1 + theta u)^(-k) in that order keeps h_prime's bits, also for a
+    # pmean p that is not a power of two
+    obj = make_objective("pmean%r" % p if kind == "pmean" else kind)
+    theta = 10.0 ** log_theta
+    s = smoother(obj.label, gamma, 5.0, theta, theta, 1.5 if variant == "seq" else 0.0, variant)
+    want = s.rate * gp - s.scale * h_prime(obj, s.theta * u)
+    assert float(gs_second(s, u, gp)).hex() == float(want).hex()
+
 def test_gs_value_zero_and_negative():
     s = smoother()
     assert gs_value(s, 0.0) == 0.0

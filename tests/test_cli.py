@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdalloc import cli, designer, oracle
+from psdalloc import bench, cli, designer, oracle
 from psdalloc.bench import ExperimentConfig, _unsmoothed_beta, gen_adversarial, make_instance
 from psdalloc.budget import BudgetSmoother, b_prime
 from psdalloc.cli import _check_design, build_parser, main
@@ -100,13 +100,30 @@ def test_run_and_audit_say_when_the_offline_gap_stayed_open(tmp_path, monkeypatc
         res = solve(inst, obj)
         return replace(res, value=res.upper / (1.0 + gap))
 
-    monkeypatch.setattr(cli, "offline_continuous_opt", stopped)
+    monkeypatch.setattr(bench, "offline_continuous_opt", stopped)
     assert main(["run", "--n", "4", "--m", "12", "--b", "3", "--out", str(trace)]) == 0
     assert main(["audit", "--trace", str(trace), "--out", str(tmp_path / "audit.json")]) == 0
     lines = [line for line in capsys.readouterr().err.splitlines() if "gap open" in line]
     assert len(lines) == (2 if gap else 0)
     for line in lines:
         assert line.startswith("P* solve stopped after ") and "<= P* <=" in line
+
+
+def test_bench_says_when_the_offline_gap_stayed_open(tmp_path, capsys):
+    # far below the rounding of v the P* solve stops uncertified after one iteration
+    # (ROADMAP item 20); bench, which once printed its ratio 2.58 from that P* with no
+    # word, says so as run and audit do: once, for the one instance both arms share
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--objective", "dopt", "--generator", "random", "--n", "20",
+                 "--m", "200", "--seed", "5", "--b", "1e-50", "--gamma", "2",
+                 "--variant", "sim", "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "gap open" in line]
+    assert len(lines) == 1 and lines[0].startswith("P* solve stopped after 1 iterations ")
+    inst = make_instance("random", 20, 200, 5, 1e-50)
+    opt = offline_continuous_opt(inst, make_objective("dopt"))
+    assert "<= P* <= %.9g" % opt.upper in lines[0]
+    rows = out.read_text().splitlines()
+    assert len(rows) == 3 and all(",%.12g," % opt.value in row for row in rows[1:])
 
 
 def test_design_reports_lp_gap(tmp_path, capsys):
@@ -621,6 +638,25 @@ def test_a_file_instance_past_the_budget_penalty_exits_2_naming_the_file(
         tmp_path, monkeypatch, capsys, argv, scale, b):
     # b' raises QuadratureError on the file's instance, whose message once named --b, a
     # flag neither command was given: it names the file and the instance's b, theta and Theta
+    err = _exit_2_on_scaled_file(tmp_path, monkeypatch, capsys, argv, scale, b)
+    assert "budget penalty" in err and "--b" not in err
+
+
+@pytest.mark.parametrize("argv", [["run", "--instance", "big.json"],
+                                  ["audit", "--trace", "big.json"]],
+                         ids=["run-instance", "audit-trace"])
+def test_a_file_instance_past_the_p_star_factorization_exits_2_naming_the_file(
+        tmp_path, monkeypatch, capsys, argv):
+    # at factors 1e8 times run --n 3 --m 8's, I + X rounds to a singular matrix in the
+    # P* solve, which exited 2 with a bare "Singular matrix": the error names its cause
+    # and scale, and main the file and its b, theta and Theta
+    err = _exit_2_on_scaled_file(tmp_path, monkeypatch, capsys, argv, 1e8, 1.0)
+    assert ": P* solve: I + X is singular in float64 at the aggregate's scale" in err
+
+
+def _exit_2_on_scaled_file(tmp_path, monkeypatch, capsys, argv, scale, b):
+    """argv's stderr line, exit 2, on run --n 3 --m 8's record with its factors scaled and
+    budget b, written as big.json: its instance for run, the whole record for audit."""
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--n", "3", "--m", "8", "--b", "2", "--out", "run.json"]) == 0
     record = json.loads((tmp_path / "run.json").read_text())
@@ -633,8 +669,8 @@ def test_a_file_instance_past_the_budget_penalty_exits_2_naming_the_file(
     assert main(argv + ["--out", os.devnull]) == 2
     err = capsys.readouterr().err
     assert err.startswith("psdalloc: error: %s big.json: b %.6g, theta " % (argv[1], b))
-    assert err.count("\n") == 1 and "budget penalty" in err
-    assert "--b" not in err and "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("argv,word", [

@@ -221,6 +221,37 @@ def _counters(monkeypatch):
     return calls
 
 
+class _CountingY(np.ndarray):
+    """Y viewed so that each dot and @ it forms is counted in its `products`."""
+    products = 0
+
+    def dot(self, other):
+        self.products += 1
+        return np.asarray(self).dot(other)
+
+    def __matmul__(self, other):
+        self.products += 1
+        return np.asarray(self) @ other
+
+
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_a_one_atom_rank_one_step_forms_one_product_of_y(variant):
+    # the price's Y l is also the purchase's split, so a one-atom state forms one
+    # matrix-vector product of Y a step, whether it buys or not, and updates Y in place
+    obj = make_objective("dopt")
+    sm = SmoothedObjective(exact_measure(obj), obj)
+    inst = gen_random(20, 200, seed=1)
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
+    st, plain = OnlineState(sm, budget, inst.n), OnlineState(sm, budget, inst.n)
+    st.Y = Y = st.Y.view(_CountingY)
+    for t, arr in enumerate(inst.arrivals):
+        x = (st.step_sequential if variant == "seq" else st.step_simultaneous)(arr)
+        assert st.Y is Y and Y.products == t + 1
+        assert x == (plain.step_sequential if variant == "seq" else plain.step_simultaneous)(arr)
+    assert 20 <= np.count_nonzero(st.decisions) <= 180
+    assert st.Y.tobytes() == plain.Y.tobytes()
+
+
 def _assert_bracket_holds(st):
     """gs'(u) lies in [zlo, zhi], and is z bit for bit where z is exact at u (u0 == u)."""
     gp = gs_prime(st.budget, st.u)
@@ -231,7 +262,7 @@ def _assert_bracket_holds(st):
 
 def _straddles(st, arr):
     """The bracket leaves the sign of <A, Y> + c gs'(u) open, with z not yet exact at u."""
-    v = engine_price(arr, st.Y)
+    v = engine_price(arr, st.Y)[1]
     return st.u0 != st.u and v + arr.c * st.zlo <= 0.0 < v + arr.c * st.zhi
 
 
@@ -522,14 +553,26 @@ def _resolvents(st):
     return view.R
 
 
+def _holds_no_pending_columns(st):
+    """A stack with no block of pending Woodbury columns, or a one-atom state, which
+    holds Y and its float node alone: no stack, no block and no coefficient arrays."""
+    if st.node is not None:
+        return isinstance(st.node, float) and not any(
+            hasattr(st, name) for name in ("R", "W", "P", "k", "lam", "mu", "ml", "kappa"))
+    return st.W is None and st.k == 0
+
+
 def _assert_resolvents_match(st, sm, arrivals, tol=1e-12):
-    """Y and every R_j of the state against their dense definitions at the
-    aggregate of its decisions on arrivals, each R_j at the state's own node and shift."""
+    """Y and every R_j of a stack against their dense definitions at the aggregate
+    of the state's decisions on arrivals; a one-atom state holds Y alone."""
     U = aggregate(arrivals, st.decisions, st.n)
     Y = grad_hs(sm, U)
     assert np.linalg.norm(st.Y - Y) <= tol * np.linalg.norm(Y)
-    for lam, kappa, R in zip(st.lam, st.kappa, _resolvents(st)):
-        dense = np.linalg.inv(lam * U + kappa * np.eye(st.n))
+    if st.node is not None:
+        assert _holds_no_pending_columns(st)
+        return
+    for lam, R in zip(st.lam, _resolvents(st)):
+        dense = np.linalg.inv(lam * U + (1.0 - lam) * np.eye(st.n))
         assert np.linalg.norm(R - dense) <= tol * np.linalg.norm(dense)
 
 
@@ -544,9 +587,10 @@ def test_resolvents_track_grad_hs_over_the_longest_stream(measure, variant):
     inst = gen_random(50, 500)
     budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
     st = OnlineState(sm, budget, 50)
-    # one R_j per atom; one atom's R is Y itself
-    assert len(st.R) == np.count_nonzero(sm.measure.weights)
-    assert np.shares_memory(st.Y, st.R) == (measure == "dopt-exact")
+    # one R_j per atom of a stack; one atom holds Y alone
+    assert (st.node is not None) == (measure == "dopt-exact")
+    assert hasattr(st, "R") == (measure == "24-atoms")
+    assert len(getattr(st, "R", [st.Y])) == np.count_nonzero(sm.measure.weights)
     for arr in inst.arrivals:
         (st.step_sequential if variant == "seq" else st.step_simultaneous)(arr)
     assert np.count_nonzero(st.decisions) >= 100
@@ -557,7 +601,8 @@ def test_resolvents_track_grad_hs_over_the_longest_stream(measure, variant):
 @pytest.mark.parametrize("variant", ["seq", "sim"])
 def test_rank_k_purchases_and_zero_node_atoms(measure, variant):
     # dense rank-2 and rank-3 arrivals take the k > 1 Woodbury path; an atom
-    # at lambda = 0 is a constant resolvent that no purchase touches
+    # at lambda = 0 is a constant resolvent that no purchase touches: one of a
+    # stack's R_j, or linear's one atom, the whole of Y
     if measure == "linear-exact":
         obj = make_objective("linear")
         sm = SmoothedObjective(exact_measure(obj), obj)
@@ -581,9 +626,12 @@ def test_rank_k_purchases_and_zero_node_atoms(measure, variant):
         (st.step_sequential if variant == "seq" else st.step_simultaneous)(arr)
     assert np.count_nonzero(st.decisions) >= 5
     _assert_resolvents_match(st, sm, arrivals)
-    assert 0.0 in st.lam
-    j = list(st.lam).index(0.0)
-    assert np.array_equal(st.R[j], OnlineState(sm, budget, n).R[j])
+    if measure == "linear-exact":
+        assert st.node == 0.0 and np.array_equal(st.Y, OnlineState(sm, budget, n).Y)
+    else:
+        assert 0.0 in st.lam
+        j = list(st.lam).index(0.0)
+        assert np.array_equal(st.R[j], OnlineState(sm, budget, n).R[j])
     assert audit_trace(st.finish(variant), inst).passed
 
 
@@ -596,7 +644,7 @@ def test_rank_k_purchases_and_zero_node_atoms(measure, variant):
 @example(kind="dopt", share=1.0, variant="sim", rank=1, n=64, seed=0)
 @example(kind="dopt", share=1.0, variant="seq", rank=1, n=1, seed=0)
 def test_one_atom_runs_as_its_two_atom_split(kind, share, variant, rank, n, seed):
-    # one atom (lambda, mu) holds Y alone and never blocks; the same measure as
+    # one atom (lambda, mu) holds Y alone, with no stack; the same measure as
     # two atoms (lambda, mu/2) takes the general stack, blocked from n = 46 on.
     # Both make the same decisions to rounding, with Y on grad_hs of the
     # replayed aggregate, and both runs pass the audit.  A node at most
@@ -614,7 +662,7 @@ def test_one_atom_runs_as_its_two_atom_split(kind, share, variant, rank, n, seed
     inst = Instance(arrivals, b=4.0)
     budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
     states = OnlineState(one, budget, n), OnlineState(two, budget, n)
-    assert states[0].W is None and (states[1].W is not None) == (n >= 46)
+    assert _holds_no_pending_columns(states[0]) and (states[1].W is not None) == (n >= 46)
     for arr in arrivals:
         for state in states:
             (state.step_sequential if variant == "seq" else state.step_simultaneous)(arr)
@@ -671,7 +719,7 @@ def test_a_stack_below_the_crossover_holds_no_pending_columns(atoms, n):
     st = OnlineState(sm, budget, n)
     for arr in arrivals:
         st.step_simultaneous(arr)
-        assert st.W is None and st.k == 0
+        assert _holds_no_pending_columns(st)
     assert np.count_nonzero(st.decisions) >= 5
     _assert_resolvents_match(st, sm, arrivals)
 
@@ -686,7 +734,7 @@ def test_the_crossover_is_at_block_min_floats():
     assert OnlineState(sm, budget, n - 1).W is None
     st = OnlineState(sm, budget, n)
     assert st.W.shape == st.P.shape == (2, online.BLOCK_COLS, n) and st.k == 0
-    # one atom never blocks: pending columns would leave the prices' Y stale
+    # one atom holds Y alone at every n: no stack, so no pending columns
     sm = SmoothedObjective(exact_measure(obj), obj)
     rng = np.random.default_rng(4)
     for n in (64, 200):
@@ -694,7 +742,7 @@ def test_the_crossover_is_at_block_min_floats():
         st = OnlineState(sm, budget, n)
         for t in range(6):
             st.step_simultaneous(Arrival(rng.standard_normal((n, 1 + t % 3)) / n, 1.0))
-            assert st.W is None and st.k == 0
+            assert _holds_no_pending_columns(st)
         assert np.count_nonzero(st.decisions) >= 3
 
 
