@@ -195,12 +195,12 @@ def _unsmoothed_beta(spec):
     return beta_for_measure(spec, exact_measure(spec.objective))
 
 
-def _p_star(inst, obj):
-    """The offline optimum's value, with one stderr line when its Frank-Wolfe gap stayed open."""
+def _p_star(inst, obj, where=""):
+    """The offline optimum's value; one stderr line, ending in `where`, if its gap stays open."""
     opt = offline_continuous_opt(inst, obj)
     if opt.upper - opt.value > OFFLINE_TOL * opt.value:
-        print("P* solve stopped after %d iterations with its gap open: %.9g <= P* <= %.9g"
-              % (opt.iterations, opt.value, opt.upper), file=sys.stderr)
+        print("P* solve stopped after %d iterations with its gap open: %.9g <= P* <= %.9g%s"
+              % (opt.iterations, opt.value, opt.upper, where), file=sys.stderr)
     return opt.value
 
 
@@ -240,7 +240,9 @@ def run_experiment(cfg):
     else:
         instances = [make_instance(cfg.generator, cfg.n, cfg.m, cfg.seed + r, cfg.b,
                                    cfg.density) for r in range(cfg.repeats)]
-    p_stars = [_p_star(inst, obj) for inst in instances]
+    p_stars = [_p_star(inst, obj, " (repeat %d%s)" % (r, "" if cfg.instances is not None
+                                                    else ", seed %d" % (cfg.seed + r)))
+               for r, inst in enumerate(instances)]
     em = exact_measure(obj)
     reports = []
     for gamma in cfg.gammas:

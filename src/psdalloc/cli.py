@@ -254,9 +254,9 @@ def main(argv=None):
         what, inst = getattr(args, "from_file", (None, None))
         if inst is not None:
             what = "%s: b %.6g, theta %.6g and Theta %.6g" % (what, inst.b, inst.theta, inst.Theta)
-        if isinstance(exc, QuadratureError):
-            exc = "%s for the budget penalty (%s)" % (
-                "--b is too large" if inst is None else what + " are too large", exc)
+        if isinstance(exc, QuadratureError):     # name the file's values, blame none of them
+            exc = ("--b is too large for the budget penalty (%s)" % exc if inst is None
+                   else "%s: the budget penalty's quadrature fails there (%s)" % (what, exc))
         elif isinstance(exc, np.linalg.LinAlgError) and inst is not None:
             exc = "%s: %s" % (what, exc)
         print("psdalloc: error: %s" % exc, file=sys.stderr)

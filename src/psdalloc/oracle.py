@@ -21,16 +21,18 @@ and that maximum is a fractional knapsack solved by sorting grad f / c
 upper bound.  X = sum_t x_t A_t and the gradient are O(n^2 sum(k)) products
 with the arrivals' stacked factors (A_t = L_t L_t^T), not with the m n^2 stack.
 
-Audits replay a recorded decision sequence from scratch and check every
-inequality the guarantees rest on.  The replay is dense in the aggregates
-and duals, batched over blocks of steps (see audit_run), and prices each
-step from its factor, <A_t, Y> = sum of l^T Y l over the columns l of L_t.
-A purchase enters U as x_t L_t L_t^T, so it reads no A_t at all.  The duals
-are the paper's one chain Y_t = grad H_S(U_t) from Y_0 = y(0) I, as in the
-engines, by grad_hs_into: sums of x L L^T pass grad_hs's guard by construction.
-Each block stacks the factors of its own arrivals, so the audit never holds
-the m x n x n stack of the whole run, nor a copy of all its factors.
-_min_y_gap certifies per block that the duals fall in the Loewner order.
+Audits replay a recorded decision sequence from the decisions and the
+factors alone, forming no dual Y_k = sum_j mu_j M_jk^-1 (M_jk = lambda_j U_k +
+(1 - lambda_j) I) and no inverse.  Dual k prices the steps after purchase k up
+to purchase k + 1, <A_t, Y_k> = sum of l^T Y_k l over the columns l of L_t, by
+one batched solve of M_jk per atom (Golub & Van Loan 4.2), or past
+AUDIT_SOLVE_ATOMS atoms by one eigh of the U_k, sum_i y(w_i)(v_i^T l)^2.  With
+G_j = L^T M_jk^-1 L, H_j = I + lambda_j x G_j and P_j = M_jk^-1 L (Hager 1989),
+a purchase's sim price after it is sum_j mu_j tr(H_j^-1 G_j), its seq correction
+<A, Y_k - Y_k+1> = sum_j mu_j lambda_j x tr(G_j H_j^-1 G_j), and its Y gap
+sum_j mu_j lambda_j x P_j H_j^-1 P_j^T: PSD where each H_j is positive definite
+and mu_j lambda_j x >= 0, with least eigenvalue 0 below n columns P_j, else the
+eigvalsh of the gap formed from them, while no gap of 0 has come before it.
 """
 
 from dataclasses import dataclass, field, fields
@@ -40,8 +42,7 @@ import numpy as np
 from .budget import b_prime, g_conj, gs_prime, gs_value
 # grad_hs and hs_trace_lift are unused here; they stay bound because the perfbench tracer
 # rebinds both (tests/test_bench.py checks every name the tracer binds)
-from .lowner import (_plus_identity, grad_hs, grad_hs_into, hs_eval, hs_trace_lift,  # noqa: F401
-                     y_eval)
+from .lowner import _plus_identity, grad_hs, hs_eval, hs_trace_lift, y_eval  # noqa: F401
 from .objectives import (InvalidMatrix, _key, float_array, h_conj, h_eval, h_prime, number,
                          param, psd_eigs)
 
@@ -57,12 +58,12 @@ DEFAULT_TOLS = {
 }
 OFFLINE_TOL = 1e-7          # stop when the Frank-Wolfe gap is at most this times f
 OFFLINE_MAX_ITERS = 5000
-# the audit replays a run in blocks of steps whose gathered n x n duals and
+# the audit replays a run in blocks of steps whose n x n aggregates and
 # factors hold at most this many floats
 AUDIT_BLOCK_FLOATS = 2 ** 22
-# the Y-gap check's Cholesky shift past its seed, in units of n eps max(1, max|dY|):
-# past the rounding of the 24-atom lift at n = 50, which leaves gaps of -7.3e-12
-Y_GAP_SLACK = 1024
+# the audit solves per atom up to min(this, n / 5) atoms (one always), and takes one
+# eigh past them: an eigh costs that many solves at n = 10 to 100 (BLAS on one thread)
+AUDIT_SOLVE_ATOMS = 6
 
 
 class AuditError(ValueError):
@@ -304,8 +305,7 @@ class AuditReport:
     decision_consistent: bool
     worst_decision_residual: float
     max_z_step: float             # max of z_t - z_{t-1}, <= tol
-    min_y_gap: float              # lambda_min of one Y_{t-1} - Y_t, at most the Y-gap
-                                  # slack above the least; less the slack, >= -tol
+    min_y_gap: float              # the least lambda_min of Y_{t-1} - Y_t, >= -tol
     telescope_residual: float     # H_S(U) + G_S(u) less the seq correction sum, >= -tol
     dual_gap_residual: float      # the telescope less D + h* + g*, >= -tol
     rho_bound_residual: float     # seq only (nan on sim), from tr(Y0 - Y); >= -tol
@@ -324,64 +324,26 @@ class AuditReport:
 
 
 def _audit_block(n, k):
-    """Steps per audit block at dimension n and largest rank k: the block's
-    gathered n x n duals and its n x k factors hold at most AUDIT_BLOCK_FLOATS floats."""
+    """Steps per block at dimension n, rank k: its n x max(n, k) arrays hold AUDIT_BLOCK_FLOATS."""
     return max(1, AUDIT_BLOCK_FLOATS // (n * max(n, k)))
-
-
-def _prices(D, Lp):
-    """<A_t, D_t> = sum of l^T D_t l over the columns l of L_t, for a stack Lp
-    of factors zero-padded to a common rank; D is one matrix or a stack."""
-    return np.einsum("tik,tik->t", D @ Lp, Lp)
-
-
-def _min_y_gap(dY):
-    """(g, certified lower bound) on the least lambda_min over a stack of Y gaps.
-
-    g is the exact lambda_min of the gap of least trace.  For more than one
-    gap, one batched Cholesky of dY, shifted in place by (slack - g) I with
-    slack = Y_GAP_SLACK n eps max(1, max|dY|), certifies every gap at least
-    g - slack and leaves dY shifted; where it fails, the shift is undone and g
-    is the exact least lambda_min of one batched eigvalsh of the stack.
-    """
-    i = int(np.argmin(np.einsum("kii->k", dY)))
-    g = float(np.linalg.eigvalsh(dY[i:i + 1])[0, 0])
-    if len(dY) == 1:
-        return g, g
-    scale = max(1.0, float(np.max(dY)), -float(np.min(dY)))
-    slack = Y_GAP_SLACK * dY.shape[-1] * np.finfo(float).eps * scale
-    kept = np.einsum("kii->ki", dY).copy()
-    try:
-        np.linalg.cholesky(_plus_identity(dY, slack - g))
-        return g, g - slack
-    except np.linalg.LinAlgError:
-        np.einsum("kii->ki", dY)[...] = kept        # the shift undone, exactly
-    g = float(np.min(np.linalg.eigvalsh(dY)[:, 0]))
-    return g, g
 
 
 def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     """Replay a decision sequence from scratch and verify every guarantee.
 
-    Recomputes the aggregate, duals, price terms, and correction terms with no
-    reference to the engine's stored state, then checks: per-step decision
-    consistency with the step rule, the budget cap u_m <= b' + tol, monotone
-    duals, nonnegativity of the smoothed telescoping sum, the dual-gap
-    inequality, the sequential correction bound, and D >= P* - tol, each at
-    its tolerance in DEFAULT_TOLS.  The sim decision check prices the budget
-    at the replayed z = gs'(u): u changes only on a purchase, which recomputes
-    z, and gs'(0) = 0 is the initial z.
-
-    The replay runs over blocks of _audit_block steps.  In each block the
-    aggregates U_k and spends u_k after its purchases are running sums
-    (np.cumsum, in stream order, from the totals carried in), and the duals
-    Y_k = grad H_S(U_k) and z_k = gs'(u_k) come from one stacked grad_hs_into call
-    and one array gs_prime call; every price is one batched _prices product
-    with the duals in force at its step.  min_y_gap reports the exact
-    eigenvalue _min_y_gap computed, and y_monotone tests its certified bound.
-    A rejected step adds exactly 0 to the Y gap and the z step.  H_S(U), h*,
-    H(U) and lambda_max(U) at the end share one eigh of the final U.  As in
-    the engines, a budget smoother built for another objective is refused.
+    Recomputes the aggregate, prices and correction terms with no reference
+    to the engine's stored state, then checks: per-step decision consistency
+    with the step rule, the budget cap u_m <= b' + tol, monotone duals,
+    nonnegativity of the smoothed telescoping sum, the dual-gap inequality,
+    the sequential correction bound, and D >= P* - tol, each at its tolerance
+    in DEFAULT_TOLS.  The sim decision check prices the budget at the
+    replayed z = gs'(u): u changes only on a purchase, which recomputes z,
+    and gs'(0) = 0 is the initial z.  The replay (see the module docstring)
+    runs over blocks of _audit_block steps: in each, the U_k and spends u_k
+    after its purchases are running sums from the totals carried in, and
+    z_k = gs'(u_k) is one array gs_prime call.  A rejected step adds exactly 0
+    to the Y gap and the z step.  As in the engines, a budget smoother built
+    for another objective is refused.
     """
     decisions = np.asarray(decisions, dtype=float)
     if decisions.shape != (inst.m,):
@@ -394,92 +356,127 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
                          % (smoothed.base.label, budget.objective.label))
     if not np.all((decisions >= 0.0) & (decisions <= 1.0)):
         raise AuditError("decisions must lie in [0, 1]")
-    obj = smoothed.base
-    n, m = inst.n, inst.m
-    costs, ranks = inst.costs, inst.ranks
-    block = _audit_block(n, ranks.max())
+    obj, measure = smoothed.base, smoothed.measure
+    lam, mu = measure.nodes, measure.weights
+    n, m, costs, ranks = inst.n, inst.m, inst.costs, inst.ranks
+    a = int(ranks.max())
+    block = _audit_block(n, a)
+    spectral = lam.size > max(1, min(AUDIT_SOLVE_ATOMS, n // 5))
     U = np.zeros((n, n))
-    Y0 = Y = smoothed.measure.y0 * np.eye(n)    # grad H_S(0), the engines' first dual
     u = z = pos_sum = corr_sum = 0.0
-    min_y_gap = y_gap_bound = np.inf
-    max_z_step = -np.inf
-    decision_ok = True
-    worst_resid = 0.0
+    min_y_gap, max_z_step = np.inf, -np.inf
+    decision_ok, worst_resid = True, 0.0
 
     for s in range(0, m, block):
         e = min(s + block, m)
-        x, c = decisions[s:e], costs[s:e]
-        Lp = np.zeros((e - s, n, ranks[s:e].max()))    # the block's factors, zero-padded
-        for k in np.unique(ranks[s:e]):
-            idx = np.flatnonzero(ranks[s:e] == k)
-            Lp[idx, :, :k] = [inst.arrivals[s + i].L for i in idx]
+        x, c, k = decisions[s:e], costs[s:e], ranks[s:e]
         buys = x > 0.0
         buy = np.flatnonzero(buys)
-        after = np.cumsum(buys)         # each step's duals after it, as rows of Ys
-        before = after - buys
-        Lb = Lp[buy]
-        Us = Lb @ np.swapaxes(Lb, 1, 2)
-        Us *= x[buy][:, None, None]
-        Us[:1] += U
-        np.cumsum(Us, axis=0, out=Us)   # the U carried in plus each x_t A_t, in stream order
-        us = np.cumsum(np.concatenate([[u], x[buy] * c[buy]]))[1:]
-        Ys = np.empty((buy.size + 1, n, n))     # the Y carried in, then each Y_k
-        Ys[0] = Y
-        if buy.size:
-            if not np.isfinite(Us[-1]).all():   # each U_k is PSD, bounded by the last's diagonal
-                raise InvalidMatrix("matrix has non-finite entries")
-            try:
-                grad_hs_into(smoothed.measure, Us, Ys[1:])
+        after = np.cumsum(buys)
+        before, K = after - buys, int(after[-1])   # each step's dual, 0 the one carried in
+        D = K + (not buys[-1])          # and the one after the last purchase, if a step follows
+        slot = np.arange(e - s) - np.searchsorted(before, before) + 1
+        slot[buy] = 0                   # a segment's purchase first, then its rejections
+        need = np.bincount(before, minlength=D) + (np.arange(D) >= K)    # slots each dual prices
+        # rows of W slots, a long segment taking several: a row costs about 2 + n / 4k
+        # slots of k columns (a factorization, or a gather of V)
+        wide = 2 ** np.arange(int(np.log2(need.max())) + 1)
+        W = wide[np.argmin(np.sum(-(-need // wide[:, None]), axis=1) * (wide + 2 + n / (4 * a)))]
+        rows = -(-need // W)
+        first, dual = np.cumsum(rows) - rows, np.repeat(np.arange(D), rows)
+        row, slot = first[before] + slot // W, slot % W
+        pick = dual if dual.size > D else slice(D)      # each row's dual
+        R = np.zeros((dual.size, n, W, a))
+        for r in np.unique(k[k > 0]):
+            idx = np.flatnonzero(k == r)
+            R[row[idx], :, slot[idx], :r] = [inst.arrivals[s + i].L for i in idx]
+        Lb = R[first[:K], :, 0, :]      # the purchases' factors
+        Us = np.empty((K + 1, n, n))    # the U carried in, then each U_k, in stream order
+        Us[0] = U
+        np.matmul(Lb, np.swapaxes(Lb, 1, 2), out=Us[1:])
+        Us[1:] *= x[buy][:, None, None]
+        np.cumsum(Us, axis=0, out=Us)
+        if not np.isfinite(Us[-1]).all():   # each U_k is PSD, bounded by the last's diagonal
+            raise InvalidMatrix("matrix has non-finite entries")
+        if spectral:                    # M_j^-1 = V diag(1 / (lambda_j w + 1 - lambda_j)) V^T
+            w, V = np.linalg.eigh(Us[:D])
+            Q = (np.swapaxes(V[pick], 1, 2) @ R.reshape(dual.size, n, -1)).reshape(R.shape)
+            prices = np.einsum("ri,riwk,riwk->rw", y_eval(measure, w)[pick], Q, Q)
+            Lb = Q[first[:K], :, 0, :]
+            P = Lb[:, None] / (np.maximum(w[:K], 0.0)[:, None, :, None] * lam[:, None, None]
+                               + (1.0 - lam)[:, None, None])
+        else:
+            try:                        # each row's M_j, a long segment's repeated
+                X = [R if node == 0.0 else np.linalg.solve(_plus_identity(
+                    node * Us[pick], 1.0 - node), R.reshape(dual.size, n, -1)).reshape(R.shape)
+                    for node in lam]
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(
                     "audit: lambda U + (1 - lambda) I is singular in float64 at the replayed "
                     "aggregate's scale, diagonal up to %g" % Us[-1].diagonal().max()) from exc
-        zs = gs_prime(budget, us) if buy.size else us
-        zb = np.concatenate([[z], zs])
-        dY = Ys[:-1] - Ys[1:]                   # Y_{k-1} - Y_k at each purchase
-        dz = zb[1:] - zb[:-1]
-        P_before = _prices(Ys[before], Lp)
-        price_before = P_before + c * zb[before]
+            prices = sum(mj * np.einsum("riwk,riwk->rw", R, Xj) for mj, Xj in zip(mu, X))
+            P = np.stack([Xj[first[:K], :, 0, :] for Xj in X], axis=1)     # M_j^-1 L
+        us = np.cumsum(np.concatenate([[u], x[buy] * c[buy]]))[1:]
+        zb = np.concatenate([[z], gs_prime(budget, us) if K else us])
+        p0 = prices[row, slot]
+        p1 = p0.copy()
+        if K:
+            G = np.einsum("kia,kjib->kjab", Lb, P)             # L^T M_j^-1 L
+            ax = lam * x[buy][:, None]
+            H = _plus_identity(G * ax[..., None, None], 1.0)   # I + lambda_j x G_j
+            S = G / H if a == 1 else np.linalg.solve(H, G)     # LAPACK takes 1 x 1 one by one
+            p1[buy] = np.trace(S, axis1=-2, axis2=-1) @ mu
+            coef = mu * ax
+            least = H[..., 0, 0] if a == 1 else np.linalg.eigvalsh(H)[..., 0]
+            sure = np.all((least > 0.0) & (coef >= 0.0), axis=1)   # each gap PSD
+            # a gap certified PSD has lambda_min 0 below n columns P_j, and >= 0 past them
+            thin = sure & (np.count_nonzero(lam) * k[buy] < n)
+            if K < x.size or thin.any():
+                min_y_gap = min(min_y_gap, 0.0)
+            formed = ~sure | ~thin & (min_y_gap > 0.0)        # the gaps that can lower it,
+            if formed.any():            # formed from their factors
+                Pf, T = P[formed], np.swapaxes(P[formed], -1, -2) * coef[formed][..., None, None]
+                T = T / H[formed] if a == 1 else np.linalg.solve(H[formed], T)
+                gap = np.swapaxes(Pf, 1, 2).reshape(len(Pf), n, -1) @ T.reshape(len(Pf), -1, n)
+                min_y_gap = min(min_y_gap, float(np.min(np.linalg.eigvalsh(gap)[:, 0])))
+            dz = np.diff(zb)
+            if variant == "seq":        # <A, Y_k - Y_k+1> = sum_j mu_j lambda_j x tr(G_j S_j)
+                corr = np.einsum("kj,kjab,kjba->k", coef, G, S)
+                corr_sum += float(np.sum(x[buy] * (c[buy] * dz - corr)))
+            max_z_step = max(max_z_step, float(np.max(dz)))
+            U, u, z = Us[-1], float(us[-1]), float(zb[-1])
+        if K < x.size:
+            min_y_gap, max_z_step = min(min_y_gap, 0.0), max(max_z_step, 0.0)
+        price_before = p0 + c * zb[before]
         if variant == "seq":
             pos_sum += float(np.sum(np.maximum(price_before, 0.0)))
             wrong = x != (price_before > 0.0)
             if wrong.any():
                 decision_ok = False
                 worst_resid = max(worst_resid, float(np.max(np.abs(price_before[wrong]))))
-            # <A, Y_new - Y> = -<A, Y - Y_new>, exactly
-            corr_sum += float(np.sum(x[buy] * (-_prices(dY, Lb) + c[buy] * dz)))
         else:
-            P_after = P_before.copy()
-            P_after[buy] = _prices(Ys[1:], Lb)
-            d_at = P_after + c * zb[after]
-            scale = np.maximum(1.0, np.abs(P_before) + c * np.abs(zb[before]))
+            d_at = p1 + c * zb[after]
+            scale = np.maximum(1.0, np.abs(p0) + c * np.abs(zb[before]))
             resid = np.where(x <= 0.0, np.maximum(0.0, d_at),
                              np.where(x >= 1.0, np.maximum(0.0, -d_at), np.abs(d_at)))
             if np.any(resid > DEFAULT_TOLS["decision"] * scale):
                 decision_ok = False
             worst_resid = max(worst_resid, float(np.max(resid / scale)))
             pos_sum += float(np.sum(np.maximum(d_at, 0.0)))
-        if buy.size:
-            g, bound = _min_y_gap(dY)
-            min_y_gap, y_gap_bound = min(min_y_gap, g), min(y_gap_bound, bound)
-            max_z_step = max(max_z_step, float(np.max(dz)))
-            U, u, Y, z = Us[-1], float(us[-1]), Ys[-1], float(zs[-1])
-        if buy.size < x.size:
-            min_y_gap, y_gap_bound = min(min_y_gap, 0.0), min(y_gap_bound, 0.0)
-            max_z_step = max(max_z_step, 0.0)
 
     bprime = b_prime(budget)
     budget_residual = u - bprime
     # one decomposition of the final U gives H_S(U), H(U), lambda_max and y at its spectrum
     w, _ = psd_eigs(U)
-    HS = float(np.sum(hs_eval(smoothed.measure, w)))
+    ys = y_eval(measure, w)
+    HS = float(np.sum(hs_eval(measure, w)))
     GS = gs_value(budget, u)
-    hstar = float(np.sum(h_conj(obj, y_eval(smoothed.measure, w))))
+    hstar = float(np.sum(h_conj(obj, ys)))
     gstar = g_conj(z, budget.b)
     D = pos_sum - hstar - gstar
     telescope = HS + GS - corr_sum      # corr_sum stays 0 on sim
     dual_gap = telescope - D - hstar - gstar
-    rho_bound = (inst.rho2 * float(np.trace(Y0 - Y)) - inst.rho1 * z + corr_sum
+    rho_bound = (inst.rho2 * float(np.sum(measure.y0 - ys)) - inst.rho1 * z + corr_sum
                  if variant == "seq" else np.nan)
     if p_star is None:
         p_star = offline_continuous_opt(inst, obj).value
@@ -488,7 +485,7 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         "budget": budget_residual <= DEFAULT_TOLS["budget"],
         "decisions": decision_ok,
         "z_monotone": max_z_step <= DEFAULT_TOLS["z_monotone"],
-        "y_monotone": y_gap_bound >= -DEFAULT_TOLS["y_monotone"],
+        "y_monotone": min_y_gap >= -DEFAULT_TOLS["y_monotone"],
         "telescope": telescope >= -DEFAULT_TOLS["telescope"],
         "dual_gap": dual_gap >= -DEFAULT_TOLS["dual_gap"],
         "d_vs_pstar": D >= p_star - DEFAULT_TOLS["d_vs_pstar"],

@@ -159,10 +159,11 @@ def reference_audit_run(decisions, inst, smoothed, budget, variant, p_star):
     """The audit as a step-by-step loop: the reference for oracle.audit_run's block replay.
 
     Each step takes its inner products with np.vdot, each purchase one
-    gradient and one scalar gs_prime, and each Y gap one eigvalsh.  The
-    gradients come from the spectrum (grad_hs_lift), so on a measure of at
-    most lowner.RESOLVENT_ATOMS atoms the audit's resolvent sums are
-    checked against it.  Y starts at grad_hs_lift at U = 0.
+    dense gradient and one scalar gs_prime, and each Y gap one eigvalsh of
+    the dense difference.  The gradients come from the spectrum
+    (grad_hs_lift), so the audit's solves and its closed forms from each
+    purchase's k x k Gram matrices are checked against them.  Y starts at
+    grad_hs_lift at U = 0.
     """
     decisions = np.asarray(decisions, dtype=float)
     obj = smoothed.base

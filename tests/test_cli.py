@@ -126,6 +126,16 @@ def test_bench_says_when_the_offline_gap_stayed_open(tmp_path, capsys):
     assert len(rows) == 3 and all(",%.12g," % opt.value in row for row in rows[1:])
 
 
+def test_bench_names_the_instance_whose_offline_gap_stayed_open(tmp_path, capsys):
+    # repeat 1 of seed 4 is seed 5's instance, whose P* solve stops with its gap open:
+    # the one line names that repeat and seed, so a reader can tell which rows it is about
+    assert main(["bench", "--objective", "dopt", "--generator", "random", "--n", "20",
+                 "--m", "200", "--seed", "4", "--repeats", "2", "--b", "1e-50", "--gamma", "2",
+                 "--variant", "sim", "--out", str(tmp_path / "bench.csv")]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "gap open" in line]
+    assert len(lines) == 1 and lines[0].endswith(" (repeat 1, seed 5)")
+
+
 def test_design_reports_lp_gap(tmp_path, capsys):
     out = tmp_path / "design.json"
     assert main(["design", "--objective", "aopt", "--gamma", "1.5", "--umax", "8",
@@ -640,6 +650,15 @@ def test_a_file_instance_past_the_budget_penalty_exits_2_naming_the_file(
     # flag neither command was given: it names the file and the instance's b, theta and Theta
     err = _exit_2_on_scaled_file(tmp_path, monkeypatch, capsys, argv, scale, b)
     assert "budget penalty" in err and "--b" not in err
+
+
+def test_a_file_instance_at_a_tiny_budget_past_the_budget_penalty_blames_no_value(
+        tmp_path, monkeypatch, capsys):
+    # factors 1e100 times run --n 3 --m 8's at b = 1e-100 fail b''s quadrature, which the
+    # message once blamed on b, theta and Theta being too large, b among them
+    err = _exit_2_on_scaled_file(tmp_path, monkeypatch, capsys, ["run", "--instance", "big.json"],
+                                 1e100, 1e-100)
+    assert "budget penalty's quadrature fails there" in err and "too large" not in err
 
 
 @pytest.mark.parametrize("argv", [["run", "--instance", "big.json"],

@@ -95,7 +95,7 @@ def test_not_psd_is_rejected(rng):
 
 
 def test_stacks_give_the_per_matrix_results(rng):
-    # the audit decomposes every U_k of a block in one call
+    # the audit decomposes every U_k of a block in one stacked eigh
     stack = np.stack([random_psd(rng, 4, scale=s) for s in (0.5, 1.0, 3.0)]
                      + [np.zeros((4, 4))]).reshape(2, 2, 4, 4)
     K = rng.standard_normal((4, 4))
@@ -110,7 +110,7 @@ def test_stacks_give_the_per_matrix_results(rng):
         assert np.allclose(w[i], wi, rtol=0.0, atol=TOL_EIG * max(1.0, np.abs(wi).max()))
         assert np.allclose((V[i] * w[i]) @ V[i].T, S[i], rtol=0.0, atol=TOL_EIG * 10.0)
         assert np.allclose(G[i], grad_hs(sm, stack[i]), rtol=1e-12, atol=1e-14)
-        # the audit's Y gaps and prices read both triangles of each gradient
+        # a gradient is exactly symmetric, as the reference audit's dense duals are
         assert np.array_equal(G[i], G[i].T)
         assert np.array_equal(grad_hs(sm, stack[i]), grad_hs(sm, stack[i]).T)
 
@@ -196,9 +196,9 @@ def psd_sums(draw):
 
 @given(psd_sums())
 def test_grad_hs_into_is_grad_hs_bit_for_bit_on_sums_of_psd_terms(case):
-    # the audit calls the kernel on its aggregates with no guard: they are exactly
-    # symmetric, so sym changes no bit, and PSD, so the guard passes.  Where
-    # lambda U + (1 - lambda) I rounds to a singular matrix both raise
+    # the kernel takes running sums like the audit's aggregates with no guard: they
+    # are exactly symmetric, so sym changes no bit, and PSD, so the guard passes.
+    # Where lambda U + (1 - lambda) I rounds to a singular matrix both raise
     U, sm = case
     assert np.array_equal(U, np.swapaxes(U, -1, -2))
     kept, out = U.copy(), np.full_like(U, np.nan)
