@@ -30,8 +30,6 @@ first time an iterate gives the node weight, and stacked as columns for the
 products with each iterate's weights (_Ratio).
 """
 
-import importlib.util
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +38,7 @@ from .budget import E1
 from .lowner import (AtomicMeasure, SmoothedObjective, exact_measure, phi_primitive,
                      smoothed_from_dict, smoothed_to_dict)
 from .objectives import (PARAMS, TraceObjective, _key, h_conj, h_conj_prime,
-                         h_eval, h_inverse, number, param, whole)
+                         h_eval, h_inverse, number, param, scipy_extension, whole)
 
 DESIGN_TOL = 1e-7          # stop once the best iterate is within this times max(1, t) of the bound
 DESIGN_MAX_SOLVES = 200    # LP solves per design
@@ -207,26 +205,16 @@ class _CutLP:
     TOL = 1e-8       # HiGHS's primal and dual feasibility tolerances
 
     def __init__(self, spec, nodes):
-        # HiGHS's extension is loaded here, once per process, from its file: importing
-        # scipy.optimize would roughly quadruple the package's import time, and the import
-        # below is only the fallback.  Its interface is private; tests/test_designer.py pins it.
-        import glob
+        # HiGHS's extension is loaded from its file (objectives.scipy_extension), once per
+        # process.  Its interface is private; tests/test_designer.py pins it.
         import scipy
-        name = "scipy.optimize._highspy._core"
-        if name not in sys.modules:
-            try:
-                path, = glob.glob(scipy.__path__[0] + "/optimize/_highspy/_core*.so")
-                found = importlib.util.spec_from_file_location(name, path)
-                sys.modules[name] = core = importlib.util.module_from_spec(found)
-                found.loader.exec_module(core)
-            except Exception:
-                sys.modules.pop(name, None)
         try:
-            from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
-        except ImportError as exc:
+            core = scipy_extension("scipy.optimize._highspy._core")
+            status, _Highs, self.inf = core.HighsModelStatus, core._Highs, core.kHighsInf
+        except (ImportError, AttributeError) as exc:
             raise ImportError("the designer needs scipy.optimize._highspy._core._Highs, "
                               "which scipy %s does not provide" % scipy.__version__) from exc
-        self.optimal, self.inf = HighsModelStatus.kOptimal, kHighsInf
+        self.optimal = status.kOptimal
         self.highs = hs = _Highs()
         hs.setOptionValue("output_flag", False)
         # in units of t/gamma, about 1 or more as the ratio tends to gamma at u -> 0; at
@@ -243,7 +231,7 @@ class _CutLP:
         self.flags = ("this --gamma, --umax and --rho2 (cut entries grow with u_max, which run "
                       "and bench derive from --b, and under seq with rho2)")
         k = self.cols.size
-        hs.addVars(k, np.append(-kHighsInf, np.zeros(k - 1)), np.full(k, kHighsInf))
+        hs.addVars(k, np.append(-self.inf, np.zeros(k - 1)), np.full(k, self.inf))
         hs.changeColsCost(1, np.array([0], dtype=np.int32), np.array([1.0]))
         hs.addRows(1, np.array([h_prime0]), np.array([h_prime0]), *_dense(self.eq[None, self.cols]))
         self.rows, self.rhs = np.empty((0, q + 1)), np.empty(0)

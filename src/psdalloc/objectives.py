@@ -20,11 +20,14 @@ h*(y) = 0 for y > h'(0) and -inf for y < 0.
 
 psd_eigs is the package's one dense eigendecomposition of a PSD matrix, in
 numpy's ascending order; every lift applies a scalar function to its spectrum.
+scipy_extension loads one of scipy's compiled modules (HiGHS for the designer,
+LAPACK for the audit) from its file, without importing the package around it.
 
 PARAMS declares each external parameter once; everything reads it through param.
 """
 
 import reprlib
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -295,3 +298,26 @@ def psd_eigs(M):
                      % (w[..., 0][bad].flat[0], TOL_EIG))
     return w, V
 
+
+def scipy_extension(name):
+    """scipy's compiled module `name`, such as "scipy.linalg._flapack", loaded from its file.
+
+    Importing the package around it (scipy.linalg, scipy.optimize) costs a
+    process 0.3-0.4 s of CPU past the import of psdalloc, loading the file
+    alone 0.03-0.05 s.  The module is registered under its own name, so a later
+    import of the package uses it.  Where the direct load fails, it comes from
+    the import, which raises ImportError where scipy has no such module.
+    """
+    import glob
+    import importlib
+    import importlib.util
+    import scipy
+    if name not in sys.modules:
+        try:
+            path, = glob.glob("/".join([scipy.__path__[0]] + name.split(".")[1:]) + "*.so")
+            found = importlib.util.spec_from_file_location(name, path)
+            sys.modules[name] = module = importlib.util.module_from_spec(found)
+            found.loader.exec_module(module)
+        except Exception:
+            sys.modules.pop(name, None)
+    return importlib.import_module(name)

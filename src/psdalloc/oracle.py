@@ -24,15 +24,20 @@ with the arrivals' stacked factors (A_t = L_t L_t^T), not with the m n^2 stack.
 Audits replay a recorded decision sequence from the decisions and the
 factors alone, forming no dual Y_k = sum_j mu_j M_jk^-1 (M_jk = lambda_j U_k +
 (1 - lambda_j) I) and no inverse.  Dual k prices the steps after purchase k up
-to purchase k + 1, <A_t, Y_k> = sum of l^T Y_k l over the columns l of L_t, by
-one batched solve of M_jk per atom (Golub & Van Loan 4.2), or past
-AUDIT_SOLVE_ATOMS atoms by one eigh of the U_k, sum_i y(w_i)(v_i^T l)^2.  With
-G_j = L^T M_jk^-1 L, H_j = I + lambda_j x G_j and P_j = M_jk^-1 L (Hager 1989),
-a purchase's sim price after it is sum_j mu_j tr(H_j^-1 G_j), its seq correction
-<A, Y_k - Y_k+1> = sum_j mu_j lambda_j x tr(G_j H_j^-1 G_j), and its Y gap
-sum_j mu_j lambda_j x P_j H_j^-1 P_j^T: PSD where each H_j is positive definite
-and mu_j lambda_j x >= 0, with least eigenvalue 0 below n columns P_j, else the
-eigvalsh of the gap formed from them, while no gap of 0 has come before it.
+to purchase k + 1, <A_t, Y_k> = sum of l^T Y_k l over the columns l of L_t, in
+one of three ways that _audit_path picks by atoms and n: one batched solve of
+M_jk per atom (Golub & Van Loan 4.2); one eigh of the U_k, sum_i y(w_i)(v_i^T
+l)^2; or one tridiagonal reduction U_k = Q T Q^T (LAPACK dsytrd, G&VL 8.3.1)
+that every atom shares, since each M_jk is a shift of U_k: Q^T l comes from
+dormqr, and each lambda_j T + (1 - lambda_j) I = L D L^T from one sweep down
+T's diagonal for every dual and atom at once, with no eigenvector formed.
+With G_j = L^T M_jk^-1 L, H_j = I + lambda_j x G_j and P_j = M_jk^-1 L (Hager
+1989), a purchase's sim price after it is sum_j mu_j tr(H_j^-1 G_j), its seq
+correction <A, Y_k - Y_k+1> = sum_j mu_j lambda_j x tr(G_j H_j^-1 G_j), and its
+Y gap sum_j mu_j lambda_j x P_j H_j^-1 P_j^T: PSD where each H_j is positive
+definite and mu_j lambda_j x >= 0, with least eigenvalue 0 below n columns
+P_j, else the eigvalsh of the gap formed from them (in any orthonormal basis),
+while no gap of 0 has come before it.
 """
 
 from dataclasses import dataclass, field, fields
@@ -44,7 +49,7 @@ from .budget import b_prime, g_conj, gs_prime, gs_value
 # rebinds both (tests/test_bench.py checks every name the tracer binds)
 from .lowner import _plus_identity, grad_hs, hs_eval, hs_trace_lift, y_eval  # noqa: F401
 from .objectives import (InvalidMatrix, _key, float_array, h_conj, h_eval, h_prime, number,
-                         param, psd_eigs)
+                         param, psd_eigs, scipy_extension)
 
 DEFAULT_TOLS = {
     "budget": 1e-9,
@@ -61,9 +66,15 @@ OFFLINE_MAX_ITERS = 5000
 # the audit replays a run in blocks of steps whose n x n aggregates and
 # factors hold at most this many floats
 AUDIT_BLOCK_FLOATS = 2 ** 22
-# the audit solves per atom up to min(this, n / 5) atoms (one always), and takes one
-# eigh past them: an eigh costs that many solves at n = 10 to 100 (BLAS on one thread)
-AUDIT_SOLVE_ATOMS = 6
+# the audit's pricing path (_audit_path), measured with BLAS on one thread at n = 5 to
+# 200: per-atom solves for one atom at any n, and below AUDIT_TRIDIAGONAL_N for up to
+# min(AUDIT_SOLVE_ATOMS, n / 5) atoms; one eigh past them; from AUDIT_TRIDIAGONAL_N on,
+# the tridiagonal reduction for two atoms or more.  At n = 50 a dsytrd costs about a
+# fifth of an eigh, and one atom's solves tie the reduction.  Below n = 15 the two
+# bounds on the solves' atoms coincide; at n = 10 and 12, three atoms solved were within
+# 6% of an eigh, two atoms 10-30% faster
+AUDIT_SOLVE_ATOMS = 2
+AUDIT_TRIDIAGONAL_N = 15
 
 
 class AuditError(ValueError):
@@ -328,6 +339,79 @@ def _audit_block(n, k):
     return max(1, AUDIT_BLOCK_FLOATS // (n * max(n, k)))
 
 
+def _audit_path(atoms, n):
+    """How the audit prices a measure of `atoms` atoms at dimension n: "solve", "eigh" or
+    "tridiagonal" (see AUDIT_SOLVE_ATOMS and AUDIT_TRIDIAGONAL_N)."""
+    if n >= AUDIT_TRIDIAGONAL_N:
+        return "solve" if atoms <= 1 else "tridiagonal"
+    return "solve" if atoms <= max(1, min(AUDIT_SOLVE_ATOMS, n // 5)) else "eigh"
+
+
+def _aggregates(U, Lb, xb):
+    """The U carried in, then the U_k after each purchase (factors Lb, decisions xb)."""
+    Us = np.empty((len(Lb) + 1,) + U.shape)
+    Us[0] = U
+    np.matmul(Lb, np.swapaxes(Lb, 1, 2), out=Us[1:])
+    Us[1:] *= xb[:, None, None]
+    np.cumsum(Us, axis=0, out=Us)
+    if not np.isfinite(Us[-1]).all():   # each U_k is PSD, bounded by the last's diagonal
+        raise InvalidMatrix("matrix has non-finite entries")
+    return Us
+
+
+def _singular(Us):
+    return np.linalg.LinAlgError(
+        "audit: lambda U + (1 - lambda) I is singular in float64 at the replayed "
+        "aggregate's scale, diagonal up to %g" % Us[-1].diagonal().max())
+
+
+def _tridiagonal_prices(lapack, Us, C, cd, pc, measure):
+    """Each column's price sum_j mu_j l^T M_jk^-1 l, and P_j = M_jk^-1 l for columns pc.
+
+    Column c of C is priced by dual cd[c], the columns of each dual contiguous.
+    One reduction U_k = Q T Q^T (dsytrd) serves every atom: C becomes Q^T C in
+    place (dormqr) and lambda_j T + (1 - lambda_j) I = L_j D_j L_j^T, whose
+    pivots are swept down T's diagonal for all duals and atoms at once, so the
+    price is sum_ji mu_j y_ji^2 / delta_ji, y = L_j^-1 Q^T l, a sum of
+    nonnegative terms.  P_j, in dual k's basis Q^T, takes the back sweep too.
+    """
+    lam, mu = measure.nodes, measure.weights
+    (D, n, _), bounds = Us.shape, np.searchsorted(cd, np.arange(len(Us) + 1))
+    d, e = np.empty((n, D)), np.empty((n - 1, D))      # T's diagonals, a column per dual
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    for k in range(D):
+        R, d[:, k], e[:, k], tau, _ = lapack.dsytrd(Us[k], lower=1, lwork=lwork)
+        lo, hi = bounds[k], bounds[k + 1]
+        if hi > lo and n > 1:
+            C[1:, lo:hi] = lapack.dormqr("L", "T", R[1:, :-1], tau, C[1:, lo:hi], hi - lo)[0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a, b = d[..., None] * lam + (1.0 - lam), e[..., None] * lam  # by (row, dual, atom)
+        delta, ell = np.empty_like(a), np.empty_like(b)
+        delta[0] = a[0]
+        for i in range(n - 1):
+            np.divide(b[i], delta[i], out=ell[i])
+            np.multiply(ell[i], b[i], out=delta[i + 1])
+            np.subtract(a[i + 1], delta[i + 1], out=delta[i + 1])
+    if not np.all((delta > 0.0) & (delta < np.inf)):
+        raise _singular(Us)
+    inv = 1.0 / delta
+    y = C[0][:, None] * np.ones(lam.size)
+    acc, t = y * y * inv[0][cd], np.empty_like(y)
+    Y = np.empty((n, pc.size, lam.size))
+    Y[0] = y[pc]
+    for i in range(1, n):
+        np.multiply(ell[i - 1][cd], y, out=t)
+        np.subtract(C[i][:, None], t, out=y)
+        np.multiply(y, y, out=t)
+        t *= inv[i][cd]
+        acc += t
+        Y[i] = y[pc]
+    Y *= inv[:, cd[pc]]
+    for i in range(n - 2, -1, -1):
+        Y[i] -= ell[i][cd[pc]] * Y[i + 1]
+    return acc @ mu, Y
+
+
 def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     """Replay a decision sequence from scratch and verify every guarantee.
 
@@ -361,7 +445,9 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
     n, m, costs, ranks = inst.n, inst.m, inst.costs, inst.ranks
     a = int(ranks.max())
     block = _audit_block(n, a)
-    spectral = lam.size > max(1, min(AUDIT_SOLVE_ATOMS, n // 5))
+    path = _audit_path(lam.size, n)
+    if path == "tridiagonal":
+        lapack = scipy_extension("scipy.linalg._flapack")
     U = np.zeros((n, n))
     u = z = pos_sum = corr_sum = 0.0
     min_y_gap, max_z_step = np.inf, -np.inf
@@ -375,50 +461,57 @@ def audit_run(decisions, inst, smoothed, budget, variant, p_star=None):
         after = np.cumsum(buys)
         before, K = after - buys, int(after[-1])   # each step's dual, 0 the one carried in
         D = K + (not buys[-1])          # and the one after the last purchase, if a step follows
-        slot = np.arange(e - s) - np.searchsorted(before, before) + 1
-        slot[buy] = 0                   # a segment's purchase first, then its rejections
-        need = np.bincount(before, minlength=D) + (np.arange(D) >= K)    # slots each dual prices
-        # rows of W slots, a long segment taking several: a row costs about 2 + n / 4k
-        # slots of k columns (a factorization, or a gather of V)
-        wide = 2 ** np.arange(int(np.log2(need.max())) + 1)
-        W = wide[np.argmin(np.sum(-(-need // wide[:, None]), axis=1) * (wide + 2 + n / (4 * a)))]
-        rows = -(-need // W)
-        first, dual = np.cumsum(rows) - rows, np.repeat(np.arange(D), rows)
-        row, slot = first[before] + slot // W, slot % W
-        pick = dual if dual.size > D else slice(D)      # each row's dual
-        R = np.zeros((dual.size, n, W, a))
-        for r in np.unique(k[k > 0]):
-            idx = np.flatnonzero(k == r)
-            R[row[idx], :, slot[idx], :r] = [inst.arrivals[s + i].L for i in idx]
-        Lb = R[first[:K], :, 0, :]      # the purchases' factors
-        Us = np.empty((K + 1, n, n))    # the U carried in, then each U_k, in stream order
-        Us[0] = U
-        np.matmul(Lb, np.swapaxes(Lb, 1, 2), out=Us[1:])
-        Us[1:] *= x[buy][:, None, None]
-        np.cumsum(Us, axis=0, out=Us)
-        if not np.isfinite(Us[-1]).all():   # each U_k is PSD, bounded by the last's diagonal
-            raise InvalidMatrix("matrix has non-finite entries")
-        if spectral:                    # M_j^-1 = V diag(1 / (lambda_j w + 1 - lambda_j)) V^T
-            w, V = np.linalg.eigh(Us[:D])
-            Q = (np.swapaxes(V[pick], 1, 2) @ R.reshape(dual.size, n, -1)).reshape(R.shape)
-            prices = np.einsum("ri,riwk,riwk->rw", y_eval(measure, w)[pick], Q, Q)
-            Lb = Q[first[:K], :, 0, :]
-            P = Lb[:, None] / (np.maximum(w[:K], 0.0)[:, None, :, None] * lam[:, None, None]
-                               + (1.0 - lam)[:, None, None])
+        if path == "tridiagonal":       # the steps' columns in stream order, then a zero one
+            C = np.concatenate([inst.arrivals[s + i].L for i in range(e - s)]
+                               + [np.zeros((n, 1))], axis=1)
+            step = np.repeat(np.arange(e - s), k)
+            cd = np.append(before[step], D - 1)         # each column's dual
+            # each purchase's columns, padded to a by the zero one
+            pc = np.where(np.arange(a) < k[buy][:, None],
+                          (np.cumsum(k) - k)[buy][:, None] + np.arange(a), step.size).ravel()
+            Us = _aggregates(U, np.swapaxes(C[:, pc].reshape(n, K, a), 0, 1), x[buy])
+            col, Pc = _tridiagonal_prices(lapack, Us[:D], C, cd, pc, measure)
+            p0 = np.bincount(step, col[:-1], minlength=e - s)
+            Lb = np.swapaxes(C[:, pc].reshape(n, K, a), 0, 1)     # in each dual's basis Q^T
+            P = Pc.reshape(n, K, a, lam.size).transpose(1, 3, 0, 2)
         else:
-            try:                        # each row's M_j, a long segment's repeated
-                X = [R if node == 0.0 else np.linalg.solve(_plus_identity(
-                    node * Us[pick], 1.0 - node), R.reshape(dual.size, n, -1)).reshape(R.shape)
-                    for node in lam]
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    "audit: lambda U + (1 - lambda) I is singular in float64 at the replayed "
-                    "aggregate's scale, diagonal up to %g" % Us[-1].diagonal().max()) from exc
-            prices = sum(mj * np.einsum("riwk,riwk->rw", R, Xj) for mj, Xj in zip(mu, X))
-            P = np.stack([Xj[first[:K], :, 0, :] for Xj in X], axis=1)     # M_j^-1 L
+            slot = np.arange(e - s) - np.searchsorted(before, before) + 1
+            slot[buy] = 0               # a segment's purchase first, then its rejections
+            need = np.bincount(before, minlength=D) + (np.arange(D) >= K)    # slots per dual
+            # rows of W slots, a long segment taking several: a row costs about 2 + n / 4k
+            # slots of k columns (a factorization, or a gather of V)
+            wide = 2 ** np.arange(int(np.log2(need.max())) + 1)
+            W = wide[np.argmin(np.sum(-(-need // wide[:, None]), axis=1)
+                               * (wide + 2 + n / (4 * a)))]
+            rows = -(-need // W)
+            first, dual = np.cumsum(rows) - rows, np.repeat(np.arange(D), rows)
+            row, slot = first[before] + slot // W, slot % W
+            pick = dual if dual.size > D else slice(D)      # each row's dual
+            R = np.zeros((dual.size, n, W, a))
+            for r in np.unique(k[k > 0]):
+                idx = np.flatnonzero(k == r)
+                R[row[idx], :, slot[idx], :r] = [inst.arrivals[s + i].L for i in idx]
+            Lb = R[first[:K], :, 0, :]      # the purchases' factors
+            Us = _aggregates(U, Lb, x[buy])
+            if path == "eigh":          # M_j^-1 = V diag(1 / (lambda_j w + 1 - lambda_j)) V^T
+                w, V = np.linalg.eigh(Us[:D])
+                Q = (np.swapaxes(V[pick], 1, 2) @ R.reshape(dual.size, n, -1)).reshape(R.shape)
+                prices = np.einsum("ri,riwk,riwk->rw", y_eval(measure, w)[pick], Q, Q)
+                Lb = Q[first[:K], :, 0, :]
+                P = Lb[:, None] / (np.maximum(w[:K], 0.0)[:, None, :, None] * lam[:, None, None]
+                                   + (1.0 - lam)[:, None, None])
+            else:
+                try:                    # each row's M_j, a long segment's repeated
+                    X = [R if node == 0.0 else np.linalg.solve(_plus_identity(
+                        node * Us[pick], 1.0 - node), R.reshape(dual.size, n, -1)).reshape(R.shape)
+                        for node in lam]
+                except np.linalg.LinAlgError as exc:
+                    raise _singular(Us) from exc
+                prices = sum(mj * np.einsum("riwk,riwk->rw", R, Xj) for mj, Xj in zip(mu, X))
+                P = np.stack([Xj[first[:K], :, 0, :] for Xj in X], axis=1)     # M_j^-1 L
+            p0 = prices[row, slot]
         us = np.cumsum(np.concatenate([[u], x[buy] * c[buy]]))[1:]
         zb = np.concatenate([[z], gs_prime(budget, us) if K else us])
-        p0 = prices[row, slot]
         p1 = p0.copy()
         if K:
             G = np.einsum("kia,kjib->kjab", Lb, P)             # L^T M_j^-1 L

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -14,9 +15,10 @@ from scipy import optimize
 from psdalloc import lowner, oracle
 from psdalloc.bench import gen_adversarial, gen_random, make_instance
 from psdalloc.budget import BudgetSmoother, QuadratureError, b_prime, g_conj, gs_prime
-from psdalloc.designer import DesignSpec, design_hs
+from psdalloc.designer import DesignSpec, design_from_dict, design_hs
 from psdalloc.lowner import AtomicMeasure, SmoothedObjective, y_eval
-from psdalloc.objectives import TOL_EIG, InvalidMatrix, h_conj, h_eval, make_objective
+from psdalloc.objectives import (TOL_EIG, InvalidMatrix, h_conj, h_eval, make_objective,
+                                 scipy_extension)
 from psdalloc.online import Arrival, OnlineState, run_stream
 from psdalloc.oracle import (
     DEFAULT_TOLS,
@@ -679,9 +681,9 @@ def _spy(monkeypatch, module, name):
     """Replace module.name by a wrapper that records the arguments of each call."""
     calls, real = [], getattr(module, name)
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
     return calls
@@ -1175,6 +1177,220 @@ def test_the_audit_loads_no_scipy_linalg():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["False"]
+
+
+FROZEN_AOPT = Path(__file__).resolve().parents[1] / "perfbench" / "aopt_gamma2_sim.json"
+needs_frozen_aopt = pytest.mark.skipif(not FROZEN_AOPT.exists(),
+                                       reason="no perfbench/ in this checkout")
+
+
+def _frozen_aopt():
+    """The benchmark's frozen 24-atom aopt measure (gamma 2, sim)."""
+    with open(FROZEN_AOPT) as fh:
+        return design_from_dict(json.load(fh)).smoothed()
+
+
+def _path(mp, path):
+    """Make the audit price every measure of two atoms or more by `path`, at any n:
+    "tridiagonal", or "eigh"."""
+    mp.setattr(oracle, "AUDIT_TRIDIAGONAL_N", 1 if path == "tridiagonal" else 10 ** 9)
+    if path == "eigh":
+        mp.setattr(oracle, "AUDIT_SOLVE_ATOMS", 0)
+
+
+def test_the_audit_path_follows_atoms_and_n():
+    # measured with BLAS on one thread: one atom solves at every n; below n = 15 the
+    # solves pay up to n / 5 atoms and one eigh past them; from n = 15 the tridiagonal
+    # reduction pays from two atoms on
+    path = oracle._audit_path
+    assert [path(1, n) for n in (1, 5, 20, 200)] == ["solve"] * 4
+    assert [path(2, n) for n in (5, 10, 14, 15, 50)] == [
+        "eigh", "solve", "solve", "tridiagonal", "tridiagonal"]
+    assert [path(24, n) for n in (5, 14, 15, 200)] == [
+        "eigh", "eigh", "tridiagonal", "tridiagonal"]
+
+
+def test_the_reduction_s_lapack_routines_keep_their_interface():
+    # the audit calls scipy's private LAPACK wrappers, loaded from their file: dsytrd
+    # (lower) returns T's diagonal and off-diagonal, with the reflectors of U = Q T Q^T
+    # below the subdiagonal, and dormqr applies Q^T to the rows past the first
+    lapack = scipy_extension("scipy.linalg._flapack")
+    n = 7
+    W = np.random.default_rng(0).standard_normal((n, n - 2))
+    U = W @ W.T
+    R, d, e, tau, info = lapack.dsytrd(U, lower=1, lwork=int(lapack.dsytrd_lwork(n, lower=1)[0]))
+    assert info == 0 and d.shape == (n,) and e.shape == tau.shape == (n - 1,)
+    Qt = np.eye(n)
+    Qt[1:], _, info = lapack.dormqr("L", "T", R[1:, :-1], tau, Qt[1:], n)
+    assert info == 0
+    np.testing.assert_allclose(Qt @ Qt.T, np.eye(n), rtol=0.0, atol=1e-14)
+    T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    np.testing.assert_allclose(Qt @ U @ Qt.T, T, rtol=0.0, atol=1e-13 * np.abs(U).max())
+
+
+@needs_frozen_aopt
+@pytest.mark.parametrize("bought", ["every", "first"])
+def test_audit_raises_where_a_pivot_of_the_reduction_is_not_positive(bought):
+    # at n = 20 the 24 atoms take the tridiagonal reduction.  Factors scaled by 1e150 put
+    # U near 1e300, where lambda T + (1 - lambda) I has a pivot that is not positive
+    # and finite: the audit raises the solve path's error and names the scale, with no
+    # float warning on the way (pyproject makes one an error)
+    sm = _frozen_aopt()
+    base = gen_random(20, 8, 1.0, 0)
+    assert oracle._audit_path(sm.measure.nodes.size, base.n) == "tridiagonal"
+    inst = Instance([Arrival(a.L * 1e150, a.c) for a in base.arrivals], 1e-300)
+    budget = BudgetSmoother(sm.base, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, "seq")
+    x = np.ones(inst.m) if bought == "every" else np.eye(inst.m)[0]
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="singular in float64 at the replayed aggregate's scale"):
+        audit_run(x, inst, sm, budget, "seq", p_star=0.0)
+
+
+@needs_frozen_aopt
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+def test_audit_reduces_each_dual_once_and_decomposes_only_the_final_aggregate(variant):
+    # past the crossover each block takes one dsytrd of every dual in force: the U it
+    # carries in and the U_k after each of its purchases, less the one after its last
+    # step where that is a purchase.  No U_k is decomposed by eigh or solved against;
+    # H_S(U), h*, H(U) and lambda_max take the final U's one eigh
+    sm = _frozen_aopt()
+    inst = gen_random(20, 60, 1.0, 2)
+    budget = BudgetSmoother(sm.base, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, variant)
+    x = run_stream(sm, budget, inst.arrivals, variant).decisions
+    assert 0 < np.count_nonzero(x) < inst.m
+    lapack = scipy_extension("scipy.linalg._flapack")
+    As = [xt * (a.L @ a.L.T) for xt, a in zip(x, inst.arrivals)]
+    for steps in (None, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            block = _small_blocks(mp, inst, steps)
+            expect = audit_run(x, inst, sm, budget, variant, p_star=0.0).to_dict()
+            reductions = _spy(mp, lapack, "dsytrd")
+            eighs = _spy(mp, np.linalg, "eigh")
+            solves = _spy(mp, np.linalg, "solve")
+            rep = audit_run(x, inst, sm, budget, variant, p_star=0.0)
+        assert rep.passed and rep.to_dict() == expect
+        duals, U = [], np.zeros((inst.n, inst.n))
+        for s in range(0, inst.m, block):
+            duals.append(U)
+            for t in range(s, min(s + block, inst.m)):
+                if x[t] > 0.0:
+                    U = U + As[t]
+                    duals.append(U)
+            if x[min(s + block, inst.m) - 1] > 0.0:
+                duals.pop()
+        assert len(reductions) == len(duals)
+        for args, want in zip(reductions, duals):
+            np.testing.assert_allclose(args[0], want, rtol=0.0, atol=1e-12 * max(1.0, U.max()))
+        assert [np.shape(args[0]) for args in eighs] == [(inst.n, inst.n)] and not solves
+
+
+@needs_frozen_aopt
+@pytest.mark.parametrize("kind", ["engine", "every"])
+@pytest.mark.parametrize("measure", ["frozen", "designed"])
+@pytest.mark.parametrize("variant", ["seq", "sim"])
+@pytest.mark.parametrize("n", [15, 20])
+def test_the_reduction_matches_the_step_by_step_reference(n, variant, measure, kind):
+    # n = 15 is the crossover, from where the 24 atoms and the two-atom aopt designs take
+    # the reduction; bought at every step, the 24-atom gaps have n columns and are formed
+    inst = gen_random(n, 60, 1.0, 3)
+    sm = _frozen_aopt() if measure == "frozen" else design_hs(DesignSpec(
+        make_objective("aopt"), 2.0, 14.0, 40, 60, variant, 5.0 if variant == "seq" else 0.0)
+    ).smoothed()
+    budget = BudgetSmoother(sm.base, 2.0, inst.b, inst.theta, inst.Theta,
+                            inst.rho1 if variant == "seq" else 0.0, variant)
+    assert oracle._audit_path(sm.measure.nodes.size, n) == "tridiagonal"
+    x = _decisions(kind, run_stream(sm, budget, inst.arrivals, variant).decisions, inst.m)
+    ref = reference_audit_run(x, inst, sm, budget, variant, 1.0)
+    for steps in (None, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            _small_blocks(mp, inst, steps)
+            assert_reports_match(audit_run(x, inst, sm, budget, variant, p_star=1.0), ref)
+
+
+@st.composite
+def reduction_cases(draw):
+    """A run at n in [20, 40] with a measure of 2 to 24 atoms, a node at 0 or not, ranks
+    0..3, and the engine's decisions or ones drawn from {0, 1, U(0, 1)}."""
+    steps = draw(st.sampled_from([None, 3]))
+    n, m = draw(st.integers(20, 40)), draw(st.integers(1, 16))
+    ranks = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    assume(any(ranks))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arrivals = [Arrival(rng.standard_normal((n, k)) / np.sqrt(n), float(rng.uniform(0.5, 1.5)))
+                for k in ranks]
+    inst = Instance(arrivals, float(draw(st.floats(0.5, 5.0))))
+    atoms = draw(st.integers(2, 24))
+    nodes = np.sort(rng.uniform(0.0, 0.95, atoms))
+    if draw(st.booleans()):
+        nodes[0] = 0.0
+    weights = rng.uniform(0.1, 1.0, atoms)
+    weights /= np.sum(weights / (1.0 - nodes))
+    obj = make_objective(draw(st.sampled_from(["dopt", "aopt"])))
+    sm = SmoothedObjective(AtomicMeasure(nodes, weights), obj)
+    variant = draw(st.sampled_from(["seq", "sim"]))
+    budget = BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta,
+                            inst.rho1 if variant == "seq" else 0.0, variant)
+    if draw(st.booleans()):
+        x = run_stream(sm, budget, inst.arrivals, variant).decisions
+    else:
+        x = np.array([draw(st.sampled_from([0.0, 1.0, float(rng.uniform(0.0, 1.0))]))
+                      for _ in ranks])
+    assume(np.isfinite(gs_prime(budget, float(inst.costs @ x))))
+    return inst, x, sm, budget, variant, steps
+
+
+@given(reduction_cases())
+def test_the_reduction_reports_what_the_eigh_path_reports(case):
+    inst, x, sm, budget, variant, steps = case
+    reps = []
+    for path in ("eigh", "tridiagonal"):
+        with pytest.MonkeyPatch.context() as mp:
+            _path(mp, path)
+            assert oracle._audit_path(sm.measure.nodes.size, inst.n) == path
+            _small_blocks(mp, inst, steps)
+            reps.append(audit_run(x, inst, sm, budget, variant, p_star=1.0))
+    assert_reports_match(reps[1], reps[0])
+
+
+def _fresh_audit(setup=""):
+    """Run `setup`, then two audits at n = 20 that take the tridiagonal reduction (the
+    8-atom measure, both variants), in a fresh process; returns the path, whether both
+    passed, and whether scipy.linalg and then scipy.optimize were loaded."""
+    probe = "\n".join([
+        setup,
+        "import sys, numpy as np",
+        "from psdalloc import oracle, lowner, budget, online",
+        "from psdalloc.bench import gen_random",
+        "from psdalloc.objectives import make_objective",
+        "inst, obj, nodes = gen_random(20, 40, 1.0, 1), make_objective('dopt'), "
+        "np.linspace(0.1, 0.9, 8)",
+        "sm = lowner.SmoothedObjective(lowner.AtomicMeasure(nodes, np.ones(8) / np.sum("
+        "1.0 / (1.0 - nodes))), obj)",
+        "ok = []",
+        "for v in ('seq', 'sim'):",
+        "    sb = budget.BudgetSmoother(obj, 2.0, inst.b, inst.theta, inst.Theta, inst.rho1, v)",
+        "    x = online.run_stream(sm, sb, inst.arrivals, v, 20).decisions",
+        "    ok.append(oracle.audit_run(x, inst, sm, sb, v, p_star=0.0).passed)",
+        "print(oracle._audit_path(8, 20), all(ok), 'scipy.linalg' in sys.modules, "
+        "'scipy.optimize' in sys.modules)"])
+    env = dict(os.environ)
+    pkg_root = str(Path(oracle.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.split()
+
+
+def test_an_audit_on_the_reduction_loads_neither_scipy_linalg_nor_scipy_optimize():
+    # LAPACK's extension is loaded from its file, as the designer loads HiGHS's
+    assert _fresh_audit() == ["tridiagonal", "True", "False", "False"]
+
+
+def test_the_reduction_falls_back_to_the_import_when_the_direct_load_fails():
+    out = _fresh_audit(setup="import glob\nglob.glob = lambda *args, **kwargs: []")
+    assert out[:3] == ["tridiagonal", "True", "True"]
 
 
 def test_audit_sim_evaluates_gs_prime_once_per_purchase():
